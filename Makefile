@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-check perf-check scaling networks placements serve loadtest docker profile alloc-check trace-smoke
+.PHONY: all test vet bench bench-check perf-check scaling networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
 
 all: test
 
@@ -65,9 +65,16 @@ profile:
 # alloc-check runs only the allocation-budget tests: steady-state
 # allocs/op in the lrc interval path, mem diff path, vc operations,
 # the homeless jacobi inner loop, and the MemSink capture path (plain
-# and capture-enabled engine runs) must stay under the pinned budgets.
+# and capture-enabled engine runs) must stay under the pinned budgets;
+# a reservation on a warmed netmodel timeline, and Reset followed by
+# re-pricing the same stream, must allocate nothing.
 alloc-check:
-	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ -run 'Alloc|Budget' -v
+	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ -run 'Alloc|Budget' -v
+
+# fuzz-smoke runs the occupancy timeline's differential fuzz target for
+# twenty seconds: the block structure against the flat reference list.
+fuzz-smoke:
+	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 20s
 
 # trace-smoke captures one traced run and checks that a same-model
 # replay reproduces its totals bit-identically (dsmtrace exits 1 if

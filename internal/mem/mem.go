@@ -66,11 +66,15 @@ type Replica struct {
 	// Frame storage: fresh frames are carved from chunk arenas; frames
 	// released by Zero (trial reset) are recycled through a free list.
 	arena []byte
+	chunk int // frames in the last arena chunk allocated
 	free  [][]byte
 }
 
-// frameChunk is the number of page frames allocated per arena chunk.
-const frameChunk = 64
+// maxFrameChunk caps the page frames allocated per arena chunk. Chunks
+// double from one frame up to it, so a replica that touches a handful
+// of pages (one of 256 processors on a large segment) holds about twice
+// what it touched rather than a full 256 KB chunk.
+const maxFrameChunk = 64
 
 // NewReplica allocates a zeroed eager replica of at least size bytes,
 // rounded up to a page multiple.
@@ -119,7 +123,8 @@ func (r *Replica) materialize(p int) []byte {
 		clear(f)
 	} else {
 		if len(r.arena) < PageSize {
-			r.arena = make([]byte, frameChunk*PageSize)
+			r.chunk = min(max(1, 2*r.chunk), maxFrameChunk)
+			r.arena = make([]byte, r.chunk*PageSize)
 		}
 		f, r.arena = r.arena[:PageSize:PageSize], r.arena[PageSize:]
 	}

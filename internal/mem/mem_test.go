@@ -192,3 +192,23 @@ func TestLazyReplicaZeroRecyclesFrames(t *testing.T) {
 		t.Fatal("write after Zero lost")
 	}
 }
+
+// TestLazyReplicaFootprint pins the point of the lazy layout at scale:
+// a processor that touches a few pages of a large segment backs about
+// that many frames, not a fixed chunk sized for a processor that
+// touches hundreds.
+func TestLazyReplicaFootprint(t *testing.T) {
+	r := NewLazyReplica(1000 * PageSize)
+	for _, p := range []int{3, 400, 401, 750, 999} {
+		r.WriteWord(p*PageSize, 1)
+	}
+	touched := 0
+	for _, f := range r.frames {
+		if f != nil {
+			touched++
+		}
+	}
+	if backed := touched + len(r.arena)/PageSize; touched != 5 || backed > 8 {
+		t.Fatalf("5 pages written: %d frames materialized, %d frames of backing store, want 5 and at most 8", touched, backed)
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-func mustNew(t *testing.T, name string) Model {
+func mustNew(t testing.TB, name string) Model {
 	t.Helper()
 	m, err := New(name, sim.DefaultCostModel())
 	if err != nil {
@@ -216,11 +216,8 @@ func TestTimelineGapFilling(t *testing.T) {
 	if got := tl.reserve(5, 10); got != 20 {
 		t.Fatalf("overlapping request started at %v, want 20", got)
 	}
-	if len(tl.iv) != 1 {
-		t.Fatalf("timeline has %d busy periods, want 1 coalesced: %v", len(tl.iv), tl.iv)
-	}
-	if tl.iv[0] != (interval{start: 0, end: 40}) {
-		t.Fatalf("coalesced period = %v, want [0,40)", tl.iv[0])
+	if iv := tl.intervals(t); len(iv) != 1 || iv[0] != (interval{start: 0, end: 40}) {
+		t.Fatalf("timeline holds %v, want one coalesced period [0,40)", iv)
 	}
 	// A request inside a gap too small for it skips to the next gap.
 	if got := tl.reserve(50, 5); got != 50 {

@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/sim"
@@ -73,6 +72,20 @@ type interval struct {
 	start, end sim.Duration
 }
 
+const (
+	maxIntervals = 4096 // busy periods one resource remembers
+	blockCap     = 64   // busy periods per block: an insert shifts at most 1 KB
+)
+
+// block is one fixed-capacity run of a timeline's busy periods, live in
+// iv[lo:hi]; lo moves only when a block's first period goes. next links
+// the blocks of the free list.
+type block struct {
+	next   *block
+	lo, hi int
+	iv     [blockCap]interval
+}
+
 // timeline tracks when a serial resource (the bus, one NIC port) is
 // busy, in virtual time. Reservations arrive out of virtual-time order
 // — processor clocks are skewed, and the message log serializes them
@@ -83,15 +96,22 @@ type interval struct {
 // spuriously queuing behind the future. Queuing delay therefore
 // reflects genuine overlap of transmissions in virtual time.
 //
-// The interval list is capped: when it overflows, the earliest busy
-// period is forgotten (a frame sent at a long-past virtual time may
-// then see slightly *less* contention than it should — the safe
-// direction for a model whose floor is the uncontended ideal cost).
+// The busy periods are kept sorted, disjoint and never exactly
+// touching, as an ordered sequence of non-empty blocks, so a
+// reservation far from the tail moves one block's worth of memory
+// instead of everything after it. Blocks come from a slab the timeline
+// owns and go back to its free list when they empty or on reset.
+//
+// The list is capped: when it overflows, the earliest busy period is
+// forgotten (a frame sent at a long-past virtual time may then see
+// slightly *less* contention than it should — the safe direction for a
+// model whose floor is the uncontended ideal cost).
 type timeline struct {
-	iv []interval
+	order []*block // non-empty blocks in time order
+	free  *block   // slab blocks not in order
+	slab  int      // blocks allocated so far
+	n     int      // busy periods held
 }
-
-const maxIntervals = 4096
 
 // reserve books a slot of length tx at the earliest idle time at or
 // after ready and returns the slot's start.
@@ -100,49 +120,171 @@ func (t *timeline) reserve(ready, tx sim.Duration) sim.Duration {
 		return ready
 	}
 	// Skip busy periods that end at or before ready; they cannot
-	// constrain the slot.
-	i := sort.Search(len(t.iv), func(i int) bool { return t.iv[i].end > ready })
+	// constrain the slot. Ends are sorted, so first find the block whose
+	// last period ends after ready, then the period within it.
+	bi, si := len(t.order), 0
+	if bi > 0 {
+		if last := t.order[bi-1]; last.iv[last.hi-1].end > ready {
+			lo, hi := 0, bi-1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if b := t.order[mid]; b.iv[b.hi-1].end > ready {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			bi = lo
+			b := t.order[bi]
+			lo, hi = b.lo, b.hi-1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if b.iv[mid].end > ready {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			si = lo
+		}
+	}
 	start := ready
-	for i < len(t.iv) {
-		if start+tx <= t.iv[i].start {
-			break // fits in the gap before busy period i
+walk:
+	for bi < len(t.order) {
+		b := t.order[bi]
+		for ; si < b.hi; si++ {
+			if start+tx <= b.iv[si].start {
+				break walk // fits in the gap before this busy period
+			}
+			if e := b.iv[si].end; e > start {
+				start = e
+			}
 		}
-		if e := t.iv[i].end; e > start {
-			start = e
+		if bi++; bi < len(t.order) {
+			si = t.order[bi].lo
 		}
-		i++
 	}
-	// Insert [start, start+tx) before index i, coalescing with
-	// neighbors it touches exactly (queued frames pack back-to-back,
-	// so bursts collapse into single busy periods).
-	lo, hi := i, i
-	merged := interval{start: start, end: start + tx}
-	if lo > 0 && t.iv[lo-1].end == merged.start {
-		lo--
-		merged.start = t.iv[lo].start
+	// Book [start, start+tx) before position (bi, si), coalescing with
+	// neighbors it touches exactly (queued frames pack back-to-back, so
+	// bursts collapse into single busy periods).
+	var prev, next *interval
+	if bi < len(t.order) {
+		b := t.order[bi]
+		next = &b.iv[si]
+		if si > b.lo {
+			prev = &b.iv[si-1]
+		}
 	}
-	if hi < len(t.iv) && t.iv[hi].start == merged.end {
-		merged.end = t.iv[hi].end
-		hi++
+	if prev == nil && bi > 0 {
+		b := t.order[bi-1]
+		prev = &b.iv[b.hi-1]
 	}
+	end := start + tx
+	touchPrev := prev != nil && prev.end == start
+	touchNext := next != nil && next.start == end
 	switch {
-	case hi == lo: // pure insert
-		t.iv = append(t.iv, interval{})
-		copy(t.iv[lo+1:], t.iv[lo:])
-		t.iv[lo] = merged
-	case hi == lo+1: // replace one
-		t.iv[lo] = merged
-	default: // replace several
-		t.iv[lo] = merged
-		t.iv = append(t.iv[:lo+1], t.iv[hi:]...)
-	}
-	if len(t.iv) > maxIntervals {
-		t.iv = t.iv[1:]
+	case touchPrev && touchNext:
+		prev.end = next.end
+		t.remove(bi, si)
+	case touchPrev:
+		prev.end = end
+	case touchNext:
+		next.start = start
+	default:
+		t.insert(bi, si, interval{start: start, end: end})
+		if t.n > maxIntervals {
+			t.remove(0, t.order[0].lo)
+		}
 	}
 	return start
 }
 
-func (t *timeline) reset() { t.iv = t.iv[:0] }
+// insert places v before position (bi, si); bi == len(t.order) appends.
+func (t *timeline) insert(bi, si int, v interval) {
+	t.n++
+	if bi == len(t.order) {
+		// Past every busy period: extend the last block, or open a new
+		// one rather than split it, so in-order streams fill blocks.
+		if bi > 0 && t.order[bi-1].hi < blockCap {
+			b := t.order[bi-1]
+			b.iv[b.hi] = v
+			b.hi++
+			return
+		}
+		b := t.newBlock()
+		b.iv[0], b.hi = v, 1
+		t.order = append(t.order, b)
+		return
+	}
+	b := t.order[bi]
+	if b.hi == blockCap {
+		if b.lo > 0 { // room was freed at the head: close it up
+			copy(b.iv[:], b.iv[b.lo:b.hi])
+			si -= b.lo
+			b.lo, b.hi = 0, b.hi-b.lo
+		} else { // full: move the upper half to a new block after this one
+			const half = blockCap / 2
+			nb := t.newBlock()
+			nb.hi = copy(nb.iv[:], b.iv[half:])
+			b.hi = half
+			t.order = append(t.order, nil)
+			copy(t.order[bi+2:], t.order[bi+1:])
+			t.order[bi+1] = nb
+			if si > half {
+				b, si = nb, si-half
+			}
+		}
+	}
+	copy(b.iv[si+1:b.hi+1], b.iv[si:b.hi])
+	b.iv[si] = v
+	b.hi++
+}
+
+// remove deletes the busy period at position (bi, si), recycling the
+// block if that empties it. The head of a block goes in O(1).
+func (t *timeline) remove(bi, si int) {
+	t.n--
+	b := t.order[bi]
+	if si == b.lo {
+		b.lo++
+	} else {
+		copy(b.iv[si:], b.iv[si+1:b.hi])
+		b.hi--
+	}
+	if b.lo == b.hi {
+		copy(t.order[bi:], t.order[bi+1:])
+		t.order = t.order[:len(t.order)-1]
+		b.next, t.free = t.free, b
+	}
+}
+
+// newBlock takes an empty block off the free list, doubling the slab
+// when the list is empty.
+func (t *timeline) newBlock() *block {
+	if t.free == nil {
+		grow := t.slab
+		if grow == 0 {
+			grow = 1
+		}
+		chunk := make([]block, grow)
+		for i := range chunk {
+			chunk[i].next, t.free = t.free, &chunk[i]
+		}
+		t.slab += grow
+	}
+	b := t.free
+	t.free = b.next
+	b.lo, b.hi = 0, 0
+	return b
+}
+
+func (t *timeline) reset() {
+	for _, b := range t.order {
+		b.next, t.free = t.free, b
+	}
+	t.order = t.order[:0]
+	t.n = 0
+}
 
 // bus models a shared-medium Ethernet: one global serialization
 // resource. A frame may start transmitting only when the medium is
@@ -193,26 +335,22 @@ type switched struct {
 	p    Params
 
 	mu      sync.Mutex
-	egress  map[int]*timeline // NIC send port busy periods
-	ingress map[int]*timeline // NIC receive port busy periods
+	egress  []timeline // NIC send port busy periods, by processor
+	ingress []timeline // NIC receive port busy periods, by processor
 }
 
 func newSwitched(name string, p Params) *switched {
-	return &switched{
-		name:    name,
-		p:       p,
-		egress:  make(map[int]*timeline),
-		ingress: make(map[int]*timeline),
-	}
+	return &switched{name: name, p: p}
 }
 
-func port(m map[int]*timeline, id int) *timeline {
-	t := m[id]
-	if t == nil {
-		t = &timeline{}
-		m[id] = t
+// port returns processor id's timeline, growing the table to reach it.
+// Callers hand in engine processor ids; captures read from outside are
+// range-checked by internal/trace before they are priced.
+func port(ports *[]timeline, id int) *timeline {
+	if id >= len(*ports) {
+		*ports = append(*ports, make([]timeline, id+1-len(*ports))...)
 	}
-	return t
+	return &(*ports)[id]
 }
 
 func (s *switched) Name() string { return s.name }
@@ -221,9 +359,9 @@ func (s *switched) Leg(src, dst, bytes int, at sim.Duration) Timing {
 	ready := at + s.p.SendOverhead
 	tx := s.p.txTime(bytes)
 	s.mu.Lock()
-	eStart := port(s.egress, src).reserve(ready, tx)
+	eStart := port(&s.egress, src).reserve(ready, tx)
 	arrive := eStart + s.p.Propagation // head of frame, cut-through
-	iStart := port(s.ingress, dst).reserve(arrive, tx)
+	iStart := port(&s.ingress, dst).reserve(arrive, tx)
 	s.mu.Unlock()
 	queue := (eStart - ready) + (iStart - arrive)
 	return Timing{
@@ -238,11 +376,11 @@ func (s *switched) Exchange(src, dst, reqBytes, replyBytes int, at sim.Duration)
 
 func (s *switched) Reset() {
 	s.mu.Lock()
-	for _, t := range s.egress {
-		t.reset()
+	for i := range s.egress {
+		s.egress[i].reset()
 	}
-	for _, t := range s.ingress {
-		t.reset()
+	for i := range s.ingress {
+		s.ingress[i].reset()
 	}
 	s.mu.Unlock()
 }

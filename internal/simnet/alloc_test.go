@@ -31,6 +31,31 @@ func TestAllocBudgetCountsOnly(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetContendedSends pins the engine's live pricing on the
+// contended models: once a port's timeline has grown its slab, a
+// counts-only send books its frames without allocating.
+func TestAllocBudgetContendedSends(t *testing.T) {
+	for _, name := range []string{"bus", "switch"} {
+		m, err := netmodel.New(name, sim.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := NewWithModel(sim.DefaultCostModel(), m, WithCountsOnly())
+		at := sim.Duration(0)
+		send := func() {
+			n.SendLeg(HomeFlush, 0, 1, 256, at)
+			n.SendExchange(DiffRequest, DiffReply, 2, 1, 32, 4096, at)
+			at += sim.Millisecond // no overlap: every frame is a new busy period
+		}
+		for i := 0; i < 8192; i++ {
+			send()
+		}
+		if nAllocs := testing.AllocsPerRun(1000, send); nAllocs != 0 {
+			t.Errorf("%s: counts-only sends on warmed ports: %v allocs/op, want 0", name, nAllocs)
+		}
+	}
+}
+
 // TestCountsOnlyLockFree pins that the lock-free fast path engages
 // exactly when it is sound: counts-only retention over a stateless
 // model. A contended model keeps occupancy state, so its pricing must

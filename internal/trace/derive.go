@@ -112,6 +112,9 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 	if meta.Procs <= 0 {
 		return nil, fmt.Errorf("trace: derive needs procs in run meta (got %d)", meta.Procs)
 	}
+	if err := ms.checkProcs(); err != nil {
+		return nil, err
+	}
 	cost := sim.DefaultCostModel()
 	if meta.Cost != nil {
 		cost = *meta.Cost
@@ -202,6 +205,26 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 	}, nil
 }
 
+// checkProcs rejects a capture in which a message event, or a
+// lifecycle event Derive indexes by, names a processor the run does
+// not have. The caller holds ms.mu.
+func (ms *MemSink) checkProcs() error {
+	n := ms.meta.Procs
+	for i, op := range ms.op {
+		switch op {
+		case opLeg, opControl, opExchange:
+			if err := checkEndpoints(int(ms.a[i]), int(ms.b[i]), n); err != nil {
+				return err
+			}
+		case opBarrierEnter, opLockRequest, opLockRelease:
+			if p := int(ms.a[i]); p < 0 || p >= n {
+				return fmt.Errorf("trace: lifecycle event names processor %d outside a run of %d", p, n)
+			}
+		}
+	}
+	return nil
+}
+
 // flush applies a processor's pending exchange-group offset.
 func (d *derivation) flush(p int) {
 	if d.pendOpen[p] {
@@ -218,9 +241,6 @@ func (d *derivation) walk() error {
 		at := sim.Duration(ms.at[i])
 		switch ms.op[i] {
 		case opExchange:
-			if src < 0 || src >= d.n {
-				return fmt.Errorf("trace: exchange src %d out of range", src)
-			}
 			if !d.pendOpen[src] || d.pendAt[src] != at {
 				d.flush(src)
 				d.pendOpen[src] = true
@@ -305,9 +325,6 @@ func (d *derivation) leg(kind simnet.MsgKind, src, dst, bytes int, at sim.Durati
 	case simnet.HomeFlush:
 		// Fire-and-forget release flush: the sender prices at its clock
 		// and advances by the leg's cost.
-		if src < 0 || src >= d.n {
-			return fmt.Errorf("trace: %v leg src %d out of range", kind, src)
-		}
 		d.flush(src)
 		bt, tt := d.priceLeg(src, dst, bytes, at, at+d.delta[src], false)
 		d.delta[src] += tt.Total - bt.Total
@@ -320,9 +337,6 @@ func (d *derivation) leg(kind simnet.MsgKind, src, dst, bytes int, at sim.Durati
 func (d *derivation) control(kind simnet.MsgKind, src, dst, bytes int, at sim.Duration) error {
 	switch kind {
 	case simnet.LockRequest:
-		if src < 0 || src >= d.n {
-			return fmt.Errorf("trace: lock request src %d out of range", src)
-		}
 		d.flush(src)
 		bt, tt := d.priceLeg(src, dst, bytes, at, at+d.delta[src], true)
 		// The requester blocks: the request's arrival feeds the grant
@@ -356,9 +370,6 @@ func (d *derivation) control(kind simnet.MsgKind, src, dst, bytes int, at sim.Du
 
 func (d *derivation) lockGrant(src, dst, bytes int, at sim.Duration) error {
 	p := dst
-	if p < 0 || p >= d.n {
-		return fmt.Errorf("trace: lock grant dst %d out of range", p)
-	}
 	l := int(d.pendLock[p])
 	if l < 0 {
 		return fmt.Errorf("trace: lock grant to %d without a pending request", p)
@@ -377,9 +388,6 @@ func (d *derivation) lockGrant(src, dst, bytes int, at sim.Duration) error {
 
 func (d *derivation) centralArrive(src, dst, bytes int, at sim.Duration) error {
 	p := src
-	if p < 0 || p >= d.n {
-		return fmt.Errorf("trace: barrier arrive src %d out of range", p)
-	}
 	d.flush(p)
 	bt, tt := d.priceLeg(p, dst, bytes, at, at+d.delta[p], false)
 	d.arriveEp[p]++
@@ -407,9 +415,6 @@ func (d *derivation) centralArrive(src, dst, bytes int, at sim.Duration) error {
 
 func (d *derivation) centralRelease(src, dst, bytes int, at sim.Duration) error {
 	p := dst
-	if p < 0 || p >= d.n {
-		return fmt.Errorf("trace: barrier release dst %d out of range", p)
-	}
 	d.releaseEp[p]++
 	st := d.eps[d.releaseEp[p]]
 	if st == nil || st.arrived != d.n {
@@ -430,8 +435,8 @@ func (d *derivation) centralRelease(src, dst, bytes int, at sim.Duration) error 
 
 func (d *derivation) treeArrive(src, dst, bytes int, at sim.Duration) error {
 	node := src
-	if node <= 0 || node >= d.n {
-		return fmt.Errorf("trace: tree arrive src %d out of range", node)
+	if node == 0 {
+		return fmt.Errorf("trace: tree arrive from the root")
 	}
 	doneB := d.cmplBase[node] + sim.Duration(d.nkids[node])*d.cost.RequestService
 	doneT := d.cmplTarg[node] + sim.Duration(d.nkids[node])*d.cost.RequestService
@@ -446,8 +451,8 @@ func (d *derivation) treeArrive(src, dst, bytes int, at sim.Duration) error {
 
 func (d *derivation) treeWave(src, dst, bytes int, at sim.Duration) error {
 	node, c := src, dst
-	if node < 0 || node >= d.n || c <= 0 || c >= d.n {
-		return fmt.Errorf("trace: tree wave edge %d->%d out of range", node, c)
+	if c == 0 {
+		return fmt.Errorf("trace: tree wave edge %d->%d ends at the root", node, c)
 	}
 	if d.waveLegs == 0 {
 		// First wave edge: the root's subtree just completed; rebuild
@@ -497,6 +502,9 @@ func ReplayEvents(ms *MemSink, network string) (Totals, error) {
 	}
 	model, err := netmodel.New(network, cost)
 	if err != nil {
+		return Totals{}, err
+	}
+	if err := ms.checkProcs(); err != nil {
 		return Totals{}, err
 	}
 	var t Totals

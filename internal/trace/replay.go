@@ -42,6 +42,17 @@ type RunReplay struct {
 // ones exactly.
 func (r *RunReplay) Matches() bool { return r.Replayed == r.Recorded }
 
+// checkEndpoints rejects a message event that names a processor the run
+// does not have. Captures are outside input, and the contended models
+// keep one port per processor id they are shown: a corrupted id must be
+// an error here, before it is priced.
+func checkEndpoints(src, dst, procs int) error {
+	if src < 0 || src >= procs || dst < 0 || dst >= procs {
+		return fmt.Errorf("trace: message %d->%d names a processor outside a run of %d", src, dst, procs)
+	}
+	return nil
+}
+
 // replayState re-prices one run's message stream.
 type replayState struct {
 	out   *RunReplay
@@ -109,6 +120,12 @@ func Replay(r io.Reader, network string) ([]*RunReplay, error) {
 		}
 		if st.ended {
 			return nil, fmt.Errorf("trace: event %q after run_end of run %d", ev.E, ev.R)
+		}
+		switch ev.E {
+		case EvLeg, EvControl, EvExchange:
+			if err := checkEndpoints(ev.S, ev.D, st.out.Meta.Procs); err != nil {
+				return nil, err
+			}
 		}
 		switch ev.E {
 		case EvLeg:
@@ -240,6 +257,12 @@ func ReplayAll(r io.Reader, networks []string) ([]*RunReplaySweep, error) {
 		}
 		if st.ended {
 			return nil, fmt.Errorf("trace: event %q after run_end of run %d", ev.E, ev.R)
+		}
+		switch ev.E {
+		case EvLeg, EvControl, EvExchange:
+			if err := checkEndpoints(ev.S, ev.D, st.out.Meta.Procs); err != nil {
+				return nil, err
+			}
 		}
 		switch ev.E {
 		case EvLeg:
