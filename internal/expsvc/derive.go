@@ -59,12 +59,14 @@ type traceStore struct {
 	max   int
 	ll    *list.List
 	items map[string]*list.Element
+	bytes int64 // event storage held by the stored captures
 }
 
 type traceEntry struct {
-	key  string
-	sink *trace.MemSink
-	body []byte
+	key   string
+	sink  *trace.MemSink
+	body  []byte
+	bytes int64 // sink.Footprint() when stored: an ended capture does not grow
 }
 
 func newTraceStore(max int) *traceStore {
@@ -86,19 +88,22 @@ func (t *traceStore) Get(key string) (*traceEntry, bool) {
 }
 
 func (t *traceStore) Add(key string, sink *trace.MemSink, body []byte) {
+	held := sink.Footprint()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.bytes += held
 	if el, ok := t.items[key]; ok {
 		ent := el.Value.(*traceEntry)
-		ent.sink, ent.body = sink, body
+		t.bytes -= ent.bytes
+		ent.sink, ent.body, ent.bytes = sink, body, held
 		t.ll.MoveToFront(el)
 		return
 	}
-	t.items[key] = t.ll.PushFront(&traceEntry{key: key, sink: sink, body: body})
+	t.items[key] = t.ll.PushFront(&traceEntry{key: key, sink: sink, body: body, bytes: held})
 	for t.ll.Len() > t.max {
-		oldest := t.ll.Back()
-		t.ll.Remove(oldest)
-		delete(t.items, oldest.Value.(*traceEntry).key)
+		oldest := t.ll.Remove(t.ll.Back()).(*traceEntry)
+		delete(t.items, oldest.key)
+		t.bytes -= oldest.bytes
 	}
 }
 
@@ -106,6 +111,14 @@ func (t *traceStore) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ll.Len()
+}
+
+// Bytes returns the event storage the stored captures hold. The store
+// is bounded by entry count; this is what that bound costs.
+func (t *traceStore) Bytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes
 }
 
 func (t *traceStore) Capacity() int { return t.max }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/trace"
 )
 
 // TestDerivedServing is the service half of the replay-derivation
@@ -27,7 +28,7 @@ func TestDerivedServing(t *testing.T) {
 	if d := resp.Header.Get(HeaderCache); d != "miss" {
 		t.Fatalf("base disposition %q, want miss", d)
 	}
-	if st := s.Stats(); st.TraceEntries != 1 {
+	if st := s.Stats(); st.TraceEntries != 1 || st.TraceBytes <= 0 {
 		t.Fatalf("capture not stored after eligible run: %+v", st)
 	}
 
@@ -154,5 +155,35 @@ func TestDerivableAndTraceKey(t *testing.T) {
 		if resolve(spec).Derivable() {
 			t.Errorf("%s must not be derivable", name)
 		}
+	}
+}
+
+// TestTraceStoreBytes: the store is bounded by entries; Bytes is what
+// they hold, through additions, replacement and eviction.
+func TestTraceStoreBytes(t *testing.T) {
+	capture := func(events int) *trace.MemSink {
+		ms := trace.NewMemSink()
+		for i := 0; i < events; i++ {
+			ms.BarrierEnter(0, 0)
+		}
+		return ms
+	}
+	small, large := capture(1), capture(5000)
+	if large.Footprint() <= small.Footprint() || small.Footprint() <= 0 {
+		t.Fatalf("footprints %d and %d", small.Footprint(), large.Footprint())
+	}
+	st := newTraceStore(2)
+	st.Add("a", small, nil)
+	st.Add("b", large, nil)
+	if got, want := st.Bytes(), small.Footprint()+large.Footprint(); got != want {
+		t.Fatalf("two entries hold %d bytes, want %d", got, want)
+	}
+	st.Add("a", large, nil) // replaced in place
+	if got, want := st.Bytes(), 2*large.Footprint(); got != want {
+		t.Fatalf("after replacement %d bytes, want %d", got, want)
+	}
+	st.Add("c", small, nil) // evicts b, the least recently used
+	if got, want := st.Bytes(), large.Footprint()+small.Footprint(); got != want || st.Len() != 2 {
+		t.Fatalf("after eviction %d bytes in %d entries, want %d in 2", got, st.Len(), want)
 	}
 }

@@ -89,6 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("dsmd_cache_capacity", "Result-cache capacity.", float64(st.CacheCapacity))
 	gauge("dsmd_trace_entries", "Stored captures currently held for derived serving.", float64(st.TraceEntries))
 	gauge("dsmd_trace_capacity", "Stored-capture capacity.", float64(st.TraceCapacity))
+	gauge("dsmd_trace_bytes", "Event storage held by the stored captures, whole blocks.", float64(st.TraceBytes))
 	gauge("dsmd_in_flight_runs", "Engine executions currently holding a run slot.", float64(st.InFlightRuns))
 	gauge("dsmd_max_concurrent_runs", "Engine execution concurrency bound.", float64(st.MaxConcurrentRuns))
 	gauge("dsmd_uptime_seconds", "Seconds since the service started.", st.UptimeSeconds)

@@ -81,6 +81,7 @@ func TestMetricsMatchesStats(t *testing.T) {
 		"dsmd_cache_derived_total":   float64(st.Derived),
 		"dsmd_trace_entries":         float64(st.TraceEntries),
 		"dsmd_trace_capacity":        float64(st.TraceCapacity),
+		"dsmd_trace_bytes":           float64(st.TraceBytes),
 		"dsmd_runs_total":            float64(st.Runs),
 		"dsmd_run_errors_total":      float64(st.RunErrors),
 		"dsmd_cache_evictions_total": float64(st.CacheEvictions),

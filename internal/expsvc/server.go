@@ -364,6 +364,7 @@ type StatsJSON struct {
 	Derived           uint64  `json:"derived"`
 	TraceEntries      int     `json:"trace_entries"`
 	TraceCapacity     int     `json:"trace_capacity"`
+	TraceBytes        int64   `json:"trace_bytes"`
 	Runs              uint64  `json:"runs"`
 	RunErrors         uint64  `json:"run_errors"`
 	InFlightRuns      int64   `json:"in_flight_runs"`
@@ -392,6 +393,7 @@ func (s *Server) Stats() StatsJSON {
 	if s.traces != nil {
 		st.TraceEntries = s.traces.Len()
 		st.TraceCapacity = s.traces.Capacity()
+		st.TraceBytes = s.traces.Bytes()
 	}
 	if st.Runs > 0 {
 		st.MeanRunSeconds = st.TotalRunSeconds / float64(st.Runs)

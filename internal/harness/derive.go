@@ -27,6 +27,7 @@ package harness
 //     never derive — their stream describes one schedule, not the app.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/sweep"
 	"repro/internal/tmk"
 	"repro/internal/trace"
 )
@@ -124,46 +126,70 @@ func derivedFrom(base Cell, d *trace.Derived) Cell {
 	}
 }
 
-// capture pairs one traced base run with a per-network derivation
-// memo: the homeless column and the adaptive quiet check ask for the
-// same (capture, network) derivations, and each walk over a large
-// capture is worth not repeating.
+// capture is one traced base run and the derivations asked of it: one
+// future per target network, spawned as pool children the moment the
+// run ends, so they price side by side — with each other and with the
+// experiment's next engine run. The homeless column and the adaptive
+// quiet check ask for the same (capture, network) derivations and share
+// the future.
 type capture struct {
-	ms    *trace.MemSink
-	cell  Cell
-	memo  map[string]*trace.Derived
-	fails map[string]bool
+	cell    Cell
+	network string
+	futs    map[string]*sweep.Future
 }
 
-func newCapture(ms *trace.MemSink, cell Cell) *capture {
-	return &capture{ms: ms, cell: cell,
-		memo: map[string]*trace.Derived{}, fails: map[string]bool{}}
-}
-
-func (c *capture) derive(network string) (*trace.Derived, bool) {
-	if d, ok := c.memo[network]; ok {
-		return d, true
+// startCapture spawns one derivation of ms per network — on the
+// capture's own network only if self is set — and releases the event
+// buffer when the last of them has returned.
+func startCapture(ctx context.Context, ms *trace.MemSink, cell Cell, networks []string, self bool) *capture {
+	cp := &capture{cell: cell, network: ms.Meta().Network, futs: make(map[string]*sweep.Future, len(networks))}
+	var left atomic.Int32
+	left.Store(1) // this function's own hold, dropped when all are spawned
+	drop := func() {
+		if left.Add(-1) == 0 {
+			ms.Release()
+		}
 	}
-	if c.fails[network] {
+	defer drop()
+	for _, network := range networks {
+		if network == cp.network && !self {
+			continue
+		}
+		left.Add(1)
+		cp.futs[network] = sweep.Spawn(ctx, func(context.Context) (any, error) {
+			defer drop()
+			// A refusal sends one cell to the engine; it does not fail
+			// the batch.
+			d, _ := ms.Derive(network)
+			return d, nil
+		})
+	}
+	return cp
+}
+
+// derive waits for the capture's derivation on the named network.
+// ok=false means it refused, was never asked for, or the batch was
+// cancelled, and the caller must run the cell for real.
+func (c *capture) derive(ctx context.Context, network string) (*trace.Derived, bool) {
+	f := c.futs[network]
+	if f == nil {
 		return nil, false
 	}
-	d, err := c.ms.Derive(network)
+	v, err := f.Wait(ctx)
 	if err != nil {
-		c.fails[network] = true
 		return nil, false
 	}
-	c.memo[network] = d
-	return d, true
+	d := v.(*trace.Derived)
+	return d, d != nil
 }
 
 // deriveStatic prices one target network from a static-protocol base
-// capture. ok=false means the derivation refused (Derive's base-half
-// integrity check failed) and the caller must run the cell for real.
-func deriveStatic(cp *capture, network string) (Cell, bool) {
-	if network == cp.ms.Meta().Network {
+// capture.
+func deriveStatic(ctx context.Context, cp *capture, network string) (Cell, bool) {
+	if network == cp.network {
 		return cp.cell, true // the capture itself is this cell
 	}
-	d, ok := cp.derive(network)
+	d, ok := cp.derive(ctx, network)
 	if !ok {
 		return Cell{}, false
 	}
@@ -174,8 +200,8 @@ func deriveStatic(cp *capture, network string) (Cell, bool) {
 // capture: with the contention gate closed at every barrier episode
 // under target pricing, the adaptive protocol never leaves its initial
 // homeless mode and the two protocols run the same stream.
-func adaptiveQuiet(cp *capture, network string) (Cell, bool) {
-	d, ok := cp.derive(network)
+func adaptiveQuiet(ctx context.Context, cp *capture, network string) (Cell, bool) {
+	d, ok := cp.derive(ctx, network)
 	if !ok {
 		return Cell{}, false
 	}
@@ -192,11 +218,11 @@ func adaptiveQuiet(cp *capture, network string) (Cell, bool) {
 // under target pricing matches the base run's, the policy would have
 // made the same per-episode switch decisions, so the recorded stream
 // is the target's stream too.
-func adaptiveContended(cp *capture, network string) (Cell, bool) {
-	if network == cp.ms.Meta().Network {
+func adaptiveContended(ctx context.Context, cp *capture, network string) (Cell, bool) {
+	if network == cp.network {
 		return cp.cell, true
 	}
-	d, ok := cp.derive(network)
+	d, ok := cp.derive(ctx, network)
 	if !ok || len(d.Gate) != len(d.BaseGate) {
 		return Cell{}, false
 	}
@@ -212,10 +238,11 @@ func adaptiveContended(cp *capture, network string) (Cell, bool) {
 // procs) row across the network axis from a single traced engine run:
 // the base cell executes on the canonical network and every requested
 // network is derived from its capture, with per-network fallback to a
-// real run. The returned walls record the host cost actually paid per
-// point — the traced engine run's wall on the base network's point
-// (or, when the base network was not requested, folded into the first
-// point), the replay's wall on derived points.
+// real run. The derivations run here, one after another: the returned
+// walls record the host cost actually paid per point — the traced
+// engine run's wall on the base network's point (or, when the base
+// network was not requested, folded into the first point), the replay's
+// wall on derived points.
 func deriveScalingGroup(e Experiment, c Config, networks []string, procs int) ([]Cell, []time.Duration, error) {
 	// Same settled-runtime discipline as the real scaling cells: the
 	// sweep's datum is wall clock, so don't bill earlier cells' garbage.
@@ -230,19 +257,23 @@ func deriveScalingGroup(e Experiment, c Config, networks []string, procs int) ([
 		return nil, nil, err
 	}
 	baseWall := time.Since(start)
-	cp := newCapture(ms, baseCell)
+	defer ms.Release()
 
 	cells := make([]Cell, len(networks))
 	walls := make([]time.Duration, len(networks))
 	baseCharged := false
 	for ni, network := range networks {
 		start := time.Now()
-		cell, ok := deriveStatic(cp, network)
-		if !ok {
-			rc := c
-			rc.Network = network
-			if cell, err = runCell(e, rc, procs, false); err != nil {
-				return nil, nil, fmt.Errorf("scaling network %s: %w", network, err)
+		cell := baseCell
+		if network != deriveBaseNetwork {
+			if d, err := ms.Derive(network); err == nil {
+				cell = derivedFrom(baseCell, d)
+			} else {
+				rc := c
+				rc.Network = network
+				if cell, err = runCell(e, rc, procs, false); err != nil {
+					return nil, nil, fmt.Errorf("scaling network %s: %w", network, err)
+				}
 			}
 		}
 		cells[ni], walls[ni] = cell, time.Since(start)
@@ -257,15 +288,43 @@ func deriveScalingGroup(e Experiment, c Config, networks []string, procs int) ([
 	return cells, walls, nil
 }
 
+// homelessTwin returns the index of the static column whose capture an
+// adaptive column c may be derived from while the contention gate stays
+// closed, or -1. The gate verdicts come from central-barrier episodes
+// only, so a tree-fabric adaptive column has no twin and runs for real.
+func homelessTwin(configs []Config, c Config) int {
+	if c.Protocol != "adaptive" || c.Barrier == "tree" {
+		return -1
+	}
+	for tj, t := range configs {
+		if t.Protocol == "homeless" &&
+			t.Unit == c.Unit && t.Dynamic == c.Dynamic &&
+			t.Placement == c.Placement && t.Scale == c.Scale &&
+			t.Barrier == c.Barrier && t.BarrierRadix == c.BarrierRadix {
+			return tj
+		}
+	}
+	return -1
+}
+
 // deriveNetworkCells computes one experiment's full networks ×
-// configs grid — the body of a replay-safe app's single sweep task —
-// returning cells in the same (network-major) order the per-cell path
-// produces. Base runs execute the engine; every other cell is derived,
-// with per-cell fallback to real execution.
-func deriveNetworkCells(e Experiment, procs int, networks []string, configs []Config) ([]Cell, error) {
+// configs grid — a replay-safe app's sweep task — returning cells in
+// the same (network-major) order the per-cell path produces.
+//
+// The task is a chain of engine runs, one after another and never two
+// at once (two Ilink/large runs side by side double the experiment's
+// resident set). The moment a traced base run ends, its derivations are
+// spawned as children of the batch and the chain goes on to the next
+// run; it waits for a derivation only where an answer decides what to
+// run next (the adaptive columns) and at the end, where cells land by
+// index. Every cell a derivation refuses is run for real, by the chain.
+func deriveNetworkCells(ctx context.Context, e Experiment, procs int, networks []string, configs []Config) ([]Cell, error) {
 	m := len(configs)
 	out := make([]Cell, len(networks)*m)
 	real := func(c Config, network string) (Cell, error) {
+		if err := ctx.Err(); err != nil {
+			return Cell{}, err
+		}
 		c.Network = network
 		cell, err := runCell(e, c, procs, false)
 		if err != nil {
@@ -273,23 +332,84 @@ func deriveNetworkCells(e Experiment, procs int, networks []string, configs []Co
 		}
 		return cell, nil
 	}
+	traced := func(c Config, network string, targets []string, self bool) (*capture, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		c.Network = network
+		cell, ms, err := runCellSink(e, c, procs)
+		if err != nil {
+			return nil, err
+		}
+		return startCapture(ctx, ms, cell, targets, self), nil
+	}
 
-	// Static columns: one traced base on the canonical network each.
+	// Static columns: one traced base on the canonical network each,
+	// derived for every other network. A column some adaptive column
+	// twins with is also re-priced on its own network: the quiet check
+	// needs the gate verdicts there too.
 	caps := make([]*capture, m)
 	for ci, c := range configs {
 		if c.Protocol == "adaptive" {
 			continue
 		}
-		b := c
-		b.Network = deriveBaseNetwork
-		cell, ms, err := runCellSink(e, b, procs)
-		if err != nil {
+		twinned := false
+		for _, a := range configs {
+			twinned = twinned || homelessTwin(configs, a) == ci
+		}
+		var err error
+		if caps[ci], err = traced(c, deriveBaseNetwork, networks, twinned); err != nil {
 			return nil, err
 		}
-		caps[ci] = newCapture(ms, cell)
+	}
+
+	// Adaptive columns: quiet targets from the homeless twin's capture
+	// (the twin column's own derivations when the grid has one),
+	// contended targets from one real adaptive run on the contended
+	// base, the rest for real.
+	for ci, c := range configs {
+		if c.Protocol != "adaptive" {
+			continue
+		}
+		var twin *capture
+		if tj := homelessTwin(configs, c); tj >= 0 {
+			twin = caps[tj]
+		} else if c.Barrier != "tree" {
+			b := c
+			b.Protocol = "homeless"
+			var err error
+			if twin, err = traced(b, deriveBaseNetwork, networks, true); err != nil {
+				return nil, err
+			}
+		}
+		quiet := make([]bool, len(networks))
+		var loud []string // networks the twin could not answer for
 		for ni, network := range networks {
-			cell, ok := deriveStatic(caps[ci], network)
+			if twin != nil {
+				out[ni*m+ci], quiet[ni] = adaptiveQuiet(ctx, twin, network)
+			}
+			if !quiet[ni] {
+				loud = append(loud, network)
+			}
+		}
+		var bus *capture
+		if twin != nil && len(loud) > 0 {
+			var err error
+			if bus, err = traced(c, deriveContendedBase, loud, false); err != nil {
+				return nil, err
+			}
+		}
+		for ni, network := range networks {
+			if quiet[ni] {
+				continue
+			}
+			var cell Cell
+			ok := false
+			if bus != nil {
+				cell, ok = adaptiveContended(ctx, bus, network)
+			}
 			if !ok {
+				var err error
 				if cell, err = real(c, network); err != nil {
 					return nil, err
 				}
@@ -298,55 +418,14 @@ func deriveNetworkCells(e Experiment, procs int, networks []string, configs []Co
 		}
 	}
 
-	// Adaptive columns: quiet targets from the homeless twin's capture
-	// (sharing the twin column's memoized derivations when the grid has
-	// one), contended targets from one real adaptive run on the
-	// contended base. The gate verdicts come from central-barrier
-	// episodes only, so tree-fabric adaptive columns run for real.
+	// Static columns land last: by now their derivations have had the
+	// whole adaptive column to finish in.
 	for ci, c := range configs {
-		if c.Protocol != "adaptive" {
+		if caps[ci] == nil {
 			continue
 		}
-		var twin *capture
-		if c.Barrier != "tree" {
-			for tj, t := range configs {
-				if t.Protocol == "homeless" && caps[tj] != nil &&
-					t.Unit == c.Unit && t.Dynamic == c.Dynamic &&
-					t.Placement == c.Placement && t.Scale == c.Scale &&
-					t.Barrier == c.Barrier && t.BarrierRadix == c.BarrierRadix {
-					twin = caps[tj]
-					break
-				}
-			}
-			if twin == nil {
-				b := c
-				b.Protocol, b.Network = "homeless", deriveBaseNetwork
-				cell, ms, err := runCellSink(e, b, procs)
-				if err != nil {
-					return nil, err
-				}
-				twin = newCapture(ms, cell)
-			}
-		}
-		var bus *capture
 		for ni, network := range networks {
-			var cell Cell
-			ok := false
-			if twin != nil {
-				cell, ok = adaptiveQuiet(twin, network)
-			}
-			if !ok && twin != nil {
-				if bus == nil {
-					b := c
-					b.Network = deriveContendedBase
-					bc, ms, err := runCellSink(e, b, procs)
-					if err != nil {
-						return nil, err
-					}
-					bus = newCapture(ms, bc)
-				}
-				cell, ok = adaptiveContended(bus, network)
-			}
+			cell, ok := deriveStatic(ctx, caps[ci], network)
 			if !ok {
 				var err error
 				if cell, err = real(c, network); err != nil {

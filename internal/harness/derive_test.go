@@ -1,10 +1,17 @@
 package harness
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // withinFrac fails unless a and b agree to the given relative
@@ -154,5 +161,174 @@ func TestDerivedScalingMatchesReal(t *testing.T) {
 	}
 	if nDerived == 0 {
 		t.Error("derived scaling sweep produced no derived cells")
+	}
+}
+
+// withPool runs fn with the package's sweep pool swapped for one of the
+// given width.
+func withPool(width int, fn func()) {
+	prev := sweepPool
+	sweepPool = sweep.New(width)
+	defer func() { sweepPool = prev }()
+	fn()
+}
+
+// TestDeriveFanOutIsAPureFunctionOfTheCaptures: which worker prices which
+// target, and in what order, must not show in the grid. One engine run
+// per cell is teed into four identical captures; one is derived
+// sequentially, the others through startCapture on pools one, two and
+// eight wide, and every cell must agree field for field.
+func TestDeriveFanOutIsAPureFunctionOfTheCaptures(t *testing.T) {
+	networks := netmodel.Names()
+	widths := []int{1, 2, 8}
+	type fixed struct {
+		name  string
+		cell  Cell
+		sinks []*trace.MemSink // one per width
+		want  []Cell           // per network, from sequential Derive
+	}
+	var caps []*fixed
+	for _, app := range []string{"Jacobi", "Ilink", "MGS"} {
+		for _, protocol := range []string{"homeless", "home"} {
+			e := exp(app, "small")
+			ref := trace.NewMemSink()
+			f := &fixed{name: app + "/" + protocol}
+			var sink trace.Sink = ref
+			for range widths {
+				ms := trace.NewMemSink()
+				f.sinks = append(f.sinks, ms)
+				sink = trace.Tee(sink, ms)
+			}
+			res, err := apps.Run(e.Make(Procs), tmk.Config{
+				Procs: Procs, UnitPages: 1, Protocol: protocol, Network: deriveBaseNetwork, Sink: sink,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.cell = Cell{Time: res.Time, Queue: res.QueueDelay, Msgs: res.Messages, Bytes: res.Bytes}
+			for _, network := range networks {
+				d, err := ref.Derive(network)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", f.name, network, err)
+				}
+				f.want = append(f.want, derivedFrom(f.cell, d))
+			}
+			caps = append(caps, f)
+		}
+	}
+	for wi, width := range widths {
+		tasks := make([]sweep.Task, len(caps))
+		for i, f := range caps {
+			tasks[i] = sweep.Task{Do: func(ctx context.Context) (any, error) {
+				cp := startCapture(ctx, f.sinks[wi], f.cell, networks, true)
+				got := make([]Cell, len(networks))
+				for ni, network := range networks {
+					d, ok := cp.derive(ctx, network)
+					if !ok {
+						return nil, fmt.Errorf("%s on %s refused", f.name, network)
+					}
+					got[ni] = derivedFrom(cp.cell, d)
+				}
+				return got, nil
+			}}
+		}
+		results, err := sweep.New(width).Run(context.Background(), tasks)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		for i, f := range caps {
+			for ni, got := range results[i].([]Cell) {
+				if got != f.want[ni] {
+					t.Errorf("width %d, %s on %s: %+v, sequential %+v", width, f.name, networks[ni], got, f.want[ni])
+				}
+			}
+			if n := f.sinks[wi].Footprint(); n != 0 {
+				t.Errorf("width %d, %s: capture still holds %d bytes after its last derivation", width, f.name, n)
+			}
+		}
+	}
+}
+
+// engineRuns counts, per experiment, the engine runs in flight: a run
+// starts when the harness makes its workload and ends when the result
+// has been checked.
+type engineRuns struct {
+	mu      sync.Mutex
+	flying  map[string]int
+	highest map[string]int
+	total   int
+}
+
+type countedWorkload struct {
+	apps.Workload
+	done func()
+}
+
+func (w countedWorkload) Check() error {
+	defer w.done()
+	return w.Workload.Check()
+}
+
+func (r *engineRuns) watch(e Experiment) Experiment {
+	inner := e.Make
+	e.Make = func(procs int) apps.Workload {
+		r.mu.Lock()
+		r.total++
+		r.flying[e.App]++
+		r.highest[e.App] = max(r.highest[e.App], r.flying[e.App])
+		r.mu.Unlock()
+		return countedWorkload{inner(procs), func() {
+			r.mu.Lock()
+			r.flying[e.App]--
+			r.mu.Unlock()
+		}}
+	}
+	return e
+}
+
+// TestNetworkChainRunsOneEngineCellAtATime: derivations fan out across the
+// pool, engine runs do not. Two runs of one experiment side by side
+// double its resident set (Ilink/large: 199 MB against 111 MB), so
+// however wide the pool, an experiment's chain runs its cells — base
+// captures, the bus capture, every fallback — one after another. The
+// grid itself must not depend on the width either.
+func TestNetworkChainRunsOneEngineCellAtATime(t *testing.T) {
+	var grids [][]NetworkComparison
+	for _, width := range []int{1, 8} {
+		runs := &engineRuns{flying: map[string]int{}, highest: map[string]int{}}
+		var es []Experiment
+		for _, app := range []string{"Jacobi", "Ilink", "MGS", "Barnes"} {
+			es = append(es, runs.watch(exp(app, "small")))
+		}
+		withPool(width, func() {
+			ncs, err := RunNetworkComparison(es, Procs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grids = append(grids, ncs)
+		})
+		for app, n := range runs.highest {
+			if n != 1 {
+				t.Errorf("width %d: %d engine runs of %s in flight at once", width, n, app)
+			}
+		}
+		if runs.total < 3*len(es) {
+			t.Errorf("width %d: only %d engine runs were seen", width, runs.total)
+		}
+	}
+	for ei := range grids[0] {
+		for ri, row := range grids[0][ei].Rows {
+			for ci, a := range row.Cells {
+				b := grids[1][ei].Rows[ri].Cells[ci]
+				name := grids[0][ei].App + "/" + row.Network + "/" + a.Protocol + "/" + a.Config
+				if a.Protocol == "adaptive" {
+					continue // follows host scheduling on contended networks
+				}
+				if a.Cell.Msgs != b.Cell.Msgs || a.Cell.Bytes != b.Cell.Bytes || a.Cell.Derived != b.Cell.Derived {
+					t.Errorf("%s: width 1 %d/%d derived=%v, width 8 %d/%d derived=%v", name,
+						a.Cell.Msgs, a.Cell.Bytes, a.Cell.Derived, b.Cell.Msgs, b.Cell.Bytes, b.Cell.Derived)
+				}
+			}
+		}
 	}
 }

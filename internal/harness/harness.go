@@ -549,8 +549,8 @@ func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]Netw
 			tasks = append(tasks, sweep.Task{
 				Key: fmt.Sprintf("derived|%s|%s|p%d|%s",
 					e.App, e.Dataset, procs, strings.Join(networks, ",")),
-				Do: func(context.Context) (any, error) {
-					return deriveNetworkCells(e, procs, networks, configs)
+				Do: func(ctx context.Context) (any, error) {
+					return deriveNetworkCells(ctx, e, procs, networks, configs)
 				},
 			})
 			continue

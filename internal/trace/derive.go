@@ -46,7 +46,7 @@ type Derived struct {
 
 // derivation is the walk state for one Derive call.
 type derivation struct {
-	ms     *MemSink
+	s      *stream
 	n      int
 	cost   sim.CostModel
 	base   netmodel.Model
@@ -102,17 +102,24 @@ type centralEpisode struct {
 // seen). An error means the stream could not be soundly re-priced —
 // base-model reconstruction failed to reproduce the recorded run
 // bit-identically — and the caller must fall back to a real engine run.
+//
+// Derive does not hold the sink's lock while it walks: any number of
+// derivations of one ended capture may run at once.
 func (ms *MemSink) Derive(network string) (*Derived, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if !ms.ended {
-		return nil, fmt.Errorf("trace: derive on an unfinished capture")
+	s, err := ms.read("derive")
+	if err != nil {
+		return nil, err
 	}
-	meta := ms.meta
+	defer ms.readDone()
+	return s.derive(network)
+}
+
+func (s *stream) derive(network string) (*Derived, error) {
+	meta := s.meta
 	if meta.Procs <= 0 {
 		return nil, fmt.Errorf("trace: derive needs procs in run meta (got %d)", meta.Procs)
 	}
-	if err := ms.checkProcs(); err != nil {
+	if err := s.checkProcs(); err != nil {
 		return nil, err
 	}
 	cost := sim.DefaultCostModel()
@@ -129,7 +136,7 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 	}
 	n := meta.Procs
 	d := &derivation{
-		ms: ms, n: n, cost: cost, base: base, target: target,
+		s: s, n: n, cost: cost, base: base, target: target,
 		tree:  meta.Barrier == "tree",
 		radix: meta.BarrierRadix,
 
@@ -181,20 +188,20 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 
 	// Base-model integrity: the walk's base half must have rebuilt the
 	// recorded run bit-identically, or the stream is not derivable.
-	if d.msgs != ms.msgs || d.bytes != ms.bytes || d.baseQ != ms.queue {
+	if d.msgs != s.msgs || d.bytes != s.bytes || d.baseQ != s.queue {
 		return nil, fmt.Errorf("trace: base replay mismatch (msgs %d/%d bytes %d/%d queue %d/%d)",
-			d.msgs, ms.msgs, d.bytes, ms.bytes, d.baseQ, ms.queue)
+			d.msgs, s.msgs, d.bytes, s.bytes, d.baseQ, s.queue)
 	}
-	if len(ms.clocks) != n {
-		return nil, fmt.Errorf("trace: capture has %d final clocks, want %d", len(ms.clocks), n)
+	if len(s.clocks) != n {
+		return nil, fmt.Errorf("trace: capture has %d final clocks, want %d", len(s.clocks), n)
 	}
 	var baseTime, targTime sim.Duration
 	for p := 0; p < n; p++ {
-		baseTime = sim.MaxClock(baseTime, ms.clocks[p])
-		targTime = sim.MaxClock(targTime, ms.clocks[p]+d.delta[p])
+		baseTime = sim.MaxClock(baseTime, s.clocks[p])
+		targTime = sim.MaxClock(targTime, s.clocks[p]+d.delta[p])
 	}
-	if baseTime != ms.time {
-		return nil, fmt.Errorf("trace: final clocks disagree with recorded time (%d vs %d)", baseTime, ms.time)
+	if baseTime != s.time {
+		return nil, fmt.Errorf("trace: final clocks disagree with recorded time (%d vs %d)", baseTime, s.time)
 	}
 	return &Derived{
 		Network:  target.Name(),
@@ -207,18 +214,20 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 
 // checkProcs rejects a capture in which a message event, or a
 // lifecycle event Derive indexes by, names a processor the run does
-// not have. The caller holds ms.mu.
-func (ms *MemSink) checkProcs() error {
-	n := ms.meta.Procs
-	for i, op := range ms.op {
-		switch op {
-		case opLeg, opControl, opExchange:
-			if err := checkEndpoints(int(ms.a[i]), int(ms.b[i]), n); err != nil {
-				return err
-			}
-		case opBarrierEnter, opLockRequest, opLockRelease:
-			if p := int(ms.a[i]); p < 0 || p >= n {
-				return fmt.Errorf("trace: lifecycle event names processor %d outside a run of %d", p, n)
+// not have.
+func (s *stream) checkProcs() error {
+	n := s.meta.Procs
+	for _, ev := range s.wins {
+		for i, op := range ev.op {
+			switch op {
+			case opLeg, opControl, opExchange:
+				if err := checkEndpoints(int(ev.a[i]), int(ev.b[i]), n); err != nil {
+					return err
+				}
+			case opBarrierEnter, opLockRequest, opLockRelease:
+				if p := int(ev.a[i]); p < 0 || p >= n {
+					return fmt.Errorf("trace: lifecycle event names processor %d outside a run of %d", p, n)
+				}
 			}
 		}
 	}
@@ -234,12 +243,20 @@ func (d *derivation) flush(p int) {
 }
 
 func (d *derivation) walk() error {
-	ms := d.ms
-	for i := range ms.op {
-		src, dst := int(ms.a[i]), int(ms.b[i])
-		nb, rb := int(ms.nb[i]), int(ms.rb[i])
-		at := sim.Duration(ms.at[i])
-		switch ms.op[i] {
+	for _, ev := range d.s.wins {
+		if err := d.walkCols(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *derivation) walkCols(ev cols) error {
+	for i := range ev.op {
+		src, dst := int(ev.a[i]), int(ev.b[i])
+		nb, rb := int(ev.nb[i]), int(ev.rb[i])
+		at := sim.Duration(ev.at[i])
+		switch ev.op[i] {
 		case opExchange:
 			if !d.pendOpen[src] || d.pendAt[src] != at {
 				d.flush(src)
@@ -261,12 +278,12 @@ func (d *derivation) walk() error {
 			d.targQ += tt.Request.Queue + tt.Reply.Queue
 
 		case opLeg:
-			if err := d.leg(simnet.MsgKind(ms.kind[i]), src, dst, nb, at); err != nil {
+			if err := d.leg(simnet.MsgKind(ev.kind[i]), src, dst, nb, at); err != nil {
 				return err
 			}
 
 		case opControl:
-			if err := d.control(simnet.MsgKind(ms.kind[i]), src, dst, nb, at); err != nil {
+			if err := d.control(simnet.MsgKind(ev.kind[i]), src, dst, nb, at); err != nil {
 				return err
 			}
 
@@ -279,7 +296,7 @@ func (d *derivation) walk() error {
 			}
 
 		case opLockRequest:
-			d.pendLock[src] = ms.b[i]
+			d.pendLock[src] = ev.b[i]
 
 		case opLockRelease:
 			p, l := src, dst
@@ -488,46 +505,52 @@ func (d *derivation) treeWave(src, dst, bytes int, at sim.Duration) error {
 // replay (network == the capture's own) reproduces the recorded totals
 // bit-identically.
 func ReplayEvents(ms *MemSink, network string) (Totals, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if !ms.ended {
-		return Totals{}, fmt.Errorf("trace: replay on an unfinished capture")
+	s, err := ms.read("replay")
+	if err != nil {
+		return Totals{}, err
 	}
+	defer ms.readDone()
+	return s.replayEvents(network)
+}
+
+func (s *stream) replayEvents(network string) (Totals, error) {
 	cost := sim.DefaultCostModel()
-	if ms.meta.Cost != nil {
-		cost = *ms.meta.Cost
+	if s.meta.Cost != nil {
+		cost = *s.meta.Cost
 	}
 	if network == "" {
-		network = ms.meta.Network
+		network = s.meta.Network
 	}
 	model, err := netmodel.New(network, cost)
 	if err != nil {
 		return Totals{}, err
 	}
-	if err := ms.checkProcs(); err != nil {
+	if err := s.checkProcs(); err != nil {
 		return Totals{}, err
 	}
 	var t Totals
-	for i := range ms.op {
-		src, dst := int(ms.a[i]), int(ms.b[i])
-		nb, rb := int(ms.nb[i]), int(ms.rb[i])
-		at := sim.Duration(ms.at[i])
-		switch ms.op[i] {
-		case opLeg:
-			lt := model.Leg(src, dst, nb, at)
-			t.Msgs++
-			t.Bytes += int64(nb)
-			t.Queue += lt.Queue
-		case opControl:
-			lt := model.Leg(src, dst, 0, at)
-			t.Msgs++
-			t.Bytes += int64(nb)
-			t.Queue += lt.Queue
-		case opExchange:
-			xt := model.Exchange(src, dst, nb, rb, at)
-			t.Msgs += 2
-			t.Bytes += int64(nb) + int64(rb)
-			t.Queue += xt.Request.Queue + xt.Reply.Queue
+	for _, ev := range s.wins {
+		for i := range ev.op {
+			src, dst := int(ev.a[i]), int(ev.b[i])
+			nb, rb := int(ev.nb[i]), int(ev.rb[i])
+			at := sim.Duration(ev.at[i])
+			switch ev.op[i] {
+			case opLeg:
+				lt := model.Leg(src, dst, nb, at)
+				t.Msgs++
+				t.Bytes += int64(nb)
+				t.Queue += lt.Queue
+			case opControl:
+				lt := model.Leg(src, dst, 0, at)
+				t.Msgs++
+				t.Bytes += int64(nb)
+				t.Queue += lt.Queue
+			case opExchange:
+				xt := model.Exchange(src, dst, nb, rb, at)
+				t.Msgs += 2
+				t.Bytes += int64(nb) + int64(rb)
+				t.Queue += xt.Request.Queue + xt.Reply.Queue
+			}
 		}
 	}
 	return t, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/netmodel"
 	"repro/internal/sim"
@@ -26,18 +27,84 @@ const (
 	opRehome
 )
 
+// blockEvents is how many events one block of a capture holds: 47 KB
+// of columns. Most captures are small — every registered small and
+// medium dataset at 8 processors but one records under 4 k events, and
+// the service stores up to 64 of them — so a block is sized to waste
+// little there; the 155 k events of Ilink/large are 153 blocks.
+const (
+	blockShift  = 10
+	blockEvents = 1 << blockShift
+)
+
+// block is every column of blockEvents consecutive events in one
+// pointer-free allocation. a/b/c are generic integer operands: src/dst
+// for messages, proc/episode/lock/page/unit for lifecycle events,
+// from/to for rehomes.
+type block struct {
+	at [blockEvents]int64 // sender's virtual clock at send / lifecycle clock
+	q  [blockEvents]int64 // recorded queue delay (request leg on exchanges)
+	rq [blockEvents]int64 // recorded reply-leg queue delay (exchanges only)
+
+	a, b, c [blockEvents]int32
+	nb      [blockEvents]int32 // payload bytes (request bytes on exchanges)
+	rb      [blockEvents]int32 // reply payload bytes (exchanges only)
+
+	op    [blockEvents]uint8
+	kind  [blockEvents]uint8 // simnet.MsgKind (request kind on exchanges)
+	rkind [blockEvents]uint8 // reply kind (exchanges only)
+}
+
+// blockPool recycles the blocks of released captures: a sweep drops
+// each capture a few derivations after it was made.
+var blockPool = sync.Pool{New: func() any { return new(block) }}
+
+// cols is a run of consecutive events, column by column; every slice
+// has the same length.
+type cols struct {
+	op, kind, rkind []uint8
+	a, b, c, nb, rb []int32
+	at, q, rq       []int64
+}
+
+// cols returns the block's first n events.
+func (b *block) cols(n int) cols {
+	return cols{
+		op: b.op[:n], kind: b.kind[:n], rkind: b.rkind[:n],
+		a: b.a[:n], b: b.b[:n], c: b.c[:n], nb: b.nb[:n], rb: b.rb[:n],
+		at: b.at[:n], q: b.q[:n], rq: b.rq[:n],
+	}
+}
+
+// stream is an ended capture as its readers see it: what RunEnd
+// recorded and the events in order, a window per block. Nothing in it
+// changes, so any number of readers may walk it at once.
+type stream struct {
+	meta   RunMeta
+	time   sim.Duration
+	msgs   int64
+	bytes  int64
+	queue  sim.Duration
+	clocks []sim.Duration
+	names  []string // interned strings (protocol names on switch events)
+	wins   []cols
+}
+
 // MemSink is the in-memory capture buffer: a struct-of-arrays event log
-// that costs one column append per field inside simnet's pricing lock —
-// no encoding, no per-event allocation once the arrays have grown to
-// the run's working size. Reset keeps the capacity, so a reused sink
-// captures subsequent runs allocation-free (pinned by the alloc-budget
-// suite). JSONL stays the interchange format: EmitJSONL replays the
-// buffer into a Writer bit-identically to a live capture.
+// that costs one store per field inside simnet's pricing lock — no
+// encoding, and one allocation per blockEvents events: a capture never
+// re-grows what it already holds. Reset keeps the blocks, so a reused
+// sink captures subsequent runs allocation-free (pinned by the
+// alloc-budget suite); Release hands them to the next capture instead.
+// JSONL stays the interchange format: EmitJSONL replays the buffer
+// into a Writer bit-identically to a live capture.
 //
 // The buffer is what replay-derivation consumes: Derive re-prices the
 // recorded pricing-operation sequence through another interconnect and
 // reconstructs the run's totals there without re-executing the
-// application (see derive.go).
+// application (see derive.go). A capture that has seen RunEnd is
+// immutable: Derive, ReplayEvents and EmitJSONL take the lock only to
+// open it, and walk it side by side.
 type MemSink struct {
 	mu sync.Mutex
 
@@ -50,22 +117,14 @@ type MemSink struct {
 	queue  sim.Duration
 	clocks []sim.Duration
 
-	// Struct-of-arrays event columns, one entry per event. a/b/c are
-	// generic integer operands: src/dst for messages, proc/episode/lock
-	// /page/unit for lifecycle events, from/to for rehomes.
-	op    []uint8
-	kind  []uint8 // simnet.MsgKind (request kind on exchanges)
-	rkind []uint8 // reply kind (exchanges only)
-	a     []int32
-	b     []int32
-	c     []int32
-	nb    []int32 // payload bytes (request bytes on exchanges)
-	rb    []int32 // reply payload bytes (exchanges only)
-	at    []int64 // sender's virtual clock at send / lifecycle clock
-	q     []int64 // recorded queue delay (request leg on exchanges)
-	rq    []int64 // recorded reply-leg queue delay (exchanges only)
+	// blocks[i] holds events [i*blockEvents, (i+1)*blockEvents) of the
+	// n captured. After a Reset there may be more blocks than n needs.
+	blocks []*block
+	n      int
+	// readers counts the walks in progress. While there are any, Reset
+	// and Release let go of the blocks instead of reusing them.
+	readers int
 
-	// Interned strings (protocol names on switch events).
 	names   []string
 	nameIdx map[string]int32
 }
@@ -75,20 +134,37 @@ func NewMemSink() *MemSink {
 	return &MemSink{nameIdx: make(map[string]int32)}
 }
 
-// Reset clears the buffer for the next run, keeping every column's
-// capacity so steady-state reuse allocates nothing.
+// Reset clears the buffer for the next run, keeping its blocks so
+// steady-state reuse allocates nothing.
 func (ms *MemSink) Reset() {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
+	ms.clear()
+}
+
+// Release clears the buffer and gives its blocks to the captures that
+// come after it.
+func (ms *MemSink) Release() {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.readers == 0 {
+		for _, b := range ms.blocks {
+			blockPool.Put(b)
+		}
+	}
+	ms.blocks = nil
+	ms.clear()
+}
+
+func (ms *MemSink) clear() {
+	if ms.readers > 0 {
+		ms.blocks = nil
+	}
 	ms.meta = RunMeta{}
 	ms.began, ms.ended = false, false
 	ms.time, ms.msgs, ms.bytes, ms.queue = 0, 0, 0, 0
 	ms.clocks = ms.clocks[:0]
-	ms.op = ms.op[:0]
-	ms.kind, ms.rkind = ms.kind[:0], ms.rkind[:0]
-	ms.a, ms.b, ms.c = ms.a[:0], ms.b[:0], ms.c[:0]
-	ms.nb, ms.rb = ms.nb[:0], ms.rb[:0]
-	ms.at, ms.q, ms.rq = ms.at[:0], ms.q[:0], ms.rq[:0]
+	ms.n = 0
 	ms.names = ms.names[:0]
 	for k := range ms.nameIdx {
 		delete(ms.nameIdx, k)
@@ -99,7 +175,15 @@ func (ms *MemSink) Reset() {
 func (ms *MemSink) Len() int {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return len(ms.op)
+	return ms.n
+}
+
+// Footprint returns the bytes of event storage the sink holds: whole
+// blocks, filled or not.
+func (ms *MemSink) Footprint() int64 {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return int64(len(ms.blocks)) * int64(unsafe.Sizeof(block{}))
 }
 
 // Meta returns the run identity recorded by Begin.
@@ -123,6 +207,36 @@ func (ms *MemSink) Recorded() (time sim.Duration, t Totals) {
 	return ms.time, Totals{Msgs: ms.msgs, Bytes: ms.bytes, Queue: ms.queue}
 }
 
+// read opens the ended capture for one walk; the caller must call
+// readDone when the walk is over. The clocks and names are copied, the
+// events are not: events [0, n) of an ended capture are never written
+// again until Reset or Release, and those look at readers first.
+func (ms *MemSink) read(what string) (*stream, error) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if !ms.ended {
+		return nil, fmt.Errorf("trace: %s on an unfinished capture", what)
+	}
+	s := &stream{
+		meta: ms.meta,
+		time: ms.time, msgs: ms.msgs, bytes: ms.bytes, queue: ms.queue,
+		clocks: append([]sim.Duration(nil), ms.clocks...),
+		names:  append([]string(nil), ms.names...),
+		wins:   make([]cols, 0, (ms.n+blockEvents-1)/blockEvents),
+	}
+	for lo := 0; lo < ms.n; lo += blockEvents {
+		s.wins = append(s.wins, ms.blocks[lo>>blockShift].cols(min(blockEvents, ms.n-lo)))
+	}
+	ms.readers++
+	return s, nil
+}
+
+func (ms *MemSink) readDone() {
+	ms.mu.Lock()
+	ms.readers--
+	ms.mu.Unlock()
+}
+
 func (ms *MemSink) intern(s string) int32 {
 	if i, ok := ms.nameIdx[s]; ok {
 		return i
@@ -134,17 +248,16 @@ func (ms *MemSink) intern(s string) int32 {
 }
 
 func (ms *MemSink) push(op, kind, rkind uint8, a, b, c, nb, rb int32, at, q, rq int64) {
-	ms.op = append(ms.op, op)
-	ms.kind = append(ms.kind, kind)
-	ms.rkind = append(ms.rkind, rkind)
-	ms.a = append(ms.a, a)
-	ms.b = append(ms.b, b)
-	ms.c = append(ms.c, c)
-	ms.nb = append(ms.nb, nb)
-	ms.rb = append(ms.rb, rb)
-	ms.at = append(ms.at, at)
-	ms.q = append(ms.q, q)
-	ms.rq = append(ms.rq, rq)
+	i := ms.n & (blockEvents - 1)
+	bi := ms.n >> blockShift
+	if bi == len(ms.blocks) {
+		ms.blocks = append(ms.blocks, blockPool.Get().(*block))
+	}
+	blk := ms.blocks[bi]
+	blk.op[i], blk.kind[i], blk.rkind[i] = op, kind, rkind
+	blk.a[i], blk.b[i], blk.c[i], blk.nb[i], blk.rb[i] = a, b, c, nb, rb
+	blk.at[i], blk.q[i], blk.rq[i] = at, q, rq
+	ms.n++
 }
 
 // Begin implements Sink.
@@ -260,44 +373,50 @@ func (ms *MemSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Durati
 // would have written — MemSink is the fast capture path, JSONL the
 // interchange format, and this is the bridge between them.
 func (ms *MemSink) EmitJSONL(w *Writer) error {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if !ms.ended {
-		return fmt.Errorf("trace: EmitJSONL on an unfinished capture")
+	s, err := ms.read("EmitJSONL")
+	if err != nil {
+		return err
 	}
-	r := w.BeginRun(ms.meta)
-	for i := range ms.op {
-		a, b, c := int(ms.a[i]), int(ms.b[i]), int(ms.c[i])
-		nb, rb := int(ms.nb[i]), int(ms.rb[i])
-		at, q, rq := sim.Duration(ms.at[i]), sim.Duration(ms.q[i]), sim.Duration(ms.rq[i])
-		switch ms.op[i] {
-		case opLeg:
-			r.TraceLeg(simnet.MsgKind(ms.kind[i]), a, b, nb, at, q)
-		case opControl:
-			r.TraceControl(simnet.MsgKind(ms.kind[i]), a, b, nb, at, q)
-		case opExchange:
-			r.TraceExchange(simnet.MsgKind(ms.kind[i]), simnet.MsgKind(ms.rkind[i]), a, b, nb, rb, at,
-				netmodel.ExchangeTiming{Request: netmodel.Timing{Queue: q}, Reply: netmodel.Timing{Queue: rq}})
-		case opBarrierEnter:
-			r.BarrierEnter(a, at)
-		case opBarrierLeave:
-			r.BarrierLeave(a, b, at)
-		case opLockRequest:
-			r.LockRequest(a, b, at)
-		case opLockAcquire:
-			r.LockAcquire(a, b, at)
-		case opLockRelease:
-			r.LockRelease(a, b, at)
-		case opFaultBegin:
-			r.FaultBegin(a, c, b, at)
-		case opFaultEnd:
-			r.FaultEnd(a, c, at)
-		case opSwitch:
-			r.ProtocolSwitch(a, ms.names[nb], ms.names[rb], b)
-		case opRehome:
-			r.Rehome(a, b, c, nb, rb != 0)
+	defer ms.readDone()
+	return s.emitJSONL(w)
+}
+
+func (s *stream) emitJSONL(w *Writer) error {
+	r := w.BeginRun(s.meta)
+	for _, ev := range s.wins {
+		for i := range ev.op {
+			a, b, c := int(ev.a[i]), int(ev.b[i]), int(ev.c[i])
+			nb, rb := int(ev.nb[i]), int(ev.rb[i])
+			at, q, rq := sim.Duration(ev.at[i]), sim.Duration(ev.q[i]), sim.Duration(ev.rq[i])
+			switch ev.op[i] {
+			case opLeg:
+				r.TraceLeg(simnet.MsgKind(ev.kind[i]), a, b, nb, at, q)
+			case opControl:
+				r.TraceControl(simnet.MsgKind(ev.kind[i]), a, b, nb, at, q)
+			case opExchange:
+				r.TraceExchange(simnet.MsgKind(ev.kind[i]), simnet.MsgKind(ev.rkind[i]), a, b, nb, rb, at,
+					netmodel.ExchangeTiming{Request: netmodel.Timing{Queue: q}, Reply: netmodel.Timing{Queue: rq}})
+			case opBarrierEnter:
+				r.BarrierEnter(a, at)
+			case opBarrierLeave:
+				r.BarrierLeave(a, b, at)
+			case opLockRequest:
+				r.LockRequest(a, b, at)
+			case opLockAcquire:
+				r.LockAcquire(a, b, at)
+			case opLockRelease:
+				r.LockRelease(a, b, at)
+			case opFaultBegin:
+				r.FaultBegin(a, c, b, at)
+			case opFaultEnd:
+				r.FaultEnd(a, c, at)
+			case opSwitch:
+				r.ProtocolSwitch(a, s.names[nb], s.names[rb], b)
+			case opRehome:
+				r.Rehome(a, b, c, nb, rb != 0)
+			}
 		}
 	}
-	r.End(ms.time, ms.msgs, ms.bytes, ms.queue)
+	r.End(s.time, s.msgs, s.bytes, s.queue)
 	return w.Err()
 }
