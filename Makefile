@@ -66,17 +66,22 @@ profile:
 # allocs/op in the lrc interval path, mem diff path, vc operations,
 # the homeless jacobi inner loop, and the MemSink capture path (plain
 # and capture-enabled engine runs) must stay under the pinned budgets;
+# a second identical harness cell must allocate well under what it did
+# before cells recycled each other's pages;
 # a fresh MemSink must allocate one object per block of events and
 # barely more bytes than it ends up holding; a reservation on a warmed
 # netmodel timeline, and Reset followed by re-pricing the same stream,
 # must allocate nothing.
 alloc-check:
-	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ -run 'Alloc|Budget' -v
+	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ -run 'Alloc|Budget' -v
 
-# fuzz-smoke runs the occupancy timeline's differential fuzz target for
-# twenty seconds: the block structure against the flat reference list.
+# fuzz-smoke runs the differential fuzz targets for ten seconds each:
+# the occupancy timeline's block structure against the flat reference
+# list, and the chunked, slab-carving diff encoder against the
+# word-by-word, exact-size one.
 fuzz-smoke:
-	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 20s
+	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s
 
 # trace-smoke captures one traced run and checks that a same-model
 # replay reproduces its totals bit-identically (dsmtrace exits 1 if

@@ -58,12 +58,14 @@ func NewSystem(w Workload, cfg tmk.Config) (*tmk.System, error) {
 }
 
 // Run executes a workload under the given engine configuration and
-// verifies the result against the sequential reference.
+// verifies the result against the sequential reference. The System is
+// released once checked, so the next run reuses its pages.
 func Run(w Workload, cfg tmk.Config) (*tmk.Result, error) {
 	sys, err := NewSystem(w, cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	res := sys.Run(w.Body)
 	return res, w.Check()
 }
@@ -89,6 +91,7 @@ func RunTrialsContext(ctx context.Context, w Workload, cfg tmk.Config, n int) (*
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	trials := make([]*tmk.Result, 0, n)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {

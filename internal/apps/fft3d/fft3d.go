@@ -17,6 +17,8 @@ package fft3d
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/mem"
@@ -153,9 +155,33 @@ func (b sliceBuf) Set(i int, re, im float64) {
 
 func (b sliceBuf) Len() int { return b.n }
 
+// twiddles holds, per stage size 2^s, the stage's butterfly factors
+// (cos, sin of -2πk/size for k < size/2), computed once per process with
+// the expressions the butterfly loop used to evaluate per element — so
+// every value is bit-identical to a fresh evaluation — and published
+// with an atomic pointer: concurrent first users may both compute a
+// table, and either result is the same.
+var twiddles [64]atomic.Pointer[[]float64]
+
+func stageTwiddles(size int) []float64 {
+	slot := &twiddles[bits.TrailingZeros(uint(size))]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	half := size / 2
+	ang := -2 * math.Pi / float64(size)
+	t := make([]float64, 2*half)
+	for k := 0; k < half; k++ {
+		t[2*k], t[2*k+1] = math.Cos(ang*float64(k)), math.Sin(ang*float64(k))
+	}
+	slot.Store(&t)
+	return t
+}
+
 // fft performs an in-place radix-2 Cooley-Tukey FFT (decimation in time)
-// over the buffer. Len must be a power of two.
-func fft(v cbuf) {
+// over the buffer. Len must be a power of two. Generic over the buffer
+// type so that neither buffer is boxed into an interface per call.
+func fft[B cbuf](v B) {
 	n := v.Len()
 	// Bit-reversal permutation.
 	for i, j := 0, 0; i < n; i++ {
@@ -174,10 +200,10 @@ func fft(v cbuf) {
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		ang := -2 * math.Pi / float64(size)
+		tw := stageTwiddles(size)
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				wr, wi := math.Cos(ang*float64(k)), math.Sin(ang*float64(k))
+				wr, wi := tw[2*k], tw[2*k+1]
 				ar, ai := v.Get(start + k)
 				br, bi := v.Get(start + k + half)
 				tr := br*wr - bi*wi

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/mem"
 )
 
 // histogram is a fixed-bucket Prometheus-style histogram: per-bucket
@@ -93,6 +95,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("dsmd_in_flight_runs", "Engine executions currently holding a run slot.", float64(st.InFlightRuns))
 	gauge("dsmd_max_concurrent_runs", "Engine execution concurrency bound.", float64(st.MaxConcurrentRuns))
 	gauge("dsmd_uptime_seconds", "Seconds since the service started.", st.UptimeSeconds)
+
+	// The engine's page recycler is one per process, not per Server: its
+	// counters cover every engine run the process has made.
+	pp := mem.PoolStats()
+	counter("dsmd_pagepool_hits_total", "Engine page and slab-chunk requests served from the process-wide recycler.", pp.Hits)
+	counter("dsmd_pagepool_misses_total", "Engine page and slab-chunk requests that had to allocate.", pp.Misses)
+	counter("dsmd_pagepool_drops_total", "Released engine buffers the recycler's bound turned away.", pp.Drops)
+	gauge("dsmd_pagepool_pages", "Pages the recycler currently holds.", float64(pp.Pages))
 
 	if s.flight != nil {
 		gauge("dsmd_flight_events", "Events currently retained by the engine flight recorder.", float64(s.flight.Len()))

@@ -476,4 +476,19 @@ func TestEngineEndToEnd(t *testing.T) {
 	if againBody != body {
 		t.Fatal("cached body differs from the original run")
 	}
+
+	// The run went through the page recycler: its first trial had to
+	// allocate, its second took what the first one's reset handed back,
+	// and the released System left pages listed.
+	metrics, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition := readBody(t, metrics)
+	for _, name := range []string{"dsmd_pagepool_hits_total", "dsmd_pagepool_misses_total", "dsmd_pagepool_pages"} {
+		if metricValue(t, exposition, name) == 0 {
+			t.Errorf("%s is zero after an engine run", name)
+		}
+	}
+	metricValue(t, exposition, "dsmd_pagepool_drops_total") // present; zero is fine
 }

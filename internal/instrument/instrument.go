@@ -87,17 +87,28 @@ func NewCollector(nprocs, segBytes int) *Collector {
 	return c
 }
 
+// TagRow returns proc's word-tag row for page, nil while no diff has
+// been tagged into it. The engine's access path caches the row and
+// works on it directly: a read of a word whose tag is non-zero calls
+// Credit and zeroes the tag, a write zeroes it. Rows are only touched on
+// proc's goroutine.
+func (c *Collector) TagRow(proc, page int) []int32 { return c.tags[proc][page] }
+
+// Credit records that proc read a word carrying tag before overwriting
+// it: the exchange behind the tag carried one more useful word.
+func (c *Collector) Credit(proc int, tag int32) { c.data[proc][tag-1].useful++ }
+
 // OnRead records a read of the word at byte address addr by proc. If the
 // word was applied by a diff and not yet overwritten, the carrying
 // exchange is credited with a useful word.
 func (c *Collector) OnRead(proc int, addr mem.Addr) {
-	row := c.tags[proc][addr>>mem.PageShift]
+	row := c.TagRow(proc, mem.PageOf(addr))
 	if row == nil {
 		return
 	}
 	w := mem.WordIndex(addr)
 	if tag := row[w]; tag != 0 {
-		c.data[proc][tag-1].useful++
+		c.Credit(proc, tag)
 		row[w] = 0
 	}
 }
@@ -105,7 +116,7 @@ func (c *Collector) OnRead(proc int, addr mem.Addr) {
 // OnWrite records a write: an applied-but-unread word overwritten locally
 // becomes useless (its tag is dropped without credit).
 func (c *Collector) OnWrite(proc int, addr mem.Addr) {
-	if row := c.tags[proc][addr>>mem.PageShift]; row != nil {
+	if row := c.TagRow(proc, mem.PageOf(addr)); row != nil {
 		row[mem.WordIndex(addr)] = 0
 	}
 }

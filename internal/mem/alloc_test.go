@@ -8,9 +8,9 @@ import "testing"
 //   - re-twinning into a recycled buffer: 0 allocs
 //   - encoding an unchanged page: 0 allocs (the common barrier case —
 //     a twin taken, nothing written)
-//   - encoding a dirty page: exactly 2 (the retained word arena and
-//     run list; published diffs outlive the interval, so these cannot
-//     come from scratch)
+//   - encoding a dirty page: 0 (words and run list are carved from the
+//     scratch's slabs; a chunk allocation every few hundred diffs
+//     rounds to nothing)
 //   - applying a diff: 0 allocs
 //   - reconstructing a full-page image into caller arenas: 0 allocs
 func TestAllocBudgetDiffPath(t *testing.T) {
@@ -39,8 +39,8 @@ func TestAllocBudgetDiffPath(t *testing.T) {
 	var d Diff
 	if n := testing.AllocsPerRun(100, func() {
 		d = EncodeDiffInto(&scr, twin, page)
-	}); n != 2 {
-		t.Errorf("EncodeDiffInto (dirty page): %v allocs/op, want 2 (arena + runs)", n)
+	}); n != 0 {
+		t.Errorf("EncodeDiffInto (dirty page): %v allocs/op, want 0 (slab-carved)", n)
 	}
 
 	dst := make([]byte, PageSize)

@@ -62,19 +62,10 @@ type Replica struct {
 	data   []byte   // eager backing; nil in lazy mode
 	frames [][]byte // lazy frame table; nil in eager mode
 	npages int
-
-	// Frame storage: fresh frames are carved from chunk arenas; frames
-	// released by Zero (trial reset) are recycled through a free list.
-	arena []byte
-	chunk int // frames in the last arena chunk allocated
-	free  [][]byte
 }
 
-// maxFrameChunk caps the page frames allocated per arena chunk. Chunks
-// double from one frame up to it, so a replica that touches a handful
-// of pages (one of 256 processors on a large segment) holds about twice
-// what it touched rather than a full 256 KB chunk.
-const maxFrameChunk = 64
+// zeroFrame is what every unmaterialized lazy page reads as.
+var zeroFrame [PageSize]byte
 
 // NewReplica allocates a zeroed eager replica of at least size bytes,
 // rounded up to a page multiple.
@@ -95,21 +86,17 @@ func (r *Replica) Lazy() bool { return r.data == nil }
 // Size returns the replica size in bytes (a page multiple).
 func (r *Replica) Size() int { return r.npages << PageShift }
 
-// Zero resets the replica to all-zeroes in place. The eager layout
-// clears its storage; the lazy layout releases every materialized frame
-// to the free list (cleared on reuse), so a multi-trial benchmark
-// rebuilds no frame memory between trials.
+// Zero resets the replica to all-zeroes. The eager layout clears its
+// storage in place; the lazy layout hands every materialized frame to
+// the recycler (see pool.go), which is also where the next trial's
+// first writes take them from.
 func (r *Replica) Zero() {
 	if r.data != nil {
 		clear(r.data)
 		return
 	}
-	for p, f := range r.frames {
-		if f != nil {
-			r.free = append(r.free, f)
-			r.frames[p] = nil
-		}
-	}
+	put(&pool.pages, r.frames)
+	clear(r.frames)
 }
 
 // NumPages returns the number of pages in the replica.
@@ -117,26 +104,16 @@ func (r *Replica) NumPages() int { return r.npages }
 
 // materialize installs and returns a zeroed frame for page p.
 func (r *Replica) materialize(p int) []byte {
-	var f []byte
-	if n := len(r.free); n > 0 {
-		f, r.free = r.free[n-1], r.free[:n-1]
-		clear(f)
-	} else {
-		if len(r.arena) < PageSize {
-			r.chunk = min(max(1, 2*r.chunk), maxFrameChunk)
-			r.arena = make([]byte, r.chunk*PageSize)
-		}
-		f, r.arena = r.arena[:PageSize:PageSize], r.arena[PageSize:]
-	}
+	f := pool.pages.get(true)
+	clear(f)
 	r.frames[p] = f
 	return f
 }
 
-// Page returns the byte slice backing page p (aliases the replica). In
-// lazy mode the frame is materialized: callers take Page to write into
-// it (twinning, diff application), so handing out zeroed storage is the
-// contract either way.
-func (r *Replica) Page(p int) []byte {
+// Frame returns the bytes backing page p for reading only: the page
+// itself, or a shared all-zero frame while a lazy page is unmaterialized.
+// The result is stale once the page is materialized (Page, WriteWord).
+func (r *Replica) Frame(p int) []byte {
 	if r.data != nil {
 		base := PageBase(p)
 		return r.data[base : base+PageSize : base+PageSize]
@@ -144,7 +121,18 @@ func (r *Replica) Page(p int) []byte {
 	if f := r.frames[p]; f != nil {
 		return f
 	}
-	return r.materialize(p)
+	return zeroFrame[:]
+}
+
+// Page returns the byte slice backing page p (aliases the replica). In
+// lazy mode the frame is materialized: callers take Page to write into
+// it (twinning, diff application), so handing out zeroed storage is the
+// contract either way.
+func (r *Replica) Page(p int) []byte {
+	if r.data == nil && r.frames[p] == nil {
+		return r.materialize(p)
+	}
+	return r.Frame(p)
 }
 
 // Bytes returns the whole backing store (aliases the replica). Only the

@@ -180,7 +180,7 @@ func TestLazyReplicaZeroRecyclesFrames(t *testing.T) {
 			t.Fatalf("page %d word after Zero = %#x", p, got)
 		}
 	}
-	// Reused frames (from the free list) must come back cleared.
+	// Reused frames (from the recycler) must come back cleared.
 	r.WriteWord(2*PageSize+8, 7)
 	pg := r.Page(2)
 	for i := 0; i < 8; i++ {
@@ -208,7 +208,9 @@ func TestLazyReplicaFootprint(t *testing.T) {
 			touched++
 		}
 	}
-	if backed := touched + len(r.arena)/PageSize; touched != 5 || backed > 8 {
-		t.Fatalf("5 pages written: %d frames materialized, %d frames of backing store, want 5 and at most 8", touched, backed)
+	// Frames are allocated one page at a time (see pool.go), so what is
+	// materialized is all the backing store there is.
+	if touched != 5 {
+		t.Fatalf("5 pages written: %d frames materialized", touched)
 	}
 }

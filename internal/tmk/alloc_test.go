@@ -25,14 +25,14 @@ func trialMallocs(sys *tmk.System, body func(*tmk.Proc)) uint64 {
 // allocation budget: after a cold trial has sized every per-processor
 // scratch structure (twin free lists, diff scratch, fetch index
 // tables, delta buffers), a further homeless jacobi trial on the
-// reused System must stay under 700 heap allocations.
+// reused System must stay under 340 heap allocations.
 //
 // The pre-scratch engine measured 7226 mallocs (5.9 MB) for the same
-// trial; the rebuilt inner loops measure ~383 (0.75 MB). The 700
-// ceiling pins the >10× reduction with headroom for scheduler noise —
-// what remains is goroutine startup, interval records retained by the
-// published store (they must outlive the trial), and the trial's
-// Result.
+// trial, the rebuilt inner loops ~525, and with diffs carved from
+// per-processor slabs that rewind at Reset (no allocation per dirty
+// page) 268–271. The ceiling is 1.25× that — what remains is goroutine
+// startup, interval records retained by the published store (they must
+// outlive the trial), and the trial's Result.
 func TestAllocBudgetSteadyStateRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
 	if !ok {
@@ -57,7 +57,7 @@ func TestAllocBudgetSteadyStateRun(t *testing.T) {
 	if err := w.Check(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 700
+	const budget = 340
 	if best > budget {
 		t.Errorf("steady-state homeless jacobi trial: %d mallocs, budget %d", best, budget)
 	}
@@ -67,8 +67,8 @@ func TestAllocBudgetSteadyStateRun(t *testing.T) {
 // MemSink capture on — the configuration every derived-sweep base cell
 // runs under. A reused sink's Reset keeps its column capacity, so
 // capture must add locking, not allocation: the budget is the plain
-// run's 700 plus slack for the forced pricing-lock path, nowhere near
-// the ~100k events a trial captures.
+// run's 340 plus slack for the forced pricing-lock path (measured
+// 269–272), nowhere near the ~100k events a trial captures.
 func TestAllocBudgetCaptureRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
 	if !ok {
@@ -99,7 +99,7 @@ func TestAllocBudgetCaptureRun(t *testing.T) {
 	if !ms.Ended() || ms.Len() == 0 {
 		t.Fatalf("capture incomplete: ended %v, %d events", ms.Ended(), ms.Len())
 	}
-	const budget = 800
+	const budget = 400
 	if best > budget {
 		t.Errorf("steady-state captured jacobi trial: %d mallocs, budget %d", best, budget)
 	}

@@ -1,6 +1,9 @@
 package tmk
 
 import (
+	"encoding/binary"
+	"math"
+
 	"repro/internal/aggregate"
 	"repro/internal/instrument"
 	"repro/internal/lrc"
@@ -19,7 +22,14 @@ type Proc struct {
 
 	clock sim.Clock
 	rep   *mem.Replica
-	pt    *mem.PageTable // indexed by unit, not page
+	pt    *mem.PageTable // indexed by unit, not page; written through setState only
+
+	// The translation cache of the access path (see tlbEntry), the
+	// generation its live entries carry in the upper half of their keys,
+	// and the per-access charge it saves looking up.
+	tlb       [tlbSize]tlbEntry
+	tlbGen    uint64
+	memAccess sim.Duration
 
 	// tk is the processor's vector-time register: the dense working time
 	// plus the deviation set relative to the current barrier epoch. vt
@@ -29,9 +39,13 @@ type Proc struct {
 	tk *vc.Tracked
 	vt vc.Time
 
-	// Multiple-writer state for the current interval.
-	twins      map[int][]mem.Twin // unit -> one twin per page of the unit
-	writeOrder []int              // units twinned this interval, in order
+	// Multiple-writer state for the current interval: the units twinned,
+	// in order, and every twin buffer the processor owns. The k-th unit of
+	// writeOrder owns twins[k*UnitPages:(k+1)*UnitPages]; the buffers past
+	// the live ones are free for the next write fault to copy into, so
+	// steady-state twinning allocates nothing.
+	writeOrder []int
+	twins      []mem.Twin
 
 	// missing[unit] lists unseen remote intervals that wrote the unit;
 	// the unit stays invalid until they are fetched and applied. Dense
@@ -64,9 +78,7 @@ type Proc struct {
 	// loops (fault → fetch → apply, close → diff → publish, acquire →
 	// delta) run allocation-free once these have grown to the workload's
 	// high-water mark (see the AllocBudget tests).
-	diffScr    mem.DiffScratch // closeInterval: diff encoding scratch
-	twinFree   []mem.Twin      // free list of discarded twin pages
-	twinLists  [][]mem.Twin    // free list of per-unit twin slices
+	diffScr    mem.DiffScratch // closeInterval: the slabs this run's diffs live in
 	unitsBuf   []int           // closeInterval: units written
 	diffsBuf   []lrc.PageDiff  // closeInterval: non-empty diffs
 	deltaBuf   []*lrc.Interval // applyAcquire: store delta
@@ -92,19 +104,19 @@ func newProc(s *System, id int) *Proc {
 	}
 	tk := vc.NewTracked(s.cfg.Procs)
 	p := &Proc{
-		id:      id,
-		sys:     s,
-		rep:     rep,
-		pt:      mem.NewPageTable(s.numUnits),
-		tk:      tk,
-		vt:      tk.T,
-		twins:   make(map[int][]mem.Twin),
-		missing: make(map[int][]lrc.MissingWrite),
-		fcur:    make(map[int]*fetchCursor),
+		id:        id,
+		sys:       s,
+		rep:       rep,
+		pt:        mem.NewPageTable(s.numUnits),
+		tk:        tk,
+		memAccess: s.cost.MemAccess,
+		vt:        tk.T,
+		missing:   make(map[int][]lrc.MissingWrite),
+		fcur:      make(map[int]*fetchCursor),
 	}
 	// The segment starts zeroed and identical everywhere: readable.
 	for u := 0; u < s.numUnits; u++ {
-		p.pt.Set(u, mem.ReadOnly)
+		p.setState(u, mem.ReadOnly)
 	}
 	if s.cfg.Dynamic {
 		p.tracker = aggregate.NewTracker()
@@ -116,19 +128,16 @@ func newProc(s *System, id int) *Proc {
 }
 
 // reset returns the processor to its post-newProc state while keeping
-// every allocation — replica storage, page table, scratch buffers, twin
-// free lists — so a multi-trial benchmark rebuilds no per-processor
-// memory between trials.
+// every allocation — page table, scratch buffers, twin buffers, diff
+// slabs (rewound: System.Reset has dropped the store that held their
+// diffs) — so a multi-trial benchmark rebuilds no per-processor memory
+// between trials. Lazy replica frames pass through the recycler.
 func (p *Proc) reset() {
 	p.clock = sim.Clock{}
 	p.rep.Zero()
+	p.diffScr.Rewind()
 	p.tk.Rebase(&vc.Epoch{}) // zero time, empty deviation set, run-start epoch
 	p.arena.Reset()
-	for u, tw := range p.twins {
-		p.twinFree = append(p.twinFree, tw...)
-		p.twinLists = append(p.twinLists, tw[:0])
-		delete(p.twins, u)
-	}
 	p.writeOrder = p.writeOrder[:0]
 	for u := range p.missing {
 		p.missing[u] = p.missing[u][:0]
@@ -138,13 +147,29 @@ func (p *Proc) reset() {
 		c.spill = c.spill[:0]
 	}
 	for u := 0; u < p.sys.numUnits; u++ {
-		p.pt.Set(u, mem.ReadOnly)
+		p.setState(u, mem.ReadOnly)
 	}
 	if p.sys.cfg.Dynamic {
 		p.tracker = aggregate.NewTracker()
 		p.groups = aggregate.New(p.sys.cfg.MaxGroupPages)
 	}
 	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals = 0, 0, 0, 0
+}
+
+// release hands the processor's page-sized storage — lazy replica
+// frames, live and free twins, full-size diff-slab chunks — to the
+// recycler and drops the replica, so a stray access after
+// System.Release fails on a nil replica instead of reading a page some
+// other run now owns.
+func (p *Proc) release() {
+	if p.rep.Lazy() {
+		p.rep.Zero()
+	}
+	p.rep = nil
+	p.tlb = [tlbSize]tlbEntry{}
+	mem.RecycleTwins(p.twins)
+	p.twins = nil
+	p.diffScr.Release()
 }
 
 // ID returns the processor number (0-based).
@@ -159,60 +184,134 @@ func (p *Proc) Clock() sim.Duration { return p.clock.Now() }
 // Compute charges n abstract compute operations to the processor's
 // clock, standing in for non-memory application work.
 func (p *Proc) Compute(n int) {
-	p.clock.Advance(sim.Duration(n) * p.sys.cost.MemAccess)
+	p.clock.Advance(sim.Duration(n) * p.memAccess)
 }
 
 func (p *Proc) unitOf(page int) int { return page / p.sys.cfg.UnitPages }
 
 // --- access paths --------------------------------------------------------
 
-// ReadF64 loads the float64 at word-aligned shared address a.
-func (p *Proc) ReadF64(a mem.Addr) float64 {
-	p.clock.Advance(p.sys.cost.MemAccess)
-	if !p.pt.CanRead(p.unitOf(mem.PageOf(a))) {
-		p.readFault(mem.PageOf(a))
-	}
-	if c := p.sys.col; c != nil {
-		c.OnRead(p.id, a)
-	}
-	return p.rep.ReadF64(a)
+// The translation cache has tlbSize entries, direct-mapped by the page
+// number folded once onto itself: the fold keeps arrays that lie a
+// multiple of the table size apart (Jacobi's two grids, the FFT's A and
+// B) out of each other's slots. Over one round of the Figure 1+2 grid
+// (78.5 M accesses, 229 k protection changes) 256 folded entries missed
+// 0.16 M times, which is the refill after each drop and nothing else;
+// 64 folded entries missed 2.9 M times, 256 unfolded 3.4 M, 64 unfolded
+// 15.2 M.
+const (
+	tlbBits = 8
+	tlbSize = 1 << tlbBits
+)
+
+func tlbIndex(page int) int { return (page ^ page>>tlbBits) & (tlbSize - 1) }
+
+// tlbEntry caches what an access to one page needs once the protection
+// check has passed: the frame holding the page's bytes (the shared zero
+// frame while a lazy page is readable but unmaterialized) and the
+// collector's tag row for it (nil when collection is off or no diff was
+// ever tagged into the page). readKey is tlbGen|page+1 while the page is
+// readable, writeKey the same while it is writable; zero matches nothing.
+//
+// Everything an entry caches changes only inside a fault (fetches
+// materialize frames and tag rows, twinning materializes frames) or at
+// a protection change, and every one of those ends in setState, which
+// drops the whole table. Replicas, page tables and tag rows are touched
+// only by their own processor's goroutine, so no other goroutine can
+// make an entry stale.
+type tlbEntry struct {
+	readKey, writeKey uint64
+	frame             *[mem.PageSize]byte
+	tags              *[mem.WordsPerPage]int32
 }
+
+// setState is the one place a unit's protection changes. Moving to the
+// next generation drops every cached translation without touching the
+// table (Storm at 256 processors takes a fault per page per interval;
+// clearing a 2 KB table at each was 1.7 % of its run).
+func (p *Proc) setState(u int, s mem.PageState) {
+	p.pt.Set(u, s)
+	p.tlbGen += 1 << 32
+	if p.tlbGen == 0 {
+		p.tlb = [tlbSize]tlbEntry{} // wrapped: old keys could match again
+	}
+}
+
+// translate is the access path's miss side: the protection check and
+// fault handling, then the entry fill.
+func (p *Proc) translate(page int, write bool) *tlbEntry {
+	u := p.unitOf(page)
+	if write {
+		if !p.pt.CanWrite(u) {
+			p.writeFault(u, page)
+		}
+	} else if !p.pt.CanRead(u) {
+		p.readFault(page)
+	}
+	e := &p.tlb[tlbIndex(page)]
+	e.readKey, e.writeKey = p.tlbGen|uint64(page+1), 0
+	if p.pt.CanWrite(u) {
+		// Writable units are twinned, so the page is materialized.
+		e.writeKey = e.readKey
+		e.frame = (*[mem.PageSize]byte)(p.rep.Page(page))
+	} else {
+		e.frame = (*[mem.PageSize]byte)(p.rep.Frame(page))
+	}
+	e.tags = nil
+	if c := p.sys.col; c != nil {
+		if row := c.TagRow(p.id, page); row != nil {
+			e.tags = (*[mem.WordsPerPage]int32)(row)
+		}
+	}
+	return e
+}
+
+// readWord charges one access, takes any fault, credits the collector
+// and loads the word: the order every total depends on.
+func (p *Proc) readWord(a mem.Addr) uint64 {
+	p.clock.Advance(p.memAccess)
+	page := mem.PageOf(a)
+	e := &p.tlb[tlbIndex(page)]
+	if e.readKey != p.tlbGen|uint64(page+1) {
+		e = p.translate(page, false)
+	}
+	off := a & (mem.PageSize - 1)
+	if e.tags != nil {
+		if tag := e.tags[off>>mem.WordShift]; tag != 0 {
+			p.sys.col.Credit(p.id, tag)
+			e.tags[off>>mem.WordShift] = 0
+		}
+	}
+	return binary.LittleEndian.Uint64(e.frame[off:])
+}
+
+// writeWord is readWord's counterpart: a local write drops the word's
+// tag without credit.
+func (p *Proc) writeWord(a mem.Addr, v uint64) {
+	p.clock.Advance(p.memAccess)
+	page := mem.PageOf(a)
+	e := &p.tlb[tlbIndex(page)]
+	if e.writeKey != p.tlbGen|uint64(page+1) {
+		e = p.translate(page, true)
+	}
+	off := a & (mem.PageSize - 1)
+	if e.tags != nil {
+		e.tags[off>>mem.WordShift] = 0
+	}
+	binary.LittleEndian.PutUint64(e.frame[off:], v)
+}
+
+// ReadF64 loads the float64 at word-aligned shared address a.
+func (p *Proc) ReadF64(a mem.Addr) float64 { return math.Float64frombits(p.readWord(a)) }
 
 // WriteF64 stores the float64 at word-aligned shared address a.
-func (p *Proc) WriteF64(a mem.Addr, v float64) {
-	p.clock.Advance(p.sys.cost.MemAccess)
-	if u := p.unitOf(mem.PageOf(a)); !p.pt.CanWrite(u) {
-		p.writeFault(u, mem.PageOf(a))
-	}
-	if c := p.sys.col; c != nil {
-		c.OnWrite(p.id, a)
-	}
-	p.rep.WriteF64(a, v)
-}
+func (p *Proc) WriteF64(a mem.Addr, v float64) { p.writeWord(a, math.Float64bits(v)) }
 
 // ReadI64 loads the int64 at word-aligned shared address a.
-func (p *Proc) ReadI64(a mem.Addr) int64 {
-	p.clock.Advance(p.sys.cost.MemAccess)
-	if !p.pt.CanRead(p.unitOf(mem.PageOf(a))) {
-		p.readFault(mem.PageOf(a))
-	}
-	if c := p.sys.col; c != nil {
-		c.OnRead(p.id, a)
-	}
-	return int64(p.rep.ReadWord(a))
-}
+func (p *Proc) ReadI64(a mem.Addr) int64 { return int64(p.readWord(a)) }
 
 // WriteI64 stores the int64 at word-aligned shared address a.
-func (p *Proc) WriteI64(a mem.Addr, v int64) {
-	p.clock.Advance(p.sys.cost.MemAccess)
-	if u := p.unitOf(mem.PageOf(a)); !p.pt.CanWrite(u) {
-		p.writeFault(u, mem.PageOf(a))
-	}
-	if c := p.sys.col; c != nil {
-		c.OnWrite(p.id, a)
-	}
-	p.rep.WriteWord(a, uint64(v))
-}
+func (p *Proc) WriteI64(a mem.Addr, v int64) { p.writeWord(a, uint64(v)) }
 
 // --- fault handling ------------------------------------------------------
 
@@ -229,24 +328,17 @@ func (p *Proc) writeFault(u, page int) {
 		p.readFault(page)
 	}
 	up := p.sys.cfg.UnitPages
-	var tw []mem.Twin
-	if n := len(p.twinLists); n > 0 {
-		tw, p.twinLists = p.twinLists[n-1][:0], p.twinLists[:n-1]
-	} else {
-		tw = make([]mem.Twin, 0, up)
-	}
+	live := len(p.writeOrder) * up
 	for s := 0; s < up; s++ {
-		var buf mem.Twin
-		if n := len(p.twinFree); n > 0 {
-			buf, p.twinFree = p.twinFree[n-1], p.twinFree[:n-1]
+		if live+s == len(p.twins) {
+			p.twins = append(p.twins, nil)
 		}
-		tw = append(tw, mem.MakeTwinInto(buf, p.rep.Page(u*up+s)))
+		p.twins[live+s] = mem.MakeTwinInto(p.twins[live+s], p.rep.Page(u*up+s))
 		p.clock.Advance(cost.TwinPerPage)
 		p.nTwins++
 	}
-	p.twins[u] = tw
 	p.writeOrder = append(p.writeOrder, u)
-	p.pt.Set(u, mem.ReadWrite)
+	p.setState(u, mem.ReadWrite)
 	p.clock.Advance(cost.ProtOp)
 }
 
@@ -293,10 +385,10 @@ func (p *Proc) readFault(page int) {
 	// their updates but stay Invalid so the access pattern remains
 	// observable (§4).
 	if cfg.Dynamic {
-		p.pt.Set(page, mem.ReadOnly)
+		p.setState(page, mem.ReadOnly)
 		p.clock.Advance(cost.ProtOp)
 	} else {
-		p.pt.Set(faultUnit, mem.ReadOnly)
+		p.setState(faultUnit, mem.ReadOnly)
 		p.clock.Advance(cost.ProtOp)
 	}
 

@@ -169,7 +169,7 @@ func (invalidator) AcquireUnit(p *Proc, iv *lrc.Interval, u int) {
 		p.missing[u] = append(p.missing[u], lrc.MissingWrite{Interval: iv})
 	}
 	if p.pt.State(u) != mem.Invalid {
-		p.pt.Set(u, mem.Invalid)
+		p.setState(u, mem.Invalid)
 		p.clock.Advance(p.sys.cost.ProtOp)
 	}
 }

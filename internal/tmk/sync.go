@@ -19,8 +19,8 @@ import (
 // each written unit's owning protocol (homeless keeps them attached to
 // the interval, home-based flushes them to the units' homes), the
 // interval is published with one write notice per unit plus the kept
-// diffs, twins are dropped, and the units revert to ReadOnly so the
-// next write re-twins.
+// diffs, the twin buffers become free again (emptying writeOrder frees
+// them all), and the units revert to ReadOnly so the next write re-twins.
 func (p *Proc) closeInterval() {
 	if len(p.writeOrder) == 0 {
 		return
@@ -31,8 +31,8 @@ func (p *Proc) closeInterval() {
 
 	units := p.unitsBuf[:0]
 	diffs := p.diffsBuf[:0]
-	for _, u := range p.writeOrder {
-		tw := p.twins[u]
+	for k, u := range p.writeOrder {
+		tw := p.twins[k*up : (k+1)*up]
 		for s := 0; s < up; s++ {
 			page := u*up + s
 			d := mem.EncodeDiffInto(&p.diffScr, tw[s], p.rep.Page(page))
@@ -42,12 +42,7 @@ func (p *Proc) closeInterval() {
 				diffs = append(diffs, lrc.PageDiff{Page: page, D: d})
 			}
 		}
-		// Recycle the unit's twins: pages to the page free list, the
-		// slice header to the list free list.
-		p.twinFree = append(p.twinFree, tw...)
-		p.twinLists = append(p.twinLists, tw[:0])
-		delete(p.twins, u)
-		p.pt.Set(u, mem.ReadOnly)
+		p.setState(u, mem.ReadOnly)
 		p.clock.Advance(cost.ProtOp)
 		units = append(units, u)
 	}

@@ -299,6 +299,7 @@ type System struct {
 	allocOff int
 	running  bool
 	ran      bool
+	released bool
 	// sparse caches cfg.Scale != ScaleDense: the acquire path consults
 	// the mode once per write notice, and a string comparison there is
 	// measurable at 256+ processors.
@@ -381,6 +382,9 @@ func (s *System) Reset() {
 	if s.running {
 		panic("tmk: Reset during Run")
 	}
+	if s.released {
+		panic("tmk: Reset of a released System")
+	}
 	model := s.net.Model()
 	model.Reset()
 	s.net = simnet.NewWithModel(s.cost, model, netOptions(s.cfg)...)
@@ -400,6 +404,26 @@ func (s *System) Reset() {
 		p.reset()
 	}
 	s.ran = false
+}
+
+// Release ends the System's life: every processor's page-sized storage
+// (replica frames, twins, diff-slab chunks) goes to mem's recycler for
+// the next System to take, and the interval store and engines that
+// point into it are dropped. Call it once the workload has been checked
+// (a Result stays valid); a second call does nothing, and Run or Reset
+// afterwards panic. A System that is never released is simply collected.
+func (s *System) Release() {
+	if s.running {
+		panic("tmk: Release during Run")
+	}
+	if s.released {
+		return
+	}
+	s.released = true
+	s.store, s.protos, s.policy, s.rehomer, s.col = nil, nil, nil, nil, nil
+	for _, p := range s.procs {
+		p.release()
+	}
 }
 
 // netOptions maps the engine configuration onto the message log's
@@ -603,6 +627,9 @@ type Result struct {
 func (s *System) Run(body func(p *Proc)) *Result {
 	if s.running {
 		panic("tmk: Run reentered")
+	}
+	if s.released {
+		panic("tmk: Run on a released System")
 	}
 	if s.ran {
 		s.Reset()
