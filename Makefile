@@ -67,7 +67,9 @@ profile:
 # the homeless jacobi inner loop, and the MemSink capture path (plain
 # and capture-enabled engine runs) must stay under the pinned budgets;
 # a second identical harness cell must allocate well under what it did
-# before cells recycled each other's pages;
+# before cells recycled each other's pages; a steady-state barrier
+# episode at 64 processors must allocate its epoch and nothing else —
+# nothing per processor — in finishEpisode + applyBarrierGrant;
 # a fresh MemSink must allocate one object per block of events and
 # barely more bytes than it ends up holding; a reservation on a warmed
 # netmodel timeline, and Reset followed by re-pricing the same stream,

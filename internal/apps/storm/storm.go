@@ -10,13 +10,18 @@
 // neighbour's first page (one access miss and one data fetch per
 // processor per episode).
 //
-// That makes the notice fan-out the dominant engine cost by design —
-// total acquire-side work is episodes × K × n² — which is exactly the
-// term the sparse engine's fault-time reconstruction removes and the
-// dense reference engine pays in full. Each episode is two barriers
-// (write phase, read phase), so the program is properly synchronized:
-// a read of episode e's value never runs concurrently with the episode
-// e+1 writes.
+// That makes the notice fan-out the dominant engine cost by design: the
+// dense reference engine's acquire side does episodes × K × n² work —
+// every processor visits, and records, every other processor's notices.
+// The sparse engine removed that term in two steps: fault-time
+// reconstruction (tmk/notices.go) took away the per-notice records but
+// still walked every notice on every processor to invalidate; the
+// barrier's held-unit walk (tmk's applyBarrierGrant, DESIGN.md §16) walks
+// what a processor holds — here K+2 pages and the segment's never-written
+// tail — against one shared index of what the episode wrote. Each episode
+// is two barriers (write phase, read phase), so the program is properly
+// synchronized: a read of episode e's value never runs concurrently with
+// the episode e+1 writes.
 package storm
 
 import (

@@ -51,6 +51,13 @@ type Interval struct {
 	// search it and per-unit views are contiguous subslices, so the
 	// engine's fetch path needs no per-interval map.
 	Diffs []PageDiff
+
+	// sum and noticeBytes cache TS.Sum() and the notices' wire size at
+	// construction: a Stamp is 96 bytes and its accessors take it by
+	// value, which the causal sort and every acquire's byte count would
+	// otherwise copy once per comparison and per notice.
+	sum         int64
+	noticeBytes int
 }
 
 // pageIndex returns the position of page in the sorted Diffs, or
@@ -91,9 +98,7 @@ func (iv *Interval) DiffsInUnit(u, unitPages int) []PageDiff {
 
 // NoticeBytes returns the wire size of the interval's write notices: the
 // interval header (proc, seq, vector time) plus one unit id per notice.
-func (iv *Interval) NoticeBytes() int {
-	return 8 + 4*iv.TS.Len() + 4*len(iv.Units)
-}
+func (iv *Interval) NoticeBytes() int { return iv.noticeBytes }
 
 // CausalKey is a monotone linearization of the happens-before partial
 // order: if a happens before b then a's vector-entry sum is strictly less
@@ -101,13 +106,13 @@ func (iv *Interval) NoticeBytes() int {
 // order that is also deterministic for concurrent intervals (whose diffs
 // touch disjoint words in race-free programs).
 func (iv *Interval) CausalKey() (sum int64, proc int, seq int32) {
-	return iv.TS.Sum(), iv.ID.Proc, iv.ID.Seq
+	return iv.sum, iv.ID.Proc, iv.ID.Seq
 }
 
 // causallyBefore reports whether a orders before b under CausalKey.
 func causallyBefore(a, b *Interval) bool {
-	if as, bs := a.TS.Sum(), b.TS.Sum(); as != bs {
-		return as < bs
+	if a.sum != b.sum {
+		return a.sum < b.sum
 	}
 	if a.ID.Proc != b.ID.Proc {
 		return a.ID.Proc < b.ID.Proc
@@ -159,13 +164,31 @@ type Store struct {
 	// per-writer sequence-ordered. The sparse engine reconstructs
 	// missing-write sets from this one global index at fault time
 	// instead of appending every notice into every processor's
-	// per-unit lists at acquire time (see tmk's missingFor).
-	byUnit map[int][]*Interval
+	// per-unit lists at acquire time (see tmk's missingInto). Indexed by
+	// unit: Reserve sizes it, Publish grows it for a unit past the end.
+	byUnit [][]*Interval
 }
 
 // NewStore returns an empty registry for n processors.
 func NewStore(n int) *Store {
-	return &Store{byPid: make([][]*Interval, n), byUnit: make(map[int][]*Interval)}
+	return &Store{byPid: make([][]*Interval, n)}
+}
+
+// Reserve sizes the per-unit index for units consistency units, so that
+// no Publish has to grow it under the write lock.
+func (s *Store) Reserve(units int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.growUnits(units)
+}
+
+// growUnits extends byUnit to at least n entries (write lock held). The
+// per-unit lists move with their headers, so UnitLog snapshots taken
+// earlier stay valid.
+func (s *Store) growUnits(n int) {
+	if n > len(s.byUnit) {
+		s.byUnit = append(s.byUnit, make([][]*Interval, n-len(s.byUnit))...)
+	}
 }
 
 // Publish registers a closed interval. The interval's sequence number
@@ -177,10 +200,25 @@ func (s *Store) Publish(iv *Interval) {
 	if int(iv.ID.Seq) != len(s.byPid[p])+1 {
 		panic("lrc: out-of-order interval publish")
 	}
-	s.byPid[p] = append(s.byPid[p], iv)
+	s.byPid[p] = appendLog(s.byPid[p], iv)
 	for _, u := range iv.Units {
-		s.byUnit[u] = append(s.byUnit[u], iv)
+		if u >= len(s.byUnit) {
+			s.growUnits(u + 1)
+		}
+		s.byUnit[u] = appendLog(s.byUnit[u], iv)
 	}
+}
+
+// appendLog appends to one of the store's per-processor or per-unit
+// lists. A list starts with room for eight: a processor or a unit that is
+// written at all is written again in the next iteration, and the three
+// smallest growth steps were a third of the allocations Publish makes
+// under the write lock.
+func appendLog(log []*Interval, iv *Interval) []*Interval {
+	if log == nil {
+		log = make([]*Interval, 0, 8)
+	}
+	return append(log, iv)
 }
 
 // UnitLog returns the published intervals that wrote unit u, in publish
@@ -190,6 +228,9 @@ func (s *Store) Publish(iv *Interval) {
 func (s *Store) UnitLog(u int) []*Interval {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if u >= len(s.byUnit) {
+		return nil
+	}
 	return s.byUnit[u]
 }
 
@@ -254,11 +295,47 @@ func (s *Store) DeltaDevsInto(from vc.Time, procs, seqs []int32, out []*Interval
 // non-empty page diffs produced at its close, copying both (callers
 // reuse their scratch buffers across intervals).
 func MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
+	return newInterval(id, ts, append([]int(nil), units...), append([]PageDiff(nil), diffs...))
+}
+
+// IntervalScratch owns the unit and diff lists of the intervals built
+// through it: both copies are carved from slabs instead of allocated
+// per interval. The zero value is ready to use; the engine keeps one per
+// processor. Every interval it built stays valid until Rewind, and no
+// longer.
+type IntervalScratch struct {
+	units mem.Slab[int]
+	diffs mem.Slab[PageDiff]
+}
+
+// MakeInterval is the package's MakeInterval with the two copies carved
+// from s.
+func (s *IntervalScratch) MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
+	u := s.units.Take(len(units))
+	copy(u, units)
+	d := s.diffs.Take(len(diffs))
+	copy(d, diffs)
+	return newInterval(id, ts, u, d)
+}
+
+// Rewind makes the scratch's storage reusable. The caller must have
+// dropped every interval built through it (the engine rewinds at Reset,
+// which drops the interval store).
+func (s *IntervalScratch) Rewind() {
+	s.units.Rewind()
+	s.diffs.Rewind()
+}
+
+// newInterval builds an interval that takes ownership of units and
+// diffs.
+func newInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
 	iv := &Interval{
-		ID:    id,
-		TS:    ts,
-		Units: append([]int(nil), units...),
-		Diffs: append([]PageDiff(nil), diffs...),
+		ID:          id,
+		TS:          ts,
+		Units:       units,
+		Diffs:       diffs,
+		sum:         ts.Sum(),
+		noticeBytes: 8 + 4*ts.Len() + 4*len(units),
 	}
 	// Keep Diffs sorted by page — the lookup index. closeInterval emits
 	// diffs in first-write unit order, which is already ascending for

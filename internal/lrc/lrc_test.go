@@ -247,3 +247,81 @@ func TestPropDeltaMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnitLogIndexGrowsAndSnapshotsStay covers the slice-backed per-unit
+// index: a unit past what Reserve sized reads as never written, Publish
+// grows the index for it, and a snapshot taken before later appends —
+// including appends that move the index itself — still reads what it
+// read.
+func TestUnitLogIndexGrowsAndSnapshotsStay(t *testing.T) {
+	s := NewStore(2)
+	if got := s.UnitLog(5); got != nil {
+		t.Fatalf("UnitLog of an unreserved unit = %v, want nil", got)
+	}
+	s.Reserve(4)
+	if got := s.UnitLog(3); len(got) != 0 {
+		t.Fatalf("UnitLog of a reserved, unwritten unit = %v", got)
+	}
+	first := mkInterval(0, 1, vc.Time{1, 0}, 3)
+	s.Publish(first)
+	snap := s.UnitLog(3)
+	var published []*Interval
+	for seq := int32(2); seq <= 40; seq++ {
+		// Unit 3 again (its list reallocates) and a unit past the end
+		// (the index reallocates).
+		iv := mkInterval(0, seq, vc.Time{seq, 0}, 3, 100+int(seq))
+		s.Publish(iv)
+		published = append(published, iv)
+	}
+	if len(snap) != 1 || snap[0] != first {
+		t.Fatalf("snapshot changed under later publishes: %v", snap)
+	}
+	if got := s.UnitLog(3); len(got) != 40 || got[0] != first || got[39] != published[38] {
+		t.Fatalf("UnitLog(3) has %d entries, want 40 in publish order", len(got))
+	}
+	if got := s.UnitLog(140); len(got) != 1 || got[0] != published[38] {
+		t.Fatalf("UnitLog(140) = %v", got)
+	}
+	if got := s.UnitLog(141); got != nil {
+		t.Fatalf("UnitLog past the grown index = %v, want nil", got)
+	}
+}
+
+// TestIntervalScratchBuildsWhatMakeIntervalBuilds compares the carving
+// constructor with the copying one field for field (unsorted diffs
+// included), and checks that neither aliases the caller's buffers, that
+// the cached causal key and notice size are the stamp's, and that a
+// rewound scratch builds its next intervals without new list storage.
+func TestIntervalScratchBuildsWhatMakeIntervalBuilds(t *testing.T) {
+	ts := vc.DenseStamp(vc.Time{2, 5, 0})
+	id := vc.IntervalID{Proc: 1, Seq: 5}
+	units := []int{9, 4, 7}
+	diffs := mkInterval(1, 5, vc.Time{2, 5, 0}, 9, 4, 7).Diffs // sorted: 4 7 9
+	diffs[0], diffs[2] = diffs[2], diffs[0]                    // 9 7 4
+	var scr IntervalScratch
+	want := MakeInterval(id, ts, units, diffs)
+	got := scr.MakeInterval(id, ts, units, diffs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scratch-built interval %+v, copy-built %+v", got, want)
+	}
+	if got.Diffs[0].Page != 4 || got.Diffs[2].Page != 9 {
+		t.Fatalf("diffs not sorted by page: %v", got.Diffs)
+	}
+	units[0], diffs[0].Page = -1, -1
+	if got.Units[0] != 9 || got.Diffs[2].Page != 9 {
+		t.Fatal("the interval aliases its caller's buffers")
+	}
+	if sum, _, _ := got.CausalKey(); sum != 7 || got.NoticeBytes() != 8+4*3+4*3 {
+		t.Fatalf("cached key %d / notice bytes %d, want 7 / 32", sum, got.NoticeBytes())
+	}
+	units[0], diffs[0].Page = 9, 9
+	scr.Rewind()
+	if n := testing.AllocsPerRun(50, func() {
+		scr.Rewind()
+		for i := 0; i < 8; i++ {
+			scr.MakeInterval(id, ts, units, diffs)
+		}
+	}); n != 8 {
+		t.Errorf("8 intervals from a rewound scratch: %v allocations, want 8 (the structs)", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // Twin is the pristine copy of a page taken on the first write in an
@@ -89,14 +90,13 @@ type slab[T any] struct {
 	last   int // length of the last chunk taken or allocated
 }
 
-// take returns n elements of storage with arbitrary contents. hi is the
-// full chunk length. Where the recycler lists full-size chunks of this
-// kind (full is non-nil), they come from it and on release go back to
-// it, and a listed one is taken even where the doubling asks for less.
-// A request longer than the first chunk (never a word run, rarely a run
-// list) is allocated on its own.
-func (s *slab[T]) take(n, hi int, full *freeList[T]) []T {
-	lo := hi / (slabMaxBytes / slabMinBytes)
+// take returns n elements of storage with arbitrary contents. Chunk
+// lengths double from lo to hi, the full chunk length. Where the
+// recycler lists full-size chunks of this kind (full is non-nil), they
+// come from it and on release go back to it, and a listed one is taken
+// even where the doubling asks for less. A request longer than the first
+// chunk (never a word run, rarely a run list) is allocated on its own.
+func (s *slab[T]) take(n, lo, hi int, full *freeList[T]) []T {
 	if n > lo {
 		return make([]T, n)
 	}
@@ -127,6 +127,29 @@ func (s *slab[T]) take(n, hi int, full *freeList[T]) []T {
 func (s *slab[T]) rewind() {
 	s.free, s.used, s.last = nil, 0, 0
 }
+
+// Slab is the same carving storage for other packages' run-lifetime
+// lists (lrc carves each interval's unit and diff lists from one). Its
+// chunks are all slabListBytes long and none comes from or goes to the
+// recycler: with one slab per processor and a few short lists in each,
+// what counts is the unused tail of the last chunk — at 256 processors,
+// chunks doubling from a page held 1.2 MB more a cell than the exact-size
+// copies they replaced. The zero value is ready to use.
+type Slab[T any] struct{ s slab[T] }
+
+const slabListBytes = 2 << 10
+
+// Take returns n elements of storage with arbitrary contents, valid until
+// Rewind. A list longer than a chunk is allocated on its own.
+func (s *Slab[T]) Take(n int) []T {
+	var zero T
+	chunk := slabListBytes / int(unsafe.Sizeof(zero))
+	return s.s.take(n, chunk, chunk, nil)
+}
+
+// Rewind makes everything taken so far reusable; the caller must have
+// dropped it.
+func (s *Slab[T]) Rewind() { s.s.rewind() }
 
 // DiffScratch owns the storage of the diffs encoded through it: word
 // values and run lists are carved from two slabs instead of allocated
@@ -173,7 +196,7 @@ func EncodeDiffInto(s *DiffScratch, twin Twin, page []byte) Diff {
 	// closeRun records the run [start, end): word values are captured
 	// now, so the page may keep changing afterwards.
 	closeRun := func(start, end int) {
-		words := s.wordSlab.take(end-start, slabMaxBytes/WordSize, &pool.words)
+		words := s.wordSlab.take(end-start, slabMinBytes/WordSize, slabMaxBytes/WordSize, &pool.words)
 		for i := range words {
 			words[i] = wordAt(page, start+i)
 		}
@@ -205,7 +228,7 @@ func EncodeDiffInto(s *DiffScratch, twin Twin, page []byte) Diff {
 	if len(runs) == 0 {
 		return Diff{}
 	}
-	out := s.runSlab.take(len(runs), slabMaxBytes/runBytes, nil)
+	out := s.runSlab.take(len(runs), slabMinBytes/runBytes, slabMaxBytes/runBytes, nil)
 	copy(out, runs)
 	return Diff{runs: out}
 }

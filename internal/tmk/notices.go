@@ -17,8 +17,15 @@ import "repro/internal/lrc"
 // unit's missing-write list lazily, at fault time, from the log — an
 // acquire touches no per-unit state beyond the page-table invalidation
 // and ProtOp charge the dense path also performs, so virtual time and
-// wire traffic are unchanged while host time stops scaling with the
-// processor count.
+// wire traffic are unchanged.
+//
+// That removes the appends, not the n² term: an acquire that still
+// visits every notice to invalidate its unit does O(notices) work per
+// processor whether or not it records anything. Lock acquires do (their
+// deltas are short); a barrier does not have to, and since a notice is
+// now nothing but its invalidation it need not visit notices at all —
+// applyBarrierGrant walks the units the processor holds against the
+// episode's written-unit index whenever that is the shorter side.
 //
 // Reconstruction is exact because "learned" has a per-entry test: the
 // store hands intervals to acquirers in per-processor sequence ranges

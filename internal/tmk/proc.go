@@ -24,6 +24,16 @@ type Proc struct {
 	rep   *mem.Replica
 	pt    *mem.PageTable // indexed by unit, not page; written through setState only
 
+	// held lists every unit that is not Invalid exactly once, and each
+	// unit that was and is no longer at most once; heldMark[u] says
+	// whether unit u is listed. setState lists a unit that becomes valid,
+	// the barrier's held-unit walk (applyBarrierGrant), which walks this
+	// list instead of the episode's notices when it is the shorter, drops
+	// the Invalid ones; heldStale bounds how many of those there are.
+	held      []int32
+	heldMark  []bool
+	heldStale int
+
 	// The translation cache of the access path (see tlbEntry), the
 	// generation its live entries carry in the upper half of their keys,
 	// and the per-access charge it saves looking up.
@@ -78,17 +88,22 @@ type Proc struct {
 	// loops (fault → fetch → apply, close → diff → publish, acquire →
 	// delta) run allocation-free once these have grown to the workload's
 	// high-water mark (see the AllocBudget tests).
-	diffScr    mem.DiffScratch // closeInterval: the slabs this run's diffs live in
-	unitsBuf   []int           // closeInterval: units written
-	diffsBuf   []lrc.PageDiff  // closeInterval: non-empty diffs
-	deltaBuf   []*lrc.Interval // applyAcquire: store delta
-	faultUnit  [1]int          // readFault: single-unit fetch list
-	barrierCh  chan barrierGrant
-	lockCh     chan lockGrant
-	fs         fetchScratch  // homeless/home fetch scratch
-	arena      vc.StampArena // sparse-stamp deviation storage (reset per trial)
-	vtScratch  vc.Time       // applyAcquireStamp: dense materialization
-	seqScratch []int32       // applyBarrierGrant: touched-entry targets
+	diffScr   mem.DiffScratch     // closeInterval: the slabs this run's diffs live in
+	ivScr     lrc.IntervalScratch // closeInterval: the slabs this run's intervals' lists live in
+	unitsBuf  []int               // closeInterval: units written
+	diffsBuf  []lrc.PageDiff      // closeInterval: non-empty diffs
+	deltaBuf  []*lrc.Interval     // applyAcquire: store delta (lock grants)
+	faultUnit [1]int              // readFault: single-unit fetch list
+	barrierCh chan barrierGrant
+	lockCh    chan lockGrant
+	fs        fetchScratch  // homeless/home fetch scratch
+	arena     vc.StampArena // sparse-stamp deviation storage (reset per trial)
+	vtScratch vc.Time       // applyAcquireStamp: dense materialization
+
+	// ownNoticeBytes is the notice wire size of the intervals closed since
+	// the last barrier: what the held-unit walk takes off the episode's
+	// total instead of visiting the notices.
+	ownNoticeBytes int
 }
 
 func newProc(s *System, id int) *Proc {
@@ -108,6 +123,8 @@ func newProc(s *System, id int) *Proc {
 		sys:       s,
 		rep:       rep,
 		pt:        mem.NewPageTable(s.numUnits),
+		held:      make([]int32, 0, s.numUnits),
+		heldMark:  make([]bool, s.numUnits),
 		tk:        tk,
 		memAccess: s.cost.MemAccess,
 		vt:        tk.T,
@@ -136,6 +153,12 @@ func (p *Proc) reset() {
 	p.clock = sim.Clock{}
 	p.rep.Zero()
 	p.diffScr.Rewind()
+	p.ivScr.Rewind()
+	// The previous trial's intervals are dropped with its store; do not
+	// pin them until the next lock acquire overwrites the buffer.
+	clear(p.deltaBuf)
+	p.deltaBuf = p.deltaBuf[:0]
+	p.ownNoticeBytes = 0
 	p.tk.Rebase(&vc.Epoch{}) // zero time, empty deviation set, run-start epoch
 	p.arena.Reset()
 	p.writeOrder = p.writeOrder[:0]
@@ -170,6 +193,7 @@ func (p *Proc) release() {
 	mem.RecycleTwins(p.twins)
 	p.twins = nil
 	p.diffScr.Release()
+	p.ivScr = lrc.IntervalScratch{}
 }
 
 // ID returns the processor number (0-based).
@@ -230,11 +254,26 @@ type tlbEntry struct {
 // table (Storm at 256 processors takes a fault per page per interval;
 // clearing a 2 KB table at each was 1.7 % of its run).
 func (p *Proc) setState(u int, s mem.PageState) {
+	if s == mem.Invalid {
+		p.heldStale++
+	} else if !p.heldMark[u] {
+		p.hold(u)
+	}
 	p.pt.Set(u, s)
 	p.tlbGen += 1 << 32
 	if p.tlbGen == 0 {
 		p.tlb = [tlbSize]tlbEntry{} // wrapped: old keys could match again
 	}
+}
+
+// hold lists a unit that became valid. Out of line: most protection
+// changes are between ReadOnly and ReadWrite, or re-validate a unit the
+// list still has.
+//
+//go:noinline
+func (p *Proc) hold(u int) {
+	p.held = append(p.held, int32(u))
+	p.heldMark[u] = true
 }
 
 // translate is the access path's miss side: the protection check and

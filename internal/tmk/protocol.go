@@ -43,7 +43,10 @@ type Protocol interface {
 	// performs the invalidation policy and the missing-write
 	// bookkeeping that later drives Fetch. The caller iterates the
 	// acquire's delta in causal order and its units in notice order,
-	// and charges the notices' wire size itself.
+	// and charges the notices' wire size itself. In sparse mode, where
+	// no engine keeps per-notice state, a barrier may apply a unit's
+	// notices as one invalidation without calling AcquireUnit at all
+	// (applyBarrierGrant's held-unit walk).
 	AcquireUnit(p *Proc, iv *lrc.Interval, u int)
 
 	// Release takes ownership of the diffs of interval (id, ts) that

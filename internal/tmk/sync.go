@@ -58,16 +58,21 @@ func (p *Proc) closeInterval() {
 		ts = vc.DenseStamp(p.vt.Clone())
 	}
 	keep := p.sys.releaseInterval(p, id, ts, units, diffs)
-	p.sys.store.Publish(lrc.MakeInterval(id, ts, units, keep))
+	iv := p.ivScr.MakeInterval(id, ts, units, keep)
+	p.ownNoticeBytes += iv.NoticeBytes()
+	p.sys.store.Publish(iv)
 	p.nIntervals++
 	p.writeOrder = p.writeOrder[:0]
 }
 
-// consumeDelta applies the write notices in p.deltaBuf: every noticed
-// unit is routed to its owning protocol's notice policy (invalidated
-// unless the notice is the processor's own, and recorded as missing).
-// It returns the wire size of the consumed notices.
-func (p *Proc) consumeDelta() int {
+// consumeDelta applies the write notices of the intervals in ivs that p
+// has not heard of yet — a lock acquire's store delta holds nothing else,
+// a barrier episode's shared delta also holds p's own intervals and
+// whatever p learned of the episode through a lock chain. Every noticed
+// unit is routed to its owning protocol's notice policy (invalidated and
+// recorded as missing). It returns the wire size of the consumed
+// notices. p.vt must not move until the walk is over.
+func (p *Proc) consumeDelta(ivs []*lrc.Interval) int {
 	bytes := 0
 	s := p.sys
 	// Static configurations install one engine owning every unit; hoist
@@ -75,22 +80,22 @@ func (p *Proc) consumeDelta() int {
 	// frequent call at large processor counts).
 	if len(s.protos) == 1 {
 		proto := s.protos[0]
-		for _, iv := range p.deltaBuf {
-			bytes += iv.NoticeBytes()
-			if iv.ID.Proc == p.id {
+		for _, iv := range ivs {
+			if p.vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
 				continue
 			}
+			bytes += iv.NoticeBytes()
 			for _, u := range iv.Units {
 				proto.AcquireUnit(p, iv, u)
 			}
 		}
 		return bytes
 	}
-	for _, iv := range p.deltaBuf {
-		bytes += iv.NoticeBytes()
-		if iv.ID.Proc == p.id {
+	for _, iv := range ivs {
+		if p.vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
 			continue
 		}
+		bytes += iv.NoticeBytes()
 		for _, u := range iv.Units {
 			s.protoOf(u).AcquireUnit(p, iv, u)
 		}
@@ -108,7 +113,7 @@ func (p *Proc) applyAcquire(sourceVT vc.Time) int {
 		return 0
 	}
 	p.deltaBuf = p.sys.store.DeltaInto(p.vt, sourceVT, p.deltaBuf)
-	bytes := p.consumeDelta()
+	bytes := p.consumeDelta(p.deltaBuf)
 	p.tk.MergeTime(sourceVT)
 	return bytes
 }
@@ -125,7 +130,7 @@ func (p *Proc) applyAcquireStamp(s vc.Stamp) int {
 	if b := s.Base(); b != nil && b.Seq <= p.tk.Base().Seq {
 		procs, seqs := s.Deviations()
 		p.deltaBuf = p.sys.store.DeltaDevsInto(p.vt, procs, seqs, p.deltaBuf)
-		bytes := p.consumeDelta()
+		bytes := p.consumeDelta(p.deltaBuf)
 		p.tk.MergeStamp(s)
 		return bytes
 	}
@@ -148,15 +153,22 @@ func (p *Proc) rebuildGroups() {
 // --- barrier --------------------------------------------------------------
 
 // barrierGrant is one processor's release from one barrier episode: the
-// episode's epoch (the merged vector time, immutable and shared), the
-// processors that published intervals during the episode (shared,
-// read-only — the acquirer's invalidation scan visits only these), the
-// release time, and the episode number.
+// episode's epoch (the merged vector time, immutable and shared), what
+// finishEpisode computed once for everyone — the episode's causally
+// sorted intervals, their notice count and their notices' wire size —
+// the release time, and the episode number.
+//
+// delta is the System's one buffer, refilled every episode. No processor
+// reads it after consuming its grant, which it does before it can arrive
+// at the next barrier, and the next refill waits for every arrival; the
+// fabric's mutex orders the two.
 type barrierGrant struct {
-	epoch   *vc.Epoch
-	touched []int32
-	release sim.Duration
-	episode int
+	epoch       *vc.Epoch
+	delta       []*lrc.Interval
+	notices     int
+	noticeBytes int
+	release     sim.Duration
+	episode     int
 }
 
 // barrierSync is one barrier message fabric: it prices the arrival path
@@ -213,43 +225,69 @@ func init() {
 	RegisterBarrier("central", func(s *System) barrierSync { return newBarrier(s) })
 }
 
+// unitWriter is one entry of the episode's written-unit index: who wrote
+// the unit during episode number episode. Entries of other episodes are
+// stale and read as "not written".
+type unitWriter struct {
+	episode int32
+	writer  int32 // the sole writing processor, or severalWriters
+}
+
+const severalWriters = -1
+
 // finishEpisode runs the completing processor's episode duties, called
 // with the fabric's mutex held after every arrival merged into tk: mint
-// the episode's epoch from the merged time, evaluate the adaptive policy
-// and the placement rehomer over the phase delta, record the episode log
-// (under Collect), and rebase the fabric's register for the next
-// episode. The returned touched list (the register's deviation set — the
-// processors that published since the previous epoch) is shared
-// read-only by every grant.
-func (s *System) finishEpisode(tk *vc.Tracked, episode int) (*vc.Epoch, []int32) {
+// the episode's epoch from the merged time, build the episode's delta —
+// the one delta computation of a barrier, shared by every grant, the
+// adaptive policy, the placement rehomer and the tree fabric's release
+// payload — and from it the written-unit index of the sparse engine's
+// held-unit walk (see applyBarrierGrant), record the episode log (under
+// Collect), and rebase the fabric's register for the next episode. The
+// returned grant lacks only its release time.
+func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 	merged := tk.T.Clone()
 	epoch := vc.NewEpoch(episode, merged)
-	touched := append([]int32(nil), tk.Devs()...)
-	if s.policy != nil || s.rehomer != nil {
-		var delta []*lrc.Interval
-		if s.sparseMode() {
-			s.seqScratch = s.seqScratch[:0]
-			for _, q := range touched {
-				s.seqScratch = append(s.seqScratch, merged[q])
+	if s.sparseMode() {
+		// The register's deviation set is the processors that published
+		// since the previous epoch: only their runs are visited.
+		touched := tk.Devs()
+		s.seqScratch = s.seqScratch[:0]
+		for _, q := range touched {
+			s.seqScratch = append(s.seqScratch, merged[q])
+		}
+		s.epDelta = s.store.DeltaDevsInto(s.lastBarrierVT, touched, s.seqScratch, s.epDelta)
+	} else {
+		s.epDelta = s.store.DeltaInto(s.lastBarrierVT, merged, s.epDelta)
+	}
+	s.lastBarrierVT = merged
+	g := barrierGrant{epoch: epoch, delta: s.epDelta, episode: episode}
+	ep := int32(episode)
+	for _, iv := range s.epDelta {
+		g.notices += len(iv.Units)
+		g.noticeBytes += iv.NoticeBytes()
+		if !s.sparseMode() {
+			continue
+		}
+		w := int32(iv.ID.Proc)
+		for _, u := range iv.Units {
+			if e := &s.epWriter[u]; e.episode != ep {
+				*e = unitWriter{episode: ep, writer: w}
+			} else if e.writer != w {
+				e.writer = severalWriters
 			}
-			s.epDelta = s.store.DeltaDevsInto(s.lastBarrierVT, touched, s.seqScratch, s.epDelta)
-			delta = s.epDelta
-		} else {
-			delta = s.store.Delta(s.lastBarrierVT, merged)
 		}
-		if s.policy != nil {
-			s.policy.atBarrier(merged, delta)
-		}
-		if s.rehomer != nil {
-			s.rehomer.atBarrier(merged, delta)
-		}
-		s.lastBarrierVT = merged
+	}
+	if s.policy != nil {
+		s.policy.atBarrier(merged, s.epDelta)
+	}
+	if s.rehomer != nil {
+		s.rehomer.atBarrier(merged, s.epDelta)
 	}
 	if s.cfg.Collect {
 		s.barrierLog = append(s.barrierLog, merged)
 	}
 	tk.Rebase(epoch)
-	return epoch, touched
+	return g
 }
 
 // barrier is the centralized TreadMarks barrier: arrivals carry each
@@ -302,11 +340,10 @@ func (b *barrier) sync(p *Proc) (barrierGrant, bool) {
 		// ownership handoffs and home-state transfers they schedule
 		// are priced per-processor after the release (settle).
 		b.episode++
-		epoch, touched := p.sys.finishEpisode(b.tk, b.episode)
+		g := p.sys.finishEpisode(b.tk, b.episode)
 		// Manager cost: per-arrival servicing plus the merge/broadcast.
-		release := b.maxClock + p.sys.cost.BarrierManager +
+		g.release = b.maxClock + p.sys.cost.BarrierManager +
 			sim.Duration(b.n)*p.sys.cost.RequestService
-		g := barrierGrant{epoch: epoch, touched: touched, release: release, episode: b.episode}
 		for _, w := range b.waiters {
 			w <- g
 		}
@@ -320,24 +357,61 @@ func (b *barrier) sync(p *Proc) (barrierGrant, bool) {
 }
 
 // applyBarrierGrant consumes a barrier grant: the episode's write
-// notices are applied (visiting only the touched processors' interval
-// runs in sparse mode) and the processor's register rebases onto the
-// new epoch. Returns the consumed notices' wire size.
+// notices that are new to the processor are applied and its register
+// rebases onto the new epoch. Returns the consumed notices' wire size.
+//
+// Sparse mode keeps no per-notice state (notices.go), so there a notice
+// is only its invalidation, and the walk takes the shorter side. A
+// processor that knows nothing of the episode but its own intervals —
+// every processor of a barrier-only program — owes an invalidation to
+// exactly the units it holds that the index names with a writer other
+// than itself: when it holds no more units than the episode has notices
+// it walks those, and its notices' wire size is the episode's less its
+// own. Otherwise (a prefix learned through a lock chain, more held units
+// than notices, the dense engine) it walks the episode's delta, skipping
+// what it knows. Both charge ProtOp once per unit that was valid and is
+// named by a notice new to the processor.
 func (p *Proc) applyBarrierGrant(g barrierGrant) int {
-	var bytes int
-	if p.sys.sparseMode() {
-		p.seqScratch = p.seqScratch[:0]
-		for _, q := range g.touched {
-			p.seqScratch = append(p.seqScratch, g.epoch.VT[q])
-		}
-		p.deltaBuf = p.sys.store.DeltaDevsInto(p.vt, g.touched, p.seqScratch, p.deltaBuf)
-		bytes = p.consumeDelta()
+	devs := p.tk.Devs()
+	heldWalk := p.sys.sparseMode() && len(p.held)-p.heldStale <= g.notices &&
+		(len(devs) == 0 || len(devs) == 1 && int(devs[0]) == p.id)
+	var bytes, visited int
+	if heldWalk {
+		bytes, visited = g.noticeBytes-p.ownNoticeBytes, len(p.held)
+		p.invalidateHeld(g.episode)
 	} else {
-		p.deltaBuf = p.sys.store.DeltaInto(p.vt, g.epoch.VT, p.deltaBuf)
-		bytes = p.consumeDelta()
+		bytes, visited = p.consumeDelta(g.delta), g.notices
 	}
+	p.ownNoticeBytes = 0
 	p.tk.Rebase(g.epoch)
+	if hook := p.sys.barrierHook; hook != nil {
+		hook(p, heldWalk, visited)
+	}
 	return bytes
+}
+
+// invalidateHeld is the held-unit walk: every listed unit that is still
+// valid and that the episode's index names with a writer other than p is
+// invalidated and charged; those and the units invalidated since the
+// last walk leave the list. Walking the stale entries is paid for by the
+// notice visits that made them stale.
+func (p *Proc) invalidateHeld(episode int) {
+	written, protOp := p.sys.epWriter, p.sys.cost.ProtOp
+	ep, me := int32(episode), int32(p.id)
+	kept := p.held[:0]
+	for _, h := range p.held {
+		u := int(h)
+		if p.pt.State(u) != mem.Invalid {
+			if w := written[u]; w.episode != ep || w.writer == me {
+				kept = append(kept, h)
+				continue
+			}
+			p.setState(u, mem.Invalid)
+			p.clock.Advance(protOp)
+		}
+		p.heldMark[u] = false
+	}
+	p.held, p.heldStale = kept, 0
 }
 
 // Barrier synchronizes all processors. On departure every processor has

@@ -279,8 +279,8 @@ type System struct {
 	// policy that assigned it, and rehomer the barrier-time driver that
 	// lets the policy move homes mid-run (nil when no home-based engine
 	// is installed). lastBarrierVT is the previous barrier's merged
-	// vector time — the lower bound of the phase delta both the
-	// placement layer and the adaptive policy evaluate.
+	// vector time — the lower bound of the episode delta every grant, the
+	// placement layer and the adaptive policy share (finishEpisode).
 	placement     Placement
 	homeTable     []int32
 	rehomer       *rehomer
@@ -288,10 +288,20 @@ type System struct {
 	nRehomes      int
 	nRehomeBytes  int
 
-	// finishEpisode scratch (touched by at most one processor at a time —
-	// the barrier fabric's completing arrival, under the fabric's mutex).
+	// finishEpisode's storage, written by one processor at a time — the
+	// barrier fabric's completing arrival, under the fabric's mutex — and
+	// read by every processor while it consumes that episode's grant:
+	// the episode's causally sorted intervals and its written-unit index
+	// (indexed by unit, stamped with the episode number so that nothing is
+	// cleared between episodes).
 	seqScratch []int32
 	epDelta    []*lrc.Interval
+	epWriter   []unitWriter
+
+	// barrierHook, when set (tests only), runs on each processor after it
+	// consumed a barrier grant: whether it took the held-unit walk, and
+	// how many list entries the walk it took had.
+	barrierHook func(p *Proc, heldWalk bool, visited int)
 
 	segBytes int
 	numPages int
@@ -354,6 +364,10 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.numUnits = s.numPages / cfg.UnitPages
 	s.sparse = cfg.Scale != ScaleDense
+	s.store.Reserve(s.numUnits)
+	if s.sparse {
+		s.epWriter = make([]unitWriter, s.numUnits)
+	}
 	s.setupPlacement()
 	protocolSetups[cfg.Protocol](s)
 	s.setupRehomer()
@@ -389,6 +403,12 @@ func (s *System) Reset() {
 	model.Reset()
 	s.net = simnet.NewWithModel(s.cost, model, netOptions(s.cfg)...)
 	s.store = lrc.NewStore(s.cfg.Procs)
+	s.store.Reserve(s.numUnits)
+	// Episode numbers restart with the fabric: stamps of the run that
+	// ended would read as this run's.
+	clear(s.epWriter)
+	clear(s.epDelta)
+	s.epDelta = s.epDelta[:0]
 	s.setupPlacement()
 	protocolSetups[s.cfg.Protocol](s)
 	s.setupRehomer()
@@ -505,6 +525,18 @@ func (s *System) sparseMode() bool { return s.sparse }
 // after Run returns. The log is identical across barrier fabrics — the
 // equivalence the tree-barrier tests pin.
 func (s *System) BarrierLog() []vc.Time { return s.barrierLog }
+
+// PageStates returns a copy of processor p's page table, one protection
+// state per consistency unit. Valid after Run returns — what the
+// dense/sparse equivalence tests compare beside the wire totals.
+func (s *System) PageStates(p int) []mem.PageState {
+	pt := s.procs[p].pt
+	out := make([]mem.PageState, pt.NumPages())
+	for u := range out {
+		out[u] = pt.State(u)
+	}
+	return out
+}
 
 // SegmentBytes returns the rounded shared-segment size.
 func (s *System) SegmentBytes() int { return s.segBytes }

@@ -38,7 +38,6 @@ type treeBarrier struct {
 	mu      sync.Mutex
 	episode int
 	tk      *vc.Tracked
-	prevVT  vc.Time // previous epoch's merged time (episode payload lower bound)
 
 	pending []int32        // outstanding arrivals at node i: self + children
 	nkids   []int32        // child count of node i
@@ -58,7 +57,6 @@ func newTreeBarrier(s *System) *treeBarrier {
 		n:       n,
 		radix:   r,
 		tk:      vc.NewTracked(n),
-		prevVT:  vc.New(n),
 		pending: make([]int32, n),
 		nkids:   make([]int32, n),
 		cmpl:    make([]sim.Duration, n),
@@ -120,31 +118,20 @@ func (tb *treeBarrier) sync(p *Proc) (barrierGrant, bool) {
 	return <-ch, true
 }
 
-// finish completes an episode at the root: mint the epoch (shared
-// episode duties — adaptive policy, rehoming, episode log), size the
-// release payload, price the downward release wave hop by hop, and
-// deliver every grant. Runs under tb.mu on the goroutine whose arrival
-// completed the root's subtree.
+// finish completes an episode at the root: run the shared episode
+// duties (epoch, episode delta, adaptive policy, rehoming, episode log),
+// price the downward release wave hop by hop, and deliver every grant.
+// Runs under tb.mu on the goroutine whose arrival completed the root's
+// subtree.
 func (tb *treeBarrier) finish(done sim.Duration) {
 	s := tb.sys
 	tb.episode++
-	epoch, touched := s.finishEpisode(tb.tk, tb.episode)
-
-	// Every release hop carries the episode's whole notice union: the
-	// intervals published between the previous epoch and this one.
-	noticeBytes := 0
-	s.seqScratch = s.seqScratch[:0]
-	for _, q := range touched {
-		s.seqScratch = append(s.seqScratch, epoch.VT[q])
-	}
-	s.epDelta = s.store.DeltaDevsInto(tb.prevVT, touched, s.seqScratch, s.epDelta)
-	for _, iv := range s.epDelta {
-		noticeBytes += iv.NoticeBytes()
-	}
-	tb.prevVT = epoch.VT
+	g := s.finishEpisode(tb.tk, tb.episode)
 
 	// Downward wave: parents release before children (node indices are
-	// topologically ordered), one priced message per tree edge.
+	// topologically ordered), one priced message per tree edge. Every
+	// hop carries the episode's whole notice union: the intervals
+	// published between the previous epoch and this one.
 	tb.grantAt[0] = done + s.cost.BarrierManager
 	for node := 0; node < tb.n; node++ {
 		lo := tb.radix*node + 1
@@ -156,14 +143,13 @@ func (tb *treeBarrier) finish(done sim.Duration) {
 			hi = tb.n
 		}
 		for c := lo; c < hi; c++ {
-			_, t := s.net.SendLeg(simnet.BarrierRelease, node, c, 8+noticeBytes, tb.grantAt[node])
+			_, t := s.net.SendLeg(simnet.BarrierRelease, node, c, 8+g.noticeBytes, tb.grantAt[node])
 			tb.grantAt[c] = tb.grantAt[node] + t.Total
 		}
 	}
 	for i := 0; i < tb.n; i++ {
-		tb.waiters[i] <- barrierGrant{
-			epoch: epoch, touched: touched, release: tb.grantAt[i], episode: tb.episode,
-		}
+		g.release = tb.grantAt[i]
+		tb.waiters[i] <- g
 	}
 	// Reset the combining state for the next episode (finishEpisode
 	// already rebased tk onto the new epoch).
