@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-check perf-check scaling networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
+.PHONY: all test vet bench bench-check scaling networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
 
 all: test
 
@@ -26,21 +26,6 @@ bench:
 # this on every push.
 bench-check:
 	$(GO) run ./cmd/dsmbench -check-baseline BENCH_baseline.json
-
-# perf-check is the wall-clock trajectory gate: BENCH_after.json
-# carries a perf section (host-normalized -networks sweep wall time),
-# so -check-baseline additionally re-runs the sweep and fails on >25%
-# normalized slowdown — a lost optimization, not scheduler jitter.
-# It also gates the committed scaling sweep: BENCH_scaling.json must
-# claim a >=5x sparse/tree win at 256 procs and a live re-run of the
-# best cell must reproduce >=2x. Finally -check-speedup re-runs the
-# derived -networks sweep and fails unless it beats the committed
-# all-engine-runs BENCH_before.json wall time by >=3x — the gate on
-# the replay-derivation optimization itself.
-perf-check:
-	$(GO) run ./cmd/dsmbench -check-baseline BENCH_after.json
-	$(GO) run ./cmd/dsmbench -check-scaling BENCH_scaling.json
-	$(GO) run ./cmd/dsmbench -check-speedup BENCH_before.json
 
 # scaling regenerates the committed 8->1024-proc scaling curves
 # (storm/large, {homeless,home} x {ideal,bus} x {dense/central,

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dsmbench -all            # everything (what EXPERIMENTS.md records)
+//	dsmbench -all            # everything (dsmrun -list maps each dataset to the paper's as "(paper: …)")
 //	dsmbench -all -json      # the same, as one machine-readable document
 //	dsmbench -table 1        # sequential times and 8-processor speedups
 //	dsmbench -figure 1       # Barnes/Ilink/TSP/Water breakdowns
@@ -18,7 +18,7 @@
 //	dsmbench -all -placement firsttouch  # regenerate everything with first-writer homes
 //	dsmbench -baseline -json       # perf-trajectory seed: every app's small dataset
 //	dsmbench -check-baseline BENCH_baseline.json  # regression gate: exit non-zero on >2% time drift
-//	dsmbench -scaling -json        # 8→1024-proc wall-clock curves: dense/central vs sparse/tree
+//	dsmbench -scaling -json        # storm/large 8→1024-proc wall-clock curves: dense/central vs sparse/tree
 //	dsmbench -check-scaling BENCH_scaling.json    # scaling gate: the sparse win must still reproduce
 //
 // Every cell is verified against the application's sequential reference
@@ -37,7 +37,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/all" // populate the workload registry
@@ -59,7 +58,6 @@ type document struct {
 	Networks   []harness.NetworkComparisonJSON   `json:"networks,omitempty"`
 	Placements []harness.PlacementComparisonJSON `json:"placements,omitempty"`
 	Baseline   []harness.CellJSON                `json:"baseline,omitempty"`
-	Perf       *perfJSON                         `json:"perf,omitempty"`
 	// Scaling carries the -scaling sweep: per-protocol × per-network
 	// wall-clock curves at n ∈ {8, 64, 256, 1024} for the dense/central
 	// reference vs the sparse/tree configuration, plus the GOMAXPROCS
@@ -69,38 +67,20 @@ type document struct {
 	ScalingGOMAXPROCS int                        `json:"scaling_gomaxprocs,omitempty"`
 }
 
-// perfJSON records how long the -networks sweep took on the machine that
-// generated the document, normalized by a fixed single-core calibration
-// loop so the number is comparable across hosts. The committed
-// BENCH_before.json / BENCH_after.json pair carries the before/after
-// wall-clock claim; -check-baseline gates on networks_norm.
-type perfJSON struct {
-	NetworksWallSeconds float64 `json:"networks_wall_seconds"`
-	CalibSeconds        float64 `json:"calib_seconds"`
-	NetworksNorm        float64 `json:"networks_norm"`
-	GOMAXPROCS          int     `json:"gomaxprocs"`
-}
-
 func main() {
 	table := flag.Int("table", 0, "regenerate Table N (1)")
 	figure := flag.Int("figure", 0, "regenerate Figure N (1, 2, or 3)")
 	micro := flag.Bool("micro", false, "print the §5.1 platform calibration (text only)")
 	protocols := flag.Bool("protocols", false, "compare coherence protocols per application (4 KB units)")
 	networks := flag.Bool("networks", false, "network sensitivity: every application across every registered interconnect model")
-	realNetworks := flag.Bool("real-networks", false,
-		"force every -networks cell through the engine (disable replay-derived cells)")
-	checkSpeedup := flag.String("check-speedup", "",
-		"run the replay-derived -networks sweep and fail unless it beats the committed engine-only FILE (BENCH_before.json) by the speedup floor")
 	placements := flag.Bool("placements", false, "home placement: every application across every placement policy for the home and adaptive protocols, on ideal and bus")
 	baseline := flag.Bool("baseline", false, "perf-trajectory seed: every application's small dataset under the default configuration")
 	checkBaseline := flag.String("check-baseline", "",
 		"diff the current -baseline run against the committed FILE and exit non-zero on >2% time regression")
 	scaling := flag.Bool("scaling", false,
-		"scaling sweep: jacobi/large wall-clock curves at 8–1024 procs, dense/central vs sparse/tree, per protocol × network")
+		"scaling sweep: storm/large wall-clock curves at 8–1024 procs, dense/central vs sparse/tree, per protocol × network")
 	checkScaling := flag.String("check-scaling", "",
 		"validate the committed scaling FILE's ≥5× claim and re-run its best 256-proc cell; exit non-zero if the sparse win is gone")
-	derivedScaling := flag.Bool("derived-scaling", false,
-		"with -scaling: derive network-axis cells by trace replay instead of engine runs (derived points' wall clocks measure the replay, not the engine)")
 	protocol := flag.String("protocol", tmk.DefaultProtocol,
 		"coherence protocol for tables/figures: "+strings.Join(tmk.ProtocolNames(), " or "))
 	network := flag.String("network", netmodel.Default,
@@ -139,14 +119,6 @@ func main() {
 		code := runCheckScaling(*checkScaling)
 		stopProf()
 		os.Exit(code)
-	}
-	if *checkSpeedup != "" {
-		code := runCheckSpeedup(*checkSpeedup)
-		stopProf()
-		os.Exit(code)
-	}
-	if *realNetworks {
-		harness.SetNetworkDerivation(false)
 	}
 	if !*all && *table == 0 && *figure == 0 && !*micro && !*protocols && !*networks && !*placements && !*baseline && !*scaling {
 		flag.Usage()
@@ -210,19 +182,20 @@ func main() {
 		if text {
 			fmt.Println("=== Figure 1: execution time, messages, data (normalized to 4 KB) ===")
 		}
-		doc.Figure1 = runFigure(harness.Figure1(), configLabels(), *protocol, *network, *placement, text, harness.RenderFigure)
+		doc.Figure1 = runFigure(harness.Figure1(), harness.Configs(), *protocol, *network, *placement, text, harness.RenderFigure)
 	}
 	if *figure == 2 || *all {
 		if text {
 			fmt.Println("=== Figure 2: size-sensitive applications (normalized to 4 KB) ===")
 		}
-		doc.Figure2 = runFigure(harness.Figure2(), configLabels(), *protocol, *network, *placement, text, harness.RenderFigure)
+		doc.Figure2 = runFigure(harness.Figure2(), harness.Configs(), *protocol, *network, *placement, text, harness.RenderFigure)
 	}
 	if *figure == 3 || *all {
 		if text {
 			fmt.Println("=== Figure 3: false-sharing signatures (4 KB vs 16 KB) ===")
 		}
-		doc.Figure3 = runFigure(harness.Figure3(), []string{"4K", "16K"}, *protocol, *network, *placement, text, harness.RenderSignature)
+		cfgs := harness.Configs() // the signatures compare 4K (cfgs[0]) with 16K (cfgs[2])
+		doc.Figure3 = runFigure(harness.Figure3(), []harness.Config{cfgs[0], cfgs[2]}, *protocol, *network, *placement, text, harness.RenderSignature)
 	}
 	if *protocols || *all {
 		pcs, err := harness.RunProtocolComparison(harness.Table1(), harness.Procs)
@@ -238,22 +211,12 @@ func main() {
 		}
 	}
 	if *networks || *all {
-		sweepStart := time.Now()
 		ncs, err := harness.RunNetworkComparison(harness.Table1(), harness.Procs, nil)
-		wall := time.Since(sweepStart).Seconds()
 		check(err)
-		calib := hostCalibration()
-		doc.Perf = &perfJSON{
-			NetworksWallSeconds: wall,
-			CalibSeconds:        calib,
-			NetworksNorm:        wall / calib,
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		}
 		if text {
 			fmt.Println("=== Network sensitivity: the protocol and aggregation trades per interconnect ===")
 			harness.RenderNetworkComparison(os.Stdout, ncs)
-			fmt.Printf("(sweep wall clock %.2fs, host-normalized %.1f, GOMAXPROCS %d)\n\n",
-				doc.Perf.NetworksWallSeconds, doc.Perf.NetworksNorm, doc.Perf.GOMAXPROCS)
+			fmt.Println()
 		} else {
 			for _, nc := range ncs {
 				doc.Networks = append(doc.Networks, harness.NetworkComparisonReport(nc))
@@ -276,9 +239,6 @@ func main() {
 	if *scaling {
 		// Deliberately not part of -all: the dense 1024-proc cells take
 		// tens of seconds each by design — that cost is the datum.
-		if *derivedScaling {
-			harness.SetScalingDerivation(true)
-		}
 		e, err := scalingExperiment()
 		check(err)
 		curves, err := harness.RunScaling(e, nil, nil, nil, nil)
@@ -369,98 +329,6 @@ func runBaseline(tw *trace.Writer) ([]harness.CellJSON, error) {
 // a rounding edge a little room while catching performance regressions.
 const regressionTolerance = 0.02
 
-// wallTolerance is the relative host-normalized wall-clock slowdown the
-// -networks sweep may show against the committed BENCH_after.json before
-// -check-baseline fails. Wall clock is noisy in ways simulated time is
-// not (CI neighbors, turbo states), so the gate is deliberately loose:
-// 25% catches a lost optimization, not scheduler jitter.
-const wallTolerance = 0.25
-
-// calibSink keeps the calibration loop from being optimized away.
-var calibSink uint64
-
-// hostCalibration times a fixed single-core integer loop and returns the
-// best of three runs in seconds. Dividing a measured wall clock by this
-// number yields a host-independent figure: the same engine on a machine
-// with cores twice as fast produces (roughly) the same networks_norm.
-// Single-threaded on purpose — the sweep's per-cell work is also
-// single-threaded, and core count is reported separately as GOMAXPROCS.
-func hostCalibration() float64 {
-	const iters = 1 << 27
-	best := 0.0
-	for run := 0; run < 3; run++ {
-		acc := uint64(0x9e3779b97f4a7c15) + calibSink
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			acc ^= acc << 13
-			acc ^= acc >> 7
-			acc ^= acc << 17
-		}
-		elapsed := time.Since(start).Seconds()
-		calibSink = acc
-		if best == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return best
-}
-
-// speedupFloor is the minimum host-normalized wall-clock speedup the
-// replay-derived -networks sweep must show over the committed
-// engine-only artifact (BENCH_before.json): the derivation replaces
-// five of six engine executions per base cell, so well over 3x is
-// expected for the replay-safe majority of the suite even with the
-// schedule-sensitive apps (TSP, Water) still running every cell.
-const speedupFloor = 3.0
-
-// runCheckSpeedup runs the -networks sweep with derivation on and
-// compares its host-normalized wall clock against the committed
-// engine-only artifact's perf section, returning the process exit
-// code: 0 when the speedup is at least speedupFloor.
-func runCheckSpeedup(path string) int {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dsmbench: -check-speedup:", err)
-		return 1
-	}
-	var before document
-	if err := json.Unmarshal(raw, &before); err != nil {
-		fmt.Fprintf(os.Stderr, "dsmbench: -check-speedup: parsing %s: %v\n", path, err)
-		return 1
-	}
-	if before.Perf == nil || before.Perf.NetworksNorm <= 0 {
-		fmt.Fprintf(os.Stderr, "dsmbench: -check-speedup: %s has no networks perf section (regenerate with 'dsmbench -real-networks -networks -json')\n", path)
-		return 1
-	}
-	// Best of two trials: a single sweep on a small CI host carries
-	// ±10% scheduler and GC noise, and the committed before-number is
-	// itself a best-of-N — compare like with like.
-	wall := 0.0
-	for trial := 0; trial < 2; trial++ {
-		start := time.Now()
-		if _, err := harness.RunNetworkComparison(harness.Table1(), harness.Procs, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			return 1
-		}
-		if w := time.Since(start).Seconds(); trial == 0 || w < wall {
-			wall = w
-		}
-	}
-	calib := hostCalibration()
-	norm := wall / calib
-	speedup := before.Perf.NetworksNorm / norm
-	verdict := "ok"
-	if speedup < speedupFloor {
-		verdict = "TOO SLOW"
-	}
-	fmt.Printf("derived networks sweep: %.2fs wall (calib %.3fs, norm %.1f) vs engine-only norm %.1f — %.1fx speedup (floor %.1fx)  %s\n",
-		wall, calib, norm, before.Perf.NetworksNorm, speedup, speedupFloor, verdict)
-	if speedup < speedupFloor {
-		return 1
-	}
-	return 0
-}
-
 // runCheckBaseline re-runs the baseline suite and diffs it against the
 // committed baseline file, returning the process exit code: 0 when every
 // application's simulated time is within the tolerance, 1 on regression,
@@ -536,33 +404,11 @@ func runCheckBaseline(path string) int {
 		}
 	}
 
-	// Wall-clock gate: when the committed file carries a perf section
-	// (BENCH_after.json does; the original BENCH_baseline.json does not),
-	// re-run the -networks sweep and compare host-normalized wall time.
-	if committed.Perf != nil && committed.Perf.NetworksNorm > 0 {
-		start := time.Now()
-		if _, err := harness.RunNetworkComparison(harness.Table1(), harness.Procs, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			return 1
-		}
-		wall := time.Since(start).Seconds()
-		calib := hostCalibration()
-		norm := wall / calib
-		slow := norm/committed.Perf.NetworksNorm - 1
-		verdict := "ok"
-		if slow > wallTolerance {
-			verdict = "WALL-CLOCK REGRESSION"
-			failed = true
-		}
-		fmt.Printf("\nnetworks sweep wall clock: %.2fs (calib %.3fs, norm %.1f) vs committed norm %.1f  %+.1f%%  %s\n",
-			wall, calib, norm, committed.Perf.NetworksNorm, 100*slow, verdict)
-	}
-
 	if failed {
-		fmt.Println("\nbaseline check FAILED (tolerance ±2% simulated time, +25% normalized wall clock)")
+		fmt.Println("\nbaseline check FAILED (tolerance ±2% simulated time)")
 		return 1
 	}
-	fmt.Println("\nbaseline check passed (tolerance ±2% simulated time, +25% normalized wall clock)")
+	fmt.Println("\nbaseline check passed (tolerance ±2% simulated time)")
 	return 0
 }
 
@@ -707,42 +553,27 @@ func runCheckScaling(path string) int {
 	return 0
 }
 
-// configLabels returns the labels of the paper's four configurations.
-func configLabels() []string {
-	var out []string
-	for _, c := range harness.Configs() {
-		out = append(out, c.Label)
-	}
-	return out
-}
-
-// runFigure executes each experiment under the configurations named by
-// the labels on the given coherence protocol and network model,
-// rendering (text mode) or collecting cells (JSON mode).
-func runFigure(es []harness.Experiment, labels []string, protocol, network, placement string,
+// runFigure runs each experiment under the given configurations on the
+// given coherence protocol, network model, and placement, rendering
+// (text mode) or collecting cells (JSON mode).
+func runFigure(es []harness.Experiment, cfgs []harness.Config, protocol, network, placement string,
 	text bool, render func(io.Writer, harness.Experiment, map[string]harness.Cell)) []harness.ExperimentJSON {
+	for i := range cfgs {
+		cfgs[i].Protocol, cfgs[i].Network, cfgs[i].Placement = protocol, network, placement
+	}
+	cells, err := harness.RunFigure(es, cfgs)
+	check(err)
 	var out []harness.ExperimentJSON
-	for _, e := range es {
-		cells := make(map[string]harness.Cell, len(labels))
-		ej := harness.ExperimentJSON{App: e.App, Dataset: e.Dataset, Paper: e.Paper}
-		for _, label := range labels {
-			c, ok := harness.ConfigByLabel(label)
-			if !ok {
-				check(fmt.Errorf("unknown configuration label %q", label))
-			}
-			c.Protocol = protocol
-			c.Network = network
-			c.Placement = placement
-			cell, err := harness.Run(e, c, harness.Procs)
-			check(err)
-			cells[label] = cell
-			ej.Cells = append(ej.Cells, harness.CellReport(e, c, harness.Procs, cell))
-		}
+	for i, e := range es {
 		if text {
-			render(os.Stdout, e, cells)
-		} else {
-			out = append(out, ej)
+			render(os.Stdout, e, cells[i])
+			continue
 		}
+		ej := harness.ExperimentJSON{App: e.App, Dataset: e.Dataset, Paper: e.Paper}
+		for _, c := range cfgs {
+			ej.Cells = append(ej.Cells, harness.CellReport(e, c, harness.Procs, cells[i][c.Label]))
+		}
+		out = append(out, ej)
 	}
 	return out
 }

@@ -8,7 +8,8 @@
 //
 // Dataset sizes are scaled down from the paper's but preserve the
 // granularity-to-page-size ratios that §5.4–5.5 identify as the decisive
-// variable; EXPERIMENTS.md maps each of our datasets to the paper's.
+// variable; each Entry's Paper field names the paper input a dataset
+// stands in for (`dsmrun -list` prints it as "(paper: …)").
 package apps
 
 import (

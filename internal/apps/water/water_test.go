@@ -44,7 +44,8 @@ func TestCorrectSingleProc(t *testing.T) {
 // sharing (each processor reads half the array), so piggybacked useless
 // data (private molecule fields) is substantial. Our lock-phase force
 // accumulation produces a higher useless-message fraction than the
-// paper's (see EXPERIMENTS.md), but it must stay below half.
+// paper's run on the input our dataset stands in for (the registry's
+// Paper field, printed by `dsmrun -list`), but it must stay below half.
 func TestSharingShape(t *testing.T) {
 	res := mustRun(t, small(), tmk.Config{Procs: 8, UnitPages: 1, Collect: true})
 	if res.Stats.PiggybackedBytes == 0 {

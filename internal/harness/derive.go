@@ -28,15 +28,9 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/apps"
 	"repro/internal/sweep"
-	"repro/internal/tmk"
 	"repro/internal/trace"
 )
 
@@ -55,60 +49,9 @@ func init() { netDerivation.Store(true) }
 
 // SetNetworkDerivation toggles replay-derivation of network-sweep
 // cells and returns the previous setting. Derivation is on by default;
-// equivalence tests and the CLI's escape hatch turn it off to force
-// every cell through the engine.
+// equivalence tests and the benchmark's all-engine round turn it off
+// to force every cell through the engine.
 func SetNetworkDerivation(on bool) (prev bool) { return netDerivation.Swap(on) }
-
-// NetworkDerivation reports whether network sweeps derive cells by
-// replay (see SetNetworkDerivation).
-func NetworkDerivation() bool { return netDerivation.Load() }
-
-// scalingDerivation gates replay-derivation of RunScaling's network
-// axis. Off by default: the scaling sweep's headline datum is the host
-// wall clock of simulating each cell, and a derived cell's wall
-// measures the replay, not the engine — the mode-versus-mode wall
-// comparisons the scaling gate pins only mean something when every
-// point pays the engine's price.
-var scalingDerivation atomic.Bool
-
-// SetScalingDerivation toggles replay-derivation of the scaling
-// sweep's network axis and returns the previous setting.
-func SetScalingDerivation(on bool) (prev bool) { return scalingDerivation.Swap(on) }
-
-// ScalingDerivation reports whether RunScaling derives network-axis
-// cells by replay (see SetScalingDerivation).
-func ScalingDerivation() bool { return scalingDerivation.Load() }
-
-// runCellSink runs one cell with compact trace capture attached and
-// collection off, returning the cell and its capture. The capture is
-// the derivation base for the cell's siblings on other networks.
-func runCellSink(e Experiment, c Config, procs int) (Cell, *trace.MemSink, error) {
-	ms := trace.NewMemSink()
-	w := e.Make(procs)
-	res, err := apps.Run(w, tmk.Config{
-		Procs:        procs,
-		UnitPages:    c.Unit,
-		Dynamic:      c.Dynamic,
-		Protocol:     c.Protocol,
-		Network:      c.Network,
-		Placement:    c.Placement,
-		Scale:        c.Scale,
-		Barrier:      c.Barrier,
-		BarrierRadix: c.BarrierRadix,
-		Sink:         ms,
-	})
-	if err != nil {
-		return Cell{}, nil, fmt.Errorf("%s %s [%s]: %w", e.App, e.Dataset, c.Label, err)
-	}
-	return Cell{
-		Time: res.Time, Queue: res.QueueDelay,
-		Msgs: res.Messages, Bytes: res.Bytes,
-		SwitchedUnits: res.SwitchedUnits,
-		Rehomes:       res.Rehomes,
-		RehomeBytes:   res.RehomeBytes,
-		HandoffBytes:  res.HandoffBytes,
-	}, ms, nil
-}
 
 // derivedFrom assembles a derived cell: re-priced time and totals from
 // the derivation, protocol/placement accounting copied from the base
@@ -234,60 +177,6 @@ func adaptiveContended(ctx context.Context, cp *capture, network string) (Cell, 
 	return derivedFrom(cp.cell, d), true
 }
 
-// deriveScalingGroup produces one scaling-sweep (protocol, mode,
-// procs) row across the network axis from a single traced engine run:
-// the base cell executes on the canonical network and every requested
-// network is derived from its capture, with per-network fallback to a
-// real run. The derivations run here, one after another: the returned
-// walls record the host cost actually paid per point — the traced
-// engine run's wall on the base network's point (or, when the base
-// network was not requested, folded into the first point), the replay's
-// wall on derived points.
-func deriveScalingGroup(e Experiment, c Config, networks []string, procs int) ([]Cell, []time.Duration, error) {
-	// Same settled-runtime discipline as the real scaling cells: the
-	// sweep's datum is wall clock, so don't bill earlier cells' garbage.
-	runtime.GC()
-	debug.FreeOSMemory()
-
-	b := c
-	b.Network = deriveBaseNetwork
-	start := time.Now()
-	baseCell, ms, err := runCellSink(e, b, procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	baseWall := time.Since(start)
-	defer ms.Release()
-
-	cells := make([]Cell, len(networks))
-	walls := make([]time.Duration, len(networks))
-	baseCharged := false
-	for ni, network := range networks {
-		start := time.Now()
-		cell := baseCell
-		if network != deriveBaseNetwork {
-			if d, err := ms.Derive(network); err == nil {
-				cell = derivedFrom(baseCell, d)
-			} else {
-				rc := c
-				rc.Network = network
-				if cell, err = runCell(e, rc, procs, false); err != nil {
-					return nil, nil, fmt.Errorf("scaling network %s: %w", network, err)
-				}
-			}
-		}
-		cells[ni], walls[ni] = cell, time.Since(start)
-		if network == deriveBaseNetwork {
-			walls[ni] += baseWall
-			baseCharged = true
-		}
-	}
-	if !baseCharged && len(walls) > 0 {
-		walls[0] += baseWall
-	}
-	return cells, walls, nil
-}
-
 // homelessTwin returns the index of the static column whose capture an
 // adaptive column c may be derived from while the contention gate stays
 // closed, or -1. The gate verdicts come from central-barrier episodes
@@ -326,18 +215,15 @@ func deriveNetworkCells(ctx context.Context, e Experiment, procs int, networks [
 			return Cell{}, err
 		}
 		c.Network = network
-		cell, err := runCell(e, c, procs, false)
-		if err != nil {
-			return Cell{}, fmt.Errorf("network %s: %w", network, err)
-		}
-		return cell, nil
+		return runCell(e, c, procs, false, nil)
 	}
 	traced := func(c Config, network string, targets []string, self bool) (*capture, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		c.Network = network
-		cell, ms, err := runCellSink(e, c, procs)
+		ms := trace.NewMemSink()
+		cell, err := runCell(e, c, procs, false, ms)
 		if err != nil {
 			return nil, err
 		}

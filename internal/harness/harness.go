@@ -5,10 +5,14 @@
 // 16 KB static consistency units, and dynamic aggregation.
 //
 // Dataset sizes are scaled from the paper's full-size inputs but
-// preserve the granularity-to-page ratios (EXPERIMENTS.md has the
-// mapping), so the figures' *shapes* — who wins, by what factor, where
-// the 8 K→16 K crossovers fall — are the reproduction target, not
-// absolute seconds.
+// preserve the granularity-to-page ratios (each registry entry's Paper
+// field names the input it stands in for; `dsmrun -list` prints it as
+// "(paper: …)"), so the figures' *shapes* — who wins, by what factor,
+// where the 8 K→16 K crossovers fall — are the reproduction target,
+// not absolute seconds.
+//
+// Every sweep is a grid of Points run by RunGrid on one shared pool;
+// runCell is the only place a Config becomes an engine run.
 package harness
 
 import (
@@ -28,6 +32,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // Procs is the paper's processor count.
@@ -124,18 +129,20 @@ type Cell struct {
 
 // Run executes one experiment under one configuration with verification.
 func Run(e Experiment, c Config, procs int) (Cell, error) {
-	return runCell(e, c, procs, true)
+	return runCell(e, c, procs, true, nil)
 }
 
-// runCell is Run with the §5.3 instrumentation switchable: the
+// runCell is the one place a harness configuration becomes an engine
+// run. It is Run with the §5.3 instrumentation switchable — the
 // network- and placement-sensitivity sweeps render and serialize only
 // timing and protocol accounting (no Stats), so they run with
-// collection off — the engine then skips the word-usefulness collector
+// collection off: the engine then skips the word-usefulness collector
 // and keeps only O(1) network totals, identical output for a fraction
 // of the work. Anything that reads Cell.Stats must pass collect=true.
-func runCell(e Experiment, c Config, procs int, collect bool) (Cell, error) {
-	w := e.Make(procs)
-	res, err := apps.Run(w, tmk.Config{
+// A non-nil sink receives the run's compact trace capture (the
+// derivation base of network-sweep cells). Errors name the cell's axes.
+func runCell(e Experiment, c Config, procs int, collect bool, sink trace.Sink) (Cell, error) {
+	res, err := apps.Run(e.Make(procs), tmk.Config{
 		Procs:        procs,
 		UnitPages:    c.Unit,
 		Dynamic:      c.Dynamic,
@@ -146,9 +153,12 @@ func runCell(e Experiment, c Config, procs int, collect bool) (Cell, error) {
 		Barrier:      c.Barrier,
 		BarrierRadix: c.BarrierRadix,
 		Collect:      collect,
+		Sink:         sink,
 	})
 	if err != nil {
-		return Cell{}, fmt.Errorf("%s %s [%s]: %w", e.App, e.Dataset, c.Label, err)
+		return Cell{}, fmt.Errorf("%s %s [%s] protocol %s, network %s, placement %s, %d procs: %w",
+			e.App, e.Dataset, c.Label, protocolName(c.Protocol), networkName(c.Network),
+			placementName(c.Placement), procs, err)
 	}
 	return Cell{
 		Time: res.Time, Queue: res.QueueDelay,
@@ -168,6 +178,62 @@ func runCell(e Experiment, c Config, procs int, collect bool) (Cell, error) {
 // concurrent comparisons share the machine's run budget instead of
 // multiplying it.
 var sweepPool = sweep.New(0)
+
+// Point is one cell of a grid: an experiment under one configuration
+// at one processor count.
+type Point struct {
+	Exp    Experiment
+	Config Config
+	Procs  int
+}
+
+// RunGrid runs every point on the sweep pool — points with equal cell
+// keys run the engine once and share the cell — and returns the cells
+// in point order. Every cell is verified against the sequential
+// reference; the first failure cancels the rest of the grid and its
+// error names the failing cell's axes.
+func RunGrid(points []Point, collect bool) ([]Cell, error) {
+	tasks := make([]sweep.Task, len(points))
+	for i, p := range points {
+		tasks[i] = cellTask(p, collect)
+	}
+	results, err := sweepPool.Run(context.Background(), tasks)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Cell, len(results))
+	for i, r := range results {
+		cells[i] = r.(Cell)
+	}
+	return cells, nil
+}
+
+// axis is one named sweep dimension whose values come from a registry.
+type axis struct {
+	kind  string
+	known func(string) bool
+	names func() []string
+}
+
+var (
+	protocolAxis  = axis{"protocol", tmk.KnownProtocol, tmk.ProtocolNames}
+	networkAxis   = axis{"network model", netmodel.Known, netmodel.Names}
+	placementAxis = axis{"placement", tmk.KnownPlacement, tmk.PlacementNames}
+)
+
+// values returns names — defaults when names is empty — after checking
+// that each is registered, so a typo fails before the first engine run.
+func (a axis) values(names, defaults []string) ([]string, error) {
+	if len(names) == 0 {
+		return defaults, nil
+	}
+	for _, n := range names {
+		if !a.known(n) {
+			return nil, fmt.Errorf("unknown %s %q (known: %s)", a.kind, n, strings.Join(a.names(), ", "))
+		}
+	}
+	return names, nil
+}
 
 // cellKey computes the dedup key of one cell in a sweep batch: two
 // grid entries with the same key run the engine once and share the
@@ -192,16 +258,12 @@ func RegisterCellKey(fn func(app, dataset string, c Config, procs int, collect b
 	}
 }
 
-// cellTask wraps one (experiment, config) cell as a sweep task.
-func cellTask(e Experiment, c Config, procs int, collect bool, wrap func(error) error) sweep.Task {
+// cellTask wraps one point as a sweep task yielding its Cell.
+func cellTask(p Point, collect bool) sweep.Task {
 	return sweep.Task{
-		Key: cellKey(e.App, e.Dataset, c, procs, collect),
+		Key: cellKey(p.Exp.App, p.Exp.Dataset, p.Config, p.Procs, collect),
 		Do: func(context.Context) (any, error) {
-			cell, err := runCell(e, c, procs, collect)
-			if err != nil {
-				return nil, wrap(err)
-			}
-			return cell, nil
+			return runCell(p.Exp, p.Config, p.Procs, collect, nil)
 		},
 	}
 }
@@ -315,19 +377,29 @@ func RenderFigure(w io.Writer, e Experiment, cells map[string]Cell) {
 	fmt.Fprintln(w)
 }
 
-// RunAndRenderFigure runs all configurations of an experiment and
-// renders it. Returns the cells for further analysis.
-func RunAndRenderFigure(w io.Writer, e Experiment) (map[string]Cell, error) {
-	cells := make(map[string]Cell)
-	for _, c := range Configs() {
-		cell, err := Run(e, c, Procs)
-		if err != nil {
-			return nil, err
+// RunFigure runs each experiment under each configuration at the
+// paper's processor count, instrumentation on, and returns per
+// experiment its cells keyed by configuration label — the input of
+// RenderFigure and RenderSignature.
+func RunFigure(es []Experiment, cfgs []Config) ([]map[string]Cell, error) {
+	var points []Point
+	for _, e := range es {
+		for _, c := range cfgs {
+			points = append(points, Point{e, c, Procs})
 		}
-		cells[c.Label] = cell
 	}
-	RenderFigure(w, e, cells)
-	return cells, nil
+	cells, err := RunGrid(points, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string]Cell, len(es))
+	for i := range es {
+		out[i] = make(map[string]Cell, len(cfgs))
+		for j, c := range cfgs {
+			out[i][c.Label] = cells[i*len(cfgs)+j]
+		}
+	}
+	return out, nil
 }
 
 // Table1Row is one line of Table 1.
@@ -342,18 +414,21 @@ type Table1Row struct {
 // RunTable1 computes Table 1 (sequential simulated time and 8-processor
 // speedup at the 4 KB unit) under the given coherence protocol (empty =
 // homeless), network model (empty = ideal), and home placement (empty =
-// round-robin).
+// round-robin). Cells run in parallel on the sweep pool.
 func RunTable1(es []Experiment, protocol, network, placement string) ([]Table1Row, error) {
-	var rows []Table1Row
+	var points []Point
 	for _, e := range es {
-		seq, err := Run(e, Config{Label: "seq", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, 1)
-		if err != nil {
-			return nil, err
-		}
-		par, err := Run(e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, Procs)
-		if err != nil {
-			return nil, err
-		}
+		points = append(points,
+			Point{e, Config{Label: "seq", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, 1},
+			Point{e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, Procs})
+	}
+	cells, err := RunGrid(points, true)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table1Row
+	for i, e := range es {
+		seq, par := cells[2*i], cells[2*i+1]
 		rows = append(rows, Table1Row{
 			App:     e.App,
 			Dataset: e.Dataset,
@@ -451,16 +526,13 @@ type ProtocolComparison struct {
 // Cells run in parallel on the sweep pool.
 func RunProtocolComparison(es []Experiment, procs int) ([]ProtocolComparison, error) {
 	protos := tmk.ProtocolNames()
-	var tasks []sweep.Task
+	var points []Point
 	for _, e := range es {
 		for _, proto := range protos {
-			c := Config{Label: "4K", Unit: 1, Protocol: proto}
-			tasks = append(tasks, cellTask(e, c, procs, true, func(err error) error {
-				return fmt.Errorf("protocol %s: %w", proto, err)
-			}))
+			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: proto}, procs})
 		}
 	}
-	cells, err := sweepPool.Run(context.Background(), tasks)
+	cells, err := RunGrid(points, true)
 	if err != nil {
 		return nil, err
 	}
@@ -468,9 +540,7 @@ func RunProtocolComparison(es []Experiment, procs int) ([]ProtocolComparison, er
 	for i, e := range es {
 		pc := ProtocolComparison{App: e.App, Dataset: e.Dataset, Config: "4K"}
 		for j, proto := range protos {
-			pc.Rows = append(pc.Rows, ProtocolRow{
-				Protocol: proto, Cell: cells[i*len(protos)+j].(Cell),
-			})
+			pc.Rows = append(pc.Rows, ProtocolRow{Protocol: proto, Cell: cells[i*len(protos)+j]})
 		}
 		out = append(out, pc)
 	}
@@ -525,27 +595,18 @@ func networkCellConfigs() []Config {
 // applications run every cell for real. SetNetworkDerivation(false)
 // forces every cell through the engine.
 func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]NetworkComparison, error) {
-	if len(networks) == 0 {
-		networks = netmodel.Names()
-	}
-	// Validate every name before the first (potentially long) run.
-	for _, network := range networks {
-		if !netmodel.Known(network) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				network, strings.Join(netmodel.Names(), ", "))
-		}
+	networks, err := networkAxis.values(networks, netmodel.Names())
+	if err != nil {
+		return nil, err
 	}
 	// Flatten the grid onto the sweep pool — one derivation task per
 	// replay-safe experiment (it yields the whole networks × configs
 	// block), per-cell tasks for the rest — then reassemble rows in
 	// grid order.
 	configs := networkCellConfigs()
-	derive := make([]bool, len(es))
 	var tasks []sweep.Task
-	for ei, e := range es {
+	for _, e := range es {
 		if netDerivation.Load() && apps.ReplaySafe(e.App) {
-			derive[ei] = true
-			e := e
 			tasks = append(tasks, sweep.Task{
 				Key: fmt.Sprintf("derived|%s|%s|p%d|%s",
 					e.App, e.Dataset, procs, strings.Join(networks, ",")),
@@ -558,9 +619,7 @@ func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]Netw
 		for _, network := range networks {
 			for _, c := range configs {
 				c.Network = network
-				tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-					return fmt.Errorf("network %s: %w", network, err)
-				}))
+				tasks = append(tasks, cellTask(Point{e, c, procs}, false))
 			}
 		}
 	}
@@ -569,30 +628,26 @@ func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]Netw
 		return nil, err
 	}
 	var out []NetworkComparison
-	next := 0
-	for ei, e := range es {
-		var cells []Cell
-		if derive[ei] {
-			cells = results[next].([]Cell)
-			next++
+	for _, e := range es {
+		// A derivation task yields the experiment's whole block; cell
+		// tasks yield one cell each.
+		cells, derived := results[0].([]Cell)
+		if derived {
+			results = results[1:]
 		} else {
-			cells = make([]Cell, 0, len(networks)*len(configs))
-			for range networks {
-				for range configs {
-					cells = append(cells, results[next].(Cell))
-					next++
-				}
+			cells = make([]Cell, len(networks)*len(configs))
+			for i := range cells {
+				cells[i] = results[i].(Cell)
 			}
+			results = results[len(cells):]
 		}
 		nc := NetworkComparison{App: e.App, Dataset: e.Dataset}
-		idx := 0
-		for _, network := range networks {
+		for ni, network := range networks {
 			row := NetworkRow{Network: network}
-			for _, c := range configs {
+			for ci, c := range configs {
 				row.Cells = append(row.Cells, NetworkCell{
-					Protocol: c.Protocol, Config: c.Label, Cell: cells[idx],
+					Protocol: c.Protocol, Config: c.Label, Cell: cells[ni*len(configs)+ci],
 				})
-				idx++
 			}
 			nc.Rows = append(nc.Rows, row)
 		}
@@ -687,68 +742,43 @@ func PlacementNetworks() []string { return []string{"ideal", "bus"} }
 // All at the paper's base configuration (4 KB units); every cell is
 // verified against the sequential reference.
 func RunPlacementComparison(es []Experiment, procs int, placements, networks []string) ([]PlacementComparison, error) {
-	if len(placements) == 0 {
-		placements = tmk.PlacementNames()
+	placements, err := placementAxis.values(placements, tmk.PlacementNames())
+	if err != nil {
+		return nil, err
 	}
-	for _, placement := range placements {
-		if !tmk.KnownPlacement(placement) {
-			return nil, fmt.Errorf("unknown placement %q (known: %s)",
-				placement, strings.Join(tmk.PlacementNames(), ", "))
-		}
+	if networks, err = networkAxis.values(networks, PlacementNetworks()); err != nil {
+		return nil, err
 	}
-	if len(networks) == 0 {
-		networks = PlacementNetworks()
-	}
-	for _, network := range networks {
-		if !netmodel.Known(network) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				network, strings.Join(netmodel.Names(), ", "))
-		}
-	}
-	// Flatten the grid — per network, one homeless baseline then the
-	// placements × protocols cells — onto the sweep pool, recording
-	// each task's PlacementCell identity for reassembly.
-	type slot struct{ placement, protocol, network string }
-	var (
-		tasks []sweep.Task
-		slots []slot
-	)
+	// Per network, one homeless baseline then the placements ×
+	// protocols cells.
+	var points []Point
 	for _, e := range es {
 		for _, network := range networks {
-			c := Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network}
-			tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-				return fmt.Errorf("network %s: %w", network, err)
-			}))
-			slots = append(slots, slot{tmk.DefaultPlacement, "homeless", network})
+			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network}, procs})
 			for _, placement := range placements {
 				for _, protocol := range placementProtocols {
-					c := Config{
-						Label: "4K", Unit: 1,
-						Protocol: protocol, Network: network, Placement: placement,
-					}
-					tasks = append(tasks, cellTask(e, c, procs, false, func(err error) error {
-						return fmt.Errorf("placement %s/%s: %w", placement, protocol, err)
-					}))
-					slots = append(slots, slot{placement, protocol, network})
+					c := Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}
+					points = append(points, Point{e, c, procs})
 				}
 			}
 		}
 	}
-	if len(es) == 0 {
-		return nil, nil
-	}
-	cells, err := sweepPool.Run(context.Background(), tasks)
+	cells, err := RunGrid(points, false)
 	if err != nil {
 		return nil, err
 	}
-	perExp := len(slots) / len(es)
+	perExp := len(networks) * (1 + len(placements)*len(placementProtocols))
 	var out []PlacementComparison
 	for i, e := range es {
 		pc := PlacementComparison{App: e.App, Dataset: e.Dataset}
 		for j := i * perExp; j < (i+1)*perExp; j++ {
+			c := points[j].Config
+			placement := c.Placement
+			if placement == "" {
+				placement = tmk.DefaultPlacement // the homeless baseline
+			}
 			pc.Cells = append(pc.Cells, PlacementCell{
-				Placement: slots[j].placement, Protocol: slots[j].protocol,
-				Network: slots[j].network, Cell: cells[j].(Cell),
+				Placement: placement, Protocol: c.Protocol, Network: c.Network, Cell: cells[j],
 			})
 		}
 		out = append(out, pc)
@@ -922,23 +952,12 @@ type ScalingCurve struct {
 // comparative, not absolute — the committed sweep records GOMAXPROCS
 // alongside).
 func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes []ScalingMode) ([]ScalingCurve, error) {
-	if len(protocols) == 0 {
-		protocols = ScalingProtocols()
+	protocols, err := protocolAxis.values(protocols, ScalingProtocols())
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range protocols {
-		if !tmk.KnownProtocol(p) {
-			return nil, fmt.Errorf("unknown protocol %q (known: %s)",
-				p, strings.Join(tmk.ProtocolNames(), ", "))
-		}
-	}
-	if len(networks) == 0 {
-		networks = ScalingNetworks()
-	}
-	for _, n := range networks {
-		if !netmodel.Known(n) {
-			return nil, fmt.Errorf("unknown network model %q (known: %s)",
-				n, strings.Join(netmodel.Names(), ", "))
-		}
+	if networks, err = networkAxis.values(networks, ScalingNetworks()); err != nil {
+		return nil, err
 	}
 	if len(sizes) == 0 {
 		sizes = ScalingSizes()
@@ -947,80 +966,39 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 		modes = ScalingModes()
 	}
 
+	// Tasks go in protocol × mode × size × network order; curves come
+	// out protocol × network × mode.
 	type timed struct {
 		cell Cell
 		wall time.Duration
 	}
-	// taskRef locates one (proto, network, mode, size) point in the
-	// task results: derived rows bundle a whole network axis into one
-	// task (inner selects the network), real cells stand alone.
-	type taskRef struct{ task, inner int }
-	refs := make([]taskRef, len(protocols)*len(networks)*len(modes)*len(sizes))
-	idx := func(pi, ni, mi, si int) int {
-		return ((pi*len(networks)+ni)*len(modes)+mi)*len(sizes) + si
-	}
-	deriving := ScalingDerivation() && apps.ReplaySafe(e.App)
 	var tasks []sweep.Task
-	for pi, proto := range protocols {
-		for mi, mode := range modes {
-			for si, procs := range sizes {
-				c := Config{
-					Label: "4K", Unit: 1,
-					Protocol: proto,
-					Scale:    mode.Scale, Barrier: mode.Barrier, BarrierRadix: mode.Radix,
-				}
-				if deriving && proto != "adaptive" {
-					// One traced engine run covers this row's whole
-					// network axis; replay prices the rest.
-					proto, mode, procs, c := proto, mode, procs, c
-					ti := len(tasks)
-					tasks = append(tasks, sweep.Task{
-						Key: fmt.Sprintf("scaling-derived|%s|%s|p%d|%s|%s|%s",
-							e.App, e.Dataset, procs, proto, mode.Name, strings.Join(networks, ",")),
-						Do: func(context.Context) (any, error) {
-							cells, walls, err := deriveScalingGroup(e, c, networks, procs)
-							if err != nil {
-								return nil, fmt.Errorf("scaling %s/%s n=%d: %w",
-									proto, mode.Name, procs, err)
-							}
-							row := make([]timed, len(cells))
-							for i := range cells {
-								row[i] = timed{cell: cells[i], wall: walls[i]}
-							}
-							return row, nil
-						},
-					})
-					for ni := range networks {
-						refs[idx(pi, ni, mi, si)] = taskRef{task: ti, inner: ni}
+	for _, proto := range protocols {
+		for _, mode := range modes {
+			for _, procs := range sizes {
+				for _, network := range networks {
+					t := cellTask(Point{e, Config{
+						Label: "4K", Unit: 1, Protocol: proto, Network: network,
+						Scale: mode.Scale, Barrier: mode.Barrier, BarrierRadix: mode.Radix,
+					}, procs}, false)
+					run := t.Do
+					t.Do = func(ctx context.Context) (any, error) {
+						// The sweep's datum is the per-cell wall clock, and
+						// cells run back-to-back in one process: without a
+						// collection point between them, heap and scheduler
+						// state accumulated by earlier (large, dense) cells
+						// inflates later cells' timings by integer factors.
+						// Start every timed cell from a settled runtime.
+						runtime.GC()
+						debug.FreeOSMemory()
+						start := time.Now()
+						cell, err := run(ctx)
+						if err != nil {
+							return nil, fmt.Errorf("scaling %s: %w", mode.Name, err)
+						}
+						return timed{cell: cell.(Cell), wall: time.Since(start)}, nil
 					}
-					continue
-				}
-				for ni, network := range networks {
-					c := c
-					c.Network = network
-					proto, network, mode, procs := proto, network, mode, procs
-					ti := len(tasks)
-					tasks = append(tasks, sweep.Task{
-						Key: cellKey(e.App, e.Dataset, c, procs, false),
-						Do: func(context.Context) (any, error) {
-							// The sweep's datum is the per-cell wall clock, and
-							// cells run back-to-back in one process: without a
-							// collection point between them, heap and scheduler
-							// state accumulated by earlier (large, dense) cells
-							// inflates later cells' timings by integer factors.
-							// Start every timed cell from a settled runtime.
-							runtime.GC()
-							debug.FreeOSMemory()
-							start := time.Now()
-							cell, err := runCell(e, c, procs, false)
-							if err != nil {
-								return nil, fmt.Errorf("scaling %s/%s/%s n=%d: %w",
-									proto, network, mode.Name, procs, err)
-							}
-							return timed{cell: cell, wall: time.Since(start)}, nil
-						},
-					})
-					refs[idx(pi, ni, mi, si)] = taskRef{task: ti, inner: -1}
+					tasks = append(tasks, t)
 				}
 			}
 		}
@@ -1028,6 +1006,9 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 	results, err := sweepPool.Run(context.Background(), tasks)
 	if err != nil {
 		return nil, err
+	}
+	idx := func(pi, ni, mi, si int) int {
+		return ((pi*len(modes)+mi)*len(sizes)+si)*len(networks) + ni
 	}
 	var out []ScalingCurve
 	for pi, proto := range protocols {
@@ -1038,13 +1019,7 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 					Protocol: proto, Network: network, Mode: mode,
 				}
 				for si, procs := range sizes {
-					ref := refs[idx(pi, ni, mi, si)]
-					var r timed
-					if ref.inner >= 0 {
-						r = results[ref.task].([]timed)[ref.inner]
-					} else {
-						r = results[ref.task].(timed)
-					}
+					r := results[idx(pi, ni, mi, si)].(timed)
 					curve.Points = append(curve.Points, ScalingPoint{
 						Procs: procs, Wall: r.wall, Cell: r.cell,
 					})

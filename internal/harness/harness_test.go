@@ -62,13 +62,18 @@ func TestExperimentInventory(t *testing.T) {
 }
 
 // One full experiment through all four configurations, rendered.
-func TestRunAndRenderFigureSmoke(t *testing.T) {
-	var buf bytes.Buffer
+func TestRunFigureSmoke(t *testing.T) {
 	e := Figure2()[0] // Jacobi row=1pg: fast
-	cells, err := RunAndRenderFigure(&buf, e)
+	figure, err := RunFigure([]Experiment{e}, Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(figure) != 1 {
+		t.Fatalf("figure has %d experiments, want 1", len(figure))
+	}
+	cells := figure[0]
+	var buf bytes.Buffer
+	RenderFigure(&buf, e, cells)
 	out := buf.String()
 	for _, want := range []string{"Jacobi", "time", "messages", "piggybacked", "4K", "Dyn"} {
 		if !strings.Contains(out, want) {
