@@ -299,7 +299,7 @@ func main() {
 // the default configuration (4 KB units, homeless, ideal network) —
 // the comparison point future performance work measures against. A
 // non-nil tw captures every run into one trace stream (the suite is
-// sequential, so the per-app label is race-free).
+// sequential, so each run is written under its own app's label).
 func runBaseline(tw *trace.Writer) ([]harness.CellJSON, error) {
 	var out []harness.CellJSON
 	for _, app := range apps.Apps() {
@@ -310,7 +310,7 @@ func runBaseline(tw *trace.Writer) ([]harness.CellJSON, error) {
 		cfg := tmk.Config{Procs: harness.Procs, UnitPages: 1}
 		if tw != nil {
 			tw.SetLabel(e.App, e.Dataset)
-			cfg.Trace = tw
+			cfg.Sink = tw.Sink()
 		}
 		res, err := apps.Run(e.Make(harness.Procs), cfg)
 		if err != nil {

@@ -122,6 +122,7 @@ func main() {
 		Scale: *scale, Barrier: *barrier, BarrierRadix: *barrierRadix,
 		Collect: true,
 	}
+	var tw *trace.Writer
 	var traceFile *os.File
 	var traceBuf *bufio.Writer
 	if *traceOut != "" {
@@ -131,9 +132,9 @@ func main() {
 		}
 		traceFile = f
 		traceBuf = bufio.NewWriter(f)
-		tw := trace.NewWriter(traceBuf)
+		tw = trace.NewWriter(traceBuf)
 		tw.SetLabel(e.App, e.Dataset)
-		cfg.Trace = tw
+		cfg.Sink = tw.Sink()
 	}
 	// Ctrl-C (or SIGTERM) stops the remaining trials instead of running
 	// the cell to completion.
@@ -143,10 +144,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if cfg.Trace != nil {
+	if tw != nil {
 		// A trace that could not be fully written must fail the run, not
 		// pass silently as a truncated file that replays to wrong totals.
-		if err := cfg.Trace.Close(); err != nil {
+		if err := tw.Close(); err != nil {
 			fail(err)
 		}
 		if err := traceBuf.Flush(); err != nil {

@@ -58,11 +58,11 @@ func main() {
 	}
 
 	if *replay {
+		networks := []string{*network} // "" is each run's own model
 		if *network == "all" {
-			runReplayAll(in, *jsonOut)
-			return
+			networks = nil
 		}
-		runReplay(in, *network, *jsonOut)
+		runReplay(in, networks, *jsonOut)
 		return
 	}
 	runSummary(in, *topN, *jsonOut)
@@ -70,71 +70,22 @@ func main() {
 
 // --- replay ---------------------------------------------------------------
 
-func runReplay(in io.Reader, network string, jsonOut bool) {
-	runs, err := trace.Replay(in, network)
+// runReplay re-prices every captured run through the given network
+// models in one streaming pass and prints a comparison table: one row
+// per model, the capture's own model marked and checked against the
+// recorded totals bit-identically — a mismatch means the trace does not
+// reproduce the run it claims to record.
+func runReplay(in io.Reader, networks []string, jsonOut bool) {
+	runs, err := trace.Replay(in, networks)
 	if err != nil {
 		fail(err)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(runs); err != nil {
-			fail(err)
-		}
-	} else {
-		fmt.Printf("%-4s %-8s %-10s %-8s %-8s  %10s %12s %12s  %s\n",
-			"run", "app", "captured", "replayed", "", "msgs", "bytes", "queue(s)", "verdict")
-		for _, r := range runs {
-			verdict := "re-priced"
-			if r.Network == r.Meta.Network {
-				if r.Matches() {
-					verdict = "bit-identical"
-				} else {
-					verdict = "MISMATCH"
-				}
-			}
-			fmt.Printf("%-4d %-8s %-10s %-8s %-8s  %10d %12d %12.6f  recorded\n",
-				r.ID, r.Meta.App, r.Meta.Network, "", "", r.Recorded.Msgs, r.Recorded.Bytes, r.Recorded.Queue.Seconds())
-			fmt.Printf("%-4s %-8s %-10s %-8s %-8s  %10d %12d %12.6f  %s\n",
-				"", "", "", r.Network, "", r.Replayed.Msgs, r.Replayed.Bytes, r.Replayed.Queue.Seconds(), verdict)
-		}
-	}
-	// Same-model replay is an integrity check: a mismatch means the
-	// trace does not reproduce the run it claims to record.
-	for _, r := range runs {
-		if r.Network == r.Meta.Network && !r.Matches() {
-			fmt.Fprintf(os.Stderr, "dsmtrace: run %d: same-model replay diverged from recorded totals\n", r.ID)
-			os.Exit(1)
-		}
-	}
-}
-
-// runReplayAll re-prices every captured run through every registered
-// network model in one streaming pass and prints a comparison table:
-// one row per model, the capture's own model marked and checked against
-// the recorded totals bit-identically.
-func runReplayAll(in io.Reader, jsonOut bool) {
-	runs, err := trace.ReplayAll(in, nil)
-	if err != nil {
-		fail(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(runs); err != nil {
-			fail(err)
-		}
+		printJSON(runs)
 	} else {
 		for _, r := range runs {
-			name := r.Meta.App
-			if r.Meta.Dataset != "" {
-				name += "/" + r.Meta.Dataset
-			}
-			if name == "" {
-				name = "(unlabeled)"
-			}
 			fmt.Printf("=== run %d: %s  [%s, captured on %s, %d procs] ===\n",
-				r.ID, name, r.Meta.Protocol, r.Meta.Network, r.Meta.Procs)
+				r.ID, runName(r.Meta.App, r.Meta.Dataset), r.Meta.Protocol, r.Meta.Network, r.Meta.Procs)
 			fmt.Printf("  %-10s %10s %12s %12s  %s\n", "network", "msgs", "bytes", "queue(s)", "verdict")
 			fmt.Printf("  %-10s %10d %12d %12.6f  %s\n",
 				"(recorded)", r.Recorded.Msgs, r.Recorded.Bytes, r.Recorded.Queue.Seconds(), "")
@@ -452,11 +403,7 @@ func runSummary(in io.Reader, topN int, jsonOut bool) {
 		docs = append(docs, acc.out)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(docs); err != nil {
-			fail(err)
-		}
+		printJSON(docs)
 		return
 	}
 	for _, doc := range docs {
@@ -464,16 +411,28 @@ func runSummary(in io.Reader, topN int, jsonOut bool) {
 	}
 }
 
+// runName labels a run by its workload.
+func runName(app, dataset string) string {
+	switch {
+	case dataset != "":
+		return app + "/" + dataset
+	case app != "":
+		return app
+	}
+	return "(unlabeled)"
+}
+
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fail(err)
+	}
+}
+
 func render(d *runSummaryJSON) {
-	name := d.App
-	if d.Dataset != "" {
-		name += "/" + d.Dataset
-	}
-	if name == "" {
-		name = "(unlabeled)"
-	}
 	fmt.Printf("=== run %d: %s  [%s, %s net, %s homes, %d procs] ===\n",
-		d.Run, name, d.Protocol, d.Network, d.Placement, d.Procs)
+		d.Run, runName(d.App, d.Dataset), d.Protocol, d.Network, d.Placement, d.Procs)
 	fmt.Printf("  simulated time %.6f s   messages %d   bytes %d   queue delay %.6f s",
 		d.TimeS, d.Msgs, d.Bytes, d.QueueS)
 	if d.Switches > 0 || d.Rehomes > 0 {

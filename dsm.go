@@ -381,9 +381,9 @@ func WithCollection(on bool) Option {
 // TraceWriter is a capture stream for run traces: a versioned JSONL
 // event log carrying every priced protocol message in pricing order
 // plus the engine's lifecycle events (barriers, locks, page faults,
-// protocol switches, home moves). One TraceWriter may be shared by any
-// number of Systems — every Run opens its own run id, so interleaved
-// captures demultiplex losslessly. Check Close (or Err) when capture
+// protocol switches, home moves). A run's lines appear when the run
+// completes, all together under its own run id, so one TraceWriter may
+// be shared by any number of Systems. Check Close (or Err) when capture
 // ends: write errors are sticky and a partial trace must not pass
 // silently. The capture format is replayable — see cmd/dsmtrace.
 type TraceWriter = trace.Writer
@@ -394,15 +394,16 @@ type TraceWriter = trace.Writer
 // before closing the file.
 func NewTraceWriter(out io.Writer) *TraceWriter { return trace.NewWriter(out) }
 
-// WithTrace captures every Run of the System into the given stream.
-// Tracing serializes message pricing (it records pricing order), so
-// leave it off for performance measurements.
+// WithTrace captures every Run of the System into the given stream,
+// writing each run's lines when it completes. Tracing serializes
+// message pricing (it records pricing order), so leave it off for
+// performance measurements.
 func WithTrace(tw *TraceWriter) Option {
 	return func(c *Config) error {
 		if tw == nil {
 			return fmt.Errorf("dsm: WithTrace(nil): trace writer must not be nil")
 		}
-		c.Trace = tw
+		c.Sink = tw.Sink()
 		return nil
 	}
 }
@@ -450,8 +451,9 @@ func (s *System) Run(body func(p *Proc)) *Result { return s.eng.Run(body) }
 // RunTrials executes body as n independent trials and returns per-trial
 // and aggregate (min/mean/max) results. Trials are independent by
 // construction — each runs on its own engine built from this System's
-// configuration — so they execute concurrently, bounded by GOMAXPROCS;
-// results are reported in trial order regardless of completion order.
+// configuration — so they execute concurrently, bounded by GOMAXPROCS
+// (one at a time under WithTrace, whose capture holds one run); results
+// are reported in trial order regardless of completion order.
 // For barrier-synchronized programs the simulation is deterministic, so
 // all trials report bit-identical times. The System itself is left
 // untouched (its allocations and any prior Run's state survive).
@@ -475,7 +477,8 @@ func (s *System) RunTrialsContext(ctx context.Context, n int, body func(p *Proc)
 	results := make([]*tmk.Result, n)
 	errs := make([]error, n)
 	limit := runtime.GOMAXPROCS(0)
-	if limit < 1 {
+	if limit < 1 || cfg.Sink != nil {
+		// A capture sink records one run at a time.
 		limit = 1
 	}
 	sem := make(chan struct{}, limit)

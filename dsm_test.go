@@ -1,12 +1,14 @@
 package dsm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The public façade: the quick-start program from the package comment.
@@ -253,6 +255,54 @@ func TestRunTrialsDeterministic(t *testing.T) {
 	}
 	if _, err := sys.RunTrials(0, body); err == nil {
 		t.Fatal("RunTrials(0) must error")
+	}
+}
+
+// WithTrace writes every trial as its own run: three trials, each on
+// its own engine sharing the option's capture, leave three runs with
+// distinct ids, each replaying bit-identically on its own model.
+func TestWithTraceRunTrials(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	sys, err := New(WithProcs(4), WithSegmentBytes(4*PageSize), WithNetwork("bus"), WithTrace(tw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := sys.RunTrials(3, func(p *Proc) {
+		for w := 0; w < 64; w++ {
+			p.WriteF64(p.ID()*PageSize+8*w, float64(w))
+		}
+		p.Barrier()
+		for w := 0; w < 64; w++ {
+			p.ReadF64(((p.ID()+1)%4)*PageSize + 8*w)
+		}
+		p.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := trace.Replay(bytes.NewReader(buf.Bytes()), []string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("stream holds %d runs, want 3", len(runs))
+	}
+	ids := map[int64]bool{}
+	for _, r := range runs {
+		ids[r.ID] = true
+		if r.Recorded.Msgs != int64(ts.Trials[0].Messages) {
+			t.Errorf("run %d recorded %d messages, trial sent %d", r.ID, r.Recorded.Msgs, ts.Trials[0].Messages)
+		}
+		if !r.Matches() {
+			t.Errorf("run %d: recorded %+v, replayed %+v", r.ID, r.Recorded, r.Replayed[0])
+		}
+	}
+	if len(ids) != 3 {
+		t.Fatalf("run ids %v are not distinct", ids)
 	}
 }
 

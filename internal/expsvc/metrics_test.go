@@ -141,8 +141,11 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder drives a real engine run through the traced
-// default runner and checks the ring holds a dsmtrace-readable window.
+// TestFlightRecorder drives real engine runs through both of the
+// recorder's paths — a derivable spec, captured for derived serving and
+// then written out, and a two-trial spec traced through the Writer's
+// sink — and checks the ring holds all three runs, complete and
+// dsmtrace-readable.
 func TestFlightRecorder(t *testing.T) {
 	ring := trace.NewRing(1 << 16)
 	s, ts := newTestServer(t, Config{Flight: ring})
@@ -150,13 +153,24 @@ func TestFlightRecorder(t *testing.T) {
 		t.Fatal("Flight() should expose the configured ring")
 	}
 
-	resp := postSpec(t, ts, `{"app":"jacobi","dataset":"small","trials":1}`)
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run failed: %d: %s", resp.StatusCode, body)
+	for _, spec := range []string{
+		`{"app":"jacobi","dataset":"small","trials":1}`,
+		`{"app":"jacobi","dataset":"small","trials":2}`,
+	} {
+		resp := postSpec(t, ts, spec)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s failed: %d: %s", spec, resp.StatusCode, body)
+		}
 	}
 	if ring.Len() == 0 {
 		t.Fatal("flight recorder retained nothing after an engine run")
+	}
+	if st := s.Stats(); st.TraceEntries != 1 {
+		t.Errorf("stored captures = %d, want the derivable run's 1", st.TraceEntries)
+	}
+	if ring.Dropped() != 0 {
+		t.Fatalf("ring evicted %d lines; the window no longer holds whole runs", ring.Dropped())
 	}
 
 	var dump bytes.Buffer
@@ -183,8 +197,17 @@ func TestFlightRecorder(t *testing.T) {
 			ends++
 		}
 	}
-	if legs == 0 || ends != 1 {
-		t.Fatalf("dump has %d message events and %d run_end lines; want >0 and 1", legs, ends)
+	if legs == 0 || ends != 3 {
+		t.Fatalf("dump has %d message events and %d run_end lines; want >0 and 3", legs, ends)
+	}
+	runs, err := trace.Replay(bytes.NewReader(dump.Bytes()), []string{""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		if !run.Matches() {
+			t.Errorf("flight run %d: recorded %+v, replayed %+v", run.ID, run.Recorded, run.Replayed[0])
+		}
 	}
 
 	// The recorder also surfaces on /metrics.

@@ -12,50 +12,39 @@ import (
 
 // Runner executes one resolved spec and returns the marshaled report
 // body (a harness.TrialsJSON — byte-for-byte what dsmrun -json emits).
-// The server's default is EngineRunner; tests substitute counting or
-// blocking runners to pin the coalescing and caching invariants.
+// The server runs the engine itself by default; tests substitute
+// counting or blocking runners to pin the coalescing and caching
+// invariants.
 type Runner func(ctx context.Context, r *Resolved) ([]byte, error)
 
-// EngineRunner runs the spec through the real simulation engine: build
-// the workload from its registry factory, run the configured trials
+// engineRun runs the spec through the real simulation engine: build the
+// workload from its registry factory, run the configured trials
 // (verifying each against the sequential reference), and marshal the
 // trial report. Cancellation of ctx stops remaining trials.
-func EngineRunner(ctx context.Context, r *Resolved) ([]byte, error) {
-	return engineRun(ctx, r, nil)
-}
-
-// TracedRunner is EngineRunner with the flight recorder on: every
-// engine execution is additionally captured into tw. The writer is
-// safe to share across the server's concurrent runs — each run gets
-// its own run id in the stream. The server installs this automatically
-// when Config.Flight is set.
-func TracedRunner(tw *trace.Writer) Runner {
-	return func(ctx context.Context, r *Resolved) ([]byte, error) {
-		return engineRun(ctx, r, tw)
-	}
-}
-
-func engineRun(ctx context.Context, r *Resolved, tw *trace.Writer) ([]byte, error) {
-	body, _, err := engineRunCapture(ctx, r, tw, false)
-	return body, err
-}
-
-// engineRunCapture is engineRun optionally attaching a compact
-// in-memory capture to the (single-trial) execution, so the server can
-// store the run's stream beside its result and later answer
-// same-spec-other-network misses by replay.
-func engineRunCapture(ctx context.Context, r *Resolved, tw *trace.Writer, capture bool) ([]byte, *trace.MemSink, error) {
-	w := r.Entry.Make(r.Procs())
+//
+// With capture set, the (single-trial) execution is recorded into its
+// own MemSink, returned so the server can store it beside the result
+// and answer same-spec-other-network misses by replay. A non-nil flight
+// writer is the flight recorder: a capture is written to it after the
+// run, and any other execution is traced into it through flight.Sink.
+func engineRun(ctx context.Context, r *Resolved, flight *trace.Writer, capture bool) ([]byte, *trace.MemSink, error) {
 	cfg := r.EngineConfig()
-	cfg.Trace = tw
 	var ms *trace.MemSink
-	if capture {
+	switch {
+	case capture:
 		ms = trace.NewMemSink()
 		cfg.Sink = ms
+	case flight != nil:
+		cfg.Sink = flight.Sink()
 	}
-	ts, err := apps.RunTrialsContext(ctx, w, cfg, r.Trials())
+	ts, err := apps.RunTrialsContext(ctx, r.Entry.Make(r.Procs()), cfg, r.Trials())
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s/%s: %w", r.Entry.App, r.Entry.Dataset, err)
+	}
+	if ms != nil && flight != nil {
+		// The recorder's ring cannot fail a write; a Writer error would
+		// only mean a lost flight window, never a wrong result.
+		_ = ms.EmitJSONL(flight)
 	}
 	rep := harness.TrialsReport(r.Entry.App, r.Entry.Dataset, r.Entry.Paper, cfg, ts)
 	body, err := json.Marshal(rep)

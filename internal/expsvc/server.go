@@ -30,13 +30,13 @@ type Config struct {
 	// on the pool (a sweep.Pool — the same scheduler the harness's
 	// comparison grids run on).
 	MaxConcurrentRuns int
-	// Runner substitutes the engine execution (nil selects
-	// EngineRunner; tests inject counting/blocking runners).
+	// Runner substitutes the engine execution (nil runs the engine;
+	// tests inject counting/blocking runners).
 	Runner Runner
 	// Logger receives request and run logs (nil selects slog.Default).
 	Logger *slog.Logger
 	// Flight, when non-nil, turns on the engine flight recorder: every
-	// engine execution by the default runner is traced into this ring,
+	// engine execution is traced into this ring as it completes,
 	// keeping a bounded window of the most recent simnet and lifecycle
 	// events for post-hoc inspection (dsmd serves it at /debug/trace).
 	// Ignored when Runner is set — a substitute runner decides its own
@@ -60,7 +60,7 @@ type Server struct {
 	mux      *http.ServeMux
 	cache    *Cache
 	coalesce group
-	run      Runner
+	run      Runner // substitute runner; nil runs the engine
 	pool     *sweep.Pool
 	log      *slog.Logger
 	started  time.Time
@@ -69,9 +69,9 @@ type Server struct {
 	runDur   *histogram    // engine wall time per execution, seconds
 	queueDur *histogram    // mean simulated queue delay per run, seconds
 
-	// traces is the stored-capture LRU behind derived serving; nil when
-	// a substitute Runner is installed (the server then has no engine
-	// stream to capture or replay).
+	// traces is the stored-capture LRU behind derived serving; nil
+	// exactly when a substitute Runner is installed (the server then has
+	// no engine stream to capture or replay).
 	traces *traceStore
 
 	hits      atomic.Uint64 // /v1/run requests served straight from cache
@@ -90,11 +90,9 @@ func New(cfg Config) *Server {
 	var flightTW *trace.Writer
 	var traces *traceStore
 	if cfg.Runner == nil {
-		cfg.Runner = EngineRunner
 		if cfg.Flight != nil {
 			flight = cfg.Flight
 			flightTW = trace.NewWriter(flight)
-			cfg.Runner = TracedRunner(flightTW)
 		}
 		// Only the engine-backed server stores captures: a substitute
 		// runner's bodies describe no stream the service could replay.
@@ -299,11 +297,11 @@ func (s *Server) execute(ctx context.Context, res *Resolved, hash string, log *s
 		start := time.Now()
 		var body []byte
 		var err error
-		if s.traces != nil && res.Derivable() {
-			// Capture the eligible execution's stream so later misses
+		if s.traces != nil {
+			// Capture an eligible execution's stream so later misses
 			// for the same spec on other networks can be derived.
 			var ms *trace.MemSink
-			body, ms, err = engineRunCapture(ctx, res, s.flightTW, true)
+			body, ms, err = engineRun(ctx, res, s.flightTW, res.Derivable())
 			if err == nil && ms != nil {
 				s.traces.Add(res.TraceKey(), ms, body)
 			}

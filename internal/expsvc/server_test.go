@@ -445,7 +445,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 // CLI's report type, and determinism makes the repeat a byte-identical
 // cache hit.
 func TestEngineEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{}) // default Runner = EngineRunner
+	_, ts := newTestServer(t, Config{}) // no Runner: the real engine
 
 	spec := `{"app":"jacobi","dataset":"small","procs":4,"trials":2}`
 	resp := postSpec(t, ts, spec)

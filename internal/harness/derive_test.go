@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/tmk"
 	"repro/internal/trace"
@@ -119,9 +120,66 @@ func withPool(width int, fn func()) {
 	fn()
 }
 
+// fanOut hands every event to each of its sinks in turn, under one lock
+// so that they all see the lifecycle events, which arrive from the
+// processor goroutines, in one order: identical captures of one run.
+type fanOut struct {
+	mu    sync.Mutex
+	sinks []trace.Sink
+}
+
+func (f *fanOut) each(fn func(trace.Sink)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.sinks {
+		fn(s)
+	}
+}
+
+func (f *fanOut) Begin(m trace.RunMeta) { f.each(func(s trace.Sink) { s.Begin(m) }) }
+func (f *fanOut) TraceLeg(k simnet.MsgKind, src, dst, b int, at, q sim.Duration) {
+	f.each(func(s trace.Sink) { s.TraceLeg(k, src, dst, b, at, q) })
+}
+func (f *fanOut) TraceControl(k simnet.MsgKind, src, dst, b int, at, q sim.Duration) {
+	f.each(func(s trace.Sink) { s.TraceControl(k, src, dst, b, at, q) })
+}
+func (f *fanOut) TraceExchange(k, rk simnet.MsgKind, src, dst, b, rb int, at sim.Duration, x netmodel.ExchangeTiming) {
+	f.each(func(s trace.Sink) { s.TraceExchange(k, rk, src, dst, b, rb, at, x) })
+}
+func (f *fanOut) BarrierEnter(p int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.BarrierEnter(p, at) })
+}
+func (f *fanOut) BarrierLeave(p, n int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.BarrierLeave(p, n, at) })
+}
+func (f *fanOut) LockRequest(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockRequest(p, l, at) })
+}
+func (f *fanOut) LockAcquire(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockAcquire(p, l, at) })
+}
+func (f *fanOut) LockRelease(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockRelease(p, l, at) })
+}
+func (f *fanOut) FaultBegin(p, pg, u int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.FaultBegin(p, pg, u, at) })
+}
+func (f *fanOut) FaultEnd(p, pg int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.FaultEnd(p, pg, at) })
+}
+func (f *fanOut) ProtocolSwitch(u int, from, to string, n int) {
+	f.each(func(s trace.Sink) { s.ProtocolSwitch(u, from, to, n) })
+}
+func (f *fanOut) Rehome(u, from, to, b int, tr bool) {
+	f.each(func(s trace.Sink) { s.Rehome(u, from, to, b, tr) })
+}
+func (f *fanOut) RunEnd(time sim.Duration, msgs, b int64, q sim.Duration, clocks []sim.Duration) {
+	f.each(func(s trace.Sink) { s.RunEnd(time, msgs, b, q, clocks) })
+}
+
 // TestDeriveFanOutIsAPureFunctionOfTheCaptures: which worker prices which
 // target, and in what order, must not show in the grid. One engine run
-// per cell is teed into four identical captures; one is derived
+// per cell is fanned out into four identical captures; one is derived
 // sequentially, the others through startCapture on pools one, two and
 // eight wide, and every cell must agree field for field.
 func TestDeriveFanOutIsAPureFunctionOfTheCaptures(t *testing.T) {
@@ -139,11 +197,11 @@ func TestDeriveFanOutIsAPureFunctionOfTheCaptures(t *testing.T) {
 			e := exp(app, "small")
 			ref := trace.NewMemSink()
 			f := &fixed{name: app + "/" + protocol}
-			var sink trace.Sink = ref
+			sink := &fanOut{sinks: []trace.Sink{ref}}
 			for range widths {
 				ms := trace.NewMemSink()
 				f.sinks = append(f.sinks, ms)
-				sink = trace.Tee(sink, ms)
+				sink.sinks = append(sink.sinks, ms)
 			}
 			res, err := apps.Run(e.Make(Procs), tmk.Config{
 				Procs: Procs, UnitPages: 1, Protocol: protocol, Network: deriveBaseNetwork, Sink: sink,

@@ -112,19 +112,14 @@ type Config struct {
 	// false-sharing signature). Off, the run is faster and Stats only
 	// carries raw message/byte counts.
 	Collect bool
-	// Trace, when non-nil, captures every Run on this System into the
-	// given trace stream: one run_start/run_end frame per Run, every
-	// priced message in pricing order, and the engine lifecycle events
-	// (barriers, locks, faults, protocol switches, home moves). One
-	// Writer may be shared by many Systems — runs demultiplex by id.
-	// Tracing forces the network's send paths through the pricing lock,
-	// so leave it nil on performance-measurement runs.
-	Trace *trace.Writer
-	// Sink, when non-nil, captures every Run into an in-memory event
-	// buffer (or any other trace.Sink) instead of a JSONL stream — the
-	// cheap capture path behind replay-derived sweep cells. The sink's
-	// Begin/RunEnd bracket each Run. May be combined with Trace: both
-	// then observe the same stream (the run is teed).
+	// Sink, when non-nil, captures every Run: its Begin/RunEnd bracket
+	// each Run, and between them it sees every priced message in
+	// pricing order plus the engine lifecycle events (barriers, locks,
+	// faults, protocol switches, home moves). A *trace.MemSink keeps the
+	// run for replay-derivation; a trace.Writer's Sink writes each run
+	// to a JSONL stream as it ends. Capture forces the network's send
+	// paths through the pricing lock, so leave it nil on
+	// performance-measurement runs.
 	Sink trace.Sink
 }
 
@@ -326,10 +321,10 @@ type System struct {
 	// blocked, so reads after Run are race-free.
 	barrierLog []vc.Time
 
-	// trc is the active Run's trace sink (nil when not tracing): a
-	// Writer-backed *trace.Run or the Config's in-memory Sink. Set
-	// before the processor goroutines start and cleared after they join,
-	// so processor-side reads are race-free; hot paths pay one nil check.
+	// trc is the active Run's trace sink, the Config's Sink (nil when
+	// not tracing). Set before the processor goroutines start and
+	// cleared after they join, so processor-side reads are race-free;
+	// hot paths pay one nil check.
 	trc trace.Sink
 }
 
@@ -666,9 +661,9 @@ func (s *System) Run(body func(p *Proc)) *Result {
 	if s.ran {
 		s.Reset()
 	}
-	if s.cfg.Trace != nil || s.cfg.Sink != nil {
+	if s.cfg.Sink != nil {
 		cost := s.cost
-		meta := trace.RunMeta{
+		s.cfg.Sink.Begin(trace.RunMeta{
 			Protocol:     s.cfg.Protocol,
 			Network:      s.net.Model().Name(),
 			Placement:    s.cfg.Placement,
@@ -678,18 +673,8 @@ func (s *System) Run(body func(p *Proc)) *Result {
 			Barrier:      s.cfg.Barrier,
 			BarrierRadix: s.cfg.BarrierRadix,
 			Cost:         &cost,
-		}
-		switch {
-		case s.cfg.Trace != nil && s.cfg.Sink != nil:
-			run := s.cfg.Trace.BeginRun(meta)
-			s.cfg.Sink.Begin(meta)
-			s.trc = trace.Tee(run, s.cfg.Sink)
-		case s.cfg.Trace != nil:
-			s.trc = s.cfg.Trace.BeginRun(meta)
-		default:
-			s.cfg.Sink.Begin(meta)
-			s.trc = s.cfg.Sink
-		}
+		})
+		s.trc = s.cfg.Sink
 		s.net.SetTraceSink(s.trc)
 	}
 	s.running = true

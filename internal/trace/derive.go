@@ -222,7 +222,7 @@ func (s *stream) checkProcs() error {
 			switch op {
 			case opLeg, opControl, opExchange:
 				if err := checkEndpoints(int(ev.a[i]), int(ev.b[i]), n); err != nil {
-					return err
+					return fmt.Errorf("trace: %w", err)
 				}
 			case opBarrierEnter, opLockRequest, opLockRelease:
 				if p := int(ev.a[i]); p < 0 || p >= n {
@@ -497,61 +497,4 @@ func (d *derivation) treeWave(src, dst, bytes int, at sim.Duration) error {
 		}
 	}
 	return nil
-}
-
-// ReplayEvents re-prices the buffer's message events through the named
-// interconnect and returns the wire totals, without touching clocks —
-// the in-memory equivalent of Replay over a JSONL capture. Same-model
-// replay (network == the capture's own) reproduces the recorded totals
-// bit-identically.
-func ReplayEvents(ms *MemSink, network string) (Totals, error) {
-	s, err := ms.read("replay")
-	if err != nil {
-		return Totals{}, err
-	}
-	defer ms.readDone()
-	return s.replayEvents(network)
-}
-
-func (s *stream) replayEvents(network string) (Totals, error) {
-	cost := sim.DefaultCostModel()
-	if s.meta.Cost != nil {
-		cost = *s.meta.Cost
-	}
-	if network == "" {
-		network = s.meta.Network
-	}
-	model, err := netmodel.New(network, cost)
-	if err != nil {
-		return Totals{}, err
-	}
-	if err := s.checkProcs(); err != nil {
-		return Totals{}, err
-	}
-	var t Totals
-	for _, ev := range s.wins {
-		for i := range ev.op {
-			src, dst := int(ev.a[i]), int(ev.b[i])
-			nb, rb := int(ev.nb[i]), int(ev.rb[i])
-			at := sim.Duration(ev.at[i])
-			switch ev.op[i] {
-			case opLeg:
-				lt := model.Leg(src, dst, nb, at)
-				t.Msgs++
-				t.Bytes += int64(nb)
-				t.Queue += lt.Queue
-			case opControl:
-				lt := model.Leg(src, dst, 0, at)
-				t.Msgs++
-				t.Bytes += int64(nb)
-				t.Queue += lt.Queue
-			case opExchange:
-				xt := model.Exchange(src, dst, nb, rb, at)
-				t.Msgs += 2
-				t.Bytes += int64(nb) + int64(rb)
-				t.Queue += xt.Request.Queue + xt.Reply.Queue
-			}
-		}
-	}
-	return t, nil
 }

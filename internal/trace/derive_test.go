@@ -142,9 +142,9 @@ func jsonl(ms *trace.MemSink) (*bytes.Buffer, error) {
 }
 
 // TestRejectsOutOfRangeEndpoints corrupts one endpoint of one message
-// event of a well-formed capture at a time. Derive, ReplayEvents and
-// the JSONL Replay must each refuse it with an error — not panic, and
-// not size a port table by the bogus id.
+// event of a well-formed capture at a time. Derive and the JSONL Replay
+// must each refuse it with an error — not panic, and not size a port
+// table by the bogus id.
 func TestRejectsOutOfRangeEndpoints(t *testing.T) {
 	const procs = 4
 	ops := []priced{
@@ -166,21 +166,20 @@ func TestRejectsOutOfRangeEndpoints(t *testing.T) {
 		run  func(ms *trace.MemSink) error
 	}{
 		{"Derive", func(ms *trace.MemSink) error { _, err := ms.Derive("switch"); return err }},
-		{"ReplayEvents", func(ms *trace.MemSink) error { _, err := trace.ReplayEvents(ms, "switch"); return err }},
 		{"Replay", func(ms *trace.MemSink) error {
 			buf, err := jsonl(ms)
 			if err != nil {
 				return err
 			}
-			_, err = trace.Replay(buf, "switch")
+			_, err = trace.Replay(buf, []string{"switch"})
 			return err
 		}},
-		{"ReplayAll", func(ms *trace.MemSink) error {
+		{"Replay on every network", func(ms *trace.MemSink) error {
 			buf, err := jsonl(ms)
 			if err != nil {
 				return err
 			}
-			_, err = trace.ReplayAll(buf, nil)
+			_, err = trace.Replay(buf, nil)
 			return err
 		}},
 	}

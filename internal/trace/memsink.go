@@ -96,20 +96,18 @@ type stream struct {
 // re-grows what it already holds. Reset keeps the blocks, so a reused
 // sink captures subsequent runs allocation-free (pinned by the
 // alloc-budget suite); Release hands them to the next capture instead.
-// JSONL stays the interchange format: EmitJSONL replays the buffer
-// into a Writer bit-identically to a live capture.
+// JSONL is the buffer's interchange encoding, written by EmitJSONL.
 //
 // The buffer is what replay-derivation consumes: Derive re-prices the
 // recorded pricing-operation sequence through another interconnect and
 // reconstructs the run's totals there without re-executing the
 // application (see derive.go). A capture that has seen RunEnd is
-// immutable: Derive, ReplayEvents and EmitJSONL take the lock only to
-// open it, and walk it side by side.
+// immutable: Derive and EmitJSONL take the lock only to open it, and
+// walk it side by side.
 type MemSink struct {
 	mu sync.Mutex
 
 	meta   RunMeta
-	began  bool
 	ended  bool
 	time   sim.Duration
 	msgs   int64
@@ -161,7 +159,7 @@ func (ms *MemSink) clear() {
 		ms.blocks = nil
 	}
 	ms.meta = RunMeta{}
-	ms.began, ms.ended = false, false
+	ms.ended = false
 	ms.time, ms.msgs, ms.bytes, ms.queue = 0, 0, 0, 0
 	ms.clocks = ms.clocks[:0]
 	ms.n = 0
@@ -265,7 +263,6 @@ func (ms *MemSink) Begin(meta RunMeta) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	ms.meta = meta
-	ms.began = true
 }
 
 // TraceLeg implements simnet.TraceSink.
@@ -368,10 +365,12 @@ func (ms *MemSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Durati
 	ms.ended = true
 }
 
-// EmitJSONL replays the buffer into a Writer as one run, reproducing
-// exactly the event stream a live *Run capture of the same execution
-// would have written — MemSink is the fast capture path, JSONL the
-// interchange format, and this is the bridge between them.
+// EmitJSONL writes the ended capture to w as one run: run_start, one
+// line per event in capture order, run_end with the recorded totals.
+// The run's lines are written while holding w's lock, so runs emitted
+// by concurrent captures sharing w never interleave. The per-processor
+// final clocks are not part of the JSONL schema (run_end's time is
+// their max). It returns w's sticky write error.
 func (ms *MemSink) EmitJSONL(w *Writer) error {
 	s, err := ms.read("EmitJSONL")
 	if err != nil {
@@ -382,41 +381,47 @@ func (ms *MemSink) EmitJSONL(w *Writer) error {
 }
 
 func (s *stream) emitJSONL(w *Writer) error {
-	r := w.BeginRun(s.meta)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r := w.beginRun(s.meta)
 	for _, ev := range s.wins {
 		for i := range ev.op {
 			a, b, c := int(ev.a[i]), int(ev.b[i]), int(ev.c[i])
 			nb, rb := int(ev.nb[i]), int(ev.rb[i])
 			at, q, rq := sim.Duration(ev.at[i]), sim.Duration(ev.q[i]), sim.Duration(ev.rq[i])
+			kind := simnet.MsgKind(ev.kind[i]).String()
+			var e Event
 			switch ev.op[i] {
 			case opLeg:
-				r.TraceLeg(simnet.MsgKind(ev.kind[i]), a, b, nb, at, q)
+				e = Event{E: EvLeg, K: kind, S: a, D: b, B: nb, At: at, Q: q}
 			case opControl:
-				r.TraceControl(simnet.MsgKind(ev.kind[i]), a, b, nb, at, q)
+				e = Event{E: EvControl, K: kind, S: a, D: b, B: nb, At: at, Q: q}
 			case opExchange:
-				r.TraceExchange(simnet.MsgKind(ev.kind[i]), simnet.MsgKind(ev.rkind[i]), a, b, nb, rb, at,
-					netmodel.ExchangeTiming{Request: netmodel.Timing{Queue: q}, Reply: netmodel.Timing{Queue: rq}})
+				rkind := simnet.MsgKind(ev.rkind[i]).String()
+				e = Event{E: EvExchange, K: kind, RK: rkind, S: a, D: b, B: nb, RB: rb, At: at, Q: q, RQ: rq}
 			case opBarrierEnter:
-				r.BarrierEnter(a, at)
+				e = Event{E: EvBarrierEnter, P: a, At: at}
 			case opBarrierLeave:
-				r.BarrierLeave(a, b, at)
+				e = Event{E: EvBarrierLeave, P: a, N: b, At: at}
 			case opLockRequest:
-				r.LockRequest(a, b, at)
+				e = Event{E: EvLockRequest, P: a, L: b, At: at}
 			case opLockAcquire:
-				r.LockAcquire(a, b, at)
+				e = Event{E: EvLockAcquire, P: a, L: b, At: at}
 			case opLockRelease:
-				r.LockRelease(a, b, at)
+				e = Event{E: EvLockRelease, P: a, L: b, At: at}
 			case opFaultBegin:
-				r.FaultBegin(a, c, b, at)
+				e = Event{E: EvFaultBegin, P: a, Pg: c, U: b, At: at}
 			case opFaultEnd:
-				r.FaultEnd(a, c, at)
+				e = Event{E: EvFaultEnd, P: a, Pg: c, At: at}
 			case opSwitch:
-				r.ProtocolSwitch(a, s.names[nb], s.names[rb], b)
+				e = Event{E: EvSwitch, U: a, FromName: s.names[nb], ToName: s.names[rb], N: b}
 			case opRehome:
-				r.Rehome(a, b, c, nb, rb != 0)
+				e = Event{E: EvRehome, U: a, FromHome: b, ToHome: c, B: nb, Transfer: rb != 0}
 			}
+			e.R = r
+			w.emit(&e)
 		}
 	}
-	r.End(s.time, s.msgs, s.bytes, s.queue)
-	return w.Err()
+	w.emit(&Event{E: EvRunEnd, R: r, Time: s.time, Msgs: s.msgs, Bytes: s.bytes, Queue: s.queue})
+	return w.err
 }

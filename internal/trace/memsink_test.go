@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -17,41 +19,118 @@ import (
 	"repro/internal/trace"
 )
 
-// TestMemSinkEmitJSONLParity pins the bridge between the two capture
-// paths: one engine run observed by a live JSONL writer and a MemSink
-// simultaneously (the tee), then the MemSink emitted as JSONL, must
-// produce byte-identical streams. MemSink is the fast capture path;
-// this is the proof it loses nothing the interchange format carries.
-func TestMemSinkEmitJSONLParity(t *testing.T) {
-	e, ok := apps.Lookup("jacobi", "small")
-	if !ok {
-		t.Fatal("jacobi/small is not registered")
-	}
-	var live bytes.Buffer
-	tw := trace.NewWriter(&live)
-	ms := trace.NewMemSink()
-	cfg := tmk.Config{Procs: 4, Protocol: "homeless", Network: "bus", Trace: tw, Sink: ms}
-	if _, err := apps.RunTrials(e.Make(4), cfg, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !ms.Ended() {
-		t.Fatal("MemSink capture not closed by RunEnd")
-	}
+// fanOut hands every event to each of its sinks in turn, under one lock
+// so that they all see the lifecycle events, which arrive from the
+// processor goroutines, in one order: two captures of one run.
+type fanOut struct {
+	mu    sync.Mutex
+	sinks []trace.Sink
+}
 
-	var emitted bytes.Buffer
-	ew := trace.NewWriter(&emitted)
-	if err := ms.EmitJSONL(ew); err != nil {
+func (f *fanOut) each(fn func(trace.Sink)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.sinks {
+		fn(s)
+	}
+}
+
+func (f *fanOut) Begin(m trace.RunMeta) { f.each(func(s trace.Sink) { s.Begin(m) }) }
+func (f *fanOut) TraceLeg(k simnet.MsgKind, src, dst, b int, at, q sim.Duration) {
+	f.each(func(s trace.Sink) { s.TraceLeg(k, src, dst, b, at, q) })
+}
+func (f *fanOut) TraceControl(k simnet.MsgKind, src, dst, b int, at, q sim.Duration) {
+	f.each(func(s trace.Sink) { s.TraceControl(k, src, dst, b, at, q) })
+}
+func (f *fanOut) TraceExchange(k, rk simnet.MsgKind, src, dst, b, rb int, at sim.Duration, x netmodel.ExchangeTiming) {
+	f.each(func(s trace.Sink) { s.TraceExchange(k, rk, src, dst, b, rb, at, x) })
+}
+func (f *fanOut) BarrierEnter(p int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.BarrierEnter(p, at) })
+}
+func (f *fanOut) BarrierLeave(p, n int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.BarrierLeave(p, n, at) })
+}
+func (f *fanOut) LockRequest(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockRequest(p, l, at) })
+}
+func (f *fanOut) LockAcquire(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockAcquire(p, l, at) })
+}
+func (f *fanOut) LockRelease(p, l int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.LockRelease(p, l, at) })
+}
+func (f *fanOut) FaultBegin(p, pg, u int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.FaultBegin(p, pg, u, at) })
+}
+func (f *fanOut) FaultEnd(p, pg int, at sim.Duration) {
+	f.each(func(s trace.Sink) { s.FaultEnd(p, pg, at) })
+}
+func (f *fanOut) ProtocolSwitch(u int, from, to string, n int) {
+	f.each(func(s trace.Sink) { s.ProtocolSwitch(u, from, to, n) })
+}
+func (f *fanOut) Rehome(u, from, to, b int, tr bool) {
+	f.each(func(s trace.Sink) { s.Rehome(u, from, to, b, tr) })
+}
+func (f *fanOut) RunEnd(time sim.Duration, msgs, b int64, q sim.Duration, clocks []sim.Duration) {
+	f.each(func(s trace.Sink) { s.RunEnd(time, msgs, b, q, clocks) })
+}
+
+// goldenCost is the cost calibration the golden run records.
+var goldenCost = sim.DefaultCostModel()
+
+// goldenRun pushes the fixed sequence behind testdata/events.golden.jsonl
+// into s: a run_start with cost, barrier and radix, one event of each
+// of the twelve kinds (an exchange, a switch and a transferring rehome
+// among them) and run_end.
+func goldenRun(s trace.Sink) {
+	s.Begin(trace.RunMeta{
+		Protocol: "adaptive", Network: "bus", Placement: "migrate",
+		Procs: 8, UnitPages: 2, Dynamic: true,
+		Barrier: "tree", BarrierRadix: 4, Cost: &goldenCost,
+	})
+	s.TraceLeg(simnet.DiffRequest, 0, 1, 64, 100, 7)
+	s.TraceControl(simnet.BarrierArrive, 1, 0, 16, 200, 3)
+	s.TraceExchange(simnet.DiffRequest, simnet.DiffReply, 2, 3, 32, 4096, 300,
+		netmodel.ExchangeTiming{
+			Request: netmodel.Timing{Total: 50, Queue: 5},
+			Reply:   netmodel.Timing{Total: 90, Queue: 9},
+			Service: 30,
+		})
+	s.BarrierEnter(4, 400)
+	s.BarrierLeave(4, 2, 500)
+	s.LockRequest(5, 3, 550)
+	s.LockAcquire(5, 3, 600)
+	s.LockRelease(5, 3, 700)
+	s.FaultBegin(6, 42, 21, 800)
+	s.FaultEnd(6, 42, 900)
+	s.ProtocolSwitch(7, "home", "homeless", 3)
+	s.Rehome(9, 1, 2, 8192, true)
+	s.RunEnd(12345, 678, 90123, 456, []sim.Duration{1, 2, 3, 4, 5, 6, 7, 12345})
+}
+
+// TestMemSinkEmitJSONLParity pins the JSONL schema: the golden file
+// holds the bytes the engine's former live writer produced for
+// goldenRun, and a MemSink capture of the same sequence, emitted, must
+// reproduce them byte for byte.
+func TestMemSinkEmitJSONLParity(t *testing.T) {
+	want, err := os.ReadFile("testdata/events.golden.jsonl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ew.Close(); err != nil {
+	ms := trace.NewMemSink()
+	goldenRun(ms)
+	var got bytes.Buffer
+	w := trace.NewWriter(&got)
+	w.SetLabel("Jacobi", "small")
+	if err := ms.EmitJSONL(w); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(live.Bytes(), emitted.Bytes()) {
-		t.Fatalf("EmitJSONL stream differs from the live capture:\nlive    %d bytes\nemitted %d bytes",
-			live.Len(), emitted.Len())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("emitted JSONL differs from the golden file:\n got %s\nwant %s", got.Bytes(), want)
 	}
 }
 
@@ -130,7 +209,7 @@ func sameCapture(t *testing.T, name string, ms *trace.MemSink, ref *trace.RefSin
 }
 
 // TestBlockLayoutMatchesReference runs the block-structured MemSink and
-// the flat-column buffer it replaced behind one Tee, over engine runs
+// the flat-column buffer it replaced behind one fanOut, over engine runs
 // (central and tree barriers, locks in Ilink's pool) and over synthetic
 // captures whose lengths sit on the block boundaries.
 func TestBlockLayoutMatchesReference(t *testing.T) {
@@ -151,7 +230,7 @@ func TestBlockLayoutMatchesReference(t *testing.T) {
 		}
 		ms, ref := trace.NewMemSink(), trace.NewRefSink()
 		cfg := c.cfg
-		cfg.Procs, cfg.UnitPages, cfg.Sink = c.procs, 1, trace.Tee(ms, ref)
+		cfg.Procs, cfg.UnitPages, cfg.Sink = c.procs, 1, &fanOut{sinks: []trace.Sink{ms, ref}}
 		if _, err := apps.Run(e.Make(c.procs), cfg); err != nil {
 			t.Fatalf("%s/small: %v", c.app, err)
 		}
@@ -166,7 +245,7 @@ func TestBlockLayoutMatchesReference(t *testing.T) {
 
 	for _, n := range []int{0, 1, trace.BlockEvents - 1, trace.BlockEvents, trace.BlockEvents + 1, 3 * trace.BlockEvents} {
 		ms, ref := trace.NewMemSink(), trace.NewRefSink()
-		exchanges(trace.Tee(ms, ref), n)
+		exchanges(&fanOut{sinks: []trace.Sink{ms, ref}}, n)
 		name := fmt.Sprintf("%d synthetic exchanges", n)
 		if got := sameCapture(t, name, ms, ref); got != len(netmodel.Names()) {
 			t.Errorf("%s: derived on %d of %d networks", name, got, len(netmodel.Names()))
@@ -253,7 +332,7 @@ func TestConcurrentDerive(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent derivation %+v, alone %+v", got, want)
 				}
-				if _, err := trace.ReplayEvents(ms, "bus"); err != nil {
+				if err := ms.EmitJSONL(trace.NewWriter(io.Discard)); err != nil {
 					t.Error(err)
 				}
 			}

@@ -7,11 +7,11 @@ import (
 )
 
 // Ring is the flight recorder's sink: a fixed-capacity ring of encoded
-// trace lines. A Writer pointed at a Ring keeps the newest N events of
-// a live process in memory at all times; Dump streams them out (with a
-// fresh header line) when someone wants to see what the engine was
-// doing just now. Write assumes one call per line, which is exactly the
-// Writer's contract.
+// trace lines. A Writer pointed at a Ring keeps the newest N lines of
+// a live process's completed runs in memory at all times; Dump streams
+// them out (with a fresh header line) when someone wants to see what
+// the engine was doing just now. Write assumes one call per line,
+// which is exactly the Writer's contract.
 type Ring struct {
 	mu      sync.Mutex
 	lines   [][]byte

@@ -1,35 +1,35 @@
-// Package trace is the observability layer's on-disk format: a
-// versioned JSONL event log capturing everything a run put on the
-// simulated wire — one event per simnet pricing operation (leg, control
-// leg, request/reply exchange) — interleaved with the engine's
-// lifecycle events (barrier enter/leave, lock acquire/release, page
-// fault begin/end, protocol switches, home moves).
+// Package trace records what a run put on the simulated wire — one
+// event per simnet pricing operation (leg, control leg, request/reply
+// exchange) — interleaved with the engine's lifecycle events (barrier
+// enter/leave, lock acquire/release, page fault begin/end, protocol
+// switches, home moves).
 //
-// Capture is live: the engine emits events as they happen, under the
-// same lock that prices the messages, so the trace records the exact
-// operation sequence the network model saw. That makes the format
-// load-bearing: Replay streams a captured run back through any
-// netmodel.Model without re-executing the application, and replay
+// The engine captures through one interface, Sink, into a MemSink: the
+// events are stored under the same lock that prices the messages, so
+// the capture holds the exact operation sequence the network model
+// saw. JSONL is the capture's interchange encoding, written by
+// MemSink.EmitJSONL (Writer.Sink does so as each run ends). That makes
+// the format load-bearing: Replay streams a captured run back through
+// any netmodel.Model without re-executing the application, and replay
 // through the *same* model reproduces the run's message, byte, and
 // queue-delay totals bit-identically (pinned by test — the totals are
 // sums over the identical pricing-call sequence).
 //
 // One Writer may serve several Systems concurrently (a sweep tracing
-// every cell into one file): every event carries its run id, so
-// interleaved runs de-multiplex losslessly. Readers tolerate unknown
-// fields, so the schema can grow without breaking old analyzers; the
-// Version field in the header line gates incompatible changes.
+// every cell into one file): every run's lines are written together
+// under their own run id. Readers tolerate unknown fields, so the
+// schema can grow without breaking old analyzers; the Version field in
+// the header line gates incompatible changes.
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
-	"repro/internal/netmodel"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // Version is the schema version this package writes. Readers accept
@@ -157,13 +157,13 @@ type RunMeta struct {
 	Cost *sim.CostModel
 }
 
-// Writer emits a trace stream: one header line, then events. It is safe
-// for concurrent use — several Systems may share one Writer, each under
-// its own run id — and each event is written with a single Write call,
-// so line-atomic sinks (Ring, os.File) never see torn lines.
+// Writer emits a trace stream: one header line, then runs. It is safe
+// for concurrent use — several Systems may share one Writer, each run
+// under its own id. A run's lines are written together, one Write call
+// per line, so line-atomic sinks (Ring, os.File) never see torn lines.
 //
 // Write errors are sticky: the first one is retained and every later
-// emit is dropped. Callers must check Err (or Close) when capture ends —
+// line is dropped. Callers must check Err (or Close) when capture ends —
 // a trace that could not be fully written must fail loudly, never pass
 // silently as a truncated file that replays to wrong totals.
 type Writer struct {
@@ -173,18 +173,23 @@ type Writer struct {
 	app     string
 	dataset string
 	nextRun int64
+	line    bytes.Buffer
+	enc     *json.Encoder // encodes into line
 }
 
 // NewWriter starts a trace stream on out, writing the header line.
 func NewWriter(out io.Writer) *Writer {
 	w := &Writer{out: out}
+	w.enc = json.NewEncoder(&w.line)
+	w.mu.Lock()
 	w.emit(&Event{E: EvHeader, V: Version})
+	w.mu.Unlock()
 	return w
 }
 
-// SetLabel sets the app/dataset identity stamped on subsequent runs
-// whose meta leaves them empty (the engine knows its configuration but
-// not which workload drives it). Not safe concurrently with BeginRun.
+// SetLabel sets the app/dataset identity stamped on runs written after
+// it whose meta leaves them empty (the engine knows its configuration
+// but not which workload drives it).
 func (w *Writer) SetLabel(app, dataset string) {
 	w.mu.Lock()
 	w.app, w.dataset = app, dataset
@@ -203,145 +208,58 @@ func (w *Writer) Err() error {
 // `defer`-friendly callers cannot drop a partial trace on the floor.
 func (w *Writer) Close() error { return w.Err() }
 
+// emit writes one line. The caller holds w.mu.
 func (w *Writer) emit(ev *Event) {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		// Event structs always marshal; keep the invariant visible.
-		panic(fmt.Sprintf("trace: marshal failed: %v", err))
-	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
-	if _, err := w.out.Write(line); err != nil {
+	w.line.Reset()
+	if err := w.enc.Encode(ev); err != nil {
+		// Event structs always marshal; keep the invariant visible.
+		panic(fmt.Sprintf("trace: marshal failed: %v", err))
+	}
+	if _, err := w.out.Write(w.line.Bytes()); err != nil {
 		w.err = fmt.Errorf("trace: write failed: %w", err)
 	}
 }
 
-// BeginRun opens a new run on the stream: assigns the next run id,
-// fills empty App/Dataset from the Writer's label, writes the run_start
-// line, and returns the run's event emitter.
-func (w *Writer) BeginRun(meta RunMeta) *Run {
-	w.mu.Lock()
+// beginRun assigns the next run id, fills empty App/Dataset from the
+// Writer's label, and writes the run_start line. The caller holds w.mu.
+func (w *Writer) beginRun(meta RunMeta) int64 {
 	w.nextRun++
-	id := w.nextRun
 	if meta.App == "" {
 		meta.App = w.app
 	}
 	if meta.Dataset == "" {
 		meta.Dataset = w.dataset
 	}
-	w.mu.Unlock()
 	w.emit(&Event{
-		E: EvRunStart, R: id,
+		E: EvRunStart, R: w.nextRun,
 		App: meta.App, Dataset: meta.Dataset,
 		Protocol: meta.Protocol, Network: meta.Network, Placement: meta.Placement,
 		Procs: meta.Procs, UnitPages: meta.UnitPages, Dynamic: meta.Dynamic,
 		Barrier: meta.Barrier, BarrRadix: meta.BarrierRadix,
 		Cost: meta.Cost,
 	})
-	return &Run{w: w, id: id}
+	return w.nextRun
 }
 
-// Run emits one engine run's events under its run id. The message
-// methods implement simnet.TraceSink (called under the network's
-// pricing lock, so message events appear in exact pricing order); the
-// lifecycle methods are called from the engine's processor goroutines
-// and interleave in wall-clock order, which is fine — analysis bins
-// them by their virtual timestamps, and replay reads only the message
-// events.
-type Run struct {
-	w  *Writer
-	id int64
+// Sink returns a capture sink that writes each run it sees to w as it
+// ends: the run is buffered in a MemSink, emitted with EmitJSONL at
+// RunEnd, and the buffer released. A System running several trials
+// therefore writes one run id per trial. Like any MemSink, the sink
+// holds one run at a time: give each System that runs alongside others
+// its own; they may all share w. Write errors stay in w and surface
+// through Close.
+func (w *Writer) Sink() Sink { return &writerSink{MemSink: NewMemSink(), w: w} }
+
+type writerSink struct {
+	*MemSink
+	w *Writer
 }
 
-// ID returns the run's id within its stream.
-func (r *Run) ID() int64 { return r.id }
-
-// TraceLeg implements simnet.TraceSink.
-func (r *Run) TraceLeg(kind simnet.MsgKind, src, dst, bytes int, at, queue sim.Duration) {
-	r.w.emit(&Event{E: EvLeg, R: r.id, K: kind.String(), S: src, D: dst, B: bytes, At: at, Q: queue})
-}
-
-// TraceControl implements simnet.TraceSink.
-func (r *Run) TraceControl(kind simnet.MsgKind, src, dst, bytes int, at, queue sim.Duration) {
-	r.w.emit(&Event{E: EvControl, R: r.id, K: kind.String(), S: src, D: dst, B: bytes, At: at, Q: queue})
-}
-
-// TraceExchange implements simnet.TraceSink.
-func (r *Run) TraceExchange(reqKind, repKind simnet.MsgKind, src, dst, reqBytes, repBytes int, at sim.Duration, t netmodel.ExchangeTiming) {
-	r.w.emit(&Event{
-		E: EvExchange, R: r.id, K: reqKind.String(), RK: repKind.String(),
-		S: src, D: dst, B: reqBytes, RB: repBytes,
-		At: at, Q: t.Request.Queue, RQ: t.Reply.Queue,
-	})
-}
-
-// BarrierEnter records processor p arriving at a barrier at its current
-// virtual clock.
-func (r *Run) BarrierEnter(p int, at sim.Duration) {
-	r.w.emit(&Event{E: EvBarrierEnter, R: r.id, P: p, At: at})
-}
-
-// BarrierLeave records processor p departing barrier episode n at its
-// post-release virtual clock.
-func (r *Run) BarrierLeave(p, episode int, at sim.Duration) {
-	r.w.emit(&Event{E: EvBarrierLeave, R: r.id, P: p, N: episode, At: at})
-}
-
-// LockRequest records processor p asking for lock l at its pre-request
-// virtual clock (cached re-acquires are message-free and emit nothing).
-func (r *Run) LockRequest(p, l int, at sim.Duration) {
-	r.w.emit(&Event{E: EvLockRequest, R: r.id, P: p, L: l, At: at})
-}
-
-// LockAcquire records processor p being granted lock l.
-func (r *Run) LockAcquire(p, l int, at sim.Duration) {
-	r.w.emit(&Event{E: EvLockAcquire, R: r.id, P: p, L: l, At: at})
-}
-
-// LockRelease records processor p releasing lock l.
-func (r *Run) LockRelease(p, l int, at sim.Duration) {
-	r.w.emit(&Event{E: EvLockRelease, R: r.id, P: p, L: l, At: at})
-}
-
-// FaultBegin records an access fault by processor p on a page of a unit.
-func (r *Run) FaultBegin(p, page, unit int, at sim.Duration) {
-	r.w.emit(&Event{E: EvFaultBegin, R: r.id, P: p, Pg: page, U: unit, At: at})
-}
-
-// FaultEnd records the fault on page serviced, at p's post-fetch clock.
-func (r *Run) FaultEnd(p, page int, at sim.Duration) {
-	r.w.emit(&Event{E: EvFaultEnd, R: r.id, P: p, Pg: page, At: at})
-}
-
-// ProtocolSwitch records the adaptive policy re-pointing unit u from
-// one engine to another during evidence phase n.
-func (r *Run) ProtocolSwitch(u int, from, to string, phase int) {
-	r.w.emit(&Event{E: EvSwitch, R: r.id, U: u, FromName: from, ToName: to, N: phase})
-}
-
-// Rehome records the placement layer moving unit u's home; transfer
-// reports whether bytes of home state travelled on the wire.
-func (r *Run) Rehome(u, from, to, bytes int, transfer bool) {
-	r.w.emit(&Event{E: EvRehome, R: r.id, U: u, FromHome: from, ToHome: to, B: bytes, Transfer: transfer})
-}
-
-// End closes the run with its recorded totals.
-func (r *Run) End(time sim.Duration, msgs, bytes int64, queue sim.Duration) {
-	r.w.emit(&Event{E: EvRunEnd, R: r.id, Time: time, Msgs: msgs, Bytes: bytes, Queue: queue})
-}
-
-// Begin implements Sink. A Run's identity was already written by
-// BeginRun, so this is a no-op — it exists so the engine can drive a
-// Writer-backed Run and a MemSink through the same interface.
-func (r *Run) Begin(RunMeta) {}
-
-// RunEnd implements Sink: closes the run with its recorded totals. The
-// per-processor final clocks are not part of the JSONL schema (the
-// run_end time already is their max); only in-memory sinks keep them.
-func (r *Run) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Duration, _ []sim.Duration) {
-	r.End(time, msgs, bytes, queue)
+func (s *writerSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Duration, clocks []sim.Duration) {
+	s.MemSink.RunEnd(time, msgs, bytes, queue, clocks)
+	_ = s.EmitJSONL(s.w) // a write error sticks in s.w
+	s.Release()
 }

@@ -5,51 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
-// TestEventRoundTrip pins the schema's wire round-trip: a fully
-// populated event of every type written through the Writer must decode
-// back to an equal struct. The single-struct Event design makes plain
-// equality the whole check.
+// TestEventRoundTrip pins the schema's wire round-trip: the golden
+// file, one fully populated event of every type, must decode back to
+// the events goldenRun wrote. The single-struct Event design makes
+// plain equality the whole check.
 func TestEventRoundTrip(t *testing.T) {
-	cost := sim.DefaultCostModel()
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	w.SetLabel("Jacobi", "small")
-	run := w.BeginRun(trace.RunMeta{
-		Protocol: "adaptive", Network: "bus", Placement: "migrate",
-		Procs: 8, UnitPages: 2, Dynamic: true, Cost: &cost,
-	})
-	run.TraceLeg(simnet.DiffRequest, 0, 1, 64, 100, 7)
-	run.TraceControl(simnet.BarrierArrive, 1, 0, 16, 200, 3)
-	run.TraceExchange(simnet.DiffRequest, simnet.DiffReply, 2, 3, 32, 4096, 300,
-		netmodel.ExchangeTiming{
-			Request: netmodel.Timing{Total: 50, Queue: 5},
-			Reply:   netmodel.Timing{Total: 90, Queue: 9},
-			Service: 30,
-		})
-	run.BarrierEnter(4, 400)
-	run.BarrierLeave(4, 2, 500)
-	run.LockAcquire(5, 3, 600)
-	run.LockRelease(5, 3, 700)
-	run.FaultBegin(6, 42, 21, 800)
-	run.FaultEnd(6, 42, 900)
-	run.ProtocolSwitch(7, "home", "homeless", 3)
-	run.Rehome(9, 1, 2, 8192, true)
-	run.End(12345, 678, 90123, 456)
-	if err := w.Close(); err != nil {
+	f, err := os.Open("testdata/events.golden.jsonl")
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	defer f.Close()
+	r, err := trace.NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +35,14 @@ func TestEventRoundTrip(t *testing.T) {
 	want := []trace.Event{
 		{E: trace.EvRunStart, R: 1, App: "Jacobi", Dataset: "small",
 			Protocol: "adaptive", Network: "bus", Placement: "migrate",
-			Procs: 8, UnitPages: 2, Dynamic: true, Cost: &cost},
+			Procs: 8, UnitPages: 2, Dynamic: true,
+			Barrier: "tree", BarrRadix: 4, Cost: &goldenCost},
 		{E: trace.EvLeg, R: 1, K: "DiffRequest", S: 0, D: 1, B: 64, At: 100, Q: 7},
 		{E: trace.EvControl, R: 1, K: "BarrierArrive", S: 1, D: 0, B: 16, At: 200, Q: 3},
 		{E: trace.EvExchange, R: 1, K: "DiffRequest", RK: "DiffReply", S: 2, D: 3, B: 32, RB: 4096, At: 300, Q: 5, RQ: 9},
 		{E: trace.EvBarrierEnter, R: 1, P: 4, At: 400},
 		{E: trace.EvBarrierLeave, R: 1, P: 4, N: 2, At: 500},
+		{E: trace.EvLockRequest, R: 1, P: 5, L: 3, At: 550},
 		{E: trace.EvLockAcquire, R: 1, P: 5, L: 3, At: 600},
 		{E: trace.EvLockRelease, R: 1, P: 5, L: 3, At: 700},
 		{E: trace.EvFaultBegin, R: 1, P: 6, Pg: 42, U: 21, At: 800},
@@ -146,9 +124,10 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // silently truncated capture.
 func TestWriterStickyError(t *testing.T) {
 	w := trace.NewWriter(&failAfter{n: 2}) // header + run_start succeed
-	run := w.BeginRun(trace.RunMeta{Network: "ideal"})
-	run.TraceLeg(simnet.DiffRequest, 0, 1, 64, 0, 0) // fails, sticks
-	run.End(0, 1, 64, 0)                             // dropped
+	s := w.Sink()
+	s.Begin(trace.RunMeta{Network: "ideal", Procs: 2})
+	s.TraceLeg(simnet.DiffRequest, 0, 1, 64, 0, 0) // its line fails, sticks
+	s.RunEnd(0, 1, 64, 0, []sim.Duration{0, 0})    // run_end dropped
 	if err := w.Close(); err == nil {
 		t.Fatal("Close() = nil after a failed write; partial traces must fail loudly")
 	}
@@ -160,19 +139,22 @@ func TestWriterStickyError(t *testing.T) {
 func TestRingWindow(t *testing.T) {
 	ring := trace.NewRing(4)
 	w := trace.NewWriter(ring)
-	run := w.BeginRun(trace.RunMeta{Network: "ideal", Procs: 2})
+	s := w.Sink()
+	s.Begin(trace.RunMeta{Network: "ideal", Procs: 2})
 	for i := 0; i < 10; i++ {
-		run.TraceLeg(simnet.DiffRequest, 0, 1, 100+i, sim.Duration(i), 0)
+		s.TraceLeg(simnet.DiffRequest, 0, 1, 100+i, sim.Duration(i), 0)
 	}
+	s.RunEnd(10, 10, 1045, 0, []sim.Duration{10, 0})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Len() != 4 {
 		t.Fatalf("Len() = %d, want 4", ring.Len())
 	}
-	// 12 lines written (header, run_start, 10 legs) minus 4 retained.
-	if ring.Dropped() != 8 {
-		t.Fatalf("Dropped() = %d, want 8", ring.Dropped())
+	// 13 lines written (header, run_start, 10 legs, run_end) minus 4
+	// retained.
+	if ring.Dropped() != 9 {
+		t.Fatalf("Dropped() = %d, want 9", ring.Dropped())
 	}
 
 	var dump bytes.Buffer
@@ -194,54 +176,8 @@ func TestRingWindow(t *testing.T) {
 		}
 		got = append(got, ev.B)
 	}
-	want := []int{106, 107, 108, 109} // the newest four legs, oldest first
+	want := []int{107, 108, 109, 0} // the newest three legs, oldest first, then run_end
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("window bytes = %v, want %v", got, want)
-	}
-}
-
-// TestExportSnapshotReplays: a full (uncapped) log of payload legs
-// exported after the fact replays to the network's exact totals.
-func TestExportSnapshotReplays(t *testing.T) {
-	n := simnet.New(sim.DefaultCostModel())
-	n.SendLeg(simnet.DiffRequest, 0, 1, 64, 0)
-	n.SendLeg(simnet.DiffReply, 1, 0, 4096, 50)
-	n.SendLeg(simnet.BarrierArrive, 2, 0, 16, 100)
-
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	if err := trace.ExportSnapshot(w, trace.RunMeta{Network: n.Model().Name(), Procs: 3}, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := trace.Replay(bytes.NewReader(buf.Bytes()), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(runs))
-	}
-	if !runs[0].Matches() {
-		t.Fatalf("export replay diverged: recorded %+v, replayed %+v",
-			runs[0].Recorded, runs[0].Replayed)
-	}
-}
-
-// TestExportSnapshotRejectsDroppedRecords pins the silent-partial-trace
-// guard: a capped log that has evicted records must refuse to export.
-func TestExportSnapshotRejectsDroppedRecords(t *testing.T) {
-	n := simnet.New(sim.DefaultCostModel(), simnet.WithRecordCap(1))
-	n.SendLeg(simnet.DiffRequest, 0, 1, 64, 0)
-	n.SendLeg(simnet.DiffReply, 1, 0, 4096, 50) // evicts the first
-
-	w := trace.NewWriter(io.Discard)
-	err := trace.ExportSnapshot(w, trace.RunMeta{Network: "ideal"}, n)
-	if err == nil {
-		t.Fatal("ExportSnapshot succeeded on a log with dropped records")
-	}
-	if !strings.Contains(err.Error(), "dropped") {
-		t.Fatalf("error should name the dropped records, got: %v", err)
 	}
 }
