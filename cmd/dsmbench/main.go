@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/all" // populate the workload registry
-	_ "repro/internal/expsvc"   // canonical cell keys for sweep dedup
 	"repro/internal/harness"
 	"repro/internal/netmodel"
 	"repro/internal/prof"
@@ -124,18 +123,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if !tmk.KnownProtocol(*protocol) {
-		check(fmt.Errorf("unknown protocol %q (known: %s)",
-			*protocol, strings.Join(tmk.ProtocolNames(), ", ")))
-	}
-	if !netmodel.Known(*network) {
-		check(fmt.Errorf("unknown network model %q (known: %s)",
-			*network, strings.Join(netmodel.Names(), ", ")))
-	}
-	if !tmk.KnownPlacement(*placement) {
-		check(fmt.Errorf("unknown placement %q (known: %s)",
-			*placement, strings.Join(tmk.PlacementNames(), ", ")))
-	}
+	_, err = tmk.Config{Protocol: *protocol, Network: *network, Placement: *placement}.Resolve()
+	check(err)
 	if *table != 0 && *table != 1 {
 		check(fmt.Errorf("unknown table %d (only Table 1 exists)", *table))
 	}

@@ -51,7 +51,7 @@ func main() {
 	placement := flag.String("placement", tmk.DefaultPlacement,
 		"home-placement policy: "+strings.Join(tmk.PlacementNames(), ", "))
 	scale := flag.String("scale", tmk.DefaultScale,
-		"engine scaling representation: "+tmk.ScaleSparse+" or "+tmk.ScaleDense+" (reference)")
+		"engine scaling representation: "+strings.Join(tmk.ScaleNames(), " or "))
 	barrier := flag.String("barrier", tmk.DefaultBarrier,
 		"barrier fabric: "+strings.Join(tmk.BarrierNames(), " or "))
 	barrierRadix := flag.Int("barrier-radix", tmk.DefaultBarrierRadix,
@@ -72,12 +72,13 @@ func main() {
 	defer stopProf()
 
 	if *list {
+		// The same document the service's GET /v1/registry serves — one
+		// shared helper, so the two surfaces cannot drift.
+		reg := expsvc.Registry()
 		if *jsonOut {
-			// The same document the service's GET /v1/registry serves —
-			// one shared helper, so the two surfaces cannot drift.
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(expsvc.Registry()); err != nil {
+			if err := enc.Encode(reg); err != nil {
 				fail(err)
 			}
 			return
@@ -90,15 +91,15 @@ func main() {
 			fmt.Printf("%-8s  %-22s%s\n", e.App, e.Dataset, paper)
 		}
 		fmt.Printf("\nprotocols:  %s (default %s)\n",
-			strings.Join(tmk.ProtocolNames(), ", "), tmk.DefaultProtocol)
+			strings.Join(reg.Protocols, ", "), reg.DefaultProtocol)
 		fmt.Printf("networks:   %s (default %s)\n",
-			strings.Join(netmodel.Names(), ", "), netmodel.Default)
+			strings.Join(reg.Networks, ", "), reg.DefaultNetwork)
 		fmt.Printf("placements: %s (default %s)\n",
-			strings.Join(tmk.PlacementNames(), ", "), tmk.DefaultPlacement)
+			strings.Join(reg.Placements, ", "), reg.DefaultPlacement)
 		fmt.Printf("barriers:   %s (default %s)\n",
-			strings.Join(tmk.BarrierNames(), ", "), tmk.DefaultBarrier)
-		fmt.Printf("scales:     %s, %s (default %s)\n",
-			tmk.ScaleSparse, tmk.ScaleDense, tmk.DefaultScale)
+			strings.Join(reg.Barriers, ", "), reg.DefaultBarrier)
+		fmt.Printf("scales:     %s (default %s)\n",
+			strings.Join(reg.Scales, ", "), reg.DefaultScale)
 		return
 	}
 	if *app == "" {
@@ -116,11 +117,15 @@ func main() {
 		fail(fmt.Errorf("no registered workload matches -app %q -dataset %q (try -list)", *app, *dataset))
 	}
 
-	cfg := tmk.Config{
+	// Resolved before the trace file exists: a bad name leaves no file.
+	cfg, err := tmk.Config{
 		Procs: *procs, UnitPages: *unit, Dynamic: *dynamic,
 		Protocol: *protocol, Network: *network, Placement: *placement,
 		Scale: *scale, Barrier: *barrier, BarrierRadix: *barrierRadix,
 		Collect: true,
+	}.Resolve()
+	if err != nil {
+		fail(err)
 	}
 	var tw *trace.Writer
 	var traceFile *os.File
@@ -171,7 +176,7 @@ func main() {
 	last := ts.Trials[len(ts.Trials)-1]
 	st := last.Stats
 	fmt.Printf("%s %s  [%s, %s, %s net, %s homes, %d procs, %d trial(s)]  (verified against sequential reference)\n",
-		e.App, e.Dataset, label, cfg.ProtocolName(), cfg.NetworkName(), cfg.PlacementName(), *procs, len(ts.Trials))
+		e.App, e.Dataset, label, cfg.Protocol, cfg.Network, cfg.Placement, *procs, len(ts.Trials))
 	fmt.Printf("  simulated time        %.3f s (min %.3f, mean %.3f, max %.3f)\n",
 		last.Time.Seconds(), ts.MinTime.Seconds(), ts.MeanTime.Seconds(), ts.MaxTime.Seconds())
 	fmt.Printf("  network queue delay   %.3f s cumulative\n", last.QueueDelay.Seconds())
@@ -182,11 +187,11 @@ func main() {
 	fmt.Printf("  wire bytes            %d\n", st.TotalWireBytes)
 	fmt.Printf("  faults                %d (%d needed no fetch)\n", st.Faults, st.ZeroFetchFaults)
 	fmt.Printf("  exchanges             %d\n", st.Exchanges)
-	if cfg.ProtocolName() == "adaptive" {
+	if cfg.Protocol == "adaptive" {
 		fmt.Printf("  protocol switches     %d (%d unit(s) switched, %d home at end)\n",
 			last.ProtocolSwitches, last.SwitchedUnits, last.HomeUnits)
 	}
-	if cfg.PlacementName() != tmk.DefaultPlacement {
+	if cfg.Placement != tmk.DefaultPlacement {
 		fmt.Printf("  rehomes               %d (%d bytes of home state moved on the wire)\n",
 			last.Rehomes, last.RehomeBytes)
 	}

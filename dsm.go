@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/instrument"
@@ -145,12 +144,12 @@ func Placements() []string { return tmk.PlacementNames() }
 // manager's n-message pile-up into log-depth waves); see DESIGN.md §13.
 func Barriers() []string { return tmk.BarrierNames() }
 
-// Scales returns the engine's scaling representations: "sparse"
+// Scales returns the engine's scaling representations, sorted: "dense"
+// (the flat O(procs) reference representation) and "sparse"
 // (epoch-relative interval clocks, deviation-driven deltas, lazy
-// replicas — the default, bit-identical to dense on every wire count)
-// and "dense" (the flat O(procs) reference representation); see
-// DESIGN.md §13.
-func Scales() []string { return []string{tmk.ScaleSparse, tmk.ScaleDense} }
+// replicas — the default, bit-identical to dense on every wire count);
+// see DESIGN.md §13.
+func Scales() []string { return tmk.ScaleNames() }
 
 // Option configures a System under construction. Options validate
 // their arguments and report bad values as errors from New.
@@ -233,14 +232,7 @@ func WithLocks(n int) Option {
 // hybrid of the two. An unknown name is an error from New listing the
 // registered protocols (Protocols).
 func WithProtocol(name string) Option {
-	return func(c *Config) error {
-		if !tmk.KnownProtocol(name) {
-			return fmt.Errorf("dsm: WithProtocol(%q): unknown protocol (known: %s)",
-				name, strings.Join(tmk.ProtocolNames(), ", "))
-		}
-		c.Protocol = name
-		return nil
-	}
+	return nameOption("WithProtocol", name, func(c *Config) *string { return &c.Protocol })
 }
 
 // WithAdaptiveHysteresis sets the adaptive protocol's switch threshold:
@@ -266,14 +258,7 @@ func WithAdaptiveHysteresis(n int) Option {
 // home-based engines (WithProtocol "home" or "adaptive"). An unknown
 // name is an error from New listing the registered policies.
 func WithPlacement(name string) Option {
-	return func(c *Config) error {
-		if !tmk.KnownPlacement(name) {
-			return fmt.Errorf("dsm: WithPlacement(%q): unknown placement (known: %s)",
-				name, strings.Join(tmk.PlacementNames(), ", "))
-		}
-		c.Placement = name
-		return nil
-	}
+	return nameOption("WithPlacement", name, func(c *Config) *string { return &c.Placement })
 }
 
 // WithAdaptiveQueueGate sets the adaptive protocol's contention gate:
@@ -297,14 +282,7 @@ func WithAdaptiveQueueGate(d Duration) Option {
 // ("atm", "myrinet", "10gbe") rescale the platform. An unknown name is
 // an error from New listing the registered models.
 func WithNetwork(name string) Option {
-	return func(c *Config) error {
-		if !netmodel.Known(name) {
-			return fmt.Errorf("dsm: WithNetwork(%q): unknown network model (known: %s)",
-				name, strings.Join(netmodel.Names(), ", "))
-		}
-		c.Network = name
-		return nil
-	}
+	return nameOption("WithNetwork", name, func(c *Config) *string { return &c.Network })
 }
 
 // WithScale selects the engine's scaling representation by name
@@ -315,15 +293,7 @@ func WithNetwork(name string) Option {
 // equivalence tests pin this). "dense" keeps the flat O(procs)
 // reference representation. An unknown name is an error from New.
 func WithScale(name string) Option {
-	return func(c *Config) error {
-		n := strings.ToLower(name)
-		if n != tmk.ScaleSparse && n != tmk.ScaleDense {
-			return fmt.Errorf("dsm: WithScale(%q): unknown scale mode (known: %s)",
-				name, strings.Join(Scales(), ", "))
-		}
-		c.Scale = n
-		return nil
-	}
+	return nameOption("WithScale", name, func(c *Config) *string { return &c.Scale })
 }
 
 // WithBarrier selects the barrier fabric by name (case-insensitive;
@@ -335,12 +305,20 @@ func WithScale(name string) Option {
 // and therefore timing under contention, differs. An unknown name is
 // an error from New listing the registered fabrics.
 func WithBarrier(name string) Option {
+	return nameOption("WithBarrier", name, func(c *Config) *string { return &c.Barrier })
+}
+
+// nameOption sets the axis name field points at. The name is checked by
+// resolving a configuration that holds only it, so an error blames this
+// option and not an unrelated setting.
+func nameOption(option, name string, field func(*Config) *string) Option {
 	return func(c *Config) error {
-		if !tmk.KnownBarrier(name) {
-			return fmt.Errorf("dsm: WithBarrier(%q): unknown barrier (known: %s)",
-				name, strings.Join(tmk.BarrierNames(), ", "))
+		var only Config
+		*field(&only) = name
+		if _, err := only.Resolve(); err != nil {
+			return fmt.Errorf("dsm: %s(%q): %w", option, name, err)
 		}
-		c.Barrier = name
+		*field(c) = name
 		return nil
 	}
 }

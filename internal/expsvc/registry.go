@@ -7,8 +7,8 @@ import (
 )
 
 // RegistryJSON is the machine-readable dump of every experiment axis:
-// the workloads and the protocol, network, and placement registries
-// with their defaults. It is the single source both discovery surfaces
+// the workloads and the protocol, network, placement, barrier, and
+// scale registries with their defaults. It is the single source both discovery surfaces
 // share — the service's GET /v1/registry handler and dsmrun -list -json
 // — so the two can never drift.
 type RegistryJSON struct {
@@ -51,7 +51,7 @@ func Registry() RegistryJSON {
 		DefaultPlacement: tmk.DefaultPlacement,
 		Barriers:         tmk.BarrierNames(),
 		DefaultBarrier:   tmk.DefaultBarrier,
-		Scales:           []string{tmk.ScaleSparse, tmk.ScaleDense},
+		Scales:           tmk.ScaleNames(),
 		DefaultScale:     tmk.DefaultScale,
 	}
 	for _, e := range apps.Entries() {

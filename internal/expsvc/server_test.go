@@ -226,6 +226,7 @@ func TestRunValidationErrors(t *testing.T) {
 		{"unknown protocol", `{"app":"jacobi","protocol":"zzz"}`, "protocol"},
 		{"unknown network", `{"app":"jacobi","network":"zzz"}`, "network"},
 		{"dynamic multi-page", `{"app":"jacobi","dynamic":true,"unit_pages":4}`, "unit_pages"},
+		{"radix 1", `{"app":"jacobi","barrier":"tree","barrier_radix":1}`, "barrier_radix"},
 		{"excess trials", fmt.Sprintf(`{"app":"jacobi","trials":%d}`, MaxTrials+1), "trials"},
 	} {
 		resp := postSpec(t, ts, tc.spec)

@@ -23,13 +23,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/all" // populate the workload registry
-	"repro/internal/harness"
-	"repro/internal/netmodel"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -47,6 +47,11 @@ const (
 	MaxTrials = 64
 	// MaxUnitPages bounds the static consistency unit of one request.
 	MaxUnitPages = 64
+	// MaxAdaptQueueGateUS bounds the adaptive contention gate. The gate
+	// becomes a sim.Duration in nanoseconds, and that conversion must not
+	// overflow; no message queues anywhere near this long (11.6 simulated
+	// days).
+	MaxAdaptQueueGateUS = 1e12
 )
 
 // Spec is the wire form of one experiment request: which registry cell
@@ -138,6 +143,7 @@ type Resolved struct {
 	// Entry is the workload factory the spec named.
 	Entry apps.Entry
 	c     canonical
+	cfg   tmk.Config
 }
 
 // Resolve validates a spec against the workload, protocol, network, and
@@ -165,117 +171,77 @@ func Resolve(s Spec) (*Resolved, error) {
 		return nil, fieldErrf(field, "%s", msg)
 	}
 
-	c := canonical{App: entry.App, Dataset: entry.Dataset}
-
 	switch {
 	case s.UnitPages < 0:
 		return nil, fieldErrf("unit_pages", "must be positive (got %d)", s.UnitPages)
 	case s.UnitPages > MaxUnitPages:
 		return nil, fieldErrf("unit_pages", "at most %d pages (got %d)", MaxUnitPages, s.UnitPages)
-	case s.UnitPages == 0:
-		c.UnitPages = 1
-	default:
-		c.UnitPages = s.UnitPages
-	}
-	c.Dynamic = s.Dynamic
-	if c.Dynamic && c.UnitPages != 1 {
-		return nil, fieldErrf("unit_pages", "dynamic aggregation requires unit_pages == 1 (got %d)", c.UnitPages)
-	}
-
-	c.Protocol = strings.ToLower(strings.TrimSpace(s.Protocol))
-	if c.Protocol == "" {
-		c.Protocol = tmk.DefaultProtocol
-	}
-	if !tmk.KnownProtocol(c.Protocol) {
-		return nil, fieldErrf("protocol", "unknown protocol %q (known: %s)",
-			s.Protocol, strings.Join(tmk.ProtocolNames(), ", "))
-	}
-	c.Network = strings.ToLower(strings.TrimSpace(s.Network))
-	if c.Network == "" {
-		c.Network = netmodel.Default
-	}
-	if !netmodel.Known(c.Network) {
-		return nil, fieldErrf("network", "unknown network model %q (known: %s)",
-			s.Network, strings.Join(netmodel.Names(), ", "))
-	}
-	c.Placement = strings.ToLower(strings.TrimSpace(s.Placement))
-	if c.Placement == "" {
-		c.Placement = tmk.DefaultPlacement
-	}
-	if !tmk.KnownPlacement(c.Placement) {
-		return nil, fieldErrf("placement", "unknown placement %q (known: %s)",
-			s.Placement, strings.Join(tmk.PlacementNames(), ", "))
-	}
-	c.Scale = strings.ToLower(strings.TrimSpace(s.Scale))
-	if c.Scale == "" {
-		c.Scale = tmk.DefaultScale
-	}
-	if c.Scale != tmk.ScaleSparse && c.Scale != tmk.ScaleDense {
-		return nil, fieldErrf("scale", "unknown scale mode %q (known: %s, %s)",
-			s.Scale, tmk.ScaleSparse, tmk.ScaleDense)
-	}
-	c.Barrier = strings.ToLower(strings.TrimSpace(s.Barrier))
-	if c.Barrier == "" {
-		c.Barrier = tmk.DefaultBarrier
-	}
-	if !tmk.KnownBarrier(c.Barrier) {
-		return nil, fieldErrf("barrier", "unknown barrier %q (known: %s)",
-			s.Barrier, strings.Join(tmk.BarrierNames(), ", "))
-	}
-	switch {
-	case s.BarrierRadix < 0:
-		return nil, fieldErrf("barrier_radix", "cannot be negative (got %d)", s.BarrierRadix)
-	case c.Barrier == "central":
-		// The centralized fabric has no radix: canonicalize it to zero so
-		// spelling one changes neither behaviour nor hash.
-		c.BarrierRadix = 0
-	case s.BarrierRadix == 0:
-		c.BarrierRadix = tmk.DefaultBarrierRadix
-	default:
-		c.BarrierRadix = s.BarrierRadix
-	}
-
-	switch {
 	case s.Procs < 0:
 		return nil, fieldErrf("procs", "must be positive (got %d)", s.Procs)
 	case s.Procs > MaxProcs:
 		return nil, fieldErrf("procs", "at most %d (got %d)", MaxProcs, s.Procs)
-	case s.Procs == 0:
-		c.Procs = harness.Procs
-	default:
-		c.Procs = s.Procs
-	}
-	switch {
 	case s.Trials < 0:
 		return nil, fieldErrf("trials", "must be positive (got %d)", s.Trials)
 	case s.Trials > MaxTrials:
 		return nil, fieldErrf("trials", "at most %d (got %d)", MaxTrials, s.Trials)
-	case s.Trials == 0:
-		c.Trials = 1
-	default:
-		c.Trials = s.Trials
+	case !(s.AdaptQueueGateUS <= MaxAdaptQueueGateUS): // NaN fails too
+		return nil, fieldErrf("adapt_queue_gate_us", "at most %g µs (got %g)", MaxAdaptQueueGateUS, s.AdaptQueueGateUS)
 	}
 
-	if s.AdaptHysteresis < 0 {
-		return nil, fieldErrf("adapt_hysteresis", "cannot be negative (got %d)", s.AdaptHysteresis)
-	}
-	if c.Protocol == "adaptive" {
-		c.AdaptHysteresis = s.AdaptHysteresis
-		if c.AdaptHysteresis == 0 {
-			c.AdaptHysteresis = tmk.DefaultAdaptHysteresis
+	// Names and defaults are the engine's (tmk.Config.Resolve); what
+	// follows is service policy.
+	cfg, err := tmk.Config{
+		Procs:           s.Procs,
+		UnitPages:       s.UnitPages,
+		Dynamic:         s.Dynamic,
+		Protocol:        s.Protocol,
+		Network:         s.Network,
+		Placement:       s.Placement,
+		Scale:           s.Scale,
+		Barrier:         s.Barrier,
+		BarrierRadix:    s.BarrierRadix,
+		AdaptHysteresis: s.AdaptHysteresis,
+		Collect:         s.Collect,
+	}.Resolve()
+	if err != nil {
+		var re *registry.Error
+		if errors.As(err, &re) {
+			return nil, fieldErrf(re.Field, "%s", re.Msg)
 		}
-		c.AdaptQueueGateUS = s.AdaptQueueGateUS
-		if c.AdaptQueueGateUS < 0 {
-			// Every negative value means "gate disabled"; collapse them
-			// to one representative so they share a cache cell.
-			c.AdaptQueueGateUS = -1
-		}
+		return nil, err
 	}
-	// Under a static protocol the adaptive knobs are inert: canonicalize
-	// them to zero so spelling them changes neither behaviour nor hash.
-
-	c.Collect = s.Collect
-	return &Resolved{Entry: entry, c: c}, nil
+	c := canonical{
+		App:              entry.App,
+		Dataset:          entry.Dataset,
+		UnitPages:        cfg.UnitPages,
+		Dynamic:          cfg.Dynamic,
+		Protocol:         cfg.Protocol,
+		Network:          cfg.Network,
+		Placement:        cfg.Placement,
+		Scale:            cfg.Scale,
+		Barrier:          cfg.Barrier,
+		BarrierRadix:     cfg.BarrierRadix,
+		Procs:            cfg.Procs,
+		Trials:           max(s.Trials, 1),
+		AdaptHysteresis:  cfg.AdaptHysteresis,
+		AdaptQueueGateUS: s.AdaptQueueGateUS,
+		Collect:          cfg.Collect,
+	}
+	// A knob the configuration leaves inert is zero in the hash and the
+	// engine default in the run, so spelling it changes neither.
+	if c.Barrier == "central" {
+		c.BarrierRadix, cfg.BarrierRadix = 0, tmk.DefaultBarrierRadix
+	}
+	if c.Protocol != "adaptive" {
+		c.AdaptHysteresis, cfg.AdaptHysteresis = 0, tmk.DefaultAdaptHysteresis
+		c.AdaptQueueGateUS = 0
+	} else if c.AdaptQueueGateUS < 0 {
+		// Every negative value means "gate disabled"; collapse them to
+		// one representative so they share a cache cell.
+		c.AdaptQueueGateUS = -1
+	}
+	cfg.AdaptQueueGate = sim.Duration(c.AdaptQueueGateUS * float64(sim.Microsecond))
+	return &Resolved{Entry: entry, c: c, cfg: cfg}, nil
 }
 
 // Hash is the spec's content address: the hex SHA-256 of the canonical
@@ -296,25 +262,7 @@ func hashCanonical(c canonical) string {
 
 // Canonical returns the resolved spec in wire form — what the service
 // actually ran after defaulting, echoed back to clients.
-func (r *Resolved) Canonical() Spec {
-	return Spec{
-		App:              r.c.App,
-		Dataset:          r.c.Dataset,
-		UnitPages:        r.c.UnitPages,
-		Dynamic:          r.c.Dynamic,
-		Protocol:         r.c.Protocol,
-		Network:          r.c.Network,
-		Placement:        r.c.Placement,
-		Scale:            r.c.Scale,
-		Barrier:          r.c.Barrier,
-		BarrierRadix:     r.c.BarrierRadix,
-		Procs:            r.c.Procs,
-		Trials:           r.c.Trials,
-		AdaptHysteresis:  r.c.AdaptHysteresis,
-		AdaptQueueGateUS: r.c.AdaptQueueGateUS,
-		Collect:          r.c.Collect,
-	}
-}
+func (r *Resolved) Canonical() Spec { return Spec(r.c) }
 
 // Procs returns the resolved processor count.
 func (r *Resolved) Procs() int { return r.c.Procs }
@@ -322,22 +270,7 @@ func (r *Resolved) Procs() int { return r.c.Procs }
 // Trials returns the resolved trial count.
 func (r *Resolved) Trials() int { return r.c.Trials }
 
-// EngineConfig maps the resolved spec onto the engine configuration.
+// EngineConfig is the resolved engine configuration the spec runs under.
 // Segment size and lock count are workload properties that
 // apps.NewSystem fills in.
-func (r *Resolved) EngineConfig() tmk.Config {
-	return tmk.Config{
-		Procs:           r.c.Procs,
-		UnitPages:       r.c.UnitPages,
-		Dynamic:         r.c.Dynamic,
-		Protocol:        r.c.Protocol,
-		Network:         r.c.Network,
-		Placement:       r.c.Placement,
-		Scale:           r.c.Scale,
-		Barrier:         r.c.Barrier,
-		BarrierRadix:    r.c.BarrierRadix,
-		AdaptHysteresis: r.c.AdaptHysteresis,
-		AdaptQueueGate:  sim.Duration(r.c.AdaptQueueGateUS * float64(sim.Microsecond)),
-		Collect:         r.c.Collect,
-	}
-}
+func (r *Resolved) EngineConfig() tmk.Config { return r.cfg }

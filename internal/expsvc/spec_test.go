@@ -118,6 +118,11 @@ func TestResolveFieldErrors(t *testing.T) {
 		{"negative trials", Spec{App: "jacobi", Trials: -1}, "trials"},
 		{"huge trials", Spec{App: "jacobi", Trials: MaxTrials + 1}, "trials"},
 		{"negative hysteresis", Spec{App: "jacobi", AdaptHysteresis: -1}, "adapt_hysteresis"},
+		{"bad scale", Spec{App: "jacobi", Scale: "medium"}, "scale"},
+		{"bad barrier", Spec{App: "jacobi", Barrier: "butterfly"}, "barrier"},
+		{"negative radix", Spec{App: "jacobi", Barrier: "tree", BarrierRadix: -1}, "barrier_radix"},
+		{"radix 1", Spec{App: "jacobi", Barrier: "tree", BarrierRadix: 1}, "barrier_radix"},
+		{"huge gate", Spec{App: "barnes", Protocol: "adaptive", Network: "bus", AdaptQueueGateUS: 1e16}, "adapt_queue_gate_us"},
 	} {
 		_, err := Resolve(tc.spec)
 		if err == nil {

@@ -28,7 +28,7 @@ func serialReference(t *testing.T, points []Point, collect bool) []Cell {
 // the contention-free model, which prices independently of host
 // scheduling, every field must, Stats included.
 func sameCell(got, want Cell, network string) bool {
-	if networkName(network) == "ideal" {
+	if cfg, _ := (tmk.Config{Network: network}).Resolve(); cfg.Network == "ideal" {
 		return reflect.DeepEqual(got, want)
 	}
 	return got.Msgs == want.Msgs && got.Bytes == want.Bytes &&
@@ -172,6 +172,28 @@ func TestGridMatchesSerialReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGridSharesAliasedCells: points that spell one engine configuration
+// differently — a default left empty or written out in any case — run
+// the engine once. The key is the engine's own resolution; this binary
+// links nothing that could supply another.
+func TestGridSharesAliasedCells(t *testing.T) {
+	runs := &engineRuns{flying: map[string]int{}, highest: map[string]int{}}
+	e := runs.watch(exp("Jacobi", "small"))
+	cells, err := RunGrid([]Point{
+		{e, Config{Label: "4K", Unit: 1}, Procs},
+		{e, Config{Label: "4K", Unit: 1, Network: "IDEAL", Placement: "rr", Scale: "sparse"}, Procs},
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.total != 1 {
+		t.Fatalf("%d engine runs for one aliased cell, want 1", runs.total)
+	}
+	if !reflect.DeepEqual(cells[0], cells[1]) {
+		t.Fatalf("aliased points got different cells: %+v, %+v", cells[0], cells[1])
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -142,23 +143,15 @@ func Run(e Experiment, c Config, procs int) (Cell, error) {
 // A non-nil sink receives the run's compact trace capture (the
 // derivation base of network-sweep cells). Errors name the cell's axes.
 func runCell(e Experiment, c Config, procs int, collect bool, sink trace.Sink) (Cell, error) {
-	res, err := apps.Run(e.Make(procs), tmk.Config{
-		Procs:        procs,
-		UnitPages:    c.Unit,
-		Dynamic:      c.Dynamic,
-		Protocol:     c.Protocol,
-		Network:      c.Network,
-		Placement:    c.Placement,
-		Scale:        c.Scale,
-		Barrier:      c.Barrier,
-		BarrierRadix: c.BarrierRadix,
-		Collect:      collect,
-		Sink:         sink,
-	})
+	cfg, err := Point{e, c, procs}.engineConfig(collect)
+	if err != nil {
+		return Cell{}, err
+	}
+	cfg.Sink = sink
+	res, err := apps.Run(e.Make(procs), cfg)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s %s [%s] protocol %s, network %s, placement %s, %d procs: %w",
-			e.App, e.Dataset, c.Label, protocolName(c.Protocol), networkName(c.Network),
-			placementName(c.Placement), procs, err)
+			e.App, e.Dataset, c.Label, cfg.Protocol, cfg.Network, cfg.Placement, procs, err)
 	}
 	return Cell{
 		Time: res.Time, Queue: res.QueueDelay,
@@ -187,15 +180,43 @@ type Point struct {
 	Procs  int
 }
 
+// engineConfig is the engine configuration point p runs under, resolved
+// (tmk.Config.Resolve): names canonical, defaults filled. Its error names
+// the cell.
+func (p Point) engineConfig(collect bool) (tmk.Config, error) {
+	c := p.Config
+	cfg, err := tmk.Config{
+		Procs:        p.Procs,
+		UnitPages:    c.Unit,
+		Dynamic:      c.Dynamic,
+		Protocol:     c.Protocol,
+		Network:      c.Network,
+		Placement:    c.Placement,
+		Scale:        c.Scale,
+		Barrier:      c.Barrier,
+		BarrierRadix: c.BarrierRadix,
+		Collect:      collect,
+	}.Resolve()
+	if err != nil {
+		return tmk.Config{}, fmt.Errorf("%s %s [%s] protocol %q, network %q, placement %q, %d procs: %w",
+			p.Exp.App, p.Exp.Dataset, c.Label, c.Protocol, c.Network, c.Placement, p.Procs, err)
+	}
+	return cfg, nil
+}
+
 // RunGrid runs every point on the sweep pool — points with equal cell
 // keys run the engine once and share the cell — and returns the cells
 // in point order. Every cell is verified against the sequential
-// reference; the first failure cancels the rest of the grid and its
-// error names the failing cell's axes.
+// reference; a point that does not resolve fails the grid before any
+// cell runs, and the first failing run cancels the rest, its error
+// naming the cell's axes.
 func RunGrid(points []Point, collect bool) ([]Cell, error) {
 	tasks := make([]sweep.Task, len(points))
 	for i, p := range points {
-		tasks[i] = cellTask(p, collect)
+		var err error
+		if tasks[i], err = cellTask(p, collect); err != nil {
+			return nil, err
+		}
 	}
 	results, err := sweepPool.Run(context.Background(), tasks)
 	if err != nil {
@@ -208,64 +229,21 @@ func RunGrid(points []Point, collect bool) ([]Cell, error) {
 	return cells, nil
 }
 
-// axis is one named sweep dimension whose values come from a registry.
-type axis struct {
-	kind  string
-	known func(string) bool
-	names func() []string
-}
-
-var (
-	protocolAxis  = axis{"protocol", tmk.KnownProtocol, tmk.ProtocolNames}
-	networkAxis   = axis{"network model", netmodel.Known, netmodel.Names}
-	placementAxis = axis{"placement", tmk.KnownPlacement, tmk.PlacementNames}
-)
-
-// values returns names — defaults when names is empty — after checking
-// that each is registered, so a typo fails before the first engine run.
-func (a axis) values(names, defaults []string) ([]string, error) {
-	if len(names) == 0 {
-		return defaults, nil
+// cellTask wraps one point as a sweep task yielding its Cell. The task's
+// dedup key is the point's resolved engine configuration, so points that
+// spell one cell differently (an empty network and "ideal") share one
+// engine run.
+func cellTask(p Point, collect bool) (sweep.Task, error) {
+	cfg, err := p.engineConfig(collect)
+	if err != nil {
+		return sweep.Task{}, err
 	}
-	for _, n := range names {
-		if !a.known(n) {
-			return nil, fmt.Errorf("unknown %s %q (known: %s)", a.kind, n, strings.Join(a.names(), ", "))
-		}
-	}
-	return names, nil
-}
-
-// cellKey computes the dedup key of one cell in a sweep batch: two
-// grid entries with the same key run the engine once and share the
-// result. The default key is the raw configuration tuple; the
-// experiment service upgrades it to its canonical spec hash (see
-// RegisterCellKey), which also collapses aliased names — an empty
-// network and "ideal", an empty placement and the registered default.
-var cellKey = func(app, dataset string, c Config, procs int, collect bool) string {
-	return fmt.Sprintf("%s|%s|p%d|u%d|dyn%t|%s|%s|%s|%s|%s|r%d|col%t",
-		app, dataset, procs, c.Unit, c.Dynamic, c.Protocol, c.Network, c.Placement,
-		c.Scale, c.Barrier, c.BarrierRadix, collect)
-}
-
-// RegisterCellKey replaces the sweep dedup key function, typically
-// with the experiment service's canonical spec hash (expsvc installs
-// it from init, so any binary linking the service gets content-
-// addressed keys). The function must map equal cells to equal keys;
-// returning "" marks a cell unshareable (it always runs).
-func RegisterCellKey(fn func(app, dataset string, c Config, procs int, collect bool) string) {
-	if fn != nil {
-		cellKey = fn
-	}
-}
-
-// cellTask wraps one point as a sweep task yielding its Cell.
-func cellTask(p Point, collect bool) sweep.Task {
 	return sweep.Task{
-		Key: cellKey(p.Exp.App, p.Exp.Dataset, p.Config, p.Procs, collect),
+		Key: fmt.Sprintf("%s|%s|%+v", p.Exp.App, p.Exp.Dataset, cfg),
 		Do: func(context.Context) (any, error) {
 			return runCell(p.Exp, p.Config, p.Procs, collect, nil)
 		},
-	}
+	}, nil
 }
 
 // --- experiment definitions -------------------------------------------------
@@ -595,9 +573,18 @@ func networkCellConfigs() []Config {
 // applications run every cell for real. SetNetworkDerivation(false)
 // forces every cell through the engine.
 func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]NetworkComparison, error) {
-	networks, err := networkAxis.values(networks, netmodel.Names())
-	if err != nil {
-		return nil, err
+	if len(networks) == 0 {
+		networks = netmodel.Names()
+	}
+	// Canonical before the first engine run: the derivation compares
+	// these names with the ones its captures record.
+	networks = slices.Clone(networks)
+	for i, n := range networks {
+		cfg, err := tmk.Config{Network: n}.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		networks[i] = cfg.Network
 	}
 	// Flatten the grid onto the sweep pool — one derivation task per
 	// replay-safe experiment (it yields the whole networks × configs
@@ -619,7 +606,11 @@ func RunNetworkComparison(es []Experiment, procs int, networks []string) ([]Netw
 		for _, network := range networks {
 			for _, c := range configs {
 				c.Network = network
-				tasks = append(tasks, cellTask(Point{e, c, procs}, false))
+				t, err := cellTask(Point{e, c, procs}, false)
+				if err != nil {
+					return nil, err
+				}
+				tasks = append(tasks, t)
 			}
 		}
 	}
@@ -742,19 +733,18 @@ func PlacementNetworks() []string { return []string{"ideal", "bus"} }
 // All at the paper's base configuration (4 KB units); every cell is
 // verified against the sequential reference.
 func RunPlacementComparison(es []Experiment, procs int, placements, networks []string) ([]PlacementComparison, error) {
-	placements, err := placementAxis.values(placements, tmk.PlacementNames())
-	if err != nil {
-		return nil, err
+	if len(placements) == 0 {
+		placements = tmk.PlacementNames()
 	}
-	if networks, err = networkAxis.values(networks, PlacementNetworks()); err != nil {
-		return nil, err
+	if len(networks) == 0 {
+		networks = PlacementNetworks()
 	}
 	// Per network, one homeless baseline then the placements ×
 	// protocols cells.
 	var points []Point
 	for _, e := range es {
 		for _, network := range networks {
-			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network}, procs})
+			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network, Placement: tmk.DefaultPlacement}, procs})
 			for _, placement := range placements {
 				for _, protocol := range placementProtocols {
 					c := Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}
@@ -773,12 +763,8 @@ func RunPlacementComparison(es []Experiment, procs int, placements, networks []s
 		pc := PlacementComparison{App: e.App, Dataset: e.Dataset}
 		for j := i * perExp; j < (i+1)*perExp; j++ {
 			c := points[j].Config
-			placement := c.Placement
-			if placement == "" {
-				placement = tmk.DefaultPlacement // the homeless baseline
-			}
 			pc.Cells = append(pc.Cells, PlacementCell{
-				Placement: placement, Protocol: c.Protocol, Network: c.Network, Cell: cells[j],
+				Placement: c.Placement, Protocol: c.Protocol, Network: c.Network, Cell: cells[j],
 			})
 		}
 		out = append(out, pc)
@@ -952,12 +938,11 @@ type ScalingCurve struct {
 // comparative, not absolute — the committed sweep records GOMAXPROCS
 // alongside).
 func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes []ScalingMode) ([]ScalingCurve, error) {
-	protocols, err := protocolAxis.values(protocols, ScalingProtocols())
-	if err != nil {
-		return nil, err
+	if len(protocols) == 0 {
+		protocols = ScalingProtocols()
 	}
-	if networks, err = networkAxis.values(networks, ScalingNetworks()); err != nil {
-		return nil, err
+	if len(networks) == 0 {
+		networks = ScalingNetworks()
 	}
 	if len(sizes) == 0 {
 		sizes = ScalingSizes()
@@ -977,10 +962,13 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 		for _, mode := range modes {
 			for _, procs := range sizes {
 				for _, network := range networks {
-					t := cellTask(Point{e, Config{
+					t, err := cellTask(Point{e, Config{
 						Label: "4K", Unit: 1, Protocol: proto, Network: network,
 						Scale: mode.Scale, Barrier: mode.Barrier, BarrierRadix: mode.Radix,
 					}, procs}, false)
+					if err != nil {
+						return nil, err
+					}
 					run := t.Do
 					t.Do = func(ctx context.Context) (any, error) {
 						// The sweep's datum is the per-cell wall clock, and

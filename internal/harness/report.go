@@ -79,14 +79,16 @@ type CellJSON struct {
 
 // CellReport converts one harness cell run under cfg.
 func CellReport(e Experiment, cfg Config, procs int, c Cell) CellJSON {
+	// The cell ran, so its configuration resolves.
+	ec, _ := Point{e, cfg, procs}.engineConfig(false)
 	return CellJSON{
 		App:           e.App,
 		Dataset:       e.Dataset,
 		Paper:         e.Paper,
 		Config:        cfg.Label,
-		Protocol:      protocolName(cfg.Protocol),
-		Network:       networkName(cfg.Network),
-		Placement:     placementName(cfg.Placement),
+		Protocol:      ec.Protocol,
+		Network:       ec.Network,
+		Placement:     ec.Placement,
 		Procs:         procs,
 		TimeSeconds:   c.Time.Seconds(),
 		QueueSeconds:  c.Queue.Seconds(),
@@ -98,22 +100,6 @@ func CellReport(e Experiment, cfg Config, procs int, c Cell) CellJSON {
 		HandoffBytes:  c.HandoffBytes,
 		Stats:         c.Stats,
 	}
-}
-
-// protocolName canonicalizes a protocol name for display (default
-// filled in, lowercased), matching what the engine reports.
-func protocolName(p string) string {
-	return tmk.Config{Protocol: p}.ProtocolName()
-}
-
-// networkName canonicalizes a network-model name the same way.
-func networkName(n string) string {
-	return tmk.Config{Network: n}.NetworkName()
-}
-
-// placementName canonicalizes a placement-policy name the same way.
-func placementName(p string) string {
-	return tmk.Config{Placement: p}.PlacementName()
 }
 
 // ProtocolRowJSON is one protocol's row of a comparison.
@@ -296,17 +282,17 @@ type TrialsJSON struct {
 	MeanQueueSeconds float64      `json:"mean_queue_seconds"`
 }
 
-// TrialsReport converts a trial summary of workload e under the given
-// configuration.
+// TrialsReport converts a trial summary of workload e run under cfg, a
+// resolved configuration (tmk.Config.Resolve).
 func TrialsReport(app, dataset, paper string, cfg tmk.Config, ts *tmk.TrialSummary) TrialsJSON {
 	out := TrialsJSON{
 		App:              app,
 		Dataset:          dataset,
 		Paper:            paper,
 		Config:           LabelFor(cfg.UnitPages, cfg.Dynamic),
-		Protocol:         cfg.ProtocolName(),
-		Network:          cfg.NetworkName(),
-		Placement:        cfg.PlacementName(),
+		Protocol:         cfg.Protocol,
+		Network:          cfg.Network,
+		Placement:        cfg.Placement,
 		Procs:            cfg.Procs,
 		UnitPages:        cfg.UnitPages,
 		Dynamic:          cfg.Dynamic,
@@ -350,14 +336,18 @@ type ScalingCurveJSON struct {
 
 // ScalingReport converts one scaling curve.
 func ScalingReport(c ScalingCurve) ScalingCurveJSON {
+	// The curve ran, so its configuration resolves.
+	cfg, _ := tmk.Config{
+		Protocol: c.Protocol, Network: c.Network, Scale: c.Mode.Scale, Barrier: c.Mode.Barrier,
+	}.Resolve()
 	out := ScalingCurveJSON{
 		App:          c.App,
 		Dataset:      c.Dataset,
-		Protocol:     protocolName(c.Protocol),
-		Network:      networkName(c.Network),
+		Protocol:     cfg.Protocol,
+		Network:      cfg.Network,
 		Mode:         c.Mode.Name,
-		Scale:        tmk.Config{Scale: c.Mode.Scale}.ScaleName(),
-		Barrier:      tmk.Config{Barrier: c.Mode.Barrier}.BarrierName(),
+		Scale:        cfg.Scale,
+		Barrier:      cfg.Barrier,
 		BarrierRadix: c.Mode.Radix,
 	}
 	for _, pt := range c.Points {

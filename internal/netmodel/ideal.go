@@ -2,10 +2,6 @@ package netmodel
 
 import "repro/internal/sim"
 
-func init() {
-	Register("ideal", func(c sim.CostModel) Model { return ideal{cost: c} })
-}
-
 // ideal is the contention-free model: the flat sim.CostModel arithmetic
 // the engine used before the netmodel subsystem existed. Its timings
 // are bit-identical to that arithmetic — a leg costs

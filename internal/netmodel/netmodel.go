@@ -15,15 +15,14 @@
 // existing per-processor time accounting (see DESIGN.md §6 for why
 // this is sound given the engine's synchronous hand-offs).
 //
-// Models are registered by name; internal/simnet resolves the
-// configured name and delegates all pricing here.
+// Models are selected by name; internal/simnet resolves the configured
+// name and delegates all pricing here.
 package netmodel
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
+	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
@@ -102,48 +101,36 @@ func IsStateless(m Model) bool {
 // arithmetic the engine used before this subsystem existed.
 const Default = "ideal"
 
-var factories = map[string]func(sim.CostModel) Model{}
+// models is the network axis: every model's factory by name.
+var models = registry.New("network", "network model", Default, map[string]func(sim.CostModel) Model{
+	"ideal": func(c sim.CostModel) Model { return ideal{cost: c} },
+	"bus": func(c sim.CostModel) Model {
+		return &bus{name: "bus", p: ParamsFromCost(c)}
+	},
+	"switch": func(c sim.CostModel) Model {
+		return newSwitched("switch", ParamsFromCost(c))
+	},
+	"atm":     Preset("atm", Scale{Bandwidth: 1.55, Overhead: 1, Latency: 1}),
+	"myrinet": Preset("myrinet", Scale{Bandwidth: 12.8, Overhead: 10, Latency: 5}),
+	"10gbe":   Preset("10gbe", Scale{Bandwidth: 100, Overhead: 20, Latency: 10}),
+})
 
-// Register adds a model factory under a (case-insensitive) name.
-// Called from init; a duplicate or empty registration is a programming
-// error.
-func Register(name string, factory func(sim.CostModel) Model) {
-	key := strings.ToLower(name)
-	if key == "" || factory == nil {
-		panic("netmodel: incomplete model registration")
-	}
-	if _, dup := factories[key]; dup {
-		panic(fmt.Sprintf("netmodel: duplicate model registration %q", key))
-	}
-	factories[key] = factory
-}
-
-// New builds the named model over the given cost calibration. An
-// unknown name is an error listing the registered models.
+// New builds the named model over the given cost calibration. The name
+// is canonicalized like every axis name (empty selects Default); an
+// unknown one is an error listing the registered models.
 func New(name string, cost sim.CostModel) (Model, error) {
-	if name == "" {
-		name = Default
+	c, err := models.Canonical(name)
+	if err != nil {
+		return nil, fmt.Errorf("netmodel: %w", err)
 	}
-	factory, ok := factories[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("netmodel: unknown network model %q (known: %s)",
-			name, strings.Join(Names(), ", "))
-	}
-	return factory(cost), nil
+	return models.Get(c)(cost), nil
 }
+
+// Canonical returns a network name's canonical form (Default for "").
+func Canonical(name string) (string, error) { return models.Canonical(name) }
 
 // Names returns the registered model names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(factories))
-	for name := range factories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return models.Names() }
 
-// Known reports whether name (case-insensitive) is registered.
-func Known(name string) bool {
-	_, ok := factories[strings.ToLower(name)]
-	return ok
-}
+// Known reports whether name is a registered model.
+func Known(name string) bool { return models.Known(name) }

@@ -6,18 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-func init() {
-	Register("bus", func(c sim.CostModel) Model {
-		return &bus{name: "bus", p: ParamsFromCost(c)}
-	})
-	Register("switch", func(c sim.CostModel) Model {
-		return newSwitched("switch", ParamsFromCost(c))
-	})
-	Register("atm", Preset("atm", Scale{Bandwidth: 1.55, Overhead: 1, Latency: 1}))
-	Register("myrinet", Preset("myrinet", Scale{Bandwidth: 12.8, Overhead: 10, Latency: 5}))
-	Register("10gbe", Preset("10gbe", Scale{Bandwidth: 100, Overhead: 20, Latency: 10}))
-}
-
 // Params decomposes a leg's fixed cost into the parts that matter under
 // contention: per-leg software overhead at each end (CPU time, never
 // shared), the wire/fabric propagation latency, and the transmission

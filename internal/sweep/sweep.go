@@ -15,10 +15,10 @@
 //
 // Tasks carry an optional dedup key: two tasks with the same
 // non-empty key share one execution and both receive its result. The
-// harness keys cells by the experiment service's canonical spec hash
-// (see expsvc), so aliased configurations — an empty network and
-// "ideal", an empty placement and the registered default — never run
-// twice in one batch.
+// harness keys cells by their resolved engine configuration
+// (tmk.Config.Resolve), so aliased configurations — an empty network
+// and "ideal", an empty placement and the registered default — never
+// run twice in one batch.
 //
 // A task may fork: Spawn queues a child job on the running worker's
 // own deque, where idle workers steal it like any other job, and

@@ -22,17 +22,17 @@ const DefaultAdaptHysteresis = 2
 // opens exactly on the interconnects where saving messages pays.
 func defaultQueueGate(cost sim.CostModel) sim.Duration { return cost.MessageLeg / 16 }
 
-func init() {
-	RegisterProtocol("adaptive", func(s *System) {
-		hb := newHomeProtocol(s)
-		hb.retain = true
-		s.install(&homelessProtocol{}, hb)
-		s.policy = newAdaptivePolicy(s, hb)
-	})
+// setupAdaptive installs the adaptive configuration: both engines, every
+// unit starting homeless, and the policy that re-points units.
+func setupAdaptive(s *System) {
+	hb := newHomeProtocol(s)
+	hb.retain = true
+	s.install(&homelessProtocol{}, hb)
+	s.policy = newAdaptivePolicy(s, hb)
 }
 
 // Dispatch-table indices of the adaptive configuration's two engines
-// (the install order above).
+// (setupAdaptive's install order).
 const (
 	homelessIdx = 0
 	homeIdx     = 1
@@ -97,7 +97,7 @@ func newAdaptivePolicy(s *System, home *homeProtocol) *adaptivePolicy {
 	return &adaptivePolicy{
 		sys:        s,
 		home:       home,
-		hysteresis: s.cfg.AdaptHysteresis, // fill() normalized the default
+		hysteresis: s.cfg.AdaptHysteresis, // Resolve filled the default
 		queueGate:  gate,
 
 		streak:       make([]int, s.numUnits),
@@ -119,7 +119,9 @@ func (a *adaptivePolicy) contended() bool {
 	if msgs == 0 {
 		return false
 	}
-	return a.sys.net.QueueTotal() >= a.queueGate*sim.Duration(msgs)
+	// ⌊Q/m⌋ ≥ g ⇔ Q ≥ g·m for m > 0 and g ≥ 0, and the quotient cannot
+	// overflow where the product can.
+	return a.sys.net.QueueTotal()/sim.Duration(msgs) >= a.queueGate
 }
 
 // atBarrier evaluates every unit's writer signature over the phase that

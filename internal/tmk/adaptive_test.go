@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/simnet"
@@ -15,13 +16,15 @@ import (
 // its own ideal-vs-bus coverage below).
 func adaptiveMixRun(t *testing.T, hysteresis, phases int) (*System, *Result) {
 	t.Helper()
-	sys, err := NewSystem(Config{
-		Procs:           4,
-		SegmentBytes:    2 * 4096,
-		Protocol:        "adaptive",
-		AdaptHysteresis: hysteresis,
-		AdaptQueueGate:  -1,
-	})
+	return mixRun(t, Config{AdaptHysteresis: hysteresis, AdaptQueueGate: -1}, phases)
+}
+
+// mixRun is adaptiveMixRun's program under the adaptive protocol with
+// the rest of the configuration taken from cfg.
+func mixRun(t *testing.T, cfg Config, phases int) (*System, *Result) {
+	t.Helper()
+	cfg.Procs, cfg.SegmentBytes, cfg.Protocol = 4, 2*4096, "adaptive"
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +80,19 @@ func TestAdaptiveSwitchesMultiWriterUnit(t *testing.T) {
 	hh := sys.net.CountsByKind()[simnet.HomeHandoff]
 	if hh.Messages != 2 || hh.Bytes <= 4096 {
 		t.Fatalf("HomeHandoff traffic = %+v, want one exchange carrying a page image", hh)
+	}
+}
+
+// A contention gate no queue can reach keeps every unit homeless, however
+// many messages the run sends: gate × messages overflows sim.Duration,
+// and the comparison must not wrap into "gate open".
+func TestAdaptiveHugeGateNeverOpens(t *testing.T) {
+	if _, res := mixRun(t, Config{AdaptHysteresis: 1, AdaptQueueGate: -1, Network: "bus"}, 6); res.ProtocolSwitches == 0 {
+		t.Fatal("precondition: with the gate disabled the run must switch")
+	}
+	_, res := mixRun(t, Config{AdaptHysteresis: 1, AdaptQueueGate: math.MaxInt64 / 2, Network: "bus"}, 6)
+	if res.ProtocolSwitches != 0 {
+		t.Fatalf("a gate of MaxInt64/2 opened: %d switches", res.ProtocolSwitches)
 	}
 }
 
@@ -139,8 +155,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Protocol() != "adaptive" {
-		t.Fatalf("Protocol() = %q", sys.Protocol())
+	if sys.Config().Protocol != "adaptive" {
+		t.Fatalf("Protocol() = %q", sys.Config().Protocol)
 	}
 	if sys.policy.hysteresis != DefaultAdaptHysteresis {
 		t.Fatalf("default hysteresis = %d, want %d", sys.policy.hysteresis, DefaultAdaptHysteresis)

@@ -11,10 +11,6 @@ import (
 	"repro/internal/vc"
 )
 
-func init() {
-	RegisterProtocol("home", func(s *System) { s.install(newHomeProtocol(s)) })
-}
-
 // homeProtocol is home-based lazy release consistency (HLRC, in the
 // style of Princeton's home-based protocols and JIAJIA): every
 // consistency unit has a statically assigned home processor that keeps

@@ -9,10 +9,6 @@ import (
 	"repro/internal/vc"
 )
 
-func init() {
-	RegisterProtocol("homeless", func(s *System) { s.install(&homelessProtocol{}) })
-}
-
 // homelessProtocol is TreadMarks' protocol, the one the paper
 // evaluates: diffs stay with their writer, published into the interval
 // store at release, and an access miss fetches the missing diffs from

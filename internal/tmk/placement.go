@@ -1,11 +1,8 @@
 package tmk
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/lrc"
+	"repro/internal/registry"
 	"repro/internal/simnet"
 	"repro/internal/vc"
 )
@@ -74,56 +71,32 @@ type PhaseWriters struct {
 // DefaultPlacement is the paper-era static assignment: round-robin.
 const DefaultPlacement = "rr"
 
-// A placement factory builds a policy instance for one System build.
-var placementFactories = map[string]func(nprocs, nunits int) Placement{}
-
-// RegisterPlacement adds a placement factory under a (case-insensitive)
-// name. Called from init; a duplicate name is a programming error.
-func RegisterPlacement(name string, factory func(nprocs, nunits int) Placement) {
-	key := strings.ToLower(name)
-	if key == "" || factory == nil {
-		panic("tmk: incomplete placement registration")
-	}
-	if _, dup := placementFactories[key]; dup {
-		panic(fmt.Sprintf("tmk: duplicate placement registration %q", key))
-	}
-	placementFactories[key] = factory
-}
-
-// PlacementNames returns the registered placement names, sorted.
-func PlacementNames() []string {
-	out := make([]string, 0, len(placementFactories))
-	for name := range placementFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KnownPlacement reports whether name (case-insensitive) is registered.
-func KnownPlacement(name string) bool {
-	_, ok := placementFactories[strings.ToLower(name)]
-	return ok
-}
-
-func init() {
-	RegisterPlacement("rr", func(nprocs, nunits int) Placement {
+// placements is the placement axis: each name's factory builds a policy
+// instance for one System build.
+var placements = registry.New("placement", "placement", DefaultPlacement, map[string]func(nprocs, nunits int) Placement{
+	"rr": func(nprocs, nunits int) Placement {
 		return rrPlacement{nprocs: nprocs}
-	})
-	RegisterPlacement("block", func(nprocs, nunits int) Placement {
+	},
+	"block": func(nprocs, nunits int) Placement {
 		return blockPlacement{nprocs: nprocs, nunits: nunits}
-	})
-	RegisterPlacement("firsttouch", func(nprocs, nunits int) Placement {
+	},
+	"firsttouch": func(nprocs, nunits int) Placement {
 		return &firstTouchPlacement{nprocs: nprocs, resolved: make([]bool, nunits)}
-	})
-	RegisterPlacement("migrate", func(nprocs, nunits int) Placement {
+	},
+	"migrate": func(nprocs, nunits int) Placement {
 		return &migratePlacement{
 			nprocs:  nprocs,
 			lastDom: make([]int32, nunits),
 			streak:  make([]uint8, nunits),
 		}
-	})
-}
+	},
+})
+
+// PlacementNames returns the placement names, sorted.
+func PlacementNames() []string { return placements.Names() }
+
+// KnownPlacement reports whether name selects a placement.
+func KnownPlacement(name string) bool { return placements.Known(name) }
 
 // rrPlacement is the paper-era default: unit u lives on processor
 // u % nprocs, forever. Bit-identical to the pre-placement engine.

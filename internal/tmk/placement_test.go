@@ -36,8 +36,8 @@ func TestPlacementRegistry(t *testing.T) {
 	if !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "firsttouch") {
 		t.Fatalf("unhelpful error: %v", err)
 	}
-	if got := (Config{}).PlacementName(); got != DefaultPlacement {
-		t.Fatalf("PlacementName() = %q, want %q", got, DefaultPlacement)
+	if got, err := (Config{}).Resolve(); err != nil || got.Placement != DefaultPlacement {
+		t.Fatalf("Resolve().Placement = %q (%v), want %q", got.Placement, err, DefaultPlacement)
 	}
 }
 
@@ -49,8 +49,8 @@ func TestPlacementSelectionAndInitialHomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Placement() != "rr" {
-		t.Fatalf("default placement = %q, want rr", def.Placement())
+	if def.Config().Placement != "rr" {
+		t.Fatalf("default placement = %q, want rr", def.Config().Placement)
 	}
 	for u := 0; u < def.NumUnits(); u++ {
 		if def.homeOf(u) != u%4 {
@@ -62,8 +62,8 @@ func TestPlacementSelectionAndInitialHomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blk.Placement() != "block" {
-		t.Fatalf("placement = %q, want block", blk.Placement())
+	if blk.Config().Placement != "block" {
+		t.Fatalf("placement = %q, want block", blk.Config().Placement)
 	}
 	// 8 units over 4 processors: units 2u and 2u+1 on processor u.
 	for u := 0; u < blk.NumUnits(); u++ {
@@ -72,8 +72,8 @@ func TestPlacementSelectionAndInitialHomes(t *testing.T) {
 		}
 	}
 	blk.Reset()
-	if blk.Placement() != "block" || blk.homeOf(2) != 1 {
-		t.Fatalf("placement after Reset = %q, home(2) = %d", blk.Placement(), blk.homeOf(2))
+	if blk.Config().Placement != "block" || blk.homeOf(2) != 1 {
+		t.Fatalf("placement after Reset = %q, home(2) = %d", blk.Config().Placement, blk.homeOf(2))
 	}
 }
 

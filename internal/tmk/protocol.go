@@ -1,13 +1,10 @@
 package tmk
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
+	"repro/internal/registry"
 	"repro/internal/vc"
 )
 
@@ -70,40 +67,21 @@ type Protocol interface {
 // DefaultProtocol is the protocol of the paper's evaluation.
 const DefaultProtocol = "homeless"
 
-// A protocol registration installs the named configuration on a System
-// under construction: the engine(s) to instantiate, the initial
-// per-unit dispatch, and — for adaptive configurations — the policy
-// that re-points units at barriers.
-var protocolSetups = map[string]func(s *System){}
+// protocols is the protocol axis: each name's setup installs the
+// configuration on a System under construction — the engine(s) to
+// instantiate, the initial per-unit dispatch, and, for adaptive
+// configurations, the policy that re-points units at barriers.
+var protocols = registry.New("protocol", "protocol", DefaultProtocol, map[string]func(s *System){
+	"homeless": func(s *System) { s.install(&homelessProtocol{}) },
+	"home":     func(s *System) { s.install(newHomeProtocol(s)) },
+	"adaptive": setupAdaptive,
+})
 
-// RegisterProtocol adds a protocol setup under a (case-insensitive)
-// name. Called from init; a duplicate name is a programming error.
-func RegisterProtocol(name string, setup func(s *System)) {
-	key := strings.ToLower(name)
-	if key == "" || setup == nil {
-		panic("tmk: incomplete protocol registration")
-	}
-	if _, dup := protocolSetups[key]; dup {
-		panic(fmt.Sprintf("tmk: duplicate protocol registration %q", key))
-	}
-	protocolSetups[key] = setup
-}
+// ProtocolNames returns the protocol names, sorted.
+func ProtocolNames() []string { return protocols.Names() }
 
-// ProtocolNames returns the registered protocol names, sorted.
-func ProtocolNames() []string {
-	out := make([]string, 0, len(protocolSetups))
-	for name := range protocolSetups {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KnownProtocol reports whether name (case-insensitive) is registered.
-func KnownProtocol(name string) bool {
-	_, ok := protocolSetups[strings.ToLower(name)]
-	return ok
-}
+// KnownProtocol reports whether name selects a protocol.
+func KnownProtocol(name string) bool { return protocols.Known(name) }
 
 // install wires the given engines into the System: protos[0] initially
 // owns every unit (adaptive policies re-point units later). Called from

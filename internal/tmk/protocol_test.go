@@ -46,22 +46,22 @@ func TestProtocolSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Protocol() != DefaultProtocol {
-		t.Fatalf("default protocol = %q, want %q", def.Protocol(), DefaultProtocol)
+	if def.Config().Protocol != DefaultProtocol {
+		t.Fatalf("default protocol = %q, want %q", def.Config().Protocol, DefaultProtocol)
 	}
 	h, err := NewSystem(Config{Protocol: "Home"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Protocol() != "home" {
-		t.Fatalf("protocol = %q, want home", h.Protocol())
+	if h.Config().Protocol != "home" {
+		t.Fatalf("protocol = %q, want home", h.Config().Protocol)
 	}
 	h.Reset()
-	if h.Protocol() != "home" {
-		t.Fatalf("protocol after Reset = %q, want home", h.Protocol())
+	if h.Config().Protocol != "home" {
+		t.Fatalf("protocol after Reset = %q, want home", h.Config().Protocol)
 	}
-	if got := (Config{}).ProtocolName(); got != DefaultProtocol {
-		t.Fatalf("ProtocolName() = %q, want %q", got, DefaultProtocol)
+	if got, err := (Config{}).Resolve(); err != nil || got.Protocol != DefaultProtocol {
+		t.Fatalf("Resolve().Protocol = %q (%v), want %q", got.Protocol, err, DefaultProtocol)
 	}
 }
 

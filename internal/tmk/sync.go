@@ -1,13 +1,11 @@
 package tmk
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/vc"
@@ -189,41 +187,18 @@ const DefaultBarrier = "central"
 // DefaultBarrierRadix is the tree barrier's default fan-in.
 const DefaultBarrierRadix = 4
 
-// A barrier factory builds a fabric instance for one System build.
-var barrierFactories = map[string]func(s *System) barrierSync{}
+// barriers is the barrier axis: each name's factory builds a fabric
+// instance for one System build.
+var barriers = registry.New("barrier", "barrier", DefaultBarrier, map[string]func(s *System) barrierSync{
+	"central": func(s *System) barrierSync { return newBarrier(s) },
+	"tree":    func(s *System) barrierSync { return newTreeBarrier(s) },
+})
 
-// RegisterBarrier adds a barrier fabric under a (case-insensitive)
-// name. Called from init; a duplicate name is a programming error.
-func RegisterBarrier(name string, factory func(s *System) barrierSync) {
-	key := strings.ToLower(name)
-	if key == "" || factory == nil {
-		panic("tmk: incomplete barrier registration")
-	}
-	if _, dup := barrierFactories[key]; dup {
-		panic(fmt.Sprintf("tmk: duplicate barrier registration %q", key))
-	}
-	barrierFactories[key] = factory
-}
+// BarrierNames returns the barrier fabric names, sorted.
+func BarrierNames() []string { return barriers.Names() }
 
-// BarrierNames returns the registered barrier fabric names, sorted.
-func BarrierNames() []string {
-	out := make([]string, 0, len(barrierFactories))
-	for name := range barrierFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KnownBarrier reports whether name (case-insensitive) is registered.
-func KnownBarrier(name string) bool {
-	_, ok := barrierFactories[strings.ToLower(name)]
-	return ok
-}
-
-func init() {
-	RegisterBarrier("central", func(s *System) barrierSync { return newBarrier(s) })
-}
+// KnownBarrier reports whether name selects a barrier fabric.
+func KnownBarrier(name string) bool { return barriers.Known(name) }
 
 // unitWriter is one entry of the episode's written-unit index: who wrote
 // the unit during episode number episode. Entries of other episodes are

@@ -12,7 +12,6 @@ package tmk
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/aggregate"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/netmodel"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -123,7 +123,13 @@ type Config struct {
 	Sink trace.Sink
 }
 
-func (c *Config) fill() error {
+// Resolve returns c with every default filled in and every axis name in
+// canonical form (registry.Registry.Canonical). It is the one place a
+// configuration gets either: NewSystem runs on the resolved form, and a
+// resolved configuration resolves to itself. An invalid value is a
+// *registry.Error whose Field names it as a service spec does
+// ("protocol", "barrier_radix", ...).
+func (c Config) Resolve() (Config, error) {
 	if c.Procs <= 0 {
 		c.Procs = 8
 	}
@@ -133,65 +139,47 @@ func (c *Config) fill() error {
 	if c.MaxGroupPages <= 0 {
 		c.MaxGroupPages = aggregate.DefaultMaxPages
 	}
-	if c.Dynamic && c.UnitPages != 1 {
-		return fmt.Errorf("tmk: dynamic aggregation requires UnitPages == 1 (got %d)", c.UnitPages)
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = mem.PageSize
 	}
-	c.Protocol = strings.ToLower(c.Protocol)
-	if c.Protocol == "" {
-		c.Protocol = DefaultProtocol
+	if c.Dynamic && c.UnitPages != 1 {
+		return Config{}, invalid("unit_pages", "dynamic aggregation requires UnitPages == 1 (got %d)", c.UnitPages)
 	}
-	if !KnownProtocol(c.Protocol) {
-		return fmt.Errorf("tmk: unknown protocol %q (known: %s)",
-			c.Protocol, strings.Join(ProtocolNames(), ", "))
+	var err error
+	if c.Protocol, err = protocols.Canonical(c.Protocol); err != nil {
+		return Config{}, err
 	}
-	if c.AdaptHysteresis < 0 {
-		return fmt.Errorf("tmk: adaptive hysteresis cannot be negative (got %d)", c.AdaptHysteresis)
+	if c.Network, err = netmodel.Canonical(c.Network); err != nil {
+		return Config{}, err
 	}
-	if c.AdaptHysteresis == 0 {
-		c.AdaptHysteresis = DefaultAdaptHysteresis
+	if c.Placement, err = placements.Canonical(c.Placement); err != nil {
+		return Config{}, err
 	}
-	c.Placement = strings.ToLower(c.Placement)
-	if c.Placement == "" {
-		c.Placement = DefaultPlacement
+	if c.Scale, err = scales.Canonical(c.Scale); err != nil {
+		return Config{}, err
 	}
-	if !KnownPlacement(c.Placement) {
-		return fmt.Errorf("tmk: unknown placement %q (known: %s)",
-			c.Placement, strings.Join(PlacementNames(), ", "))
+	if c.Barrier, err = barriers.Canonical(c.Barrier); err != nil {
+		return Config{}, err
 	}
-	c.Network = strings.ToLower(c.Network)
-	if c.Network == "" {
-		c.Network = netmodel.Default
-	}
-	if !netmodel.Known(c.Network) {
-		return fmt.Errorf("tmk: unknown network model %q (known: %s)",
-			c.Network, strings.Join(netmodel.Names(), ", "))
-	}
-	c.Scale = strings.ToLower(c.Scale)
-	if c.Scale == "" {
-		c.Scale = DefaultScale
-	}
-	if c.Scale != ScaleSparse && c.Scale != ScaleDense {
-		return fmt.Errorf("tmk: unknown scale mode %q (known: %s, %s)",
-			c.Scale, ScaleSparse, ScaleDense)
-	}
-	c.Barrier = strings.ToLower(c.Barrier)
-	if c.Barrier == "" {
-		c.Barrier = DefaultBarrier
-	}
-	if !KnownBarrier(c.Barrier) {
-		return fmt.Errorf("tmk: unknown barrier %q (known: %s)",
-			c.Barrier, strings.Join(BarrierNames(), ", "))
-	}
-	if c.BarrierRadix < 0 {
-		return fmt.Errorf("tmk: barrier radix cannot be negative (got %d)", c.BarrierRadix)
-	}
-	if c.BarrierRadix == 0 {
+	// Filled under "central" too, where it is inert: the capture's run
+	// metadata records it.
+	switch {
+	case c.BarrierRadix == 0:
 		c.BarrierRadix = DefaultBarrierRadix
+	case c.BarrierRadix < 2:
+		return Config{}, invalid("barrier_radix", "barrier radix must be at least 2, or 0 for the default (got %d)", c.BarrierRadix)
 	}
-	return nil
+	switch {
+	case c.AdaptHysteresis == 0:
+		c.AdaptHysteresis = DefaultAdaptHysteresis
+	case c.AdaptHysteresis < 0:
+		return Config{}, invalid("adapt_hysteresis", "adaptive hysteresis cannot be negative (got %d)", c.AdaptHysteresis)
+	}
+	return c, nil
+}
+
+func invalid(field, format string, args ...any) error {
+	return &registry.Error{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Scale mode names (Config.Scale).
@@ -203,50 +191,15 @@ const (
 // DefaultScale is the default engine representation.
 const DefaultScale = ScaleSparse
 
-// ScaleName returns the configured scale mode with the default filled
-// in, without mutating the config.
-func (c Config) ScaleName() string {
-	if c.Scale == "" {
-		return DefaultScale
-	}
-	return strings.ToLower(c.Scale)
-}
+// scales is the scale axis; a name's value reports whether it selects
+// the sparse representation.
+var scales = registry.New("scale", "scale mode", DefaultScale, map[string]bool{
+	ScaleSparse: true,
+	ScaleDense:  false,
+})
 
-// BarrierName returns the configured barrier fabric name with the
-// default filled in, without mutating the config.
-func (c Config) BarrierName() string {
-	if c.Barrier == "" {
-		return DefaultBarrier
-	}
-	return strings.ToLower(c.Barrier)
-}
-
-// NetworkName returns the configured network model name with the
-// default filled in, without mutating the config.
-func (c Config) NetworkName() string {
-	if c.Network == "" {
-		return netmodel.Default
-	}
-	return strings.ToLower(c.Network)
-}
-
-// ProtocolName returns the configured protocol name with the default
-// filled in, without mutating the config.
-func (c Config) ProtocolName() string {
-	if c.Protocol == "" {
-		return DefaultProtocol
-	}
-	return strings.ToLower(c.Protocol)
-}
-
-// PlacementName returns the configured home-placement policy name with
-// the default filled in, without mutating the config.
-func (c Config) PlacementName() string {
-	if c.Placement == "" {
-		return DefaultPlacement
-	}
-	return strings.ToLower(c.Placement)
-}
+// ScaleNames returns the scale mode names, sorted.
+func ScaleNames() []string { return scales.Names() }
 
 // UnitBytes returns the consistency-unit size in bytes.
 func (c Config) UnitBytes() int { return c.UnitPages * mem.PageSize }
@@ -305,9 +258,9 @@ type System struct {
 	running  bool
 	ran      bool
 	released bool
-	// sparse caches cfg.Scale != ScaleDense: the acquire path consults
-	// the mode once per write notice, and a string comparison there is
-	// measurable at 256+ processors.
+	// sparse caches whether cfg.Scale selects the sparse representation:
+	// the acquire path consults the mode once per write notice, and a
+	// string comparison there is measurable at 256+ processors.
 	sparse bool
 
 	procs   []*Proc
@@ -333,8 +286,9 @@ type System struct {
 // An invalid configuration (dynamic aggregation with multi-page units)
 // is reported as an error, never a panic.
 func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("tmk: %w", err)
 	}
 	cost := sim.DefaultCostModel()
 	if cfg.Cost != nil {
@@ -358,18 +312,18 @@ func NewSystem(cfg Config) (*System, error) {
 		numPages: segBytes / mem.PageSize,
 	}
 	s.numUnits = s.numPages / cfg.UnitPages
-	s.sparse = cfg.Scale != ScaleDense
+	s.sparse = scales.Get(cfg.Scale)
 	s.store.Reserve(s.numUnits)
 	if s.sparse {
 		s.epWriter = make([]unitWriter, s.numUnits)
 	}
 	s.setupPlacement()
-	protocolSetups[cfg.Protocol](s)
+	protocols.Get(cfg.Protocol)(s)
 	s.setupRehomer()
 	if cfg.Collect {
 		s.col = instrument.NewCollector(cfg.Procs, segBytes)
 	}
-	s.barrier = barrierFactories[cfg.Barrier](s)
+	s.barrier = barriers.Get(cfg.Barrier)(s)
 	s.locks = make([]*lock, cfg.Locks)
 	for i := range s.locks {
 		s.locks[i] = newLock(i, i%cfg.Procs)
@@ -405,12 +359,12 @@ func (s *System) Reset() {
 	clear(s.epDelta)
 	s.epDelta = s.epDelta[:0]
 	s.setupPlacement()
-	protocolSetups[s.cfg.Protocol](s)
+	protocols.Get(s.cfg.Protocol)(s)
 	s.setupRehomer()
 	if s.cfg.Collect {
 		s.col = instrument.NewCollector(s.cfg.Procs, s.segBytes)
 	}
-	s.barrier = barrierFactories[s.cfg.Barrier](s)
+	s.barrier = barriers.Get(s.cfg.Barrier)(s)
 	s.barrierLog = s.barrierLog[:0]
 	for i := range s.locks {
 		s.locks[i] = newLock(i, i%s.cfg.Procs)
@@ -455,19 +409,11 @@ func netOptions(cfg Config) []simnet.Option {
 // Config returns the (filled-in) configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Protocol returns the configured coherence protocol's registry name
-// ("homeless", "home", "adaptive").
-func (s *System) Protocol() string { return s.cfg.Protocol }
-
-// Placement returns the configured home-placement policy's registry
-// name ("rr", "block", "firsttouch", "migrate").
-func (s *System) Placement() string { return s.cfg.Placement }
-
 // setupPlacement builds a fresh placement policy and initial home
 // table for this System build. Called before the protocol setup
 // (engines read homes only at run time) in NewSystem and Reset.
 func (s *System) setupPlacement() {
-	s.placement = placementFactories[s.cfg.Placement](s.cfg.Procs, s.numUnits)
+	s.placement = placements.Get(s.cfg.Placement)(s.cfg.Procs, s.numUnits)
 	s.homeTable = make([]int32, s.numUnits)
 	for u := range s.homeTable {
 		s.homeTable[u] = int32(s.placement.InitialHome(u))
@@ -507,9 +453,6 @@ func (s *System) unitIsHome(u int) bool {
 	_, ok := s.protoOf(u).(*homeProtocol)
 	return ok
 }
-
-// Network returns the active interconnect timing model's name.
-func (s *System) Network() string { return s.net.Model().Name() }
 
 // sparseMode reports whether the engine runs the sparse representation
 // (epoch-relative stamps, deviation-driven deltas, lazy replicas).

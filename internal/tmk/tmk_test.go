@@ -1,9 +1,12 @@
 package tmk
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/registry"
 	"repro/internal/simnet"
 )
 
@@ -39,6 +42,56 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// Resolve canonicalizes every axis name the same way (trim, lowercase,
+// empty → default), is idempotent, and names the offending field — in a
+// service spec's words — when it rejects a value, listing the known
+// names for an unknown one.
+func TestResolve(t *testing.T) {
+	for in, want := range map[string]string{" Home ": "home", "HOME": "home", "": "homeless"} {
+		got, err := Config{Protocol: in}.Resolve()
+		if err != nil || got.Protocol != want {
+			t.Errorf("Resolve(Protocol %q) = %q, %v; want %q", in, got.Protocol, err, want)
+		}
+	}
+	r, err := Config{Network: " Bus", Placement: "FirstTouch", Scale: "DENSE", Barrier: "Tree"}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Network != "bus" || r.Placement != "firsttouch" || r.Scale != ScaleDense || r.Barrier != "tree" ||
+		r.BarrierRadix != DefaultBarrierRadix || r.AdaptHysteresis != DefaultAdaptHysteresis || r.Procs != 8 {
+		t.Fatalf("Resolve = %+v", r)
+	}
+	if again, err := r.Resolve(); err != nil || again != r {
+		t.Fatalf("Resolve is not idempotent: %+v, %v", again, err)
+	}
+
+	for _, tc := range []struct {
+		cfg   Config
+		field string
+		known string // a name the error must list, if any
+	}{
+		{Config{Protocol: "bogus"}, "protocol", "homeless"},
+		{Config{Network: "token-ring"}, "network", "switch"},
+		{Config{Placement: "nearest"}, "placement", "firsttouch"},
+		{Config{Scale: "medium"}, "scale", "sparse"},
+		{Config{Barrier: "butterfly"}, "barrier", "central"},
+		{Config{Barrier: "tree", BarrierRadix: 1}, "barrier_radix", ""},
+		{Config{BarrierRadix: -1}, "barrier_radix", ""},
+		{Config{Dynamic: true, UnitPages: 2}, "unit_pages", ""},
+		{Config{AdaptHysteresis: -1}, "adapt_hysteresis", ""},
+	} {
+		_, err := tc.cfg.Resolve()
+		var re *registry.Error
+		if !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("Resolve(%+v) = %v, want an error naming %s", tc.cfg, err, tc.field)
+			continue
+		}
+		if !strings.Contains(re.Msg, tc.known) {
+			t.Errorf("Resolve(%+v): %q does not list %q", tc.cfg, re.Msg, tc.known)
+		}
+	}
+}
+
 func TestDynamicRequiresUnitOne(t *testing.T) {
 	if _, err := NewSystem(Config{Dynamic: true, UnitPages: 2}); err == nil {
 		t.Fatal("expected error for dynamic aggregation with UnitPages > 1")
@@ -50,11 +103,11 @@ func TestUnknownNetworkIsError(t *testing.T) {
 		t.Fatal("expected error for unknown network model")
 	}
 	s := mustSystem(t, Config{Network: "BUS"}) // case-insensitive
-	if s.Network() != "bus" || s.Config().Network != "bus" {
-		t.Fatalf("network = %q / %q, want bus", s.Network(), s.Config().Network)
+	if s.net.Model().Name() != "bus" || s.Config().Network != "bus" {
+		t.Fatalf("network = %q / %q, want bus", s.net.Model().Name(), s.Config().Network)
 	}
-	if def := mustSystem(t, Config{}); def.Network() != "ideal" {
-		t.Fatalf("default network = %q, want ideal", def.Network())
+	if def := mustSystem(t, Config{}); def.Config().Network != "ideal" {
+		t.Fatalf("default network = %q, want ideal", def.Config().Network)
 	}
 }
 

@@ -8,10 +8,6 @@ import (
 	"repro/internal/vc"
 )
 
-func init() {
-	RegisterBarrier("tree", func(s *System) barrierSync { return newTreeBarrier(s) })
-}
-
 // treeBarrier is a combining-tree barrier: the processors form an
 // implicit radix-r tree (parent(i) = (i-1)/r, rooted at processor 0 —
 // the barrier manager), arrivals combine upward one priced message per
@@ -49,9 +45,6 @@ type treeBarrier struct {
 func newTreeBarrier(s *System) *treeBarrier {
 	n := s.cfg.Procs
 	r := s.cfg.BarrierRadix
-	if r < 2 {
-		r = DefaultBarrierRadix
-	}
 	tb := &treeBarrier{
 		sys:     s,
 		n:       n,
