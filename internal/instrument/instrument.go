@@ -13,15 +13,10 @@
 //     into the useful and useless messages of those faults.
 package instrument
 
-import (
-	"repro/internal/mem"
-	"repro/internal/simnet"
-)
+import "repro/internal/mem"
 
 // DataMsg tracks one diff request/reply exchange with one writer.
 type DataMsg struct {
-	Req    simnet.MsgID
-	Reply  simnet.MsgID
 	Writer int
 	Reader int
 
@@ -123,9 +118,10 @@ func (c *Collector) OnWrite(proc int, addr mem.Addr) {
 
 // NewDataMsg registers a diff exchange between reader and writer. It
 // must be called on the reader's goroutine (exchanges are created by
-// the faulting reader).
-func (c *Collector) NewDataMsg(req, reply simnet.MsgID, writer, reader int) *DataMsg {
-	m := &DataMsg{Req: req, Reply: reply, Writer: writer, Reader: reader}
+// the faulting reader), right after the exchange's SendExchange: the
+// engine registers every data exchange it sends, and nothing else.
+func (c *Collector) NewDataMsg(writer, reader int) *DataMsg {
+	m := &DataMsg{Writer: writer, Reader: reader}
 	m.index = int32(len(c.data[reader]))
 	c.data[reader] = append(c.data[reader], m)
 	return m
@@ -210,20 +206,23 @@ func (s *Stats) TotalDataBytes() int {
 	return s.UsefulBytes + s.UselessBytes + s.PiggybackedBytes
 }
 
-// Finalize classifies the run. records must be the network's complete
-// message log. Call only after all processor goroutines have finished.
-func (c *Collector) Finalize(records []simnet.Record) *Stats {
-	s := &Stats{Signature: make(map[int]*SigBucket)}
+// Finalize classifies the run from the network's totals: msgs and
+// wireBytes are every message and wire byte of the run, and dataMsgs
+// the data messages (diff requests plus replies) among them. Every data
+// message belongs to exactly one registered exchange — NewDataMsg
+// follows each data SendExchange — so the useless messages are the data
+// messages less both legs of every useful exchange. Call only after all
+// processor goroutines have finished.
+func (c *Collector) Finalize(msgs, wireBytes, dataMsgs int) *Stats {
+	s := &Stats{Signature: make(map[int]*SigBucket), TotalWireBytes: wireBytes}
 
 	// Classify exchanges.
-	usefulByReply := make(map[simnet.MsgID]bool)
+	useful := 0
 	for _, procMsgs := range c.data {
 		for _, m := range procMsgs {
-			u := m.Useful()
-			usefulByReply[m.Reply] = u
-			usefulByReply[m.Req] = u
 			s.Exchanges++
-			if u {
+			if m.Useful() {
+				useful++
 				s.UsefulBytes += int(m.useful) * mem.WordSize
 				s.PiggybackedBytes += int(m.totalWords-m.useful) * mem.WordSize
 			} else {
@@ -232,19 +231,9 @@ func (c *Collector) Finalize(records []simnet.Record) *Stats {
 		}
 	}
 
-	// Classify messages.
-	for _, r := range records {
-		s.TotalWireBytes += r.Bytes
-		if r.Kind.IsData() {
-			if usefulByReply[r.ID] {
-				s.Messages.Useful++
-			} else {
-				s.Messages.Useless++
-			}
-		} else {
-			s.Messages.Useful++
-		}
-	}
+	// Classify messages: synchronization messages are always useful.
+	s.Messages.Useless = dataMsgs - 2*useful
+	s.Messages.Useful = msgs - s.Messages.Useless
 
 	// Signature.
 	for p := range c.faults {

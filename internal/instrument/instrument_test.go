@@ -1,6 +1,8 @@
 package instrument
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -24,7 +26,7 @@ func addrOf(page, word int) mem.Addr {
 
 func TestUsefulWordReadBeforeOverwrite(t *testing.T) {
 	c := NewCollector(2, 2*mem.PageSize)
-	m := c.NewDataMsg(1, 2, 1, 0)
+	m := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 0, diffOfWords(3, 4), m)
 	if m.TotalWords() != 2 {
 		t.Fatalf("TotalWords = %d", m.TotalWords())
@@ -42,7 +44,7 @@ func TestUsefulWordReadBeforeOverwrite(t *testing.T) {
 
 func TestUselessWordOverwrittenBeforeRead(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 2, 1, 0)
+	m := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 0, diffOfWords(7), m)
 	c.OnWrite(0, addrOf(0, 7))
 	c.OnRead(0, addrOf(0, 7)) // reads own write, not the diffed value
@@ -53,9 +55,9 @@ func TestUselessWordOverwrittenBeforeRead(t *testing.T) {
 
 func TestUntouchedWordsAreUseless(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 2, 1, 0)
+	m := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 0, diffOfWords(0, 1, 2), m)
-	st := c.Finalize(nil)
+	st := c.Finalize(2, 16+64, 2)
 	if st.UselessBytes != 3*mem.WordSize || st.UsefulBytes != 0 {
 		t.Fatalf("useless=%d useful=%d", st.UselessBytes, st.UsefulBytes)
 	}
@@ -63,10 +65,10 @@ func TestUntouchedWordsAreUseless(t *testing.T) {
 
 func TestPiggybackedUselessData(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 2, 1, 0)
+	m := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 0, diffOfWords(0, 1, 2, 3), m)
 	c.OnRead(0, addrOf(0, 0)) // one useful word ⇒ message useful
-	st := c.Finalize(nil)
+	st := c.Finalize(2, 16+64, 2)
 	if st.UsefulBytes != 1*mem.WordSize {
 		t.Fatalf("useful bytes = %d", st.UsefulBytes)
 	}
@@ -83,8 +85,8 @@ func TestRetagTransfersCredit(t *testing.T) {
 	// first exchange's copy was overwritten before read ⇒ useless; the
 	// read credits only the second exchange.
 	c := NewCollector(1, mem.PageSize)
-	m1 := c.NewDataMsg(1, 2, 1, 0)
-	m2 := c.NewDataMsg(3, 4, 2, 0)
+	m1 := c.NewDataMsg(1, 0)
+	m2 := c.NewDataMsg(2, 0)
 	c.TagDiff(0, 0, diffOfWords(9), m1)
 	c.TagDiff(0, 0, diffOfWords(9), m2)
 	c.OnRead(0, addrOf(0, 9))
@@ -98,21 +100,15 @@ func TestRetagTransfersCredit(t *testing.T) {
 
 func TestMessageClassification(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	mu := c.NewDataMsg(1, 2, 1, 0) // will be useful
-	ml := c.NewDataMsg(3, 4, 2, 0) // will be useless
+	mu := c.NewDataMsg(1, 0) // will be useful
+	ml := c.NewDataMsg(2, 0) // will be useless
 	c.TagDiff(0, 0, diffOfWords(0), mu)
 	c.TagDiff(0, 0, diffOfWords(1), ml)
 	c.OnRead(0, addrOf(0, 0))
 
-	records := []simnet.Record{
-		{ID: 1, Kind: simnet.DiffRequest, Bytes: 16},
-		{ID: 2, Kind: simnet.DiffReply, Bytes: 100},
-		{ID: 3, Kind: simnet.DiffRequest, Bytes: 16},
-		{ID: 4, Kind: simnet.DiffReply, Bytes: 100},
-		{ID: 5, Kind: simnet.BarrierArrive, Bytes: 8},
-		{ID: 6, Kind: simnet.BarrierRelease, Bytes: 24},
-	}
-	st := c.Finalize(records)
+	// The run: both exchanges' requests (16 bytes) and replies (100),
+	// one barrier arrival (8) and one release (24).
+	st := c.Finalize(6, 16+100+16+100+8+24, 4)
 	if st.Messages.Useful != 4 { // useful req+reply + 2 sync
 		t.Fatalf("useful msgs = %d", st.Messages.Useful)
 	}
@@ -133,23 +129,27 @@ func TestMessageClassification(t *testing.T) {
 func TestSignatureBuckets(t *testing.T) {
 	c := NewCollector(1, 4*mem.PageSize)
 	// Fault 1: two writers, one useful one useless.
-	a := c.NewDataMsg(1, 2, 1, 0)
-	b := c.NewDataMsg(3, 4, 2, 0)
+	a := c.NewDataMsg(1, 0)
+	b := c.NewDataMsg(2, 0)
 	c.TagDiff(0, 0, diffOfWords(0), a)
 	c.TagDiff(0, 0, diffOfWords(1), b)
 	c.OnFault(0, 0, []*DataMsg{a, b})
 	c.OnRead(0, addrOf(0, 0))
 	// Fault 2: one writer, useful.
-	d := c.NewDataMsg(5, 6, 1, 0)
+	d := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 1, diffOfWords(0), d)
 	c.OnFault(0, 1, []*DataMsg{d})
 	c.OnRead(0, addrOf(1, 0))
 	// Fault 3: prefetched page, no fetch.
 	c.OnFault(0, 2, nil)
 
-	st := c.Finalize(nil)
+	// Three exchanges, six data messages, no synchronization.
+	st := c.Finalize(6, 0, 6)
 	if st.Faults != 3 || st.ZeroFetchFaults != 1 {
 		t.Fatalf("faults = %d, zero-fetch = %d", st.Faults, st.ZeroFetchFaults)
+	}
+	if st.Messages.Useful != 4 || st.Messages.Useless != 2 {
+		t.Fatalf("messages = %+v, want 4 useful, 2 useless", st.Messages)
 	}
 	b2 := st.Signature[2]
 	if b2 == nil || b2.Faults != 1 || b2.UsefulMsgs != 2 || b2.UselessMsgs != 2 {
@@ -168,7 +168,7 @@ func TestPerProcTagIsolation(t *testing.T) {
 	// The same global word tagged for proc 0 must not be visible to
 	// proc 1's reads.
 	c := NewCollector(2, mem.PageSize)
-	m := c.NewDataMsg(1, 2, 1, 0)
+	m := c.NewDataMsg(1, 0)
 	c.TagDiff(0, 0, diffOfWords(5), m)
 	c.OnRead(1, addrOf(0, 5))
 	if m.Useful() {
@@ -188,5 +188,147 @@ func TestBreakdownTotal(t *testing.T) {
 	s := &Stats{UsefulBytes: 8, UselessBytes: 16, PiggybackedBytes: 24}
 	if s.TotalDataBytes() != 48 {
 		t.Fatal("TotalDataBytes")
+	}
+}
+
+// record is one message of a per-message log: its ID, kind and wire
+// size.
+type record struct {
+	id    int
+	kind  simnet.MsgKind
+	bytes int
+}
+
+// exchange names the request and reply records of one registered data
+// exchange.
+type exchange struct {
+	m          *DataMsg
+	req, reply int
+}
+
+// finalizeFromRecords is the classifier that walks a complete
+// per-message log: a data message is useful iff its ID belongs to a
+// useful exchange, every other message is useful, and the wire bytes
+// are the records' sum. It is the reference Finalize is checked
+// against.
+func (c *Collector) finalizeFromRecords(records []record, exchanges []exchange) *Stats {
+	s := &Stats{Signature: make(map[int]*SigBucket)}
+
+	usefulByID := make(map[int]bool)
+	for _, x := range exchanges {
+		usefulByID[x.req] = x.m.Useful()
+		usefulByID[x.reply] = x.m.Useful()
+	}
+	for _, procMsgs := range c.data {
+		for _, m := range procMsgs {
+			s.Exchanges++
+			if m.Useful() {
+				s.UsefulBytes += int(m.useful) * mem.WordSize
+				s.PiggybackedBytes += int(m.totalWords-m.useful) * mem.WordSize
+			} else {
+				s.UselessBytes += int(m.totalWords) * mem.WordSize
+			}
+		}
+	}
+
+	for _, r := range records {
+		s.TotalWireBytes += r.bytes
+		if r.kind.IsData() && !usefulByID[r.id] {
+			s.Messages.Useless++
+		} else {
+			s.Messages.Useful++
+		}
+	}
+
+	for p := range c.faults {
+		for i := range c.faults[p] {
+			f := &c.faults[p][i]
+			s.Faults++
+			if f.Writers == 0 {
+				s.ZeroFetchFaults++
+				continue
+			}
+			b := s.Signature[f.Writers]
+			if b == nil {
+				b = &SigBucket{Writers: f.Writers}
+				s.Signature[f.Writers] = b
+			}
+			b.Faults++
+			for _, idx := range f.msgs {
+				if c.data[p][idx].Useful() {
+					b.UsefulMsgs += 2
+				} else {
+					b.UselessMsgs += 2
+				}
+			}
+		}
+	}
+	return s
+}
+
+// TestFinalizeMatchesRecordWalk drives random runs — faults contacting
+// random writers with random word sets, reads and writes that credit or
+// drop those words, and synchronization traffic between them — and
+// requires the count-based Finalize to agree with the record walk on
+// every Stats field.
+func TestFinalizeMatchesRecordWalk(t *testing.T) {
+	syncKinds := []simnet.MsgKind{
+		simnet.LockRequest, simnet.LockForward, simnet.LockGrant,
+		simnet.BarrierArrive, simnet.BarrierRelease,
+		simnet.HomeFlush, simnet.HomeHandoff, simnet.HomeMigrate,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		procs, pages := 1+rng.Intn(4), 1+rng.Intn(3)
+		c := NewCollector(procs, pages*mem.PageSize)
+		var records []record
+		var exchanges []exchange
+		send := func(kind simnet.MsgKind, bytes int) int {
+			records = append(records, record{id: len(records) + 1, kind: kind, bytes: bytes})
+			return len(records)
+		}
+		for step := 0; step < 40; step++ {
+			proc, page := rng.Intn(procs), rng.Intn(pages)
+			switch rng.Intn(4) {
+			case 0:
+				send(syncKinds[rng.Intn(len(syncKinds))], rng.Intn(256))
+			case 1: // a fault contacting zero or more writers
+				var msgs []*DataMsg
+				for w := rng.Intn(4); w > 0; w-- {
+					x := exchange{req: send(simnet.DiffRequest, 16+8*rng.Intn(4))}
+					x.reply = send(simnet.DiffReply, rng.Intn(4096))
+					x.m = c.NewDataMsg(rng.Intn(procs), proc)
+					var words []int
+					for i := rng.Intn(4); i > 0; i-- {
+						words = append(words, rng.Intn(16))
+					}
+					c.TagDiff(proc, page, diffOfWords(words...), x.m)
+					exchanges = append(exchanges, x)
+					msgs = append(msgs, x.m)
+				}
+				c.OnFault(proc, page, msgs)
+			default: // an access that may credit or drop a tagged word
+				a := addrOf(page, rng.Intn(16))
+				if rng.Intn(2) == 0 {
+					c.OnRead(proc, a)
+				} else {
+					c.OnWrite(proc, a)
+				}
+			}
+		}
+		// Concurrent senders interleave: the walk must not depend on
+		// the log's order.
+		rng.Shuffle(len(records), func(i, j int) { records[i], records[j] = records[j], records[i] })
+		wire, data := 0, 0
+		for _, r := range records {
+			wire += r.bytes
+			if r.kind.IsData() {
+				data++
+			}
+		}
+		want := c.finalizeFromRecords(records, exchanges)
+		if got := c.Finalize(len(records), wire, data); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Finalize = %+v, record walk = %+v", trial, got, want)
+		}
 	}
 }

@@ -83,8 +83,8 @@ type Model interface {
 // arguments: Leg and Exchange read no mutable occupancy state, so
 // callers may invoke them concurrently without serialization. The
 // ideal model qualifies; contention-aware occupancy models do not.
-// internal/simnet uses this capability to drop its recording lock in
-// counts-only mode.
+// internal/simnet uses this capability to drop its pricing lock while
+// no trace sink is installed.
 type Stateless interface {
 	Model
 	// StatelessPricing is a marker; implementations do nothing.

@@ -131,7 +131,7 @@ func TestSwitchFullBisection(t *testing.T) {
 // engine depends on: a leg whose virtual send time precedes an
 // already-booked future frame slots into the idle gap before it
 // instead of queuing behind it (processor clocks are skewed, so the
-// message log is not sorted by virtual time).
+// pricing order is not sorted by virtual time).
 func TestOutOfOrderSendsDoNotRatchet(t *testing.T) {
 	for _, name := range []string{"bus", "switch"} {
 		m := mustNew(t, name)

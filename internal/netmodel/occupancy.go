@@ -76,9 +76,9 @@ type block struct {
 
 // timeline tracks when a serial resource (the bus, one NIC port) is
 // busy, in virtual time. Reservations arrive out of virtual-time order
-// — processor clocks are skewed, and the message log serializes them
-// in delivery order — so the earliest idle gap at or after the
-// requested time is searched, rather than ratcheting a single
+// — processor clocks are skewed, and the network's pricing lock
+// serializes them in delivery order — so the earliest idle gap at or
+// after the requested time is searched, rather than ratcheting a single
 // high-water mark: a frame departing logically earlier than one
 // already booked slots into the idle time before it instead of
 // spuriously queuing behind the future. Queuing delay therefore

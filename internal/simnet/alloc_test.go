@@ -7,12 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAllocBudgetCountsOnly pins the counts-only send paths at zero
-// allocations: with no log retained and a stateless pricing model,
-// recording a message is a handful of atomic adds — no Record is
-// built, no lock is taken, nothing escapes.
+// TestAllocBudgetCountsOnly pins the lock-free send paths at zero
+// allocations: on a stateless pricing model with no trace sink,
+// sending a message is a handful of atomic adds — no lock is taken,
+// nothing escapes.
 func TestAllocBudgetCountsOnly(t *testing.T) {
-	n := New(sim.DefaultCostModel(), WithCountsOnly())
+	n := New(sim.DefaultCostModel())
 	at := sim.Duration(0)
 	if nAllocs := testing.AllocsPerRun(100, func() {
 		n.SendLeg(HomeFlush, 0, 1, 256, at)
@@ -20,27 +20,24 @@ func TestAllocBudgetCountsOnly(t *testing.T) {
 		n.SendExchange(DiffRequest, DiffReply, 0, 1, 32, 512, at)
 		at += sim.Microsecond
 	}); nAllocs != 0 {
-		t.Errorf("counts-only sends: %v allocs/op, want 0", nAllocs)
+		t.Errorf("lock-free sends: %v allocs/op, want 0", nAllocs)
 	}
 	msgs, bytes := n.Counts()
 	if msgs == 0 || bytes == 0 {
 		t.Fatalf("counts not maintained: %d msgs, %d bytes", msgs, bytes)
 	}
-	if len(n.Snapshot()) != 0 {
-		t.Fatal("counts-only network retained records")
-	}
 }
 
 // TestAllocBudgetContendedSends pins the engine's live pricing on the
 // contended models: once a port's timeline has grown its slab, a
-// counts-only send books its frames without allocating.
+// send books its frames without allocating.
 func TestAllocBudgetContendedSends(t *testing.T) {
 	for _, name := range []string{"bus", "switch"} {
 		m, err := netmodel.New(name, sim.DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := NewWithModel(sim.DefaultCostModel(), m, WithCountsOnly())
+		n := NewWithModel(sim.DefaultCostModel(), m)
 		at := sim.Duration(0)
 		send := func() {
 			n.SendLeg(HomeFlush, 0, 1, 256, at)
@@ -51,46 +48,43 @@ func TestAllocBudgetContendedSends(t *testing.T) {
 			send()
 		}
 		if nAllocs := testing.AllocsPerRun(1000, send); nAllocs != 0 {
-			t.Errorf("%s: counts-only sends on warmed ports: %v allocs/op, want 0", name, nAllocs)
+			t.Errorf("%s: sends on warmed ports: %v allocs/op, want 0", name, nAllocs)
 		}
 	}
 }
 
 // TestCountsOnlyLockFree pins that the lock-free fast path engages
-// exactly when it is sound: counts-only retention over a stateless
-// model. A contended model keeps occupancy state, so its pricing must
-// stay serialized even without a log.
+// exactly when it is sound: a stateless model and no trace sink. A
+// contended model keeps occupancy state, so its pricing must stay
+// serialized; a sink must observe pricing order (see
+// TestTraceSinkForcesLockedPath).
 func TestCountsOnlyLockFree(t *testing.T) {
-	if n := New(sim.DefaultCostModel(), WithCountsOnly()); !n.lockFree {
-		t.Error("ideal + counts-only: want lock-free sends")
+	if n := New(sim.DefaultCostModel()); !n.lockFree {
+		t.Error("ideal: want lock-free sends")
 	}
-	if n := New(sim.DefaultCostModel()); n.lockFree {
-		t.Error("full log: want locked sends")
+	if n := New(sim.DefaultCostModel(), WithCountsOnly()); !n.lockFree {
+		t.Error("ideal + WithCountsOnly: want lock-free sends")
 	}
 	m, err := netmodel.New("bus", sim.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := NewWithModel(sim.DefaultCostModel(), m, WithCountsOnly()); n.lockFree {
-		t.Error("stateful model: want locked sends even counts-only")
+	if n := NewWithModel(sim.DefaultCostModel(), m); n.lockFree {
+		t.Error("stateful model: want locked sends")
 	}
 }
 
-// BenchmarkSendExchange measures the per-exchange recording cost of
-// the three retention modes; counts-only's lock-free path is the one
-// the network- and placement-sensitivity sweeps run on.
+// BenchmarkSendExchange measures the per-exchange cost of the two send
+// paths: the lock-free one on the stateless ideal model, and the locked
+// one on the contended bus.
 func BenchmarkSendExchange(b *testing.B) {
-	modes := []struct {
-		name string
-		opts []Option
-	}{
-		{"full-log", nil},
-		{"ring-1024", []Option{WithRecordCap(1024)}},
-		{"counts-only", []Option{WithCountsOnly()}},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			n := New(sim.DefaultCostModel(), m.opts...)
+	for _, name := range []string{"ideal", "bus"} {
+		b.Run(name, func(b *testing.B) {
+			m, err := netmodel.New(name, sim.DefaultCostModel())
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := NewWithModel(sim.DefaultCostModel(), m)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n.SendExchange(DiffRequest, DiffReply, 0, 1, 32, 512, sim.Duration(i))

@@ -2,10 +2,10 @@
 // DSM's protocol messages between the simulated processors.
 //
 // Protocol payloads (diffs, write notices, lock grants) travel for real
-// between goroutines; this package gives every message an identity,
-// records its kind/src/dst/size/timing for the paper's communication
-// breakdowns, and delegates the virtual-time *pricing* of legs and
-// exchanges to a pluggable internal/netmodel Model — the paper's flat
+// between goroutines; this package counts every message and its wire
+// bytes per kind for the paper's communication breakdowns, and delegates
+// the virtual-time *pricing* of legs and exchanges to a pluggable
+// internal/netmodel Model — the paper's flat
 // §5.1 arithmetic ("ideal", the default) or a contention-aware
 // interconnect ("bus", "switch", and the preset family). Delivery
 // itself uses the Go memory model (the engine's synchronous hand-offs),
@@ -85,70 +85,39 @@ func (k MsgKind) String() string {
 // messages are necessary regardless of the data they carry.
 func (k MsgKind) IsData() bool { return k == DiffRequest || k == DiffReply }
 
-// MsgID identifies one recorded message. Zero is "no message".
-type MsgID int32
-
-// Record is the log entry of one message.
-type Record struct {
-	ID    MsgID
-	Kind  MsgKind
-	Src   int
-	Dst   int
-	Bytes int
-	// SendAt is the sender's virtual clock when the message departed.
-	SendAt sim.Duration
-	// Queue is the contention delay the message's leg experienced on
-	// the configured network model (always zero on "ideal").
-	Queue sim.Duration
-}
-
 // KindCount aggregates the messages of one kind.
 type KindCount struct {
 	Messages int
 	Bytes    int
 }
 
-// Network records every protocol message of a run and prices legs and
+// Network counts every protocol message of a run and prices legs and
 // exchanges through its network model. It is safe for concurrent use by
 // all processor goroutines.
 //
-// Pricing runs under the same lock as recording, so the model's
-// occupancy state advances in message-log order: the queue a message
-// sees is the queue left by the messages recorded before it.
+// The network keeps no per-message log, only O(1) running totals —
+// Counts, CountsByKind, QueueTotal. The one per-message record of a run
+// is the trace capture (SetTraceSink).
 //
-// By default the full message log is retained for Snapshot consumers
-// (the §5.3 instrumentation needs every record). Million-message runs
-// that only need the O(1) running totals — Counts, CountsByKind,
-// QueueTotal — can cap retention with WithRecordCap (Snapshot then
-// returns the newest window) or drop it entirely with WithCountsOnly;
-// the totals stay exact either way.
-//
-// When nothing needs the lock — counts-only retention over a
-// stateless pricing model (see netmodel.Stateless) — the send paths
-// skip the mutex entirely: no Record is built, and the running totals
-// advance with atomics. The totals are order-independent sums, so
-// they stay exact; only message-ID adjacency within an exchange is
-// lost, which no counts-only consumer observes.
+// A stateful pricing model prices under a lock, so its occupancy state
+// advances in one order: the queue a message sees is the queue left by
+// the messages priced before it. A trace sink takes the same lock, so
+// it observes that order. When neither applies — a stateless model
+// (see netmodel.Stateless) and no sink — the send paths skip the mutex
+// entirely and the totals advance with atomics; they are
+// order-independent sums, so they stay exact.
 type Network struct {
 	cost  sim.CostModel
 	model netmodel.Model
-	// lockFree is set at construction when the send paths need neither
-	// record retention nor occupancy serialization (and cleared while a
-	// trace sink is installed).
+	// lockFree is set at construction when the model is stateless (and
+	// cleared while a trace sink is installed).
 	lockFree bool
 	// sink, when non-nil, observes every priced message under mu.
 	sink TraceSink
 
-	mu      sync.Mutex
-	records []Record
-	// recordCap bounds the retained log: -1 keeps everything (the
-	// default), 0 keeps nothing, n > 0 keeps the newest n records in a
-	// ring (ringHead is the oldest retained record once full).
-	recordCap int
-	ringHead  int
-	// Running totals, maintained on every send so the per-report Counts
-	// calls never rescan a log that can grow to millions of records.
-	// Atomics so the lock-free mode shares them with the locked paths.
+	mu sync.Mutex
+	// Running totals. Atomics so the lock-free mode shares them with the
+	// locked paths.
 	totalMsgs  atomic.Int64
 	totalBytes atomic.Int64
 	kindMsgs   [numKinds]atomic.Int64
@@ -174,32 +143,23 @@ type TraceSink interface {
 
 // SetTraceSink installs (or, with nil, removes) the network's trace
 // sink. A non-nil sink forces the send paths through the pricing lock
-// even in counts-only mode — emission order must match pricing order.
+// even on a stateless model — emission order must match pricing order.
 // Must not be called concurrently with sends: install the sink before
 // the processor goroutines start, remove it after they join.
 func (n *Network) SetTraceSink(s TraceSink) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.sink = s
-	n.lockFree = n.recordCap == 0 && netmodel.IsStateless(n.model) && s == nil
+	n.lockFree = netmodel.IsStateless(n.model) && s == nil
 }
 
 // Option configures a Network under construction.
 type Option func(*Network)
 
-// WithRecordCap bounds the retained message log to the newest cap
-// records (a ring buffer). The running totals remain exact; Snapshot
-// returns only the retained window, oldest first. A negative cap keeps
-// the full log (the default).
-func WithRecordCap(cap int) Option {
-	return func(n *Network) { n.recordCap = cap }
-}
-
-// WithCountsOnly retains no message records at all: Counts,
-// CountsByKind, and QueueTotal stay exact and O(1), while Snapshot
-// returns an empty log. The memory-pressure setting for million-message
-// runs whose consumers never replay the log.
-func WithCountsOnly() Option { return WithRecordCap(0) }
+// WithCountsOnly is a no-op kept for callers written when the network
+// could retain a per-message log: every Network now keeps only its
+// running totals.
+func WithCountsOnly() Option { return func(*Network) {} }
 
 // New returns an empty network priced by the ideal (contention-free)
 // model over the given cost calibration.
@@ -213,11 +173,10 @@ func New(cost sim.CostModel, opts ...Option) *Network {
 
 // NewWithModel returns an empty network priced by the given model.
 func NewWithModel(cost sim.CostModel, m netmodel.Model, opts ...Option) *Network {
-	n := &Network{cost: cost, model: m, recordCap: -1}
+	n := &Network{cost: cost, model: m, lockFree: netmodel.IsStateless(m)}
 	for _, opt := range opts {
 		opt(n)
 	}
-	n.lockFree = n.recordCap == 0 && netmodel.IsStateless(m)
 	return n
 }
 
@@ -227,114 +186,66 @@ func (n *Network) Cost() sim.CostModel { return n.cost }
 // Model returns the network's timing model.
 func (n *Network) Model() netmodel.Model { return n.model }
 
-// count advances the running totals for one message and returns its
-// ID. Atomic, so both the locked and lock-free send paths share it.
-func (n *Network) count(kind MsgKind, bytes int, queue sim.Duration) MsgID {
-	id := MsgID(n.totalMsgs.Add(1))
+// count advances the running totals for one message. Atomic, so both
+// the locked and lock-free send paths share it.
+func (n *Network) count(kind MsgKind, bytes int, queue sim.Duration) {
+	n.totalMsgs.Add(1)
 	n.totalBytes.Add(int64(bytes))
 	n.kindMsgs[kind].Add(1)
 	n.kindBytes[kind].Add(int64(bytes))
 	if queue != 0 {
 		n.totalQueue.Add(int64(queue))
 	}
-	return id
 }
 
-// append records one message under n.mu (caller must hold it).
-func (n *Network) append(kind MsgKind, src, dst, bytes int, at, queue sim.Duration) MsgID {
-	id := n.count(kind, bytes, queue)
-	if n.recordCap == 0 {
-		// Counts only: nothing retained, no Record built.
-		return id
+// SendLeg counts one one-way message departing at the sender's virtual
+// time at, priced by the network model, and returns its timing.
+func (n *Network) SendLeg(kind MsgKind, src, dst, bytes int, at sim.Duration) netmodel.Timing {
+	if !n.lockFree {
+		n.mu.Lock()
+		defer n.mu.Unlock()
 	}
-	rec := Record{
-		ID: id, Kind: kind, Src: src, Dst: dst, Bytes: bytes,
-		SendAt: at, Queue: queue,
-	}
-	switch {
-	case n.recordCap < 0 || len(n.records) < n.recordCap:
-		n.records = append(n.records, rec)
-	default:
-		n.records[n.ringHead] = rec
-		n.ringHead = (n.ringHead + 1) % n.recordCap
-	}
-	return id
-}
-
-// SendLeg records one one-way message departing at the sender's virtual
-// time at, priced by the network model, and returns its ID and timing.
-func (n *Network) SendLeg(kind MsgKind, src, dst, bytes int, at sim.Duration) (MsgID, netmodel.Timing) {
-	if n.lockFree {
-		t := n.model.Leg(src, dst, bytes, at)
-		return n.count(kind, bytes, t.Queue), t
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	t := n.model.Leg(src, dst, bytes, at)
 	if n.sink != nil {
 		n.sink.TraceLeg(kind, src, dst, bytes, at, t.Queue)
 	}
-	return n.append(kind, src, dst, bytes, at, t.Queue), t
+	n.count(kind, bytes, t.Queue)
+	return t
 }
 
-// SendControl records a control message (lock request/forward) priced
+// SendControl counts a control message (lock request/forward) priced
 // as a payload-free leg: its few header bytes fold into the fixed leg
 // cost, matching the pre-netmodel engine's arithmetic, while the
-// recorded size still reflects the bytes on the wire.
-func (n *Network) SendControl(kind MsgKind, src, dst, bytes int, at sim.Duration) (MsgID, netmodel.Timing) {
-	if n.lockFree {
-		t := n.model.Leg(src, dst, 0, at)
-		return n.count(kind, bytes, t.Queue), t
+// counted size still reflects the bytes on the wire.
+func (n *Network) SendControl(kind MsgKind, src, dst, bytes int, at sim.Duration) netmodel.Timing {
+	if !n.lockFree {
+		n.mu.Lock()
+		defer n.mu.Unlock()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	t := n.model.Leg(src, dst, 0, at)
 	if n.sink != nil {
 		n.sink.TraceControl(kind, src, dst, bytes, at, t.Queue)
 	}
-	return n.append(kind, src, dst, bytes, at, t.Queue), t
+	n.count(kind, bytes, t.Queue)
+	return t
 }
 
-// SendExchange records a request/reply pair departing at the
+// SendExchange counts a request/reply pair departing at the
 // requester's virtual time at, priced by the network model as one
-// exchange, and returns both IDs and the exchange timing (the caller
-// charges ExchangeTiming.Total, which includes the remote service).
-func (n *Network) SendExchange(reqKind, repKind MsgKind, src, dst, reqBytes, replyBytes int, at sim.Duration) (reqID, repID MsgID, t netmodel.ExchangeTiming) {
-	if n.lockFree {
-		t = n.model.Exchange(src, dst, reqBytes, replyBytes, at)
-		reqID = n.count(reqKind, reqBytes, t.Request.Queue)
-		repID = n.count(repKind, replyBytes, t.Reply.Queue)
-		return reqID, repID, t
+// exchange, and returns the exchange timing (the caller charges
+// ExchangeTiming.Total, which includes the remote service).
+func (n *Network) SendExchange(reqKind, repKind MsgKind, src, dst, reqBytes, replyBytes int, at sim.Duration) netmodel.ExchangeTiming {
+	if !n.lockFree {
+		n.mu.Lock()
+		defer n.mu.Unlock()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	t = n.model.Exchange(src, dst, reqBytes, replyBytes, at)
+	t := n.model.Exchange(src, dst, reqBytes, replyBytes, at)
 	if n.sink != nil {
 		n.sink.TraceExchange(reqKind, repKind, src, dst, reqBytes, replyBytes, at, t)
 	}
-	reqID = n.append(reqKind, src, dst, reqBytes, at, t.Request.Queue)
-	repID = n.append(repKind, dst, src, replyBytes, at+t.Request.Total+t.Service, t.Reply.Queue)
-	return reqID, repID, t
-}
-
-// Snapshot returns a copy of the retained message log, oldest first —
-// the complete log by default, or the newest window under WithRecordCap
-// (empty under WithCountsOnly). Dropped reports what is missing.
-func (n *Network) Snapshot() []Record {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Record, 0, len(n.records))
-	out = append(out, n.records[n.ringHead:]...)
-	out = append(out, n.records[:n.ringHead]...)
-	return out
-}
-
-// Dropped returns the number of messages no longer retained in the log
-// because of a record cap (always zero without one).
-func (n *Network) Dropped() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return int(n.totalMsgs.Load()) - len(n.records)
+	n.count(reqKind, reqBytes, t.Request.Queue)
+	n.count(repKind, replyBytes, t.Reply.Queue)
+	return t
 }
 
 // Counts returns the total number of messages and payload bytes.
@@ -356,7 +267,7 @@ func (n *Network) CountsByKind() map[MsgKind]KindCount {
 }
 
 // QueueTotal returns the cumulative contention delay across all
-// recorded messages (zero on the ideal model).
+// counted messages (zero on the ideal model).
 func (n *Network) QueueTotal() sim.Duration {
 	return sim.Duration(n.totalQueue.Load())
 }

@@ -4,24 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
-
-func TestSendAssignsSequentialIDs(t *testing.T) {
-	n := New(sim.DefaultCostModel())
-	a, _ := n.SendLeg(DiffRequest, 0, 1, 64, 0)
-	b, _ := n.SendLeg(DiffReply, 1, 0, 1024, 0)
-	if a != 1 || b != 2 {
-		t.Fatalf("ids = %d, %d; want 1, 2", a, b)
-	}
-	recs := n.Snapshot()
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if recs[0].Kind != DiffRequest || recs[0].Src != 0 || recs[0].Dst != 1 || recs[0].Bytes != 64 {
-		t.Fatalf("record 0 = %+v", recs[0])
-	}
-}
 
 func TestCounts(t *testing.T) {
 	n := New(sim.DefaultCostModel())
@@ -38,31 +23,31 @@ func TestCounts(t *testing.T) {
 	}
 }
 
+// Concurrent senders lose no message on either send path: the
+// lock-free one (ideal) and the locked one (bus).
 func TestConcurrentSendsAreAllRecorded(t *testing.T) {
-	n := New(sim.DefaultCostModel())
-	const procs, per = 8, 200
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				n.SendLeg(DiffRequest, p, (p+1)%procs, 8, sim.Duration(i)*sim.Microsecond)
-			}
-		}(p)
-	}
-	wg.Wait()
-	msgs, bytes := n.Counts()
-	if msgs != procs*per || bytes != procs*per*8 {
-		t.Fatalf("Counts = %d, %d", msgs, bytes)
-	}
-	// IDs must be unique and dense 1..N.
-	seen := make(map[MsgID]bool)
-	for _, r := range n.Snapshot() {
-		if seen[r.ID] {
-			t.Fatalf("duplicate id %d", r.ID)
+	for _, name := range []string{"ideal", "bus"} {
+		m, err := netmodel.New(name, sim.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[r.ID] = true
+		n := NewWithModel(sim.DefaultCostModel(), m)
+		const procs, per = 8, 200
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					n.SendLeg(DiffRequest, p, (p+1)%procs, 8, sim.Duration(i)*sim.Microsecond)
+				}
+			}(p)
+		}
+		wg.Wait()
+		msgs, bytes := n.Counts()
+		if msgs != procs*per || bytes != procs*per*8 {
+			t.Fatalf("%s: Counts = %d, %d", name, msgs, bytes)
+		}
 	}
 }
 
@@ -82,17 +67,9 @@ func TestExchangeCost(t *testing.T) {
 func TestSendLegRecordsTimingAndTotals(t *testing.T) {
 	cost := sim.DefaultCostModel()
 	n := New(cost)
-	at := 3 * sim.Millisecond
-	id, timing := n.SendLeg(BarrierArrive, 2, 0, 16, at)
-	if id != 1 {
-		t.Fatalf("id = %d", id)
-	}
+	timing := n.SendLeg(BarrierArrive, 2, 0, 16, 3*sim.Millisecond)
 	if want := cost.MessageLeg + 16*cost.PerByte; timing.Total != want || timing.Queue != 0 {
 		t.Fatalf("ideal leg timing = %+v, want Total %v, Queue 0", timing, want)
-	}
-	rec := n.Snapshot()[0]
-	if rec.SendAt != at || rec.Queue != 0 || rec.Bytes != 16 {
-		t.Fatalf("record = %+v", rec)
 	}
 	if msgs, bytes := n.Counts(); msgs != 1 || bytes != 16 {
 		t.Fatalf("Counts = %d, %d", msgs, bytes)
@@ -105,70 +82,96 @@ func TestSendLegRecordsTimingAndTotals(t *testing.T) {
 func TestSendControlPricesPayloadFree(t *testing.T) {
 	cost := sim.DefaultCostModel()
 	n := New(cost)
-	_, timing := n.SendControl(LockRequest, 1, 0, 16, 0)
+	timing := n.SendControl(LockRequest, 1, 0, 16, 0)
 	if timing.Total != cost.MessageLeg {
 		t.Fatalf("control leg = %v, want bare MessageLeg %v", timing.Total, cost.MessageLeg)
 	}
-	if rec := n.Snapshot()[0]; rec.Bytes != 16 {
-		t.Fatalf("control record bytes = %d, want the wire size 16", rec.Bytes)
+	if _, bytes := n.Counts(); bytes != 16 {
+		t.Fatalf("control message bytes = %d, want the wire size 16", bytes)
 	}
 }
 
 func TestSendExchangeRecordsBothLegs(t *testing.T) {
 	cost := sim.DefaultCostModel()
 	n := New(cost)
-	at := sim.Millisecond
-	reqID, repID, xt := n.SendExchange(DiffRequest, DiffReply, 3, 5, 24, 4096, at)
-	if reqID != 1 || repID != 2 {
-		t.Fatalf("ids = %d, %d", reqID, repID)
-	}
+	xt := n.SendExchange(DiffRequest, DiffReply, 3, 5, 24, 4096, sim.Millisecond)
 	if want := cost.RoundTrip(24, 4096) + cost.RequestService; xt.Total() != want {
 		t.Fatalf("exchange total = %v, want ideal %v", xt.Total(), want)
-	}
-	recs := n.Snapshot()
-	if recs[0].Kind != DiffRequest || recs[0].Src != 3 || recs[0].Dst != 5 || recs[0].SendAt != at {
-		t.Fatalf("request record = %+v", recs[0])
-	}
-	wantReply := at + xt.Request.Total + xt.Service
-	if recs[1].Kind != DiffReply || recs[1].Src != 5 || recs[1].Dst != 3 || recs[1].SendAt != wantReply {
-		t.Fatalf("reply record = %+v, want SendAt %v", recs[1], wantReply)
 	}
 	if msgs, bytes := n.Counts(); msgs != 2 || bytes != 24+4096 {
 		t.Fatalf("Counts = %d, %d", msgs, bytes)
 	}
+	byKind := n.CountsByKind()
+	if byKind[DiffRequest] != (KindCount{1, 24}) || byKind[DiffReply] != (KindCount{1, 4096}) {
+		t.Fatalf("CountsByKind = %v", byKind)
+	}
 }
 
-// TestRunningTotalsMatchSnapshot checks the incrementally maintained
-// counters against a recount of the full log across all send paths.
-func TestRunningTotalsMatchSnapshot(t *testing.T) {
-	n := New(sim.DefaultCostModel())
+// TestRunningTotalsMatchTrace checks the running totals against a
+// per-message recount of what a trace sink observed, across all send
+// paths on a contended model.
+func TestRunningTotalsMatchTrace(t *testing.T) {
+	m, err := netmodel.New("bus", sim.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewWithModel(sim.DefaultCostModel(), m)
+	sink := &kindSink{perKind: make(map[MsgKind]KindCount)}
+	n.SetTraceSink(sink)
 	n.SendLeg(BarrierArrive, 0, 1, 5, 0)
 	n.SendLeg(HomeFlush, 1, 2, 100, sim.Millisecond)
 	n.SendControl(LockRequest, 2, 0, 16, sim.Millisecond)
 	n.SendExchange(DiffRequest, DiffReply, 0, 2, 24, 512, 2*sim.Millisecond)
+	n.SendExchange(DiffRequest, DiffReply, 1, 2, 24, 4096, 2*sim.Millisecond)
+	n.SetTraceSink(nil)
 	var msgs, bytes int
-	perKind := make(map[MsgKind]KindCount)
-	for _, r := range n.Snapshot() {
-		msgs++
-		bytes += r.Bytes
-		c := perKind[r.Kind]
-		c.Messages++
-		c.Bytes += r.Bytes
-		perKind[r.Kind] = c
+	for _, c := range sink.perKind {
+		msgs += c.Messages
+		bytes += c.Bytes
 	}
 	gotMsgs, gotBytes := n.Counts()
 	if gotMsgs != msgs || gotBytes != bytes {
 		t.Fatalf("Counts = %d, %d; recount = %d, %d", gotMsgs, gotBytes, msgs, bytes)
 	}
 	byKind := n.CountsByKind()
-	if len(byKind) != len(perKind) {
-		t.Fatalf("CountsByKind = %v, recount = %v", byKind, perKind)
+	if len(byKind) != len(sink.perKind) {
+		t.Fatalf("CountsByKind = %v, recount = %v", byKind, sink.perKind)
 	}
-	for k, want := range perKind {
+	for k, want := range sink.perKind {
 		if byKind[k] != want {
 			t.Fatalf("CountsByKind[%v] = %v, want %v", k, byKind[k], want)
 		}
 	}
+	if n.QueueTotal() != sink.queue {
+		t.Fatalf("QueueTotal = %v, recount = %v", n.QueueTotal(), sink.queue)
+	}
+}
+
+// kindSink recounts every traced message per kind.
+type kindSink struct {
+	perKind map[MsgKind]KindCount
+	queue   sim.Duration
+}
+
+func (s *kindSink) add(kind MsgKind, bytes int, queue sim.Duration) {
+	c := s.perKind[kind]
+	c.Messages++
+	c.Bytes += bytes
+	s.perKind[kind] = c
+	s.queue += queue
+}
+
+func (s *kindSink) TraceLeg(kind MsgKind, src, dst, bytes int, at, queue sim.Duration) {
+	s.add(kind, bytes, queue)
+}
+
+func (s *kindSink) TraceControl(kind MsgKind, src, dst, bytes int, at, queue sim.Duration) {
+	s.add(kind, bytes, queue)
+}
+
+func (s *kindSink) TraceExchange(reqKind, repKind MsgKind, src, dst, reqBytes, replyBytes int, at sim.Duration, t netmodel.ExchangeTiming) {
+	s.add(reqKind, reqBytes, t.Request.Queue)
+	s.add(repKind, replyBytes, t.Reply.Queue)
 }
 
 func TestKindStringAndIsData(t *testing.T) {
@@ -188,84 +191,18 @@ func TestKindStringAndIsData(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsCopy(t *testing.T) {
-	n := New(sim.DefaultCostModel())
-	n.SendLeg(DiffRequest, 0, 1, 10, 0)
-	s := n.Snapshot()
-	s[0].Bytes = 999
-	if n.Snapshot()[0].Bytes != 10 {
-		t.Fatal("Snapshot must not alias internal log")
-	}
-}
-
-// A record cap keeps the running totals exact while Snapshot returns
-// only the newest window, oldest first, and Dropped reports the rest.
-func TestRecordCapRing(t *testing.T) {
-	n := New(sim.DefaultCostModel(), WithRecordCap(3))
-	for i := 0; i < 5; i++ {
-		n.SendLeg(DiffRequest, 0, 1, 10+i, 0)
-	}
-	msgs, bytes := n.Counts()
-	if msgs != 5 || bytes != 10+11+12+13+14 {
-		t.Fatalf("capped totals drifted: %d msgs, %d bytes", msgs, bytes)
-	}
-	recs := n.Snapshot()
-	if len(recs) != 3 {
-		t.Fatalf("retained window = %d records, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if want := MsgID(3 + i); r.ID != want {
-			t.Fatalf("window[%d].ID = %d, want %d (newest three, oldest first)", i, r.ID, want)
-		}
-		if r.Bytes != 12+i {
-			t.Fatalf("window[%d].Bytes = %d, want %d", i, r.Bytes, 12+i)
-		}
-	}
-	if n.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", n.Dropped())
-	}
-	// IDs keep advancing past the cap.
-	id, _ := n.SendLeg(DiffReply, 1, 0, 1, 0)
-	if id != 6 {
-		t.Fatalf("next ID = %d, want 6", id)
-	}
-}
-
-// WithCountsOnly retains nothing but keeps every O(1) total exact.
+// WithCountsOnly is a no-op: the totals are exact either way.
 func TestCountsOnly(t *testing.T) {
-	n := New(sim.DefaultCostModel(), WithCountsOnly())
-	n.SendLeg(DiffRequest, 0, 1, 10, 0)
-	n.SendExchange(DiffRequest, DiffReply, 0, 1, 16, 100, 0)
-	n.SendLeg(HomeFlush, 2, 0, 50, 0)
-	msgs, bytes := n.Counts()
-	if msgs != 4 || bytes != 10+16+100+50 {
-		t.Fatalf("counts-only totals drifted: %d msgs, %d bytes", msgs, bytes)
-	}
-	if byKind := n.CountsByKind(); byKind[HomeFlush].Bytes != 50 {
-		t.Fatalf("CountsByKind = %v", byKind)
-	}
-	if got := n.Snapshot(); len(got) != 0 {
-		t.Fatalf("counts-only Snapshot returned %d records", len(got))
-	}
-	if n.Dropped() != 4 {
-		t.Fatalf("Dropped = %d, want 4", n.Dropped())
-	}
-}
-
-// An uncapped network drops nothing and snapshots in send order — the
-// default behaviour the §5.3 instrumentation depends on.
-func TestUncappedSnapshotUnchanged(t *testing.T) {
-	n := New(sim.DefaultCostModel())
-	for i := 0; i < 4; i++ {
-		n.SendLeg(DiffRequest, 0, 1, i, 0)
-	}
-	recs := n.Snapshot()
-	if len(recs) != 4 || n.Dropped() != 0 {
-		t.Fatalf("uncapped: %d records, %d dropped", len(recs), n.Dropped())
-	}
-	for i, r := range recs {
-		if r.ID != MsgID(i+1) {
-			t.Fatalf("record %d has ID %d", i, r.ID)
+	for _, n := range []*Network{New(sim.DefaultCostModel()), New(sim.DefaultCostModel(), WithCountsOnly())} {
+		n.SendLeg(DiffRequest, 0, 1, 10, 0)
+		n.SendExchange(DiffRequest, DiffReply, 0, 1, 16, 100, 0)
+		n.SendLeg(HomeFlush, 2, 0, 50, 0)
+		msgs, bytes := n.Counts()
+		if msgs != 4 || bytes != 10+16+100+50 {
+			t.Fatalf("totals drifted: %d msgs, %d bytes", msgs, bytes)
+		}
+		if byKind := n.CountsByKind(); byKind[HomeFlush].Bytes != 50 || byKind[DiffRequest].Messages != 2 {
+			t.Fatalf("CountsByKind = %v", byKind)
 		}
 	}
 }

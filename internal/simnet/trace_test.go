@@ -66,12 +66,12 @@ func TestTraceSinkObservesEveryPricedMessage(t *testing.T) {
 }
 
 // TestTraceSinkForcesLockedPath: installing a sink must take the
-// counts-only fast path off lock-free mode (emission order must match
-// pricing order), and removing it must restore the fast path.
+// ideal network's fast path off lock-free mode (emission order must
+// match pricing order), and removing it must restore the fast path.
 func TestTraceSinkForcesLockedPath(t *testing.T) {
-	n := New(sim.DefaultCostModel(), WithCountsOnly())
+	n := New(sim.DefaultCostModel())
 	if !n.lockFree {
-		t.Fatal("counts-only ideal network should start lock-free")
+		t.Fatal("ideal network should start lock-free")
 	}
 	sink := &recSink{}
 	n.SetTraceSink(sink)
@@ -80,7 +80,7 @@ func TestTraceSinkForcesLockedPath(t *testing.T) {
 	}
 	n.SendLeg(DiffRequest, 0, 1, 64, 0)
 	if sink.legs != 1 {
-		t.Fatalf("sink saw %d legs in counts-only mode, want 1", sink.legs)
+		t.Fatalf("sink saw %d legs on the ideal network, want 1", sink.legs)
 	}
 	n.SetTraceSink(nil)
 	if !n.lockFree {

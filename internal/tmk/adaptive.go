@@ -168,7 +168,7 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 	var history []*lrc.Interval
 
 	// Ascending unit order keeps the handoff schedule — and with it the
-	// message log — deterministic.
+	// send order — deterministic.
 	for u := 0; u < s.numUnits; u++ {
 		ivs := byUnit[u]
 		if len(ivs) == 0 {

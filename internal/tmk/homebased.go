@@ -135,7 +135,7 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 	h.mu.Unlock()
 
 	// One flush message per remote home, in ascending home order for a
-	// deterministic message log; the writer's own home units are local.
+	// deterministic send order; the writer's own home units are local.
 	sortTouched(fs.relHomes)
 	for _, hm := range fs.relHomes {
 		home := int(hm)
@@ -143,7 +143,7 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 			continue
 		}
 		bytes := 8 + hb[home] // flush header: interval id
-		_, t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, home, bytes, p.clock.Now())
+		t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, home, bytes, p.clock.Now())
 		p.clock.Advance(t.Total)
 	}
 	return keep
@@ -320,7 +320,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 	}
 
 	// One exchange per distinct home, in ascending home order for a
-	// deterministic message log; units homed locally are a free copy.
+	// deterministic send order; units homed locally are a free copy.
 	sortTouched(fs.homes)
 	fs.items = fs.items[:0]
 	var msgs []*instrument.DataMsg
@@ -351,10 +351,10 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 				fs.items = append(fs.items, fetchItem{page: page, d: d})
 			}
 		}
-		reqID, repID, xt := p.sys.net.SendExchange(
+		xt := p.sys.net.SendExchange(
 			simnet.DiffRequest, simnet.DiffReply, p.id, home, reqBytes, replyBytes, p.clock.Now())
 		if p.sys.col != nil {
-			dm := p.sys.col.NewDataMsg(reqID, repID, home, p.id)
+			dm := p.sys.col.NewDataMsg(home, p.id)
 			msgs = append(msgs, dm)
 			for i := hStart; i < len(fs.items); i++ {
 				fs.items[i].msg = dm

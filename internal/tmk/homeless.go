@@ -276,10 +276,10 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 				fs.items = append(fs.items, it)
 			}
 		}
-		reqID, repID, xt := p.sys.net.SendExchange(
+		xt := p.sys.net.SendExchange(
 			simnet.DiffRequest, simnet.DiffReply, p.id, w, reqBytes, replyBytes, p.clock.Now())
 		if p.sys.col != nil {
-			dm := p.sys.col.NewDataMsg(reqID, repID, w, p.id)
+			dm := p.sys.col.NewDataMsg(w, p.id)
 			msgs = append(msgs, dm)
 			for i := wStart; i < len(fs.items); i++ {
 				fs.items[i].msg = dm

@@ -219,7 +219,7 @@ func settleMoves(p *Proc, kind simnet.MsgKind, moves []rehomeMove) {
 		if m.from == p.id {
 			continue
 		}
-		_, _, xt := p.sys.net.SendExchange(kind, kind, p.id, m.from, 16, m.bytes, p.clock.Now())
+		xt := p.sys.net.SendExchange(kind, kind, p.id, m.from, 16, m.bytes, p.clock.Now())
 		p.clock.Advance(xt.Total())
 	}
 }
@@ -277,7 +277,7 @@ func (r *rehomer) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 	}
 
 	// Ascending unit order keeps the rehome schedule — and with it the
-	// message log — deterministic.
+	// send order — deterministic.
 	mobile := s.placement.Mobile()
 	for u := 0; u < s.numUnits; u++ {
 		a := byUnit[u]

@@ -290,7 +290,7 @@ func (b *barrier) sync(p *Proc) (barrierGrant, bool) {
 	// Arrival message to the manager with this processor's notices
 	// (already published to the store; we charge their size).
 	arriveBytes := 16
-	_, t := p.sys.net.SendLeg(simnet.BarrierArrive, p.id, b.manager, arriveBytes, p.clock.Now())
+	t := p.sys.net.SendLeg(simnet.BarrierArrive, p.id, b.manager, arriveBytes, p.clock.Now())
 	p.clock.Advance(t.Total)
 
 	ch := p.barrierCh
@@ -402,7 +402,7 @@ func (p *Proc) Barrier() {
 	p.clock.AdvanceTo(g.release)
 	noticeBytes := p.applyBarrierGrant(g)
 	if !legPriced {
-		_, rt := p.sys.net.SendLeg(simnet.BarrierRelease, barrierManager, p.id, 8+noticeBytes, g.release)
+		rt := p.sys.net.SendLeg(simnet.BarrierRelease, barrierManager, p.id, 8+noticeBytes, g.release)
 		p.clock.Advance(rt.Total)
 	}
 	if p.sys.policy != nil {
@@ -488,10 +488,10 @@ func (p *Proc) Lock(l int) {
 	if trc := p.sys.trc; trc != nil {
 		trc.LockRequest(p.id, lk.id, p.clock.Now())
 	}
-	_, t := net.SendControl(simnet.LockRequest, p.id, lk.manager, 16, p.clock.Now())
+	t := net.SendControl(simnet.LockRequest, p.id, lk.manager, 16, p.clock.Now())
 	reqArrival := p.clock.Now() + t.Total
 	if lk.holder != lk.manager || lk.held {
-		_, ft := net.SendControl(simnet.LockForward, lk.manager, lk.holder, 16, reqArrival)
+		ft := net.SendControl(simnet.LockForward, lk.manager, lk.holder, 16, reqArrival)
 		reqArrival += ft.Total
 	}
 
@@ -517,7 +517,7 @@ func (p *Proc) Lock(l int) {
 func (p *Proc) finishAcquire(lk *lock, g lockGrant) {
 	p.clock.AdvanceTo(g.at)
 	noticeBytes := p.applyAcquireStamp(g.ts)
-	_, t := p.sys.net.SendLeg(simnet.LockGrant, g.from, p.id, 16+noticeBytes, g.at)
+	t := p.sys.net.SendLeg(simnet.LockGrant, g.from, p.id, 16+noticeBytes, g.at)
 	p.clock.Advance(t.Total)
 	if trc := p.sys.trc; trc != nil {
 		trc.LockAcquire(p.id, lk.id, p.clock.Now())

@@ -306,7 +306,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		cost:     cost,
-		net:      simnet.NewWithModel(cost, model, netOptions(cfg)...),
+		net:      simnet.NewWithModel(cost, model),
 		store:    lrc.NewStore(cfg.Procs),
 		segBytes: segBytes,
 		numPages: segBytes / mem.PageSize,
@@ -350,7 +350,7 @@ func (s *System) Reset() {
 	}
 	model := s.net.Model()
 	model.Reset()
-	s.net = simnet.NewWithModel(s.cost, model, netOptions(s.cfg)...)
+	s.net = simnet.NewWithModel(s.cost, model)
 	s.store = lrc.NewStore(s.cfg.Procs)
 	s.store.Reserve(s.numUnits)
 	// Episode numbers restart with the fabric: stamps of the run that
@@ -393,17 +393,6 @@ func (s *System) Release() {
 	for _, p := range s.procs {
 		p.release()
 	}
-}
-
-// netOptions maps the engine configuration onto the message log's
-// retention policy: without §5.3 collection nothing ever replays the
-// log, so the engine keeps only the O(1) running totals and a
-// million-message run no longer retains every Record.
-func netOptions(cfg Config) []simnet.Option {
-	if cfg.Collect {
-		return nil
-	}
-	return []simnet.Option{simnet.WithCountsOnly()}
 }
 
 // Config returns the (filled-in) configuration.
@@ -649,12 +638,14 @@ func (s *System) Run(body func(p *Proc)) *Result {
 	res.Placement = s.cfg.Placement
 	res.Rehomes = s.nRehomes
 	res.RehomeBytes = s.nRehomeBytes
-	res.HandoffBytes = s.net.CountsByKind()[simnet.HomeHandoff].Bytes
+	byKind := s.net.CountsByKind()
+	res.HandoffBytes = byKind[simnet.HomeHandoff].Bytes
 	if s.policy != nil {
 		s.policy.report(res)
 	}
 	if s.col != nil {
-		res.Stats = s.col.Finalize(s.net.Snapshot())
+		data := byKind[simnet.DiffRequest].Messages + byKind[simnet.DiffReply].Messages
+		res.Stats = s.col.Finalize(res.Messages, res.Bytes, data)
 	}
 	if s.trc != nil {
 		s.trc.RunEnd(res.Time, int64(res.Messages), int64(res.Bytes), res.QueueDelay, res.ProcTimes)

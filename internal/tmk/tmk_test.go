@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/registry"
-	"repro/internal/simnet"
 )
 
 // mustSystem builds a system from a config that must be valid.
@@ -635,11 +634,6 @@ func TestResultCounters(t *testing.T) {
 	if len(res.ProcTimes) != 2 || res.Time <= 0 {
 		t.Fatalf("times = %v", res.ProcTimes)
 	}
-	kinds := map[simnet.MsgKind]bool{}
-	for _, r := range mustSystem(t, Config{Procs: 1}).net.Snapshot() {
-		kinds[r.Kind] = true
-	}
-	_ = kinds
 }
 
 // --- reuse and trials --------------------------------------------------------

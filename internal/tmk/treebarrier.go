@@ -103,7 +103,7 @@ func (tb *treeBarrier) sync(p *Proc) (barrierGrant, bool) {
 			break
 		}
 		parent := (node - 1) / tb.radix
-		_, t := tb.sys.net.SendLeg(simnet.BarrierArrive, node, parent, 16, done)
+		t := tb.sys.net.SendLeg(simnet.BarrierArrive, node, parent, 16, done)
 		at = done + t.Total
 		node = parent
 	}
@@ -136,7 +136,7 @@ func (tb *treeBarrier) finish(done sim.Duration) {
 			hi = tb.n
 		}
 		for c := lo; c < hi; c++ {
-			_, t := s.net.SendLeg(simnet.BarrierRelease, node, c, 8+g.noticeBytes, tb.grantAt[node])
+			t := s.net.SendLeg(simnet.BarrierRelease, node, c, 8+g.noticeBytes, tb.grantAt[node])
 			tb.grantAt[c] = tb.grantAt[node] + t.Total
 		}
 	}

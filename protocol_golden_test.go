@@ -10,12 +10,17 @@
 // Placement policy).
 //
 // Excluded under the race detector: the TSP counts depend on lock
-// hand-off order, which is deterministic in normal runs but perturbed
-// by -race instrumentation (see the TrialSummary doc in internal/tmk).
+// hand-off order, which is perturbed by -race instrumentation (see the
+// TrialSummary doc in internal/tmk). Above one core that order follows
+// the host's scheduling (ROADMAP item 1), so, as in
+// TestScaleModesEquivalent, the lock programs' subtests pin GOMAXPROCS
+// to 1 and switch the collector off while they run.
 
 package dsm
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/apps"
@@ -42,6 +47,10 @@ func TestHomelessGoldenCounts(t *testing.T) {
 			e, ok := apps.Lookup(g.app, g.dataset)
 			if !ok {
 				t.Fatalf("%s/%s not registered", g.app, g.dataset)
+			}
+			if e.Make(8).Locks() > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			}
 			res, err := apps.Run(e.Make(8), tmk.Config{
 				Procs: 8, UnitPages: 1, Protocol: "homeless", Collect: true,
@@ -80,6 +89,10 @@ func TestHomeRRGoldenCounts(t *testing.T) {
 			e, ok := apps.Lookup(g.app, g.dataset)
 			if !ok {
 				t.Fatalf("%s/%s not registered", g.app, g.dataset)
+			}
+			if e.Make(8).Locks() > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			}
 			res, err := apps.Run(e.Make(8), tmk.Config{
 				Procs: 8, UnitPages: 1, Protocol: "home", Placement: "rr", Collect: true,
