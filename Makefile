@@ -58,7 +58,10 @@ profile:
 # a fresh MemSink must allocate one object per block of events and
 # barely more bytes than it ends up holding; a reservation on a warmed
 # netmodel timeline, and Reset followed by re-pricing the same stream,
-# must allocate nothing.
+# must allocate nothing; NewSystem may cost a processor at most 16 bytes
+# a page and must leave the fetch scratch unallocated (it is sized by
+# the faults a processor takes), and a reset stamp arena must carve its
+# blocks again without allocating.
 alloc-check:
 	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ -run 'Alloc|Budget' -v
 

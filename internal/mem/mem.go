@@ -59,8 +59,8 @@ func RoundUpPages(size int) int {
 // Both layouts are observationally identical: the segment starts zeroed
 // everywhere, and every access goes through ReadWord/WriteWord/Page.
 type Replica struct {
-	data   []byte   // eager backing; nil in lazy mode
-	frames [][]byte // lazy frame table; nil in eager mode
+	data   []byte            // eager backing; nil in lazy mode
+	frames []*[PageSize]byte // lazy frame table, 8 bytes a page; nil in eager mode
 	npages int
 }
 
@@ -77,7 +77,7 @@ func NewReplica(size int) *Replica {
 // up to a page multiple. No page storage is allocated until written.
 func NewLazyReplica(size int) *Replica {
 	n := RoundUpPages(size) >> PageShift
-	return &Replica{frames: make([][]byte, n), npages: n}
+	return &Replica{frames: make([]*[PageSize]byte, n), npages: n}
 }
 
 // Lazy reports whether the replica materializes frames on demand.
@@ -95,7 +95,7 @@ func (r *Replica) Zero() {
 		clear(r.data)
 		return
 	}
-	put(&pool.pages, r.frames)
+	putFrames(r.frames)
 	clear(r.frames)
 }
 
@@ -103,9 +103,9 @@ func (r *Replica) Zero() {
 func (r *Replica) NumPages() int { return r.npages }
 
 // materialize installs and returns a zeroed frame for page p.
-func (r *Replica) materialize(p int) []byte {
-	f := pool.pages.get(true)
-	clear(f)
+func (r *Replica) materialize(p int) *[PageSize]byte {
+	f := (*[PageSize]byte)(pool.pages.get(true))
+	clear(f[:])
 	r.frames[p] = f
 	return f
 }
@@ -119,7 +119,7 @@ func (r *Replica) Frame(p int) []byte {
 		return r.data[base : base+PageSize : base+PageSize]
 	}
 	if f := r.frames[p]; f != nil {
-		return f
+		return f[:]
 	}
 	return zeroFrame[:]
 }
@@ -130,7 +130,7 @@ func (r *Replica) Frame(p int) []byte {
 // contract either way.
 func (r *Replica) Page(p int) []byte {
 	if r.data == nil && r.frames[p] == nil {
-		return r.materialize(p)
+		return r.materialize(p)[:]
 	}
 	return r.Frame(p)
 }

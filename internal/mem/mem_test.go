@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -196,8 +197,22 @@ func TestLazyReplicaZeroRecyclesFrames(t *testing.T) {
 // TestLazyReplicaFootprint pins the point of the lazy layout at scale:
 // a processor that touches a few pages of a large segment backs about
 // that many frames, not a fixed chunk sized for a processor that
-// touches hundreds.
+// touches hundreds, and its untouched pages cost one 8-byte frame
+// pointer each.
 func TestLazyReplicaFootprint(t *testing.T) {
+	// The table of 1000 pages is 8000 bytes (an 8 KB size class); the
+	// header is one 64-byte object. A slice header a page would be 24 KB.
+	const reps = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		footprintSink = NewLazyReplica(1000 * PageSize)
+	}
+	runtime.ReadMemStats(&after)
+	if per, budget := (after.TotalAlloc-before.TotalAlloc)/reps, uint64(8<<10+64); per > budget {
+		t.Errorf("NewLazyReplica of 1000 pages: %d bytes, budget %d", per, budget)
+	}
+
 	r := NewLazyReplica(1000 * PageSize)
 	for _, p := range []int{3, 400, 401, 750, 999} {
 		r.WriteWord(p*PageSize, 1)
@@ -214,3 +229,7 @@ func TestLazyReplicaFootprint(t *testing.T) {
 		t.Fatalf("5 pages written: %d frames materialized", touched)
 	}
 }
+
+// footprintSink keeps the replicas TestLazyReplicaFootprint measures
+// from being optimized away.
+var footprintSink *Replica

@@ -90,21 +90,39 @@ func put[T any, B ~[]T](l *freeList[T], bufs []B) {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	for _, b := range bufs {
-		if len(b) != l.size {
-			continue
-		}
-		if pool.Pages+l.pages > poolMaxPages {
-			pool.Drops++
-			continue
-		}
-		if pool.poison {
-			for i := range b {
-				b[i] = l.poison
-			}
-		}
-		l.bufs = append(l.bufs, b)
-		pool.Pages += l.pages
+		l.add(b)
 	}
+}
+
+// putFrames is put for a lazy replica's frame table: every frame goes
+// to the page list.
+func putFrames(frames []*[PageSize]byte) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for _, f := range frames {
+		if f != nil {
+			pool.pages.add(f[:])
+		}
+	}
+}
+
+// add lists b if it is of l's size, up to the bound. Call with pool.mu
+// held.
+func (l *freeList[T]) add(b []T) {
+	if len(b) != l.size {
+		return
+	}
+	if pool.Pages+l.pages > poolMaxPages {
+		pool.Drops++
+		return
+	}
+	if pool.poison {
+		for i := range b {
+			b[i] = l.poison
+		}
+	}
+	l.bufs = append(l.bufs, b)
+	pool.Pages += l.pages
 }
 
 // RecycleTwins hands twins their owner no longer needs to the recycler.

@@ -1,12 +1,12 @@
 package tmk
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/vc"
 )
@@ -102,28 +102,13 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 	sum := ts.Sum()
 
 	// Tally this interval's flush payload by the home of each diff's
-	// unit — a per-processor scratch array plus a touched-home list, not
-	// a map: releases close every writing interval and must not allocate,
-	// and neither the reset nor the flush loop may scan all nprocs
-	// entries (an interval touches a handful of homes).
-	nprocs := p.sys.cfg.Procs
+	// unit: one entry per diff, grouped by home below. Releases close
+	// every writing interval and must not allocate, and nothing here is
+	// sized by the processor count.
 	fs := &p.fs
-	if len(fs.homeBytes) < nprocs {
-		fs.homeBytes = make([]int, nprocs)
-	}
-	hb := fs.homeBytes[:nprocs]
-	for _, hm := range fs.relHomes {
-		hb[hm] = 0
-	}
-	fs.relHomes = fs.relHomes[:0]
+	fs.peers = fs.peers[:0]
 	for _, pd := range diffs {
-		home := h.homeOf(pd.Page / h.up)
-		// Non-empty diffs have positive wire size, so zero means
-		// first touch this release.
-		if hb[home] == 0 {
-			fs.relHomes = append(fs.relHomes, int32(home))
-		}
-		hb[home] += pd.D.WireBytes()
+		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(pd.Page / h.up), n: pd.D.WireBytes()})
 	}
 
 	h.mu.Lock()
@@ -136,17 +121,57 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 
 	// One flush message per remote home, in ascending home order for a
 	// deterministic send order; the writer's own home units are local.
-	sortTouched(fs.relHomes)
-	for _, hm := range fs.relHomes {
-		home := int(hm)
-		if home == p.id {
+	fs.planFlush()
+	for _, x := range fs.xs {
+		if x.peer == p.id {
 			continue
 		}
-		bytes := 8 + hb[home] // flush header: interval id
-		t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, home, bytes, p.clock.Now())
+		t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, x.peer, x.req, p.clock.Now())
 		p.clock.Advance(t.Total)
 	}
 	return keep
+}
+
+// planFlush lays out a home flush: one message per home, ascending,
+// whose payload is the interval id plus the diffs fs.peers tallies for
+// that home.
+func (fs *fetchScratch) planFlush() {
+	slices.SortStableFunc(fs.peers, byPeer)
+	fs.xs = fs.xs[:0]
+	for lo := 0; lo < len(fs.peers); {
+		x := exchange{peer: fs.peers[lo].peer, req: 8} // flush header: interval id
+		hi := lo
+		for ; hi < len(fs.peers) && fs.peers[hi].peer == x.peer; hi++ {
+			x.req += fs.peers[hi].n
+		}
+		fs.xs = append(fs.xs, x)
+		lo = hi
+	}
+}
+
+// planImages lays out a home fetch: one exchange per home, ascending,
+// carrying its units' page images in fetch order. fs.peers pairs each
+// home with an index i into fs.fetchUnits, and the image of that unit's
+// s-th page is fs.snapDiffs[i*up+s].
+func (fs *fetchScratch) planImages(up int) {
+	slices.SortStableFunc(fs.peers, byPeer)
+	fs.items, fs.xs = fs.items[:0], fs.xs[:0]
+	for lo := 0; lo < len(fs.peers); {
+		x := exchange{peer: fs.peers[lo].peer, lo: len(fs.items)}
+		hi := lo
+		for ; hi < len(fs.peers) && fs.peers[hi].peer == x.peer; hi++ {
+			i := fs.peers[hi].n
+			for s := 0; s < up; s++ {
+				d := fs.snapDiffs[i*up+s]
+				x.reply += d.WireBytes()
+				fs.items = append(fs.items, fetchItem{page: fs.fetchUnits[i]*up + s, d: d})
+			}
+		}
+		x.req = 16 + 8*(hi-lo)
+		x.hi = len(fs.items)
+		fs.xs = append(fs.xs, x)
+		lo = hi
+	}
 }
 
 // seed installs a full-page image into the home's versioned log at an
@@ -252,10 +277,7 @@ func (h *homeProtocol) pageImageInto(fs *fetchScratch, page int, vt vc.Time) mem
 // distinct home, issued in parallel. Units homed at the faulting
 // processor are copied locally, without messages.
 func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
-	cost := p.sys.cost
 	fs := &p.fs
-	fs.init(p.sys)
-
 	fetch := fs.fetchUnits[:0]
 	sparse := p.sys.sparseMode()
 	for _, u := range units {
@@ -278,17 +300,9 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 	if len(fetch) == 0 {
 		return nil
 	}
-
-	for _, hm := range fs.homes {
-		fs.homeUnits[hm] = fs.homeUnits[hm][:0]
-	}
-	fs.homes = fs.homes[:0]
-	for _, u := range fetch {
-		home := h.homeOf(u)
-		if len(fs.homeUnits[home]) == 0 {
-			fs.homes = append(fs.homes, int32(home))
-		}
-		fs.homeUnits[home] = append(fs.homeUnits[home], u)
+	fs.peers = fs.peers[:0]
+	for i, u := range fetch {
+		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: i})
 	}
 
 	// Reconstruct the fetched units' pages at p's vector time — the
@@ -308,80 +322,20 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 		fs.imgRuns = make([]mem.Run, needPages)
 	}
 	fs.nImgRuns = 0
-	fs.gen++
 	fs.snapDiffs = fs.snapDiffs[:0]
 	for _, u := range fetch {
 		for s := 0; s < h.up; s++ {
-			page := u*h.up + s
-			fs.pageMark[page] = fs.gen
-			fs.pageSlot[page] = int32(len(fs.snapDiffs))
-			fs.snapDiffs = append(fs.snapDiffs, h.pageImageInto(fs, page, p.vt))
+			fs.snapDiffs = append(fs.snapDiffs, h.pageImageInto(fs, u*h.up+s, p.vt))
 		}
 	}
 
-	// One exchange per distinct home, in ascending home order for a
-	// deterministic send order; units homed locally are a free copy.
-	sortTouched(fs.homes)
-	fs.items = fs.items[:0]
-	var msgs []*instrument.DataMsg
-	var maxCost sim.Duration
-	for _, hm := range fs.homes {
-		home := int(hm)
-		us := fs.homeUnits[home]
-		if home == p.id {
-			// Local home: the processor is reading its own
-			// authoritative storage — a copy, no messages.
-			for _, u := range us {
-				for s := 0; s < h.up; s++ {
-					page := u*h.up + s
-					fs.items = append(fs.items, fetchItem{
-						page: page, d: fs.snapDiffs[fs.pageSlot[page]]})
-				}
-			}
-			continue
-		}
-		reqBytes := 16 + 8*len(us)
-		replyBytes := 0
-		hStart := len(fs.items)
-		for _, u := range us {
-			for s := 0; s < h.up; s++ {
-				page := u*h.up + s
-				d := fs.snapDiffs[fs.pageSlot[page]]
-				replyBytes += d.WireBytes()
-				fs.items = append(fs.items, fetchItem{page: page, d: d})
-			}
-		}
-		xt := p.sys.net.SendExchange(
-			simnet.DiffRequest, simnet.DiffReply, p.id, home, reqBytes, replyBytes, p.clock.Now())
-		if p.sys.col != nil {
-			dm := p.sys.col.NewDataMsg(home, p.id)
-			msgs = append(msgs, dm)
-			for i := hStart; i < len(fs.items); i++ {
-				fs.items[i].msg = dm
-			}
-		}
-		if c := xt.Total(); c > maxCost {
-			maxCost = c
-		}
-	}
-	p.clock.Advance(maxCost)
-
-	// Apply the page images. Each page arrives whole from one
-	// reconstruction, so page order suffices for determinism.
-	for _, it := range fs.items {
-		it.d.Apply(p.rep.Page(it.page))
-		p.clock.Advance(sim.Duration(it.d.WordCount()) * cost.ApplyPerWord)
-		if p.sys.col != nil && it.msg != nil {
-			p.sys.col.TagDiff(p.id, it.page, it.d, it.msg)
-		}
-	}
-
-	if !sparse {
-		for _, u := range fetch {
-			// Keep the map entry (and its slice capacity) for the next
-			// acquire's notices; only the consumed contents are dropped.
-			p.missing[u] = p.missing[u][:0]
-		}
-	}
+	// One exchange per distinct home, issued in parallel; units homed
+	// locally are a free copy — the processor reads its own
+	// authoritative storage. Each page arrives whole from one
+	// reconstruction, so plan order suffices for determinism.
+	fs.planImages(h.up)
+	msgs := p.sendExchanges(fs)
+	p.applyItems(fs.items)
+	p.consumeMissing(fetch)
 	return msgs
 }

@@ -1,6 +1,9 @@
 package tmk
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
@@ -27,62 +30,62 @@ func (*homelessProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units [
 
 // fetchItem is one page diff scheduled for application, keyed for causal
 // ordering by its (latest contributing) source interval and attributed to
-// the carrying exchange.
+// the carrying exchange. single marks a homeless item whose unit has one
+// writer among its missing intervals: its page's diffs may be coalesced.
 type fetchItem struct {
-	page int
-	d    mem.Diff
-	msg  *instrument.DataMsg
-	sum  int64
-	prc  int
-	sq   int32
+	page   int
+	d      mem.Diff
+	msg    *instrument.DataMsg
+	sum    int64
+	prc    int
+	sq     int32
+	single bool
 }
 
-// writerNeed is one missing (interval, unit) pair owed by one writer.
+// writerNeed is one missing (interval, unit) pair owed by one writer;
+// single says every missing interval of the unit comes from that writer.
 type writerNeed struct {
-	iv   *lrc.Interval
-	unit int
+	iv     *lrc.Interval
+	unit   int
+	writer int
+	single bool
 }
 
-// pageAcc accumulates, per page within one writer's reply, the diffs to
-// apply and whether coalescing is legal (single-writer unit).
-type pageAcc struct {
-	page         int
-	coalesceable bool
-	items        []fetchItem
+// peerWork is one unit of work owed to or by a peer: a home fetch's
+// (home, index into fetchUnits) or a home flush's (home, diff bytes).
+type peerWork struct{ peer, n int }
+
+// exchange is one message exchange a plan schedules: the peer, the
+// request and reply payload bytes, and the items fs.items[lo:hi] it
+// carries. Plans list exchanges in ascending peer order — the order of
+// a full scan over processors — so the wire traffic does not depend on
+// how the plan was built. An exchange with the processor itself is a
+// local copy and sends nothing.
+type exchange struct {
+	peer       int
+	req, reply int
+	lo, hi     int
 }
 
-// fetchScratch is the per-processor working storage of the fetch paths.
-// Every slice and index table below is reused across faults: the maps
-// the original implementation allocated per fault (per-writer needs,
-// per-unit writer counts, per-page accumulators) are replaced by arrays
-// indexed by writer/unit/page with generation marks, so the steady-state
-// miss path allocates nothing.
+// fetchScratch is the per-processor working storage of the fetch and
+// flush paths. Every slice is sized by the work of one call — the
+// missing writes, fetched units or flushed diffs it handles — and reused
+// across calls, so the steady-state miss path allocates nothing and a
+// processor that never faults holds nothing.
 type fetchScratch struct {
-	needs      [][]writerNeed // indexed by writer processor
-	writers    []int32        // writers with non-empty needs (this call only)
+	needs      []writerNeed // homeless Fetch: missing writes, grouped by writer
+	peers      []peerWork   // home Fetch/Release: work per home, grouped by home
+	xs         []exchange   // the plan: one exchange per peer
 	fetchUnits []int
-	unitWr     []int32 // distinct writers per unit (this call only)
-
-	writerMark []int64 // per-writer generation mark (distinct count)
-	pageMark   []int64 // per-page generation mark
-	pageSlot   []int32 // per-page index into accs, valid when marked
-	gen        int64
-
-	accs  []pageAcc
-	nAccs int
-	items []fetchItem
-	ds    []mem.Diff
+	items      []fetchItem
+	ds         []mem.Diff
 
 	// Sparse-mode notice reconstruction scratch (see notices.go).
 	missScratch  []lrc.MissingWrite // missingInto: one unit's rebuilt list
 	spillScratch []int32            // missingInto: next spill under construction
 
 	// Home-based fetch scratch (see homebased.go).
-	homeUnits [][]int      // indexed by home processor
-	homes     []int32      // Fetch: homes with non-empty homeUnits (this call only)
-	homeBytes []int        // Release: flush payload bytes per home
-	relHomes  []int32      // Release: homes with non-zero homeBytes (this call only)
-	snapDiffs []mem.Diff   // page images, indexed via pageSlot
+	snapDiffs []mem.Diff   // page images: unit fetchUnits[i]'s s-th page at i*UnitPages+s
 	covered   []flushEntry // pageImage: covered log entries
 	imgWords  []uint64     // arena backing the page images' words
 	imgRuns   []mem.Run    // arena backing the page images' run lists
@@ -90,58 +93,85 @@ type fetchScratch struct {
 	imgBuf    []byte // pageImage: reconstruction buffer
 }
 
-// init sizes the scratch for the system's geometry (idempotent).
-func (fs *fetchScratch) init(s *System) {
-	if len(fs.writerMark) >= s.cfg.Procs && len(fs.pageMark) >= s.numPages &&
-		len(fs.unitWr) >= s.numUnits {
-		return
+func byPeer(a, b peerWork) int     { return cmp.Compare(a.peer, b.peer) }
+func byWriter(a, b writerNeed) int { return cmp.Compare(a.writer, b.writer) }
+func byPage(a, b fetchItem) int    { return cmp.Compare(a.page, b.page) }
+
+// addNeeds queues unit u's missing writes, in miss-list order.
+func (fs *fetchScratch) addNeeds(u int, miss []lrc.MissingWrite) {
+	single := true
+	for _, mw := range miss {
+		single = single && mw.Interval.ID.Proc == miss[0].Interval.ID.Proc
 	}
-	fs.needs = make([][]writerNeed, s.cfg.Procs)
-	fs.writerMark = make([]int64, s.cfg.Procs)
-	fs.unitWr = make([]int32, s.numUnits)
-	fs.pageMark = make([]int64, s.numPages)
-	fs.pageSlot = make([]int32, s.numPages)
-	fs.homeUnits = make([][]int, s.cfg.Procs)
-	fs.gen = 0
+	for _, mw := range miss {
+		fs.needs = append(fs.needs, writerNeed{iv: mw.Interval, unit: u, writer: mw.Interval.ID.Proc, single: single})
+	}
 }
 
-// accFor returns the accumulator slot for page, creating (or recycling)
-// one on first touch in the current generation.
-func (fs *fetchScratch) accFor(page int, coalesceable bool) *pageAcc {
-	if fs.pageMark[page] == fs.gen {
-		return &fs.accs[fs.pageSlot[page]]
-	}
-	fs.pageMark[page] = fs.gen
-	fs.pageSlot[page] = int32(fs.nAccs)
-	if fs.nAccs < len(fs.accs) {
-		a := &fs.accs[fs.nAccs]
-		a.page, a.coalesceable, a.items = page, coalesceable, a.items[:0]
-	} else {
-		fs.accs = append(fs.accs, pageAcc{page: page, coalesceable: coalesceable})
-	}
-	fs.nAccs++
-	return &fs.accs[fs.nAccs-1]
-}
-
-// sortTouched insertion-sorts a short touched-processor list ascending —
-// the exchange loops must visit writers/homes in processor order to keep
-// wire traffic bit-identical to the full-scan formulation.
-func sortTouched(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i
-		for j > 0 && a[j-1] > v {
-			a[j] = a[j-1]
-			j--
+// planDiffs lays out a homeless fetch: one exchange per writer,
+// ascending, carrying the writer's diffs for the queued needs. Each
+// unit's missing list holds a given interval at most once, so no diff
+// is fetched twice. A page whose unit has a single writer is served
+// coalesced (TreadMarks' single-writer remedy for diff accumulation):
+// one diff, keyed by the writer's latest interval.
+func (fs *fetchScratch) planDiffs(unitPages int) {
+	// Stable: each writer's needs stay in unit order, then in miss-list
+	// (causal) order.
+	slices.SortStableFunc(fs.needs, byWriter)
+	fs.items, fs.xs = fs.items[:0], fs.xs[:0]
+	for lo := 0; lo < len(fs.needs); {
+		w := fs.needs[lo].writer
+		hi := lo
+		start := len(fs.items)
+		for ; hi < len(fs.needs) && fs.needs[hi].writer == w; hi++ {
+			n := &fs.needs[hi]
+			sum, prc, sq := n.iv.CausalKey()
+			for _, pd := range n.iv.DiffsInUnit(n.unit, unitPages) {
+				fs.items = append(fs.items, fetchItem{
+					page: pd.Page, d: pd.D, sum: sum, prc: prc, sq: sq, single: n.single,
+				})
+			}
 		}
-		a[j] = v
+		// Per page, the writer's diffs in interval order. The order of
+		// the pages cannot reach the application order: the causal key
+		// (sum, proc, seq, page) is unique within a fetch.
+		mine := fs.items[start:]
+		slices.SortStableFunc(mine, byPage)
+		x := exchange{peer: w, req: 16 + 8*(hi-lo), lo: start}
+		out := start
+		for i := 0; i < len(mine); {
+			j := i + 1
+			for j < len(mine) && mine[j].page == mine[i].page {
+				j++
+			}
+			if mine[i].single && j-i > 1 {
+				fs.ds = fs.ds[:0]
+				for _, it := range mine[i:j] {
+					fs.ds = append(fs.ds, it.d)
+				}
+				last := mine[j-1]
+				last.d = mem.CoalesceDiffs(fs.ds)
+				fs.items[out] = last
+				out++
+			} else {
+				out += copy(fs.items[out:], mine[i:j])
+			}
+			i = j
+		}
+		fs.items = fs.items[:out]
+		for _, it := range fs.items[start:] {
+			x.reply += it.d.WireBytes()
+		}
+		x.hi = out
+		fs.xs = append(fs.xs, x)
+		lo = hi
 	}
 }
 
 // sortFetchItems stably orders items by (sum, proc, seq, page) — the
 // causal application order — via binary-insertion sort: no closure, no
 // allocation, near-linear on the per-writer runs the fetch path builds
-// (each writer's items are already seq-ascending).
+// (each writer's items are grouped by page, seq-ascending within one).
 func sortFetchItems(items []fetchItem) {
 	less := func(a, b *fetchItem) bool {
 		if a.sum != b.sum {
@@ -181,24 +211,8 @@ func sortFetchItems(items []fetchItem) {
 // exchange per concurrent writer, issued in parallel — and apply them
 // in causal order.
 func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
-	cost := p.sys.cost
-	cfg := p.sys.cfg
 	fs := &p.fs
-	fs.init(p.sys)
-
-	// Gather missing (interval, unit) pairs per writer across all
-	// fetched units. Each unit's missing list holds a given interval at
-	// most once (in causal order), so pairs are distinct and no diff is
-	// fetched twice. Also count distinct writers per unit: a unit whose
-	// missing intervals all come from one writer is served coalesced
-	// (TreadMarks' single-writer remedy for diff accumulation). Writers
-	// with work are tracked in a touched list so neither the reset nor
-	// the exchange loop scans all nprocs entries (a fault touches a
-	// handful of writers even in a 1024-processor build).
-	for _, w := range fs.writers {
-		fs.needs[w] = fs.needs[w][:0]
-	}
-	fs.writers = fs.writers[:0]
+	fs.needs = fs.needs[:0]
 	fs.fetchUnits = fs.fetchUnits[:0]
 	sparse := p.sys.sparseMode()
 	for _, u := range units {
@@ -216,72 +230,36 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 			continue
 		}
 		fs.fetchUnits = append(fs.fetchUnits, u)
-		fs.gen++
-		distinct := int32(0)
-		for _, mw := range miss {
-			w := mw.Interval.ID.Proc
-			if len(fs.needs[w]) == 0 {
-				fs.writers = append(fs.writers, int32(w))
-			}
-			fs.needs[w] = append(fs.needs[w], writerNeed{iv: mw.Interval, unit: u})
-			if fs.writerMark[w] != fs.gen {
-				fs.writerMark[w] = fs.gen
-				distinct++
-			}
-		}
-		fs.unitWr[u] = distinct
+		fs.addNeeds(u, miss)
 	}
+	fs.planDiffs(p.sys.cfg.UnitPages)
+	msgs := p.sendExchanges(fs)
 
-	// One request/reply exchange per concurrent writer, in ascending
-	// writer order for determinism; charged as the max (parallel fetch).
-	sortTouched(fs.writers)
-	fs.items = fs.items[:0]
+	// Apply in causal order (monotone linearization of happens-before).
+	// The sort must be stable: a coalesced item keeps only its writer's
+	// latest key, and same-key items must retain per-writer list order.
+	sortFetchItems(fs.items)
+	p.applyItems(fs.items)
+	p.consumeMissing(fs.fetchUnits)
+	return msgs
+}
+
+// sendExchanges sends the planned exchanges — in parallel, so the clock is
+// charged the slowest — and attributes each one's items to its data
+// message.
+func (p *Proc) sendExchanges(fs *fetchScratch) []*instrument.DataMsg {
 	var msgs []*instrument.DataMsg
 	var maxCost sim.Duration
-	for _, w32 := range fs.writers {
-		w := int(w32)
-		wNeeds := fs.needs[w]
-		reqBytes := 16 + 8*len(wNeeds)
-		replyBytes := 0
-		wStart := len(fs.items)
-		// Per page, the writer's diffs in interval order (wNeeds
-		// preserves causal order, so same-writer diffs are seq-ordered),
-		// each carrying its own interval's causal key.
-		fs.gen++
-		fs.nAccs = 0
-		for _, n := range wNeeds {
-			for _, pd := range n.iv.DiffsInUnit(n.unit, cfg.UnitPages) {
-				acc := fs.accFor(pd.Page, fs.unitWr[n.unit] == 1)
-				sum, prc, sq := n.iv.CausalKey()
-				acc.items = append(acc.items, fetchItem{
-					page: pd.Page, d: pd.D, sum: sum, prc: prc, sq: sq,
-				})
-			}
-		}
-		for ai := 0; ai < fs.nAccs; ai++ {
-			acc := &fs.accs[ai]
-			if acc.coalesceable && len(acc.items) > 1 {
-				fs.ds = fs.ds[:0]
-				for _, it := range acc.items {
-					fs.ds = append(fs.ds, it.d)
-				}
-				last := acc.items[len(acc.items)-1]
-				last.d = mem.CoalesceDiffs(fs.ds)
-				replyBytes += last.d.WireBytes()
-				fs.items = append(fs.items, last)
-				continue
-			}
-			for _, it := range acc.items {
-				replyBytes += it.d.WireBytes()
-				fs.items = append(fs.items, it)
-			}
+	for _, x := range fs.xs {
+		if x.peer == p.id {
+			continue
 		}
 		xt := p.sys.net.SendExchange(
-			simnet.DiffRequest, simnet.DiffReply, p.id, w, reqBytes, replyBytes, p.clock.Now())
+			simnet.DiffRequest, simnet.DiffReply, p.id, x.peer, x.req, x.reply, p.clock.Now())
 		if p.sys.col != nil {
-			dm := p.sys.col.NewDataMsg(w, p.id)
+			dm := p.sys.col.NewDataMsg(x.peer, p.id)
 			msgs = append(msgs, dm)
-			for i := wStart; i < len(fs.items); i++ {
+			for i := x.lo; i < x.hi; i++ {
 				fs.items[i].msg = dm
 			}
 		}
@@ -290,25 +268,28 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 		}
 	}
 	p.clock.Advance(maxCost)
+	return msgs
+}
 
-	// Apply in causal order (monotone linearization of happens-before).
-	// The sort must be stable: a coalesced item keeps only its writer's
-	// latest key, and same-key items must retain per-writer list order.
-	sortFetchItems(fs.items)
-	for _, it := range fs.items {
+// applyItems applies fetched diffs in order, charging each its words.
+func (p *Proc) applyItems(items []fetchItem) {
+	for _, it := range items {
 		it.d.Apply(p.rep.Page(it.page))
-		p.clock.Advance(sim.Duration(it.d.WordCount()) * cost.ApplyPerWord)
+		p.clock.Advance(sim.Duration(it.d.WordCount()) * p.sys.cost.ApplyPerWord)
 		if p.sys.col != nil && it.msg != nil {
 			p.sys.col.TagDiff(p.id, it.page, it.d, it.msg)
 		}
 	}
+}
 
-	if !sparse {
-		for _, u := range fs.fetchUnits {
-			// Keep the map entry (and its slice capacity) for the next
-			// acquire's notices; only the consumed contents are dropped.
-			p.missing[u] = p.missing[u][:0]
-		}
+// consumeMissing drops the fetched units' dense missing lists. It keeps
+// the map entries (and their capacity) for the next acquire's notices;
+// the sparse engine consumed its reconstruction already.
+func (p *Proc) consumeMissing(units []int) {
+	if p.sys.sparseMode() {
+		return
 	}
-	return msgs
+	for _, u := range units {
+		p.missing[u] = p.missing[u][:0]
+	}
 }

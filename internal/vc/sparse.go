@@ -194,14 +194,20 @@ func (s Stamp) Concurrent(u Stamp) bool {
 // blocks. Blocks are never reallocated, so earlier stamps stay valid as
 // the arena grows; Reset recycles the blocks once no live stamp
 // references them (the engine resets between trials, after the interval
-// store is dropped). Steady state carves allocate nothing.
+// store is dropped). Steady state carves allocate nothing. Blocks start
+// small and double, so a processor that closes a few intervals holds a
+// few hundred entries, not a full block.
 type StampArena struct {
 	blocks [][]int32
 	cur    int // index of the block being carved
 }
 
-// stampArenaBlock is the capacity of one arena block in int32s.
-const stampArenaBlock = 4096
+// Block capacities in int32s: the first block's, and the largest step
+// of the doubling.
+const (
+	stampArenaFirst = 256
+	stampArenaBlock = 4096
+)
 
 // Carve returns a zero-length slice with capacity n whose backing store
 // is stable for the arena's lifetime (until Reset).
@@ -213,7 +219,14 @@ func (a *StampArena) Carve(n int) []int32 {
 	}
 	for {
 		if a.cur == len(a.blocks) {
-			a.blocks = append(a.blocks, make([]int32, 0, stampArenaBlock))
+			size := stampArenaFirst
+			if k := len(a.blocks); k > 0 {
+				size = min(2*cap(a.blocks[k-1]), stampArenaBlock)
+			}
+			if n > size {
+				size = stampArenaBlock
+			}
+			a.blocks = append(a.blocks, make([]int32, 0, size))
 		}
 		b := a.blocks[a.cur]
 		if cap(b)-len(b) >= n {
