@@ -68,13 +68,15 @@ alloc-check:
 # fuzz-smoke runs the fuzz targets for ten seconds each: the occupancy
 # timeline's block structure against the flat reference list, the
 # chunked, slab-carving diff encoder against the word-by-word,
-# exact-size one, trace replay over arbitrary bytes (no panic,
+# exact-size one, the same encoder under a write mask (the stretches
+# left out must never be read) against it too, trace replay over arbitrary bytes (no panic,
 # allocation bounded by the input, well-formed captures replay to
 # their recorded totals), and spec resolution (idempotent, and the
 # engine configuration it yields is already canonical).
 fuzz-smoke:
 	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/expsvc -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 

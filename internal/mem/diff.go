@@ -9,6 +9,8 @@ import (
 
 // Twin is the pristine copy of a page taken on the first write in an
 // interval, used later to encode the diff (the record of modifications).
+// Under a write mask (EncodeStretchesInto) only the written stretches of
+// a twin are ever read, so only they need to have been copied.
 type Twin []byte
 
 // MakeTwin copies the current contents of a page.
@@ -16,10 +18,9 @@ func MakeTwin(page []byte) Twin {
 	return MakeTwinInto(nil, page)
 }
 
-// MakeTwinInto is MakeTwin reusing t's storage when it is page-sized —
-// the engine keeps every processor's twin buffers from interval to
-// interval, so steady-state twinning allocates nothing — and taking a
-// buffer from the recycler (see pool.go) when it is not.
+// MakeTwinInto is MakeTwin reusing t's storage when it is page-sized and
+// taking a buffer from the recycler (see pool.go) when it is not, so
+// steady-state twinning allocates nothing.
 func MakeTwinInto(t Twin, page []byte) Twin {
 	if len(page) != PageSize {
 		panic(fmt.Sprintf("mem: twin of %d-byte page", len(page)))
@@ -179,16 +180,28 @@ func (s *DiffScratch) Release() {
 	*s = DiffScratch{}
 }
 
-// diffCmpBytes is the stretch EncodeDiffInto compares at once while it
-// is between runs: 16 words, two cache lines.
-const diffCmpBytes = 128
+// StretchBytes is the unit of a write mask (EncodeStretchesInto), one
+// bit per stretch, 32 to a page; it is also what the encoder compares at
+// once while it is between runs: 16 words, two cache lines.
+const StretchBytes = 128
 
 // EncodeDiffInto is EncodeDiff with the diff's storage carved from s
-// (see DiffScratch for its lifetime). An empty diff takes nothing. The
-// page is walked diffCmpBytes at a time: a stretch that starts between
-// runs and equals its twin is skipped whole, any other is compared word
-// by word, a run staying open from one stretch into the next.
+// (see DiffScratch for its lifetime): EncodeStretchesInto with every
+// stretch marked written.
 func EncodeDiffInto(s *DiffScratch, twin Twin, page []byte) Diff {
+	return EncodeStretchesInto(s, ^uint32(0), twin, page)
+}
+
+// EncodeStretchesInto is the diff of a page against its twin when only
+// the stretches whose bit is set in dirty (bit i covers bytes
+// [i*StretchBytes, (i+1)*StretchBytes)) can have been written: the caller
+// vouches that a clear stretch is unchanged, so it is read on neither
+// side and the twin there may hold anything. An empty diff takes nothing
+// from s. The page is walked a stretch at a time: a written stretch that
+// starts between runs and equals its twin is skipped whole, any other is
+// compared word by word, a run staying open from one written stretch into
+// the next and closing at the first word of a clean one.
+func EncodeStretchesInto(s *DiffScratch, dirty uint32, twin Twin, page []byte) Diff {
 	if len(twin) != PageSize || len(page) != PageSize {
 		panic("mem: EncodeDiff on non-page-sized input")
 	}
@@ -203,14 +216,22 @@ func EncodeDiffInto(s *DiffScratch, twin Twin, page []byte) Diff {
 		runs = append(runs, Run{Off: uint16(start), Words: words})
 	}
 	start := -1 // first word of the open run, if any
-	for b := 0; b < PageSize; b += diffCmpBytes {
-		tc, pc := twin[b:b+diffCmpBytes], page[b:b+diffCmpBytes]
-		// A dirty stretch is most often dirty from its first word on:
-		// look at that before paying for the call.
+	b := 0      // first byte of the stretch dirty's low bit covers
+	for ; dirty != 0; b, dirty = b+StretchBytes, dirty>>1 {
+		if dirty&1 == 0 {
+			if start >= 0 {
+				closeRun(start, b>>WordShift)
+				start = -1
+			}
+			continue
+		}
+		tc, pc := twin[b:b+StretchBytes], page[b:b+StretchBytes]
+		// A changed stretch is most often changed from its first word
+		// on: look at that before paying for the call.
 		if start < 0 && le.Uint64(tc) == le.Uint64(pc) && bytes.Equal(tc, pc) {
 			continue
 		}
-		for i := 0; i < diffCmpBytes; i += WordSize {
+		for i := 0; i < StretchBytes; i += WordSize {
 			if le.Uint64(tc[i:]) != le.Uint64(pc[i:]) {
 				if start < 0 {
 					start = (b + i) >> WordShift
@@ -222,7 +243,7 @@ func EncodeDiffInto(s *DiffScratch, twin Twin, page []byte) Diff {
 		}
 	}
 	if start >= 0 {
-		closeRun(start, WordsPerPage)
+		closeRun(start, b>>WordShift) // the page's end or a clean stretch
 	}
 	s.runs = runs
 	if len(runs) == 0 {

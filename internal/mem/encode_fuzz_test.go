@@ -148,3 +148,124 @@ func FuzzEncodeDiff(f *testing.F) {
 		checkEncode(t, &scr, seed, mask)
 	})
 }
+
+// checkStretches builds a page from the seed and the twin the page's
+// writer saved: equal to the page except in the words of wordMask that
+// lie in a stretch marked in dirty. The clean stretches of the twin
+// handed to EncodeStretchesInto differ from the page in every byte, so a
+// read of one would show as a run; the result must equal the reference
+// over the twin with clean stretches equal to the page.
+func checkStretches(t *testing.T, scr *DiffScratch, seed int64, dirty uint32, wordMask []byte) {
+	t.Helper()
+	var m dirtyMask
+	copy(m[:], wordMask)
+	rng := rand.New(rand.NewSource(seed))
+	page := make([]byte, PageSize)
+	rng.Read(page)
+	saved := bytes.Clone(page)
+	for w := 0; w < WordsPerPage; w++ {
+		if m[w/8]&(1<<(w%8)) != 0 && dirty&(1<<(w*WordSize/StretchBytes)) != 0 {
+			saved[w*WordSize+int(seed+int64(w))&(WordSize-1)] ^= 0x5A
+		}
+	}
+	twin := bytes.Clone(saved)
+	for b := range twin {
+		if dirty&(1<<(b/StretchBytes)) == 0 {
+			twin[b] = page[b] ^ byte(1+rng.Intn(255))
+		}
+	}
+	got, want := EncodeStretchesInto(scr, dirty, twin, page), refEncodeDiff(saved, page)
+	if !reflect.DeepEqual(got.Runs(), want.Runs()) {
+		t.Fatalf("mask %032b: runs differ:\n got  %v\n want %v", dirty, got.Runs(), want.Runs())
+	}
+	if got.WireBytes() != want.WireBytes() {
+		t.Fatalf("mask %032b: wire bytes %d, want %d", dirty, got.WireBytes(), want.WireBytes())
+	}
+	back := bytes.Clone(saved)
+	got.Apply(back)
+	if !bytes.Equal(back, page) {
+		t.Fatalf("mask %032b: applying the diff to the saved twin does not give the page", dirty)
+	}
+}
+
+func TestEncodeStretchesCases(t *testing.T) {
+	var scr DiffScratch
+	page := make([]byte, PageSize)
+	rand.New(rand.NewSource(3)).Read(page)
+
+	// A word written and then restored: its stretch is marked, and equal.
+	if d := EncodeStretchesInto(&scr, 1<<5, bytes.Clone(page), page); !d.Empty() {
+		t.Errorf("restored word: diff %v, want none", d.Runs())
+	}
+
+	// A run up to the end of stretch 0, stretch 1 clean: the run stops at
+	// the boundary whatever the twin holds beyond it.
+	twin := bytes.Clone(page)
+	for b := 10 * WordSize; b < 2*StretchBytes; b++ {
+		twin[b] ^= 0xFF
+	}
+	d := EncodeStretchesInto(&scr, 1, twin, page)
+	if runs := d.Runs(); len(runs) != 1 || runs[0].Off != 10 || len(runs[0].Words) != 6 {
+		t.Errorf("run to a clean stretch: %v, want one run of words 10..15", runs)
+	}
+	checkStretches(t, &scr, 4, 1, maskOf([2]int{10, 40}))
+
+	// Every stretch marked is EncodeDiffInto.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		twin := bytes.Clone(page)
+		for k := rng.Intn(40); k > 0; k-- {
+			twin[rng.Intn(PageSize)] ^= byte(1 + rng.Intn(255))
+		}
+		got, want := EncodeStretchesInto(&scr, ^uint32(0), twin, page), EncodeDiffInto(&scr, twin, page)
+		if !reflect.DeepEqual(got.Runs(), want.Runs()) {
+			t.Fatalf("all stretches marked: %v, EncodeDiffInto %v", got.Runs(), want.Runs())
+		}
+	}
+
+	// No stretch marked: nothing is read, nothing is carved.
+	for b := range twin {
+		twin[b] = ^page[b]
+	}
+	var empty DiffScratch
+	if d := EncodeStretchesInto(&empty, 0, twin, page); !d.Empty() {
+		t.Errorf("no stretch marked: diff %v, want none", d.Runs())
+	}
+	if !reflect.DeepEqual(empty, DiffScratch{}) {
+		t.Errorf("no stretch marked: the scratch was used: %+v", empty)
+	}
+}
+
+func TestEncodeStretchesMatchesReference(t *testing.T) {
+	var scr DiffScratch
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		var m dirtyMask
+		rng.Read(m[:])
+		var dirty uint32
+		switch i % 3 {
+		case 0:
+			dirty = rng.Uint32() & rng.Uint32() // sparse
+		case 1:
+			dirty = rng.Uint32() | rng.Uint32() // dense
+		default:
+			lo := rng.Intn(32)
+			dirty = (^uint32(0) >> (31 - rng.Intn(32-lo))) << lo // one stretch range
+		}
+		checkStretches(t, &scr, int64(i), dirty, m[:])
+	}
+}
+
+// FuzzEncodeStretches lets the fuzzer choose the write mask and the
+// written words.
+func FuzzEncodeStretches(f *testing.F) {
+	for i, mask := range encodeSeeds {
+		f.Add(int64(i), uint32(0x0F0F00FF)>>(i%8), mask)
+	}
+	f.Add(int64(0), uint32(0), maskOf([2]int{0, WordsPerPage}))
+	f.Add(int64(1), ^uint32(0), maskOf([2]int{0, WordsPerPage}))
+	var scr DiffScratch
+	f.Fuzz(func(t *testing.T, seed int64, dirty uint32, wordMask []byte) {
+		checkStretches(t, &scr, seed, dirty, wordMask)
+	})
+}

@@ -9,8 +9,9 @@ import "sync"
 // collecting the same few megabytes once per cell. The lists hold
 // individually allocated buffers and are bounded by count; DESIGN.md §15
 // has the measurements behind both choices. Buffers come back dirty:
-// frames are cleared when they are taken, twins and slab words are
-// overwritten in full by their users.
+// frames are cleared when they are taken, slab words are overwritten in
+// full by their users, and a twin buffer is read only where its user
+// has saved into it since taking it.
 
 // poolMaxPages bounds what the lists hold together, in pages (a slab
 // chunk counts for its 16): 5 MB. Chosen on paper-grid, whose 60 cells
@@ -125,5 +126,17 @@ func (l *freeList[T]) add(b []T) {
 	pool.Pages += l.pages
 }
 
-// RecycleTwins hands twins their owner no longer needs to the recycler.
-func RecycleTwins(ts []Twin) { put(&pool.pages, ts) }
+// GetPage returns a page-sized buffer with arbitrary contents: a
+// recycled one if the recycler lists any, else a new one.
+func GetPage() *[PageSize]byte { return (*[PageSize]byte)(pool.pages.get(true)) }
+
+// PutPage hands a page-sized buffer its owner no longer needs to the
+// recycler; nil is skipped.
+func PutPage(b *[PageSize]byte) {
+	if b == nil {
+		return
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	pool.pages.add(b[:])
+}

@@ -95,7 +95,10 @@ func fresh(t *testing.T, c cell) totals {
 // TestRecycledRunsMatchFresh runs every small cell back to back through
 // apps.Run, each on the poisoned pages the ones before it released: all
 // must pass their Check, and the schedule-independent ones must
-// reproduce the totals of a run on fresh memory.
+// reproduce the totals of a run on fresh memory. Write-set buffers come
+// from the same list and are never cleared, so a stretch of one that
+// its write set never saved is 0xA5 throughout: an encoder that read it
+// would diff words no one wrote and move the byte totals.
 func TestRecycledRunsMatchFresh(t *testing.T) {
 	poisoned(t)
 	cells := smallCells(t)

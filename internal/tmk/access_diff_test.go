@@ -12,8 +12,10 @@ import (
 
 // refReadWord and refWriteWord are the access path as it was before the
 // translation cache — unit lookup, protection check, collector hook and
-// replica access on every word — kept verbatim as the reference the
-// cached path is compared against.
+// replica access on every word — kept as the reference the cached path
+// is compared against. A write takes the write-set step (recordWrite)
+// the cached path takes, on every store: the write set is how the engine
+// detects writes, so a store past it would go undiffed.
 func refReadWord(p *Proc, a mem.Addr) float64 {
 	p.clock.Advance(p.sys.cost.MemAccess)
 	if !p.pt.CanRead(p.unitOf(mem.PageOf(a))) {
@@ -33,6 +35,8 @@ func refWriteWord(p *Proc, a mem.Addr, v float64) {
 	if c := p.sys.col; c != nil {
 		c.OnWrite(p.id, a)
 	}
+	page := mem.PageOf(a)
+	p.recordWrite(p.writeSetOf(page), (*[mem.PageSize]byte)(p.rep.Page(page)), a&(mem.PageSize-1))
 	p.rep.WriteF64(a, v)
 }
 
@@ -42,20 +46,37 @@ func refWriteWord(p *Proc, a mem.Addr, v float64) {
 // has two), separated by barriers, with one processor per phase also
 // updating a counter under a lock — a deterministic hand-off chain. A
 // third of the accesses go to pages that share a translation-cache slot
-// with a recently used page.
+// with a recently used page. Some writes put back the value a lane word
+// had when the interval began, which must leave it out of the diff.
+// Halfway through each phase one processor writes every word of a page
+// no one else writes, which fills its write set and moves its writes to
+// the fast path, and sends half its later writes there.
 func accessProgram(seed int64, read func(*Proc, mem.Addr) float64, write func(*Proc, mem.Addr, float64), sums []float64) func(*Proc) {
 	const (
 		pages  = 2*tlbSize + 8
 		phases = 6
 		ops    = 400
-		hot    = 12 // pages most accesses fall on
+		hot    = 12        // pages most accesses fall on
+		whole  = pages - 2 // the page written in full
 	)
 	return func(p *Proc) {
 		rng := rand.New(rand.NewSource(seed*131 + int64(p.ID())))
 		n := p.NProcs()
 		last := 0
+		type saved struct {
+			a mem.Addr
+			v float64
+		}
 		for ph := 0; ph < phases; ph++ {
+			var before []saved // lane words written this interval, as they began it
+			written := make(map[mem.Addr]bool)
+			filler := ph%n == p.ID()
 			for i := 0; i < ops; i++ {
+				if filler && i == ops/2 {
+					for w := 0; w < mem.WordsPerPage; w++ {
+						write(p, wordAddr(whole, w), float64(ph*mem.WordsPerPage+w+1))
+					}
+				}
 				var page int
 				switch rng.Intn(3) {
 				case 0:
@@ -70,11 +91,21 @@ func accessProgram(seed int64, read func(*Proc, mem.Addr) float64, write func(*P
 					}
 				}
 				last = page
-				if rng.Intn(3) == 0 {
-					w := rng.Intn(mem.WordsPerPage/n)*n + p.ID()
-					write(p, wordAddr(page, w), float64(rng.Intn(1000)+1))
-				} else {
+				switch {
+				case rng.Intn(3) != 0:
 					sums[p.ID()] += read(p, wordAddr(page, rng.Intn(mem.WordsPerPage)))
+				case filler && i > ops/2 && rng.Intn(2) == 0:
+					write(p, wordAddr(whole, rng.Intn(mem.WordsPerPage)), float64(rng.Intn(1000)+1))
+				case len(before) > 0 && rng.Intn(4) == 0:
+					b := before[rng.Intn(len(before))]
+					write(p, b.a, b.v)
+				case page != whole:
+					a := wordAddr(page, rng.Intn(mem.WordsPerPage/n)*n+p.ID())
+					if !written[a] {
+						written[a] = true
+						before = append(before, saved{a, read(p, a)})
+					}
+					write(p, a, float64(rng.Intn(1000)+1))
 				}
 			}
 			if ph%n == p.ID() {
@@ -118,6 +149,9 @@ func TestAccessPathMatchesReference(t *testing.T) {
 
 					if got.Faults == 0 || got.Twins == 0 || got.Stats.Exchanges == 0 {
 						t.Fatalf("program exercised nothing: %+v", got)
+					}
+					if fast.Promoted() == 0 || fast.Promoted() != ref.Promoted() {
+						t.Errorf("%d pages took the write fast path, %d on the reference path; want the same, and some", fast.Promoted(), ref.Promoted())
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("results differ:\n cached    %+v\n   stats   %+v\n reference %+v\n   stats   %+v", got, got.Stats, want, want.Stats)

@@ -2,6 +2,8 @@ package tmk
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -35,4 +37,52 @@ func (s *System) CheckHeldList(p int) error {
 		}
 	}
 	return nil
+}
+
+// WriteSetCheck is what CheckWriteSets saw over the runs since it was
+// installed.
+type WriteSetCheck struct {
+	mu    sync.Mutex
+	diffs int
+	err   error
+}
+
+// Diffs returns how many page diffs were compared, and the first
+// mismatch.
+func (c *WriteSetCheck) Diffs() (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.diffs, c.err
+}
+
+// CheckWriteSets runs the twin-then-compare write detection beside the
+// write sets in every later Run of s: each write fault also twins its
+// unit's pages in full, and each interval close requires EncodeDiffInto
+// of every page against its twin to equal the page's write-set diff, run
+// for run. Call it before Run.
+func (s *System) CheckWriteSets() *WriteSetCheck {
+	c := &WriteSetCheck{}
+	scr := make([]mem.DiffScratch, s.cfg.Procs) // one per processor goroutine
+	s.twinHook = func(p *Proc, page int, twin mem.Twin, d mem.Diff) {
+		want := mem.EncodeDiffInto(&scr[p.id], twin, p.rep.Page(page))
+		same := reflect.DeepEqual(d.Runs(), want.Runs())
+		scr[p.id].Rewind()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.diffs++
+		if !same && c.err == nil {
+			c.err = fmt.Errorf("processor %d page %d: write-set diff %v, twin diff %v", p.id, page, d.Runs(), want.Runs())
+		}
+	}
+	return c
+}
+
+// Promoted returns how many pages of the last Run had every stretch of
+// their write set saved, so that writes to them took the fast path.
+func (s *System) Promoted() int {
+	n := 0
+	for _, p := range s.procs {
+		n += p.nPromoted
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package tmk
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"repro/internal/aggregate"
 	"repro/internal/instrument"
@@ -36,8 +37,12 @@ type Proc struct {
 
 	// The translation cache of the access path (see tlbEntry), the
 	// generation its live entries carry in the upper half of their keys,
-	// and the per-access charge it saves looking up.
+	// and the per-access charge it saves looking up. tlbWS[i] is the
+	// write set of the page tlb[i] translates while that page is
+	// writable, nil while it is not; it sits beside the table, not in
+	// it, so that an entry stays 32 bytes on the read path.
 	tlb       [tlbSize]tlbEntry
+	tlbWS     [tlbSize]*writeSet
 	tlbGen    uint64
 	memAccess sim.Duration
 
@@ -49,13 +54,16 @@ type Proc struct {
 	tk *vc.Tracked
 	vt vc.Time
 
-	// Multiple-writer state for the current interval: the units twinned,
-	// in order, and every twin buffer the processor owns. The k-th unit of
-	// writeOrder owns twins[k*UnitPages:(k+1)*UnitPages]; the buffers past
-	// the live ones are free for the next write fault to copy into, so
-	// steady-state twinning allocates nothing.
+	// Multiple-writer state for the current interval: the units written,
+	// in order, and every write set the processor owns. The k-th unit of
+	// writeOrder owns wsets[k*UnitPages:(k+1)*UnitPages], one per page;
+	// the sets past the live ones keep their buffers for the next write
+	// fault, so steady-state write detection allocates nothing.
+	// checkTwins, parallel to wsets, holds the full twins the twinHook
+	// compares against (tests only).
 	writeOrder []int
-	twins      []mem.Twin
+	wsets      []writeSet
+	checkTwins []mem.Twin
 
 	// missing[unit] lists unseen remote intervals that wrote the unit;
 	// the unit stays invalid until they are fetched and applied. Dense
@@ -82,6 +90,7 @@ type Proc struct {
 	nTwins     int
 	nDiffs     int
 	nIntervals int
+	nPromoted  int // pages whose every stretch was saved: writes take the fast path
 
 	// Reusable hot-path storage. Every buffer below is scratch that the
 	// steady state recycles instead of reallocating: the engine's inner
@@ -176,11 +185,11 @@ func (p *Proc) reset() {
 		p.tracker = aggregate.NewTracker()
 		p.groups = aggregate.New(p.sys.cfg.MaxGroupPages)
 	}
-	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals = 0, 0, 0, 0
+	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals, p.nPromoted = 0, 0, 0, 0, 0
 }
 
 // release hands the processor's page-sized storage — lazy replica
-// frames, live and free twins, full-size diff-slab chunks — to the
+// frames, write-set buffers, full-size diff-slab chunks — to the
 // recycler and drops the replica, so a stray access after
 // System.Release fails on a nil replica instead of reading a page some
 // other run now owns.
@@ -189,9 +198,11 @@ func (p *Proc) release() {
 		p.rep.Zero()
 	}
 	p.rep = nil
-	p.tlb = [tlbSize]tlbEntry{}
-	mem.RecycleTwins(p.twins)
-	p.twins = nil
+	p.tlb, p.tlbWS = [tlbSize]tlbEntry{}, [tlbSize]*writeSet{}
+	for _, ws := range p.wsets {
+		mem.PutPage(ws.old)
+	}
+	p.wsets, p.checkTwins = nil, nil
 	p.diffScr.Release()
 	p.ivScr = lrc.IntervalScratch{}
 }
@@ -235,14 +246,19 @@ func tlbIndex(page int) int { return (page ^ page>>tlbBits) & (tlbSize - 1) }
 // frame while a lazy page is readable but unmaterialized) and the
 // collector's tag row for it (nil when collection is off or no diff was
 // ever tagged into the page). readKey is tlbGen|page+1 while the page is
-// readable, writeKey the same while it is writable; zero matches nothing.
+// readable; writeKey is the same once the page is writable and every
+// stretch of its write set is saved, so that a write needs nothing more
+// than the store (see noteWrite). Zero matches nothing.
 //
-// Everything an entry caches changes only inside a fault (fetches
-// materialize frames and tag rows, twinning materializes frames) or at
-// a protection change, and every one of those ends in setState, which
-// drops the whole table. Replicas, page tables and tag rows are touched
-// only by their own processor's goroutine, so no other goroutine can
-// make an entry stale.
+// Everything an entry and its tlbWS slot cache changes only inside a
+// fault (fetches materialize frames and tag rows, write faults
+// materialize frames and append to wsets), at a protection change, or at
+// a promotion, which sets writeKey in the entry itself; every fault and
+// protection change ends in setState, which drops the whole table. So a
+// cached write-set pointer never outlives a reallocation of wsets: every
+// append to it is followed by setState. Replicas, page tables, write sets
+// and tag rows are touched only by their own processor's goroutine, so
+// no other goroutine can make an entry stale.
 type tlbEntry struct {
 	readKey, writeKey uint64
 	frame             *[mem.PageSize]byte
@@ -287,12 +303,18 @@ func (p *Proc) translate(page int, write bool) *tlbEntry {
 	} else if !p.pt.CanRead(u) {
 		p.readFault(page)
 	}
-	e := &p.tlb[tlbIndex(page)]
+	i := tlbIndex(page)
+	e := &p.tlb[i]
 	e.readKey, e.writeKey = p.tlbGen|uint64(page+1), 0
+	p.tlbWS[i] = nil
 	if p.pt.CanWrite(u) {
-		// Writable units are twinned, so the page is materialized.
-		e.writeKey = e.readKey
+		// The write fault materialized the page.
 		e.frame = (*[mem.PageSize]byte)(p.rep.Page(page))
+		ws := p.writeSetOf(page)
+		p.tlbWS[i] = ws
+		if ws.dirty == allStretches {
+			e.writeKey = e.readKey
+		}
 	} else {
 		e.frame = (*[mem.PageSize]byte)(p.rep.Frame(page))
 	}
@@ -329,15 +351,104 @@ func (p *Proc) readWord(a mem.Addr) uint64 {
 func (p *Proc) writeWord(a mem.Addr, v uint64) {
 	p.clock.Advance(p.memAccess)
 	page := mem.PageOf(a)
+	off := a & (mem.PageSize - 1)
 	e := &p.tlb[tlbIndex(page)]
 	if e.writeKey != p.tlbGen|uint64(page+1) {
-		e = p.translate(page, true)
+		e = p.noteWrite(page, off)
 	}
-	off := a & (mem.PageSize - 1)
 	if e.tags != nil {
 		e.tags[off>>mem.WordShift] = 0
 	}
 	binary.LittleEndian.PutUint64(e.frame[off:], v)
+}
+
+// noteWrite is writeWord's miss side, taken while the page's write set
+// may lack the stretch at off: translate unless the entry already holds
+// the page writable, then record the write.
+func (p *Proc) noteWrite(page int, off mem.Addr) *tlbEntry {
+	i := tlbIndex(page)
+	e := &p.tlb[i]
+	if e.readKey != p.tlbGen|uint64(page+1) || p.tlbWS[i] == nil {
+		e = p.translate(page, true)
+	}
+	if p.recordWrite(p.tlbWS[i], e.frame, off) {
+		// Use readKey, not a key taken before translate: a fault there
+		// moved the generation.
+		e.writeKey = e.readKey
+	}
+	return e
+}
+
+// --- write detection -----------------------------------------------------
+
+// writeSet is the write detection of one page of a writable unit, in
+// software. TreadMarks twins the whole page at the write fault because
+// the hardware cannot say which words are written; every store here goes
+// through the access path, so the page's write set saves each
+// mem.StretchBytes stretch just before the interval's first write into it
+// instead, and closeInterval diffs the saved stretches alone
+// (mem.EncodeStretchesInto). Bit i of dirty says stretch i is saved in
+// old; the rest of old is whatever an earlier interval or run left there
+// and is never read.
+type writeSet struct {
+	dirty uint32
+	old   *[mem.PageSize]byte
+}
+
+// allStretches is a write set with every stretch saved: writes to its
+// page take the access path's fast side.
+const allStretches = ^uint32(0)
+
+// writeSetOf returns the write set of a page of a writable unit. Every
+// writable unit is on writeOrder; the translation that follows a write
+// fault finds its unit last.
+func (p *Proc) writeSetOf(page int) *writeSet {
+	up := p.sys.cfg.UnitPages
+	u := page / up
+	for k := len(p.writeOrder) - 1; ; k-- {
+		if p.writeOrder[k] == u {
+			return &p.wsets[k*up+page-u*up]
+		}
+	}
+}
+
+// promoteAt is the stretch at which a write set stops saving stretch by
+// stretch: the interval's write into a promoteAt-th stretch of a page
+// saves every stretch not saved yet, and the page's writes move to the
+// fast path. A saved stretch that is never written costs only its
+// compare at close, so a page written in several stretches is cheaper
+// saved whole than through a miss per stretch; a page written in one or
+// two (Storm's one word per page) is never saved whole. On the Figure
+// 1+2 grid, waiting for all 32 stretches left partly written pages on
+// the miss side for every write.
+const promoteAt = 4
+
+// recordWrite is the step every store into a writable page takes before
+// it lands, frame being the page's bytes: save the stretch at off on the
+// interval's first write into it (all of the page's unsaved stretches at
+// the promoteAt-th). It reports whether every stretch of the page is now
+// saved.
+func (p *Proc) recordWrite(ws *writeSet, frame *[mem.PageSize]byte, off mem.Addr) bool {
+	bit := uint32(1) << (off / mem.StretchBytes)
+	if ws.dirty&bit != 0 {
+		return ws.dirty == allStretches
+	}
+	save := bit
+	if bits.OnesCount32(ws.dirty) == promoteAt-1 {
+		save = ^ws.dirty
+	}
+	for m := uint64(save); m != 0; {
+		lo := bits.TrailingZeros64(m)       // the next run of stretches to save
+		n := bits.TrailingZeros64(^m >> lo) // and its length
+		b, e := lo*mem.StretchBytes, (lo+n)*mem.StretchBytes
+		copy(ws.old[b:e], frame[b:e])
+		m &^= (1<<n - 1) << lo
+	}
+	if ws.dirty |= save; ws.dirty == allStretches {
+		p.nPromoted++
+		return true
+	}
+	return false
 }
 
 // ReadF64 loads the float64 at word-aligned shared address a.
@@ -356,7 +467,9 @@ func (p *Proc) WriteI64(a mem.Addr, v int64) { p.writeWord(a, uint64(v)) }
 
 // writeFault models the protection trap on a write to a unit that is not
 // ReadWrite: fetch current contents if invalid, then twin every page of
-// the unit (the multiple-writer protocol's write detection).
+// the unit (the multiple-writer protocol's write detection). The twin is
+// charged here, as TreadMarks pays for it; what the host does is start
+// each page's write set empty, with a buffer to save stretches into.
 func (p *Proc) writeFault(u, page int) {
 	cost := p.sys.cost
 	if p.pt.CanRead(u) {
@@ -369,14 +482,27 @@ func (p *Proc) writeFault(u, page int) {
 	up := p.sys.cfg.UnitPages
 	live := len(p.writeOrder) * up
 	for s := 0; s < up; s++ {
-		if live+s == len(p.twins) {
-			p.twins = append(p.twins, nil)
+		if live+s == len(p.wsets) {
+			p.wsets = append(p.wsets, writeSet{})
 		}
-		p.twins[live+s] = mem.MakeTwinInto(p.twins[live+s], p.rep.Page(u*up+s))
+		ws := &p.wsets[live+s]
+		if ws.old == nil {
+			ws.old = mem.GetPage()
+		}
+		ws.dirty = 0
+		frame := p.rep.Page(u*up + s) // writable pages are materialized
+		if p.sys.twinHook != nil {
+			if live+s == len(p.checkTwins) {
+				p.checkTwins = append(p.checkTwins, nil)
+			}
+			p.checkTwins[live+s] = mem.MakeTwinInto(p.checkTwins[live+s], frame)
+		}
 		p.clock.Advance(cost.TwinPerPage)
 		p.nTwins++
 	}
 	p.writeOrder = append(p.writeOrder, u)
+	// This drops every cached write-set pointer the append above may
+	// have left dangling.
 	p.setState(u, mem.ReadWrite)
 	p.clock.Advance(cost.ProtOp)
 }

@@ -12,13 +12,14 @@ import (
 )
 
 // closeInterval ends the processor's current interval if it wrote
-// anything: every twinned unit is diffed page-by-page against its twin
-// (eager diffing — see DESIGN.md §3), the diffs are released through
-// each written unit's owning protocol (homeless keeps them attached to
-// the interval, home-based flushes them to the units' homes), the
-// interval is published with one write notice per unit plus the kept
-// diffs, the twin buffers become free again (emptying writeOrder frees
-// them all), and the units revert to ReadOnly so the next write re-twins.
+// anything: every written unit is diffed page by page, the stretches its
+// write set saved against the page (eager diffing — see DESIGN.md §3),
+// the diffs are released through each written unit's owning protocol
+// (homeless keeps them attached to the interval, home-based flushes them
+// to the units' homes), the interval is published with one write notice
+// per unit plus the kept diffs, the write sets become free again
+// (emptying writeOrder frees them all), and the units revert to ReadOnly
+// so the next write faults and starts a new one.
 func (p *Proc) closeInterval() {
 	if len(p.writeOrder) == 0 {
 		return
@@ -30,10 +31,13 @@ func (p *Proc) closeInterval() {
 	units := p.unitsBuf[:0]
 	diffs := p.diffsBuf[:0]
 	for k, u := range p.writeOrder {
-		tw := p.twins[k*up : (k+1)*up]
 		for s := 0; s < up; s++ {
 			page := u*up + s
-			d := mem.EncodeDiffInto(&p.diffScr, tw[s], p.rep.Page(page))
+			ws := &p.wsets[k*up+s]
+			d := mem.EncodeStretchesInto(&p.diffScr, ws.dirty, ws.old[:], p.rep.Page(page))
+			if hook := p.sys.twinHook; hook != nil {
+				hook(p, page, p.checkTwins[k*up+s], d)
+			}
 			p.clock.Advance(cost.DiffPerPage)
 			p.nDiffs++
 			if !d.Empty() {

@@ -251,6 +251,13 @@ type System struct {
 	// how many list entries the walk it took had.
 	barrierHook func(p *Proc, heldWalk bool, visited int)
 
+	// twinHook, when set (tests only, before Run), keeps the
+	// twin-then-compare write detection the write sets replaced running
+	// beside them: every write fault also twins each page of the unit in
+	// full, and closeInterval hands the hook each page's twin and the diff
+	// the write set gave, on the processor's goroutine.
+	twinHook func(p *Proc, page int, twin mem.Twin, d mem.Diff)
+
 	segBytes int
 	numPages int
 	numUnits int
@@ -376,9 +383,9 @@ func (s *System) Reset() {
 }
 
 // Release ends the System's life: every processor's page-sized storage
-// (replica frames, twins, diff-slab chunks) goes to mem's recycler for
-// the next System to take, and the interval store and engines that
-// point into it are dropped. Call it once the workload has been checked
+// (replica frames, write-set buffers, diff-slab chunks) goes to mem's
+// recycler for the next System to take, and the interval store and
+// engines that point into it are dropped. Call it once the workload has been checked
 // (a Result stays valid); a second call does nothing, and Run or Reset
 // afterwards panic. A System that is never released is simply collected.
 func (s *System) Release() {
