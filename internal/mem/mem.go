@@ -126,8 +126,8 @@ func (r *Replica) Frame(p int) []byte {
 
 // Page returns the byte slice backing page p (aliases the replica). In
 // lazy mode the frame is materialized: callers take Page to write into
-// it (twinning, diff application), so handing out zeroed storage is the
-// contract either way.
+// it (write faults, diff application), so handing out zeroed storage is
+// the contract either way.
 func (r *Replica) Page(p int) []byte {
 	if r.data == nil && r.frames[p] == nil {
 		return r.materialize(p)[:]

@@ -418,9 +418,9 @@ func (p *Proc) writeSetOf(page int) *writeSet {
 // fast path. A saved stretch that is never written costs only its
 // compare at close, so a page written in several stretches is cheaper
 // saved whole than through a miss per stretch; a page written in one or
-// two (Storm's one word per page) is never saved whole. On the Figure
-// 1+2 grid, waiting for all 32 stretches left partly written pages on
-// the miss side for every write.
+// two (Storm's one word per page) is never saved whole. Waiting for all
+// 32 stretches leaves a partly written page on the miss side for every
+// write (DESIGN §3 has the measurement).
 const promoteAt = 4
 
 // recordWrite is the step every store into a writable page takes before
