@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-check scaling networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
+.PHONY: all test vet networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
 
 all: test
 
@@ -12,29 +12,6 @@ test:
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
-
-# bench regenerates the perf-trajectory baseline: every application's
-# small dataset under the default configuration (4 KB units, homeless,
-# ideal network). Commit the refreshed BENCH_baseline.json whenever a
-# PR intentionally moves these numbers.
-bench:
-	$(GO) run ./cmd/dsmbench -baseline -json > BENCH_baseline.json
-
-# bench-check is the regression gate: re-run the baseline suite and fail
-# on >2% simulated-time drift against the committed file (the ideal
-# network is deterministic, so drift is a real engine change). CI runs
-# this on every push.
-bench-check:
-	$(GO) run ./cmd/dsmbench -check-baseline BENCH_baseline.json
-
-# scaling regenerates the committed 8->1024-proc scaling curves
-# (storm/large, {homeless,home} x {ideal,bus} x {dense/central,
-# sparse/tree}). The dense 1024-proc cells take minutes each by
-# design — that quadratic cost is the datum — so the full sweep is a
-# coffee break, not a CI job. Commit the refreshed BENCH_scaling.json
-# whenever a PR moves these numbers.
-scaling:
-	$(GO) run ./cmd/dsmbench -scaling -json > BENCH_scaling.json
 
 # profile runs the -networks sweep under the std runtime/pprof
 # collectors and prints the top CPU and allocation sinks. The raw

@@ -215,7 +215,7 @@ func TestGridErrorNamesTheFailingCell(t *testing.T) {
 
 // TestRunScaling pins the scaling sweep's shape at one small size:
 // curves in protocol × network × mode order and a wall clock on every
-// point, for both default modes plus a sparse/central arm. Dense and
+// point, for both ScalingModes plus a sparse/central arm. Dense and
 // sparse clocks under one barrier fabric must agree exactly at 8 procs
 // (DESIGN §13); the tree fabric's traffic differs by construction, so
 // sparse/tree is held to its own serial run instead. Bad axis names are
@@ -225,13 +225,14 @@ func TestRunScaling(t *testing.T) {
 	dense, tree := ScalingModes()[0], ScalingModes()[1]
 	sparse := ScalingMode{Name: "sparse/central", Scale: tmk.ScaleSparse, Barrier: "central"}
 	modes := []ScalingMode{dense, sparse, tree}
-	curves, err := RunScaling(e, nil, nil, []int{8}, modes)
+	protocols, networks := []string{"homeless", "home"}, []string{"ideal", "bus"}
+	curves, err := RunScaling(e, protocols, networks, []int{8}, modes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	for _, proto := range ScalingProtocols() {
-		for _, network := range ScalingNetworks() {
+	for _, proto := range protocols {
+		for _, network := range networks {
 			for _, mode := range modes {
 				if i >= len(curves) {
 					t.Fatalf("only %d curves", len(curves))
@@ -265,10 +266,10 @@ func TestRunScaling(t *testing.T) {
 
 	runs := &engineRuns{flying: map[string]int{}, highest: map[string]int{}}
 	watched := runs.watch(e)
-	if _, err := RunScaling(watched, []string{"homeless", "write-update"}, nil, []int{8}, nil); err == nil {
+	if _, err := RunScaling(watched, []string{"homeless", "write-update"}, networks, []int{8}, modes); err == nil {
 		t.Error("unknown protocol must error")
 	}
-	if _, err := RunScaling(watched, nil, []string{"ideal", "token-ring"}, []int{8}, nil); err == nil {
+	if _, err := RunScaling(watched, protocols, []string{"ideal", "token-ring"}, []int{8}, modes); err == nil {
 		t.Error("unknown network must error")
 	}
 	if runs.total != 0 {

@@ -126,6 +126,9 @@ type Cell struct {
 	// order, which on contended models can differ from a fresh run by
 	// the same sub-percent wobble two real runs show.
 	Derived bool
+	// Digest is the engine run's tmk.Result.Digest. A derived cell has
+	// no engine Result and leaves it empty.
+	Digest string
 }
 
 // Run executes one experiment under one configuration with verification.
@@ -161,6 +164,7 @@ func runCell(e Experiment, c Config, procs int, collect bool, sink trace.Sink) (
 		RehomeBytes:   res.RehomeBytes,
 		HandoffBytes:  res.HandoffBytes,
 		Stats:         res.Stats,
+		Digest:        res.Digest(),
 	}, nil
 }
 
@@ -896,18 +900,6 @@ func ScalingModes() []ScalingMode {
 	}
 }
 
-// ScalingSizes returns the sweep's processor counts: the paper's 8,
-// then 64/256/1024 — past anything the original evaluation ran.
-func ScalingSizes() []int { return []int{8, 64, 256, 1024} }
-
-// ScalingProtocols returns the static protocols the curves cover.
-func ScalingProtocols() []string { return []string{"homeless", "home"} }
-
-// ScalingNetworks returns the interconnects the curves cover: the
-// contention-free arithmetic and the contended shared medium, the two
-// ends of the range over which barrier fan-in matters.
-func ScalingNetworks() []string { return []string{"ideal", "bus"} }
-
 // ScalingPoint is one processor count on one curve: the engine run's
 // accounting plus the host wall clock it took to simulate — the sweep's
 // headline metric, since the modes are bit-identical at 8 procs and the
@@ -931,26 +923,11 @@ type ScalingCurve struct {
 
 // RunScaling runs the experiment across protocols × networks × modes ×
 // sizes on the sweep pool and returns one curve per protocol × network
-// × mode, sizes ascending. Nil/empty axes take the Scaling* defaults.
-// Every cell is verified against the sequential reference; wall clock
-// is measured around the single cell run (on a multi-core host,
-// concurrent cells share the machine, so treat wall times as
-// comparative, not absolute — the committed sweep records GOMAXPROCS
-// alongside).
+// × mode, in the order given. Every cell is verified against the
+// sequential reference; wall clock is measured around the single cell
+// run (on a multi-core host, concurrent cells share the machine, so
+// treat wall times as comparative, not absolute).
 func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes []ScalingMode) ([]ScalingCurve, error) {
-	if len(protocols) == 0 {
-		protocols = ScalingProtocols()
-	}
-	if len(networks) == 0 {
-		networks = ScalingNetworks()
-	}
-	if len(sizes) == 0 {
-		sizes = ScalingSizes()
-	}
-	if len(modes) == 0 {
-		modes = ScalingModes()
-	}
-
 	// Tasks go in protocol × mode × size × network order; curves come
 	// out protocol × network × mode.
 	type timed struct {
@@ -1017,72 +994,4 @@ func RunScaling(e Experiment, protocols, networks []string, sizes []int, modes [
 		}
 	}
 	return out, nil
-}
-
-// ScalingSpeedup returns the wall-clock ratio reference÷candidate at
-// the given processor count for the protocol × network cell shared by
-// the two curves, or 0 when either point is missing. Above 1 the
-// candidate mode simulates that cell faster.
-func ScalingSpeedup(reference, candidate ScalingCurve, procs int) float64 {
-	var ref, cand time.Duration
-	for _, pt := range reference.Points {
-		if pt.Procs == procs {
-			ref = pt.Wall
-		}
-	}
-	for _, pt := range candidate.Points {
-		if pt.Procs == procs {
-			cand = pt.Wall
-		}
-	}
-	if ref <= 0 || cand <= 0 {
-		return 0
-	}
-	return float64(ref) / float64(cand)
-}
-
-// RenderScaling prints the sweep: per protocol × network and processor
-// count, each mode's host wall clock and simulated time, plus the
-// wall-clock speedup of the last mode over the first (the sweep's
-// reference mode by convention).
-func RenderScaling(w io.Writer, curves []ScalingCurve) {
-	if len(curves) == 0 {
-		return
-	}
-	// Group curves by protocol × network in arrival order.
-	type cellID struct{ proto, network string }
-	groups := make(map[cellID][]ScalingCurve)
-	var order []cellID
-	for _, c := range curves {
-		id := cellID{c.Protocol, c.Network}
-		if _, ok := groups[id]; !ok {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], c)
-	}
-	fmt.Fprintf(w, "%s %s — host wall clock (ms) and simulated time (s) per engine mode\n",
-		curves[0].App, curves[0].Dataset)
-	for _, id := range order {
-		cs := groups[id]
-		fmt.Fprintf(w, "  %s × %s\n", id.proto, id.network)
-		fmt.Fprintf(w, "    %-6s", "procs")
-		for _, c := range cs {
-			fmt.Fprintf(w, "  %24s", c.Mode.Name)
-		}
-		if len(cs) > 1 {
-			fmt.Fprintf(w, "  %8s", "speedup")
-		}
-		fmt.Fprintln(w)
-		for i, pt := range cs[0].Points {
-			fmt.Fprintf(w, "    %-6d", pt.Procs)
-			for _, c := range cs {
-				p := c.Points[i]
-				fmt.Fprintf(w, "  %12.0f / %9.3f", float64(p.Wall.Microseconds())/1000, p.Cell.Time.Seconds())
-			}
-			if len(cs) > 1 {
-				fmt.Fprintf(w, "  %7.1f×", ScalingSpeedup(cs[0], cs[len(cs)-1], pt.Procs))
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }

@@ -75,6 +75,9 @@ type CellJSON struct {
 	RehomeBytes   int               `json:"rehome_bytes,omitempty"`
 	HandoffBytes  int               `json:"handoff_bytes,omitempty"`
 	Stats         *instrument.Stats `json:"stats,omitempty"`
+	// Digest is the engine run's tmk.Result.Digest (omitted for a
+	// derived cell): two cells with equal digests behaved identically.
+	Digest string `json:"digest,omitempty"`
 }
 
 // CellReport converts one harness cell run under cfg.
@@ -99,6 +102,7 @@ func CellReport(e Experiment, cfg Config, procs int, c Cell) CellJSON {
 		RehomeBytes:   c.RehomeBytes,
 		HandoffBytes:  c.HandoffBytes,
 		Stats:         c.Stats,
+		Digest:        c.Digest,
 	}
 }
 
@@ -305,60 +309,6 @@ func TrialsReport(app, dataset, paper string, cfg tmk.Config, ts *tmk.TrialSumma
 	}
 	for _, r := range ts.Trials {
 		out.Trials = append(out.Trials, ResultReport(r))
-	}
-	return out
-}
-
-// ScalingPointJSON is one processor count on one scaling curve.
-type ScalingPointJSON struct {
-	Procs        int     `json:"procs"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	TimeSeconds  float64 `json:"time_seconds"`
-	QueueSeconds float64 `json:"queue_seconds"`
-	Messages     int     `json:"messages"`
-	Bytes        int     `json:"bytes"`
-}
-
-// ScalingCurveJSON is one protocol × network × mode curve of the
-// -scaling sweep. WallSeconds is host wall clock (how long the engine
-// took to simulate the cell), the sweep's headline metric.
-type ScalingCurveJSON struct {
-	App          string             `json:"app"`
-	Dataset      string             `json:"dataset"`
-	Protocol     string             `json:"protocol"`
-	Network      string             `json:"network"`
-	Mode         string             `json:"mode"`
-	Scale        string             `json:"scale"`
-	Barrier      string             `json:"barrier"`
-	BarrierRadix int                `json:"barrier_radix,omitempty"`
-	Points       []ScalingPointJSON `json:"points"`
-}
-
-// ScalingReport converts one scaling curve.
-func ScalingReport(c ScalingCurve) ScalingCurveJSON {
-	// The curve ran, so its configuration resolves.
-	cfg, _ := tmk.Config{
-		Protocol: c.Protocol, Network: c.Network, Scale: c.Mode.Scale, Barrier: c.Mode.Barrier,
-	}.Resolve()
-	out := ScalingCurveJSON{
-		App:          c.App,
-		Dataset:      c.Dataset,
-		Protocol:     cfg.Protocol,
-		Network:      cfg.Network,
-		Mode:         c.Mode.Name,
-		Scale:        cfg.Scale,
-		Barrier:      cfg.Barrier,
-		BarrierRadix: c.Mode.Radix,
-	}
-	for _, pt := range c.Points {
-		out.Points = append(out.Points, ScalingPointJSON{
-			Procs:        pt.Procs,
-			WallSeconds:  pt.Wall.Seconds(),
-			TimeSeconds:  pt.Cell.Time.Seconds(),
-			QueueSeconds: pt.Cell.Queue.Seconds(),
-			Messages:     pt.Cell.Msgs,
-			Bytes:        pt.Cell.Bytes,
-		})
 	}
 	return out
 }

@@ -11,7 +11,12 @@
 package tmk
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/aggregate"
@@ -584,6 +589,44 @@ type Result struct {
 	Rehomes      int
 	RehomeBytes  int
 	HandoffBytes int
+}
+
+// Digest returns the hex SHA-256 of a fixed little-endian encoding of
+// the run's results: the clocks, network totals, engine event counts,
+// adaptive and placement accounting, and the §5.3 Stats when collected,
+// with map entries in key order. Network and Placement are left out:
+// they name the configuration, which keys a result rather than being
+// one, so runs that differ only in representation (dense and sparse
+// clocks) share a digest. Equal digests mean equal behaviour.
+func (r *Result) Digest() string {
+	b := make([]byte, 0, 8*(32+len(r.ProcTimes)+2*len(r.UnitSwitches)))
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+	}
+	put(int64(r.Time), int64(len(r.ProcTimes)))
+	for _, t := range r.ProcTimes {
+		put(int64(t))
+	}
+	put(int64(r.Messages), int64(r.Bytes), int64(r.QueueDelay))
+	put(int64(r.Faults), int64(r.Twins), int64(r.DiffsEncoded), int64(r.Intervals))
+	put(int64(r.SwitchedUnits), int64(r.ProtocolSwitches), int64(r.HomeUnits), int64(len(r.UnitSwitches)))
+	for _, u := range slices.Sorted(maps.Keys(r.UnitSwitches)) {
+		put(int64(u), int64(r.UnitSwitches[u]))
+	}
+	put(int64(r.Rehomes), int64(r.RehomeBytes), int64(r.HandoffBytes))
+	if s := r.Stats; s != nil {
+		put(1, int64(s.Messages.Useful), int64(s.Messages.Useless),
+			int64(s.UsefulBytes), int64(s.UselessBytes), int64(s.PiggybackedBytes), int64(s.TotalWireBytes),
+			int64(s.Faults), int64(s.ZeroFetchFaults), int64(s.Exchanges), int64(len(s.Signature)))
+		for _, w := range slices.Sorted(maps.Keys(s.Signature)) {
+			sb := s.Signature[w]
+			put(int64(w), int64(sb.Writers), int64(sb.Faults), int64(sb.UsefulMsgs), int64(sb.UselessMsgs))
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Run executes body once per processor, concurrently, and returns the
