@@ -95,12 +95,12 @@ func digestKey(t *testing.T, p Point) string {
 //
 //	go test ./internal/harness -run TestDigestTable -update
 //
-// The Jacobi/small homeless and home rows carry the counts first pinned
-// by the root golden tests: 294 messages, 500,952 bytes and 46,004,895 ns
-// from `dsmrun -json` at commit 60f6268, before the Protocol interface
-// was extracted; and 307 messages, 848,112 bytes and 67,212,680 ns under
-// round-robin homes at commit feb88a8, before homes moved behind the
-// Placement policy.
+// The Jacobi/small homeless and home rows carry the counts the root
+// golden tests (TestHomelessGoldenCounts, TestHomeRRGoldenCounts) pin:
+// 294 messages, 500,952 bytes and 46,004,895 ns from `dsmrun -json` at
+// commit 60f6268, before the Protocol interface was extracted; and 307
+// messages, 848,112 bytes and 67,212,680 ns under round-robin homes at
+// commit feb88a8, before homes moved behind the Placement policy.
 func TestDigestTable(t *testing.T) {
 	points := digestPoints()
 	cells, err := RunGrid(points, true)

@@ -7,9 +7,7 @@
 // extracted), and the home protocol under the default round-robin
 // placement must reproduce the pre-placement-layer counts exactly
 // (values recorded at commit feb88a8, before homeOf moved behind the
-// Placement policy). Only the lock program is left here; the barrier
-// applications' cells, Jacobi's among them, are rows of the digest
-// table (internal/harness/testdata/digests.txt).
+// Placement policy).
 //
 // Excluded under the race detector: the TSP counts depend on lock
 // hand-off order, which is perturbed by -race instrumentation (see the
@@ -38,6 +36,8 @@ func TestHomelessGoldenCounts(t *testing.T) {
 		bytes        int
 		time         sim.Duration // 0 = not asserted
 	}{
+		// dsmrun -app jacobi -dataset small -json @ 60f6268
+		{"Jacobi", "small", 294, 500952, 46004895 * sim.Nanosecond},
 		// dsmrun -app tsp -dataset small -json @ 60f6268
 		{"TSP", "small", 94, 45116, 0},
 	}
@@ -78,6 +78,8 @@ func TestHomeRRGoldenCounts(t *testing.T) {
 		bytes        int
 		time         sim.Duration // 0 = not asserted
 	}{
+		// dsmrun -app jacobi -dataset small -protocol home -json @ feb88a8
+		{"Jacobi", "small", 307, 848112, 67212680 * sim.Nanosecond},
 		// dsmrun -app tsp -dataset small -protocol home -json @ feb88a8
 		{"TSP", "small", 161, 78904, 0},
 	}
