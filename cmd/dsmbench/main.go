@@ -20,8 +20,10 @@
 // Every cell is verified against the application's sequential reference
 // before its numbers are printed. With -json the text tables are
 // replaced by a single JSON document (the §5.1 calibration table is
-// text-only and skipped). Each figure cell carries its engine run's
-// digest, so two commits' figures compare cell by cell.
+// text-only and skipped): each section is a list of cells in the order
+// its table prints, and every engine-run cell carries its run's digest,
+// so two commits' outputs compare cell by cell. A cell derived by trace
+// replay (-networks) is marked "derived" and has no digest.
 package main
 
 import (
@@ -42,13 +44,13 @@ import (
 
 // document is the -json output: only the requested sections are set.
 type document struct {
-	Table1     []harness.Table1RowJSON           `json:"table1,omitempty"`
-	Figure1    []harness.ExperimentJSON          `json:"figure1,omitempty"`
-	Figure2    []harness.ExperimentJSON          `json:"figure2,omitempty"`
-	Figure3    []harness.ExperimentJSON          `json:"figure3,omitempty"`
-	Protocols  []harness.ProtocolComparisonJSON  `json:"protocols,omitempty"`
-	Networks   []harness.NetworkComparisonJSON   `json:"networks,omitempty"`
-	Placements []harness.PlacementComparisonJSON `json:"placements,omitempty"`
+	Table1     []harness.CellJSON `json:"table1,omitempty"`
+	Figure1    []harness.CellJSON `json:"figure1,omitempty"`
+	Figure2    []harness.CellJSON `json:"figure2,omitempty"`
+	Figure3    []harness.CellJSON `json:"figure3,omitempty"`
+	Protocols  []harness.CellJSON `json:"protocols,omitempty"`
+	Networks   []harness.CellJSON `json:"networks,omitempty"`
+	Placements []harness.CellJSON `json:"placements,omitempty"`
 }
 
 func main() {
@@ -100,6 +102,32 @@ func main() {
 	}
 	var doc document
 	text := !*jsonOut
+	// section runs one grid, then renders it under title (text) or
+	// returns its cells (-json).
+	section := func(title string, points []harness.Point, collect bool,
+		render func(io.Writer, []harness.Point, []harness.Cell)) []harness.CellJSON {
+		cells, err := harness.RunGrid(points, collect)
+		check(err)
+		if text {
+			fmt.Println(title)
+			render(os.Stdout, points, cells)
+			return nil
+		}
+		out := make([]harness.CellJSON, len(cells))
+		for i, p := range points {
+			out[i] = harness.CellReport(p.Exp, p.Config, p.Procs, cells[i])
+		}
+		return out
+	}
+	// The table and figures run on the -protocol, -network and
+	// -placement axes.
+	axes := harness.Config{Protocol: *protocol, Network: *network, Placement: *placement}
+	figurePoints := func(es []harness.Experiment, cfgs []harness.Config) []harness.Point {
+		for i := range cfgs {
+			cfgs[i].Protocol, cfgs[i].Network, cfgs[i].Placement = axes.Protocol, axes.Network, axes.Placement
+		}
+		return harness.FigurePoints(es, cfgs)
+	}
 
 	if *micro || *all {
 		if text {
@@ -111,112 +139,54 @@ func main() {
 		}
 	}
 	if *table == 1 || *all {
-		rows, err := harness.RunTable1(harness.Table1(), *protocol, *network, *placement)
-		check(err)
-		if text {
-			fmt.Println("=== Table 1: datasets, sequential (simulated) time, 8-processor speedup at 4 KB ===")
-			harness.RenderTable1(os.Stdout, rows)
-			fmt.Println()
-		} else {
-			for _, r := range rows {
-				doc.Table1 = append(doc.Table1, harness.Table1RowJSON{
-					App:        r.App,
-					Dataset:    r.Dataset,
-					SeqSeconds: r.SeqTime.Seconds(),
-					ParSeconds: r.ParTime.Seconds(),
-					Speedup:    r.Speedup,
-				})
-			}
-		}
+		doc.Table1 = section("=== Table 1: datasets, sequential (simulated) time, 8-processor speedup at 4 KB ===",
+			harness.Table1Points(harness.Table1(), axes), true, harness.RenderTable1)
 	}
 	if *figure == 1 || *all {
-		if text {
-			fmt.Println("=== Figure 1: execution time, messages, data (normalized to 4 KB) ===")
-		}
-		doc.Figure1 = runFigure(harness.Figure1(), harness.Configs(), *protocol, *network, *placement, text, harness.RenderFigure)
+		doc.Figure1 = section("=== Figure 1: execution time, messages, data (normalized to 4 KB) ===",
+			figurePoints(harness.Figure1(), harness.Configs()), true, harness.RenderFigure)
 	}
 	if *figure == 2 || *all {
-		if text {
-			fmt.Println("=== Figure 2: size-sensitive applications (normalized to 4 KB) ===")
-		}
-		doc.Figure2 = runFigure(harness.Figure2(), harness.Configs(), *protocol, *network, *placement, text, harness.RenderFigure)
+		doc.Figure2 = section("=== Figure 2: size-sensitive applications (normalized to 4 KB) ===",
+			figurePoints(harness.Figure2(), harness.Configs()), true, harness.RenderFigure)
 	}
 	if *figure == 3 || *all {
-		if text {
-			fmt.Println("=== Figure 3: false-sharing signatures (4 KB vs 16 KB) ===")
-		}
 		cfgs := harness.Configs() // the signatures compare 4K (cfgs[0]) with 16K (cfgs[2])
-		doc.Figure3 = runFigure(harness.Figure3(), []harness.Config{cfgs[0], cfgs[2]}, *protocol, *network, *placement, text, harness.RenderSignature)
+		doc.Figure3 = section("=== Figure 3: false-sharing signatures (4 KB vs 16 KB) ===",
+			figurePoints(harness.Figure3(), []harness.Config{cfgs[0], cfgs[2]}), true, harness.RenderSignature)
 	}
 	if *protocols || *all {
-		pcs, err := harness.RunProtocolComparison(harness.Table1(), harness.Procs)
-		check(err)
-		if text {
-			fmt.Println("=== Protocol comparison: homeless vs home-based LRC (4 KB units) ===")
-			harness.RenderProtocolComparison(os.Stdout, pcs)
-			fmt.Println()
-		} else {
-			for _, pc := range pcs {
-				doc.Protocols = append(doc.Protocols, harness.ProtocolComparisonReport(pc))
-			}
-		}
+		doc.Protocols = section("=== Protocol comparison: homeless vs home-based LRC (4 KB units) ===",
+			harness.ProtocolPoints(harness.Table1(), harness.Procs), true, harness.RenderProtocolComparison)
 	}
 	if *networks || *all {
-		ncs, err := harness.RunNetworkComparison(harness.Table1(), harness.Procs, nil)
+		es := harness.Table1()
+		ncs, err := harness.RunNetworkComparison(es, harness.Procs, nil)
 		check(err)
 		if text {
 			fmt.Println("=== Network sensitivity: the protocol and aggregation trades per interconnect ===")
 			harness.RenderNetworkComparison(os.Stdout, ncs)
-			fmt.Println()
 		} else {
-			for _, nc := range ncs {
-				doc.Networks = append(doc.Networks, harness.NetworkComparisonReport(nc))
+			for i, nc := range ncs {
+				for _, row := range nc.Rows {
+					for _, c := range row.Cells {
+						cfg, _ := harness.ConfigByLabel(c.Config)
+						cfg.Protocol, cfg.Network = c.Protocol, row.Network
+						doc.Networks = append(doc.Networks, harness.CellReport(es[i], cfg, harness.Procs, c.Cell))
+					}
+				}
 			}
 		}
 	}
 	if *placements || *all {
-		pcs, err := harness.RunPlacementComparison(harness.Table1(), harness.Procs, nil, nil)
-		check(err)
-		if text {
-			fmt.Println("=== Home placement: rr vs block vs firsttouch vs migrate (4 KB units, home & adaptive) ===")
-			harness.RenderPlacementComparison(os.Stdout, pcs)
-			fmt.Println()
-		} else {
-			for _, pc := range pcs {
-				doc.Placements = append(doc.Placements, harness.PlacementComparisonReport(pc))
-			}
-		}
+		doc.Placements = section("=== Home placement: rr vs block vs firsttouch vs migrate (4 KB units, home & adaptive) ===",
+			harness.PlacementPoints(harness.Table1(), harness.Procs, nil, nil), false, harness.RenderPlacementComparison)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		check(enc.Encode(doc))
 	}
-}
-
-// runFigure runs each experiment under the given configurations on the
-// given coherence protocol, network model, and placement, rendering
-// (text mode) or collecting cells (JSON mode).
-func runFigure(es []harness.Experiment, cfgs []harness.Config, protocol, network, placement string,
-	text bool, render func(io.Writer, harness.Experiment, map[string]harness.Cell)) []harness.ExperimentJSON {
-	for i := range cfgs {
-		cfgs[i].Protocol, cfgs[i].Network, cfgs[i].Placement = protocol, network, placement
-	}
-	cells, err := harness.RunFigure(es, cfgs)
-	check(err)
-	var out []harness.ExperimentJSON
-	for i, e := range es {
-		if text {
-			render(os.Stdout, e, cells[i])
-			continue
-		}
-		ej := harness.ExperimentJSON{App: e.App, Dataset: e.Dataset, Paper: e.Paper}
-		for _, c := range cfgs {
-			ej.Cells = append(ej.Cells, harness.CellReport(e, c, harness.Procs, cells[i][c.Label]))
-		}
-		out = append(out, ej)
-	}
-	return out
 }
 
 func check(err error) {

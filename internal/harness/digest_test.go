@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -255,5 +256,84 @@ func TestDigestSeesEveryCost(t *testing.T) {
 		if slices.Equal(digests(cost), base) {
 			t.Errorf("CostModel.%s + 1ns changed no digest", reflect.TypeFor[sim.CostModel]().Field(f).Name)
 		}
+	}
+}
+
+// TestReportCellsCarryDigest: every grid dsmbench -json reports yields
+// cells that name their resolved protocol, network, placement and
+// processor count; each engine-run cell carries a digest, on ideal the
+// one a serial runCell of its point gives, and each derived cell is
+// marked and carries none.
+func TestReportCellsCarryDigest(t *testing.T) {
+	e := exp("Jacobi", "small")
+	hex64 := regexp.MustCompile(`^[0-9a-f]{64}$`)
+	check := func(grid string, p Point, c Cell, collect bool) {
+		t.Helper()
+		r := CellReport(p.Exp, p.Config, p.Procs, c)
+		cfg, err := p.engineConfig(collect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Protocol != cfg.Protocol || r.Network != cfg.Network || r.Placement != cfg.Placement ||
+			r.Protocol == "" || r.Network == "" || r.Placement == "" || r.Procs != p.Procs {
+			t.Errorf("%s %s: report names %s/%s/%s p%d, want %s/%s/%s p%d", grid, p.Config.Label,
+				r.Protocol, r.Network, r.Placement, r.Procs, cfg.Protocol, cfg.Network, cfg.Placement, p.Procs)
+		}
+		if c.Derived {
+			if !r.Derived || r.Digest != "" {
+				t.Errorf("%s %s/%s/%s: derived cell reports derived=%v digest %q", grid, r.Protocol, r.Network, r.Config, r.Derived, r.Digest)
+			}
+			return
+		}
+		if r.Derived || !hex64.MatchString(r.Digest) {
+			t.Errorf("%s %s/%s/%s: derived=%v digest %q", grid, r.Protocol, r.Network, r.Config, r.Derived, r.Digest)
+		}
+		// A contended network's timing still follows the host's goroutine
+		// order (DESIGN §14), so only ideal cells have one digest per run.
+		if r.Network != "ideal" {
+			return
+		}
+		if want := serialReference(t, []Point{p}, collect)[0].Digest; r.Digest != want {
+			t.Errorf("%s %s/%s/%s: digest %q, runCell's %q", grid, r.Protocol, r.Network, r.Config, r.Digest, want)
+		}
+	}
+
+	for _, g := range []struct {
+		name    string
+		points  []Point
+		collect bool
+	}{
+		{"table 1", Table1Points([]Experiment{e}, Config{}), true},
+		{"protocols", ProtocolPoints([]Experiment{e}, Procs), true},
+		{"placements", PlacementPoints([]Experiment{e}, Procs, nil, []string{"ideal"}), false},
+	} {
+		cells, err := RunGrid(g.points, g.collect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range g.points {
+			check(g.name, p, cells[i], g.collect)
+		}
+	}
+
+	prev := SetNetworkDerivation(true)
+	defer SetNetworkDerivation(prev)
+	ncs, err := RunNetworkComparison([]Experiment{e}, Procs, []string{"ideal", "bus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := 0
+	for _, row := range ncs[0].Rows {
+		for _, c := range row.Cells {
+			cfg, _ := ConfigByLabel(c.Config)
+			cfg.Protocol, cfg.Network = c.Protocol, row.Network
+			check("networks", Point{e, cfg, Procs}, c.Cell, false)
+			if c.Cell.Derived {
+				derived++
+			}
+		}
+	}
+	if derived == 0 {
+		t.Error("the network sweep derived no cell")
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,9 +38,21 @@ func sameCell(got, want Cell, network string) bool {
 		got.Derived == want.Derived
 }
 
-// TestGridMatchesSerialReference: every sweep built on RunGrid — and the
-// network sweep with derivation off — returns, at any pool width, the
-// cells the serial per-cell loop returns, in the same order.
+// withoutMake drops the experiments' constructors, which
+// reflect.DeepEqual cannot compare, from a copy of points.
+func withoutMake(points []Point) []Point {
+	out := slices.Clone(points)
+	for i := range out {
+		out[i].Exp.Make = nil
+	}
+	return out
+}
+
+// TestGridMatchesSerialReference: each point builder returns exactly the
+// hand-listed points, in order — the renderers and dsmbench -json read
+// cells back by position — and every grid, run through RunGrid, and the
+// network sweep with derivation off return, at any pool width, the cells
+// the serial per-cell loop returns, in the same order.
 func TestGridMatchesSerialReference(t *testing.T) {
 	es := []Experiment{exp("Jacobi", "small"), exp("MGS", "small")}
 	networks := []string{"ideal", "bus", "switch"}
@@ -53,6 +66,14 @@ func TestGridMatchesSerialReference(t *testing.T) {
 		run     func() ([]Cell, error) // the sweep, flattened in output order
 	}
 	var cases []sweepCase
+	grid := func(name string, points, built []Point, collect bool) {
+		if !reflect.DeepEqual(withoutMake(built), withoutMake(points)) {
+			t.Fatalf("%s builder:\n got %+v\nwant %+v", name, withoutMake(built), withoutMake(points))
+		}
+		cases = append(cases, sweepCase{name, points, collect, func() ([]Cell, error) {
+			return RunGrid(built, collect)
+		}})
+	}
 
 	var pts []Point
 	for _, e := range es {
@@ -60,21 +81,12 @@ func TestGridMatchesSerialReference(t *testing.T) {
 			pts = append(pts, Point{e, Config{Label: "4K", Unit: 1, Protocol: proto}, Procs})
 		}
 	}
-	cases = append(cases, sweepCase{"protocols", pts, true, func() ([]Cell, error) {
-		pcs, err := RunProtocolComparison(es, Procs)
-		var out []Cell
-		for _, pc := range pcs {
-			for _, r := range pc.Rows {
-				out = append(out, r.Cell)
-			}
-		}
-		return out, err
-	}})
+	grid("protocols", pts, ProtocolPoints(es, Procs), true)
 
 	pts = nil
 	for _, e := range es {
 		for _, network := range PlacementNetworks() {
-			pts = append(pts, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network}, Procs})
+			pts = append(pts, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network, Placement: tmk.DefaultPlacement}, Procs})
 			for _, placement := range tmk.PlacementNames() {
 				for _, protocol := range placementProtocols {
 					pts = append(pts, Point{e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, Procs})
@@ -82,36 +94,16 @@ func TestGridMatchesSerialReference(t *testing.T) {
 			}
 		}
 	}
-	cases = append(cases, sweepCase{"placements", pts, false, func() ([]Cell, error) {
-		pcs, err := RunPlacementComparison(es, Procs, nil, nil)
-		var out []Cell
-		for _, pc := range pcs {
-			for _, c := range pc.Cells {
-				out = append(out, c.Cell)
-			}
-		}
-		return out, err
-	}})
+	grid("placements", pts, PlacementPoints(es, Procs, nil, nil), false)
 
 	pts = nil
+	axes := Config{Protocol: "home", Network: "bus", Placement: "block"}
 	for _, e := range es {
 		pts = append(pts,
-			Point{e, Config{Label: "seq", Unit: 1}, 1},
-			Point{e, Config{Label: "4K", Unit: 1}, Procs})
+			Point{e, Config{Label: "seq", Unit: 1, Protocol: "home", Network: "bus", Placement: "block"}, 1},
+			Point{e, Config{Label: "4K", Unit: 1, Protocol: "home", Network: "bus", Placement: "block"}, Procs})
 	}
-	refTable := serialReference(t, pts, true)
-	cases = append(cases, sweepCase{"table 1", pts, true, func() ([]Cell, error) {
-		rows, err := RunTable1(es, "", "", "")
-		var out []Cell
-		for i, r := range rows {
-			// A row keeps only the two times; the reference's other
-			// fields stand in for the rest of the cell.
-			seq, par := refTable[2*i], refTable[2*i+1]
-			seq.Time, par.Time = r.SeqTime, r.ParTime
-			out = append(out, seq, par)
-		}
-		return out, err
-	}})
+	grid("table 1", pts, Table1Points(es, axes), true)
 
 	pts = nil
 	for _, e := range es {
@@ -119,16 +111,7 @@ func TestGridMatchesSerialReference(t *testing.T) {
 			pts = append(pts, Point{e, c, Procs})
 		}
 	}
-	cases = append(cases, sweepCase{"figure", pts, true, func() ([]Cell, error) {
-		figure, err := RunFigure(es, Configs())
-		var out []Cell
-		for _, cells := range figure {
-			for _, c := range Configs() {
-				out = append(out, cells[c.Label])
-			}
-		}
-		return out, err
-	}})
+	grid("figure", pts, FigurePoints(es, Configs()), true)
 
 	pts = nil
 	for _, e := range es {

@@ -316,7 +316,24 @@ func Figure3() []Experiment {
 	return []Experiment{f1[0], f1[1], f1[3], Figure2()[5]}
 }
 
-// --- rendering ---------------------------------------------------------------
+// --- grids and their renderers ---------------------------------------------
+//
+// Each table and figure is a point list built by one *Points function
+// and run by RunGrid; its renderer reads (points, cells) back in the
+// same order, and dsmbench -json reports the same cells as CellReports.
+
+// eachExperiment calls fn once per run of consecutive points that share
+// an experiment, with that run's points and cells.
+func eachExperiment(points []Point, cells []Cell, fn func(e Experiment, points []Point, cells []Cell)) {
+	for i := 0; i < len(points); {
+		e, j := points[i].Exp, i+1
+		for j < len(points) && points[j].Exp.App == e.App && points[j].Exp.Dataset == e.Dataset {
+			j++
+		}
+		fn(e, points[i:j], cells[i:j])
+		i = j
+	}
+}
 
 func norm(v, base float64) string {
 	if base == 0 {
@@ -325,143 +342,115 @@ func norm(v, base float64) string {
 	return fmt.Sprintf("%6.3f", v/base)
 }
 
-// RenderFigure prints one experiment's normalized breakdown rows (the
-// paper's three bar groups: execution time, messages, data) for each
-// configuration, all normalized to the 4 KB column.
-func RenderFigure(w io.Writer, e Experiment, cells map[string]Cell) {
-	cfgs := Configs()
-	base := cells["4K"]
-	fmt.Fprintf(w, "%s %s  (paper: %s)\n", e.App, e.Dataset, e.Paper)
-	fmt.Fprintf(w, "  %-26s", "")
-	for _, c := range cfgs {
-		fmt.Fprintf(w, "%8s", c.Label)
-	}
-	fmt.Fprintln(w)
-
-	row := func(label string, f func(Cell) float64, baseV float64) {
-		fmt.Fprintf(w, "  %-26s", label)
-		for _, c := range cfgs {
-			fmt.Fprintf(w, "%8s", norm(f(cells[c.Label]), baseV))
-		}
-		fmt.Fprintln(w)
-	}
-	row("time", func(c Cell) float64 { return c.Time.Seconds() }, base.Time.Seconds())
-	row("messages", func(c Cell) float64 { return float64(c.Stats.Messages.Total()) },
-		float64(base.Stats.Messages.Total()))
-	row("  useless messages", func(c Cell) float64 { return float64(c.Stats.Messages.Useless) },
-		float64(base.Stats.Messages.Total()))
-	row("data", func(c Cell) float64 { return float64(c.Stats.TotalDataBytes()) },
-		float64(base.Stats.TotalDataBytes()))
-	row("  useless data", func(c Cell) float64 { return float64(c.Stats.UselessBytes) },
-		float64(base.Stats.TotalDataBytes()))
-	row("  piggybacked useless", func(c Cell) float64 { return float64(c.Stats.PiggybackedBytes) },
-		float64(base.Stats.TotalDataBytes()))
-	fmt.Fprintln(w)
-}
-
-// RunFigure runs each experiment under each configuration at the
-// paper's processor count, instrumentation on, and returns per
-// experiment its cells keyed by configuration label — the input of
-// RenderFigure and RenderSignature.
-func RunFigure(es []Experiment, cfgs []Config) ([]map[string]Cell, error) {
+// FigurePoints is each experiment under each configuration at the
+// paper's processor count: the grid of RenderFigure and RenderSignature,
+// run with instrumentation on.
+func FigurePoints(es []Experiment, cfgs []Config) []Point {
 	var points []Point
 	for _, e := range es {
 		for _, c := range cfgs {
 			points = append(points, Point{e, c, Procs})
 		}
 	}
-	cells, err := RunGrid(points, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]map[string]Cell, len(es))
-	for i := range es {
-		out[i] = make(map[string]Cell, len(cfgs))
-		for j, c := range cfgs {
-			out[i][c.Label] = cells[i*len(cfgs)+j]
-		}
-	}
-	return out, nil
+	return points
 }
 
-// Table1Row is one line of Table 1.
-type Table1Row struct {
-	App     string
-	Dataset string
-	SeqTime sim.Duration // simulated 1-processor time
-	ParTime sim.Duration // simulated 8-processor time at 4 KB units
-	Speedup float64
-}
-
-// RunTable1 computes Table 1 (sequential simulated time and 8-processor
-// speedup at the 4 KB unit) under the given coherence protocol (empty =
-// homeless), network model (empty = ideal), and home placement (empty =
-// round-robin). Cells run in parallel on the sweep pool.
-func RunTable1(es []Experiment, protocol, network, placement string) ([]Table1Row, error) {
-	var points []Point
-	for _, e := range es {
-		points = append(points,
-			Point{e, Config{Label: "seq", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, 1},
-			Point{e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, Procs})
-	}
-	cells, err := RunGrid(points, true)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table1Row
-	for i, e := range es {
-		seq, par := cells[2*i], cells[2*i+1]
-		rows = append(rows, Table1Row{
-			App:     e.App,
-			Dataset: e.Dataset,
-			SeqTime: seq.Time,
-			ParTime: par.Time,
-			Speedup: seq.Time.Seconds() / par.Time.Seconds(),
-		})
-	}
-	return rows, nil
-}
-
-// RenderTable1 prints Table 1.
-func RenderTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintf(w, "%-8s  %-22s  %12s  %12s  %8s\n",
-		"Program", "Input Size", "Seq. Time(s)", "8-proc (s)", "Speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s  %-22s  %12s  %12s  %8.2f\n",
-			r.App, r.Dataset, sim.FormatSeconds(r.SeqTime),
-			sim.FormatSeconds(r.ParTime), r.Speedup)
-	}
-}
-
-// RenderSignature prints the false-sharing signature of one experiment
-// at 4 KB and 16 KB units (the paper's Figure 3): per concurrent-writer
-// count, the fraction of faults, split into useful and useless messages.
-func RenderSignature(w io.Writer, e Experiment, cells map[string]Cell) {
-	fmt.Fprintf(w, "%s %s — false sharing signature\n", e.App, e.Dataset)
-	for _, label := range []string{"4K", "16K"} {
-		st := cells[label].Stats
-		total := 0
-		for _, b := range st.Signature {
-			total += b.Faults
-		}
-		fmt.Fprintf(w, "  %-4s", label)
-		if total == 0 {
-			fmt.Fprintln(w, "  (no remote faults)")
-			continue
-		}
-		var ks []int
-		for k := range st.Signature {
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		for _, k := range ks {
-			b := st.Signature[k]
-			fmt.Fprintf(w, "  [%d: %4.1f%% of faults, msgs %d useful/%d useless]",
-				k, 100*float64(b.Faults)/float64(total), b.UsefulMsgs, b.UselessMsgs)
+// RenderFigure prints each experiment's normalized breakdown rows (the
+// paper's three bar groups: execution time, messages, data) for each
+// configuration, all normalized to its first (the 4 KB column of
+// Configs). It reads the collected cells of FigurePoints.
+func RenderFigure(w io.Writer, points []Point, cells []Cell) {
+	eachExperiment(points, cells, func(e Experiment, points []Point, cells []Cell) {
+		base := cells[0]
+		fmt.Fprintf(w, "%s %s  (paper: %s)\n", e.App, e.Dataset, e.Paper)
+		fmt.Fprintf(w, "  %-26s", "")
+		for _, p := range points {
+			fmt.Fprintf(w, "%8s", p.Config.Label)
 		}
 		fmt.Fprintln(w)
+
+		row := func(label string, f func(Cell) float64, baseV float64) {
+			fmt.Fprintf(w, "  %-26s", label)
+			for _, c := range cells {
+				fmt.Fprintf(w, "%8s", norm(f(c), baseV))
+			}
+			fmt.Fprintln(w)
+		}
+		row("time", func(c Cell) float64 { return c.Time.Seconds() }, base.Time.Seconds())
+		row("messages", func(c Cell) float64 { return float64(c.Stats.Messages.Total()) },
+			float64(base.Stats.Messages.Total()))
+		row("  useless messages", func(c Cell) float64 { return float64(c.Stats.Messages.Useless) },
+			float64(base.Stats.Messages.Total()))
+		row("data", func(c Cell) float64 { return float64(c.Stats.TotalDataBytes()) },
+			float64(base.Stats.TotalDataBytes()))
+		row("  useless data", func(c Cell) float64 { return float64(c.Stats.UselessBytes) },
+			float64(base.Stats.TotalDataBytes()))
+		row("  piggybacked useless", func(c Cell) float64 { return float64(c.Stats.PiggybackedBytes) },
+			float64(base.Stats.TotalDataBytes()))
+		fmt.Fprintln(w)
+	})
+}
+
+// Table1Points is Table 1's grid: per experiment, the sequential cell
+// (label "seq") at 1 processor, then the 4 KB cell at the paper's
+// processor count, both on base's protocol, network and placement.
+func Table1Points(es []Experiment, base Config) []Point {
+	seq, par := base, base
+	seq.Label, seq.Unit, seq.Dynamic = "seq", 1, false
+	par.Label, par.Unit, par.Dynamic = "4K", 1, false
+	var points []Point
+	for _, e := range es {
+		points = append(points, Point{e, seq, 1}, Point{e, par, Procs})
 	}
+	return points
+}
+
+// RenderTable1 prints Table 1 (sequential simulated time and
+// 8-processor speedup at the 4 KB unit) from the cells of Table1Points.
+func RenderTable1(w io.Writer, points []Point, cells []Cell) {
+	fmt.Fprintf(w, "%-8s  %-22s  %12s  %12s  %8s\n",
+		"Program", "Input Size", "Seq. Time(s)", "8-proc (s)", "Speedup")
+	eachExperiment(points, cells, func(e Experiment, _ []Point, cells []Cell) {
+		seq, par := cells[0].Time, cells[1].Time
+		fmt.Fprintf(w, "%-8s  %-22s  %12s  %12s  %8.2f\n",
+			e.App, e.Dataset, sim.FormatSeconds(seq),
+			sim.FormatSeconds(par), seq.Seconds()/par.Seconds())
+	})
 	fmt.Fprintln(w)
+}
+
+// RenderSignature prints the false-sharing signature of each experiment
+// under each of its configurations (the paper's Figure 3 runs 4 KB and
+// 16 KB through FigurePoints): per concurrent-writer count, the fraction
+// of faults, split into useful and useless messages.
+func RenderSignature(w io.Writer, points []Point, cells []Cell) {
+	eachExperiment(points, cells, func(e Experiment, points []Point, cells []Cell) {
+		fmt.Fprintf(w, "%s %s — false sharing signature\n", e.App, e.Dataset)
+		for i, p := range points {
+			st := cells[i].Stats
+			total := 0
+			for _, b := range st.Signature {
+				total += b.Faults
+			}
+			fmt.Fprintf(w, "  %-4s", p.Config.Label)
+			if total == 0 {
+				fmt.Fprintln(w, "  (no remote faults)")
+				continue
+			}
+			var ks []int
+			for k := range st.Signature {
+				ks = append(ks, k)
+			}
+			sort.Ints(ks)
+			for _, k := range ks {
+				b := st.Signature[k]
+				fmt.Fprintf(w, "  [%d: %4.1f%% of faults, msgs %d useful/%d useless]",
+					k, 100*float64(b.Faults)/float64(total), b.UsefulMsgs, b.UselessMsgs)
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w)
+	})
 }
 
 // RenderMicro prints the §5.1 platform-calibration table: the simulated
@@ -485,48 +474,56 @@ func us(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
 
 // --- protocol comparison -----------------------------------------------------
 
-// ProtocolRow is one experiment's outcome under one coherence protocol.
-type ProtocolRow struct {
-	Protocol string
-	Cell     Cell
-}
-
-// ProtocolComparison is one experiment run under every registered
-// protocol at one configuration — the homeless-vs-home-based view the
-// protocol layer exists to produce.
-type ProtocolComparison struct {
-	App     string
-	Dataset string
-	Config  string
-	Rows    []ProtocolRow
-}
-
-// RunProtocolComparison runs each experiment under every registered
-// coherence protocol at the paper's base configuration (4 KB units)
-// and returns one comparison per experiment, protocols in sorted name
-// order. Every cell is verified against the sequential reference.
-// Cells run in parallel on the sweep pool.
-func RunProtocolComparison(es []Experiment, procs int) ([]ProtocolComparison, error) {
-	protos := tmk.ProtocolNames()
+// ProtocolPoints is the homeless-vs-home-based grid: each experiment
+// under every registered coherence protocol, in sorted name order, at
+// the paper's base configuration (4 KB units).
+func ProtocolPoints(es []Experiment, procs int) []Point {
 	var points []Point
 	for _, e := range es {
-		for _, proto := range protos {
+		for _, proto := range tmk.ProtocolNames() {
 			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: proto}, procs})
 		}
 	}
-	cells, err := RunGrid(points, true)
-	if err != nil {
-		return nil, err
-	}
-	var out []ProtocolComparison
-	for i, e := range es {
-		pc := ProtocolComparison{App: e.App, Dataset: e.Dataset, Config: "4K"}
-		for j, proto := range protos {
-			pc.Rows = append(pc.Rows, ProtocolRow{Protocol: proto, Cell: cells[i*len(protos)+j]})
+	return points
+}
+
+// RenderProtocolComparison prints the protocol comparison of the cells
+// of ProtocolPoints: absolute time, messages, and wire bytes per
+// protocol, plus each row's ratio to the homeless baseline — the
+// fewer-messages/more-bytes trade in one table. The "sw" column counts
+// the units the adaptive protocol switched ("-" for the static
+// protocols).
+func RenderProtocolComparison(w io.Writer, points []Point, cells []Cell) {
+	fmt.Fprintf(w, "%-8s  %-22s  %-9s  %9s  %6s  %10s  %6s  %11s  %6s  %4s\n",
+		"Program", "Input Size", "Protocol", "Time(s)", "×", "Msgs", "×", "Wire KB", "×", "sw")
+	eachExperiment(points, cells, func(e Experiment, points []Point, cells []Cell) {
+		var base Cell
+		for i, p := range points {
+			if p.Config.Protocol == "homeless" {
+				base = cells[i]
+			}
 		}
-		out = append(out, pc)
-	}
-	return out, nil
+		ratio := func(v, b float64) string {
+			if b == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%.2f", v/b)
+		}
+		bt, bm, bb := base.Time.Seconds(), float64(base.Msgs), float64(base.Bytes)
+		for i, p := range points {
+			c := cells[i]
+			sw := "-"
+			if p.Config.Protocol == "adaptive" {
+				sw = fmt.Sprintf("%d", c.SwitchedUnits)
+			}
+			fmt.Fprintf(w, "%-8s  %-22s  %-9s  %9.3f  %6s  %10d  %6s  %11.1f  %6s  %4s\n",
+				e.App, e.Dataset, p.Config.Protocol,
+				c.Time.Seconds(), ratio(c.Time.Seconds(), bt),
+				c.Msgs, ratio(float64(c.Msgs), bm),
+				float64(c.Bytes)/1024, ratio(float64(c.Bytes), bb), sw)
+		}
+	})
+	fmt.Fprintln(w)
 }
 
 // --- network sensitivity -----------------------------------------------------
@@ -695,28 +692,10 @@ func RenderNetworkComparison(w io.Writer, ncs []NetworkComparison) {
 				base.Time.Seconds(), base.Queue.Seconds(), ratio(home), ratio(adapt), sw, ratio(dyn))
 		}
 	}
+	fmt.Fprintln(w)
 }
 
 // --- home placement ----------------------------------------------------------
-
-// PlacementCell is one (protocol, network) outcome under one placement
-// policy.
-type PlacementCell struct {
-	Placement string
-	Protocol  string
-	Network   string
-	Cell      Cell
-}
-
-// PlacementComparison is one experiment across the home-placement
-// policies — the view asking where first-touch and JIAJIA-style
-// migration close the home-vs-homeless gap, and what the adaptive
-// hybrid's handoff costs under each.
-type PlacementComparison struct {
-	App     string
-	Dataset string
-	Cells   []PlacementCell
-}
 
 // placementProtocols are the protocols the placement axis matters for:
 // the home-based engine and the adaptive hybrid (homeless ignores
@@ -730,152 +709,68 @@ var placementProtocols = []string{"home", "adaptive"}
 // placement moves the protocol trade.
 func PlacementNetworks() []string { return []string{"ideal", "bus"} }
 
-// RunPlacementComparison runs each experiment under every named
-// placement policy (nil/empty = all registered, sorted) for the
-// home-based and adaptive protocols on every named network (nil/empty
-// = PlacementNetworks), plus one homeless baseline cell per network.
-// All at the paper's base configuration (4 KB units); every cell is
-// verified against the sequential reference.
-func RunPlacementComparison(es []Experiment, procs int, placements, networks []string) ([]PlacementComparison, error) {
+// PlacementPoints is the home-placement grid: per experiment and named
+// network (nil/empty = PlacementNetworks), one homeless baseline cell,
+// then every named placement policy (nil/empty = all registered,
+// sorted) under the home-based and adaptive protocols, all at the
+// paper's base configuration (4 KB units). It runs with
+// instrumentation off.
+func PlacementPoints(es []Experiment, procs int, placements, networks []string) []Point {
 	if len(placements) == 0 {
 		placements = tmk.PlacementNames()
 	}
 	if len(networks) == 0 {
 		networks = PlacementNetworks()
 	}
-	// Per network, one homeless baseline then the placements ×
-	// protocols cells.
 	var points []Point
 	for _, e := range es {
 		for _, network := range networks {
 			points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: "homeless", Network: network, Placement: tmk.DefaultPlacement}, procs})
 			for _, placement := range placements {
 				for _, protocol := range placementProtocols {
-					c := Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}
-					points = append(points, Point{e, c, procs})
+					points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: protocol, Network: network, Placement: placement}, procs})
 				}
 			}
 		}
 	}
-	cells, err := RunGrid(points, false)
-	if err != nil {
-		return nil, err
-	}
-	perExp := len(networks) * (1 + len(placements)*len(placementProtocols))
-	var out []PlacementComparison
-	for i, e := range es {
-		pc := PlacementComparison{App: e.App, Dataset: e.Dataset}
-		for j := i * perExp; j < (i+1)*perExp; j++ {
-			c := points[j].Config
-			pc.Cells = append(pc.Cells, PlacementCell{
-				Placement: c.Placement, Protocol: c.Protocol, Network: c.Network, Cell: cells[j],
-			})
-		}
-		out = append(out, pc)
-	}
-	return out, nil
+	return points
 }
 
-// RenderPlacementComparison prints the placement comparison: per
-// experiment, network, and placement policy, the homeless baseline's
-// absolute time, the home-based and adaptive times as ratios to it
-// (below 1 beats homeless on that interconnect), the placement layer's
-// rehome count and transferred kilobytes, and the adaptive hybrid's
-// switched-unit count and homeless→home handoff kilobytes (which a
-// mobile placement drives to zero by migrating the home instead).
-func RenderPlacementComparison(w io.Writer, pcs []PlacementComparison) {
+// RenderPlacementComparison prints the placement comparison of the cells
+// of PlacementPoints: per experiment, network, and placement policy, the
+// homeless baseline's absolute time, the home-based and adaptive times
+// as ratios to it (below 1 beats homeless on that interconnect), the
+// placement layer's rehome count and transferred kilobytes, and the
+// adaptive hybrid's switched-unit count and homeless→home handoff
+// kilobytes (which a mobile placement drives to zero by migrating the
+// home instead).
+func RenderPlacementComparison(w io.Writer, points []Point, cells []Cell) {
 	fmt.Fprintf(w, "%-8s  %-22s  %-6s  %-10s  %9s  %6s  %4s  %7s  %6s  %4s  %7s\n",
 		"Program", "Input Size", "Net", "Placement", "hless(s)", "home×", "reh", "rehKB", "adapt×", "sw", "handKB")
-	for _, pc := range pcs {
-		type key struct{ network, placement, protocol string }
-		cells := make(map[key]*Cell)
-		var networks, placements []string
-		seenNet := map[string]bool{}
-		seenPl := map[string]bool{}
-		for i := range pc.Cells {
-			c := &pc.Cells[i]
-			cells[key{c.Network, c.Placement, c.Protocol}] = &c.Cell
-			if !seenNet[c.Network] {
-				seenNet[c.Network] = true
-				networks = append(networks, c.Network)
-			}
-			if c.Protocol != "homeless" && !seenPl[c.Placement] {
-				seenPl[c.Placement] = true
-				placements = append(placements, c.Placement)
+	eachExperiment(points, cells, func(e Experiment, points []Point, cells []Cell) {
+		// Per network, the homeless baseline comes first; per placement,
+		// the home cell precedes the adaptive one.
+		var base, home Cell
+		for i, p := range points {
+			switch p.Config.Protocol {
+			case "homeless":
+				base = cells[i]
+			case "home":
+				home = cells[i]
+			case "adaptive":
+				if base.Time == 0 {
+					continue
+				}
+				adapt := cells[i]
+				ratio := func(c Cell) string { return fmt.Sprintf("%.2f", c.Time.Seconds()/base.Time.Seconds()) }
+				fmt.Fprintf(w, "%-8s  %-22s  %-6s  %-10s  %9.3f  %6s  %4d  %7.1f  %6s  %4d  %7.1f\n",
+					e.App, e.Dataset, p.Config.Network, p.Config.Placement,
+					base.Time.Seconds(), ratio(home), home.Rehomes, float64(home.RehomeBytes)/1024,
+					ratio(adapt), adapt.SwitchedUnits, float64(adapt.HandoffBytes)/1024)
 			}
 		}
-		for _, network := range networks {
-			base := cells[key{network, tmk.DefaultPlacement, "homeless"}]
-			if base == nil || base.Time == 0 {
-				continue
-			}
-			for _, placement := range placements {
-				home := cells[key{network, placement, "home"}]
-				adapt := cells[key{network, placement, "adaptive"}]
-				ratio := func(c *Cell) string {
-					if c == nil {
-						return "-"
-					}
-					return fmt.Sprintf("%.2f", c.Time.Seconds()/base.Time.Seconds())
-				}
-				reh, rehKB := "-", "-"
-				if home != nil {
-					reh = fmt.Sprintf("%d", home.Rehomes)
-					rehKB = fmt.Sprintf("%.1f", float64(home.RehomeBytes)/1024)
-				}
-				sw, handKB := "-", "-"
-				if adapt != nil {
-					sw = fmt.Sprintf("%d", adapt.SwitchedUnits)
-					handKB = fmt.Sprintf("%.1f", float64(adapt.HandoffBytes)/1024)
-				}
-				fmt.Fprintf(w, "%-8s  %-22s  %-6s  %-10s  %9.3f  %6s  %4s  %7s  %6s  %4s  %7s\n",
-					pc.App, pc.Dataset, network, placement,
-					base.Time.Seconds(), ratio(home), reh, rehKB, ratio(adapt), sw, handKB)
-			}
-		}
-	}
-}
-
-// RenderProtocolComparison prints the protocol comparison: absolute
-// time, messages, and wire bytes per protocol, plus each row's ratio to
-// the homeless baseline — the fewer-messages/more-bytes trade in one
-// table. The "sw" column counts the units the adaptive protocol
-// switched ("-" for the static protocols).
-func RenderProtocolComparison(w io.Writer, pcs []ProtocolComparison) {
-	fmt.Fprintf(w, "%-8s  %-22s  %-9s  %9s  %6s  %10s  %6s  %11s  %6s  %4s\n",
-		"Program", "Input Size", "Protocol", "Time(s)", "×", "Msgs", "×", "Wire KB", "×", "sw")
-	for _, pc := range pcs {
-		var base *Cell
-		for i := range pc.Rows {
-			if pc.Rows[i].Protocol == "homeless" {
-				base = &pc.Rows[i].Cell
-			}
-		}
-		for _, r := range pc.Rows {
-			ratio := func(v, b float64) string {
-				if base == nil || b == 0 {
-					return "-"
-				}
-				return fmt.Sprintf("%.2f", v/b)
-			}
-			var bt, bm, bb float64
-			if base != nil {
-				bt = base.Time.Seconds()
-				bm = float64(base.Msgs)
-				bb = float64(base.Stats.TotalWireBytes)
-			}
-			sw := "-"
-			if r.Protocol == "adaptive" {
-				sw = fmt.Sprintf("%d", r.Cell.SwitchedUnits)
-			}
-			fmt.Fprintf(w, "%-8s  %-22s  %-9s  %9.3f  %6s  %10d  %6s  %11.1f  %6s  %4s\n",
-				pc.App, pc.Dataset, r.Protocol,
-				r.Cell.Time.Seconds(), ratio(r.Cell.Time.Seconds(), bt),
-				r.Cell.Msgs, ratio(float64(r.Cell.Msgs), bm),
-				float64(r.Cell.Stats.TotalWireBytes)/1024,
-				ratio(float64(r.Cell.Stats.TotalWireBytes), bb), sw)
-		}
-	}
+	})
+	fmt.Fprintln(w)
 }
 
 // --- scaling sweep -----------------------------------------------------------

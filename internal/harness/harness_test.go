@@ -64,61 +64,56 @@ func TestExperimentInventory(t *testing.T) {
 // One full experiment through all four configurations, rendered.
 func TestRunFigureSmoke(t *testing.T) {
 	e := Figure2()[0] // Jacobi row=1pg: fast
-	figure, err := RunFigure([]Experiment{e}, Configs())
+	points := FigurePoints([]Experiment{e}, Configs())
+	cells, err := RunGrid(points, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figure) != 1 {
-		t.Fatalf("figure has %d experiments, want 1", len(figure))
+	if len(cells) != len(Configs()) {
+		t.Fatalf("figure has %d cells, want %d", len(cells), len(Configs()))
 	}
-	cells := figure[0]
 	var buf bytes.Buffer
-	RenderFigure(&buf, e, cells)
+	RenderFigure(&buf, points, cells)
 	out := buf.String()
 	for _, want := range []string{"Jacobi", "time", "messages", "piggybacked", "4K", "Dyn"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if cells["4K"].Time <= 0 || cells["Dyn"].Stats == nil {
+	if cells[0].Time <= 0 || points[3].Config.Label != "Dyn" || cells[3].Stats == nil {
 		t.Fatal("cells incomplete")
 	}
 }
 
 func TestRunTable1Subset(t *testing.T) {
-	rows, err := RunTable1(Table1()[5:6], "", "", "") // Jacobi only: fast
+	points := Table1Points(Table1()[5:6], Config{}) // Jacobi only: fast
+	cells, err := RunGrid(points, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].App != "Jacobi" {
-		t.Fatalf("rows = %+v", rows)
+	if len(cells) != 2 || points[0].Exp.App != "Jacobi" || points[0].Procs != 1 || points[1].Procs != Procs {
+		t.Fatalf("points = %+v", points)
 	}
-	if rows[0].Speedup <= 1 {
-		t.Fatalf("speedup = %v, want > 1 on 8 processors", rows[0].Speedup)
+	if speedup := cells[0].Time.Seconds() / cells[1].Time.Seconds(); speedup <= 1 {
+		t.Fatalf("speedup = %v, want > 1 on 8 processors", speedup)
 	}
 	var buf bytes.Buffer
-	RenderTable1(&buf, rows)
-	if !strings.Contains(buf.String(), "Speedup") {
-		t.Fatal("table header missing")
+	RenderTable1(&buf, points, cells)
+	if !strings.Contains(buf.String(), "Speedup") || !strings.Contains(buf.String(), "Jacobi") {
+		t.Fatalf("table 1 render:\n%s", buf.String())
 	}
 }
 
 func TestRenderSignature(t *testing.T) {
 	e := Figure2()[5] // MGS vec=1pg
-	cells := map[string]Cell{}
-	for _, label := range []string{"4K", "16K"} {
-		unit := 1
-		if label == "16K" {
-			unit = 4
-		}
-		c, err := Run(e, Config{Label: label, Unit: unit}, Procs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells[label] = c
+	cfgs := Configs()
+	points := FigurePoints([]Experiment{e}, []Config{cfgs[0], cfgs[2]}) // 4K, 16K
+	cells, err := RunGrid(points, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RenderSignature(&buf, e, cells)
+	RenderSignature(&buf, points, cells)
 	out := buf.String()
 	if !strings.Contains(out, "4K") || !strings.Contains(out, "16K") {
 		t.Fatalf("signature render:\n%s", out)
@@ -182,14 +177,13 @@ func TestRunNetworkComparison(t *testing.T) {
 		}
 	}
 
-	j := NetworkComparisonReport(ncs[0])
-	if j.App != "Jacobi" || len(j.Rows) != 2 {
-		t.Fatalf("json report shape: %+v", j)
-	}
-	for _, row := range j.Rows {
+	for _, row := range ncs[0].Rows {
 		for _, c := range row.Cells {
-			if row.Network == "bus" && c.Protocol == "homeless" && c.Config == "4K" && c.QueueSeconds <= 0 {
-				t.Fatalf("bus json cell missing queue seconds: %+v", c)
+			cfg, _ := ConfigByLabel(c.Config)
+			cfg.Protocol, cfg.Network = c.Protocol, row.Network
+			j := CellReport(e, cfg, Procs, c.Cell)
+			if row.Network == "bus" && c.Protocol == "homeless" && c.Config == "4K" && j.QueueSeconds <= 0 {
+				t.Fatalf("bus json cell missing queue seconds: %+v", j)
 			}
 		}
 	}
@@ -201,31 +195,29 @@ func TestRunNetworkComparison(t *testing.T) {
 
 func TestRunPlacementComparison(t *testing.T) {
 	e := exp("Jacobi", "small")
-	pcs, err := RunPlacementComparison([]Experiment{e}, Procs, []string{"rr", "firsttouch"}, []string{"ideal"})
+	points := PlacementPoints([]Experiment{e}, Procs, []string{"rr", "firsttouch"}, []string{"ideal"})
+	cells, err := RunGrid(points, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pcs) != 1 {
-		t.Fatalf("comparison shape: %+v", pcs)
-	}
 	// One homeless baseline + 2 placements × 2 protocols on one network.
-	if len(pcs[0].Cells) != 1+2*len(placementProtocols) {
-		t.Fatalf("cell count = %d: %+v", len(pcs[0].Cells), pcs[0].Cells)
+	if len(cells) != 1+2*len(placementProtocols) {
+		t.Fatalf("cell count = %d: %+v", len(cells), points)
 	}
 	var base, rrHome, ftHome *Cell
-	for i := range pcs[0].Cells {
-		c := &pcs[0].Cells[i]
+	for i, p := range points {
+		c := &cells[i]
 		switch {
-		case c.Protocol == "homeless":
-			base = &c.Cell
-		case c.Protocol == "home" && c.Placement == "rr":
-			rrHome = &c.Cell
-		case c.Protocol == "home" && c.Placement == "firsttouch":
-			ftHome = &c.Cell
+		case p.Config.Protocol == "homeless":
+			base = c
+		case p.Config.Protocol == "home" && p.Config.Placement == "rr":
+			rrHome = c
+		case p.Config.Protocol == "home" && p.Config.Placement == "firsttouch":
+			ftHome = c
 		}
 	}
 	if base == nil || rrHome == nil || ftHome == nil {
-		t.Fatalf("missing cells: %+v", pcs[0].Cells)
+		t.Fatalf("missing cells: %+v", points)
 	}
 	if rrHome.Rehomes != 0 {
 		t.Fatalf("rr rehomed %d times", rrHome.Rehomes)
@@ -241,7 +233,7 @@ func TestRunPlacementComparison(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	RenderPlacementComparison(&buf, pcs)
+	RenderPlacementComparison(&buf, points, cells)
 	out := buf.String()
 	for _, want := range []string{"Placement", "hless(s)", "home×", "reh", "adapt×", "handKB", "firsttouch", "rr"} {
 		if !strings.Contains(out, want) {
@@ -249,20 +241,16 @@ func TestRunPlacementComparison(t *testing.T) {
 		}
 	}
 
-	j := PlacementComparisonReport(pcs[0])
-	if j.App != "Jacobi" || len(j.Cells) != len(pcs[0].Cells) {
-		t.Fatalf("json report shape: %+v", j)
-	}
-	for _, c := range j.Cells {
-		if c.Placement == "" || c.Protocol == "" || c.Network == "" {
-			t.Fatalf("json cell missing config echo: %+v", c)
+	for i, p := range points {
+		if j := CellReport(p.Exp, p.Config, p.Procs, cells[i]); j.App != "Jacobi" || j.Placement == "" || j.Protocol == "" || j.Network == "" {
+			t.Fatalf("json cell missing config echo: %+v", j)
 		}
 	}
 
-	if _, err := RunPlacementComparison([]Experiment{e}, Procs, []string{"nearest"}, nil); err == nil {
+	if _, err := RunGrid(PlacementPoints([]Experiment{e}, Procs, []string{"nearest"}, nil), false); err == nil {
 		t.Fatal("unknown placement must error")
 	}
-	if _, err := RunPlacementComparison([]Experiment{e}, Procs, nil, []string{"token-ring"}); err == nil {
+	if _, err := RunGrid(PlacementPoints([]Experiment{e}, Procs, nil, []string{"token-ring"}), false); err == nil {
 		t.Fatal("unknown network must error")
 	}
 }

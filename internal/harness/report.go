@@ -52,7 +52,8 @@ func ResultReport(r *tmk.Result) ResultJSON {
 	}
 }
 
-// CellJSON is one experiment × configuration cell.
+// CellJSON is one experiment × configuration cell: every dsmbench -json
+// section is a list of them, in the order its table prints.
 type CellJSON struct {
 	App          string  `json:"app"`
 	Dataset      string  `json:"dataset"`
@@ -75,9 +76,12 @@ type CellJSON struct {
 	RehomeBytes   int               `json:"rehome_bytes,omitempty"`
 	HandoffBytes  int               `json:"handoff_bytes,omitempty"`
 	Stats         *instrument.Stats `json:"stats,omitempty"`
-	// Digest is the engine run's tmk.Result.Digest (omitted for a
-	// derived cell): two cells with equal digests behaved identically.
-	Digest string `json:"digest,omitempty"`
+	// Digest is the engine run's tmk.Result.Digest: two cells with
+	// equal digests behaved identically. Derived marks a cell priced by
+	// trace replay instead of an engine run (see Cell.Derived); it has
+	// no digest.
+	Digest  string `json:"digest,omitempty"`
+	Derived bool   `json:"derived,omitempty"`
 }
 
 // CellReport converts one harness cell run under cfg.
@@ -103,160 +107,8 @@ func CellReport(e Experiment, cfg Config, procs int, c Cell) CellJSON {
 		HandoffBytes:  c.HandoffBytes,
 		Stats:         c.Stats,
 		Digest:        c.Digest,
+		Derived:       c.Derived,
 	}
-}
-
-// ProtocolRowJSON is one protocol's row of a comparison.
-type ProtocolRowJSON struct {
-	Protocol    string  `json:"protocol"`
-	TimeSeconds float64 `json:"time_seconds"`
-	Messages    int     `json:"messages"`
-	Bytes       int     `json:"bytes"`
-	WireBytes   int     `json:"wire_bytes"`
-	// SwitchedUnits counts the units the adaptive protocol switched
-	// engine for (omitted under static protocols).
-	SwitchedUnits int               `json:"switched_units,omitempty"`
-	Stats         *instrument.Stats `json:"stats,omitempty"`
-}
-
-// ProtocolComparisonJSON is one experiment's protocol comparison.
-type ProtocolComparisonJSON struct {
-	App     string            `json:"app"`
-	Dataset string            `json:"dataset"`
-	Config  string            `json:"config"`
-	Rows    []ProtocolRowJSON `json:"rows"`
-}
-
-// ProtocolComparisonReport converts a protocol comparison.
-func ProtocolComparisonReport(pc ProtocolComparison) ProtocolComparisonJSON {
-	out := ProtocolComparisonJSON{App: pc.App, Dataset: pc.Dataset, Config: pc.Config}
-	for _, r := range pc.Rows {
-		out.Rows = append(out.Rows, ProtocolRowJSON{
-			Protocol:      r.Protocol,
-			TimeSeconds:   r.Cell.Time.Seconds(),
-			Messages:      r.Cell.Msgs,
-			Bytes:         r.Cell.Bytes,
-			WireBytes:     r.Cell.Stats.TotalWireBytes,
-			SwitchedUnits: r.Cell.SwitchedUnits,
-			Stats:         r.Cell.Stats,
-		})
-	}
-	return out
-}
-
-// NetworkCellJSON is one (protocol, configuration) outcome on one
-// network model.
-type NetworkCellJSON struct {
-	Protocol     string  `json:"protocol"`
-	Config       string  `json:"config"`
-	TimeSeconds  float64 `json:"time_seconds"`
-	QueueSeconds float64 `json:"queue_seconds"`
-	Messages     int     `json:"messages"`
-	Bytes        int     `json:"bytes"`
-	// SwitchedUnits counts the units the adaptive protocol switched
-	// engine for (omitted under static protocols).
-	SwitchedUnits int `json:"switched_units,omitempty"`
-	// Derived marks a cell priced by trace replay instead of an engine
-	// run (see Cell.Derived).
-	Derived bool `json:"derived,omitempty"`
-}
-
-// NetworkRowJSON is one network model's cells of a comparison.
-type NetworkRowJSON struct {
-	Network string            `json:"network"`
-	Cells   []NetworkCellJSON `json:"cells"`
-}
-
-// NetworkComparisonJSON is one experiment's network-sensitivity sweep.
-type NetworkComparisonJSON struct {
-	App     string           `json:"app"`
-	Dataset string           `json:"dataset"`
-	Rows    []NetworkRowJSON `json:"rows"`
-}
-
-// PlacementCellJSON is one (protocol, network) outcome under one
-// placement policy.
-type PlacementCellJSON struct {
-	Placement    string  `json:"placement"`
-	Protocol     string  `json:"protocol"`
-	Network      string  `json:"network"`
-	TimeSeconds  float64 `json:"time_seconds"`
-	QueueSeconds float64 `json:"queue_seconds"`
-	Messages     int     `json:"messages"`
-	Bytes        int     `json:"bytes"`
-	// SwitchedUnits, Rehomes, RehomeBytes, and HandoffBytes carry the
-	// adaptive and placement accounting (omitted when zero).
-	SwitchedUnits int `json:"switched_units,omitempty"`
-	Rehomes       int `json:"rehomes,omitempty"`
-	RehomeBytes   int `json:"rehome_bytes,omitempty"`
-	HandoffBytes  int `json:"handoff_bytes,omitempty"`
-}
-
-// PlacementComparisonJSON is one experiment's home-placement sweep.
-type PlacementComparisonJSON struct {
-	App     string              `json:"app"`
-	Dataset string              `json:"dataset"`
-	Cells   []PlacementCellJSON `json:"cells"`
-}
-
-// PlacementComparisonReport converts a placement comparison.
-func PlacementComparisonReport(pc PlacementComparison) PlacementComparisonJSON {
-	out := PlacementComparisonJSON{App: pc.App, Dataset: pc.Dataset}
-	for _, c := range pc.Cells {
-		out.Cells = append(out.Cells, PlacementCellJSON{
-			Placement:     c.Placement,
-			Protocol:      c.Protocol,
-			Network:       c.Network,
-			TimeSeconds:   c.Cell.Time.Seconds(),
-			QueueSeconds:  c.Cell.Queue.Seconds(),
-			Messages:      c.Cell.Msgs,
-			Bytes:         c.Cell.Bytes,
-			SwitchedUnits: c.Cell.SwitchedUnits,
-			Rehomes:       c.Cell.Rehomes,
-			RehomeBytes:   c.Cell.RehomeBytes,
-			HandoffBytes:  c.Cell.HandoffBytes,
-		})
-	}
-	return out
-}
-
-// NetworkComparisonReport converts a network comparison.
-func NetworkComparisonReport(nc NetworkComparison) NetworkComparisonJSON {
-	out := NetworkComparisonJSON{App: nc.App, Dataset: nc.Dataset}
-	for _, row := range nc.Rows {
-		rj := NetworkRowJSON{Network: row.Network}
-		for _, c := range row.Cells {
-			rj.Cells = append(rj.Cells, NetworkCellJSON{
-				Protocol:      c.Protocol,
-				Config:        c.Config,
-				TimeSeconds:   c.Cell.Time.Seconds(),
-				QueueSeconds:  c.Cell.Queue.Seconds(),
-				Messages:      c.Cell.Msgs,
-				Bytes:         c.Cell.Bytes,
-				SwitchedUnits: c.Cell.SwitchedUnits,
-				Derived:       c.Cell.Derived,
-			})
-		}
-		out.Rows = append(out.Rows, rj)
-	}
-	return out
-}
-
-// ExperimentJSON is one experiment with its cells across configurations.
-type ExperimentJSON struct {
-	App     string     `json:"app"`
-	Dataset string     `json:"dataset"`
-	Paper   string     `json:"paper,omitempty"`
-	Cells   []CellJSON `json:"cells"`
-}
-
-// Table1RowJSON is one line of Table 1.
-type Table1RowJSON struct {
-	App        string  `json:"app"`
-	Dataset    string  `json:"dataset"`
-	SeqSeconds float64 `json:"seq_seconds"`
-	ParSeconds float64 `json:"par_seconds"`
-	Speedup    float64 `json:"speedup"`
 }
 
 // TrialsJSON is a multi-trial run of one workload under one

@@ -271,17 +271,3 @@ func (n *Network) CountsByKind() map[MsgKind]KindCount {
 func (n *Network) QueueTotal() sim.Duration {
 	return sim.Duration(n.totalQueue.Load())
 }
-
-// ExchangeCost prices one request/reply exchange on the ideal
-// arithmetic (excluding the fixed fault cost, which the engine charges
-// separately). Contention-unaware by construction; engine paths use
-// SendExchange instead.
-func (n *Network) ExchangeCost(requestBytes, replyBytes int) sim.Duration {
-	return n.cost.RoundTrip(requestBytes, replyBytes) + n.cost.RequestService
-}
-
-// OneWayCost prices a single message leg with payload on the ideal
-// arithmetic.
-func (n *Network) OneWayCost(payloadBytes int) sim.Duration {
-	return n.cost.MessageLeg + sim.Duration(payloadBytes)*n.cost.PerByte
-}

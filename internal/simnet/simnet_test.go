@@ -51,19 +51,6 @@ func TestConcurrentSendsAreAllRecorded(t *testing.T) {
 	}
 }
 
-func TestExchangeCost(t *testing.T) {
-	cost := sim.DefaultCostModel()
-	n := New(cost)
-	got := n.ExchangeCost(64, 4096)
-	want := cost.RoundTrip(64, 4096) + cost.RequestService
-	if got != want {
-		t.Fatalf("ExchangeCost = %v, want %v", got, want)
-	}
-	if n.OneWayCost(0) != cost.MessageLeg {
-		t.Fatal("OneWayCost(0) != MessageLeg")
-	}
-}
-
 func TestSendLegRecordsTimingAndTotals(t *testing.T) {
 	cost := sim.DefaultCostModel()
 	n := New(cost)

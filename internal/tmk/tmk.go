@@ -751,17 +751,3 @@ func Summarize(trials []*Result) *TrialSummary {
 	}
 	return ts
 }
-
-// RunTrials executes body as n independent trials on this System,
-// resetting between trials, and returns the per-trial Results plus the
-// min/mean/max aggregate.
-func (s *System) RunTrials(n int, body func(p *Proc)) (*TrialSummary, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("tmk: RunTrials needs a positive trial count (got %d)", n)
-	}
-	trials := make([]*Result, 0, n)
-	for i := 0; i < n; i++ {
-		trials = append(trials, s.Run(body))
-	}
-	return Summarize(trials), nil
-}
