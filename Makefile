@@ -46,24 +46,35 @@ alloc-check:
 # timeline's block structure against the flat reference list, the
 # chunked, slab-carving diff encoder against the word-by-word,
 # exact-size one, the same encoder under a write mask (the stretches
-# left out must never be read) against it too, trace replay over arbitrary bytes (no panic,
-# allocation bounded by the input, well-formed captures replay to
-# their recorded totals), and spec resolution (idempotent, and the
-# engine configuration it yields is already canonical).
+# left out must never be read) against it too, trace decoding and
+# derivation onto every network over arbitrary bytes (no panic,
+# allocation bounded by the input, real captures derive onto their own
+# network to their recorded totals), and spec resolution (idempotent,
+# and the engine configuration it yields is already canonical). The
+# trace target's seeds are real captures of some 25 KB: minimizing
+# each new interesting input would spend the whole ten seconds, so it
+# is capped at one try.
 fuzz-smoke:
 	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReplay -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadRuns -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/expsvc -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 
-# trace-smoke captures one traced run and checks that a same-model
-# replay reproduces its totals bit-identically (dsmtrace exits 1 if
-# not), then re-prices the capture across the other interconnects.
+# trace-smoke captures traced runs — Jacobi on bus, lock-based TSP on
+# switch under the home protocol, and Jacobi on bus through the tree
+# barrier — and derives each onto every interconnect: the capture's own
+# model must reproduce its recorded time and totals bit-identically
+# (dsmtrace exits 1 if not). Then it renders the first capture's
+# summary.
 trace-smoke:
 	$(GO) run ./cmd/dsmrun -app jacobi -dataset small -network bus -trace /tmp/dsm-trace-smoke.jsonl -json > /dev/null
+	$(GO) run ./cmd/dsmrun -app tsp -dataset small -protocol home -network switch -trace /tmp/dsm-trace-smoke-tsp.jsonl -json > /dev/null
+	$(GO) run ./cmd/dsmrun -app jacobi -dataset small -network bus -barrier tree -trace /tmp/dsm-trace-smoke-tree.jsonl -json > /dev/null
 	$(GO) run ./cmd/dsmtrace -replay /tmp/dsm-trace-smoke.jsonl
-	$(GO) run ./cmd/dsmtrace -replay -network ideal /tmp/dsm-trace-smoke.jsonl
+	$(GO) run ./cmd/dsmtrace -replay -network all /tmp/dsm-trace-smoke.jsonl
+	$(GO) run ./cmd/dsmtrace -replay -network all /tmp/dsm-trace-smoke-tsp.jsonl
+	$(GO) run ./cmd/dsmtrace -replay -network all /tmp/dsm-trace-smoke-tree.jsonl
 	$(GO) run ./cmd/dsmtrace /tmp/dsm-trace-smoke.jsonl | head -20
 
 # networks prints the interconnect sensitivity sweep.

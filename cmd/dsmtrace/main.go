@@ -6,24 +6,27 @@
 // queue-delay histogram per message kind, the hottest consistency units
 // by fault count, and a per-barrier-phase traffic breakdown.
 //
-// Replay mode (-replay) streams the capture's message events back
-// through a network model without re-executing the application:
+// Replay mode (-replay) decodes each captured run (trace.ReadRuns) and
+// re-prices it through a network model with MemSink.Derive, without
+// re-executing the application:
 //
 //	dsmtrace trace.jsonl                      # analyze
 //	dsmtrace -top 20 trace.jsonl              # more hot units
 //	dsmtrace -json trace.jsonl                # machine-readable summary
 //	dsmtrace -replay trace.jsonl              # re-price through the capture's own model
-//	dsmtrace -replay -network bus trace.jsonl # sweep the capture onto another interconnect
-//	dsmtrace -replay -network all trace.jsonl # one pass, every registered model, side by side
+//	dsmtrace -replay -network bus trace.jsonl # derive the run on another interconnect
+//	dsmtrace -replay -network all trace.jsonl # every registered model, side by side
 //
-// Same-model replay must reproduce the recorded message/byte/queue
-// totals bit-identically — dsmtrace exits non-zero if it does not, so
-// a plain `dsmtrace -replay capture.jsonl` doubles as an integrity
-// check of the trace (`-network all` includes the capture's own model,
-// so it carries the same check).
+// Each row is Derive's time and totals. The capture's own model must
+// reproduce the recorded run_end bit-identically — dsmtrace exits
+// non-zero if it does not, or if a derivation refuses — so any
+// `dsmtrace -replay capture.jsonl` doubles as an integrity check of the
+// trace. Rows of a schedule-sensitive app (not apps.ReplaySafe) say
+// "one schedule": the stream is one schedule's, not the app's.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,6 +35,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/apps"
+	_ "repro/internal/apps/all" // populate the workload registry
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -60,7 +66,7 @@ func main() {
 	if *replay {
 		networks := []string{*network} // "" is each run's own model
 		if *network == "all" {
-			networks = nil
+			networks = netmodel.Names()
 		}
 		runReplay(in, networks, *jsonOut)
 		return
@@ -70,46 +76,73 @@ func main() {
 
 // --- replay ---------------------------------------------------------------
 
-// runReplay re-prices every captured run through the given network
-// models in one streaming pass and prints a comparison table: one row
-// per model, the capture's own model marked and checked against the
-// recorded totals bit-identically — a mismatch means the trace does not
-// reproduce the run it claims to record.
+// replayRun is one captured run, numbered in file order, and its
+// derivations onto the requested networks.
+type replayRun struct {
+	Run      int           `json:"run"`
+	Meta     trace.RunMeta `json:"meta"`
+	Time     sim.Duration  `json:"time"`
+	Recorded trace.Totals  `json:"recorded"`
+	Derived  []replayRow   `json:"derived"`
+}
+
+type replayRow struct {
+	*trace.Derived
+	Verdict string `json:"verdict"`
+}
+
+// runReplay derives every captured run onto the given networks and
+// prints a table per run: the recorded row, then one row per network.
+// A refused derivation or an own-model row that differs from the
+// recorded one means the trace does not reproduce the run it claims to
+// record, and dsmtrace exits 1.
 func runReplay(in io.Reader, networks []string, jsonOut bool) {
-	runs, err := trace.Replay(in, networks)
+	sinks, err := trace.ReadRuns(in)
 	if err != nil {
 		fail(err)
+	}
+	runs := make([]replayRun, len(sinks))
+	mismatch := false
+	for i, ms := range sinks {
+		r := &runs[i]
+		r.Run, r.Meta = i+1, ms.Meta()
+		r.Time, r.Recorded = ms.Recorded()
+		for _, name := range networks {
+			d, err := ms.Derive(cmp.Or(name, r.Meta.Network))
+			if err != nil {
+				fail(fmt.Errorf("run %d (%s): %w", r.Run, runName(r.Meta.App, r.Meta.Dataset), err))
+			}
+			row := replayRow{d, "re-priced"}
+			switch {
+			case d.Network == r.Meta.Network && d.Time == r.Time && d.Totals == r.Recorded:
+				row.Verdict = "bit-identical"
+			case d.Network == r.Meta.Network:
+				row.Verdict, mismatch = "MISMATCH", true
+			case !apps.ReplaySafe(r.Meta.App):
+				row.Verdict = "one schedule"
+			}
+			r.Derived = append(r.Derived, row)
+		}
 	}
 	if jsonOut {
 		printJSON(runs)
 	} else {
 		for _, r := range runs {
 			fmt.Printf("=== run %d: %s  [%s, captured on %s, %d procs] ===\n",
-				r.ID, runName(r.Meta.App, r.Meta.Dataset), r.Meta.Protocol, r.Meta.Network, r.Meta.Procs)
-			fmt.Printf("  %-10s %10s %12s %12s  %s\n", "network", "msgs", "bytes", "queue(s)", "verdict")
-			fmt.Printf("  %-10s %10d %12d %12.6f  %s\n",
-				"(recorded)", r.Recorded.Msgs, r.Recorded.Bytes, r.Recorded.Queue.Seconds(), "")
-			for i, n := range r.Networks {
-				t := r.Replayed[i]
-				verdict := "re-priced"
-				if n == r.Meta.Network {
-					if t == r.Recorded {
-						verdict = "bit-identical"
-					} else {
-						verdict = "MISMATCH"
-					}
-				}
-				fmt.Printf("  %-10s %10d %12d %12.6f  %s\n",
-					n, t.Msgs, t.Bytes, t.Queue.Seconds(), verdict)
+				r.Run, runName(r.Meta.App, r.Meta.Dataset), r.Meta.Protocol, r.Meta.Network, r.Meta.Procs)
+			fmt.Printf("  %-10s %10s %12s %12s %12s  %s\n", "network", "msgs", "bytes", "time(s)", "queue(s)", "verdict")
+			fmt.Printf("  %-10s %10d %12d %12.6f %12.6f\n",
+				"(recorded)", r.Recorded.Msgs, r.Recorded.Bytes, r.Time.Seconds(), r.Recorded.Queue.Seconds())
+			for _, d := range r.Derived {
+				fmt.Printf("  %-10s %10d %12d %12.6f %12.6f  %s\n",
+					d.Network, d.Msgs, d.Bytes, d.Time.Seconds(), d.Queue.Seconds(), d.Verdict)
 			}
 			fmt.Println()
 		}
 	}
-	for _, r := range runs {
-		if !r.Matches() {
-			fmt.Fprintf(os.Stderr, "dsmtrace: run %d: same-model replay diverged from recorded totals\n", r.ID)
-			os.Exit(1)
-		}
+	if mismatch {
+		fmt.Fprintln(os.Stderr, "dsmtrace: a run derived onto its own model diverged from its recorded totals")
+		os.Exit(1)
 	}
 }
 

@@ -260,7 +260,8 @@ func TestRunTrialsDeterministic(t *testing.T) {
 
 // WithTrace writes every trial as its own run: three trials, each on
 // its own engine sharing the option's capture, leave three runs with
-// distinct ids, each replaying bit-identically on its own model.
+// distinct ids (ReadRuns refuses a duplicate), each deriving
+// bit-identically on its own model.
 func TestWithTraceRunTrials(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
@@ -284,25 +285,25 @@ func TestWithTraceRunTrials(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := trace.Replay(bytes.NewReader(buf.Bytes()), []string{""})
+	runs, err := trace.ReadRuns(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 3 {
 		t.Fatalf("stream holds %d runs, want 3", len(runs))
 	}
-	ids := map[int64]bool{}
-	for _, r := range runs {
-		ids[r.ID] = true
-		if r.Recorded.Msgs != int64(ts.Trials[0].Messages) {
-			t.Errorf("run %d recorded %d messages, trial sent %d", r.ID, r.Recorded.Msgs, ts.Trials[0].Messages)
+	for i, ms := range runs {
+		time, rec := ms.Recorded()
+		if rec.Msgs != int64(ts.Trials[0].Messages) {
+			t.Errorf("run %d recorded %d messages, trial sent %d", i+1, rec.Msgs, ts.Trials[0].Messages)
 		}
-		if !r.Matches() {
-			t.Errorf("run %d: recorded %+v, replayed %+v", r.ID, r.Recorded, r.Replayed[0])
+		d, err := ms.Derive(ms.Meta().Network)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(ids) != 3 {
-		t.Fatalf("run ids %v are not distinct", ids)
+		if d.Time != time || d.Totals != rec {
+			t.Errorf("run %d: recorded %v %+v, derived on its own network %v %+v", i+1, time, rec, d.Time, d.Totals)
+		}
 	}
 }
 

@@ -200,13 +200,17 @@ func TestFlightRecorder(t *testing.T) {
 	if legs == 0 || ends != 3 {
 		t.Fatalf("dump has %d message events and %d run_end lines; want >0 and 3", legs, ends)
 	}
-	runs, err := trace.Replay(bytes.NewReader(dump.Bytes()), []string{""})
+	runs, err := trace.ReadRuns(bytes.NewReader(dump.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range runs {
-		if !run.Matches() {
-			t.Errorf("flight run %d: recorded %+v, replayed %+v", run.ID, run.Recorded, run.Replayed[0])
+	for i, ms := range runs {
+		d, err := ms.Derive(ms.Meta().Network)
+		if err != nil {
+			t.Fatalf("flight run %d: %v", i+1, err)
+		}
+		if time, rec := ms.Recorded(); d.Time != time || d.Totals != rec {
+			t.Errorf("flight run %d: recorded %v %+v, derived on its own network %v %+v", i+1, time, rec, d.Time, d.Totals)
 		}
 	}
 

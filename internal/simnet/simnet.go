@@ -80,6 +80,16 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("MsgKind(%d)", uint8(k))
 }
 
+// ParseKind is String's inverse over the defined kinds.
+func ParseKind(name string) (MsgKind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return MsgKind(k), true
+		}
+	}
+	return 0, false
+}
+
 // IsData reports whether the kind carries application data (diffs); only
 // data messages can be useless in the paper's sense. Synchronization
 // messages are necessary regardless of the data they carry.

@@ -8,6 +8,14 @@ import (
 	"repro/internal/simnet"
 )
 
+// Totals are the wire totals accumulated over one run's message events:
+// message count, payload bytes, cumulative queue delay.
+type Totals struct {
+	Msgs  int64        `json:"messages"`
+	Bytes int64        `json:"bytes"`
+	Queue sim.Duration `json:"queue"`
+}
+
 // Derived is the outcome of re-pricing a captured run's event stream
 // through another interconnect: the totals the engine would have
 // produced on that network without re-executing the application.
@@ -28,10 +36,10 @@ import (
 // caller falls back to a real run.
 type Derived struct {
 	// Network is the model the derivation priced through.
-	Network string
+	Network string `json:"network"`
 	// Time is the derived simulated completion time: every processor's
 	// recorded final clock shifted by its accumulated pricing offset.
-	Time sim.Duration
+	Time sim.Duration `json:"time"`
 	Totals
 	// Gate and BaseGate record, per completed barrier episode, whether
 	// the adaptive protocol's contention gate (mean queue delay per
@@ -40,8 +48,8 @@ type Derived struct {
 	// uses them to decide when an adaptive cell may be derived: if the
 	// verdict sequence matches the base run's, the adaptive policy would
 	// have made identical switch decisions on the target network.
-	Gate     []bool
-	BaseGate []bool
+	Gate     []bool `json:"-"`
+	BaseGate []bool `json:"-"`
 }
 
 // derivation is the walk state for one Derive call.
@@ -85,8 +93,10 @@ type derivation struct {
 	grantBase, grantTg []sim.Duration
 	waveLegs           int
 
-	// Lock grant reconstruction.
+	// Lock grant reconstruction. reqMgr[p] is the manager p's pending
+	// request went to, or -1 once the request has been forwarded.
 	pendLock           []int32
+	reqMgr             []int
 	reqBase, reqTarg   []sim.Duration
 	lastRelB, lastRelT map[int]sim.Duration
 }
@@ -116,8 +126,10 @@ func (ms *MemSink) Derive(network string) (*Derived, error) {
 
 func (s *stream) derive(network string) (*Derived, error) {
 	meta := s.meta
-	if meta.Procs <= 0 {
-		return nil, fmt.Errorf("trace: derive needs procs in run meta (got %d)", meta.Procs)
+	// Every walk array is sized by procs, so a capture that could not
+	// finish the walk for want of its final clocks is refused first.
+	if meta.Procs <= 0 || len(s.clocks) != meta.Procs {
+		return nil, fmt.Errorf("trace: capture has %d final clocks for %d processors", len(s.clocks), meta.Procs)
 	}
 	if err := s.checkProcs(); err != nil {
 		return nil, err
@@ -151,6 +163,7 @@ func (s *stream) derive(network string) (*Derived, error) {
 		eps:       make(map[int]*centralEpisode),
 
 		pendLock: make([]int32, n),
+		reqMgr:   make([]int, n),
 		reqBase:  make([]sim.Duration, n),
 		reqTarg:  make([]sim.Duration, n),
 		lastRelB: make(map[int]sim.Duration),
@@ -192,9 +205,6 @@ func (s *stream) derive(network string) (*Derived, error) {
 		return nil, fmt.Errorf("trace: base replay mismatch (msgs %d/%d bytes %d/%d queue %d/%d)",
 			d.msgs, s.msgs, d.bytes, s.bytes, d.baseQ, s.queue)
 	}
-	if len(s.clocks) != n {
-		return nil, fmt.Errorf("trace: capture has %d final clocks, want %d", len(s.clocks), n)
-	}
 	var baseTime, targTime sim.Duration
 	for p := 0; p < n; p++ {
 		baseTime = sim.MaxClock(baseTime, s.clocks[p])
@@ -210,6 +220,17 @@ func (s *stream) derive(network string) (*Derived, error) {
 		Gate:     d.gate,
 		BaseGate: d.baseGate,
 	}, nil
+}
+
+// checkEndpoints rejects a message event that names a processor the run
+// does not have. Captures are outside input, and the contended models
+// keep one port per processor id they are shown: a corrupted id must be
+// an error before it is priced.
+func checkEndpoints(src, dst, procs int) error {
+	if src < 0 || src >= procs || dst < 0 || dst >= procs {
+		return fmt.Errorf("message %d->%d names a processor outside a run of %d", src, dst, procs)
+	}
+	return nil
 }
 
 // checkProcs rejects a capture in which a message event, or a
@@ -358,15 +379,20 @@ func (d *derivation) control(kind simnet.MsgKind, src, dst, bytes int, at sim.Du
 		bt, tt := d.priceLeg(src, dst, bytes, at, at+d.delta[src], true)
 		// The requester blocks: the request's arrival feeds the grant
 		// time, the requester's own clock resumes at the grant.
+		d.reqMgr[src] = dst
 		d.reqBase[src] = at + bt.Total
 		d.reqTarg[src] = at + d.delta[src] + tt.Total
 		return nil
 	case simnet.LockForward:
 		// The manager forwards to the holder at the request's arrival;
-		// find the requester whose pending arrival matches.
+		// find the requester whose pending arrival matches. It asked
+		// this manager and has not been forwarded yet, and it is not
+		// the holder: a requester whose request found the lock free
+		// holds it until its grant is priced, and may share the
+		// arrival.
 		req := -1
 		for p := 0; p < d.n; p++ {
-			if d.pendLock[p] >= 0 && d.reqBase[p] == at {
+			if d.pendLock[p] >= 0 && d.reqMgr[p] == src && p != dst && d.reqBase[p] == at {
 				if req >= 0 {
 					return fmt.Errorf("trace: ambiguous lock forward at %d", at)
 				}
@@ -377,6 +403,7 @@ func (d *derivation) control(kind simnet.MsgKind, src, dst, bytes int, at sim.Du
 			return fmt.Errorf("trace: lock forward at %d matches no pending request", at)
 		}
 		bt, tt := d.priceLeg(src, dst, bytes, at, d.reqTarg[req], true)
+		d.reqMgr[req] = -1
 		d.reqBase[req] += bt.Total
 		d.reqTarg[req] += tt.Total
 		return nil

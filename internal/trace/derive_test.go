@@ -128,6 +128,50 @@ func TestDeriveGoldenTotals(t *testing.T) {
 	}
 }
 
+// TestDeriveTiedLockRequests: processors 1 and 2 ask lock 0's manager
+// for it at the same virtual time, so their requests arrive together;
+// 1 finds the lock free and holds it, and 2 is forwarded to 1. Then 3's
+// request arrives just when 2's forwarded request does, and is
+// forwarded too. Derive must pair each forward with its own requester —
+// not with the holder, and not with one forwarded before — on every
+// network; the engine writes this stream whenever the host lets the
+// second request in before the holder's grant.
+func TestDeriveTiedLockRequests(t *testing.T) {
+	cost := sim.DefaultCostModel()
+	ideal, err := netmodel.New("ideal", cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := ideal.Leg(1, 0, 0, 0).Total    // a control leg, priced payload-free
+	grant := ideal.Leg(0, 1, 16, 0).Total // a notice-free grant
+	ms := trace.NewMemSink()
+	ms.Begin(trace.RunMeta{Protocol: "homeless", Network: "ideal", Procs: 4})
+	request := func(p int, at sim.Duration) {
+		ms.LockRequest(p, 0, at)
+		ms.TraceControl(simnet.LockRequest, p, 0, 16, at, 0)
+	}
+	forward := func(at sim.Duration) { ms.TraceControl(simnet.LockForward, 0, 1, 16, at, 0) }
+	handOff := func(from, to int, at sim.Duration) sim.Duration {
+		ms.TraceLeg(simnet.LockGrant, from, to, 16, at, 0)
+		ms.LockRelease(to, 0, at+grant)
+		return at + grant
+	}
+	request(1, 0)
+	request(2, 0)
+	forward(ctl)
+	request(3, ctl)
+	forward(2 * ctl)
+	c1 := handOff(0, 1, ctl+cost.LockService)
+	c2 := handOff(1, 2, c1+cost.LockService)
+	c3 := handOff(2, 3, c2+cost.LockService)
+	ms.RunEnd(c3, 8, 8*16, 0, []sim.Duration{0, c1, c2, c3})
+	for _, network := range netmodel.Names() {
+		if _, err := ms.Derive(network); err != nil {
+			t.Errorf("%s: %v", network, err)
+		}
+	}
+}
+
 // jsonl writes the capture out in the interchange format.
 func jsonl(ms *trace.MemSink) (*bytes.Buffer, error) {
 	var buf bytes.Buffer
@@ -142,9 +186,9 @@ func jsonl(ms *trace.MemSink) (*bytes.Buffer, error) {
 }
 
 // TestRejectsOutOfRangeEndpoints corrupts one endpoint of one message
-// event of a well-formed capture at a time. Derive and the JSONL Replay
-// must each refuse it with an error — not panic, and not size a port
-// table by the bogus id.
+// event of a well-formed capture at a time. Derive and the JSONL
+// decoder must each refuse it with an error — not panic, and not size
+// a port table by the bogus id.
 func TestRejectsOutOfRangeEndpoints(t *testing.T) {
 	const procs = 4
 	ops := []priced{
@@ -166,20 +210,16 @@ func TestRejectsOutOfRangeEndpoints(t *testing.T) {
 		run  func(ms *trace.MemSink) error
 	}{
 		{"Derive", func(ms *trace.MemSink) error { _, err := ms.Derive("switch"); return err }},
-		{"Replay", func(ms *trace.MemSink) error {
+		{"ReadRuns", func(ms *trace.MemSink) error {
 			buf, err := jsonl(ms)
 			if err != nil {
 				return err
 			}
-			_, err = trace.Replay(buf, []string{"switch"})
-			return err
-		}},
-		{"Replay on every network", func(ms *trace.MemSink) error {
-			buf, err := jsonl(ms)
+			runs, err := trace.ReadRuns(buf)
 			if err != nil {
 				return err
 			}
-			_, err = trace.Replay(buf, nil)
+			_, err = runs[0].Derive("switch")
 			return err
 		}},
 	}

@@ -366,11 +366,11 @@ func (ms *MemSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Durati
 }
 
 // EmitJSONL writes the ended capture to w as one run: run_start, one
-// line per event in capture order, run_end with the recorded totals.
+// line per event in capture order, run_end with the recorded totals
+// and final clocks.
 // The run's lines are written while holding w's lock, so runs emitted
-// by concurrent captures sharing w never interleave. The per-processor
-// final clocks are not part of the JSONL schema (run_end's time is
-// their max). It returns w's sticky write error.
+// by concurrent captures sharing w never interleave; ReadRuns is the
+// inverse. It returns w's sticky write error.
 func (ms *MemSink) EmitJSONL(w *Writer) error {
 	s, err := ms.read("EmitJSONL")
 	if err != nil {
@@ -422,6 +422,6 @@ func (s *stream) emitJSONL(w *Writer) error {
 			w.emit(&e)
 		}
 	}
-	w.emit(&Event{E: EvRunEnd, R: r, Time: s.time, Msgs: s.msgs, Bytes: s.bytes, Queue: s.queue})
+	w.emit(&Event{E: EvRunEnd, R: r, Time: s.time, Msgs: s.msgs, Bytes: s.bytes, Queue: s.queue, Clocks: s.clocks})
 	return w.err
 }

@@ -9,11 +9,11 @@
 // the capture holds the exact operation sequence the network model
 // saw. JSONL is the capture's interchange encoding, written by
 // MemSink.EmitJSONL (Writer.Sink does so as each run ends). That makes
-// the format load-bearing: Replay streams a captured run back through
-// any netmodel.Model without re-executing the application, and replay
-// through the *same* model reproduces the run's message, byte, and
-// queue-delay totals bit-identically (pinned by test — the totals are
-// sums over the identical pricing-call sequence).
+// the format load-bearing: ReadRuns decodes it back into one MemSink
+// per run, the capture that was written, so Derive re-prices a JSONL
+// run through any interconnect without re-executing the application —
+// and through the run's *own* model reproduces its time, message,
+// byte, and queue-delay totals bit-identically (pinned by test).
 //
 // One Writer may serve several Systems concurrently (a sweep tracing
 // every cell into one file): every run's lines are written together
@@ -42,11 +42,14 @@ const (
 	EvHeader = "header"
 	// EvRunStart opens one engine run: run id plus the run's identity
 	// (app, dataset, protocol, network, placement, procs, unit geometry,
-	// cost calibration) — everything Replay needs to rebuild the model.
+	// cost calibration, barrier fabric) — the RunMeta Derive rebuilds
+	// the run's pricing model and synchronization joins from.
 	EvRunStart = "run_start"
 	// EvRunEnd closes a run with its recorded totals: simulated time,
-	// messages, payload bytes, cumulative queue delay. Replay parity is
-	// checked against these.
+	// messages, payload bytes, cumulative queue delay, and each
+	// processor's final clock (clocks; absent in captures written
+	// before it existed, which Derive refuses). Derive's base-model
+	// half is checked against these.
 	EvRunEnd = "run_end"
 
 	// EvLeg is one one-way message priced with its payload.
@@ -118,43 +121,36 @@ type Event struct {
 	Transfer bool   `json:"tr,omitempty"`     // rehome: state moved on the wire
 
 	// Run identity (run_start).
-	App       string         `json:"app,omitempty"`
-	Dataset   string         `json:"dataset,omitempty"`
-	Protocol  string         `json:"protocol,omitempty"`
-	Network   string         `json:"network,omitempty"`
-	Placement string         `json:"placement,omitempty"`
-	Procs     int            `json:"procs,omitempty"`
-	UnitPages int            `json:"unit_pages,omitempty"`
-	Dynamic   bool           `json:"dynamic,omitempty"`
-	Barrier   string         `json:"barrier,omitempty"`
-	BarrRadix int            `json:"barrier_radix,omitempty"`
-	Cost      *sim.CostModel `json:"cost,omitempty"`
+	RunMeta
 
 	// Recorded totals (run_end).
 	Time  sim.Duration `json:"time,omitempty"`
 	Msgs  int64        `json:"msgs,omitempty"`
 	Bytes int64        `json:"bytes,omitempty"`
 	Queue sim.Duration `json:"queue,omitempty"`
+	// Clocks are the processors' final virtual clocks, by processor id
+	// (Result.ProcTimes); Time is their max. Derive needs them.
+	Clocks []sim.Duration `json:"clocks,omitempty"`
 }
 
 // RunMeta is one run's identity, written on its run_start line.
 type RunMeta struct {
-	App       string
-	Dataset   string
-	Protocol  string
-	Network   string
-	Placement string
-	Procs     int
-	UnitPages int
-	Dynamic   bool
+	App       string `json:"app,omitempty"`
+	Dataset   string `json:"dataset,omitempty"`
+	Protocol  string `json:"protocol,omitempty"`
+	Network   string `json:"network,omitempty"`
+	Placement string `json:"placement,omitempty"`
+	Procs     int    `json:"procs,omitempty"`
+	UnitPages int    `json:"unit_pages,omitempty"`
+	Dynamic   bool   `json:"dynamic,omitempty"`
 	// Barrier is the run's barrier fabric ("central" or "tree") and
 	// BarrierRadix the tree's fan-in; derivation reconstructs barrier
 	// release times from them. Empty means central.
-	Barrier      string
-	BarrierRadix int
-	// Cost is the run's communication cost calibration; Replay rebuilds
-	// the pricing model from it. Nil means sim.DefaultCostModel.
-	Cost *sim.CostModel
+	Barrier      string `json:"barrier,omitempty"`
+	BarrierRadix int    `json:"barrier_radix,omitempty"`
+	// Cost is the run's communication cost calibration; Derive rebuilds
+	// the pricing models from it. Nil means sim.DefaultCostModel.
+	Cost *sim.CostModel `json:"cost,omitempty"`
 }
 
 // Writer emits a trace stream: one header line, then runs. It is safe
@@ -233,14 +229,7 @@ func (w *Writer) beginRun(meta RunMeta) int64 {
 	if meta.Dataset == "" {
 		meta.Dataset = w.dataset
 	}
-	w.emit(&Event{
-		E: EvRunStart, R: w.nextRun,
-		App: meta.App, Dataset: meta.Dataset,
-		Protocol: meta.Protocol, Network: meta.Network, Placement: meta.Placement,
-		Procs: meta.Procs, UnitPages: meta.UnitPages, Dynamic: meta.Dynamic,
-		Barrier: meta.Barrier, BarrRadix: meta.BarrierRadix,
-		Cost: meta.Cost,
-	})
+	w.emit(&Event{E: EvRunStart, R: w.nextRun, RunMeta: meta})
 	return w.nextRun
 }
 

@@ -33,10 +33,10 @@ func TestEventRoundTrip(t *testing.T) {
 		t.Fatalf("version = %d, want %d", r.Version(), trace.Version)
 	}
 	want := []trace.Event{
-		{E: trace.EvRunStart, R: 1, App: "Jacobi", Dataset: "small",
+		{E: trace.EvRunStart, R: 1, RunMeta: trace.RunMeta{App: "Jacobi", Dataset: "small",
 			Protocol: "adaptive", Network: "bus", Placement: "migrate",
 			Procs: 8, UnitPages: 2, Dynamic: true,
-			Barrier: "tree", BarrRadix: 4, Cost: &goldenCost},
+			Barrier: "tree", BarrierRadix: 4, Cost: &goldenCost}},
 		{E: trace.EvLeg, R: 1, K: "DiffRequest", S: 0, D: 1, B: 64, At: 100, Q: 7},
 		{E: trace.EvControl, R: 1, K: "BarrierArrive", S: 1, D: 0, B: 16, At: 200, Q: 3},
 		{E: trace.EvExchange, R: 1, K: "DiffRequest", RK: "DiffReply", S: 2, D: 3, B: 32, RB: 4096, At: 300, Q: 5, RQ: 9},
@@ -49,7 +49,8 @@ func TestEventRoundTrip(t *testing.T) {
 		{E: trace.EvFaultEnd, R: 1, P: 6, Pg: 42, At: 900},
 		{E: trace.EvSwitch, R: 1, U: 7, FromName: "home", ToName: "homeless", N: 3},
 		{E: trace.EvRehome, R: 1, U: 9, FromHome: 1, ToHome: 2, B: 8192, Transfer: true},
-		{E: trace.EvRunEnd, R: 1, Time: 12345, Msgs: 678, Bytes: 90123, Queue: 456},
+		{E: trace.EvRunEnd, R: 1, Time: 12345, Msgs: 678, Bytes: 90123, Queue: 456,
+			Clocks: []sim.Duration{1, 2, 3, 4, 5, 6, 7, 12345}},
 	}
 	for i, wantEv := range want {
 		got, err := r.Next()
