@@ -66,7 +66,8 @@ fuzz-smoke:
 # barrier — and derives each onto every interconnect: the capture's own
 # model must reproduce its recorded time and totals bit-identically
 # (dsmtrace exits 1 if not). Then it renders the first capture's
-# summary.
+# summary, and requires the summary of that capture cut before its
+# run_end to say the run is incomplete.
 trace-smoke:
 	$(GO) run ./cmd/dsmrun -app jacobi -dataset small -network bus -trace /tmp/dsm-trace-smoke.jsonl -json > /dev/null
 	$(GO) run ./cmd/dsmrun -app tsp -dataset small -protocol home -network switch -trace /tmp/dsm-trace-smoke-tsp.jsonl -json > /dev/null
@@ -76,6 +77,8 @@ trace-smoke:
 	$(GO) run ./cmd/dsmtrace -replay -network all /tmp/dsm-trace-smoke-tsp.jsonl
 	$(GO) run ./cmd/dsmtrace -replay -network all /tmp/dsm-trace-smoke-tree.jsonl
 	$(GO) run ./cmd/dsmtrace /tmp/dsm-trace-smoke.jsonl | head -20
+	sed '$$d' /tmp/dsm-trace-smoke.jsonl > /tmp/dsm-trace-smoke-cut.jsonl
+	$(GO) run ./cmd/dsmtrace -json /tmp/dsm-trace-smoke-cut.jsonl | grep -q '"complete": false'
 
 # networks prints the interconnect sensitivity sweep.
 networks:

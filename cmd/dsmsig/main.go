@@ -41,12 +41,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	entry, ok := apps.Lookup(*app, *dataset)
+	e, ok := apps.Lookup(*app, *dataset)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "dsmsig: no registered workload matches -app %q -dataset %q\n", *app, *dataset)
 		os.Exit(1)
 	}
-	e := &harness.Experiment{App: entry.App, Dataset: entry.Dataset, Paper: entry.Paper, Make: entry.Make}
 
 	var sigs []core.Signature
 	var labels []string
@@ -57,7 +56,7 @@ func main() {
 			os.Exit(1)
 		}
 		label := fmt.Sprintf("%dK", 4*u)
-		cell, err := harness.Run(*e, harness.Config{
+		cell, err := harness.Run(e, harness.Config{
 			Label: label, Unit: u,
 			Protocol: *protocol, Network: *network, Placement: *placement,
 		}, *procs)

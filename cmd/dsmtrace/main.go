@@ -4,7 +4,10 @@
 // The default mode prints, per captured run: the run's identity and
 // recorded totals, a per-processor virtual-time timeline summary, a
 // queue-delay histogram per message kind, the hottest consistency units
-// by fault count, and a per-barrier-phase traffic breakdown.
+// by fault count, and a per-barrier-phase traffic breakdown. A run the
+// capture cuts before its run_end is marked INCOMPLETE ("complete":
+// false under -json); events of a run whose run_start the capture lacks
+// (a flight-recorder window opening mid-run) are counted on stderr.
 //
 // Replay mode (-replay) decodes each captured run (trace.ReadRuns) and
 // re-prices it through a network model with MemSink.Derive, without
@@ -217,6 +220,7 @@ type runSummaryJSON struct {
 	Network   string        `json:"network"`
 	Placement string        `json:"placement"`
 	Procs     int           `json:"procs"`
+	Complete  bool          `json:"complete"` // the capture holds the run's run_end
 	TimeS     float64       `json:"time_seconds"`
 	Msgs      int64         `json:"messages"`
 	Bytes     int64         `json:"bytes"`
@@ -334,6 +338,7 @@ func (a *runAcc) event(ev *trace.Event) {
 	case trace.EvRehome:
 		a.out.Rehomes++
 	case trace.EvRunEnd:
+		a.out.Complete = true
 		a.out.TimeS = ev.Time.Seconds()
 		a.out.Msgs = ev.Msgs
 		a.out.Bytes = ev.Bytes
@@ -412,6 +417,7 @@ func runSummary(in io.Reader, topN int, jsonOut bool) {
 	}
 	var order []*runAcc
 	runs := make(map[int64]*runAcc)
+	orphans := 0 // events of a run whose run_start is not in the capture
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {
@@ -428,7 +434,13 @@ func runSummary(in io.Reader, topN int, jsonOut bool) {
 		}
 		if acc := runs[ev.R]; acc != nil {
 			acc.event(ev)
+		} else {
+			orphans++
 		}
+	}
+	if orphans > 0 {
+		// A flight-recorder dump is a window: it may open mid-run.
+		fmt.Fprintf(os.Stderr, "dsmtrace: %d events named a run with no run_start in the capture; they are not summarized\n", orphans)
 	}
 	var docs []*runSummaryJSON
 	for _, acc := range order {
@@ -464,10 +476,18 @@ func printJSON(v any) {
 }
 
 func render(d *runSummaryJSON) {
-	fmt.Printf("=== run %d: %s  [%s, %s net, %s homes, %d procs] ===\n",
-		d.Run, runName(d.App, d.Dataset), d.Protocol, d.Network, d.Placement, d.Procs)
-	fmt.Printf("  simulated time %.6f s   messages %d   bytes %d   queue delay %.6f s",
-		d.TimeS, d.Msgs, d.Bytes, d.QueueS)
+	incomplete := ""
+	if !d.Complete {
+		incomplete = "  INCOMPLETE"
+	}
+	fmt.Printf("=== run %d: %s  [%s, %s net, %s homes, %d procs]%s ===\n",
+		d.Run, runName(d.App, d.Dataset), d.Protocol, d.Network, d.Placement, d.Procs, incomplete)
+	if d.Complete {
+		fmt.Printf("  simulated time %.6f s   messages %d   bytes %d   queue delay %.6f s",
+			d.TimeS, d.Msgs, d.Bytes, d.QueueS)
+	} else {
+		fmt.Print("  no run_end: the capture stops before the run does, so its totals are unknown")
+	}
 	if d.Switches > 0 || d.Rehomes > 0 {
 		fmt.Printf("   switches %d   rehomes %d", d.Switches, d.Rehomes)
 	}

@@ -59,13 +59,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/instrument"
 	"repro/internal/mem"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/tmk"
 	"repro/internal/trace"
 )
@@ -452,41 +451,30 @@ func (s *System) RunTrialsContext(ctx context.Context, n int, body func(p *Proc)
 		return nil, fmt.Errorf("dsm: RunTrials needs a positive trial count (got %d)", n)
 	}
 	cfg := s.eng.Config()
-	results := make([]*tmk.Result, n)
-	errs := make([]error, n)
-	limit := runtime.GOMAXPROCS(0)
-	if limit < 1 || cfg.Sink != nil {
-		// A capture sink records one run at a time.
-		limit = 1
+	width := 0 // GOMAXPROCS
+	if cfg.Sink != nil {
+		width = 1 // a capture sink records one run at a time
 	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
+	tasks := make([]sweep.Task, n)
+	for i := range tasks {
+		tasks[i].Do = func(context.Context) (any, error) {
 			eng, err := tmk.NewSystem(cfg)
 			if err != nil {
-				errs[i] = err
-				return
+				return nil, err
 			}
-			results[i] = eng.Run(body)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dsm: RunTrials canceled: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			return eng.Run(body), nil
 		}
+	}
+	vals, err := sweep.New(width).Run(ctx, tasks)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, fmt.Errorf("dsm: RunTrials canceled: %w", ctxErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*tmk.Result, n)
+	for i, v := range vals {
+		results[i] = v.(*tmk.Result)
 	}
 	return tmk.Summarize(results), nil
 }

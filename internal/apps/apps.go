@@ -15,6 +15,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/tmk"
@@ -129,27 +130,32 @@ type Mem interface {
 }
 
 // LocalMem is a plain local memory with the Mem interface, used by
-// sequential reference implementations.
+// sequential reference implementations. It is a flat word array and
+// shares no code with the engine's replicas, so every Check compares the
+// DSM's result against memory the engine never touched.
 type LocalMem struct {
-	rep *mem.Replica
+	words []uint64
 }
 
-// NewLocalMem returns a zeroed local memory of at least size bytes.
+// NewLocalMem returns a zeroed local memory of at least size bytes,
+// rounded up to a page multiple.
 func NewLocalMem(size int) *LocalMem {
-	return &LocalMem{rep: mem.NewReplica(size)}
+	return &LocalMem{words: make([]uint64, mem.RoundUpPages(size)>>mem.WordShift)}
 }
 
 // ReadF64 implements Mem.
-func (m *LocalMem) ReadF64(a mem.Addr) float64 { return m.rep.ReadF64(a) }
+func (m *LocalMem) ReadF64(a mem.Addr) float64 {
+	return math.Float64frombits(m.words[a>>mem.WordShift])
+}
 
 // WriteF64 implements Mem.
-func (m *LocalMem) WriteF64(a mem.Addr, v float64) { m.rep.WriteF64(a, v) }
+func (m *LocalMem) WriteF64(a mem.Addr, v float64) { m.words[a>>mem.WordShift] = math.Float64bits(v) }
 
 // ReadI64 implements Mem.
-func (m *LocalMem) ReadI64(a mem.Addr) int64 { return int64(m.rep.ReadWord(a)) }
+func (m *LocalMem) ReadI64(a mem.Addr) int64 { return int64(m.words[a>>mem.WordShift]) }
 
 // WriteI64 implements Mem.
-func (m *LocalMem) WriteI64(a mem.Addr, v int64) { m.rep.WriteWord(a, uint64(v)) }
+func (m *LocalMem) WriteI64(a mem.Addr, v int64) { m.words[a>>mem.WordShift] = uint64(v) }
 
 // Compute implements Mem (no-op locally).
 func (m *LocalMem) Compute(int) {}

@@ -13,18 +13,7 @@ const DefaultCacheEntries = 1024
 // go stale — there is no TTL, only an LRU entry bound to keep a
 // long-running service from holding every cell of an unbounded
 // experiment grid.
-type Cache struct {
-	mu        sync.Mutex
-	max       int
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions uint64
-}
-
-type cacheEntry struct {
-	hash string
-	body []byte
-}
+type Cache struct{ *lru[[]byte] }
 
 // NewCache builds a cache bounded to max entries (max <= 0 selects
 // DefaultCacheEntries).
@@ -32,60 +21,96 @@ func NewCache(max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheEntries
 	}
-	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-	}
+	return &Cache{newLRU[[]byte](max, nil)}
 }
 
-// Get returns the cached body for a hash, refreshing its recency. The
-// returned slice is shared — callers must not mutate it.
-func (c *Cache) Get(hash string) ([]byte, bool) {
+// lru is the one least-recently-used map behind the result cache and
+// the capture store: an entry bound, a count of the entries dropped
+// over it, and, when size is set, the sum of the held values' sizes,
+// each priced once when it is added.
+type lru[V any] struct {
+	mu        sync.Mutex
+	max       int
+	size      func(V) int64
+	ll        *list.List // front = most recently used
+	items     map[string]*list.Element
+	held      int64
+	evictions uint64
+}
+
+type lruEntry[V any] struct {
+	key  string
+	val  V
+	size int64
+}
+
+func newLRU[V any](max int, size func(V) int64) *lru[V] {
+	return &lru[V]{max: max, size: size, ll: list.New(), items: make(map[string]*list.Element)}
+}
+
+// Get returns the value under key, refreshing its recency. A cached
+// body is shared — callers must not mutate it.
+func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[hash]
+	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// Add inserts (or refreshes) an entry and evicts from the LRU tail past
-// the bound.
-func (c *Cache) Add(hash string, body []byte) {
+// Add inserts (or replaces and refreshes) an entry and evicts from the
+// LRU tail past the bound.
+func (c *lru[V]) Add(key string, v V) {
+	var size int64
+	if c.size != nil {
+		size = c.size(v)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[hash]; ok {
-		// Determinism means a re-run produced the same body; keep the
-		// newer slice anyway and refresh recency.
-		el.Value.(*cacheEntry).body = body
+	c.held += size
+	if el, ok := c.items[key]; ok {
+		// Determinism means a re-run produced the same value; keep the
+		// newer one anyway and refresh recency.
+		ent := el.Value.(*lruEntry[V])
+		c.held -= ent.size
+		ent.val, ent.size = v, size
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, body: body})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v, size: size})
 	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).hash)
+		oldest := c.ll.Remove(c.ll.Back()).(*lruEntry[V])
+		delete(c.items, oldest.key)
+		c.held -= oldest.size
 		c.evictions++
 	}
 }
 
 // Len returns the current entry count.
-func (c *Cache) Len() int {
+func (c *lru[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
 // Capacity returns the LRU bound.
-func (c *Cache) Capacity() int { return c.max }
+func (c *lru[V]) Capacity() int { return c.max }
 
 // Evictions returns the number of entries dropped over the bound.
-func (c *Cache) Evictions() uint64 {
+func (c *lru[V]) Evictions() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictions
+}
+
+// heldBytes returns the summed size of the held values (0 without a
+// size function).
+func (c *lru[V]) heldBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held
 }

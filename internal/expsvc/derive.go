@@ -13,9 +13,7 @@ package expsvc
 // optimization, never a correctness dependency.
 
 import (
-	"container/list"
 	"encoding/json"
-	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/harness"
@@ -54,74 +52,22 @@ func (r *Resolved) TraceKey() string {
 // traceStore is the bounded LRU of compact captures, keyed by
 // TraceKey. Each entry pairs the capture with the marshaled report of
 // the run that produced it — the template a derived response rewrites.
-type traceStore struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	items map[string]*list.Element
-	bytes int64 // event storage held by the stored captures
-}
+// The store is bounded by entry count; its held bytes are the event
+// storage that bound costs, priced when an entry is added (an ended
+// capture does not grow).
+type traceStore = lru[traceEntry]
 
 type traceEntry struct {
-	key   string
-	sink  *trace.MemSink
-	body  []byte
-	bytes int64 // sink.Footprint() when stored: an ended capture does not grow
+	sink *trace.MemSink
+	body []byte
 }
 
 func newTraceStore(max int) *traceStore {
 	if max <= 0 {
 		max = DefaultTraceEntries
 	}
-	return &traceStore{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return newLRU(max, func(e traceEntry) int64 { return e.sink.Footprint() })
 }
-
-func (t *traceStore) Get(key string) (*traceEntry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.items[key]
-	if !ok {
-		return nil, false
-	}
-	t.ll.MoveToFront(el)
-	return el.Value.(*traceEntry), true
-}
-
-func (t *traceStore) Add(key string, sink *trace.MemSink, body []byte) {
-	held := sink.Footprint()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bytes += held
-	if el, ok := t.items[key]; ok {
-		ent := el.Value.(*traceEntry)
-		t.bytes -= ent.bytes
-		ent.sink, ent.body, ent.bytes = sink, body, held
-		t.ll.MoveToFront(el)
-		return
-	}
-	t.items[key] = t.ll.PushFront(&traceEntry{key: key, sink: sink, body: body, bytes: held})
-	for t.ll.Len() > t.max {
-		oldest := t.ll.Remove(t.ll.Back()).(*traceEntry)
-		delete(t.items, oldest.key)
-		t.bytes -= oldest.bytes
-	}
-}
-
-func (t *traceStore) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ll.Len()
-}
-
-// Bytes returns the event storage the stored captures hold. The store
-// is bounded by entry count; this is what that bound costs.
-func (t *traceStore) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
-}
-
-func (t *traceStore) Capacity() int { return t.max }
 
 // deriveBody answers an eligible cache miss from a stored capture, if
 // one exists and re-prices cleanly: parse the stored run's report,

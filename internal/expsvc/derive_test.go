@@ -158,8 +158,9 @@ func TestDerivableAndTraceKey(t *testing.T) {
 	}
 }
 
-// TestTraceStoreBytes: the store is bounded by entries; Bytes is what
-// they hold, through additions, replacement and eviction.
+// TestTraceStoreBytes: the store is bounded by entries; heldBytes is
+// what they hold, through additions, replacement and eviction, and
+// Evictions counts the entries that fell off the bound.
 func TestTraceStoreBytes(t *testing.T) {
 	capture := func(events int) *trace.MemSink {
 		ms := trace.NewMemSink()
@@ -173,17 +174,20 @@ func TestTraceStoreBytes(t *testing.T) {
 		t.Fatalf("footprints %d and %d", small.Footprint(), large.Footprint())
 	}
 	st := newTraceStore(2)
-	st.Add("a", small, nil)
-	st.Add("b", large, nil)
-	if got, want := st.Bytes(), small.Footprint()+large.Footprint(); got != want {
+	st.Add("a", traceEntry{small, nil})
+	st.Add("b", traceEntry{large, nil})
+	if got, want := st.heldBytes(), small.Footprint()+large.Footprint(); got != want {
 		t.Fatalf("two entries hold %d bytes, want %d", got, want)
 	}
-	st.Add("a", large, nil) // replaced in place
-	if got, want := st.Bytes(), 2*large.Footprint(); got != want {
-		t.Fatalf("after replacement %d bytes, want %d", got, want)
+	st.Add("a", traceEntry{large, nil}) // replaced in place
+	if got, want := st.heldBytes(), 2*large.Footprint(); got != want || st.Evictions() != 0 {
+		t.Fatalf("after replacement %d bytes and %d evictions, want %d and 0", got, st.Evictions(), want)
 	}
-	st.Add("c", small, nil) // evicts b, the least recently used
-	if got, want := st.Bytes(), large.Footprint()+small.Footprint(); got != want || st.Len() != 2 {
+	st.Add("c", traceEntry{small, nil}) // evicts b, the least recently used
+	if got, want := st.heldBytes(), large.Footprint()+small.Footprint(); got != want || st.Len() != 2 {
 		t.Fatalf("after eviction %d bytes in %d entries, want %d in 2", got, st.Len(), want)
+	}
+	if st.Evictions() != 1 {
+		t.Fatalf("Evictions = %d after one entry fell off, want 1", st.Evictions())
 	}
 }

@@ -86,6 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("dsmd_runs_total", "Engine executions completed.", st.Runs)
 	counter("dsmd_run_errors_total", "Engine executions that failed (including canceled).", st.RunErrors)
 	counter("dsmd_cache_evictions_total", "Result-cache LRU evictions.", st.CacheEvictions)
+	counter("dsmd_trace_evictions_total", "Stored-capture LRU evictions.", st.TraceEvictions)
 
 	gauge("dsmd_cache_entries", "Result-cache entries currently held.", float64(st.CacheEntries))
 	gauge("dsmd_cache_capacity", "Result-cache capacity.", float64(st.CacheCapacity))

@@ -85,6 +85,7 @@ func TestMetricsMatchesStats(t *testing.T) {
 		"dsmd_runs_total":            float64(st.Runs),
 		"dsmd_run_errors_total":      float64(st.RunErrors),
 		"dsmd_cache_evictions_total": float64(st.CacheEvictions),
+		"dsmd_trace_evictions_total": float64(st.TraceEvictions),
 		"dsmd_cache_entries":         float64(st.CacheEntries),
 		"dsmd_in_flight_runs":        float64(st.InFlightRuns),
 		"dsmd_max_concurrent_runs":   float64(st.MaxConcurrentRuns),

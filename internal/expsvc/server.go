@@ -303,7 +303,7 @@ func (s *Server) execute(ctx context.Context, res *Resolved, hash string, log *s
 			var ms *trace.MemSink
 			body, ms, err = engineRun(ctx, res, s.flightTW, res.Derivable())
 			if err == nil && ms != nil {
-				s.traces.Add(res.TraceKey(), ms, body)
+				s.traces.Add(res.TraceKey(), traceEntry{ms, body})
 			}
 		} else {
 			body, err = s.run(ctx, res)
@@ -363,6 +363,7 @@ type StatsJSON struct {
 	TraceEntries      int     `json:"trace_entries"`
 	TraceCapacity     int     `json:"trace_capacity"`
 	TraceBytes        int64   `json:"trace_bytes"`
+	TraceEvictions    uint64  `json:"trace_evictions"`
 	Runs              uint64  `json:"runs"`
 	RunErrors         uint64  `json:"run_errors"`
 	InFlightRuns      int64   `json:"in_flight_runs"`
@@ -391,7 +392,8 @@ func (s *Server) Stats() StatsJSON {
 	if s.traces != nil {
 		st.TraceEntries = s.traces.Len()
 		st.TraceCapacity = s.traces.Capacity()
-		st.TraceBytes = s.traces.Bytes()
+		st.TraceBytes = s.traces.heldBytes()
+		st.TraceEvictions = s.traces.Evictions()
 	}
 	if st.Runs > 0 {
 		st.MeanRunSeconds = st.TotalRunSeconds / float64(st.Runs)

@@ -39,13 +39,8 @@ import (
 // Procs is the paper's processor count.
 const Procs = 8
 
-// Experiment is one application × dataset.
-type Experiment struct {
-	App     string
-	Dataset string // our scaled dataset
-	Paper   string // the paper's dataset it stands in for
-	Make    func(procs int) apps.Workload
-}
+// Experiment is one application × dataset: the registry's entry itself.
+type Experiment = apps.Entry
 
 // Config is one engine configuration column.
 type Config struct {
@@ -263,7 +258,7 @@ func exp(app, dataset string) Experiment {
 	if !ok {
 		panic(fmt.Sprintf("harness: workload %s/%s is not registered", app, dataset))
 	}
-	return Experiment{App: e.App, Dataset: e.Dataset, Paper: e.Paper, Make: e.Make}
+	return e
 }
 
 // Figure1 returns the applications whose false-sharing behaviour is

@@ -45,56 +45,33 @@ func RoundUpPages(size int) int {
 
 // Replica is one processor's private copy of the shared segment. In real
 // TreadMarks this is the node's physical memory backing the shared
-// mapping; here it is per simulated processor, in one of two layouts:
-//
-//   - eager: one flat byte slice covering the whole segment, zeroed at
-//     construction — the historical layout, O(segment) memory per
-//     processor regardless of what the processor touches;
-//   - lazy: a frame table with one entry per page, materialized on
-//     first write (or first diff application). An unmaterialized page
-//     reads as zeroes without allocating, so a processor's memory is
-//     O(pages touched) — what makes 256–1024-processor systems over
-//     large segments affordable.
-//
-// Both layouts are observationally identical: the segment starts zeroed
-// everywhere, and every access goes through ReadWord/WriteWord/Page.
+// mapping; here it is per simulated processor: a frame table with one
+// entry per page, materialized on first write (or first diff
+// application). An unmaterialized page reads as zeroes without
+// allocating, so a processor's memory is O(pages touched) — what makes
+// 256–1024-processor systems over large segments affordable.
 type Replica struct {
-	data   []byte            // eager backing; nil in lazy mode
-	frames []*[PageSize]byte // lazy frame table, 8 bytes a page; nil in eager mode
+	frames []*[PageSize]byte // 8 bytes a page; nil until first written
 	npages int
 }
 
-// zeroFrame is what every unmaterialized lazy page reads as.
+// zeroFrame is what every unmaterialized page reads as.
 var zeroFrame [PageSize]byte
 
-// NewReplica allocates a zeroed eager replica of at least size bytes,
-// rounded up to a page multiple.
+// NewReplica returns a zeroed replica of at least size bytes, rounded up
+// to a page multiple. No page storage is allocated until written.
 func NewReplica(size int) *Replica {
-	return &Replica{data: make([]byte, RoundUpPages(size)), npages: RoundUpPages(size) >> PageShift}
-}
-
-// NewLazyReplica returns a lazy replica of at least size bytes, rounded
-// up to a page multiple. No page storage is allocated until written.
-func NewLazyReplica(size int) *Replica {
 	n := RoundUpPages(size) >> PageShift
 	return &Replica{frames: make([]*[PageSize]byte, n), npages: n}
 }
 
-// Lazy reports whether the replica materializes frames on demand.
-func (r *Replica) Lazy() bool { return r.data == nil }
-
 // Size returns the replica size in bytes (a page multiple).
 func (r *Replica) Size() int { return r.npages << PageShift }
 
-// Zero resets the replica to all-zeroes. The eager layout clears its
-// storage in place; the lazy layout hands every materialized frame to
-// the recycler (see pool.go), which is also where the next trial's
-// first writes take them from.
+// Zero resets the replica to all-zeroes by handing every materialized
+// frame to the recycler (see pool.go), which is also where the next
+// trial's first writes take them from.
 func (r *Replica) Zero() {
-	if r.data != nil {
-		clear(r.data)
-		return
-	}
 	putFrames(r.frames)
 	clear(r.frames)
 }
@@ -111,39 +88,27 @@ func (r *Replica) materialize(p int) *[PageSize]byte {
 }
 
 // Frame returns the bytes backing page p for reading only: the page
-// itself, or a shared all-zero frame while a lazy page is unmaterialized.
+// itself, or a shared all-zero frame while the page is unmaterialized.
 // The result is stale once the page is materialized (Page, WriteWord).
 func (r *Replica) Frame(p int) []byte {
-	if r.data != nil {
-		base := PageBase(p)
-		return r.data[base : base+PageSize : base+PageSize]
-	}
 	if f := r.frames[p]; f != nil {
 		return f[:]
 	}
 	return zeroFrame[:]
 }
 
-// Page returns the byte slice backing page p (aliases the replica). In
-// lazy mode the frame is materialized: callers take Page to write into
-// it (write faults, diff application), so handing out zeroed storage is
-// the contract either way.
+// Page returns the byte slice backing page p (aliases the replica),
+// materializing the frame: callers take Page to write into it (write
+// faults, diff application).
 func (r *Replica) Page(p int) []byte {
-	if r.data == nil && r.frames[p] == nil {
-		return r.materialize(p)[:]
+	if f := r.frames[p]; f != nil {
+		return f[:]
 	}
-	return r.Frame(p)
+	return r.materialize(p)[:]
 }
-
-// Bytes returns the whole backing store (aliases the replica). Only the
-// eager layout has one; lazy replicas return nil.
-func (r *Replica) Bytes() []byte { return r.data }
 
 // ReadWord loads the 64-bit word at word-aligned address a.
 func (r *Replica) ReadWord(a Addr) uint64 {
-	if r.data != nil {
-		return binary.LittleEndian.Uint64(r.data[a:])
-	}
 	f := r.frames[a>>PageShift]
 	if f == nil {
 		return 0
@@ -153,10 +118,6 @@ func (r *Replica) ReadWord(a Addr) uint64 {
 
 // WriteWord stores the 64-bit word at word-aligned address a.
 func (r *Replica) WriteWord(a Addr, v uint64) {
-	if r.data != nil {
-		binary.LittleEndian.PutUint64(r.data[a:], v)
-		return
-	}
 	f := r.frames[a>>PageShift]
 	if f == nil {
 		f = r.materialize(a >> PageShift)

@@ -89,8 +89,8 @@ func TestReplicaPageAliases(t *testing.T) {
 		t.Fatalf("page len = %d", len(p))
 	}
 	p[0] = 0xff
-	if r.Bytes()[PageSize] != 0xff {
-		t.Fatal("Page must alias the replica")
+	if got := r.ReadWord(PageSize); got != 0xff {
+		t.Fatalf("ReadWord after a write through Page = %#x: Page must alias the replica", got)
 	}
 }
 
@@ -125,37 +125,41 @@ func TestPageStateString(t *testing.T) {
 	}
 }
 
+// TestLazyReplicaMatchesEager checks the frame-table replica against a
+// flat model of the segment: a zeroed word array written alongside it.
 func TestLazyReplicaMatchesEager(t *testing.T) {
 	const pages = 8
-	eager := NewReplica(pages * PageSize)
-	lazy := NewLazyReplica(pages * PageSize)
-	if !lazy.Lazy() || eager.Lazy() {
-		t.Fatal("Lazy() must distinguish the layouts")
-	}
-	if lazy.Size() != eager.Size() || lazy.NumPages() != pages {
-		t.Fatalf("lazy size/pages = %d/%d", lazy.Size(), lazy.NumPages())
+	r := NewReplica(pages * PageSize)
+	model := make([]uint64, pages*WordsPerPage)
+	if r.Size() != pages*PageSize || r.NumPages() != pages {
+		t.Fatalf("size/pages = %d/%d", r.Size(), r.NumPages())
 	}
 	// Untouched pages read as zero without materializing.
-	if got := lazy.ReadWord(3 * PageSize); got != 0 {
+	if got := r.ReadWord(3 * PageSize); got != 0 {
 		t.Fatalf("untouched word = %#x", got)
 	}
-	if got := lazy.ReadF64(5*PageSize + 8); got != 0 {
+	if got := r.ReadF64(5*PageSize + 8); got != 0 {
 		t.Fatalf("untouched float = %v", got)
 	}
-	// Writes land identically in both layouts.
+	for _, f := range r.frames {
+		if f != nil {
+			t.Fatal("a read materialized a frame")
+		}
+	}
+	// Writes land where the model says, and nowhere else.
 	addrs := []Addr{0, 16, PageSize + 8, 6*PageSize + 504*WordSize}
 	for i, a := range addrs {
 		v := uint64(0x1111111111111111 * uint64(i+1))
-		eager.WriteWord(a, v)
-		lazy.WriteWord(a, v)
+		r.WriteWord(a, v)
+		model[a>>WordShift] = v
 	}
-	for _, a := range addrs {
-		if lazy.ReadWord(a) != eager.ReadWord(a) {
-			t.Fatalf("mismatch at %d: lazy %#x eager %#x", a, lazy.ReadWord(a), eager.ReadWord(a))
+	for w, want := range model {
+		if got := r.ReadWord(w << WordShift); got != want {
+			t.Fatalf("word at %d = %#x, model %#x", w<<WordShift, got, want)
 		}
 	}
 	// Page materializes zeroed storage and aliases the replica.
-	p := lazy.Page(2)
+	p := r.Page(2)
 	if len(p) != PageSize {
 		t.Fatalf("page len = %d", len(p))
 	}
@@ -165,13 +169,13 @@ func TestLazyReplicaMatchesEager(t *testing.T) {
 		}
 	}
 	p[0] = 0xff
-	if got := lazy.ReadWord(2 * PageSize); got&0xff != 0xff {
+	if got := r.ReadWord(2 * PageSize); got&0xff != 0xff {
 		t.Fatal("Page must alias the replica")
 	}
 }
 
 func TestLazyReplicaZeroRecyclesFrames(t *testing.T) {
-	r := NewLazyReplica(4 * PageSize)
+	r := NewReplica(4 * PageSize)
 	for p := 0; p < 4; p++ {
 		r.WriteWord(p*PageSize, uint64(p+1))
 	}
@@ -206,14 +210,14 @@ func TestLazyReplicaFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < reps; i++ {
-		footprintSink = NewLazyReplica(1000 * PageSize)
+		footprintSink = NewReplica(1000 * PageSize)
 	}
 	runtime.ReadMemStats(&after)
 	if per, budget := (after.TotalAlloc-before.TotalAlloc)/reps, uint64(8<<10+64); per > budget {
-		t.Errorf("NewLazyReplica of 1000 pages: %d bytes, budget %d", per, budget)
+		t.Errorf("NewReplica of 1000 pages: %d bytes, budget %d", per, budget)
 	}
 
-	r := NewLazyReplica(1000 * PageSize)
+	r := NewReplica(1000 * PageSize)
 	for _, p := range []int{3, 400, 401, 750, 999} {
 		r.WriteWord(p*PageSize, 1)
 	}

@@ -95,7 +95,7 @@ func put[T any, B ~[]T](l *freeList[T], bufs []B) {
 	}
 }
 
-// putFrames is put for a lazy replica's frame table: every frame goes
+// putFrames is put for a replica's frame table: every frame goes
 // to the page list.
 func putFrames(frames []*[PageSize]byte) {
 	pool.mu.Lock()

@@ -116,21 +116,11 @@ type Proc struct {
 }
 
 func newProc(s *System, id int) *Proc {
-	// Sparse mode materializes replica page frames on first touch: a
-	// 1024-processor build no longer pays nprocs × segment bytes up
-	// front, only what each processor actually accesses. Dense reference
-	// mode keeps the eager contiguous replica.
-	var rep *mem.Replica
-	if s.sparseMode() {
-		rep = mem.NewLazyReplica(s.segBytes)
-	} else {
-		rep = mem.NewReplica(s.segBytes)
-	}
 	tk := vc.NewTracked(s.cfg.Procs)
 	p := &Proc{
 		id:        id,
 		sys:       s,
-		rep:       rep,
+		rep:       mem.NewReplica(s.segBytes),
 		pt:        mem.NewPageTable(s.numUnits),
 		held:      make([]int32, 0, s.numUnits),
 		heldMark:  make([]bool, s.numUnits),
@@ -157,7 +147,7 @@ func newProc(s *System, id int) *Proc {
 // every allocation — page table, scratch buffers, twin buffers, diff
 // slabs (rewound: System.Reset has dropped the store that held their
 // diffs) — so a multi-trial benchmark rebuilds no per-processor memory
-// between trials. Lazy replica frames pass through the recycler.
+// between trials. Replica frames pass through the recycler.
 func (p *Proc) reset() {
 	p.clock = sim.Clock{}
 	p.rep.Zero()
@@ -188,15 +178,12 @@ func (p *Proc) reset() {
 	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals, p.nPromoted = 0, 0, 0, 0, 0
 }
 
-// release hands the processor's page-sized storage — lazy replica
-// frames, write-set buffers, full-size diff-slab chunks — to the
-// recycler and drops the replica, so a stray access after
-// System.Release fails on a nil replica instead of reading a page some
-// other run now owns.
+// release hands the processor's page-sized storage — replica frames,
+// write-set buffers, full-size diff-slab chunks — to the recycler and
+// drops the replica, so a stray access after System.Release fails on a
+// nil replica instead of reading a page some other run now owns.
 func (p *Proc) release() {
-	if p.rep.Lazy() {
-		p.rep.Zero()
-	}
+	p.rep.Zero()
 	p.rep = nil
 	p.tlb, p.tlbWS = [tlbSize]tlbEntry{}, [tlbSize]*writeSet{}
 	for _, ws := range p.wsets {
@@ -243,7 +230,7 @@ func tlbIndex(page int) int { return (page ^ page>>tlbBits) & (tlbSize - 1) }
 
 // tlbEntry caches what an access to one page needs once the protection
 // check has passed: the frame holding the page's bytes (the shared zero
-// frame while a lazy page is readable but unmaterialized) and the
+// frame while a page is readable but unmaterialized) and the
 // collector's tag row for it (nil when collection is off or no diff was
 // ever tagged into the page). readKey is tlbGen|page+1 while the page is
 // readable; writeKey is the same once the page is writable and every

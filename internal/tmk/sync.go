@@ -201,9 +201,6 @@ var barriers = registry.New("barrier", "barrier", DefaultBarrier, map[string]fun
 // BarrierNames returns the barrier fabric names, sorted.
 func BarrierNames() []string { return barriers.Names() }
 
-// KnownBarrier reports whether name selects a barrier fabric.
-func KnownBarrier(name string) bool { return barriers.Known(name) }
-
 // unitWriter is one entry of the episode's written-unit index: who wrote
 // the unit during episode number episode. Entries of other episodes are
 // stale and read as "not written".

@@ -84,12 +84,12 @@ type Config struct {
 	// Scale selects the engine's scaling representation
 	// (case-insensitive). "sparse" (the default) stores interval
 	// timestamps as epoch-relative sparse stamps, drives acquire/barrier
-	// deltas from deviation lists instead of O(nprocs) scans, and backs
-	// replicas with lazily materialized page frames — observationally
-	// identical to "dense" (wire counts are bit-identical; the golden
-	// tests pin this) but asymptotically faster and smaller at 64–1024
-	// processors. "dense" is the reference implementation: eager
-	// replicas, one dense vector clone per interval, entrywise scans.
+	// deltas from deviation lists instead of O(nprocs) scans —
+	// observationally identical to "dense" (wire counts are
+	// bit-identical; the golden tests pin this) but asymptotically faster
+	// at 64–1024 processors. "dense" is the reference implementation: one
+	// dense vector clone per interval, entrywise scans. Both back
+	// replicas with lazily materialized page frames (mem.Replica).
 	Scale string
 	// Barrier selects the barrier fabric by registry name
 	// (case-insensitive; see BarrierNames). "central" (the default) is
@@ -318,28 +318,16 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		cost:     cost,
-		net:      simnet.NewWithModel(cost, model),
-		store:    lrc.NewStore(cfg.Procs),
 		segBytes: segBytes,
 		numPages: segBytes / mem.PageSize,
+		sparse:   scales.Get(cfg.Scale),
+		locks:    make([]*lock, cfg.Locks),
 	}
 	s.numUnits = s.numPages / cfg.UnitPages
-	s.sparse = scales.Get(cfg.Scale)
-	s.store.Reserve(s.numUnits)
 	if s.sparse {
 		s.epWriter = make([]unitWriter, s.numUnits)
 	}
-	s.setupPlacement()
-	protocols.Get(cfg.Protocol)(s)
-	s.setupRehomer()
-	if cfg.Collect {
-		s.col = instrument.NewCollector(cfg.Procs, segBytes)
-	}
-	s.barrier = barriers.Get(cfg.Barrier)(s)
-	s.locks = make([]*lock, cfg.Locks)
-	for i := range s.locks {
-		s.locks[i] = newLock(i, i%cfg.Procs)
-	}
+	s.build(model)
 	s.procs = make([]*Proc, cfg.Procs)
 	for p := range s.procs {
 		s.procs[p] = newProc(s, p)
@@ -348,11 +336,10 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // Reset returns the system to its post-NewSystem state — zeroed
-// replicas, ReadOnly page tables, fresh vector clocks, empty interval
-// store, zeroed network counters, and a fresh instrument collector —
-// while keeping the shared-memory layout (allocations survive). It is
-// the foundation of multi-trial benchmarking: Prepare once, then Run
-// independent trials on one instance.
+// replicas, ReadOnly page tables, fresh vector clocks, and everything
+// build installs — while keeping the shared-memory layout (allocations
+// survive). It is the foundation of multi-trial benchmarking: Prepare
+// once, then Run independent trials on one instance.
 func (s *System) Reset() {
 	if s.running {
 		panic("tmk: Reset during Run")
@@ -362,6 +349,19 @@ func (s *System) Reset() {
 	}
 	model := s.net.Model()
 	model.Reset()
+	s.build(model)
+	for _, p := range s.procs {
+		p.reset()
+	}
+}
+
+// build installs what a run starts from, over the given (fresh or
+// reset) network model: zeroed network counters, an empty interval
+// store, the placement policy and its home table, the protocol engines,
+// the rehoming driver, a fresh instrument collector, the barrier fabric
+// and the locks. NewSystem and Reset both call it, so a reset System is
+// a freshly built one by construction.
+func (s *System) build(model netmodel.Model) {
 	s.net = simnet.NewWithModel(s.cost, model)
 	s.store = lrc.NewStore(s.cfg.Procs)
 	s.store.Reserve(s.numUnits)
@@ -370,9 +370,27 @@ func (s *System) Reset() {
 	clear(s.epWriter)
 	clear(s.epDelta)
 	s.epDelta = s.epDelta[:0]
-	s.setupPlacement()
+
+	// Placement comes before the protocol setup (engines read homes only
+	// at run time); the rehomer after it, since it exists only when a
+	// home-based engine is installed and the placement policy can
+	// actually move homes — under "rr"/"block" barriers pay nothing for
+	// the placement layer.
+	s.placement = placements.Get(s.cfg.Placement)(s.cfg.Procs, s.numUnits)
+	s.homeTable = make([]int32, s.numUnits)
+	for u := range s.homeTable {
+		s.homeTable[u] = int32(s.placement.InitialHome(u))
+	}
+	s.lastBarrierVT = vc.New(s.cfg.Procs)
+	s.nRehomes, s.nRehomeBytes, s.rehomer = 0, 0, nil
 	protocols.Get(s.cfg.Protocol)(s)
-	s.setupRehomer()
+	for _, pr := range s.protos {
+		if hp, ok := pr.(*homeProtocol); ok && s.placement.MayRehome() {
+			s.rehomer = newRehomer(s, hp)
+			break
+		}
+	}
+
 	if s.cfg.Collect {
 		s.col = instrument.NewCollector(s.cfg.Procs, s.segBytes)
 	}
@@ -380,9 +398,6 @@ func (s *System) Reset() {
 	s.barrierLog = s.barrierLog[:0]
 	for i := range s.locks {
 		s.locks[i] = newLock(i, i%s.cfg.Procs)
-	}
-	for _, p := range s.procs {
-		p.reset()
 	}
 	s.ran = false
 }
@@ -410,38 +425,6 @@ func (s *System) Release() {
 // Config returns the (filled-in) configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// setupPlacement builds a fresh placement policy and initial home
-// table for this System build. Called before the protocol setup
-// (engines read homes only at run time) in NewSystem and Reset.
-func (s *System) setupPlacement() {
-	s.placement = placements.Get(s.cfg.Placement)(s.cfg.Procs, s.numUnits)
-	s.homeTable = make([]int32, s.numUnits)
-	for u := range s.homeTable {
-		s.homeTable[u] = int32(s.placement.InitialHome(u))
-	}
-	s.lastBarrierVT = vc.New(s.cfg.Procs)
-	s.nRehomes = 0
-	s.nRehomeBytes = 0
-	s.rehomer = nil
-}
-
-// setupRehomer installs the barrier-time rehoming driver when the
-// installed configuration includes a home-based engine and the
-// placement policy can actually move homes — under "rr"/"block" no
-// driver exists and barriers pay nothing for the placement layer.
-// Called after the protocol setup in NewSystem and Reset.
-func (s *System) setupRehomer() {
-	if !s.placement.MayRehome() {
-		return
-	}
-	for _, pr := range s.protos {
-		if hp, ok := pr.(*homeProtocol); ok {
-			s.rehomer = newRehomer(s, hp)
-			return
-		}
-	}
-}
-
 // homeOf returns the processor currently homing unit u. The home table
 // is only mutated while every processor is blocked in a barrier (see
 // rehomer and adaptivePolicy), so reads on processor goroutines are
@@ -456,7 +439,7 @@ func (s *System) unitIsHome(u int) bool {
 }
 
 // sparseMode reports whether the engine runs the sparse representation
-// (epoch-relative stamps, deviation-driven deltas, lazy replicas).
+// (epoch-relative stamps, deviation-driven deltas).
 func (s *System) sparseMode() bool { return s.sparse }
 
 // BarrierLog returns the merged vector time of every completed barrier
