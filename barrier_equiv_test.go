@@ -9,16 +9,16 @@
 //
 // These run under the race detector too — the episode's shared delta and
 // written-unit index are written by one goroutine and read by all the
-// others, which is what it is for — except the cells of the two lock
-// applications, whose counts depend on the lock hand-off order.
+// others, which is what it is for. The cells of the two lock
+// applications run there and at every GOMAXPROCS as well: locks are
+// granted in virtual-time order, so their counts do not depend on how
+// the host schedules the processors.
 
 package dsm
 
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/apps"
@@ -83,13 +83,6 @@ func runLogged(t *testing.T, app, dataset string, procs int, cfg tmk.Config) (*t
 // small dataset under every protocol, unit size and barrier fabric at 8
 // processors, and for Storm also at 64 (where the held-unit walk, not
 // the notice walk, is the shorter side of every write-phase barrier).
-//
-// TSP and Water synchronize with locks, and the order in which
-// contending processors are granted one follows the host's scheduling
-// above one core (ROADMAP item 1) — and, on one core, the collector's,
-// whose workers are goroutines like any other: their subtests pin
-// GOMAXPROCS to 1 and switch the collector off while they run, so that
-// both engines see the same hand-off order.
 func TestScaleModesEquivalent(t *testing.T) {
 	units := []struct {
 		name    string
@@ -101,24 +94,15 @@ func TestScaleModesEquivalent(t *testing.T) {
 		radix        int
 	}{{"central", "central", 0}, {"tree4", "tree", 4}}
 	for _, app := range apps.Apps() {
-		e, ok := apps.Lookup(app, "small")
-		if !ok {
+		if _, ok := apps.Lookup(app, "small"); !ok {
 			t.Fatalf("%s/small not registered", app)
 		}
 		sizes := []int{8}
 		if app == "Storm" {
 			sizes = []int{8, 64}
 		}
-		locks := e.Make(8).Locks() > 0
 		for _, protocol := range []string{"homeless", "home", "adaptive"} {
 			t.Run(app+"/"+protocol, func(t *testing.T) {
-				if locks {
-					if raceEnabled {
-						t.Skip("the race detector's slowdown brings in the scheduler's preemption, and with it another hand-off order")
-					}
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-					defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				}
 				for _, procs := range sizes {
 					for _, u := range units {
 						for _, b := range barriers {
@@ -182,9 +166,6 @@ func TestTreeBarrierEquivalence(t *testing.T) {
 	for _, c := range cells {
 		c := c
 		t.Run(c.app, func(t *testing.T) {
-			if raceEnabled && c.app == "TSP" {
-				t.Skip("TSP's counts follow the lock hand-off order, which the race detector's slowdown changes")
-			}
 			central, centralLog := runLogged(t, c.app, c.dataset, c.procs,
 				tmk.Config{UnitPages: 1, Barrier: "central"})
 			if len(centralLog) == 0 {

@@ -22,14 +22,17 @@ type Entry struct {
 	// sweep sizes that have no paper counterpart.
 	Paper string
 	// ScheduleSensitive marks applications whose message stream depends
-	// on goroutine scheduling — in this engine, programs that contend
-	// for locks: grant order follows wall-clock request arrival, so
-	// lock caching and (for TSP) branch-and-bound pruning vary between
-	// otherwise identical runs. Their captured traces describe one
-	// schedule, not the app, so replay-derivation of sweep cells is
-	// unsound for them and the harness falls back to real execution.
-	// The barrier-only applications are invariant: barrier streams
-	// permute only in release order, which never changes totals.
+	// on timing — in this engine, programs that contend for locks: locks
+	// are granted in virtual-time order, so the hand-off order, lock
+	// caching and (for TSP) branch-and-bound pruning follow the
+	// simulated times of the requests, and those depend on the network
+	// model. The same cell on the same network runs the same way on any
+	// host, but a trace captured on one network describes that
+	// network's run, not the app, so replay-derivation of sweep cells
+	// for other networks is unsound for them and the harness falls back
+	// to real execution. The barrier-only applications are invariant:
+	// barrier streams permute only in release order, which never
+	// changes totals.
 	ScheduleSensitive bool
 	// Make builds the workload for the given processor count.
 	Make func(procs int) Workload
@@ -104,7 +107,7 @@ func Apps() []string {
 }
 
 // ReplaySafe reports whether the application's message stream is
-// network- and schedule-invariant, making replay-derived sweep cells
+// network- and timing-invariant, making replay-derived sweep cells
 // sound for it (see Entry.ScheduleSensitive). Unknown apps report
 // false — derivation must never be assumed for an unclassified
 // workload.

@@ -87,10 +87,9 @@ func digestKey(t *testing.T, p Point) string {
 
 // TestDigestTable runs every point of digestPoints and compares each
 // cell's time, messages, bytes and run digest with the committed table,
-// naming every row that moved. The numbers of applications whose lock
-// hand-off order still follows the host's scheduling (apps.ReplaySafe
-// is false: TSP and Water) are written as "~"; those cells still run
-// and are verified against their sequential reference.
+// naming every row that moved. Every row is exact, the lock applications'
+// (TSP and Water) included: locks are granted in virtual-time order, so
+// a cell on the ideal network does not depend on the host's scheduling.
 //
 // Regenerate the table after an intended change of behaviour with
 //
@@ -114,11 +113,7 @@ func TestDigestTable(t *testing.T) {
 		key := digestKey(t, p)
 		c := cells[i]
 		digests[key] = c.Digest
-		if apps.ReplaySafe(p.Exp.App) {
-			rows[i] = fmt.Sprintf("%s  %d %d %d %s", key, int64(c.Time), c.Msgs, c.Bytes, c.Digest)
-		} else {
-			rows[i] = key + "  ~ ~ ~ ~"
-		}
+		rows[i] = fmt.Sprintf("%s  %d %d %d %s", key, int64(c.Time), c.Msgs, c.Bytes, c.Digest)
 	}
 	slices.Sort(rows)
 

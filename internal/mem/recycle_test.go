@@ -94,8 +94,9 @@ func fresh(t *testing.T, c cell) totals {
 
 // TestRecycledRunsMatchFresh runs every small cell back to back through
 // apps.Run, each on the poisoned pages the ones before it released: all
-// must pass their Check, and the schedule-independent ones must
-// reproduce the totals of a run on fresh memory. Write-set buffers come
+// must pass their Check and reproduce the totals of a run on fresh
+// memory (the lock applications too: locks are granted in virtual-time
+// order). Write-set buffers come
 // from the same list and are never cleared, so a stretch of one that
 // its write set never saved is 0xA5 throughout: an encoder that read it
 // would diff words no one wrote and move the byte totals.
@@ -116,7 +117,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 				t.Errorf("%v on recycled pages: %v", c, err)
 				continue
 			}
-			if got := totalsOf(res); !c.e.ScheduleSensitive && got != want[i] {
+			if got := totalsOf(res); got != want[i] {
 				t.Errorf("%v on recycled pages: totals %+v, fresh %+v", c, got, want[i])
 			}
 		}

@@ -320,6 +320,7 @@ func (b *barrier) sync(p *Proc) (barrierGrant, bool) {
 		// Manager cost: per-arrival servicing plus the merge/broadcast.
 		g.release = b.maxClock + p.sys.cost.BarrierManager +
 			sim.Duration(b.n)*p.sys.cost.RequestService
+		p.sys.gate.wakeAll(func(int) sim.Duration { return g.release })
 		for _, w := range b.waiters {
 			w <- g
 		}
@@ -392,9 +393,15 @@ func (p *Proc) invalidateHeld(episode int) {
 
 // Barrier synchronizes all processors. On departure every processor has
 // invalidated all units written before the barrier by any other
-// processor.
+// processor. Arrival order changes no total, so a barrier does not
+// enter the gate; the processor only leaves the gate's order until the
+// episode's finisher releases it.
 func (p *Proc) Barrier() {
 	p.closeInterval()
+	gt := &p.sys.gate
+	gt.mu.Lock()
+	gt.block(p.id)
+	gt.mu.Unlock()
 	if trc := p.sys.trc; trc != nil {
 		trc.BarrierEnter(p.id, p.clock.Now())
 	}
@@ -439,11 +446,11 @@ type lockWaiter struct {
 // lock implements TreadMarks' distributed lock: requests go to a static
 // manager, which forwards to the last holder; the grant carries the
 // releaser's consistency information. Releases are lazy (no message).
+// Its state is read and written only inside the System's gate.
 type lock struct {
 	id      int
 	manager int
 
-	mu     sync.Mutex
 	held   bool
 	holder int
 	// lastTS is the release-time stamp the next grant carries: a sparse
@@ -463,19 +470,21 @@ func newLock(id, manager int) *lock {
 
 // Lock acquires global lock l, blocking until granted, and applies the
 // releaser's write notices (lazy release consistency's acquire step).
+// The request takes effect in virtual-time order (see gate).
 func (p *Proc) Lock(l int) {
 	p.closeInterval()
 	lk := p.sys.locks[l]
 	cost := p.sys.cost
 	net := p.sys.net
+	gt := &p.sys.gate
 
-	lk.mu.Lock()
+	gt.enter(p.id, p.clock.Now())
 	// Lock caching: if this processor was the last holder and nobody
 	// took the lock since, TreadMarks grants locally — no messages, no
 	// consistency information to apply.
 	if !lk.held && lk.holder == p.id {
 		lk.held = true
-		lk.mu.Unlock()
+		gt.leave()
 		p.clock.Advance(cost.LockService / 4)
 		if trc := p.sys.trc; trc != nil {
 			trc.LockAcquire(p.id, lk.id, p.clock.Now())
@@ -502,13 +511,14 @@ func (p *Proc) Lock(l int) {
 		lk.holder = p.id
 		ts := lk.lastTS
 		grantAt := sim.Meet(reqArrival, lk.releaseClock) + cost.LockService
-		lk.mu.Unlock()
+		gt.leave()
 		p.finishAcquire(lk, lockGrant{ts: ts, at: grantAt, from: prevHolder})
 		return
 	}
 	ch := p.lockCh
 	lk.queue = append(lk.queue, lockWaiter{ch: ch, proc: p.id, reqArrival: reqArrival})
-	lk.mu.Unlock()
+	gt.block(p.id)
+	gt.leave()
 	g := <-ch
 	p.finishAcquire(lk, g)
 }
@@ -527,15 +537,19 @@ func (p *Proc) finishAcquire(lk *lock, g lockGrant) {
 }
 
 // Unlock releases global lock l. The release itself is lazy: consistency
-// information moves only when the next acquirer's grant is produced.
+// information moves only when the next acquirer's grant is produced. It
+// takes effect in virtual-time order too: a processor still running
+// below the releaser's clock may yet request the lock, and in virtual
+// time its request came first.
 func (p *Proc) Unlock(l int) {
 	p.closeInterval()
 	lk := p.sys.locks[l]
 	cost := p.sys.cost
+	gt := &p.sys.gate
 
-	lk.mu.Lock()
+	gt.enter(p.id, p.clock.Now())
 	if !lk.held || lk.holder != p.id {
-		lk.mu.Unlock()
+		gt.leave()
 		panic("tmk: Unlock by non-holder")
 	}
 	if p.sys.sparseMode() {
@@ -562,10 +576,11 @@ func (p *Proc) Unlock(l int) {
 		lk.holder = w.proc
 		grantAt := sim.Meet(lk.releaseClock, w.reqArrival) + cost.LockService
 		ts := lk.lastTS
-		lk.mu.Unlock()
+		gt.wake(w.proc, grantAt)
+		gt.leave()
 		w.ch <- lockGrant{ts: ts, at: grantAt, from: p.id}
 		return
 	}
 	lk.held = false
-	lk.mu.Unlock()
+	gt.leave()
 }

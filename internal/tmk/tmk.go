@@ -278,6 +278,8 @@ type System struct {
 	procs   []*Proc
 	barrier barrierSync
 	locks   []*lock
+	// gate puts the lock operations of a run in virtual-time order.
+	gate gate
 
 	// barrierLog records each barrier episode's merged vector time, in
 	// episode order, when Collect is set — the observable the
@@ -399,6 +401,7 @@ func (s *System) build(model netmodel.Model) {
 	for i := range s.locks {
 		s.locks[i] = newLock(i, i%s.cfg.Procs)
 	}
+	s.gate.reset(s.cfg.Procs)
 	s.ran = false
 }
 
@@ -649,6 +652,7 @@ func (s *System) Run(body func(p *Proc)) *Result {
 		go func(p *Proc) {
 			defer wg.Done()
 			body(p)
+			s.gate.finish(p.id)
 			// Close any open interval so final writes are published
 			// (no one fetches them, but accounting stays honest).
 			p.closeInterval()
@@ -696,9 +700,10 @@ type TrialSummary struct {
 	// Trials holds each trial's full Result, in execution order.
 	Trials []*Result
 	// MinTime, MeanTime, MaxTime aggregate the trials' simulated times.
-	// The simulation is deterministic for barrier-synchronized programs,
-	// so Min == Mean == Max there; lock-based programs may vary with
-	// goroutine scheduling.
+	// On a stateless network model the simulation is deterministic —
+	// locks are granted in virtual-time order, not in goroutine order —
+	// so Min == Mean == Max there; a contended model's times may vary
+	// with the order in which sends reach its queue.
 	MinTime  sim.Duration
 	MeanTime sim.Duration
 	MaxTime  sim.Duration

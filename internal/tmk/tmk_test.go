@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/registry"
@@ -599,6 +600,34 @@ func TestBarrierProgramDeterministic(t *testing.T) {
 	}
 	if a.Faults != b.Faults {
 		t.Fatalf("faults differ: %d vs %d", a.Faults, b.Faults)
+	}
+}
+
+// A lock goes first to the processor that requests it first in virtual
+// time, whichever goroutine the host runs first: processor 1 requests
+// after a long computation at once, processor 0 at virtual time zero but
+// 20 ms later on the host. The first holder writes its id+1 into a shared
+// slot, and after the barrier the slot must name processor 0.
+func TestLockOrderFollowsVirtualTime(t *testing.T) {
+	var first int64
+	run(t, Config{Procs: 2, SegmentBytes: mem.PageSize, Locks: 1}, func(p *Proc) {
+		if p.ID() == 1 {
+			p.Compute(1_000_000)
+		} else {
+			time.Sleep(20 * time.Millisecond)
+		}
+		p.Lock(0)
+		if p.ReadI64(0) == 0 {
+			p.WriteI64(0, int64(p.ID()+1))
+		}
+		p.Unlock(0)
+		p.Barrier()
+		if p.ID() == 0 {
+			first = p.ReadI64(0)
+		}
+	})
+	if first != 1 {
+		t.Fatalf("first lock holder was processor %d, want 0 (the earlier request in virtual time)", first-1)
 	}
 }
 

@@ -140,6 +140,7 @@ func (tb *treeBarrier) finish(done sim.Duration) {
 			tb.grantAt[c] = tb.grantAt[node] + t.Total
 		}
 	}
+	s.gate.wakeAll(func(i int) sim.Duration { return tb.grantAt[i] })
 	for i := 0; i < tb.n; i++ {
 		g.release = tb.grantAt[i]
 		tb.waiters[i] <- g

@@ -1,5 +1,3 @@
-//go:build !race
-
 // Golden-count regression tests for the protocol- and placement-layer
 // refactors: the homeless protocol must reproduce the pre-refactor
 // engine's message and byte counts exactly (values recorded from
@@ -9,18 +7,14 @@
 // (values recorded at commit feb88a8, before homeOf moved behind the
 // Placement policy).
 //
-// Excluded under the race detector: the TSP counts depend on lock
-// hand-off order, which is perturbed by -race instrumentation (see the
-// TrialSummary doc in internal/tmk). Above one core that order follows
-// the host's scheduling (ROADMAP item 1), so, as in
-// TestScaleModesEquivalent, the lock programs' subtests pin GOMAXPROCS
-// to 1 and switch the collector off while they run.
+// The TSP rows were recorded again when locks began to be granted in
+// virtual-time order (internal/tmk/gate.go, the commit after 2cd21af):
+// the earlier values were one host schedule's. These are the same at
+// every GOMAXPROCS and under the race detector.
 
 package dsm
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/apps"
@@ -38,8 +32,10 @@ func TestHomelessGoldenCounts(t *testing.T) {
 	}{
 		// dsmrun -app jacobi -dataset small -json @ 60f6268
 		{"Jacobi", "small", 294, 500952, 46004895 * sim.Nanosecond},
-		// dsmrun -app tsp -dataset small -json @ 60f6268
-		{"TSP", "small", 94, 45116, 0},
+		// dsmrun -app tsp -dataset small -json, locks in virtual-time
+		// order (was 94 messages and 45,116 bytes @ 60f6268, in one
+		// host schedule)
+		{"TSP", "small", 1005, 72664, 0},
 	}
 	for _, g := range goldens {
 		g := g
@@ -48,10 +44,6 @@ func TestHomelessGoldenCounts(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%s not registered", g.app, g.dataset)
 			}
-			if e.Make(8).Locks() > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			}
 			res, err := apps.Run(e.Make(8), tmk.Config{
 				Procs: 8, UnitPages: 1, Protocol: "homeless", Collect: true,
 			})
@@ -59,13 +51,13 @@ func TestHomelessGoldenCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Messages != g.messages {
-				t.Errorf("messages = %d, want pre-refactor %d", res.Messages, g.messages)
+				t.Errorf("messages = %d, want golden %d", res.Messages, g.messages)
 			}
 			if res.Bytes != g.bytes {
-				t.Errorf("bytes = %d, want pre-refactor %d", res.Bytes, g.bytes)
+				t.Errorf("bytes = %d, want golden %d", res.Bytes, g.bytes)
 			}
 			if g.time != 0 && res.Time != g.time {
-				t.Errorf("time = %v, want pre-refactor %v", res.Time, g.time)
+				t.Errorf("time = %v, want golden %v", res.Time, g.time)
 			}
 		})
 	}
@@ -80,8 +72,10 @@ func TestHomeRRGoldenCounts(t *testing.T) {
 	}{
 		// dsmrun -app jacobi -dataset small -protocol home -json @ feb88a8
 		{"Jacobi", "small", 307, 848112, 67212680 * sim.Nanosecond},
-		// dsmrun -app tsp -dataset small -protocol home -json @ feb88a8
-		{"TSP", "small", 161, 78904, 0},
+		// dsmrun -app tsp -dataset small -protocol home -json, locks in
+		// virtual-time order (was 161 messages and 78,904 bytes @
+		// feb88a8, in one host schedule)
+		{"TSP", "small", 578, 466140, 0},
 	}
 	for _, g := range goldens {
 		g := g
@@ -90,10 +84,6 @@ func TestHomeRRGoldenCounts(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%s not registered", g.app, g.dataset)
 			}
-			if e.Make(8).Locks() > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			}
 			res, err := apps.Run(e.Make(8), tmk.Config{
 				Procs: 8, UnitPages: 1, Protocol: "home", Placement: "rr", Collect: true,
 			})
@@ -101,13 +91,13 @@ func TestHomeRRGoldenCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Messages != g.messages {
-				t.Errorf("messages = %d, want pre-placement-layer %d", res.Messages, g.messages)
+				t.Errorf("messages = %d, want golden %d", res.Messages, g.messages)
 			}
 			if res.Bytes != g.bytes {
-				t.Errorf("bytes = %d, want pre-placement-layer %d", res.Bytes, g.bytes)
+				t.Errorf("bytes = %d, want golden %d", res.Bytes, g.bytes)
 			}
 			if g.time != 0 && res.Time != g.time {
-				t.Errorf("time = %v, want pre-placement-layer %v", res.Time, g.time)
+				t.Errorf("time = %v, want golden %v", res.Time, g.time)
 			}
 			if res.Rehomes != 0 || res.RehomeBytes != 0 {
 				t.Errorf("rr placement rehomed: %d moves, %d bytes", res.Rehomes, res.RehomeBytes)
