@@ -8,7 +8,7 @@
 // Placement policy).
 //
 // The TSP rows were recorded again when locks began to be granted in
-// virtual-time order (internal/tmk/gate.go, the commit after 2cd21af):
+// virtual-time order (internal/tmk/gate.go, commit 7b0f2fa):
 // the earlier values were one host schedule's. These are the same at
 // every GOMAXPROCS and under the race detector.
 
