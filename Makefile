@@ -50,16 +50,17 @@ alloc-check:
 # derivation onto every network over arbitrary bytes (no panic,
 # allocation bounded by the input, real captures derive onto their own
 # network to their recorded totals), and spec resolution (idempotent,
-# and the engine configuration it yields is already canonical). The
-# trace target's seeds are real captures of some 25 KB: minimizing
-# each new interesting input would spend the whole ten seconds, so it
-# is capped at one try.
+# and the engine configuration it yields is already canonical).
+# Minimizing each new interesting input can spend most of the ten
+# seconds (the trace target's seeds are real captures of some 25 KB,
+# and the timeline target was seen stalling about 2,000 executions in),
+# so every target caps it at one try.
 fuzz-smoke:
-	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s
-	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s
-	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s
+	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadRuns -fuzztime 10s -fuzzminimizetime 1x
-	$(GO) test ./internal/expsvc -run '^$$' -fuzz FuzzResolve -fuzztime 10s
+	$(GO) test ./internal/expsvc -run '^$$' -fuzz FuzzResolve -fuzztime 10s -fuzzminimizetime 1x
 
 # trace-smoke captures traced runs — Jacobi on bus, lock-based TSP on
 # switch under the home protocol, and Jacobi on bus through the tree

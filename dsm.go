@@ -431,8 +431,11 @@ func (s *System) Run(body func(p *Proc)) *Result { return s.eng.Run(body) }
 // configuration — so they execute concurrently, bounded by GOMAXPROCS
 // (one at a time under WithTrace, whose capture holds one run); results
 // are reported in trial order regardless of completion order.
-// For barrier-synchronized programs the simulation is deterministic, so
-// all trials report bit-identical times. The System itself is left
+// On a stateless network model (ideal) the simulation is deterministic
+// for lock programs as well as barrier programs — locks are granted in
+// virtual-time order — so all trials report bit-identical times; a model
+// with a queue prices it in the order sends reach it, so its times may
+// vary. The System itself is left
 // untouched (its allocations and any prior Run's state survive).
 func (s *System) RunTrials(n int, body func(p *Proc)) (*Trials, error) {
 	return s.RunTrialsContext(context.Background(), n, body)

@@ -27,7 +27,9 @@ const digestTable = "testdata/digests.txt"
 //     each of the paper's four configurations and every protocol;
 //   - Table 1 under every placement for the home and adaptive protocols;
 //   - Storm/small at 64 processors, homeless and home, under
-//     dense/central, sparse/central and sparse/tree.
+//     dense/central, sparse/central and sparse/tree;
+//   - the lock applications, TSP and Water, at 16 processors, homeless
+//     and home, under the central and the tree barrier.
 //
 // Contended networks are left out: their timing still follows the
 // host's goroutine order (DESIGN §14). A cell two grids share has one
@@ -70,6 +72,13 @@ func digestPoints() []Point {
 		for _, m := range modes {
 			c := Config{Label: "4K", Unit: 1, Protocol: protocol, Scale: m.Scale, Barrier: m.Barrier, BarrierRadix: m.Radix}
 			points = append(points, Point{exp("Storm", "small"), c, 64})
+		}
+	}
+	for _, e := range []Experiment{exp("TSP", "12-city"), exp("Water", "96")} {
+		for _, protocol := range []string{"homeless", "home"} {
+			for _, barrier := range tmk.BarrierNames() {
+				points = append(points, Point{e, Config{Label: "4K", Unit: 1, Protocol: protocol, Barrier: barrier}, 16})
+			}
 		}
 	}
 	return points

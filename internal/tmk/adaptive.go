@@ -53,10 +53,10 @@ const (
 // evidence, so oscillating signatures don't thrash, and phases with no
 // writers carry no evidence at all.
 //
-// atBarrier runs in the last arriver's goroutine while every other
-// processor is blocked awaiting its barrier grant, so mutating the
-// dispatch table is race-free: the grant channel send publishes the new
-// table to every processor (see DESIGN.md §8).
+// atBarrier runs in the last arriver's goroutine, inside the gate, while
+// every other processor is blocked awaiting its barrier release, so
+// mutating the dispatch table is race-free: the gate's release publishes
+// the new table to every processor (see DESIGN.md §8).
 type adaptivePolicy struct {
 	sys        *System
 	home       *homeProtocol
@@ -83,10 +83,6 @@ type adaptivePolicy struct {
 	justSwitched []bool
 	total        int
 	phase        int // 1-based count of evaluated barrier phases
-	// pending[proc] holds the ownership handoffs proc must pay for
-	// after the current barrier releases (proc is the new home): the
-	// home pulls the unit's image from its causally latest writer.
-	pending [][]rehomeMove
 }
 
 func newAdaptivePolicy(s *System, home *homeProtocol) *adaptivePolicy {
@@ -104,7 +100,6 @@ func newAdaptivePolicy(s *System, home *homeProtocol) *adaptivePolicy {
 		switches:     make([]int, s.numUnits),
 		churned:      make([]bool, s.numUnits),
 		justSwitched: make([]bool, s.numUnits),
-		pending:      make([][]rehomeMove, s.cfg.Procs),
 	}
 }
 
@@ -127,9 +122,10 @@ func (a *adaptivePolicy) contended() bool {
 // atBarrier evaluates every unit's writer signature over the phase that
 // just ended (delta: the causally sorted intervals between the previous
 // and the current merged barrier time) and re-points units whose
-// evidence streak reached the hysteresis threshold. Called with the
-// barrier mutex held, after all arrivals merged into merged and before
-// any grant is sent (and before the placement rehomer runs).
+// evidence streak reached the hysteresis threshold. Called inside the
+// gate by the last arrival, after all arrivals merged into merged and
+// before any processor is released (and before the placement rehomer
+// runs).
 func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 	s := a.sys
 	a.phase++
@@ -223,7 +219,7 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 		// itself migrates to the unit's last writer — the image already
 		// lives there, so nothing travels; under a static placement the
 		// fixed home must pull the image from the last writer, priced
-		// after the release (settle).
+		// after the release (settleMoves).
 		if history == nil {
 			history = s.store.Delta(vc.New(len(merged)), merged)
 		}
@@ -257,8 +253,8 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 				s.nRehomes++
 			}
 		} else {
-			h := s.homeOf(u)
-			a.pending[h] = append(a.pending[h], rehomeMove{unit: u, from: lastWriter[u], bytes: bytes})
+			to := s.procs[s.homeOf(u)]
+			to.moves = append(to.moves, rehomeMove{kind: simnet.HomeHandoff, unit: u, from: lastWriter[u], bytes: bytes})
 		}
 		s.unitProto[u] = homeIdx
 	}
@@ -282,19 +278,6 @@ func concurrentWriters(ivs []*lrc.Interval) int {
 		}
 	}
 	return len(procs)
-}
-
-// settle pays for the ownership handoffs assigned to p at the barrier
-// that just released: one HomeHandoff exchange per switched unit, from
-// the new home to the unit's last writer (settleMoves). The image
-// itself was installed in the home log at the barrier.
-func (a *adaptivePolicy) settle(p *Proc) {
-	hs := a.pending[p.id]
-	if len(hs) == 0 {
-		return
-	}
-	a.pending[p.id] = nil
-	settleMoves(p, simnet.HomeHandoff, hs)
 }
 
 // report fills a Result's adaptive accounting after the run.

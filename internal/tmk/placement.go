@@ -200,55 +200,56 @@ func (*migratePlacement) Mobile() bool    { return true }
 // --- the System-side rehoming driver ---------------------------------------
 
 // rehomeMove is one scheduled home-state transfer: the new home pulls
-// unit's versioned image (bytes on the wire) from the old home — or,
-// for an adaptive ownership handoff, from the unit's last writer.
+// unit's versioned image (bytes on the wire) from the old home, a
+// HomeMigrate — or, for an adaptive ownership handoff, a HomeHandoff,
+// from the unit's last writer.
 type rehomeMove struct {
+	kind  simnet.MsgKind
 	unit  int
 	from  int // the processor holding the state
 	bytes int // the state's wire size
 }
 
-// settleMoves pays for scheduled home-state moves on p's post-barrier
-// clock: one request/reply exchange of the given kind per move, from p
-// (the new home) to the holder. The state itself stays in the shared
-// versioned log (data moves through shared structures, timing through
-// clock charges — DESIGN.md §2); a move whose holder is p itself is a
-// local copy, free of messages.
-func settleMoves(p *Proc, kind simnet.MsgKind, moves []rehomeMove) {
-	for _, m := range moves {
+// settleMoves pays for the home-state moves the barrier that just
+// released p scheduled for it, in order (the adaptive policy's handoffs
+// before the rehomer's migrations): one request/reply exchange of the
+// move's kind each, from p (the new home) to the holder. The state itself
+// stays in the shared versioned log (data moves through shared
+// structures, timing through clock charges — DESIGN.md §2); a move whose
+// holder is p itself is a local copy, free of messages.
+func (p *Proc) settleMoves() {
+	for _, m := range p.moves {
 		if m.from == p.id {
 			continue
 		}
-		xt := p.sys.net.SendExchange(kind, kind, p.id, m.from, 16, m.bytes, p.clock.Now())
+		xt := p.sys.net.SendExchange(m.kind, m.kind, p.id, m.from, 16, m.bytes, p.clock.Now())
 		p.clock.Advance(xt.Total())
 	}
+	p.moves = p.moves[:0]
 }
 
 // rehomer drives barrier-time home moves for the installed home-based
 // engine: it distills the phase's writer evidence per unit, consults
 // the placement policy, mutates the System home table (race-free: every
 // processor is blocked in the barrier), and schedules the priced
-// transfers the moved-to processors pay after the release. It is
-// installed whenever a home-based engine is (protocols "home" and
+// transfers the moved-to processors pay after the release (settleMoves).
+// It is installed whenever a home-based engine is (protocols "home" and
 // "adaptive"); under "rr" it is a no-op by policy.
 type rehomer struct {
 	sys   *System
 	home  *homeProtocol
 	phase int
-	// pending[proc] holds the home-state transfers proc must pay for
-	// after the current barrier releases (proc is the new home).
-	pending [][]rehomeMove
 }
 
 func newRehomer(s *System, home *homeProtocol) *rehomer {
-	return &rehomer{sys: s, home: home, pending: make([][]rehomeMove, s.cfg.Procs)}
+	return &rehomer{sys: s, home: home}
 }
 
 // atBarrier applies the placement policy to every unit written during
 // the phase that just ended. delta is the store's causally sorted
-// interval delta for the phase. Called with the barrier mutex held,
-// after the adaptive policy (if any) re-pointed units, and before any
-// grant is sent.
+// interval delta for the phase. Called inside the gate by the barrier
+// episode's last arrival, after the adaptive policy (if any) re-pointed
+// units, and before any processor is released.
 func (r *rehomer) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 	r.phase++
 	if len(delta) == 0 {
@@ -331,22 +332,10 @@ func (r *rehomer) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 				bytes += r.home.pageImage(pg, merged).WireBytes()
 			}
 			s.nRehomeBytes += bytes
-			r.pending[nh] = append(r.pending[nh], rehomeMove{unit: u, from: cur, bytes: bytes})
+			s.procs[nh].moves = append(s.procs[nh].moves, rehomeMove{kind: simnet.HomeMigrate, unit: u, from: cur, bytes: bytes})
 		}
 		if s.trc != nil {
 			s.trc.Rehome(u, cur, nh, bytes, transfer)
 		}
 	}
-}
-
-// settle pays for the home-state transfers assigned to p at the
-// barrier that just released: one HomeMigrate exchange per moved unit,
-// from the new home to the old one (settleMoves).
-func (r *rehomer) settle(p *Proc) {
-	moves := r.pending[p.id]
-	if len(moves) == 0 {
-		return
-	}
-	r.pending[p.id] = nil
-	settleMoves(p, simnet.HomeMigrate, moves)
 }

@@ -103,16 +103,21 @@ type Proc struct {
 	diffsBuf  []lrc.PageDiff      // closeInterval: non-empty diffs
 	deltaBuf  []*lrc.Interval     // applyAcquire: store delta (lock grants)
 	faultUnit [1]int              // readFault: single-unit fetch list
-	barrierCh chan barrierGrant
-	lockCh    chan lockGrant
-	fs        fetchScratch  // homeless/home fetch scratch
-	arena     vc.StampArena // sparse-stamp deviation storage (reset per trial)
-	vtScratch vc.Time       // applyAcquireStamp: dense materialization
+	fs        fetchScratch        // homeless/home fetch scratch
+	arena     vc.StampArena       // sparse-stamp deviation storage (reset per trial)
+	vtScratch vc.Time             // applyAcquireStamp: dense materialization
 
 	// ownNoticeBytes is the notice wire size of the intervals closed since
 	// the last barrier: what the held-unit walk takes off the episode's
 	// total instead of visiting the notices.
 	ownNoticeBytes int
+
+	// grant is a queued Lock's grant and moves the home-state moves the
+	// last barrier episode scheduled for this processor (it is their new
+	// home): both written inside the gate by another processor before the
+	// gate releases this one.
+	grant lockGrant
+	moves []rehomeMove
 }
 
 func newProc(s *System, id int) *Proc {
@@ -138,8 +143,6 @@ func newProc(s *System, id int) *Proc {
 		p.tracker = aggregate.NewTracker()
 		p.groups = aggregate.New(s.cfg.MaxGroupPages)
 	}
-	p.barrierCh = make(chan barrierGrant, 1)
-	p.lockCh = make(chan lockGrant, 1)
 	return p
 }
 
@@ -158,6 +161,7 @@ func (p *Proc) reset() {
 	clear(p.deltaBuf)
 	p.deltaBuf = p.deltaBuf[:0]
 	p.ownNoticeBytes = 0
+	p.moves = p.moves[:0]
 	p.tk.Rebase(&vc.Epoch{}) // zero time, empty deviation set, run-start epoch
 	p.arena.Reset()
 	p.writeOrder = p.writeOrder[:0]

@@ -1,7 +1,7 @@
 package tmk
 
 import (
-	"sync"
+	"fmt"
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
@@ -154,35 +154,40 @@ func (p *Proc) rebuildGroups() {
 
 // --- barrier --------------------------------------------------------------
 
-// barrierGrant is one processor's release from one barrier episode: the
-// episode's epoch (the merged vector time, immutable and shared), what
-// finishEpisode computed once for everyone — the episode's causally
+// barrierGrant is every processor's release from one barrier episode:
+// the episode's epoch (the merged vector time, immutable and shared),
+// what finishEpisode computed once for everyone — the episode's causally
 // sorted intervals, their notice count and their notices' wire size —
-// the release time, and the episode number.
+// and the episode number. Each processor's release time is its own, in
+// the gate.
 //
 // delta is the System's one buffer, refilled every episode. No processor
 // reads it after consuming its grant, which it does before it can arrive
 // at the next barrier, and the next refill waits for every arrival; the
-// fabric's mutex orders the two.
+// gate's mutex orders the two.
 type barrierGrant struct {
 	epoch       *vc.Epoch
 	delta       []*lrc.Interval
 	notices     int
 	noticeBytes int
-	release     sim.Duration
 	episode     int
 }
 
-// barrierSync is one barrier message fabric: it prices the arrival path
-// on the arriving processor's clock, runs the episode duties (epoch
-// minting, adaptive/rehoming policy) on the completing processor, and
-// blocks until the episode's grant. The returned bool reports whether
-// the fabric already priced p's release leg: the tree fabric prices
-// per-hop release waves itself, while the centralized fabric leaves the
-// per-departer manager→processor leg (whose payload depends on the
-// departer's own notice delta) to the caller.
-type barrierSync interface {
-	sync(p *Proc) (barrierGrant, bool)
+// barrierFabric is one barrier message fabric. It only prices an
+// episode's messages; Proc.Barrier does the episode's shared work.
+// arrive and release run inside the gate.
+type barrierFabric interface {
+	// arrive prices p's arrival path, on p's clock as far as p carries
+	// it, and reports whether it completed the episode and, if so, when
+	// the manager has serviced every arrival.
+	arrive(p *Proc) (done sim.Duration, last bool)
+	// release prices the episode's release from done, and releases every
+	// processor in the gate at the time its release reaches it. g is the
+	// episode's grant.
+	release(done sim.Duration, g *barrierGrant)
+	// depart prices what is left of p's release leg once p, released at
+	// at, consumed notices of noticeBytes wire bytes from the grant.
+	depart(p *Proc, at sim.Duration, noticeBytes int)
 }
 
 // DefaultBarrier is the paper's barrier: flat and centralized.
@@ -193,9 +198,9 @@ const DefaultBarrierRadix = 4
 
 // barriers is the barrier axis: each name's factory builds a fabric
 // instance for one System build.
-var barriers = registry.New("barrier", "barrier", DefaultBarrier, map[string]func(s *System) barrierSync{
-	"central": func(s *System) barrierSync { return newBarrier(s) },
-	"tree":    func(s *System) barrierSync { return newTreeBarrier(s) },
+var barriers = registry.New("barrier", "barrier", DefaultBarrier, map[string]func(s *System) barrierFabric{
+	"central": func(s *System) barrierFabric { return &barrier{sys: s} },
+	"tree":    func(s *System) barrierFabric { return newTreeBarrier(s) },
 })
 
 // BarrierNames returns the barrier fabric names, sorted.
@@ -212,14 +217,13 @@ type unitWriter struct {
 const severalWriters = -1
 
 // finishEpisode runs the completing processor's episode duties, called
-// with the fabric's mutex held after every arrival merged into tk: mint
-// the episode's epoch from the merged time, build the episode's delta —
-// the one delta computation of a barrier, shared by every grant, the
-// adaptive policy, the placement rehomer and the tree fabric's release
-// payload — and from it the written-unit index of the sparse engine's
-// held-unit walk (see applyBarrierGrant), record the episode log (under
-// Collect), and rebase the fabric's register for the next episode. The
-// returned grant lacks only its release time.
+// inside the gate after every arrival merged into tk: mint the episode's
+// epoch from the merged time, build the episode's delta — the one delta
+// computation of a barrier, shared by every grant, the adaptive policy,
+// the placement rehomer and the tree fabric's release payload — and from
+// it the written-unit index of the sparse engine's held-unit walk (see
+// applyBarrierGrant), record the episode log (under Collect), and rebase
+// the register for the next episode.
 func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 	merged := tk.T.Clone()
 	epoch := vc.NewEpoch(episode, merged)
@@ -268,69 +272,43 @@ func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 
 // barrier is the centralized TreadMarks barrier: arrivals carry each
 // processor's new write notices to the manager (processor 0), which
-// merges vector times and broadcasts the union at release. The 8-proc
-// golden reference — its wire counts are pinned bit-for-bit.
+// merges vector times and sends each departer the notices it lacks at
+// release. The 8-proc golden reference — its wire counts are pinned
+// bit-for-bit.
 type barrier struct {
-	sys     *System
-	n       int
-	manager int
-
-	mu       sync.Mutex
+	sys      *System
 	arrived  int
-	episode  int // 1-based count of completed barrier episodes
-	tk       *vc.Tracked
-	maxClock sim.Duration
-	waiters  []chan barrierGrant
+	maxClock sim.Duration // the latest arrival at the manager
 }
 
-func newBarrier(s *System) *barrier {
-	return &barrier{sys: s, n: s.cfg.Procs, tk: vc.NewTracked(s.cfg.Procs)}
-}
-
-func (b *barrier) sync(p *Proc) (barrierGrant, bool) {
+func (b *barrier) arrive(p *Proc) (sim.Duration, bool) {
+	s := b.sys
 	// Arrival message to the manager with this processor's notices
 	// (already published to the store; we charge their size).
-	arriveBytes := 16
-	t := p.sys.net.SendLeg(simnet.BarrierArrive, p.id, b.manager, arriveBytes, p.clock.Now())
+	t := s.net.SendLeg(simnet.BarrierArrive, p.id, barrierManager, 16, p.clock.Now())
 	p.clock.Advance(t.Total)
-
-	ch := p.barrierCh
-	b.mu.Lock()
-	// Merge this processor's time into the episode register: O(own
-	// deviations) in sparse mode, entrywise in dense mode.
-	if p.sys.sparseMode() {
-		b.tk.MergeStamp(p.tk.Snapshot(&p.arena))
-	} else {
-		b.tk.MergeTime(p.vt)
-	}
-	if p.clock.Now() > b.maxClock {
-		b.maxClock = p.clock.Now()
-	}
-	b.waiters = append(b.waiters, ch)
+	b.maxClock = max(b.maxClock, p.clock.Now())
 	b.arrived++
-	if b.arrived == b.n {
-		// Every processor is blocked in this barrier: the adaptive
-		// policy (if any) may now re-point units between protocols,
-		// and the placement rehomer (if a home-based engine is
-		// installed) may move unit homes — see finishEpisode. The
-		// ownership handoffs and home-state transfers they schedule
-		// are priced per-processor after the release (settle).
-		b.episode++
-		g := p.sys.finishEpisode(b.tk, b.episode)
-		// Manager cost: per-arrival servicing plus the merge/broadcast.
-		g.release = b.maxClock + p.sys.cost.BarrierManager +
-			sim.Duration(b.n)*p.sys.cost.RequestService
-		p.sys.gate.wakeAll(func(int) sim.Duration { return g.release })
-		for _, w := range b.waiters {
-			w <- g
-		}
-		// Reset for the next barrier episode (finishEpisode rebased tk).
-		b.arrived = 0
-		b.waiters = b.waiters[:0]
-		b.maxClock = 0
+	if b.arrived < s.cfg.Procs {
+		return 0, false
 	}
-	b.mu.Unlock()
-	return <-ch, false
+	done := b.maxClock + sim.Duration(b.arrived)*s.cost.RequestService
+	b.arrived, b.maxClock = 0, 0
+	return done, true
+}
+
+// release broadcasts: every processor leaves at the manager's merge.
+func (b *barrier) release(done sim.Duration, _ *barrierGrant) {
+	for id := range b.sys.procs {
+		b.sys.gate.release(id, done+b.sys.cost.BarrierManager)
+	}
+}
+
+// depart prices the manager→departer leg, whose payload is the
+// departer's own notice delta.
+func (b *barrier) depart(p *Proc, at sim.Duration, noticeBytes int) {
+	rt := b.sys.net.SendLeg(simnet.BarrierRelease, barrierManager, p.id, 8+noticeBytes, at)
+	p.clock.Advance(rt.Total)
 }
 
 // applyBarrierGrant consumes a barrier grant: the episode's write
@@ -393,34 +371,45 @@ func (p *Proc) invalidateHeld(episode int) {
 
 // Barrier synchronizes all processors. On departure every processor has
 // invalidated all units written before the barrier by any other
-// processor. Arrival order changes no total, so a barrier does not
-// enter the gate; the processor only leaves the gate's order until the
-// episode's finisher releases it.
+// processor. Arrival order changes no total, so a barrier does not wait
+// for its turn in the gate; the processor leaves the gate's order until
+// the episode's last arrival releases it. The episode's shared work runs
+// once, inside the gate: the arrivals merge into the System's register,
+// and the last one finishes the episode (finishEpisode) and hands every
+// processor the grant before the fabric releases them.
 func (p *Proc) Barrier() {
 	p.closeInterval()
-	gt := &p.sys.gate
-	gt.mu.Lock()
-	gt.block(p.id)
-	gt.mu.Unlock()
-	if trc := p.sys.trc; trc != nil {
+	s := p.sys
+	if trc := s.trc; trc != nil {
 		trc.BarrierEnter(p.id, p.clock.Now())
 	}
-
-	g, legPriced := p.sys.barrier.sync(p)
-	p.clock.AdvanceTo(g.release)
-	noticeBytes := p.applyBarrierGrant(g)
-	if !legPriced {
-		rt := p.sys.net.SendLeg(simnet.BarrierRelease, barrierManager, p.id, 8+noticeBytes, g.release)
-		p.clock.Advance(rt.Total)
+	gt := &s.gate
+	gt.mu.Lock()
+	gt.block(p.id)
+	// Merge this processor's time into the episode register: O(own
+	// deviations) in sparse mode, entrywise in dense mode.
+	if s.sparseMode() {
+		s.arrivals.MergeStamp(p.tk.Snapshot(&p.arena))
+	} else {
+		s.arrivals.MergeTime(p.vt)
 	}
-	if p.sys.policy != nil {
-		p.sys.policy.settle(p)
+	if done, last := s.barrier.arrive(p); last {
+		// Every processor is blocked in this barrier: the adaptive
+		// policy (if any) may now re-point units between protocols, and
+		// the placement rehomer (if a home-based engine is installed)
+		// may move unit homes — see finishEpisode. The moves they
+		// schedule are priced per processor after the release.
+		s.episode++
+		s.epGrant = s.finishEpisode(s.arrivals, s.episode)
+		s.barrier.release(done, &s.epGrant)
 	}
-	if p.sys.rehomer != nil {
-		p.sys.rehomer.settle(p)
-	}
+	at := gt.park(p.id)
+	g := s.epGrant
+	p.clock.AdvanceTo(at)
+	s.barrier.depart(p, at, p.applyBarrierGrant(g))
+	p.settleMoves()
 	p.rebuildGroups()
-	if trc := p.sys.trc; trc != nil {
+	if trc := s.trc; trc != nil {
 		trc.BarrierLeave(p.id, g.episode, p.clock.Now())
 	}
 }
@@ -431,14 +420,15 @@ const barrierManager = 0
 
 // --- locks -----------------------------------------------------------------
 
+// lockGrant is what a lock grant carries besides its time. A queued
+// requester's grant is written into its Proc by the releaser, inside the
+// gate, before the gate releases it at the grant time.
 type lockGrant struct {
 	ts   vc.Stamp // releaser's stamped vector time (zero on first acquisition)
-	at   sim.Duration
-	from int // processor the grant message travels from
+	from int      // processor the grant message travels from
 }
 
 type lockWaiter struct {
-	ch         chan lockGrant
 	proc       int
 	reqArrival sim.Duration
 }
@@ -507,28 +497,25 @@ func (p *Proc) Lock(l int) {
 
 	if !lk.held {
 		lk.held = true
-		prevHolder := lk.holder
+		g := lockGrant{ts: lk.lastTS, from: lk.holder}
 		lk.holder = p.id
-		ts := lk.lastTS
 		grantAt := sim.Meet(reqArrival, lk.releaseClock) + cost.LockService
 		gt.leave()
-		p.finishAcquire(lk, lockGrant{ts: ts, at: grantAt, from: prevHolder})
+		p.finishAcquire(lk, g, grantAt)
 		return
 	}
-	ch := p.lockCh
-	lk.queue = append(lk.queue, lockWaiter{ch: ch, proc: p.id, reqArrival: reqArrival})
+	lk.queue = append(lk.queue, lockWaiter{proc: p.id, reqArrival: reqArrival})
 	gt.block(p.id)
-	gt.leave()
-	g := <-ch
-	p.finishAcquire(lk, g)
+	grantAt := gt.park(p.id)
+	p.finishAcquire(lk, p.grant, grantAt)
 }
 
-// finishAcquire consumes a lock grant: charges the grant message and its
-// piggybacked notices, then invalidates.
-func (p *Proc) finishAcquire(lk *lock, g lockGrant) {
-	p.clock.AdvanceTo(g.at)
+// finishAcquire consumes a lock grant given at time at: charges the grant
+// message and its piggybacked notices, then invalidates.
+func (p *Proc) finishAcquire(lk *lock, g lockGrant, at sim.Duration) {
+	p.clock.AdvanceTo(at)
 	noticeBytes := p.applyAcquireStamp(g.ts)
-	t := p.sys.net.SendLeg(simnet.LockGrant, g.from, p.id, 16+noticeBytes, g.at)
+	t := p.sys.net.SendLeg(simnet.LockGrant, g.from, p.id, 16+noticeBytes, at)
 	p.clock.Advance(t.Total)
 	if trc := p.sys.trc; trc != nil {
 		trc.LockAcquire(p.id, lk.id, p.clock.Now())
@@ -574,13 +561,44 @@ func (p *Proc) Unlock(l int) {
 		w := lk.queue[0]
 		lk.queue = lk.queue[1:]
 		lk.holder = w.proc
-		grantAt := sim.Meet(lk.releaseClock, w.reqArrival) + cost.LockService
-		ts := lk.lastTS
-		gt.wake(w.proc, grantAt)
+		p.sys.procs[w.proc].grant = lockGrant{ts: lk.lastTS, from: p.id}
+		gt.release(w.proc, sim.Meet(lk.releaseClock, w.reqArrival)+cost.LockService)
 		gt.leave()
-		w.ch <- lockGrant{ts: ts, at: grantAt, from: p.id}
 		return
 	}
 	lk.held = false
 	gt.leave()
+}
+
+// deadlock describes a run the gate aborted, one line per processor left
+// waiting: the lock it is queued for and that lock's holder, or the
+// barrier episode it waits in and how many processors have arrived. Call
+// it once every processor goroutine has ended.
+func (s *System) deadlock() string {
+	waits := make([]string, len(s.procs))
+	for _, lk := range s.locks {
+		holder := "waiting"
+		if s.gate.state[lk.holder] == done {
+			holder = "returned"
+		}
+		for _, w := range lk.queue {
+			waits[w.proc] = fmt.Sprintf("waits for lock %d, held by processor %d (%s)", lk.id, lk.holder, holder)
+		}
+	}
+	var arrived []int
+	for id, st := range s.gate.state {
+		if st == blocked && waits[id] == "" {
+			arrived = append(arrived, id)
+		}
+	}
+	for _, id := range arrived {
+		waits[id] = fmt.Sprintf("waits in barrier episode %d: %d of %d processors arrived", s.episode+1, len(arrived), len(s.procs))
+	}
+	report := "tmk: deadlock: no processor can run"
+	for id, w := range waits {
+		if w != "" {
+			report += fmt.Sprintf("\n  processor %d %s", id, w)
+		}
+	}
+	return report
 }

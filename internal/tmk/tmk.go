@@ -241,12 +241,15 @@ type System struct {
 	nRehomes      int
 	nRehomeBytes  int
 
-	// finishEpisode's storage, written by one processor at a time — the
-	// barrier fabric's completing arrival, under the fabric's mutex — and
-	// read by every processor while it consumes that episode's grant:
-	// the episode's causally sorted intervals and its written-unit index
-	// (indexed by unit, stamped with the episode number so that nothing is
-	// cleared between episodes).
+	// A barrier episode's shared state, written inside the gate — the
+	// arrivals merge into arrivals, the last one counts the episode and
+	// stores its grant — and read by every processor while it consumes
+	// that grant. finishEpisode's storage: the episode's causally sorted
+	// intervals and its written-unit index (indexed by unit, stamped with
+	// the episode number so that nothing is cleared between episodes).
+	arrivals   *vc.Tracked
+	episode    int // 1-based count of completed barrier episodes
+	epGrant    barrierGrant
 	seqScratch []int32
 	epDelta    []*lrc.Interval
 	epWriter   []unitWriter
@@ -276,9 +279,10 @@ type System struct {
 	sparse bool
 
 	procs   []*Proc
-	barrier barrierSync
+	barrier barrierFabric
 	locks   []*lock
-	// gate puts the lock operations of a run in virtual-time order.
+	// gate owns every lock and barrier wait of a run, and puts the lock
+	// operations in virtual-time order.
 	gate gate
 
 	// barrierLog records each barrier episode's merged vector time, in
@@ -397,6 +401,7 @@ func (s *System) build(model netmodel.Model) {
 		s.col = instrument.NewCollector(s.cfg.Procs, s.segBytes)
 	}
 	s.barrier = barriers.Get(s.cfg.Barrier)(s)
+	s.arrivals, s.episode, s.epGrant = vc.NewTracked(s.cfg.Procs), 0, barrierGrant{}
 	s.barrierLog = s.barrierLog[:0]
 	for i := range s.locks {
 		s.locks[i] = newLock(i, i%s.cfg.Procs)
@@ -618,7 +623,9 @@ func (r *Result) Digest() string {
 // Run executes body once per processor, concurrently, and returns the
 // run's accounting. A System is reusable: calling Run again first
 // Resets it, so every call is an independent trial over the same
-// shared-memory layout.
+// shared-memory layout. A run that deadlocks — every processor that has
+// not returned waits for a lock or in a barrier — panics on the caller's
+// goroutine with one line per waiting processor (see deadlock).
 func (s *System) Run(body func(p *Proc)) *Result {
 	if s.running {
 		panic("tmk: Run reentered")
@@ -659,6 +666,11 @@ func (s *System) Run(body func(p *Proc)) *Result {
 		}(p)
 	}
 	wg.Wait()
+	if slices.Contains(s.gate.state, blocked) {
+		s.net.SetTraceSink(nil)
+		s.running, s.ran, s.trc = false, true, nil
+		panic(s.deadlock())
+	}
 
 	res := &Result{ProcTimes: make([]sim.Duration, len(s.procs))}
 	for i, p := range s.procs {

@@ -2,6 +2,8 @@ package tmk
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -629,6 +631,71 @@ func TestLockOrderFollowsVirtualTime(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("first lock holder was processor %d, want 0 (the earlier request in virtual time)", first-1)
 	}
+}
+
+// deadlockReport runs body on s and returns what Run panicked with. Run
+// must panic within a second: a deadlocked run that waits forever fails
+// the test instead of hanging it.
+func deadlockReport(t *testing.T, s *System, body func(p *Proc)) string {
+	t.Helper()
+	report := make(chan string, 1)
+	go func() {
+		defer func() { report <- fmt.Sprint(recover()) }()
+		s.Run(body)
+	}()
+	select {
+	case r := <-report:
+		return r
+	case <-time.After(time.Second):
+		t.Fatal("Run still waits a second after its run deadlocked")
+		return ""
+	}
+}
+
+// wantLines fails the test unless report has every line of want.
+func wantLines(t *testing.T, report string, want ...string) {
+	t.Helper()
+	lines := strings.Split(report, "\n")
+	for _, w := range want {
+		if !slices.Contains(lines, w) {
+			t.Errorf("report lacks %q:\n%s", w, report)
+		}
+	}
+}
+
+// TestDeadlockMismatchedBarrier: two processors wait in a second barrier
+// the other two never reach. The run is reported, not waited on forever,
+// and the System runs a sound program afterwards.
+func TestDeadlockMismatchedBarrier(t *testing.T) {
+	s := mustSystem(t, Config{Procs: 4, SegmentBytes: mem.PageSize})
+	report := deadlockReport(t, s, func(p *Proc) {
+		p.Barrier()
+		if p.ID() < 2 {
+			p.Barrier()
+		}
+	})
+	wantLines(t, report,
+		"tmk: deadlock: no processor can run",
+		"  processor 0 waits in barrier episode 2: 2 of 4 processors arrived",
+		"  processor 1 waits in barrier episode 2: 2 of 4 processors arrived")
+	if res := s.Run(func(p *Proc) { p.Barrier() }); res.Time <= 0 {
+		t.Fatalf("run after the deadlock: time %v", res.Time)
+	}
+}
+
+// TestDeadlockLockHeldAtExit: processor 0 returns holding the lock that
+// processor 1 is queued for.
+func TestDeadlockLockHeldAtExit(t *testing.T) {
+	s := mustSystem(t, Config{Procs: 2, SegmentBytes: mem.PageSize, Locks: 1})
+	report := deadlockReport(t, s, func(p *Proc) {
+		if p.ID() == 1 {
+			p.Compute(1000)
+		}
+		p.Lock(0)
+	})
+	wantLines(t, report,
+		"tmk: deadlock: no processor can run",
+		"  processor 1 waits for lock 0, held by processor 0 (returned)")
 }
 
 // --- misc -------------------------------------------------------------------

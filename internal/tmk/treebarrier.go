@@ -1,11 +1,8 @@
 package tmk
 
 import (
-	"sync"
-
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/vc"
 )
 
 // treeBarrier is a combining-tree barrier: the processors form an
@@ -31,15 +28,10 @@ type treeBarrier struct {
 	n     int
 	radix int
 
-	mu      sync.Mutex
-	episode int
-	tk      *vc.Tracked
-
 	pending []int32        // outstanding arrivals at node i: self + children
 	nkids   []int32        // child count of node i
 	cmpl    []sim.Duration // latest arrival seen by node i's subtree
 	grantAt []sim.Duration // release-wave delivery time per node
-	waiters []chan barrierGrant
 }
 
 func newTreeBarrier(s *System) *treeBarrier {
@@ -49,106 +41,62 @@ func newTreeBarrier(s *System) *treeBarrier {
 		sys:     s,
 		n:       n,
 		radix:   r,
-		tk:      vc.NewTracked(n),
 		pending: make([]int32, n),
 		nkids:   make([]int32, n),
 		cmpl:    make([]sim.Duration, n),
 		grantAt: make([]sim.Duration, n),
-		waiters: make([]chan barrierGrant, n),
 	}
-	for i := 0; i < n; i++ {
-		lo := r*i + 1
-		hi := lo + r
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		tb.nkids[i] = int32(hi - lo)
+	for i := range n {
+		tb.nkids[i] = int32(min(r*i+1+r, n) - min(r*i+1, n))
 		tb.pending[i] = 1 + tb.nkids[i]
 	}
 	return tb
 }
 
-func (tb *treeBarrier) sync(p *Proc) (barrierGrant, bool) {
-	ch := p.barrierCh
-	tb.mu.Lock()
-	tb.waiters[p.id] = ch
-	if p.sys.sparseMode() {
-		tb.tk.MergeStamp(p.tk.Snapshot(&p.arena))
-	} else {
-		tb.tk.MergeTime(p.vt)
-	}
-	// Walk the combining path: this processor's arrival is a local event
-	// at its own node; each node whose subtree just completed forwards
-	// one combined arrival message to its parent, priced on the wire and
-	// carried by this goroutine (the last arriver does the forwarding,
-	// as in software combining trees).
+// arrive walks the combining path: this processor's arrival is a local
+// event at its own node; each node whose subtree just completed forwards
+// one combined arrival message to its parent, priced on the wire and
+// carried by this goroutine (the last arriver does the forwarding, as in
+// software combining trees). A completed node is ready for the next
+// episode at once.
+func (tb *treeBarrier) arrive(p *Proc) (sim.Duration, bool) {
 	node := p.id
 	at := p.clock.Now()
 	for {
-		if at > tb.cmpl[node] {
-			tb.cmpl[node] = at
-		}
+		tb.cmpl[node] = max(tb.cmpl[node], at)
 		tb.pending[node]--
 		if tb.pending[node] > 0 {
-			break
+			return 0, false
 		}
 		// Node's subtree is complete: service its children's arrivals,
-		// then combine upward (or finish the episode at the root).
+		// then combine upward (or complete the episode at the root).
 		done := tb.cmpl[node] + sim.Duration(tb.nkids[node])*tb.sys.cost.RequestService
+		tb.pending[node], tb.cmpl[node] = 1+tb.nkids[node], 0
 		if node == 0 {
-			tb.finish(done)
-			break
+			return done, true
 		}
 		parent := (node - 1) / tb.radix
 		t := tb.sys.net.SendLeg(simnet.BarrierArrive, node, parent, 16, done)
 		at = done + t.Total
 		node = parent
 	}
-	tb.mu.Unlock()
-	return <-ch, true
 }
 
-// finish completes an episode at the root: run the shared episode
-// duties (epoch, episode delta, adaptive policy, rehoming, episode log),
-// price the downward release wave hop by hop, and deliver every grant.
-// Runs under tb.mu on the goroutine whose arrival completed the root's
-// subtree.
-func (tb *treeBarrier) finish(done sim.Duration) {
+// release prices the downward wave hop by hop: parents release before
+// children (node indices are topologically ordered), one priced message
+// per tree edge. Every hop carries the episode's whole notice union: the
+// intervals published between the previous epoch and this one.
+func (tb *treeBarrier) release(done sim.Duration, g *barrierGrant) {
 	s := tb.sys
-	tb.episode++
-	g := s.finishEpisode(tb.tk, tb.episode)
-
-	// Downward wave: parents release before children (node indices are
-	// topologically ordered), one priced message per tree edge. Every
-	// hop carries the episode's whole notice union: the intervals
-	// published between the previous epoch and this one.
 	tb.grantAt[0] = done + s.cost.BarrierManager
 	for node := 0; node < tb.n; node++ {
-		lo := tb.radix*node + 1
-		if lo >= tb.n {
-			continue
-		}
-		hi := lo + tb.radix
-		if hi > tb.n {
-			hi = tb.n
-		}
-		for c := lo; c < hi; c++ {
+		for c := tb.radix*node + 1; c < tb.radix*node+1+int(tb.nkids[node]); c++ {
 			t := s.net.SendLeg(simnet.BarrierRelease, node, c, 8+g.noticeBytes, tb.grantAt[node])
 			tb.grantAt[c] = tb.grantAt[node] + t.Total
 		}
-	}
-	s.gate.wakeAll(func(i int) sim.Duration { return tb.grantAt[i] })
-	for i := 0; i < tb.n; i++ {
-		g.release = tb.grantAt[i]
-		tb.waiters[i] <- g
-	}
-	// Reset the combining state for the next episode (finishEpisode
-	// already rebased tk onto the new epoch).
-	for i := 0; i < tb.n; i++ {
-		tb.pending[i] = 1 + tb.nkids[i]
-		tb.cmpl[i] = 0
+		s.gate.release(node, tb.grantAt[node])
 	}
 }
+
+// depart prices nothing: the release wave already reached p.
+func (tb *treeBarrier) depart(*Proc, sim.Duration, int) {}
