@@ -38,9 +38,11 @@ profile:
 # must allocate nothing; NewSystem may cost a processor at most 16 bytes
 # a page and must leave the fetch scratch unallocated (it is sized by
 # the faults a processor takes), and a reset stamp arena must carve its
-# blocks again without allocating.
+# blocks again without allocating; a registry Lookup or ReplaySafe must
+# allocate nothing, expsvc.Resolve at most its result, and a cache-hit
+# POST /v1/run with logging off at most 40 objects.
 alloc-check:
-	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ -run 'Alloc|Budget' -v
+	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget' -v
 
 # fuzz-smoke runs the fuzz targets for ten seconds each: the occupancy
 # timeline's block structure against the flat reference list, the

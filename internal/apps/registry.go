@@ -2,9 +2,11 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Entry is one registered application × dataset workload factory. The
@@ -39,7 +41,9 @@ type Entry struct {
 }
 
 var (
-	regMu      sync.RWMutex
+	regMu sync.RWMutex
+	// regEntries is kept ordered by app name (case-insensitive), each
+	// app's entries in registration order, so readers walk it in place.
 	regEntries []Entry
 )
 
@@ -58,19 +62,17 @@ func Register(e Entry) {
 			panic(fmt.Sprintf("apps: duplicate registration %s/%s", e.App, e.Dataset))
 		}
 	}
-	regEntries = append(regEntries, e)
+	regEntries = insertEntry(regEntries, e)
 }
 
-// sortedEntries returns a copy of the registry ordered by app name
-// (case-insensitive), keeping each app's registration order — the
-// first entry of an app is its default (primary paper) dataset.
-func sortedEntries() []Entry {
-	out := make([]Entry, len(regEntries))
-	copy(out, regEntries)
-	sort.SliceStable(out, func(i, j int) bool {
-		return strings.ToLower(out[i].App) < strings.ToLower(out[j].App)
-	})
-	return out
+// insertEntry inserts e into es, which is ordered by app name
+// (case-insensitive), after every entry whose name sorts equal to its
+// own: the order a stable sort of the registration order would give, so
+// the first entry of an app is its default (primary paper) dataset.
+func insertEntry(es []Entry, e Entry) []Entry {
+	key := strings.ToLower(e.App)
+	i := sort.Search(len(es), func(i int) bool { return key < strings.ToLower(es[i].App) })
+	return slices.Insert(es, i, e)
 }
 
 // Entries returns every registered workload, ordered by app name with
@@ -78,7 +80,7 @@ func sortedEntries() []Entry {
 func Entries() []Entry {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	return sortedEntries()
+	return slices.Clone(regEntries)
 }
 
 // Names returns the "app/dataset" name of every registered workload,
@@ -95,11 +97,12 @@ func Names() []string {
 // Apps returns the distinct registered application names, sorted
 // case-insensitively.
 func Apps() []string {
+	regMu.RLock()
+	defer regMu.RUnlock()
 	var out []string
-	seen := map[string]bool{}
-	for _, e := range Entries() {
-		if k := strings.ToLower(e.App); !seen[k] {
-			seen[k] = true
+	for _, e := range regEntries {
+		// Names that differ only in case sort next to each other.
+		if n := len(out); n == 0 || !strings.EqualFold(out[n-1], e.App) {
 			out = append(out, e.App)
 		}
 	}
@@ -112,8 +115,10 @@ func Apps() []string {
 // false — derivation must never be assumed for an unclassified
 // workload.
 func ReplaySafe(app string) bool {
+	regMu.RLock()
+	defer regMu.RUnlock()
 	found := false
-	for _, e := range Entries() {
+	for _, e := range regEntries {
 		if strings.EqualFold(e.App, app) {
 			if e.ScheduleSensitive {
 				return false
@@ -130,21 +135,47 @@ func ReplaySafe(app string) bool {
 // matches exactly (case-insensitive) first, then as a substring —
 // "1024" finds Jacobi's "64x1024 (row=2pg)".
 func Lookup(app, dataset string) (Entry, bool) {
-	var fallback *Entry
-	for _, e := range Entries() {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	fallback := -1
+	for i, e := range regEntries {
 		if !strings.EqualFold(e.App, app) {
 			continue
 		}
 		if dataset == "" || strings.EqualFold(e.Dataset, dataset) {
 			return e, true
 		}
-		if fallback == nil && strings.Contains(strings.ToLower(e.Dataset), strings.ToLower(dataset)) {
-			e := e
-			fallback = &e
+		if fallback < 0 && containsFold(e.Dataset, dataset) {
+			fallback = i
 		}
 	}
-	if fallback != nil {
-		return *fallback, true
+	if fallback >= 0 {
+		return regEntries[fallback], true
 	}
 	return Entry{}, false
+}
+
+// containsFold reports whether the lower-cased substr is within the
+// lower-cased s. ASCII strings are compared window by window, which
+// allocates nothing; anything else takes strings.ToLower, whose case
+// mappings can change a string's length.
+func containsFold(s, substr string) bool {
+	if !isASCII(s) || !isASCII(substr) {
+		return strings.Contains(strings.ToLower(s), strings.ToLower(substr))
+	}
+	for i := 0; i+len(substr) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(substr)], substr) {
+			return true
+		}
+	}
+	return false
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }

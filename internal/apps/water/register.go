@@ -9,9 +9,10 @@ func init() {
 		apps.Register(apps.Entry{
 			App: "Water", Dataset: dataset, Paper: paper,
 			// Per-molecule force locks: whether a re-acquire hits the
-			// lock cache depends on wall-clock grant interleaving, so
-			// message counts wobble (rarely) between runs. Not
-			// replay-derivable.
+			// lock cache depends on the grant order, which follows the
+			// requests' simulated times, and those depend on the
+			// network's prices. A capture taken on one network does not
+			// describe another, so Water is not replay-derivable.
 			ScheduleSensitive: true,
 			Make: func(procs int) apps.Workload {
 				c := cfg

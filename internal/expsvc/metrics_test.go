@@ -142,6 +142,41 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
+// TestHitLog pins the cache hit's own line: at Debug it carries the
+// app, dataset and cell like every line about a cell; at Info it is not
+// written.
+func TestHitLog(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo} {
+		var logBuf bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: level}))
+		runner := &countingRunner{}
+		_, ts := newTestServer(t, Config{Runner: runner.run, Logger: logger})
+		for range 2 {
+			readBody(t, postSpec(t, ts, `{"app":"jacobi","dataset":"small"}`))
+		}
+		var hitLines []string
+		for _, line := range strings.Split(logBuf.String(), "\n") {
+			if strings.Contains(line, `msg="cell served from cache"`) {
+				hitLines = append(hitLines, line)
+			}
+		}
+		if level == slog.LevelInfo {
+			if len(hitLines) != 0 {
+				t.Errorf("hit logged at Info: %q", hitLines)
+			}
+			continue
+		}
+		if len(hitLines) != 1 {
+			t.Fatalf("%d hit lines at Debug, want 1:\n%s", len(hitLines), logBuf.String())
+		}
+		for _, want := range []string{"level=DEBUG", "app=Jacobi", "dataset=small", "cell="} {
+			if !strings.Contains(hitLines[0], want) {
+				t.Errorf("hit line missing %s: %s", want, hitLines[0])
+			}
+		}
+	}
+}
+
 // TestFlightRecorder drives real engine runs through both of the
 // recorder's paths — a derivable spec, captured for derived serving and
 // then written out, and a two-trial spec traced through the Writer's

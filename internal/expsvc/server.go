@@ -131,12 +131,20 @@ func (s *Server) Flight() *trace.Ring { return s.flight }
 // structured access log: method, path, status, duration, and — for
 // answered cells — the cell hash and cache disposition from the
 // response headers. Health probes log at Debug so a poller does not
-// drown the Info stream.
+// drown the Info stream. The attributes are built only when the line
+// is written.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
 	s.mux.ServeHTTP(sw, r)
 
+	level := slog.LevelInfo
+	if r.URL.Path == "/healthz" {
+		level = slog.LevelDebug
+	}
+	if !s.log.Enabled(r.Context(), level) {
+		return
+	}
 	attrs := []any{
 		"method", r.Method,
 		"path", r.URL.Path,
@@ -145,10 +153,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if cell := sw.Header().Get(HeaderCell); cell != "" {
 		attrs = append(attrs, "cell", short(cell), "disposition", sw.Header().Get(HeaderCache))
-	}
-	level := slog.LevelInfo
-	if r.URL.Path == "/healthz" {
-		level = slog.LevelDebug
 	}
 	s.log.Log(r.Context(), level, "request", attrs...)
 }
@@ -226,15 +230,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := res.Hash()
-	log := s.log.With("app", res.Entry.App, "dataset", res.Entry.Dataset, "cell", short(hash))
-
 	if body, ok := s.cache.Get(hash); ok {
 		s.hits.Add(1)
-		log.Debug("cell served from cache")
+		// A hit pays for its log line only when the line is written.
+		if s.log.Enabled(r.Context(), slog.LevelDebug) {
+			s.cellLog(res, hash).Debug("cell served from cache")
+		}
 		s.writeCell(w, hash, "hit", body)
 		return
 	}
 	s.misses.Add(1)
+	log := s.cellLog(res, hash)
 
 	// wasDerived is written by the flight leader's closure before the
 	// flight's done channel closes, so reading it after Do returns is
@@ -279,6 +285,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		disposition = "coalesced"
 	}
 	s.writeCell(w, hash, disposition, body)
+}
+
+// cellLog returns the logger for one cell's lines: the server's, with
+// the app, dataset and abbreviated cell hash attached.
+func (s *Server) cellLog(res *Resolved, hash string) *slog.Logger {
+	return s.log.With("app", res.Entry.App, "dataset", res.Entry.Dataset, "cell", short(hash))
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499 for

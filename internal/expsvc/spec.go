@@ -158,9 +158,10 @@ func Resolve(s Spec) (*Resolved, error) {
 	}
 	entry, ok := apps.Lookup(s.App, s.Dataset)
 	if !ok {
+		names := apps.Apps()
 		field, msg := "app", fmt.Sprintf("unknown application %q (known: %s)",
-			s.App, strings.Join(apps.Apps(), ", "))
-		for _, name := range apps.Apps() {
+			s.App, strings.Join(names, ", "))
+		for _, name := range names {
 			if strings.EqualFold(name, s.App) {
 				field = "dataset"
 				msg = fmt.Sprintf("application %s has no dataset matching %q (see /v1/registry)",
