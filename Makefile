@@ -40,7 +40,8 @@ profile:
 # the faults a processor takes), and a reset stamp arena must carve its
 # blocks again without allocating; a registry Lookup or ReplaySafe must
 # allocate nothing, expsvc.Resolve at most its result, and a cache-hit
-# POST /v1/run with logging off at most 40 objects.
+# POST /v1/run with logging off at most 26 objects beyond what a no-op
+# handler makes with the same httptest request and recorder.
 alloc-check:
 	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget' -v
 

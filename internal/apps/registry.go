@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode/utf8"
 )
 
 // Entry is one registered application × dataset workload factory. The
@@ -145,7 +144,7 @@ func Lookup(app, dataset string) (Entry, bool) {
 		if dataset == "" || strings.EqualFold(e.Dataset, dataset) {
 			return e, true
 		}
-		if fallback < 0 && containsFold(e.Dataset, dataset) {
+		if fallback < 0 && strings.Contains(strings.ToLower(e.Dataset), strings.ToLower(dataset)) {
 			fallback = i
 		}
 	}
@@ -153,29 +152,4 @@ func Lookup(app, dataset string) (Entry, bool) {
 		return regEntries[fallback], true
 	}
 	return Entry{}, false
-}
-
-// containsFold reports whether the lower-cased substr is within the
-// lower-cased s. ASCII strings are compared window by window, which
-// allocates nothing; anything else takes strings.ToLower, whose case
-// mappings can change a string's length.
-func containsFold(s, substr string) bool {
-	if !isASCII(s) || !isASCII(substr) {
-		return strings.Contains(strings.ToLower(s), strings.ToLower(substr))
-	}
-	for i := 0; i+len(substr) <= len(s); i++ {
-		if strings.EqualFold(s[i:i+len(substr)], substr) {
-			return true
-		}
-	}
-	return false
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
 }
