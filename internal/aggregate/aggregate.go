@@ -63,9 +63,6 @@ func New(maxPages int) *Groups {
 	return &Groups{maxPages: maxPages, groupOf: make(map[int]int)}
 }
 
-// MaxPages returns the group size bound.
-func (g *Groups) MaxPages() int { return g.maxPages }
-
 // Rebuild replaces the partition: accessed (in access order, duplicates
 // not allowed) is chunked into runs of at most MaxPages. An empty
 // accessed list dissolves all groups.
@@ -100,9 +97,6 @@ func (g *Groups) GroupOf(page int) []int {
 	}
 	return g.members[id]
 }
-
-// NumGroups returns the number of groups in the partition.
-func (g *Groups) NumGroups() int { return len(g.members) }
 
 // Pages returns the total number of grouped pages.
 func (g *Groups) Pages() int { return len(g.groupOf) }

@@ -29,10 +29,10 @@ func TestTrackerOrderAndDedup(t *testing.T) {
 }
 
 func TestNewDefaults(t *testing.T) {
-	if New(0).MaxPages() != DefaultMaxPages {
+	if New(0).maxPages != DefaultMaxPages {
 		t.Fatal("default max pages")
 	}
-	if New(2).MaxPages() != 2 {
+	if New(2).maxPages != 2 {
 		t.Fatal("explicit max pages")
 	}
 }
@@ -40,8 +40,8 @@ func TestNewDefaults(t *testing.T) {
 func TestRebuildChunksInAccessOrder(t *testing.T) {
 	g := New(2)
 	g.Rebuild([]int{7, 1, 9, 4, 2})
-	if g.NumGroups() != 3 || g.Pages() != 5 {
-		t.Fatalf("groups=%d pages=%d", g.NumGroups(), g.Pages())
+	if len(g.members) != 3 || g.Pages() != 5 {
+		t.Fatalf("groups=%d pages=%d", len(g.members), g.Pages())
 	}
 	if !reflect.DeepEqual(g.GroupOf(7), []int{7, 1}) {
 		t.Fatalf("GroupOf(7) = %v", g.GroupOf(7))
@@ -81,7 +81,7 @@ func TestRebuildEmptyDissolvesEverything(t *testing.T) {
 	g := New(2)
 	g.Rebuild([]int{1, 2, 3})
 	g.Rebuild(nil)
-	if g.NumGroups() != 0 || g.Pages() != 0 || g.GroupOf(1) != nil {
+	if len(g.members) != 0 || g.Pages() != 0 || g.GroupOf(1) != nil {
 		t.Fatal("empty rebuild must dissolve all groups")
 	}
 }
@@ -112,9 +112,6 @@ func TestPropRebuildIsPartition(t *testing.T) {
 		g := New(maxPages)
 		g.Rebuild(accessed)
 		var concat []int
-		for i := 0; i < g.NumGroups(); i++ {
-			// reconstruct groups via GroupOf of their first member
-		}
 		seen := make(map[int]int)
 		for _, p := range accessed {
 			grp := g.GroupOf(p)

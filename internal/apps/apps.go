@@ -23,13 +23,9 @@ import (
 
 // Workload is one application × dataset instance. The lifecycle is:
 // construct, Prepare (allocates shared memory; single-threaded), Run the
-// system with Body, then Check.
+// system with Body, then Check. A workload has no name of its own: its
+// registry Entry (Register) names the app and dataset it was built for.
 type Workload interface {
-	// Name is the application name ("Jacobi", "MGS", ...).
-	Name() string
-	// Dataset names the input size, in the paper's nomenclature where
-	// one exists.
-	Dataset() string
 	// SegmentBytes is the shared-segment size the workload needs.
 	SegmentBytes() int
 	// Locks is the number of global locks the workload needs.
@@ -39,7 +35,8 @@ type Workload interface {
 	// Body is the per-processor program.
 	Body(p *tmk.Proc)
 	// Check verifies the parallel result against the sequential
-	// reference. Called after Run; must be deterministic.
+	// reference (CheckEqual compares the two outputs). Called after Run;
+	// must be deterministic.
 	Check() error
 }
 
@@ -171,6 +168,23 @@ func Band(n, procs, p int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// CheckEqual compares a parallel output with its sequential reference
+// element by element with !=, so a NaN never matches. The error names
+// what differs ("jacobi: cell" gives "jacobi: cell 7 = 1, want 2"); a
+// length mismatch, such as an output that was never captured, is an
+// error too.
+func CheckEqual[T comparable](what string, got, want []T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s count = %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("%s %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 // CheckClose compares two float64s to a relative tolerance.

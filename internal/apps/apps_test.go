@@ -3,6 +3,7 @@ package apps
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,28 @@ func TestCheckClose(t *testing.T) {
 	// Small-magnitude values use an absolute floor of 1.
 	if err := CheckClose("x", 0, 1e-10, 1e-9); err != nil {
 		t.Fatalf("absolute floor wrong: %v", err)
+	}
+}
+
+func TestCheckEqual(t *testing.T) {
+	if err := CheckEqual("x", []float64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
+		t.Fatalf("equal slices rejected: %v", err)
+	}
+	err := CheckEqual("jacobi: cell", []float64{1, 5, 6}, []float64{1, 2, 3})
+	if err == nil || err.Error() != "jacobi: cell 1 = 5, want 2" {
+		t.Fatalf("mismatch error = %v, want it to name index 1 and both values", err)
+	}
+	if err := CheckEqual("x", nil, []int64{1}); err == nil {
+		t.Fatal("an output shorter than its reference accepted")
+	}
+	if err := CheckEqual("x", []int64{1, 2}, []int64{1}); err == nil {
+		t.Fatal("an output longer than its reference accepted")
+	}
+	// NaN != NaN: an MGS run that produced NaN where the reference did
+	// too must still fail.
+	nan := math.NaN()
+	if err := CheckEqual("mgs: element", []float64{nan}, []float64{nan}); err == nil {
+		t.Fatal("NaN matched NaN")
 	}
 }
 

@@ -85,12 +85,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Barnes" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string { return fmt.Sprintf("%d", a.cfg.Bodies) }
-
 func (a *App) maxNodes() int { return 4 * a.cfg.Bodies }
 
 // SegmentBytes implements apps.Workload.
@@ -395,14 +389,6 @@ func (a *App) Sequential() []float64 {
 
 // Check implements apps.Workload (bitwise: same code, same order).
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("barnes: no output captured")
-	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
-	for i := range want {
-		if a.out[i] != want[i] {
-			return fmt.Errorf("barnes: coord %d = %v, want %v", i, a.out[i], want[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("barnes: coord", a.out, want)
 }

@@ -91,10 +91,19 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// The registry entry is the workload's only name: "Barnes" builds this
+// package's App, which fails a Check before it has run.
 func TestNames(t *testing.T) {
+	e, ok := apps.Lookup("Barnes", "")
+	if !ok {
+		t.Fatal("Barnes is not registered")
+	}
+	if _, ok := e.Make(8).(*App); !ok {
+		t.Fatal("Barnes does not build this package's App")
+	}
 	a := New(small())
-	if a.Name() != "Barnes" || a.Dataset() != "256" || a.Locks() != 0 {
-		t.Fatal("identity")
+	if a.Locks() != 0 {
+		t.Fatalf("locks = %d, want 0", a.Locks())
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")

@@ -5,18 +5,10 @@ import "repro/internal/apps"
 // The paper dataset (input-size independent, Figure 1) and a
 // small/medium/large sweep.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Barnes", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("512", "16K bodies", Config{Bodies: 512, Steps: 2})
-	reg("small", "", Config{Bodies: 128, Steps: 2})
-	reg("medium", "", Config{Bodies: 512, Steps: 2})
-	reg("large", "", Config{Bodies: 1024, Steps: 2})
+	apps.Register("Barnes", false, New, []apps.Dataset[Config]{
+		{Name: "512", Paper: "16K bodies", Config: Config{Bodies: 512, Steps: 2}},
+		{Name: "small", Config: Config{Bodies: 128, Steps: 2}},
+		{Name: "medium", Config: Config{Bodies: 512, Steps: 2}},
+		{Name: "large", Config: Config{Bodies: 1024, Steps: 2}},
+	})
 }

@@ -59,14 +59,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name implements apps.Workload.
-func (a *App) Name() string { return "3D-FFT" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string {
-	return fmt.Sprintf("%dx%dx%d", a.cfg.N1, a.cfg.N2, a.cfg.N3)
-}
-
 // ChunkBytes returns the contiguous bytes one processor reads from one
 // remote slab per i1 plane during the transpose — the granularity knob.
 func (a *App) ChunkBytes() int {
@@ -383,21 +375,12 @@ func (a *App) Sequential() (spot []float64, total float64) {
 
 // Check implements apps.Workload.
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("fft3d: no output captured")
-	}
 	ref := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), func() seqRef {
 		spot, total := a.Sequential()
 		return seqRef{spot: spot, total: total}
 	})
-	spot, total := ref.spot, ref.total
-	if a.total != total {
-		return fmt.Errorf("fft3d: checksum = %v, want %v", a.total, total)
+	if a.total != ref.total {
+		return fmt.Errorf("fft3d: checksum = %v, want %v", a.total, ref.total)
 	}
-	for i := range spot {
-		if a.out[i] != spot[i] {
-			return fmt.Errorf("fft3d: spot %d = %v, want %v", i, a.out[i], spot[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("fft3d: spot", a.out, ref.spot)
 }

@@ -6,20 +6,12 @@ import "repro/internal/apps"
 // small/medium/large sweep. N1 and N2 stay 8 so every processor count
 // dividing 8 is valid.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "3D-FFT", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("8x8x128 (chunk=1pg)", "64x64x32", Config{N1: 8, N2: 8, N3: 128, Iters: 2})
-	reg("8x8x256 (chunk=2pg)", "64x64x64", Config{N1: 8, N2: 8, N3: 256, Iters: 2})
-	reg("8x8x512 (chunk=4pg)", "128x128x128", Config{N1: 8, N2: 8, N3: 512, Iters: 2})
-	reg("small", "", Config{N1: 8, N2: 8, N3: 64, Iters: 2})
-	reg("medium", "", Config{N1: 8, N2: 8, N3: 256, Iters: 2})
-	reg("large", "", Config{N1: 8, N2: 8, N3: 512, Iters: 3})
+	apps.Register("3D-FFT", false, New, []apps.Dataset[Config]{
+		{Name: "8x8x128 (chunk=1pg)", Paper: "64x64x32", Config: Config{N1: 8, N2: 8, N3: 128, Iters: 2}},
+		{Name: "8x8x256 (chunk=2pg)", Paper: "64x64x64", Config: Config{N1: 8, N2: 8, N3: 256, Iters: 2}},
+		{Name: "8x8x512 (chunk=4pg)", Paper: "128x128x128", Config: Config{N1: 8, N2: 8, N3: 512, Iters: 2}},
+		{Name: "small", Config: Config{N1: 8, N2: 8, N3: 64, Iters: 2}},
+		{Name: "medium", Config: Config{N1: 8, N2: 8, N3: 256, Iters: 2}},
+		{Name: "large", Config: Config{N1: 8, N2: 8, N3: 512, Iters: 3}},
+	})
 }

@@ -54,14 +54,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Ilink" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string {
-	return fmt.Sprintf("%dx%d", a.cfg.Genarrays, a.cfg.Len)
-}
-
 func (a *App) words() int { return a.cfg.Genarrays * a.cfg.Len }
 
 // SegmentBytes implements apps.Workload.
@@ -186,17 +178,6 @@ func (a *App) Sequential() []float64 {
 
 // Check implements apps.Workload (bitwise; barrier-deterministic).
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("ilink: no output captured")
-	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
-	if len(a.out) != len(want) {
-		return fmt.Errorf("ilink: %d values, want %d", len(a.out), len(want))
-	}
-	for i := range want {
-		if a.out[i] != want[i] {
-			return fmt.Errorf("ilink: value %d = %v, want %v", i, a.out[i], want[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("ilink: value", a.out, want)
 }

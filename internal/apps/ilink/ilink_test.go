@@ -87,10 +87,19 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// The registry entry is the workload's only name: "Ilink" builds this
+// package's App, which fails a Check before it has run.
 func TestNames(t *testing.T) {
+	e, ok := apps.Lookup("Ilink", "")
+	if !ok {
+		t.Fatal("Ilink is not registered")
+	}
+	if _, ok := e.Make(8).(*App); !ok {
+		t.Fatal("Ilink does not build this package's App")
+	}
 	a := New(small())
-	if a.Name() != "Ilink" || a.Dataset() != "4x4096" || a.Locks() != 0 {
-		t.Fatal("identity")
+	if a.Locks() != 0 {
+		t.Fatalf("locks = %d, want 0", a.Locks())
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")

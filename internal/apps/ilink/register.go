@@ -5,18 +5,10 @@ import "repro/internal/apps"
 // The paper dataset (input-size independent, Figure 1) and a
 // small/medium/large sweep.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Ilink", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("8x8192", "CLP 2x4x4x4", Config{Genarrays: 8, Len: 8192, Iters: 3})
-	reg("small", "", Config{Genarrays: 4, Len: 4096, Iters: 2})
-	reg("medium", "", Config{Genarrays: 8, Len: 8192, Iters: 3})
-	reg("large", "", Config{Genarrays: 16, Len: 8192, Iters: 3})
+	apps.Register("Ilink", false, New, []apps.Dataset[Config]{
+		{Name: "8x8192", Paper: "CLP 2x4x4x4", Config: Config{Genarrays: 8, Len: 8192, Iters: 3}},
+		{Name: "small", Config: Config{Genarrays: 4, Len: 4096, Iters: 2}},
+		{Name: "medium", Config: Config{Genarrays: 8, Len: 8192, Iters: 3}},
+		{Name: "large", Config: Config{Genarrays: 16, Len: 8192, Iters: 3}},
+	})
 }

@@ -38,8 +38,6 @@ type App struct {
 	cfg  Config
 	a, b apps.Arr // the two grids (read/write roles alternate)
 	out  []float64
-	want []float64
-	err  error
 }
 
 // New returns a Jacobi workload. Rows must be divisible by nothing in
@@ -49,14 +47,6 @@ func New(cfg Config) *App {
 		cfg.Iters = 4
 	}
 	return &App{cfg: cfg}
-}
-
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Jacobi" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string {
-	return fmt.Sprintf("%dx%d", a.cfg.Rows, a.cfg.Cols)
 }
 
 // RowBytes returns the byte length of one grid row.
@@ -155,14 +145,6 @@ func (a *App) Sequential() []float64 {
 // Check implements apps.Workload: the DSM result must equal the
 // sequential reference bitwise (the computation is barrier-deterministic).
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("jacobi: no output captured (Body not run?)")
-	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
-	for i := range want {
-		if a.out[i] != want[i] {
-			return fmt.Errorf("jacobi: cell %d = %v, want %v", i, a.out[i], want[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("jacobi: cell", a.out, want)
 }

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apps"
@@ -84,15 +85,21 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// Each Jacobi paper dataset's registry name states its row size in
+// pages ("row=2pg"), and the workload it builds has rows of that size.
 func TestDatasetName(t *testing.T) {
-	if New(cfg(32, 512)).Dataset() != "32x512" {
-		t.Fatal("dataset name")
-	}
-	if New(cfg(32, 512)).Name() != "Jacobi" {
-		t.Fatal("name")
-	}
 	if New(cfg(32, 512)).RowBytes() != mem.PageSize {
 		t.Fatal("row bytes")
+	}
+	for _, pages := range []int{1, 2} {
+		name := fmt.Sprintf("row=%dpg", pages)
+		e, ok := apps.Lookup("Jacobi", name)
+		if !ok {
+			t.Fatalf("no Jacobi dataset %q", name)
+		}
+		if got := e.Make(8).(*App).RowBytes(); got != pages*mem.PageSize {
+			t.Errorf("%s: rows are %d bytes, want %d", e.Dataset, got, pages*mem.PageSize)
+		}
 	}
 }
 

@@ -6,19 +6,11 @@ import "repro/internal/apps"
 // small/medium/large sweep register at init so the workload is
 // runnable by name from the registry.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Jacobi", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("128x512 (row=1pg)", "1Kx1K", Config{Rows: 128, Cols: 512, Iters: 4})
-	reg("64x1024 (row=2pg)", "2Kx2K", Config{Rows: 64, Cols: 1024, Iters: 4})
-	reg("small", "", Config{Rows: 64, Cols: 256, Iters: 2})
-	reg("medium", "", Config{Rows: 128, Cols: 512, Iters: 4})
-	reg("large", "", Config{Rows: 256, Cols: 1024, Iters: 4})
+	apps.Register("Jacobi", false, New, []apps.Dataset[Config]{
+		{Name: "128x512 (row=1pg)", Paper: "1Kx1K", Config: Config{Rows: 128, Cols: 512, Iters: 4}},
+		{Name: "64x1024 (row=2pg)", Paper: "2Kx2K", Config: Config{Rows: 64, Cols: 1024, Iters: 4}},
+		{Name: "small", Config: Config{Rows: 64, Cols: 256, Iters: 2}},
+		{Name: "medium", Config: Config{Rows: 128, Cols: 512, Iters: 4}},
+		{Name: "large", Config: Config{Rows: 256, Cols: 1024, Iters: 4}},
+	})
 }

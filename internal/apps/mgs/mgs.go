@@ -41,19 +41,10 @@ type App struct {
 	cfg  Config
 	vecs apps.Arr
 	out  []float64
-	err  error
 }
 
 // New returns an MGS workload.
 func New(cfg Config) *App { return &App{cfg: cfg} }
-
-// Name implements apps.Workload.
-func (a *App) Name() string { return "MGS" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string {
-	return fmt.Sprintf("%dx%d", a.cfg.Dim, a.cfg.Vectors)
-}
 
 // SegmentBytes implements apps.Workload.
 func (a *App) SegmentBytes() int {
@@ -174,14 +165,9 @@ func (a *App) Sequential() []float64 {
 // Check implements apps.Workload: bitwise equality with the sequential
 // reference, plus an orthonormality sanity check.
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("mgs: no output captured")
-	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
-	for i := range want {
-		if a.out[i] != want[i] {
-			return fmt.Errorf("mgs: element %d = %v, want %v", i, a.out[i], want[i])
-		}
+	if err := apps.CheckEqual("mgs: element", a.out, want); err != nil {
+		return err
 	}
 	// Orthonormality of the first few vectors.
 	D := a.cfg.Dim

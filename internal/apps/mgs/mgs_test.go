@@ -91,13 +91,19 @@ func TestDynamicMatchesBestStatic(t *testing.T) {
 	}
 }
 
+// The registry entry is the workload's only name: "MGS" builds this
+// package's App, which fails a Check before it has run.
 func TestNames(t *testing.T) {
-	a := New(small())
-	if a.Name() != "MGS" || a.Dataset() != "512x24" {
-		t.Fatalf("%s %s", a.Name(), a.Dataset())
+	e, ok := apps.Lookup("MGS", "")
+	if !ok {
+		t.Fatal("MGS is not registered")
 	}
+	if _, ok := e.Make(8).(*App); !ok {
+		t.Fatal("MGS does not build this package's App")
+	}
+	a := New(small())
 	if a.Locks() != 0 {
-		t.Fatal("locks")
+		t.Fatalf("locks = %d, want 0", a.Locks())
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")

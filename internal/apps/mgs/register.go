@@ -6,20 +6,12 @@ import "repro/internal/apps"
 // small/medium/large sweep. Vectors stays >= 16 so every processor
 // count up to 16 is valid.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "MGS", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("512x32 (vec=1pg)", "1Kx1K", Config{Dim: 512, Vectors: 32})
-	reg("1024x24 (vec=2pg)", "2Kx2K", Config{Dim: 1024, Vectors: 24})
-	reg("2048x16 (vec=4pg)", "1Kx4K", Config{Dim: 2048, Vectors: 16})
-	reg("small", "", Config{Dim: 256, Vectors: 16})
-	reg("medium", "", Config{Dim: 512, Vectors: 32})
-	reg("large", "", Config{Dim: 2048, Vectors: 16})
+	apps.Register("MGS", false, New, []apps.Dataset[Config]{
+		{Name: "512x32 (vec=1pg)", Paper: "1Kx1K", Config: Config{Dim: 512, Vectors: 32}},
+		{Name: "1024x24 (vec=2pg)", Paper: "2Kx2K", Config: Config{Dim: 1024, Vectors: 24}},
+		{Name: "2048x16 (vec=4pg)", Paper: "1Kx4K", Config: Config{Dim: 2048, Vectors: 16}},
+		{Name: "small", Config: Config{Dim: 256, Vectors: 16}},
+		{Name: "medium", Config: Config{Dim: 512, Vectors: 32}},
+		{Name: "large", Config: Config{Dim: 2048, Vectors: 16}},
+	})
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -46,22 +47,46 @@ var (
 	regEntries []Entry
 )
 
-// Register adds a workload factory to the registry. It is called from
-// the app subpackages' init functions; an incomplete entry or a
-// duplicate app/dataset pair panics (a programming error caught at
+// Dataset is one row of an application's registration: the dataset's
+// registry name, the paper input it stands in for (empty for a sweep
+// size), and the configuration its workloads are built from.
+type Dataset[C any] struct {
+	Name, Paper string
+	Config      C
+}
+
+// Register adds an application's datasets to the registry, in order, so
+// the first is the app's default. Each entry's Make copies the row's
+// configuration, sets its Procs field and calls newApp, so C must be a
+// struct with an int field Procs. It is called from the app
+// subpackages' init functions; a C without Procs, an incomplete row or
+// a duplicate app/dataset pair panics (a programming error caught at
 // process start, never on a user path).
-func Register(e Entry) {
-	if e.App == "" || e.Dataset == "" || e.Make == nil {
-		panic(fmt.Sprintf("apps: incomplete registration %q/%q", e.App, e.Dataset))
+func Register[C any, W Workload](app string, scheduleSensitive bool, newApp func(C) W, datasets []Dataset[C]) {
+	procs, ok := reflect.TypeFor[C]().FieldByName("Procs")
+	if !ok || procs.Type.Kind() != reflect.Int {
+		panic(fmt.Sprintf("apps: %s's configuration has no int Procs field", app))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	for _, x := range regEntries {
-		if strings.EqualFold(x.App, e.App) && strings.EqualFold(x.Dataset, e.Dataset) {
-			panic(fmt.Sprintf("apps: duplicate registration %s/%s", e.App, e.Dataset))
+	for _, d := range datasets {
+		if app == "" || d.Name == "" {
+			panic(fmt.Sprintf("apps: incomplete registration %q/%q", app, d.Name))
 		}
+		for _, x := range regEntries {
+			if strings.EqualFold(x.App, app) && strings.EqualFold(x.Dataset, d.Name) {
+				panic(fmt.Sprintf("apps: duplicate registration %s/%s", app, d.Name))
+			}
+		}
+		regEntries = insertEntry(regEntries, Entry{
+			App: app, Dataset: d.Name, Paper: d.Paper, ScheduleSensitive: scheduleSensitive,
+			Make: func(n int) Workload {
+				c := d.Config
+				reflect.ValueOf(&c).Elem().FieldByIndex(procs.Index).SetInt(int64(n))
+				return newApp(c)
+			},
+		})
 	}
-	regEntries = insertEntry(regEntries, e)
 }
 
 // insertEntry inserts e into es, which is ordered by app name

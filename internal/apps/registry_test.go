@@ -61,8 +61,7 @@ func TestRegistryInventory(t *testing.T) {
 }
 
 // Round-trip: every Names() entry resolves back through Lookup to the
-// same entry, and its factory builds a workload whose self-description
-// matches the registration.
+// same entry, and its factory builds a workload.
 func TestRegistryRoundTrip(t *testing.T) {
 	names := apps.Names()
 	if len(names) == 0 {
@@ -84,13 +83,26 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if w == nil {
 			t.Fatalf("%s: nil workload", name)
 		}
-		if !strings.EqualFold(w.Name(), e.App) {
-			t.Errorf("%s: workload names itself %q", name, w.Name())
-		}
 		if w.SegmentBytes() <= 0 {
 			t.Errorf("%s: segment bytes = %d", name, w.SegmentBytes())
 		}
 	}
+}
+
+// Register refuses a configuration whose processor count it cannot set,
+// before it touches the registry.
+func TestRegisterNeedsProcs(t *testing.T) {
+	type noProcs struct{ N int }
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted a configuration without Procs")
+		}
+		if _, ok := apps.Lookup("NoProcs", ""); ok {
+			t.Fatal("a refused app was registered")
+		}
+	}()
+	apps.Register("NoProcs", false, func(noProcs) apps.Workload { return nil },
+		[]apps.Dataset[noProcs]{{Name: "small"}})
 }
 
 // Lookup semantics: case-insensitive app, default dataset, substring

@@ -6,20 +6,12 @@ import "repro/internal/apps"
 // small/medium/large sweep. Cols stays 16 so every processor count
 // dividing 16 is valid.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Shallow", Dataset: dataset, Paper: paper,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("512x16 (col=1pg)", "1Kx0.5K", Config{Rows: 512, Cols: 16, Iters: 3})
-	reg("1024x16 (col=2pg)", "2Kx0.5K", Config{Rows: 1024, Cols: 16, Iters: 3})
-	reg("2048x16 (col=4pg)", "4Kx0.5K", Config{Rows: 2048, Cols: 16, Iters: 3})
-	reg("small", "", Config{Rows: 256, Cols: 16, Iters: 2})
-	reg("medium", "", Config{Rows: 512, Cols: 16, Iters: 3})
-	reg("large", "", Config{Rows: 2048, Cols: 16, Iters: 3})
+	apps.Register("Shallow", false, New, []apps.Dataset[Config]{
+		{Name: "512x16 (col=1pg)", Paper: "1Kx0.5K", Config: Config{Rows: 512, Cols: 16, Iters: 3}},
+		{Name: "1024x16 (col=2pg)", Paper: "2Kx0.5K", Config: Config{Rows: 1024, Cols: 16, Iters: 3}},
+		{Name: "2048x16 (col=4pg)", Paper: "4Kx0.5K", Config: Config{Rows: 2048, Cols: 16, Iters: 3}},
+		{Name: "small", Config: Config{Rows: 256, Cols: 16, Iters: 2}},
+		{Name: "medium", Config: Config{Rows: 512, Cols: 16, Iters: 3}},
+		{Name: "large", Config: Config{Rows: 2048, Cols: 16, Iters: 3}},
+	})
 }

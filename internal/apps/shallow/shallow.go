@@ -48,7 +48,6 @@ type App struct {
 	un, vn, prn apps.Arr
 	psi         apps.Arr
 	out         []float64
-	err         error
 }
 
 // New returns a Shallow workload.
@@ -58,12 +57,6 @@ func New(cfg Config) *App {
 	}
 	return &App{cfg: cfg}
 }
-
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Shallow" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string { return fmt.Sprintf("%dx%d", a.cfg.Rows, a.cfg.Cols) }
 
 func (a *App) colPages() int { return mem.RoundUpPages(a.cfg.Rows*mem.WordSize) / mem.PageSize }
 
@@ -249,14 +242,6 @@ func (a *App) Sequential() []float64 {
 
 // Check implements apps.Workload (bitwise; barrier-deterministic).
 func (a *App) Check() error {
-	if a.out == nil {
-		return fmt.Errorf("shallow: no output captured")
-	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
-	for i := range want {
-		if a.out[i] != want[i] {
-			return fmt.Errorf("shallow: value %d = %v, want %v", i, a.out[i], want[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("shallow: value", a.out, want)
 }

@@ -85,10 +85,19 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// The registry entry is the workload's only name: "Shallow" builds this
+// package's App, which fails a Check before it has run.
 func TestNames(t *testing.T) {
+	e, ok := apps.Lookup("Shallow", "")
+	if !ok {
+		t.Fatal("Shallow is not registered")
+	}
+	if _, ok := e.Make(8).(*App); !ok {
+		t.Fatal("Shallow does not build this package's App")
+	}
 	a := New(small())
-	if a.Name() != "Shallow" || a.Dataset() != "512x16" || a.Locks() != 0 {
-		t.Fatal("identity")
+	if a.Locks() != 0 {
+		t.Fatalf("locks = %d, want 0", a.Locks())
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")

@@ -6,17 +6,9 @@ import "repro/internal/apps"
 // processor counts (unlike the paper apps, whose bands thin out), so a
 // dataset means the same thing at 8 and at 1024 processors.
 func init() {
-	reg := func(dataset string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Storm", Dataset: dataset,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("small", Config{PagesPerProc: 2, Episodes: 8})
-	reg("medium", Config{PagesPerProc: 4, Episodes: 32})
-	reg("large", Config{PagesPerProc: 4, Episodes: 64})
+	apps.Register("Storm", false, New, []apps.Dataset[Config]{
+		{Name: "small", Config: Config{PagesPerProc: 2, Episodes: 8}},
+		{Name: "medium", Config: Config{PagesPerProc: 4, Episodes: 32}},
+		{Name: "large", Config: Config{PagesPerProc: 4, Episodes: 64}},
+	})
 }

@@ -25,8 +25,6 @@
 package storm
 
 import (
-	"fmt"
-
 	"repro/internal/apps"
 	"repro/internal/mem"
 	"repro/internal/tmk"
@@ -55,14 +53,6 @@ func New(cfg Config) *App {
 		cfg.Episodes = 8
 	}
 	return &App{cfg: cfg}
-}
-
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Storm" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string {
-	return fmt.Sprintf("%dpg x %dep", a.cfg.PagesPerProc, a.cfg.Episodes)
 }
 
 // SegmentBytes implements apps.Workload.
@@ -122,9 +112,6 @@ func (a *App) Body(p *tmk.Proc) {
 // all write phases of an episode, then all reads — on a local memory
 // and compare every processor's checksum.
 func (a *App) Check() error {
-	if len(a.sums) != a.cfg.Procs {
-		return fmt.Errorf("storm: Check before Run")
-	}
 	m := apps.NewLocalMem(a.cfg.Procs * a.cfg.PagesPerProc * mem.PageSize)
 	arr := apps.Arr{Base: 0}
 	want := make([]int64, a.cfg.Procs)
@@ -136,10 +123,5 @@ func (a *App) Check() error {
 			want[i] += a.readPhase(m, arr, i, e)
 		}
 	}
-	for i := range want {
-		if a.sums[i] != want[i] {
-			return fmt.Errorf("storm: proc %d checksum %d, want %d", i, a.sums[i], want[i])
-		}
-	}
-	return nil
+	return apps.CheckEqual("storm: checksum of proc", a.sums, want)
 }

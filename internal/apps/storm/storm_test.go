@@ -54,13 +54,19 @@ func TestFaultsScaleLinearly(t *testing.T) {
 	}
 }
 
+// The registry entry is the workload's only name: "Storm" builds this
+// package's App, which fails a Check before it has run.
 func TestNames(t *testing.T) {
-	a := New(small())
-	if a.Name() != "Storm" || a.Dataset() != "2pg x 8ep" {
-		t.Fatalf("%s %s", a.Name(), a.Dataset())
+	e, ok := apps.Lookup("Storm", "")
+	if !ok {
+		t.Fatal("Storm is not registered")
 	}
+	if _, ok := e.Make(8).(*App); !ok {
+		t.Fatal("Storm does not build this package's App")
+	}
+	a := New(small())
 	if a.Locks() != 0 {
-		t.Fatal("locks")
+		t.Fatalf("locks = %d, want 0", a.Locks())
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")

@@ -104,12 +104,6 @@ func distances(n int) [][]int64 {
 	return d
 }
 
-// Name implements apps.Workload.
-func (a *App) Name() string { return "TSP" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string { return fmt.Sprintf("%d-city", a.cfg.Cities) }
-
 // SegmentBytes implements apps.Workload.
 func (a *App) SegmentBytes() int {
 	return mem.RoundUpPages(a.cap*tourWords*mem.WordSize) +

@@ -4,25 +4,17 @@ import "repro/internal/apps"
 
 // The paper dataset (input-size independent, Figure 1) and a
 // small/medium/large sweep.
+//
+// Water is schedule-sensitive: whether a re-acquire of a per-molecule
+// force lock hits the lock cache depends on the grant order, which
+// follows the requests' simulated times, and those depend on the
+// network's prices. A capture taken on one network does not describe
+// another, so Water is not replay-derivable.
 func init() {
-	reg := func(dataset, paper string, cfg Config) {
-		apps.Register(apps.Entry{
-			App: "Water", Dataset: dataset, Paper: paper,
-			// Per-molecule force locks: whether a re-acquire hits the
-			// lock cache depends on the grant order, which follows the
-			// requests' simulated times, and those depend on the
-			// network's prices. A capture taken on one network does not
-			// describe another, so Water is not replay-derivable.
-			ScheduleSensitive: true,
-			Make: func(procs int) apps.Workload {
-				c := cfg
-				c.Procs = procs
-				return New(c)
-			},
-		})
-	}
-	reg("96", "343 molecules", Config{Molecules: 96, Steps: 2})
-	reg("small", "", Config{Molecules: 48, Steps: 2})
-	reg("medium", "", Config{Molecules: 96, Steps: 2})
-	reg("large", "", Config{Molecules: 192, Steps: 2})
+	apps.Register("Water", true, New, []apps.Dataset[Config]{
+		{Name: "96", Paper: "343 molecules", Config: Config{Molecules: 96, Steps: 2}},
+		{Name: "small", Config: Config{Molecules: 48, Steps: 2}},
+		{Name: "medium", Config: Config{Molecules: 96, Steps: 2}},
+		{Name: "large", Config: Config{Molecules: 192, Steps: 2}},
+	})
 }

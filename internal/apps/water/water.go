@@ -72,12 +72,6 @@ func New(cfg Config) *App {
 	return &App{cfg: cfg}
 }
 
-// Name implements apps.Workload.
-func (a *App) Name() string { return "Water" }
-
-// Dataset implements apps.Workload.
-func (a *App) Dataset() string { return fmt.Sprintf("%d", a.cfg.Molecules) }
-
 // SegmentBytes implements apps.Workload.
 func (a *App) SegmentBytes() int {
 	return mem.RoundUpPages(a.cfg.Molecules*molWords*mem.WordSize) + mem.PageSize

@@ -12,7 +12,6 @@
 package lrc
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/mem"
@@ -371,21 +370,4 @@ func newInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *
 // its missing writes have been fetched and applied.
 type MissingWrite struct {
 	Interval *Interval
-}
-
-// WritersOf returns the distinct writer processors of a missing-write
-// list, in ascending processor order — the "concurrent writers" whose
-// cardinality drives the paper's false-sharing signature.
-func WritersOf(miss []MissingWrite) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, m := range miss {
-		p := m.Interval.ID.Proc
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -138,21 +138,6 @@ func TestSortCausallyRespectsHappensBefore(t *testing.T) {
 	}
 }
 
-func TestWritersOf(t *testing.T) {
-	miss := []MissingWrite{
-		{Interval: mkInterval(2, 1, vc.Time{0, 0, 1}, 5)},
-		{Interval: mkInterval(0, 1, vc.Time{1, 0, 0}, 5)},
-		{Interval: mkInterval(2, 2, vc.Time{0, 0, 2}, 5)},
-	}
-	got := WritersOf(miss)
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("WritersOf = %v", got)
-	}
-	if WritersOf(nil) != nil {
-		t.Fatal("WritersOf(nil) must be nil")
-	}
-}
-
 // Property: for random interval DAGs built from merges, SortCausally is a
 // linear extension of happens-before (TS(a) < TS(b) ⇒ a before b).
 func TestPropSortCausallyLinearExtension(t *testing.T) {

@@ -382,18 +382,3 @@ func CoalesceDiffs(ds []Diff) Diff {
 	}
 	return out
 }
-
-// OverlapWords returns the number of words modified by both diffs —
-// nonzero only under write-write races within a page region, which a
-// correctly synchronized program avoids for concurrent intervals.
-func (d Diff) OverlapWords(o Diff) int {
-	var mine [WordsPerPage]bool
-	d.ForEachWord(func(w int) { mine[w] = true })
-	n := 0
-	o.ForEachWord(func(w int) {
-		if mine[w] {
-			n++
-		}
-	})
-	return n
-}

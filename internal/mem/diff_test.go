@@ -130,23 +130,6 @@ func TestMakeTwinPanicsOnWrongSize(t *testing.T) {
 	MakeTwin(make([]byte, 100))
 }
 
-func TestOverlapWords(t *testing.T) {
-	base := make([]byte, PageSize)
-	a := make([]byte, PageSize)
-	copy(a, base)
-	putWordAt(a, 10, 1)
-	putWordAt(a, 11, 1)
-	b := make([]byte, PageSize)
-	copy(b, base)
-	putWordAt(b, 11, 2)
-	putWordAt(b, 12, 2)
-	da := EncodeDiff(MakeTwin(base), a)
-	db := EncodeDiff(MakeTwin(base), b)
-	if got := da.OverlapWords(db); got != 1 {
-		t.Fatalf("OverlapWords = %d, want 1", got)
-	}
-}
-
 // --- property-based tests ------------------------------------------------
 
 func randomPagePair(r *rand.Rand) (twin Twin, page []byte) {

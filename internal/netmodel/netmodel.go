@@ -131,6 +131,3 @@ func Canonical(name string) (string, error) { return models.Canonical(name) }
 
 // Names returns the registered model names, sorted.
 func Names() []string { return models.Names() }
-
-// Known reports whether name is a registered model.
-func Known(name string) bool { return models.Known(name) }

@@ -40,12 +40,6 @@ func (r *Registry[T]) Canonical(name string) (string, error) {
 	return c, nil
 }
 
-// Known reports whether name canonicalizes to an entry.
-func (r *Registry[T]) Known(name string) bool {
-	_, err := r.Canonical(name)
-	return err == nil
-}
-
 // Get returns the value a canonical name selects.
 func (r *Registry[T]) Get(name string) T { return r.entries[name] }
 

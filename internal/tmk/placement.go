@@ -95,9 +95,6 @@ var placements = registry.New("placement", "placement", DefaultPlacement, map[st
 // PlacementNames returns the placement names, sorted.
 func PlacementNames() []string { return placements.Names() }
 
-// KnownPlacement reports whether name selects a placement.
-func KnownPlacement(name string) bool { return placements.Known(name) }
-
 // rrPlacement is the paper-era default: unit u lives on processor
 // u % nprocs, forever. Bit-identical to the pre-placement engine.
 type rrPlacement struct{ nprocs int }

@@ -21,14 +21,6 @@ func TestPlacementRegistry(t *testing.T) {
 			t.Fatalf("PlacementNames() = %v, want %v", names, want)
 		}
 	}
-	for _, n := range []string{"rr", "RR", "FirstTouch", "Migrate", "block"} {
-		if !KnownPlacement(n) {
-			t.Errorf("KnownPlacement(%q) = false", n)
-		}
-	}
-	if KnownPlacement("bogus") {
-		t.Error("KnownPlacement(bogus) = true")
-	}
 	_, err := NewSystem(Config{Placement: "bogus"})
 	if err == nil {
 		t.Fatal("NewSystem accepted unknown placement")

@@ -80,9 +80,6 @@ var protocols = registry.New("protocol", "protocol", DefaultProtocol, map[string
 // ProtocolNames returns the protocol names, sorted.
 func ProtocolNames() []string { return protocols.Names() }
 
-// KnownProtocol reports whether name selects a protocol.
-func KnownProtocol(name string) bool { return protocols.Known(name) }
-
 // install wires the given engines into the System: protos[0] initially
 // owns every unit (adaptive policies re-point units later). Called from
 // a protocol setup during NewSystem/Reset.

@@ -17,14 +17,6 @@ func TestProtocolRegistry(t *testing.T) {
 			t.Fatalf("ProtocolNames() = %v, want %v", names, want)
 		}
 	}
-	for _, n := range []string{"home", "HOME", "Homeless"} {
-		if !KnownProtocol(n) {
-			t.Errorf("KnownProtocol(%q) = false", n)
-		}
-	}
-	if KnownProtocol("bogus") {
-		t.Error("KnownProtocol(bogus) = true")
-	}
 }
 
 // An unknown protocol is an error from NewSystem, never a panic, and

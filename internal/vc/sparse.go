@@ -105,9 +105,6 @@ func (s Stamp) Len() int { return s.n }
 // key used to linearize happens-before.
 func (s Stamp) Sum() int64 { return s.sum }
 
-// IsSparse reports whether the stamp uses the sparse layout.
-func (s Stamp) IsSparse() bool { return s.base != nil }
-
 // Base returns the sparse layout's epoch base (nil for dense stamps).
 func (s Stamp) Base() *Epoch { return s.base }
 
@@ -133,9 +130,6 @@ func (s Stamp) Entry(p int) int32 {
 	}
 	return s.base.Entry(p)
 }
-
-// Knows reports whether interval seq of processor p is covered.
-func (s Stamp) Knows(p int, seq int32) bool { return s.Entry(p) >= seq }
 
 // Dense materializes the stamp into dst (grown if needed) and returns
 // it. The result is independent of the stamp's storage.

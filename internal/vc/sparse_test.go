@@ -78,7 +78,7 @@ func TestTrackedMatchesDenseModel(t *testing.T) {
 			}
 			// Deviations must advance past the base (the invariant every
 			// fast path relies on).
-			if s.IsSparse() {
+			if s.Base() != nil {
 				procs, seqs := s.Deviations()
 				for i, p := range procs {
 					if seqs[i] <= s.Base().Entry(int(p)) {
@@ -108,16 +108,13 @@ func TestTrackedMatchesDenseModel(t *testing.T) {
 	}
 }
 
-func TestStampKnowsAndEntryOffList(t *testing.T) {
+func TestStampEntryOffList(t *testing.T) {
 	base := NewEpoch(1, Time{3, 1, 4, 1})
 	s := SparseStamp(base, 4, []int32{0, 2}, []int32{5, 6})
 	wants := []int32{5, 1, 6, 1}
 	for p, w := range wants {
 		if got := s.Entry(p); got != w {
 			t.Fatalf("Entry(%d) = %d, want %d", p, got, w)
-		}
-		if !s.Knows(p, w) || s.Knows(p, w+1) {
-			t.Fatalf("Knows(%d) wrong around %d", p, w)
 		}
 	}
 	if s.Sum() != 5+1+6+1 {
@@ -162,7 +159,7 @@ func TestSnapshotDenseFallback(t *testing.T) {
 		tr.Tick(p)
 	}
 	s := tr.Snapshot(&arena)
-	if s.IsSparse() {
+	if s.Base() != nil {
 		t.Fatalf("snapshot with %d/%d deviations should be dense", n/2, n)
 	}
 	if !s.Dense(nil).Equal(tr.T) {

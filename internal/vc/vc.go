@@ -94,13 +94,6 @@ func (t Time) Merge(u Time) {
 	}
 }
 
-// Merged returns a fresh least upper bound without modifying t.
-func (t Time) Merged(u Time) Time {
-	c := t.Clone()
-	c.Merge(u)
-	return c
-}
-
 // KnowsInterval reports whether interval number iv of processor p is
 // covered by t.
 func (t Time) KnowsInterval(p int, iv int32) bool { return t[p] >= iv }
@@ -128,14 +121,6 @@ func (t Time) String() string {
 type IntervalID struct {
 	Proc int
 	Seq  int32
-}
-
-// Less orders interval IDs for deterministic iteration (not causality).
-func (a IntervalID) Less(b IntervalID) bool {
-	if a.Proc != b.Proc {
-		return a.Proc < b.Proc
-	}
-	return a.Seq < b.Seq
 }
 
 func (a IntervalID) String() string {
