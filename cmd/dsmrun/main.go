@@ -4,6 +4,12 @@
 // figures. Every run is verified against the application's sequential
 // reference.
 //
+// The flags become an expsvc.Spec (with collect set) and run through
+// the path dsmd serves: expsvc.Resolve, (*Resolved).Run, and
+// (*Resolved).Report, which -json prints indented. So dsmrun enforces
+// the service's bounds (-procs ≤ 1024, -trials ≤ 64, -unit ≤ 64) and
+// names a bad value by its spec field ("spec.unit_pages: …").
+//
 // Usage:
 //
 //	dsmrun -app MGS -unit 2                       # MGS at the 8 KB unit
@@ -106,27 +112,29 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *procs <= 0 {
-		fail(fmt.Errorf("-procs must be positive (got %d)", *procs))
+	// Zero means "the default" in a spec, so dsmrun rejects it here;
+	// Resolve names every other bad value by its spec field.
+	if *procs == 0 {
+		fail(&expsvc.FieldError{Field: "procs", Msg: "must be positive (got 0)"})
 	}
-	if *unit <= 0 {
-		fail(fmt.Errorf("-unit must be at least 1 page (got %d)", *unit))
+	if *unit == 0 {
+		fail(&expsvc.FieldError{Field: "unit_pages", Msg: "must be positive (got 0)"})
 	}
-	e, ok := apps.Lookup(*app, *dataset)
-	if !ok {
-		fail(fmt.Errorf("no registered workload matches -app %q -dataset %q (try -list)", *app, *dataset))
+	if *trials == 0 {
+		fail(&expsvc.FieldError{Field: "trials", Msg: "must be positive (got 0)"})
 	}
-
 	// Resolved before the trace file exists: a bad name leaves no file.
-	cfg, err := tmk.Config{
-		Procs: *procs, UnitPages: *unit, Dynamic: *dynamic,
+	res, err := expsvc.Resolve(expsvc.Spec{
+		App: *app, Dataset: *dataset, UnitPages: *unit, Dynamic: *dynamic,
 		Protocol: *protocol, Network: *network, Placement: *placement,
 		Scale: *scale, Barrier: *barrier, BarrierRadix: *barrierRadix,
-		Collect: true,
-	}.Resolve()
+		Procs: *procs, Trials: *trials, Collect: true,
+	})
 	if err != nil {
 		fail(err)
 	}
+	e := res.Entry
+	var sink trace.Sink
 	var tw *trace.Writer
 	var traceFile *os.File
 	var traceBuf *bufio.Writer
@@ -138,14 +146,13 @@ func main() {
 		traceFile = f
 		traceBuf = bufio.NewWriter(f)
 		tw = trace.NewWriter(traceBuf)
-		tw.SetLabel(e.App, e.Dataset)
-		cfg.Sink = tw.Sink()
+		sink = tw.Sink(e.App, e.Dataset)
 	}
 	// Ctrl-C (or SIGTERM) stops the remaining trials instead of running
 	// the cell to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ts, err := apps.RunTrialsContext(ctx, e.Make(*procs), cfg, *trials)
+	ts, err := res.Run(ctx, sink)
 	if err != nil {
 		fail(err)
 	}
@@ -166,12 +173,13 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(harness.TrialsReport(e.App, e.Dataset, e.Paper, cfg, ts)); err != nil {
+		if err := enc.Encode(res.Report(ts)); err != nil {
 			fail(err)
 		}
 		return
 	}
 
+	cfg := res.EngineConfig()
 	label := harness.LabelFor(*unit, *dynamic)
 	last := ts.Trials[len(ts.Trials)-1]
 	st := last.Stats

@@ -10,15 +10,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/apps"
-	_ "repro/internal/apps/all" // populate the workload registry
 	"repro/internal/core"
+	"repro/internal/expsvc"
 	"repro/internal/harness"
 	"repro/internal/netmodel"
 	"repro/internal/tmk"
@@ -41,10 +41,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	e, ok := apps.Lookup(*app, *dataset)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dsmsig: no registered workload matches -app %q -dataset %q\n", *app, *dataset)
-		os.Exit(1)
+	if *procs == 0 {
+		fail(&expsvc.FieldError{Field: "procs", Msg: "must be positive (got 0)"})
 	}
 
 	var sigs []core.Signature
@@ -52,23 +50,26 @@ func main() {
 	for _, us := range strings.Split(*units, ",") {
 		u, err := strconv.Atoi(strings.TrimSpace(us))
 		if err != nil || (u != 1 && u != 2 && u != 4) {
-			fmt.Fprintf(os.Stderr, "dsmsig: bad unit %q (want 1, 2, or 4)\n", us)
-			os.Exit(1)
+			fail(fmt.Errorf("bad unit %q (want 1, 2, or 4)", us))
+		}
+		res, err := expsvc.Resolve(expsvc.Spec{
+			App: *app, Dataset: *dataset, UnitPages: u, Procs: *procs,
+			Protocol: *protocol, Network: *network, Placement: *placement,
+			Collect: true,
+		})
+		if err != nil {
+			fail(err)
+		}
+		ts, err := res.Run(context.Background(), nil)
+		if err != nil {
+			fail(err)
 		}
 		label := fmt.Sprintf("%dK", 4*u)
-		cell, err := harness.Run(e, harness.Config{
-			Label: label, Unit: u,
-			Protocol: *protocol, Network: *network, Placement: *placement,
-		}, *procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsmsig:", err)
-			os.Exit(1)
-		}
-		sig := core.SignatureOf(cell.Stats)
+		sig := core.SignatureOf(ts.Trials[0].Stats)
 		sigs = append(sigs, sig)
 		labels = append(labels, label)
 
-		fmt.Printf("%s %s  [%s]\n", e.App, e.Dataset, label)
+		fmt.Printf("%s %s  [%s]\n", res.Entry.App, res.Entry.Dataset, label)
 		for _, k := range sig.Buckets() {
 			bar := strings.Repeat("#", int(sig[k]*50+0.5))
 			fmt.Printf("  %d writers  %5.1f%%  %s\n", k, 100*sig[k], bar)
@@ -82,4 +83,9 @@ func main() {
 			labels[0], labels[len(labels)-1], shift, core.Classify(shift))
 		fmt.Println("paper's rule: a sizable rightward shift predicts a performance loss at the larger unit.")
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "dsmsig:", err)
+	os.Exit(1)
 }

@@ -380,7 +380,7 @@ func WithTrace(tw *TraceWriter) Option {
 		if tw == nil {
 			return fmt.Errorf("dsm: WithTrace(nil): trace writer must not be nil")
 		}
-		c.Sink = tw.Sink()
+		c.Sink = tw.Sink("", "")
 		return nil
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/apps"
-	"repro/internal/harness"
+	"repro/internal/tmk"
 	"repro/internal/trace"
 )
 
@@ -50,8 +50,8 @@ func (r *Resolved) TraceKey() string {
 }
 
 // traceStore is the bounded LRU of compact captures, keyed by
-// TraceKey. Each entry pairs the capture with the marshaled report of
-// the run that produced it — the template a derived response rewrites.
+// TraceKey. Each entry pairs the capture with the engine result of the
+// run that produced it — the template a derived report re-prices.
 // The store is bounded by entry count; its held bytes are the event
 // storage that bound costs, priced when an entry is added (an ended
 // capture does not grow).
@@ -59,7 +59,7 @@ type traceStore = lru[traceEntry]
 
 type traceEntry struct {
 	sink *trace.MemSink
-	body []byte
+	base *tmk.Result
 }
 
 func newTraceStore(max int) *traceStore {
@@ -70,13 +70,12 @@ func newTraceStore(max int) *traceStore {
 }
 
 // deriveBody answers an eligible cache miss from a stored capture, if
-// one exists and re-prices cleanly: parse the stored run's report,
-// re-price the capture through the requested network, and rewrite the
-// report's priced fields. Message and byte totals are exact; time and
-// queue re-create the recorded pricing order. Returns ok=false (engine
-// fallback) when there is no capture, the derivation's base-model
-// integrity check refuses, or the stored body does not look like the
-// single-trial report it must be.
+// one exists and re-prices cleanly: re-price the capture through the
+// requested network and report the stored run with its time, messages,
+// bytes, queue delay and network replaced. Message and byte totals are
+// exact; time and queue re-create the recorded pricing order. Returns
+// ok=false (engine fallback) when there is no capture or the
+// derivation's base-model integrity check refuses.
 func (s *Server) deriveBody(res *Resolved) ([]byte, bool) {
 	ent, ok := s.traces.Get(res.TraceKey())
 	if !ok {
@@ -86,24 +85,11 @@ func (s *Server) deriveBody(res *Resolved) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var rep harness.TrialsJSON
-	if err := json.Unmarshal(ent.body, &rep); err != nil || len(rep.Trials) != 1 {
-		return nil, false
-	}
-	rep.Network = res.c.Network
+	r := *ent.base
+	r.Network = res.c.Network
+	r.Time, r.Messages, r.Bytes, r.QueueDelay = d.Time, int(d.Msgs), int(d.Bytes), d.Queue
+	rep := res.Report(tmk.Summarize([]*tmk.Result{&r}))
 	rep.Derived = true
-	tr := &rep.Trials[0]
-	tr.Network = res.c.Network
-	tr.TimeSeconds = d.Time.Seconds()
-	tr.Messages = int(d.Msgs)
-	tr.Bytes = int(d.Bytes)
-	tr.QueueSeconds = d.Queue.Seconds()
-	rep.MinTimeSeconds = tr.TimeSeconds
-	rep.MeanTimeSeconds = tr.TimeSeconds
-	rep.MaxTimeSeconds = tr.TimeSeconds
-	rep.MeanMessages = float64(d.Msgs)
-	rep.MeanBytes = float64(d.Bytes)
-	rep.MeanQueueSeconds = tr.QueueSeconds
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return nil, false

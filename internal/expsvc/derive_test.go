@@ -1,12 +1,16 @@
 package expsvc
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/harness"
+	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
@@ -189,5 +193,83 @@ func TestTraceStoreBytes(t *testing.T) {
 	}
 	if st.Evictions() != 1 {
 		t.Fatalf("Evictions = %d after one entry fell off, want 1", st.Evictions())
+	}
+}
+
+// oracleDeriveBody is the derived answer as the service first built
+// it: parse the stored run's marshaled report, rewrite its priced
+// fields from the derivation, and marshal it again.
+func oracleDeriveBody(base []byte, sink *trace.MemSink, network string) ([]byte, bool) {
+	d, err := sink.Derive(network)
+	if err != nil {
+		return nil, false
+	}
+	var rep harness.TrialsJSON
+	if err := json.Unmarshal(base, &rep); err != nil || len(rep.Trials) != 1 {
+		return nil, false
+	}
+	rep.Network = network
+	rep.Derived = true
+	tr := &rep.Trials[0]
+	tr.Network = network
+	tr.TimeSeconds = d.Time.Seconds()
+	tr.Messages = int(d.Msgs)
+	tr.Bytes = int(d.Bytes)
+	tr.QueueSeconds = d.Queue.Seconds()
+	rep.MinTimeSeconds = tr.TimeSeconds
+	rep.MeanTimeSeconds = tr.TimeSeconds
+	rep.MaxTimeSeconds = tr.TimeSeconds
+	rep.MeanMessages = float64(d.Msgs)
+	rep.MeanBytes = float64(d.Bytes)
+	rep.MeanQueueSeconds = tr.QueueSeconds
+	body, err := json.Marshal(rep)
+	return body, err == nil
+}
+
+// TestDeriveBodyMatchesOracle: reporting the stored engine result with
+// its re-priced fields gives the same bytes as rewriting the stored
+// body, for every replay-safe app's small dataset under both static
+// protocols, derived onto every network but the base's.
+func TestDeriveBodyMatchesOracle(t *testing.T) {
+	s := New(Config{Logger: quietLogger()})
+	checked := 0
+	for _, app := range apps.Apps() {
+		if !apps.ReplaySafe(app) {
+			continue
+		}
+		for _, protocol := range []string{"homeless", "home"} {
+			base, err := Resolve(Spec{App: app, Dataset: "small", Protocol: protocol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := base.Hash()
+			body, err := s.execute(context.Background(), base, hash, quietLogger())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app, protocol, err)
+			}
+			ent, ok := s.traces.Get(base.TraceKey())
+			if !ok {
+				t.Fatalf("%s/%s: no capture stored", app, protocol)
+			}
+			for _, network := range netmodel.Names() {
+				if network == base.Canonical().Network {
+					continue
+				}
+				res, err := Resolve(Spec{App: app, Dataset: "small", Protocol: protocol, Network: network})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ok := s.deriveBody(res)
+				want, wantOK := oracleDeriveBody(body, ent.sink, network)
+				if ok != wantOK || !bytes.Equal(got, want) {
+					t.Errorf("%s/%s on %s: derived body\n%s\noracle (ok=%v)\n%s", app, protocol, network, got, wantOK, want)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d derived bodies checked", checked)
+	if checked == 0 {
+		t.Fatal("no replay-safe app was checked")
 	}
 }

@@ -241,6 +241,9 @@ func TestFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ms := range runs {
+		if m := ms.Meta(); m.App != "Jacobi" || m.Dataset != "small" {
+			t.Errorf("flight run %d labeled %q/%q, want Jacobi/small", i+1, m.App, m.Dataset)
+		}
 		d, err := ms.Derive(ms.Meta().Network)
 		if err != nil {
 			t.Fatalf("flight run %d: %v", i+1, err)

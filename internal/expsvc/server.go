@@ -20,8 +20,7 @@ type Config struct {
 	// DefaultCacheEntries).
 	CacheEntries int
 	// TraceEntries bounds the stored-capture LRU behind derived serving
-	// (<= 0 selects DefaultTraceEntries). Captures are only stored when
-	// the engine-backed runner is in use (Runner unset).
+	// (<= 0 selects DefaultTraceEntries).
 	TraceEntries int
 	// MaxConcurrentRuns bounds simultaneous engine executions (<= 0
 	// selects GOMAXPROCS). Each execution already runs one goroutine
@@ -30,8 +29,8 @@ type Config struct {
 	// on the pool (a sweep.Pool — the same scheduler the harness's
 	// comparison grids run on).
 	MaxConcurrentRuns int
-	// Runner substitutes the engine execution (nil runs the engine;
-	// tests inject counting/blocking runners).
+	// Runner substitutes the engine execution (nil selects
+	// (*Resolved).Run; tests inject counting/blocking runners).
 	Runner Runner
 	// Logger receives request and run logs (nil selects slog.Default).
 	Logger *slog.Logger
@@ -39,10 +38,7 @@ type Config struct {
 	// engine execution is traced into this ring as it completes,
 	// keeping a bounded window of the most recent simnet and lifecycle
 	// events for post-hoc inspection (dsmd serves it at /debug/trace).
-	// Ignored when Runner is set — a substitute runner decides its own
-	// tracing. Flight runs are unlabeled (the engine does not know the
-	// workload name); their run metadata still carries protocol,
-	// network, placement, and processor count.
+	// Each run is labeled with its app and dataset.
 	Flight *trace.Ring
 }
 
@@ -60,7 +56,7 @@ type Server struct {
 	mux      *http.ServeMux
 	cache    *Cache
 	coalesce group
-	run      Runner // substitute runner; nil runs the engine
+	run      Runner
 	pool     *sweep.Pool
 	log      *slog.Logger
 	started  time.Time
@@ -68,11 +64,7 @@ type Server struct {
 	flightTW *trace.Writer // shared flight-recorder writer (nil when off)
 	runDur   *histogram    // engine wall time per execution, seconds
 	queueDur *histogram    // mean simulated queue delay per run, seconds
-
-	// traces is the stored-capture LRU behind derived serving; nil
-	// exactly when a substitute Runner is installed (the server then has
-	// no engine stream to capture or replay).
-	traces *traceStore
+	traces   *traceStore   // stored captures behind derived serving
 
 	hits      atomic.Uint64 // /v1/run requests served straight from cache
 	misses    atomic.Uint64 // /v1/run requests that had to execute or join a flight
@@ -86,17 +78,12 @@ type Server struct {
 
 // New builds the service.
 func New(cfg Config) *Server {
-	var flight *trace.Ring
 	var flightTW *trace.Writer
-	var traces *traceStore
+	if cfg.Flight != nil {
+		flightTW = trace.NewWriter(cfg.Flight)
+	}
 	if cfg.Runner == nil {
-		if cfg.Flight != nil {
-			flight = cfg.Flight
-			flightTW = trace.NewWriter(flight)
-		}
-		// Only the engine-backed server stores captures: a substitute
-		// runner's bodies describe no stream the service could replay.
-		traces = newTraceStore(cfg.TraceEntries)
+		cfg.Runner = (*Resolved).Run
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -108,9 +95,9 @@ func New(cfg Config) *Server {
 		pool:     sweep.New(cfg.MaxConcurrentRuns),
 		log:      cfg.Logger,
 		started:  time.Now(),
-		flight:   flight,
+		flight:   cfg.Flight,
 		flightTW: flightTW,
-		traces:   traces,
+		traces:   newTraceStore(cfg.TraceEntries),
 		runDur:   newHistogram(runDurationBounds),
 		queueDur: newHistogram(queueDelayBounds),
 	}
@@ -255,7 +242,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		// An eligible miss may be answerable from a stored capture of
 		// the same spec on another network — no engine, no run slot.
-		if s.traces != nil && res.Derivable() {
+		if res.Derivable() {
 			if body, ok := s.deriveBody(res); ok {
 				s.derived.Add(1)
 				s.cache.Add(hash, body)
@@ -300,44 +287,49 @@ const statusClientClosedRequest = 499
 // execute runs one engine execution under the bounded run pool (the
 // miss path rides the sweep scheduler's budget, so service traffic
 // and any in-process comparison grids share one machine's worth of
-// concurrency).
+// concurrency). An eligible execution is captured, so later misses for
+// the same spec on other networks can be derived, and the capture is
+// then written to the flight recorder; any other execution is traced
+// straight into the recorder. A capture is stored only if a run filled
+// it.
 func (s *Server) execute(ctx context.Context, res *Resolved, hash string, log *slog.Logger) ([]byte, error) {
 	v, err := s.pool.Do(ctx, func(ctx context.Context) (any, error) {
 		s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
 
-		start := time.Now()
-		var body []byte
-		var err error
-		if s.traces != nil {
-			// Capture an eligible execution's stream so later misses
-			// for the same spec on other networks can be derived.
-			var ms *trace.MemSink
-			body, ms, err = engineRun(ctx, res, s.flightTW, res.Derivable())
-			if err == nil && ms != nil {
-				s.traces.Add(res.TraceKey(), traceEntry{ms, body})
-			}
-		} else {
-			body, err = s.run(ctx, res)
+		var ms *trace.MemSink
+		var sink trace.Sink // a nil interface, never a nil *MemSink
+		switch {
+		case res.Derivable():
+			ms = trace.NewMemSink()
+			sink = ms
+		case s.flightTW != nil:
+			sink = s.flightTW.Sink(res.Entry.App, res.Entry.Dataset)
 		}
+		start := time.Now()
+		ts, err := s.run(res, ctx, sink)
 		elapsed := time.Since(start)
 		if err != nil {
 			s.runErrors.Add(1)
 			return nil, err
 		}
+		body, err := json.Marshal(res.Report(ts))
+		if err != nil {
+			s.runErrors.Add(1)
+			return nil, err
+		}
+		if ms != nil && ms.Ended() {
+			s.traces.Add(res.TraceKey(), traceEntry{ms, ts.Trials[0]})
+			if s.flightTW != nil {
+				// The recorder's ring cannot fail a write; a Writer error
+				// would only mean a lost flight window, never a wrong result.
+				_ = ms.EmitJSONL(s.flightTW, res.Entry.App, res.Entry.Dataset)
+			}
+		}
 		s.runs.Add(1)
 		s.runNanos.Add(int64(elapsed))
 		s.runDur.Observe(elapsed.Seconds())
-		// The run body is a harness.TrialsJSON; its mean simulated queue
-		// delay feeds the second histogram. A body that does not parse
-		// (substitute runners in tests return arbitrary bytes) simply
-		// records nothing.
-		var rep struct {
-			MeanQueueSeconds float64 `json:"mean_queue_seconds"`
-		}
-		if json.Unmarshal(body, &rep) == nil {
-			s.queueDur.Observe(rep.MeanQueueSeconds)
-		}
+		s.queueDur.Observe(ts.MeanQueueDelay.Seconds())
 		s.cache.Add(hash, body)
 		log.Info("cell executed", "wall_ms", elapsed.Milliseconds(), "bytes", len(body))
 		return body, nil
@@ -400,12 +392,10 @@ func (s *Server) Stats() StatsJSON {
 		InFlightRuns:      s.inFlight.Load(),
 		MaxConcurrentRuns: s.pool.Workers(),
 		TotalRunSeconds:   time.Duration(s.runNanos.Load()).Seconds(),
-	}
-	if s.traces != nil {
-		st.TraceEntries = s.traces.Len()
-		st.TraceCapacity = s.traces.Capacity()
-		st.TraceBytes = s.traces.heldBytes()
-		st.TraceEvictions = s.traces.Evictions()
+		TraceEntries:      s.traces.Len(),
+		TraceCapacity:     s.traces.Capacity(),
+		TraceBytes:        s.traces.heldBytes(),
+		TraceEvictions:    s.traces.Evictions(),
 	}
 	if st.Runs > 0 {
 		st.MeanRunSeconds = st.TotalRunSeconds / float64(st.Runs)

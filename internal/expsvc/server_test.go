@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // countingRunner is a Runner double that counts engine executions and
@@ -29,7 +31,7 @@ type countingRunner struct {
 	started chan struct{} // receives one value per execution start
 }
 
-func (c *countingRunner) run(ctx context.Context, r *Resolved) ([]byte, error) {
+func (c *countingRunner) run(r *Resolved, ctx context.Context, _ trace.Sink) (*tmk.TrialSummary, error) {
 	c.execs.Add(1)
 	if c.started != nil {
 		c.started <- struct{}{}
@@ -41,7 +43,7 @@ func (c *countingRunner) run(ctx context.Context, r *Resolved) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
-	return []byte(fmt.Sprintf(`{"app":%q,"dataset":%q}`, r.Entry.App, r.Entry.Dataset)), nil
+	return tmk.Summarize([]*tmk.Result{{Network: r.Canonical().Network}}), nil
 }
 
 func quietLogger() *slog.Logger {
@@ -492,4 +494,56 @@ func TestEngineEndToEnd(t *testing.T) {
 		}
 	}
 	metricValue(t, exposition, "dsmd_pagepool_drops_total") // present; zero is fine
+}
+
+// TestRunMatchesServedBody: the CLI path (Resolve, Run, Report) and
+// /v1/run produce the same report, byte for byte once marshaled.
+func TestRunMatchesServedBody(t *testing.T) {
+	spec := Spec{App: "jacobi", Dataset: "small", Collect: true, Trials: 2}
+	res, err := Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := res.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res.Report(ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv := newTestServer(t, Config{})
+	resp := postSpec(t, srv, `{"app":"jacobi","dataset":"small","collect":true,"trials":2}`)
+	if got := readBody(t, resp); got != string(want) {
+		t.Fatalf("served body differs from the CLI report:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestSubstituteRunnerStoresNoCapture: a runner that ignores its sink
+// leaves no capture to store (even for a derivable spec) and writes
+// nothing to the flight recorder.
+func TestSubstituteRunnerStoresNoCapture(t *testing.T) {
+	ring := trace.NewRing(1 << 10)
+	runner := &countingRunner{}
+	s, ts := newTestServer(t, Config{Runner: runner.run, Flight: ring})
+	header := ring.Len() // the recorder's Writer starts with its header line
+	for _, spec := range []string{
+		`{"app":"jacobi","dataset":"small"}`,            // derivable: offered a capture
+		`{"app":"jacobi","dataset":"small","trials":2}`, // offered the flight sink
+	} {
+		resp := postSpec(t, ts, spec)
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", spec, resp.StatusCode, body)
+		}
+	}
+	if n := runner.execs.Load(); n != 2 {
+		t.Fatalf("runner ran %d times, want 2", n)
+	}
+	if st := s.Stats(); st.TraceEntries != 0 || st.TraceBytes != 0 {
+		t.Errorf("substitute runs stored a capture: %+v", st)
+	}
+	if n := ring.Len() - header; n != 0 {
+		t.Errorf("flight ring gained %d lines from substitute runs, want 0", n)
+	}
 }

@@ -176,7 +176,7 @@ func TestDeriveTiedLockRequests(t *testing.T) {
 func jsonl(ms *trace.MemSink) (*bytes.Buffer, error) {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	if err := ms.EmitJSONL(w); err != nil {
+	if err := ms.EmitJSONL(w, "", ""); err != nil {
 		return nil, fmt.Errorf("emit: %w", err)
 	}
 	if err := w.Close(); err != nil {

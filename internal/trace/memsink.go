@@ -367,16 +367,23 @@ func (ms *MemSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Durati
 
 // EmitJSONL writes the ended capture to w as one run: run_start, one
 // line per event in capture order, run_end with the recorded totals
-// and final clocks.
+// and final clocks. app and dataset label the run where its recorded
+// identity leaves them empty, as it does for every engine capture.
 // The run's lines are written while holding w's lock, so runs emitted
 // by concurrent captures sharing w never interleave; ReadRuns is the
 // inverse. It returns w's sticky write error.
-func (ms *MemSink) EmitJSONL(w *Writer) error {
+func (ms *MemSink) EmitJSONL(w *Writer, app, dataset string) error {
 	s, err := ms.read("EmitJSONL")
 	if err != nil {
 		return err
 	}
 	defer ms.readDone()
+	if s.meta.App == "" {
+		s.meta.App = app
+	}
+	if s.meta.Dataset == "" {
+		s.meta.Dataset = dataset
+	}
 	return s.emitJSONL(w)
 }
 

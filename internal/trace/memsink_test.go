@@ -122,8 +122,7 @@ func TestMemSinkEmitJSONLParity(t *testing.T) {
 	goldenRun(ms)
 	var got bytes.Buffer
 	w := trace.NewWriter(&got)
-	w.SetLabel("Jacobi", "small")
-	if err := ms.EmitJSONL(w); err != nil {
+	if err := ms.EmitJSONL(w, "Jacobi", "small"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -179,7 +178,7 @@ func sameCapture(t *testing.T, name string, ms *trace.MemSink, ref *trace.RefSin
 	}
 	var got, want bytes.Buffer
 	gw, ww := trace.NewWriter(&got), trace.NewWriter(&want)
-	if err := ms.EmitJSONL(gw); err != nil {
+	if err := ms.EmitJSONL(gw, "", ""); err != nil {
 		t.Fatalf("%s: EmitJSONL: %v", name, err)
 	}
 	if err := ref.EmitJSONL(ww); err != nil {
@@ -332,7 +331,7 @@ func TestConcurrentDerive(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent derivation %+v, alone %+v", got, want)
 				}
-				if err := ms.EmitJSONL(trace.NewWriter(io.Discard)); err != nil {
+				if err := ms.EmitJSONL(trace.NewWriter(io.Discard), "", ""); err != nil {
 					t.Error(err)
 				}
 			}

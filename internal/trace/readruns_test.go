@@ -360,7 +360,7 @@ func TestSharedWriterKeepsRunsContiguous(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := tmk.Config{Procs: 4, UnitPages: 1, Network: network, Sink: tw.Sink()}
+			cfg := tmk.Config{Procs: 4, UnitPages: 1, Network: network, Sink: tw.Sink("", "")}
 			if _, err := apps.RunTrials(e.Make(4), cfg, 2); err != nil {
 				t.Error(err)
 			}

@@ -166,8 +166,6 @@ type Writer struct {
 	mu      sync.Mutex
 	out     io.Writer
 	err     error
-	app     string
-	dataset string
 	nextRun int64
 	line    bytes.Buffer
 	enc     *json.Encoder // encodes into line
@@ -181,15 +179,6 @@ func NewWriter(out io.Writer) *Writer {
 	w.emit(&Event{E: EvHeader, V: Version})
 	w.mu.Unlock()
 	return w
-}
-
-// SetLabel sets the app/dataset identity stamped on runs written after
-// it whose meta leaves them empty (the engine knows its configuration
-// but not which workload drives it).
-func (w *Writer) SetLabel(app, dataset string) {
-	w.mu.Lock()
-	w.app, w.dataset = app, dataset
-	w.mu.Unlock()
 }
 
 // Err returns the first write error, if any.
@@ -219,36 +208,35 @@ func (w *Writer) emit(ev *Event) {
 	}
 }
 
-// beginRun assigns the next run id, fills empty App/Dataset from the
-// Writer's label, and writes the run_start line. The caller holds w.mu.
+// beginRun assigns the next run id and writes the run_start line. The
+// caller holds w.mu.
 func (w *Writer) beginRun(meta RunMeta) int64 {
 	w.nextRun++
-	if meta.App == "" {
-		meta.App = w.app
-	}
-	if meta.Dataset == "" {
-		meta.Dataset = w.dataset
-	}
 	w.emit(&Event{E: EvRunStart, R: w.nextRun, RunMeta: meta})
 	return w.nextRun
 }
 
 // Sink returns a capture sink that writes each run it sees to w as it
-// ends: the run is buffered in a MemSink, emitted with EmitJSONL at
-// RunEnd, and the buffer released. A System running several trials
-// therefore writes one run id per trial. Like any MemSink, the sink
-// holds one run at a time: give each System that runs alongside others
-// its own; they may all share w. Write errors stay in w and surface
-// through Close.
-func (w *Writer) Sink() Sink { return &writerSink{MemSink: NewMemSink(), w: w} }
+// ends, labeled with the workload's app and dataset (the engine knows
+// its configuration but not which workload drives it; empty leaves the
+// run unlabeled): the run is buffered in a MemSink, emitted with
+// EmitJSONL at RunEnd, and the buffer released. A System running
+// several trials therefore writes one run id per trial. Like any
+// MemSink, the sink holds one run at a time: give each System that runs
+// alongside others its own; they may all share w. Write errors stay in
+// w and surface through Close.
+func (w *Writer) Sink(app, dataset string) Sink {
+	return &writerSink{MemSink: NewMemSink(), w: w, app: app, dataset: dataset}
+}
 
 type writerSink struct {
 	*MemSink
-	w *Writer
+	w            *Writer
+	app, dataset string
 }
 
 func (s *writerSink) RunEnd(time sim.Duration, msgs, bytes int64, queue sim.Duration, clocks []sim.Duration) {
 	s.MemSink.RunEnd(time, msgs, bytes, queue, clocks)
-	_ = s.EmitJSONL(s.w) // a write error sticks in s.w
+	_ = s.EmitJSONL(s.w, s.app, s.dataset) // a write error sticks in s.w
 	s.Release()
 }

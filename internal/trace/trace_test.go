@@ -125,7 +125,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // silently truncated capture.
 func TestWriterStickyError(t *testing.T) {
 	w := trace.NewWriter(&failAfter{n: 2}) // header + run_start succeed
-	s := w.Sink()
+	s := w.Sink("", "")
 	s.Begin(trace.RunMeta{Network: "ideal", Procs: 2})
 	s.TraceLeg(simnet.DiffRequest, 0, 1, 64, 0, 0) // its line fails, sticks
 	s.RunEnd(0, 1, 64, 0, []sim.Duration{0, 0})    // run_end dropped
@@ -140,7 +140,7 @@ func TestWriterStickyError(t *testing.T) {
 func TestRingWindow(t *testing.T) {
 	ring := trace.NewRing(4)
 	w := trace.NewWriter(ring)
-	s := w.Sink()
+	s := w.Sink("", "")
 	s.Begin(trace.RunMeta{Network: "ideal", Procs: 2})
 	for i := 0; i < 10; i++ {
 		s.TraceLeg(simnet.DiffRequest, 0, 1, 100+i, sim.Duration(i), 0)
