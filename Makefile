@@ -26,8 +26,10 @@ profile:
 
 # alloc-check runs only the allocation-budget tests: steady-state
 # allocs/op in the lrc interval path, mem diff path, vc operations,
-# the homeless jacobi inner loop, and the MemSink capture path (plain
-# and capture-enabled engine runs) must stay under the pinned budgets;
+# the homeless jacobi inner loop, and the MemSink capture path (plain,
+# capture-enabled and instrumented engine runs: with the §5.3 collector
+# on, a trial allocates nothing per exchange or per fault) must stay
+# under the pinned budgets;
 # a second identical harness cell must allocate well under what it did
 # before cells recycled each other's pages; a steady-state barrier
 # episode at 64 processors must allocate its epoch and nothing else —

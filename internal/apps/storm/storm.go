@@ -25,10 +25,17 @@
 package storm
 
 import (
+	"fmt"
+
 	"repro/internal/apps"
 	"repro/internal/mem"
 	"repro/internal/tmk"
 )
+
+// seqMemo shares the sequential reference across workload instances of
+// the same configuration (see apps.SeqMemo); Check treats the returned
+// slice as read-only.
+var seqMemo apps.SeqMemo[[]int64]
 
 // Config selects the dataset.
 type Config struct {
@@ -108,10 +115,10 @@ func (a *App) Body(p *tmk.Proc) {
 	a.sums[i] = sum
 }
 
-// Check implements apps.Workload: replay the program sequentially —
-// all write phases of an episode, then all reads — on a local memory
-// and compare every processor's checksum.
-func (a *App) Check() error {
+// Sequential replays the program sequentially — all write phases of an
+// episode, then all reads — on a local memory and returns every
+// processor's checksum.
+func (a *App) Sequential() []int64 {
 	m := apps.NewLocalMem(a.cfg.Procs * a.cfg.PagesPerProc * mem.PageSize)
 	arr := apps.Arr{Base: 0}
 	want := make([]int64, a.cfg.Procs)
@@ -123,5 +130,12 @@ func (a *App) Check() error {
 			want[i] += a.readPhase(m, arr, i, e)
 		}
 	}
+	return want
+}
+
+// Check implements apps.Workload: every processor's checksum must equal
+// the sequential reference's.
+func (a *App) Check() error {
+	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
 	return apps.CheckEqual("storm: checksum of proc", a.sums, want)
 }

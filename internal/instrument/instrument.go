@@ -15,32 +15,21 @@ package instrument
 
 import "repro/internal/mem"
 
-// DataMsg tracks one diff request/reply exchange with one writer.
-type DataMsg struct {
-	Writer int
-	Reader int
-
-	index      int32 // position in Collector.data[Reader]
+// exchange is the accounting of one diff request/reply exchange with one
+// writer: the diffed words it carried and how many of them its reader
+// read before overwriting (counted on the reader's goroutine).
+type exchange struct {
 	totalWords int32
-	useful     int32 // words read before overwritten (owned by Reader's goroutine)
+	useful     int32
 }
 
-// Useful reports whether the exchange carried at least one useful word.
-// Valid only after the run completes.
-func (m *DataMsg) Useful() bool { return m.useful > 0 }
-
-// TotalWords returns the number of diffed words the exchange carried.
-func (m *DataMsg) TotalWords() int { return int(m.totalWords) }
-
-// UsefulWords returns the number of words read before being overwritten.
-func (m *DataMsg) UsefulWords() int { return int(m.useful) }
-
-// Fault records one access miss that reached the fault handler.
-type Fault struct {
-	Proc    int
-	Page    int
-	Writers int // concurrent writers contacted (0 = no fetch needed)
-	msgs    []int32
+// fault records one access miss that reached the fault handler. Its
+// exchanges, one per concurrent writer contacted, are the reader's
+// data[first : first+writers]: every exchange is registered by the
+// faulting reader's own fetch, inside the fault, so one fault's
+// exchanges are contiguous.
+type fault struct {
+	first, writers int32
 }
 
 // Collector gathers per-word usefulness, per-exchange accounting, and
@@ -50,19 +39,43 @@ type Fault struct {
 // the reader's tag row, and reads consult only that row — so the
 // collector needs no locking, on the access hot path or off it.
 type Collector struct {
-	nprocs int
-	npages int
-	// tags[proc][page] is the page's word-tag row (DataMsg index+1 per
-	// word, 0 = none), materialized on the first diff tagged into that
-	// page for that processor. A processor only ever reads tags where a
-	// diff was applied, so a nil row means "no tags" and the per-proc
-	// footprint is O(pages fetched), not O(segment) — the difference
-	// between 8 and 1024 processors over a large segment.
-	tags [][][]int32
+	// tags[proc][page] is the page's word-tag row (an exchange's tag per
+	// word, 0 = none), carved from proc's rows chunk on the first diff
+	// tagged into that page for that processor. A processor only ever
+	// reads tags where a diff was applied, so a nil row means "no tags"
+	// and the per-proc footprint is O(pages fetched), not O(segment) —
+	// the difference between 8 and 1024 processors over a large segment.
+	tags [][]*[mem.WordsPerPage]int32
+	rows []rowChunk // [proc]: where proc's next tag row comes from
 
-	data [][]*DataMsg // [proc]: exchanges created by proc's faults
+	data [][]exchange // [proc]: exchanges created by proc's faults; tag = index+1
 
-	faults [][]Fault // per proc, appended only by that proc
+	faults [][]fault // per proc, appended only by that proc
+}
+
+// rowChunk carves tag rows out of chunks whose lengths double from one
+// row to maxChunkRows: a processor that fetches a few pages holds a few
+// rows, one that fetches hundreds pays an allocation per maxChunkRows.
+// Fresh chunks are zeroed, and a collector lives one run, so a carved
+// row starts with no tags. Rows never come from mem's page recycler:
+// listed there they displaced replica frames under the recycler's one
+// bound (DESIGN §15).
+type rowChunk struct {
+	free []int32 // unused tail of the current chunk
+	last int     // rows in the current chunk
+}
+
+const maxChunkRows = 16
+
+// row returns a zeroed tag row.
+func (rc *rowChunk) row() *[mem.WordsPerPage]int32 {
+	if len(rc.free) < mem.WordsPerPage {
+		rc.last = min(max(1, 2*rc.last), maxChunkRows)
+		rc.free = make([]int32, rc.last*mem.WordsPerPage)
+	}
+	r := (*[mem.WordsPerPage]int32)(rc.free)
+	rc.free = rc.free[mem.WordsPerPage:]
+	return r
 }
 
 // NewCollector returns a collector for nprocs processors over a segment
@@ -70,14 +83,13 @@ type Collector struct {
 func NewCollector(nprocs, segBytes int) *Collector {
 	npages := mem.RoundUpPages(segBytes) / mem.PageSize
 	c := &Collector{
-		nprocs: nprocs,
-		npages: npages,
-		tags:   make([][][]int32, nprocs),
-		data:   make([][]*DataMsg, nprocs),
-		faults: make([][]Fault, nprocs),
+		tags:   make([][]*[mem.WordsPerPage]int32, nprocs),
+		rows:   make([]rowChunk, nprocs),
+		data:   make([][]exchange, nprocs),
+		faults: make([][]fault, nprocs),
 	}
 	for p := range c.tags {
-		c.tags[p] = make([][]int32, npages)
+		c.tags[p] = make([]*[mem.WordsPerPage]int32, npages)
 	}
 	return c
 }
@@ -87,71 +99,47 @@ func NewCollector(nprocs, segBytes int) *Collector {
 // works on it directly: a read of a word whose tag is non-zero calls
 // Credit and zeroes the tag, a write zeroes it. Rows are only touched on
 // proc's goroutine.
-func (c *Collector) TagRow(proc, page int) []int32 { return c.tags[proc][page] }
+func (c *Collector) TagRow(proc, page int) *[mem.WordsPerPage]int32 { return c.tags[proc][page] }
 
 // Credit records that proc read a word carrying tag before overwriting
 // it: the exchange behind the tag carried one more useful word.
 func (c *Collector) Credit(proc int, tag int32) { c.data[proc][tag-1].useful++ }
 
-// OnRead records a read of the word at byte address addr by proc. If the
-// word was applied by a diff and not yet overwritten, the carrying
-// exchange is credited with a useful word.
-func (c *Collector) OnRead(proc int, addr mem.Addr) {
-	row := c.TagRow(proc, mem.PageOf(addr))
-	if row == nil {
-		return
-	}
-	w := mem.WordIndex(addr)
-	if tag := row[w]; tag != 0 {
-		c.Credit(proc, tag)
-		row[w] = 0
-	}
-}
-
-// OnWrite records a write: an applied-but-unread word overwritten locally
-// becomes useless (its tag is dropped without credit).
-func (c *Collector) OnWrite(proc int, addr mem.Addr) {
-	if row := c.TagRow(proc, mem.PageOf(addr)); row != nil {
-		row[mem.WordIndex(addr)] = 0
-	}
-}
-
-// NewDataMsg registers a diff exchange between reader and writer. It
-// must be called on the reader's goroutine (exchanges are created by
-// the faulting reader), right after the exchange's SendExchange: the
-// engine registers every data exchange it sends, and nothing else.
-func (c *Collector) NewDataMsg(writer, reader int) *DataMsg {
-	m := &DataMsg{Writer: writer, Reader: reader}
-	m.index = int32(len(c.data[reader]))
-	c.data[reader] = append(c.data[reader], m)
-	return m
+// NewDataMsg registers a diff exchange of reader's and returns its tag,
+// the handle TagDiff takes. It must be called on the reader's goroutine
+// (exchanges are created by the faulting reader), inside the fault and
+// right after the exchange's SendExchange: the engine registers every
+// data exchange it sends, and nothing else.
+func (c *Collector) NewDataMsg(reader int) int32 {
+	c.data[reader] = append(c.data[reader], exchange{})
+	return int32(len(c.data[reader]))
 }
 
 // TagDiff marks every word of d (applied to page in proc's replica) as
-// carried by exchange m. A word already tagged by an earlier exchange is
-// re-tagged; the earlier exchange simply never receives the credit
-// (overwritten before read).
-func (c *Collector) TagDiff(proc, page int, d mem.Diff, m *DataMsg) {
-	tag := m.index + 1
+// carried by the exchange tag names. A word already tagged by an earlier
+// exchange is re-tagged; the earlier exchange simply never receives the
+// credit (overwritten before read).
+func (c *Collector) TagDiff(proc, page int, d mem.Diff, tag int32) {
 	row := c.tags[proc][page]
 	if row == nil {
-		row = make([]int32, mem.WordsPerPage)
+		row = c.rows[proc].row()
 		c.tags[proc][page] = row
 	}
 	d.ForEachWord(func(w int) {
 		row[w] = tag
 	})
-	m.totalWords += int32(d.WordCount())
+	c.data[proc][tag-1].totalWords += int32(d.WordCount())
 }
 
-// OnFault records one access miss by proc on page, contacting the given
-// exchanges (one per concurrent writer).
-func (c *Collector) OnFault(proc, page int, msgs []*DataMsg) {
-	f := Fault{Proc: proc, Page: page, Writers: len(msgs)}
-	for _, m := range msgs {
-		f.msgs = append(f.msgs, m.index)
-	}
-	c.faults[proc] = append(c.faults[proc], f)
+// Exchanges returns how many exchanges proc has registered: taken when a
+// fault begins, it is the first of the fault's exchanges (see OnFault).
+func (c *Collector) Exchanges(proc int) int32 { return int32(len(c.data[proc])) }
+
+// OnFault records one access miss by proc whose exchanges, one per
+// concurrent writer contacted, are every exchange proc registered since
+// Exchanges returned first.
+func (c *Collector) OnFault(proc int, first int32) {
+	c.faults[proc] = append(c.faults[proc], fault{first: first, writers: c.Exchanges(proc) - first})
 }
 
 // SigBucket is one bar of the false-sharing signature: the faults that
@@ -218,15 +206,15 @@ func (c *Collector) Finalize(msgs, wireBytes, dataMsgs int) *Stats {
 
 	// Classify exchanges.
 	useful := 0
-	for _, procMsgs := range c.data {
-		for _, m := range procMsgs {
+	for _, xs := range c.data {
+		for _, x := range xs {
 			s.Exchanges++
-			if m.Useful() {
+			if x.useful > 0 {
 				useful++
-				s.UsefulBytes += int(m.useful) * mem.WordSize
-				s.PiggybackedBytes += int(m.totalWords-m.useful) * mem.WordSize
+				s.UsefulBytes += int(x.useful) * mem.WordSize
+				s.PiggybackedBytes += int(x.totalWords-x.useful) * mem.WordSize
 			} else {
-				s.UselessBytes += int(m.totalWords) * mem.WordSize
+				s.UselessBytes += int(x.totalWords) * mem.WordSize
 			}
 		}
 	}
@@ -236,22 +224,22 @@ func (c *Collector) Finalize(msgs, wireBytes, dataMsgs int) *Stats {
 	s.Messages.Useful = msgs - s.Messages.Useless
 
 	// Signature.
-	for p := range c.faults {
-		for i := range c.faults[p] {
-			f := &c.faults[p][i]
+	for p, faults := range c.faults {
+		for _, f := range faults {
 			s.Faults++
-			if f.Writers == 0 {
+			if f.writers == 0 {
 				s.ZeroFetchFaults++
 				continue
 			}
-			b := s.Signature[f.Writers]
+			w := int(f.writers)
+			b := s.Signature[w]
 			if b == nil {
-				b = &SigBucket{Writers: f.Writers}
-				s.Signature[f.Writers] = b
+				b = &SigBucket{Writers: w}
+				s.Signature[w] = b
 			}
 			b.Faults++
-			for _, idx := range f.msgs {
-				if c.data[p][idx].Useful() {
+			for _, x := range c.data[p][f.first : f.first+f.writers] {
+				if x.useful > 0 {
 					b.UsefulMsgs += 2 // request + reply
 				} else {
 					b.UselessMsgs += 2

@@ -24,38 +24,65 @@ func addrOf(page, word int) mem.Addr {
 	return mem.PageBase(page) + word*mem.WordSize
 }
 
+// onRead is the engine's read step on the collector, one word at a
+// time: a read of a word a diff applied, not yet overwritten, credits
+// the exchange that carried it, once.
+func (c *Collector) onRead(proc int, addr mem.Addr) {
+	row := c.TagRow(proc, mem.PageOf(addr))
+	if row == nil {
+		return
+	}
+	w := mem.WordIndex(addr)
+	if tag := row[w]; tag != 0 {
+		c.Credit(proc, tag)
+		row[w] = 0
+	}
+}
+
+// onWrite is the engine's write step: an applied-but-unread word
+// overwritten locally becomes useless (its tag is dropped without
+// credit).
+func (c *Collector) onWrite(proc int, addr mem.Addr) {
+	if row := c.TagRow(proc, mem.PageOf(addr)); row != nil {
+		row[mem.WordIndex(addr)] = 0
+	}
+}
+
+// msg returns the accounting of reader's exchange tag.
+func (c *Collector) msg(reader int, tag int32) exchange { return c.data[reader][tag-1] }
+
 func TestUsefulWordReadBeforeOverwrite(t *testing.T) {
 	c := NewCollector(2, 2*mem.PageSize)
-	m := c.NewDataMsg(1, 0)
+	m := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(3, 4), m)
-	if m.TotalWords() != 2 {
-		t.Fatalf("TotalWords = %d", m.TotalWords())
+	if c.msg(0, m).totalWords != 2 {
+		t.Fatalf("totalWords = %d", c.msg(0, m).totalWords)
 	}
-	c.OnRead(0, addrOf(0, 3))
-	if m.UsefulWords() != 1 || !m.Useful() {
-		t.Fatalf("useful = %d", m.UsefulWords())
+	c.onRead(0, addrOf(0, 3))
+	if c.msg(0, m).useful != 1 {
+		t.Fatalf("useful = %d", c.msg(0, m).useful)
 	}
 	// Re-reading the same word must not double-credit.
-	c.OnRead(0, addrOf(0, 3))
-	if m.UsefulWords() != 1 {
+	c.onRead(0, addrOf(0, 3))
+	if c.msg(0, m).useful != 1 {
 		t.Fatal("double credit on repeated read")
 	}
 }
 
 func TestUselessWordOverwrittenBeforeRead(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 0)
+	m := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(7), m)
-	c.OnWrite(0, addrOf(0, 7))
-	c.OnRead(0, addrOf(0, 7)) // reads own write, not the diffed value
-	if m.Useful() {
+	c.onWrite(0, addrOf(0, 7))
+	c.onRead(0, addrOf(0, 7)) // reads own write, not the diffed value
+	if c.msg(0, m).useful != 0 {
 		t.Fatal("overwritten-before-read word must not be useful")
 	}
 }
 
 func TestUntouchedWordsAreUseless(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 0)
+	m := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(0, 1, 2), m)
 	st := c.Finalize(2, 16+64, 2)
 	if st.UselessBytes != 3*mem.WordSize || st.UsefulBytes != 0 {
@@ -65,9 +92,9 @@ func TestUntouchedWordsAreUseless(t *testing.T) {
 
 func TestPiggybackedUselessData(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	m := c.NewDataMsg(1, 0)
+	m := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(0, 1, 2, 3), m)
-	c.OnRead(0, addrOf(0, 0)) // one useful word ⇒ message useful
+	c.onRead(0, addrOf(0, 0)) // one useful word ⇒ message useful
 	st := c.Finalize(2, 16+64, 2)
 	if st.UsefulBytes != 1*mem.WordSize {
 		t.Fatalf("useful bytes = %d", st.UsefulBytes)
@@ -85,26 +112,26 @@ func TestRetagTransfersCredit(t *testing.T) {
 	// first exchange's copy was overwritten before read ⇒ useless; the
 	// read credits only the second exchange.
 	c := NewCollector(1, mem.PageSize)
-	m1 := c.NewDataMsg(1, 0)
-	m2 := c.NewDataMsg(2, 0)
+	m1 := c.NewDataMsg(0)
+	m2 := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(9), m1)
 	c.TagDiff(0, 0, diffOfWords(9), m2)
-	c.OnRead(0, addrOf(0, 9))
-	if m1.Useful() {
+	c.onRead(0, addrOf(0, 9))
+	if c.msg(0, m1).useful != 0 {
 		t.Fatal("first exchange must be useless")
 	}
-	if !m2.Useful() {
+	if c.msg(0, m2).useful == 0 {
 		t.Fatal("second exchange must be useful")
 	}
 }
 
 func TestMessageClassification(t *testing.T) {
 	c := NewCollector(1, mem.PageSize)
-	mu := c.NewDataMsg(1, 0) // will be useful
-	ml := c.NewDataMsg(2, 0) // will be useless
+	mu := c.NewDataMsg(0) // will be useful
+	ml := c.NewDataMsg(0) // will be useless
 	c.TagDiff(0, 0, diffOfWords(0), mu)
 	c.TagDiff(0, 0, diffOfWords(1), ml)
-	c.OnRead(0, addrOf(0, 0))
+	c.onRead(0, addrOf(0, 0))
 
 	// The run: both exchanges' requests (16 bytes) and replies (100),
 	// one barrier arrival (8) and one release (24).
@@ -129,19 +156,21 @@ func TestMessageClassification(t *testing.T) {
 func TestSignatureBuckets(t *testing.T) {
 	c := NewCollector(1, 4*mem.PageSize)
 	// Fault 1: two writers, one useful one useless.
-	a := c.NewDataMsg(1, 0)
-	b := c.NewDataMsg(2, 0)
+	first := c.Exchanges(0)
+	a := c.NewDataMsg(0)
+	b := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(0), a)
 	c.TagDiff(0, 0, diffOfWords(1), b)
-	c.OnFault(0, 0, []*DataMsg{a, b})
-	c.OnRead(0, addrOf(0, 0))
+	c.OnFault(0, first)
+	c.onRead(0, addrOf(0, 0))
 	// Fault 2: one writer, useful.
-	d := c.NewDataMsg(1, 0)
+	first = c.Exchanges(0)
+	d := c.NewDataMsg(0)
 	c.TagDiff(0, 1, diffOfWords(0), d)
-	c.OnFault(0, 1, []*DataMsg{d})
-	c.OnRead(0, addrOf(1, 0))
+	c.OnFault(0, first)
+	c.onRead(0, addrOf(1, 0))
 	// Fault 3: prefetched page, no fetch.
-	c.OnFault(0, 2, nil)
+	c.OnFault(0, c.Exchanges(0))
 
 	// Three exchanges, six data messages, no synchronization.
 	st := c.Finalize(6, 0, 6)
@@ -168,14 +197,14 @@ func TestPerProcTagIsolation(t *testing.T) {
 	// The same global word tagged for proc 0 must not be visible to
 	// proc 1's reads.
 	c := NewCollector(2, mem.PageSize)
-	m := c.NewDataMsg(1, 0)
+	m := c.NewDataMsg(0)
 	c.TagDiff(0, 0, diffOfWords(5), m)
-	c.OnRead(1, addrOf(0, 5))
-	if m.Useful() {
+	c.onRead(1, addrOf(0, 5))
+	if c.msg(0, m).useful != 0 {
 		t.Fatal("cross-processor credit")
 	}
-	c.OnRead(0, addrOf(0, 5))
-	if !m.Useful() {
+	c.onRead(0, addrOf(0, 5))
+	if c.msg(0, m).useful == 0 {
 		t.Fatal("owner read must credit")
 	}
 }
@@ -199,10 +228,11 @@ type record struct {
 	bytes int
 }
 
-// exchange names the request and reply records of one registered data
-// exchange.
-type exchange struct {
-	m          *DataMsg
+// sent names the request and reply records of one registered data
+// exchange: its reader and tag.
+type sent struct {
+	reader     int
+	tag        int32
 	req, reply int
 }
 
@@ -211,18 +241,19 @@ type exchange struct {
 // useful exchange, every other message is useful, and the wire bytes
 // are the records' sum. It is the reference Finalize is checked
 // against.
-func (c *Collector) finalizeFromRecords(records []record, exchanges []exchange) *Stats {
+func (c *Collector) finalizeFromRecords(records []record, exchanges []sent) *Stats {
 	s := &Stats{Signature: make(map[int]*SigBucket)}
 
 	usefulByID := make(map[int]bool)
 	for _, x := range exchanges {
-		usefulByID[x.req] = x.m.Useful()
-		usefulByID[x.reply] = x.m.Useful()
+		m := c.msg(x.reader, x.tag)
+		usefulByID[x.req] = m.useful > 0
+		usefulByID[x.reply] = m.useful > 0
 	}
-	for _, procMsgs := range c.data {
-		for _, m := range procMsgs {
+	for _, xs := range c.data {
+		for _, m := range xs {
 			s.Exchanges++
-			if m.Useful() {
+			if m.useful > 0 {
 				s.UsefulBytes += int(m.useful) * mem.WordSize
 				s.PiggybackedBytes += int(m.totalWords-m.useful) * mem.WordSize
 			} else {
@@ -241,21 +272,20 @@ func (c *Collector) finalizeFromRecords(records []record, exchanges []exchange) 
 	}
 
 	for p := range c.faults {
-		for i := range c.faults[p] {
-			f := &c.faults[p][i]
+		for _, f := range c.faults[p] {
 			s.Faults++
-			if f.Writers == 0 {
+			if f.writers == 0 {
 				s.ZeroFetchFaults++
 				continue
 			}
-			b := s.Signature[f.Writers]
+			b := s.Signature[int(f.writers)]
 			if b == nil {
-				b = &SigBucket{Writers: f.Writers}
-				s.Signature[f.Writers] = b
+				b = &SigBucket{Writers: int(f.writers)}
+				s.Signature[int(f.writers)] = b
 			}
 			b.Faults++
-			for _, idx := range f.msgs {
-				if c.data[p][idx].Useful() {
+			for tag := f.first + 1; tag <= f.first+f.writers; tag++ {
+				if c.msg(p, tag).useful > 0 {
 					b.UsefulMsgs += 2
 				} else {
 					b.UselessMsgs += 2
@@ -282,7 +312,7 @@ func TestFinalizeMatchesRecordWalk(t *testing.T) {
 		procs, pages := 1+rng.Intn(4), 1+rng.Intn(3)
 		c := NewCollector(procs, pages*mem.PageSize)
 		var records []record
-		var exchanges []exchange
+		var exchanges []sent
 		send := func(kind simnet.MsgKind, bytes int) int {
 			records = append(records, record{id: len(records) + 1, kind: kind, bytes: bytes})
 			return len(records)
@@ -293,26 +323,25 @@ func TestFinalizeMatchesRecordWalk(t *testing.T) {
 			case 0:
 				send(syncKinds[rng.Intn(len(syncKinds))], rng.Intn(256))
 			case 1: // a fault contacting zero or more writers
-				var msgs []*DataMsg
+				first := c.Exchanges(proc)
 				for w := rng.Intn(4); w > 0; w-- {
-					x := exchange{req: send(simnet.DiffRequest, 16+8*rng.Intn(4))}
+					x := sent{reader: proc, req: send(simnet.DiffRequest, 16+8*rng.Intn(4))}
 					x.reply = send(simnet.DiffReply, rng.Intn(4096))
-					x.m = c.NewDataMsg(rng.Intn(procs), proc)
+					x.tag = c.NewDataMsg(proc)
 					var words []int
 					for i := rng.Intn(4); i > 0; i-- {
 						words = append(words, rng.Intn(16))
 					}
-					c.TagDiff(proc, page, diffOfWords(words...), x.m)
+					c.TagDiff(proc, page, diffOfWords(words...), x.tag)
 					exchanges = append(exchanges, x)
-					msgs = append(msgs, x.m)
 				}
-				c.OnFault(proc, page, msgs)
+				c.OnFault(proc, first)
 			default: // an access that may credit or drop a tagged word
 				a := addrOf(page, rng.Intn(16))
 				if rng.Intn(2) == 0 {
-					c.OnRead(proc, a)
+					c.onRead(proc, a)
 				} else {
-					c.OnWrite(proc, a)
+					c.onWrite(proc, a)
 				}
 			}
 		}

@@ -209,7 +209,7 @@ func EncodeStretchesInto(s *DiffScratch, dirty uint32, twin Twin, page []byte) D
 	// closeRun records the run [start, end): word values are captured
 	// now, so the page may keep changing afterwards.
 	closeRun := func(start, end int) {
-		words := s.wordSlab.take(end-start, slabMinBytes/WordSize, slabMaxBytes/WordSize, &pool.words)
+		words := s.takeWords(end - start)
 		for i := range words {
 			words[i] = wordAt(page, start+i)
 		}
@@ -245,6 +245,17 @@ func EncodeStretchesInto(s *DiffScratch, dirty uint32, twin Twin, page []byte) D
 	if start >= 0 {
 		closeRun(start, b>>WordShift) // the page's end or a clean stretch
 	}
+	return s.finish(runs)
+}
+
+// takeWords carves storage for one run's n word values.
+func (s *DiffScratch) takeWords(n int) []uint64 {
+	return s.wordSlab.take(n, slabMinBytes/WordSize, slabMaxBytes/WordSize, &pool.words)
+}
+
+// finish returns the diff of runs, built in s.runs, with its run list
+// carved from s; s.runs keeps the storage for the next diff.
+func (s *DiffScratch) finish(runs []Run) Diff {
 	s.runs = runs
 	if len(runs) == 0 {
 		return Diff{}
@@ -344,14 +355,15 @@ func FullPageDiffInto(words []uint64, runs []Run, page []byte) Diff {
 	return Diff{runs: runs}
 }
 
-// CoalesceDiffs merges an ordered sequence of diffs of the same page
-// into one equivalent diff: for each word, the value of the last diff
-// that wrote it. The caller must pass diffs in application order; this is
-// only meaningful for diffs that are totally ordered (e.g. successive
-// intervals of a single writer), where it reproduces TreadMarks' remedy
-// for diff accumulation — a reader that missed many intervals of a
-// one-writer page receives at most one page's worth of data.
-func CoalesceDiffs(ds []Diff) Diff {
+// Coalesce merges an ordered sequence of diffs of the same page into one
+// equivalent diff, carved from s (see DiffScratch for its lifetime): for
+// each word, the value of the last diff that wrote it. The caller must
+// pass diffs in application order; this is only meaningful for diffs
+// that are totally ordered (e.g. successive intervals of a single
+// writer), where it reproduces TreadMarks' remedy for diff accumulation
+// — a reader that missed many intervals of a one-writer page receives
+// at most one page's worth of data. A single diff is returned as it is.
+func (s *DiffScratch) Coalesce(ds []Diff) Diff {
 	if len(ds) == 1 {
 		return ds[0]
 	}
@@ -359,15 +371,14 @@ func CoalesceDiffs(ds []Diff) Diff {
 	var set [WordsPerPage]bool
 	for _, d := range ds {
 		for _, r := range d.runs {
-			for i, v := range r.Words {
-				vals[int(r.Off)+i] = v
+			copy(vals[r.Off:], r.Words)
+			for i := range r.Words {
 				set[int(r.Off)+i] = true
 			}
 		}
 	}
-	var out Diff
-	w := 0
-	for w < WordsPerPage {
+	runs := s.runs[:0]
+	for w := 0; w < WordsPerPage; {
 		if !set[w] {
 			w++
 			continue
@@ -376,9 +387,9 @@ func CoalesceDiffs(ds []Diff) Diff {
 		for w < WordsPerPage && set[w] {
 			w++
 		}
-		run := Run{Off: uint16(start), Words: make([]uint64, w-start)}
-		copy(run.Words, vals[start:w])
-		out.runs = append(out.runs, run)
+		words := s.takeWords(w - start)
+		copy(words, vals[start:w])
+		runs = append(runs, Run{Off: uint16(start), Words: words})
 	}
-	return out
+	return s.finish(runs)
 }

@@ -22,7 +22,12 @@ func refReadWord(p *Proc, a mem.Addr) float64 {
 		p.readFault(mem.PageOf(a))
 	}
 	if c := p.sys.col; c != nil {
-		c.OnRead(p.id, a)
+		if row := c.TagRow(p.id, mem.PageOf(a)); row != nil {
+			if w := mem.WordIndex(a); row[w] != 0 {
+				c.Credit(p.id, row[w])
+				row[w] = 0
+			}
+		}
 	}
 	return p.rep.ReadF64(a)
 }
@@ -33,7 +38,9 @@ func refWriteWord(p *Proc, a mem.Addr, v float64) {
 		p.writeFault(u, mem.PageOf(a))
 	}
 	if c := p.sys.col; c != nil {
-		c.OnWrite(p.id, a)
+		if row := c.TagRow(p.id, mem.PageOf(a)); row != nil {
+			row[mem.WordIndex(a)] = 0
+		}
 	}
 	page := mem.PageOf(a)
 	p.recordWrite(p.writeSetOf(page), (*[mem.PageSize]byte)(p.rep.Page(page)), a&(mem.PageSize-1))

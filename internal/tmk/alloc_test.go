@@ -63,6 +63,46 @@ func TestAllocBudgetSteadyStateRun(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetInstrumentedRun pins the steady-state budget of the
+// same trial with the §5.3 collector on, the configuration every
+// paper-grid cell runs under. A collector lives one run, so its
+// per-processor tables and tag rows are allocated again each trial, but
+// nothing may be allocated per exchange or per fault: exchanges are
+// values indexed by their tags, a fault records the range of its
+// exchanges, and coalesced diffs are carved from fetch scratch.
+//
+// With a heap record per exchange, a slice of them per fetch and one per
+// fault, and a tag row allocated per page, this trial made 711 mallocs;
+// with tag rows carved from chunks and none of the rest, 275–280. The
+// ceiling is 1.25× that.
+func TestAllocBudgetInstrumentedRun(t *testing.T) {
+	e, ok := apps.Lookup("jacobi", "small")
+	if !ok {
+		t.Fatal("jacobi/small is not registered")
+	}
+	w := e.Make(8)
+	sys, err := apps.NewSystem(w, tmk.Config{Procs: 8, UnitPages: 1, Protocol: "homeless", Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(w.Body) // cold: sizes the scratch
+	sys.Run(w.Body) // settle free lists at their steady population
+
+	best := trialMallocs(sys, w.Body)
+	for i := 0; i < 2; i++ {
+		if m := trialMallocs(sys, w.Body); m < best {
+			best = m
+		}
+	}
+	if err := w.Check(); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 350
+	if best > budget {
+		t.Errorf("steady-state instrumented homeless jacobi trial: %d mallocs, budget %d", best, budget)
+	}
+}
+
 // TestAllocBudgetCaptureRun pins the same steady-state budget with
 // MemSink capture on — the configuration every derived-sweep base cell
 // runs under. A reused sink's Reset keeps its column capacity, so

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/vc"
@@ -101,7 +100,7 @@ func refPlanDiffs(procs, numPages, up int, units []int, miss map[int][]lrc.Missi
 					ds = append(ds, it.d)
 				}
 				last := acc.items[len(acc.items)-1]
-				last.d = mem.CoalesceDiffs(ds)
+				last.d = new(mem.DiffScratch).Coalesce(ds)
 				x.reply += last.d.WireBytes()
 				items = append(items, last)
 				continue
@@ -335,20 +334,41 @@ func newOracleCase(g *diffGen, procs, up int) oracleCase {
 	return c
 }
 
-// tagAndSort attributes each exchange's items to a message naming its
-// peer (as the fetch paths do) and returns the items in application
-// order.
+// tagAndSort is the reference attribution: the remote exchanges in send
+// order take the tags 1, 2, …, every item takes its exchange's tag and a
+// local item none. It returns the items in application order.
 func tagAndSort(xs []exchange, items []fetchItem, self int, causal bool) []fetchItem {
 	items = slices.Clone(items)
+	var tag int32
 	for _, x := range xs {
 		if x.peer == self {
 			continue
 		}
-		dm := &instrument.DataMsg{Writer: x.peer, Reader: self}
+		tag++
 		for i := x.lo; i < x.hi; i++ {
-			items[i].msg = dm
+			items[i].tag = tag
 		}
 	}
+	return inOrder(items, causal)
+}
+
+// sendAndTag sends the planned exchanges from processor self of sys, as
+// a fault's fetch does, and returns the items with the tags its
+// collector gave them, counted from the fault's first exchange, in
+// application order.
+func sendAndTag(sys *System, self int, fs *fetchScratch, causal bool) []fetchItem {
+	first := sys.col.Exchanges(self)
+	sys.procs[self].sendExchanges(fs)
+	items := slices.Clone(fs.items)
+	for i := range items {
+		if items[i].tag != 0 {
+			items[i].tag -= first
+		}
+	}
+	return inOrder(items, causal)
+}
+
+func inOrder(items []fetchItem, causal bool) []fetchItem {
 	if causal {
 		sortFetchItems(items)
 	}
@@ -376,8 +396,8 @@ func sameItems(t *testing.T, c oracleCase, got, want []fetchItem) {
 			t.Fatalf("%v: item %d is page %d key (%d,%d,%d), reference page %d key (%d,%d,%d)",
 				c, i, g.page, g.sum, g.prc, g.sq, w.page, w.sum, w.prc, w.sq)
 		}
-		if (g.msg == nil) != (w.msg == nil) || g.msg != nil && *g.msg != *w.msg {
-			t.Fatalf("%v: item %d (page %d) travels in %+v, reference %+v", c, i, g.page, g.msg, w.msg)
+		if g.tag != w.tag {
+			t.Fatalf("%v: item %d (page %d) travels in exchange %d, reference %d", c, i, g.page, g.tag, w.tag)
 		}
 		if !reflect.DeepEqual(g.d.Runs(), w.d.Runs()) {
 			t.Fatalf("%v: item %d (page %d) diff %v, reference %v", c, i, g.page, g.d.Runs(), w.d.Runs())
@@ -389,11 +409,18 @@ func sameItems(t *testing.T, c oracleCase, got, want []fetchItem) {
 // index-table gather over the same random missing-write sets, unit
 // sizes and writer/home counts up to 256, and requires the same
 // exchanges (peer order, request and reply bytes) and the same items
-// in application order, coalesced diffs included. One fetchScratch
-// serves every case, as one processor's does every fault.
+// in application order, coalesced diffs included. The plans' exchanges
+// are sent through a collecting System, and every item must carry the
+// reference's tag: the items of one exchange share one tag, distinct
+// exchanges have distinct tags, and a local copy has none. One
+// fetchScratch serves every case, as one processor's does every fault.
 func TestFetchPlansMatchReference(t *testing.T) {
 	g := newDiffGen(rand.New(rand.NewSource(1)))
 	var fs fetchScratch
+	sys, err := NewSystem(Config{Procs: 256, SegmentBytes: mem.PageSize, Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	coalesced, local := 0, 0
 	for i := 0; i < 400; i++ {
 		procs := []int{2, 3, 8, 64, 256}[i%5]
@@ -418,7 +445,7 @@ func TestFetchPlansMatchReference(t *testing.T) {
 		if !slices.Equal(fs.xs, wantXs) {
 			t.Fatalf("%v: homeless exchanges %v, reference %v", c, fs.xs, wantXs)
 		}
-		sameItems(t, c, tagAndSort(fs.xs, fs.items, c.self, true), tagAndSort(wantXs, wantItems, c.self, true))
+		sameItems(t, c, sendAndTag(sys, c.self, &fs, true), tagAndSort(wantXs, wantItems, c.self, true))
 
 		// Home fetch: one random image per page of the fetched units.
 		fs.fetchUnits = append(fs.fetchUnits[:0], c.units...)
@@ -436,7 +463,7 @@ func TestFetchPlansMatchReference(t *testing.T) {
 		if got := remote(fs.xs, c.self); !slices.Equal(got, wantXs) {
 			t.Fatalf("%v: home exchanges %v, reference %v", c, got, wantXs)
 		}
-		sameItems(t, c, tagAndSort(fs.xs, fs.items, c.self, false), tagAndSort(wantXs, wantItems, c.self, false))
+		sameItems(t, c, sendAndTag(sys, c.self, &fs, false), tagAndSort(wantXs, wantItems, c.self, false))
 
 		// Home release: the fetched units' images stand in for one
 		// interval's diffs.

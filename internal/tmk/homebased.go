@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/simnet"
@@ -276,7 +275,7 @@ func (h *homeProtocol) pageImageInto(fs *fetchScratch, page int, vt vc.Time) mem
 // contents at the fetcher's vector time — one request/reply per
 // distinct home, issued in parallel. Units homed at the faulting
 // processor are copied locally, without messages.
-func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
+func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
 	fetch := fs.fetchUnits[:0]
 	sparse := p.sys.sparseMode()
@@ -298,7 +297,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 	}
 	fs.fetchUnits = fetch
 	if len(fetch) == 0 {
-		return nil
+		return
 	}
 	fs.peers = fs.peers[:0]
 	for i, u := range fetch {
@@ -334,8 +333,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 	// authoritative storage. Each page arrives whole from one
 	// reconstruction, so plan order suffices for determinism.
 	fs.planImages(h.up)
-	msgs := p.sendExchanges(fs)
+	p.sendExchanges(fs)
 	p.applyItems(fs.items)
 	p.consumeMissing(fetch)
-	return msgs
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -30,12 +29,13 @@ func (*homelessProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units [
 
 // fetchItem is one page diff scheduled for application, keyed for causal
 // ordering by its (latest contributing) source interval and attributed to
-// the carrying exchange. single marks a homeless item whose unit has one
-// writer among its missing intervals: its page's diffs may be coalesced.
+// the carrying exchange by the collector's tag for it (0: a local copy, or
+// collection off). single marks a homeless item whose unit has one writer
+// among its missing intervals: its page's diffs may be coalesced.
 type fetchItem struct {
 	page   int
 	d      mem.Diff
-	msg    *instrument.DataMsg
+	tag    int32
 	sum    int64
 	prc    int
 	sq     int32
@@ -79,6 +79,10 @@ type fetchScratch struct {
 	fetchUnits []int
 	items      []fetchItem
 	ds         []mem.Diff
+	// coalesced carves the homeless plan's coalesced diffs. They live
+	// only until applyItems has applied and tagged them in the same
+	// fetch, so planDiffs rewinds it.
+	coalesced mem.DiffScratch
 
 	// Sparse-mode notice reconstruction scratch (see notices.go).
 	missScratch  []lrc.MissingWrite // missingInto: one unit's rebuilt list
@@ -119,6 +123,7 @@ func (fs *fetchScratch) planDiffs(unitPages int) {
 	// (causal) order.
 	slices.SortStableFunc(fs.needs, byWriter)
 	fs.items, fs.xs = fs.items[:0], fs.xs[:0]
+	fs.coalesced.Rewind()
 	for lo := 0; lo < len(fs.needs); {
 		w := fs.needs[lo].writer
 		hi := lo
@@ -150,7 +155,7 @@ func (fs *fetchScratch) planDiffs(unitPages int) {
 					fs.ds = append(fs.ds, it.d)
 				}
 				last := mine[j-1]
-				last.d = mem.CoalesceDiffs(fs.ds)
+				last.d = fs.coalesced.Coalesce(fs.ds)
 				fs.items[out] = last
 				out++
 			} else {
@@ -210,7 +215,7 @@ func sortFetchItems(items []fetchItem) {
 // intervals that wrote the stale units, fetch their diffs — one
 // exchange per concurrent writer, issued in parallel — and apply them
 // in causal order.
-func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
+func (*homelessProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
 	fs.needs = fs.needs[:0]
 	fs.fetchUnits = fs.fetchUnits[:0]
@@ -233,7 +238,7 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 		fs.addNeeds(u, miss)
 	}
 	fs.planDiffs(p.sys.cfg.UnitPages)
-	msgs := p.sendExchanges(fs)
+	p.sendExchanges(fs)
 
 	// Apply in causal order (monotone linearization of happens-before).
 	// The sort must be stable: a coalesced item keeps only its writer's
@@ -241,14 +246,13 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) []*instrument.DataMsg {
 	sortFetchItems(fs.items)
 	p.applyItems(fs.items)
 	p.consumeMissing(fs.fetchUnits)
-	return msgs
 }
 
 // sendExchanges sends the planned exchanges — in parallel, so the clock is
-// charged the slowest — and attributes each one's items to its data
-// message.
-func (p *Proc) sendExchanges(fs *fetchScratch) []*instrument.DataMsg {
-	var msgs []*instrument.DataMsg
+// charged the slowest — and attributes each one's items to the collector's
+// tag for it. It is reached only from a fault's fetch, on p's goroutine,
+// so the exchanges one fault registers are contiguous in the collector.
+func (p *Proc) sendExchanges(fs *fetchScratch) {
 	var maxCost sim.Duration
 	for _, x := range fs.xs {
 		if x.peer == p.id {
@@ -257,10 +261,9 @@ func (p *Proc) sendExchanges(fs *fetchScratch) []*instrument.DataMsg {
 		xt := p.sys.net.SendExchange(
 			simnet.DiffRequest, simnet.DiffReply, p.id, x.peer, x.req, x.reply, p.clock.Now())
 		if p.sys.col != nil {
-			dm := p.sys.col.NewDataMsg(x.peer, p.id)
-			msgs = append(msgs, dm)
+			tag := p.sys.col.NewDataMsg(p.id)
 			for i := x.lo; i < x.hi; i++ {
-				fs.items[i].msg = dm
+				fs.items[i].tag = tag
 			}
 		}
 		if c := xt.Total(); c > maxCost {
@@ -268,7 +271,6 @@ func (p *Proc) sendExchanges(fs *fetchScratch) []*instrument.DataMsg {
 		}
 	}
 	p.clock.Advance(maxCost)
-	return msgs
 }
 
 // applyItems applies fetched diffs in order, charging each its words.
@@ -276,8 +278,8 @@ func (p *Proc) applyItems(items []fetchItem) {
 	for _, it := range items {
 		it.d.Apply(p.rep.Page(it.page))
 		p.clock.Advance(sim.Duration(it.d.WordCount()) * p.sys.cost.ApplyPerWord)
-		if p.sys.col != nil && it.msg != nil {
-			p.sys.col.TagDiff(p.id, it.page, it.d, it.msg)
+		if it.tag != 0 {
+			p.sys.col.TagDiff(p.id, it.page, it.d, it.tag)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"repro/internal/aggregate"
-	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -195,6 +194,7 @@ func (p *Proc) release() {
 	}
 	p.wsets, p.checkTwins = nil, nil
 	p.diffScr.Release()
+	p.fs.coalesced.Release()
 	p.ivScr = lrc.IntervalScratch{}
 }
 
@@ -311,9 +311,7 @@ func (p *Proc) translate(page int, write bool) *tlbEntry {
 	}
 	e.tags = nil
 	if c := p.sys.col; c != nil {
-		if row := c.TagRow(p.id, page); row != nil {
-			e.tags = (*[mem.WordsPerPage]int32)(row)
-		}
+		e.tags = c.TagRow(p.id, page)
 	}
 	return e
 }
@@ -509,6 +507,10 @@ func (p *Proc) readFault(page int) {
 	}
 	p.clock.Advance(cost.PageFault)
 	p.nFaults++
+	var first int32 // the fault's first collector exchange
+	if c := p.sys.col; c != nil {
+		first = c.Exchanges(p.id)
+	}
 
 	cfg := p.sys.cfg
 	faultUnit := p.unitOf(page)
@@ -534,7 +536,7 @@ func (p *Proc) readFault(page int) {
 	// Each stale unit's owning protocol fetches its data (messages,
 	// clock charges, replica updates) and clears its missing-write
 	// state.
-	msgs := p.fetch(units)
+	p.fetch(units)
 
 	// Validate. Static: the whole unit becomes readable. Dynamic: only
 	// the faulted page is validated; prefetched group members keep
@@ -551,8 +553,8 @@ func (p *Proc) readFault(page int) {
 	if trc := p.sys.trc; trc != nil {
 		trc.FaultEnd(p.id, page, p.clock.Now())
 	}
-	if p.sys.col != nil {
-		p.sys.col.OnFault(p.id, page, msgs)
+	if c := p.sys.col; c != nil {
+		c.OnFault(p.id, first)
 	}
 }
 
@@ -561,16 +563,15 @@ func (p *Proc) readFault(page int) {
 // configurations) this is a single call; under adaptive, a dynamic
 // page group spanning both protocols is served in two passes, one per
 // owner (the cross-owner fetches serialize on p's clock).
-func (p *Proc) fetch(units []int) []*instrument.DataMsg {
+func (p *Proc) fetch(units []int) {
 	s := p.sys
 	if len(s.protos) == 1 {
-		return s.protos[0].Fetch(p, units)
+		s.protos[0].Fetch(p, units)
+		return
 	}
-	var msgs []*instrument.DataMsg
 	for i, proto := range s.protos {
 		if sub := s.ownedUnits(units, i); len(sub) > 0 {
-			msgs = append(msgs, proto.Fetch(p, sub)...)
+			proto.Fetch(p, sub)
 		}
 	}
-	return msgs
 }

@@ -1,7 +1,6 @@
 package tmk
 
 import (
-	"repro/internal/instrument"
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/registry"
@@ -58,10 +57,10 @@ type Protocol interface {
 	// Fetch brings the stale units among units — all owned by this
 	// protocol — up to date in p's replica: it decides whom to contact,
 	// sends and prices the exchanges, applies the data, charges p's
-	// clock, and clears the consumed missing-write state. It returns
-	// one instrument data message per exchange (nil/empty when nothing
-	// was fetched or collection is off) for the caller's fault record.
-	Fetch(p *Proc, units []int) []*instrument.DataMsg
+	// clock, and clears the consumed missing-write state. With
+	// collection on, it registers one collector exchange per exchange
+	// it sends (sendExchanges), which the caller's fault record counts.
+	Fetch(p *Proc, units []int)
 }
 
 // DefaultProtocol is the protocol of the paper's evaluation.

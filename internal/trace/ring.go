@@ -7,10 +7,11 @@ import (
 )
 
 // Ring is the flight recorder's sink: a fixed-capacity ring of encoded
-// trace lines. A Writer pointed at a Ring keeps the newest N lines of
-// a live process's completed runs in memory at all times; Dump streams
-// them out (with a fresh header line) when someone wants to see what
-// the engine was doing just now. Write assumes one call per line,
+// trace lines. A Writer pointed at a Ring keeps the newest N events of
+// a live process's completed runs in memory at all times (it writes no
+// header line into a Ring); Dump streams them out behind a header line
+// of its own when someone wants to see what the engine was doing just
+// now. Write assumes one call per line,
 // which is exactly the Writer's contract.
 type Ring struct {
 	mu      sync.Mutex
@@ -47,7 +48,7 @@ func (r *Ring) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Len returns the number of retained events (header lines included).
+// Len returns the number of retained events.
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -61,10 +62,8 @@ func (r *Ring) Dropped() int64 {
 	return r.dropped
 }
 
-// Dump writes the retained window to w as a readable trace: a
-// synthesized header line first (the original header is usually long
-// evicted), then the retained lines oldest-first. Interior header
-// lines are legal input to Reader, which skips them. A dump is a
+// Dump writes the retained window to w as a readable trace: a header
+// line first, then the retained lines oldest-first. A dump is a
 // window, not a complete capture: run_start/run_end pairs may be
 // missing, so it is for inspection, not replay.
 func (r *Ring) Dump(w io.Writer) error {

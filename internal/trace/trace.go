@@ -171,13 +171,17 @@ type Writer struct {
 	enc     *json.Encoder // encodes into line
 }
 
-// NewWriter starts a trace stream on out, writing the header line.
+// NewWriter starts a trace stream on out, writing the header line —
+// unless out is a flight recorder's Ring, which holds events only and
+// writes its own header at each Dump.
 func NewWriter(out io.Writer) *Writer {
 	w := &Writer{out: out}
 	w.enc = json.NewEncoder(&w.line)
-	w.mu.Lock()
-	w.emit(&Event{E: EvHeader, V: Version})
-	w.mu.Unlock()
+	if _, ring := out.(*Ring); !ring {
+		w.mu.Lock()
+		w.emit(&Event{E: EvHeader, V: Version})
+		w.mu.Unlock()
+	}
 	return w
 }
 

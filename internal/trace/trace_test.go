@@ -135,11 +135,14 @@ func TestWriterStickyError(t *testing.T) {
 }
 
 // TestRingWindow pins the flight recorder: a ring keeps the newest
-// capacity lines, counts evictions, and Dump re-synthesizes a header so
-// the window is always readable.
+// capacity events and no header line, counts evictions, and Dump writes
+// a header so the window is always readable.
 func TestRingWindow(t *testing.T) {
 	ring := trace.NewRing(4)
 	w := trace.NewWriter(ring)
+	if ring.Len() != 0 {
+		t.Fatalf("Len() = %d before any run, want 0: the ring holds events only", ring.Len())
+	}
 	s := w.Sink("", "")
 	s.Begin(trace.RunMeta{Network: "ideal", Procs: 2})
 	for i := 0; i < 10; i++ {
@@ -152,10 +155,9 @@ func TestRingWindow(t *testing.T) {
 	if ring.Len() != 4 {
 		t.Fatalf("Len() = %d, want 4", ring.Len())
 	}
-	// 13 lines written (header, run_start, 10 legs, run_end) minus 4
-	// retained.
-	if ring.Dropped() != 9 {
-		t.Fatalf("Dropped() = %d, want 9", ring.Dropped())
+	// 12 events written (run_start, 10 legs, run_end) minus 4 retained.
+	if ring.Dropped() != 8 {
+		t.Fatalf("Dropped() = %d, want 8", ring.Dropped())
 	}
 
 	var dump bytes.Buffer
