@@ -61,7 +61,7 @@ func randomChain(r *rand.Rand, maxWrites int) []Diff {
 	return chain
 }
 
-func TestCoalesceLastWriteWins(t *testing.T) {
+func TestCoalesceDiffsLastWriteWins(t *testing.T) {
 	base := make([]byte, PageSize)
 	a := make([]byte, PageSize)
 	putWordAt(a, 5, 1)
