@@ -27,9 +27,11 @@ profile:
 # alloc-check runs only the allocation-budget tests: steady-state
 # allocs/op in the lrc interval path, mem diff path, vc operations,
 # the homeless jacobi inner loop, and the MemSink capture path (plain,
-# capture-enabled and instrumented engine runs: with the §5.3 collector
-# on, a trial allocates nothing per exchange or per fault) must stay
-# under the pinned budgets;
+# capture-enabled, instrumented and dynamically aggregated engine runs:
+# with the §5.3 collector on, a trial allocates nothing per exchange or
+# per fault, and no trial allocates per interval, per first fault on a
+# unit or per page-group rebuild) must stay under the pinned budgets;
+# §4's tracker and page groups must allocate nothing in steady state;
 # a second identical harness cell must allocate well under what it did
 # before cells recycled each other's pages; a steady-state barrier
 # episode at 64 processors must allocate its epoch and nothing else —
@@ -45,13 +47,14 @@ profile:
 # POST /v1/run with logging off at most 26 objects beyond what a no-op
 # handler makes with the same httptest request and recorder.
 alloc-check:
-	$(GO) test ./internal/lrc/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget' -v
+	$(GO) test ./internal/lrc/ ./internal/aggregate/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget|IntervalScratch' -v
 
 # fuzz-smoke runs the fuzz targets for ten seconds each: the occupancy
 # timeline's block structure against the flat reference list, the
 # chunked, slab-carving diff encoder against the word-by-word,
 # exact-size one, the same encoder under a write mask (the stretches
-# left out must never be read) against it too, trace decoding and
+# left out must never be read) against it too, the scratch-carving diff
+# coalescer against the allocating last-write-wins one, trace decoding and
 # derivation onto every network over arbitrary bytes (no panic,
 # allocation bounded by the input, real captures derive onto their own
 # network to their recorded totals), and spec resolution (idempotent,
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCoalesce -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadRuns -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/expsvc -run '^$$' -fuzz FuzzResolve -fuzztime 10s -fuzzminimizetime 1x
 

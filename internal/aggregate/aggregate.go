@@ -17,7 +17,8 @@ package aggregate
 const DefaultMaxPages = 4
 
 // Tracker records the pages a processor faulted on during the current
-// interval, de-duplicated, in first-access order.
+// interval, de-duplicated, in first-access order. It keeps its storage
+// across intervals and runs: steady-state tracking allocates nothing.
 type Tracker struct {
 	order []int
 	seen  map[int]bool
@@ -39,18 +40,24 @@ func (t *Tracker) Touch(page int) {
 // Len returns the number of distinct pages touched.
 func (t *Tracker) Len() int { return len(t.order) }
 
-// Take returns the access-ordered page list and resets the tracker.
+// Take returns the access-ordered page list and resets the tracker. The
+// list is a view of the tracker's storage, valid until the next Touch.
 func (t *Tracker) Take() []int {
 	out := t.order
-	t.order = nil
-	t.seen = make(map[int]bool, len(out))
+	t.Reset()
 	return out
+}
+
+// Reset forgets every touched page and keeps the storage.
+func (t *Tracker) Reset() {
+	t.order = t.order[:0]
+	clear(t.seen)
 }
 
 // Groups is one processor's current page-group partition.
 type Groups struct {
 	maxPages int
-	members  [][]int     // group id -> pages
+	pages    []int       // the accessed list; group id is pages[id*maxPages:][:maxPages]
 	groupOf  map[int]int // page -> group id
 }
 
@@ -65,37 +72,33 @@ func New(maxPages int) *Groups {
 
 // Rebuild replaces the partition: accessed (in access order, duplicates
 // not allowed) is chunked into runs of at most MaxPages. An empty
-// accessed list dissolves all groups.
+// accessed list dissolves all groups. The partition keeps a copy of
+// accessed, in storage it reuses from one rebuild to the next.
 func (g *Groups) Rebuild(accessed []int) {
-	g.members = g.members[:0]
+	g.pages = append(g.pages[:0], accessed...)
 	clear(g.groupOf)
-	for start := 0; start < len(accessed); start += g.maxPages {
-		end := start + g.maxPages
-		if end > len(accessed) {
-			end = len(accessed)
+	for i, p := range g.pages {
+		if _, dup := g.groupOf[p]; dup {
+			panic("aggregate: duplicate page in Rebuild input")
 		}
-		id := len(g.members)
-		grp := make([]int, end-start)
-		copy(grp, accessed[start:end])
-		g.members = append(g.members, grp)
-		for _, p := range grp {
-			if _, dup := g.groupOf[p]; dup {
-				panic("aggregate: duplicate page in Rebuild input")
-			}
-			g.groupOf[p] = id
-		}
+		g.groupOf[p] = i / g.maxPages
 	}
 }
 
+// Reset dissolves all groups and keeps the storage.
+func (g *Groups) Reset() { g.Rebuild(nil) }
+
 // GroupOf returns the pages fetched together with page (including page
 // itself), or nil if the page is ungrouped (fetched alone). The returned
-// slice must not be modified.
+// slice must not be modified, and is valid until the next Rebuild.
 func (g *Groups) GroupOf(page int) []int {
 	id, ok := g.groupOf[page]
 	if !ok {
 		return nil
 	}
-	return g.members[id]
+	lo := id * g.maxPages
+	hi := min(lo+g.maxPages, len(g.pages))
+	return g.pages[lo:hi:hi]
 }
 
 // Pages returns the total number of grouped pages.

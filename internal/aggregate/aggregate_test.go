@@ -28,6 +28,11 @@ func TestTrackerOrderAndDedup(t *testing.T) {
 	}
 }
 
+// numGroups is the number of groups in the partition.
+func numGroups(g *Groups) int {
+	return (len(g.pages) + g.maxPages - 1) / g.maxPages
+}
+
 func TestNewDefaults(t *testing.T) {
 	if New(0).maxPages != DefaultMaxPages {
 		t.Fatal("default max pages")
@@ -40,8 +45,8 @@ func TestNewDefaults(t *testing.T) {
 func TestRebuildChunksInAccessOrder(t *testing.T) {
 	g := New(2)
 	g.Rebuild([]int{7, 1, 9, 4, 2})
-	if len(g.members) != 3 || g.Pages() != 5 {
-		t.Fatalf("groups=%d pages=%d", len(g.members), g.Pages())
+	if numGroups(g) != 3 || g.Pages() != 5 {
+		t.Fatalf("groups=%d pages=%d", numGroups(g), g.Pages())
 	}
 	if !reflect.DeepEqual(g.GroupOf(7), []int{7, 1}) {
 		t.Fatalf("GroupOf(7) = %v", g.GroupOf(7))
@@ -81,7 +86,7 @@ func TestRebuildEmptyDissolvesEverything(t *testing.T) {
 	g := New(2)
 	g.Rebuild([]int{1, 2, 3})
 	g.Rebuild(nil)
-	if len(g.members) != 0 || g.Pages() != 0 || g.GroupOf(1) != nil {
+	if numGroups(g) != 0 || g.Pages() != 0 || g.GroupOf(1) != nil {
 		t.Fatal("empty rebuild must dissolve all groups")
 	}
 }
@@ -158,5 +163,87 @@ func TestPropRebuildIsPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rebuildMembers is Rebuild as it was before the partition kept one copy
+// of the accessed list, kept as the oracle for Rebuild and GroupOf: one
+// exactly sized slice per group, and each page mapped to its group.
+func rebuildMembers(accessed []int, maxPages int) (members [][]int, groupOf map[int]int) {
+	groupOf = make(map[int]int)
+	for start := 0; start < len(accessed); start += maxPages {
+		end := min(start+maxPages, len(accessed))
+		grp := make([]int, end-start)
+		copy(grp, accessed[start:end])
+		for _, p := range grp {
+			groupOf[p] = len(members)
+		}
+		members = append(members, grp)
+	}
+	return members, groupOf
+}
+
+// TestRebuildMatchesMembersOracle rebuilds one partition, and one tracker
+// feeding it, over many random access lists in turn, and requires every
+// page's group to be the oracle's, pages outside the list to be
+// ungrouped, and a group to be unaffected by appends to it.
+func TestRebuildMatchesMembersOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, maxPages := range []int{1, 2, 3, 4, 7} {
+		g, tr := New(maxPages), NewTracker()
+		for round := 0; round < 200; round++ {
+			perm := r.Perm(64)[:r.Intn(40)]
+			for i, p := range perm {
+				tr.Touch(p)
+				tr.Touch(perm[r.Intn(i+1)]) // a repeat, dropped
+			}
+			g.Rebuild(tr.Take())
+			members, groupOf := rebuildMembers(perm, maxPages)
+			if g.Pages() != len(groupOf) {
+				t.Fatalf("max %d round %d: %d grouped pages, oracle %d", maxPages, round, g.Pages(), len(groupOf))
+			}
+			for p := 0; p < 64; p++ {
+				id, ok := groupOf[p]
+				got := g.GroupOf(p)
+				if !ok {
+					if got != nil {
+						t.Fatalf("max %d round %d: page %d grouped as %v, oracle ungrouped", maxPages, round, p, got)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, members[id]) {
+					t.Fatalf("max %d round %d: GroupOf(%d) = %v, oracle %v", maxPages, round, p, got, members[id])
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("max %d round %d: GroupOf(%d) has spare capacity %d", maxPages, round, p, cap(got)-len(got))
+				}
+			}
+		}
+	}
+}
+
+// TestAllocBudgetSteadyState pins the dynamic-aggregation path of every
+// fault and synchronization at zero allocations once the tracker and the
+// partition have grown to the access list's size.
+func TestAllocBudgetSteadyState(t *testing.T) {
+	accessed := rand.New(rand.NewSource(2)).Perm(1024)[:64]
+	g, tr := New(DefaultMaxPages), NewTracker()
+	interval := func() {
+		for _, p := range accessed {
+			tr.Touch(p)
+			_ = g.GroupOf(p)
+		}
+		g.Rebuild(tr.Take())
+	}
+	interval()
+	if n := testing.AllocsPerRun(100, interval); n != 0 {
+		t.Errorf("Touch/GroupOf/Take/Rebuild over %d pages: %v allocs/op, want 0", len(accessed), n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Reset()
+		g.Reset()
+		interval()
+	}); n != 0 {
+		t.Errorf("an interval after Reset: %v allocs/op, want 0", n)
 	}
 }

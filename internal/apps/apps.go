@@ -187,20 +187,17 @@ func CheckEqual[T comparable](what string, got, want []T) error {
 	return nil
 }
 
-// CheckClose compares two float64s to a relative tolerance.
+// Close reports whether got is within tol of want, relative to want's
+// magnitude, or absolutely where that is below 1.
+func Close(got, want, tol float64) bool {
+	return !(math.Abs(got-want) > tol*max(math.Abs(want), 1))
+}
+
+// CheckClose compares two float64s to a relative tolerance. A caller
+// comparing many values tests Close first and builds what only for the
+// value that fails.
 func CheckClose(what string, got, want, tol float64) error {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := want
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	if diff > tol*scale {
+	if !Close(got, want, tol) {
 		return fmt.Errorf("%s: got %v, want %v (tol %v)", what, got, want, tol)
 	}
 	return nil

@@ -9,12 +9,19 @@ import (
 )
 
 // TestResetMatchesFreshBuild pins tmk.System.Reset to the build
-// NewSystem makes: on every protocol × placement × barrier × scale, a
-// run after Reset has the digest of a run on a freshly built System,
-// and both pass the workload's check.
+// NewSystem makes: on every protocol × placement × barrier × scale, at
+// 4K and 8K units and with dynamic aggregation, a run after Reset has
+// the digest of a run on a freshly built System, and both pass the
+// workload's check. TSP takes its intervals through lock chains, which
+// is where the sparse engine's fetch cursors spill.
 func TestResetMatchesFreshBuild(t *testing.T) {
 	const procs = 8
-	for _, app := range []string{"Jacobi", "3D-FFT"} {
+	units := []struct {
+		name    string // "" for the 4K page, so those subtests keep their names
+		pages   int
+		dynamic bool
+	}{{"", 1, false}, {"/8K", 2, false}, {"/Dyn", 1, true}}
+	for _, app := range []string{"Jacobi", "3D-FFT", "TSP"} {
 		e, ok := apps.Lookup(app, "small")
 		if !ok {
 			t.Fatalf("%s/small is not registered", app)
@@ -23,14 +30,17 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 			for _, placement := range []string{"rr", "migrate"} {
 				for _, barrier := range []string{"central", "tree"} {
 					for _, scale := range []string{tmk.ScaleSparse, tmk.ScaleDense} {
-						cfg := tmk.Config{Procs: procs, Protocol: proto, Placement: placement, Barrier: barrier, Scale: scale}
-						name := fmt.Sprintf("%s/%s/%s/%s/%s", app, proto, placement, barrier, scale)
-						t.Run(name, func(t *testing.T) {
-							fresh := runDigest(t, e, cfg, false)
-							if reset := runDigest(t, e, cfg, true); reset != fresh {
-								t.Fatalf("run after Reset has digest %s, a fresh build %s", reset, fresh)
-							}
-						})
+						for _, unit := range units {
+							cfg := tmk.Config{Procs: procs, Protocol: proto, Placement: placement, Barrier: barrier, Scale: scale,
+								UnitPages: unit.pages, Dynamic: unit.dynamic}
+							name := fmt.Sprintf("%s/%s/%s/%s/%s%s", app, proto, placement, barrier, scale, unit.name)
+							t.Run(name, func(t *testing.T) {
+								fresh := runDigest(t, e, cfg, false)
+								if reset := runDigest(t, e, cfg, true); reset != fresh {
+									t.Fatalf("run after Reset has digest %s, a fresh build %s", reset, fresh)
+								}
+							})
+						}
 					}
 				}
 			}

@@ -266,9 +266,8 @@ func (a *App) Check() error {
 	}
 	want := seqMemo.Get(fmt.Sprintf("%+v", a.cfg), a.Sequential)
 	for i := range want {
-		if err := apps.CheckClose(fmt.Sprintf("water: coord %d", i),
-			a.out[i], want[i], 1e-9); err != nil {
-			return err
+		if !apps.Close(a.out[i], want[i], 1e-9) {
+			return apps.CheckClose(fmt.Sprintf("water: coord %d", i), a.out[i], want[i], 1e-9)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package water
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apps"
@@ -89,5 +90,28 @@ func TestNames(t *testing.T) {
 	}
 	if a.Check() == nil {
 		t.Fatal("Check before run must fail")
+	}
+}
+
+// TestCheckNamesFailingCoord corrupts one coordinate of a checked run
+// and requires Check to name it in CheckClose's words, and a clean
+// output to pass without a label formatted per coordinate.
+func TestCheckNamesFailingCoord(t *testing.T) {
+	a := New(small())
+	if _, err := apps.Run(a, tmk.Config{Procs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	// The memo key costs 2 allocations, 4 under -race (fmt's buffer
+	// pool drops puts at random there); a label per coordinate would
+	// cost hundreds.
+	if n := testing.AllocsPerRun(10, func() { _ = a.Check() }); n > 8 {
+		t.Errorf("passing Check of %d coordinates: %v allocs, want at most 8", len(a.out), n)
+	}
+	const k = 17
+	want := a.out[k]
+	a.out[k] += 1
+	err := a.Check()
+	if msg := fmt.Sprintf("water: coord %d: got %v, want %v (tol %v)", k, want+1, want, 1e-9); err == nil || err.Error() != msg {
+		t.Fatalf("Check = %v, want %q", err, msg)
 	}
 }

@@ -294,41 +294,47 @@ func (s *Store) DeltaDevsInto(from vc.Time, procs, seqs []int32, out []*Interval
 // non-empty page diffs produced at its close, copying both (callers
 // reuse their scratch buffers across intervals).
 func MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
-	return newInterval(id, ts, append([]int(nil), units...), append([]PageDiff(nil), diffs...))
+	iv := new(Interval)
+	initInterval(iv, id, ts, append([]int(nil), units...), append([]PageDiff(nil), diffs...))
+	return iv
 }
 
-// IntervalScratch owns the unit and diff lists of the intervals built
-// through it: both copies are carved from slabs instead of allocated
-// per interval. The zero value is ready to use; the engine keeps one per
-// processor. Every interval it built stays valid until Rewind, and no
-// longer.
+// IntervalScratch owns the intervals built through it and their unit
+// and diff lists: the records and both copies are carved from slabs
+// instead of allocated per interval. The zero value is ready to use; the
+// engine keeps one per processor. Every interval it built stays valid
+// until Rewind, and no longer.
 type IntervalScratch struct {
+	ivs   mem.Slab[Interval]
 	units mem.Slab[int]
 	diffs mem.Slab[PageDiff]
 }
 
-// MakeInterval is the package's MakeInterval with the two copies carved
-// from s.
+// MakeInterval is the package's MakeInterval with the record and the two
+// copies carved from s.
 func (s *IntervalScratch) MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
 	u := s.units.Take(len(units))
 	copy(u, units)
 	d := s.diffs.Take(len(diffs))
 	copy(d, diffs)
-	return newInterval(id, ts, u, d)
+	iv := &s.ivs.Take(1)[0]
+	initInterval(iv, id, ts, u, d)
+	return iv
 }
 
 // Rewind makes the scratch's storage reusable. The caller must have
 // dropped every interval built through it (the engine rewinds at Reset,
 // which drops the interval store).
 func (s *IntervalScratch) Rewind() {
+	s.ivs.Rewind()
 	s.units.Rewind()
 	s.diffs.Rewind()
 }
 
-// newInterval builds an interval that takes ownership of units and
-// diffs.
-func newInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
-	iv := &Interval{
+// initInterval fills *iv, whatever it held, with an interval that takes
+// ownership of units and diffs.
+func initInterval(iv *Interval, id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) {
+	*iv = Interval{
 		ID:          id,
 		TS:          ts,
 		Units:       units,
@@ -362,7 +368,6 @@ func newInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *
 			panic("lrc: duplicate page diff in interval")
 		}
 	}
-	return iv
 }
 
 // MissingWrite records, at some processor, one unseen remote interval

@@ -152,3 +152,56 @@ func TestCoalesceAcrossChunks(t *testing.T) {
 		}
 	}
 }
+
+// maskChain builds successive diffs of one page, one per 64-byte block
+// of masks (a short last block is padded with clean words), at most
+// eight: each writes fresh values, drawn from seed, into the words whose
+// bits its block sets.
+func maskChain(seed int64, masks []byte) []Diff {
+	r := rand.New(rand.NewSource(seed))
+	cur := make([]byte, PageSize)
+	var chain []Diff
+	for len(masks) > 0 && len(chain) < 8 {
+		var m dirtyMask
+		masks = masks[copy(m[:], masks):]
+		next := bytes.Clone(cur)
+		for w := 0; w < WordsPerPage; w++ {
+			if m[w/8]&(1<<(w%8)) != 0 {
+				putWordAt(next, w, r.Uint64())
+			}
+		}
+		chain = append(chain, EncodeDiff(MakeTwin(cur), next))
+		cur = next
+	}
+	return chain
+}
+
+// FuzzCoalesce lets the fuzzer choose the diff set, and requires
+// Coalesce, through one scratch shared by every input so its slabs move
+// on to later chunks, to give the oracle's runs and to leave the page
+// the whole chain leaves.
+func FuzzCoalesce(f *testing.F) {
+	for i, mask := range encodeSeeds {
+		f.Add(int64(i), append(bytes.Clone(mask), encodeSeeds[(i+1)%len(encodeSeeds)]...))
+	}
+	f.Add(int64(-1), bytes.Repeat([]byte{0xFF, 0x00, 0x0F}, 200))
+	var scr DiffScratch
+	f.Fuzz(func(t *testing.T, seed int64, masks []byte) {
+		chain := maskChain(seed, masks)
+		if len(chain) == 0 {
+			return
+		}
+		got, want := scr.Coalesce(chain), coalesceDiffs(chain)
+		if !reflect.DeepEqual(got.Runs(), want.Runs()) {
+			t.Fatalf("%d diffs: coalesced %v, oracle %v", len(chain), got.Runs(), want.Runs())
+		}
+		x, y := make([]byte, PageSize), make([]byte, PageSize)
+		for _, d := range chain {
+			d.Apply(x)
+		}
+		got.Apply(y)
+		if !bytes.Equal(x, y) {
+			t.Fatalf("%d diffs: the coalesced diff leaves a different page than the chain", len(chain))
+		}
+	})
+}

@@ -130,9 +130,10 @@ func (s *slab[T]) rewind() {
 }
 
 // Slab is the same carving storage for other packages' run-lifetime
-// lists (lrc carves each interval's unit and diff lists from one). Its
-// chunks are all slabListBytes long and none comes from or goes to the
-// recycler: with one slab per processor and a few short lists in each,
+// records and lists (lrc carves each interval and its unit and diff
+// lists from three). Its chunks are all slabListBytes long and none
+// comes from or goes to the recycler: with one slab per processor and a
+// few short lists in each,
 // what counts is the unused tail of the last chunk — at 256 processors,
 // chunks doubling from a page held 1.2 MB more a cell than the exact-size
 // copies they replaced. The zero value is ready to use.

@@ -43,7 +43,8 @@ import "repro/internal/lrc"
 // fetchCursor is one processor's consumption state for one unit's
 // publish log: entries below idx are consumed (or the processor's
 // own), spill holds the consumed indices at or beyond idx, sorted
-// ascending. Allocated lazily, only for units the processor faults on.
+// ascending. Proc.fcur holds one by value, only for units the processor
+// faults on.
 type fetchCursor struct {
 	idx   int32
 	spill []int32
@@ -60,16 +61,9 @@ func (p *Proc) missingInto(u int, out []lrc.MissingWrite) []lrc.MissingWrite {
 	out = out[:0]
 	log := p.sys.store.UnitLog(u)
 	c := p.fcur[u]
-	start := 0
-	if c != nil {
-		start = int(c.idx)
-	}
+	start := int(c.idx)
 	if start >= len(log) {
 		return out
-	}
-	if c == nil {
-		c = &fetchCursor{}
-		p.fcur[u] = c
 	}
 	fs := &p.fs
 	newSpill := fs.spillScratch[:0]
@@ -101,6 +95,7 @@ func (p *Proc) missingInto(u int, out []lrc.MissingWrite) []lrc.MissingWrite {
 	}
 	c.idx = idx
 	c.spill = append(c.spill[:0], newSpill...)
+	p.fcur[u] = c
 	fs.spillScratch = newSpill[:0]
 	return out
 }

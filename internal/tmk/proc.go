@@ -77,8 +77,9 @@ type Proc struct {
 	// the processor's own), spill holds consumed indices beyond idx —
 	// intervals learned through a lock chain and fetched while
 	// concurrent episode-mates were still unknown. Entries exist only
-	// for units the processor has actually faulted on.
-	fcur map[int]*fetchCursor
+	// for units the processor has actually faulted on, and are values:
+	// a first fault on a unit allocates no cursor.
+	fcur map[int]fetchCursor
 
 	// Dynamic aggregation state.
 	tracker *aggregate.Tracker
@@ -132,7 +133,7 @@ func newProc(s *System, id int) *Proc {
 		memAccess: s.cost.MemAccess,
 		vt:        tk.T,
 		missing:   make(map[int][]lrc.MissingWrite),
-		fcur:      make(map[int]*fetchCursor),
+		fcur:      make(map[int]fetchCursor),
 	}
 	// The segment starts zeroed and identical everywhere: readable.
 	for u := 0; u < s.numUnits; u++ {
@@ -167,16 +168,15 @@ func (p *Proc) reset() {
 	for u := range p.missing {
 		p.missing[u] = p.missing[u][:0]
 	}
-	for _, c := range p.fcur {
-		c.idx = 0
-		c.spill = c.spill[:0]
+	for u, c := range p.fcur {
+		p.fcur[u] = fetchCursor{spill: c.spill[:0]}
 	}
 	for u := 0; u < p.sys.numUnits; u++ {
 		p.setState(u, mem.ReadOnly)
 	}
 	if p.sys.cfg.Dynamic {
-		p.tracker = aggregate.NewTracker()
-		p.groups = aggregate.New(p.sys.cfg.MaxGroupPages)
+		p.tracker.Reset()
+		p.groups.Reset()
 	}
 	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals, p.nPromoted = 0, 0, 0, 0, 0
 }
