@@ -12,8 +12,9 @@ import (
 // NewSystem makes: on every protocol × placement × barrier × scale, at
 // 4K and 8K units and with dynamic aggregation, a run after Reset has
 // the digest of a run on a freshly built System, and both pass the
-// workload's check. TSP takes its intervals through lock chains, which
-// is where the sparse engine's fetch cursors spill.
+// workload's check. TSP and Water learn intervals through lock chains;
+// Water's reach the sparse engine's fetch-cursor spill lists (TSP's
+// small dataset never spills).
 func TestResetMatchesFreshBuild(t *testing.T) {
 	const procs = 8
 	units := []struct {
@@ -21,7 +22,7 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 		pages   int
 		dynamic bool
 	}{{"", 1, false}, {"/8K", 2, false}, {"/Dyn", 1, true}}
-	for _, app := range []string{"Jacobi", "3D-FFT", "TSP"} {
+	for _, app := range []string{"Jacobi", "3D-FFT", "TSP", "Water"} {
 		e, ok := apps.Lookup(app, "small")
 		if !ok {
 			t.Fatalf("%s/small is not registered", app)

@@ -193,7 +193,8 @@ func FuzzCoalesce(f *testing.F) {
 		}
 		got, want := scr.Coalesce(chain), coalesceDiffs(chain)
 		if !reflect.DeepEqual(got.Runs(), want.Runs()) {
-			t.Fatalf("%d diffs: coalesced %v, oracle %v", len(chain), got.Runs(), want.Runs())
+			t.Fatalf("%d diffs: coalesced %d runs of %d words, oracle %d runs of %d words",
+				len(chain), len(got.Runs()), got.WordCount(), len(want.Runs()), want.WordCount())
 		}
 		x, y := make([]byte, PageSize), make([]byte, PageSize)
 		for _, d := range chain {
