@@ -57,7 +57,7 @@ func (t *Tracker) Reset() {
 // Groups is one processor's current page-group partition.
 type Groups struct {
 	maxPages int
-	pages    []int       // the accessed list; group id is pages[id*maxPages:][:maxPages]
+	pages    []int       // the accessed list; group id is its id-th run of maxPages pages
 	groupOf  map[int]int // page -> group id
 }
 

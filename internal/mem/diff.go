@@ -133,10 +133,10 @@ func (s *slab[T]) rewind() {
 // records and lists (lrc carves each interval and its unit and diff
 // lists from three). Its chunks are all slabListBytes long and none
 // comes from or goes to the recycler: with one slab per processor and a
-// few short lists in each,
-// what counts is the unused tail of the last chunk — at 256 processors,
-// chunks doubling from a page held 1.2 MB more a cell than the exact-size
-// copies they replaced. The zero value is ready to use.
+// few short lists in each, what counts is the unused tail of the last
+// chunk — at 256 processors, chunks doubling from a page held 1.2 MB
+// more a cell than the exact-size copies they replaced. The zero value
+// is ready to use.
 type Slab[T any] struct{ s slab[T] }
 
 const slabListBytes = 2 << 10
