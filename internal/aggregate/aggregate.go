@@ -72,8 +72,9 @@ func New(maxPages int) *Groups {
 
 // Rebuild replaces the partition: accessed (in access order, duplicates
 // not allowed) is chunked into runs of at most MaxPages. An empty
-// accessed list dissolves all groups. The partition keeps a copy of
-// accessed, in storage it reuses from one rebuild to the next.
+// accessed list dissolves all groups (and resets the partition for a
+// new run). The partition keeps a copy of accessed, in storage it
+// reuses from one rebuild to the next.
 func (g *Groups) Rebuild(accessed []int) {
 	g.pages = append(g.pages[:0], accessed...)
 	clear(g.groupOf)
@@ -84,9 +85,6 @@ func (g *Groups) Rebuild(accessed []int) {
 		g.groupOf[p] = i / g.maxPages
 	}
 }
-
-// Reset dissolves all groups and keeps the storage.
-func (g *Groups) Reset() { g.Rebuild(nil) }
 
 // GroupOf returns the pages fetched together with page (including page
 // itself), or nil if the page is ungrouped (fetched alone). The returned

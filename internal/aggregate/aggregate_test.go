@@ -241,9 +241,9 @@ func TestAllocBudgetSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Reset()
-		g.Reset()
+		g.Rebuild(nil)
 		interval()
 	}); n != 0 {
-		t.Errorf("an interval after Reset: %v allocs/op, want 0", n)
+		t.Errorf("an interval after a tracker Reset and an empty Rebuild: %v allocs/op, want 0", n)
 	}
 }

@@ -176,7 +176,7 @@ func (p *Proc) reset() {
 	}
 	if p.sys.cfg.Dynamic {
 		p.tracker.Reset()
-		p.groups.Reset()
+		p.groups.Rebuild(nil)
 	}
 	p.nFaults, p.nTwins, p.nDiffs, p.nIntervals, p.nPromoted = 0, 0, 0, 0, 0
 }
