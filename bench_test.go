@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation. One benchmark per
 // table/figure cell: BenchmarkTable1, BenchmarkFigure1, BenchmarkFigure2,
-// BenchmarkFigure3, plus the §5.1 protocol microbenchmarks and ablations
-// of the design choices DESIGN.md calls out (dynamic group size bound,
-// instrumentation overhead).
+// BenchmarkFigure3, plus the §5.1 protocol microbenchmarks and the
+// instrumentation-overhead ablation (the §4 group-bound ablation is
+// internal/tmk's BenchmarkAblationGroupSize).
 //
 // Reported custom metrics:
 //
@@ -180,32 +180,6 @@ func BenchmarkMicroBarrier(b *testing.B) {
 }
 
 // --- ablations ---------------------------------------------------------------
-
-// BenchmarkAblationGroupSize sweeps the dynamic aggregation bound
-// (MaxGroupPages) on the Barnes workload: DESIGN.md calls the 4-page
-// default out as matching the largest static unit.
-func BenchmarkAblationGroupSize(b *testing.B) {
-	e := harness.Figure1()[0] // Barnes
-	for _, maxPages := range []int{1, 2, 4, 8} {
-		maxPages := maxPages
-		b.Run(fmt.Sprintf("maxGroup=%d", maxPages), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := e.Make(harness.Procs)
-				res, err := apps.Run(w, tmk.Config{
-					Procs: harness.Procs, Dynamic: true,
-					MaxGroupPages: maxPages, Collect: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(res.Time.Microseconds())/1000, "sim-ms")
-					b.ReportMetric(float64(res.Messages), "msgs")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationInstrumentation measures the real-time cost of the
 // §5.3 word-level instrumentation (Collect on/off) on Jacobi.

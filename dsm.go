@@ -13,8 +13,8 @@
 // "home" (home-based LRC — fewer messages, more bytes), and "adaptive"
 // (a per-unit hybrid: every consistency unit starts homeless and is
 // switched between the two engines at barriers by its writer-count
-// signature, with WithAdaptiveHysteresis damping oscillation); see
-// DESIGN.md §5 and §8. The interconnect is equally pluggable (WithNetwork):
+// signature, with a hysteresis damping oscillation); see DESIGN.md §5
+// and §8. The interconnect is equally pluggable (WithNetwork):
 // "ideal" reproduces the paper's flat cost arithmetic, while "bus",
 // "switch", and the preset family ("atm", "myrinet", "10gbe") make
 // contention and faster networks first-class experiment axes; see
@@ -202,18 +202,6 @@ func WithDynamicAggregation() Option {
 	}
 }
 
-// WithMaxGroupPages bounds a dynamic page group (default 4 pages =
-// 16 KB, the largest static unit the paper evaluates).
-func WithMaxGroupPages(n int) Option {
-	return func(c *Config) error {
-		if n <= 0 {
-			return fmt.Errorf("dsm: WithMaxGroupPages(%d): bound must be positive", n)
-		}
-		c.MaxGroupPages = n
-		return nil
-	}
-}
-
 // WithLocks provisions n global locks (default 0).
 func WithLocks(n int) Option {
 	return func(c *Config) error {
@@ -234,20 +222,6 @@ func WithProtocol(name string) Option {
 	return nameOption("WithProtocol", name, func(c *Config) *string { return &c.Protocol })
 }
 
-// WithAdaptiveHysteresis sets the adaptive protocol's switch threshold:
-// a unit changes engine only after n consecutive barrier phases whose
-// writer signature contradicts its current assignment (default
-// tmk.DefaultAdaptHysteresis). Ignored by the static protocols.
-func WithAdaptiveHysteresis(n int) Option {
-	return func(c *Config) error {
-		if n <= 0 {
-			return fmt.Errorf("dsm: WithAdaptiveHysteresis(%d): threshold must be at least 1", n)
-		}
-		c.AdaptHysteresis = n
-		return nil
-	}
-}
-
 // WithPlacement selects the home-placement policy by name
 // (case-insensitive; see Placements). The default, "rr", reproduces
 // the paper-era round-robin homes exactly; "block" assigns contiguous
@@ -258,20 +232,6 @@ func WithAdaptiveHysteresis(n int) Option {
 // name is an error from New listing the registered policies.
 func WithPlacement(name string) Option {
 	return nameOption("WithPlacement", name, func(c *Config) *string { return &c.Placement })
-}
-
-// WithAdaptiveQueueGate sets the adaptive protocol's contention gate:
-// units migrate homeless→home only while the network's measured mean
-// queue delay per message is at least d. The zero default derives the
-// gate from the cost calibration (MessageLeg/16, which separates the
-// contended models from ideal and the fast presets); a negative d
-// disables the gate, restoring the signature-only switch rule.
-// Ignored by the static protocols.
-func WithAdaptiveQueueGate(d Duration) Option {
-	return func(c *Config) error {
-		c.AdaptQueueGate = d
-		return nil
-	}
 }
 
 // WithNetwork selects the interconnect timing model by name

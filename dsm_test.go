@@ -73,7 +73,6 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"zero segment", []Option{WithSegmentBytes(0)}, "WithSegmentBytes"},
 		{"zero unit", []Option{WithUnitPages(0)}, "WithUnitPages"},
 		{"negative locks", []Option{WithLocks(-1)}, "WithLocks"},
-		{"zero group bound", []Option{WithMaxGroupPages(0)}, "WithMaxGroupPages"},
 		{
 			"dynamic with multi-page unit",
 			[]Option{WithDynamicAggregation(), WithUnitPages(2)},
@@ -186,7 +185,7 @@ func TestDefaultsMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sys.Config()
-	if cfg.Procs != 8 || cfg.UnitPages != 1 || cfg.MaxGroupPages != 4 {
+	if cfg.Procs != 8 || cfg.UnitPages != 1 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	if sys.SegmentBytes() != PageSize || sys.NumPages() != 1 || sys.NumUnits() != 1 {

@@ -188,9 +188,11 @@ func CheckEqual[T comparable](what string, got, want []T) error {
 }
 
 // Close reports whether got is within tol of want, relative to want's
-// magnitude, or absolutely where that is below 1.
+// magnitude, or absolutely where that is below 1. A NaN or infinite
+// value on either side is never close: the comparison is false for NaN,
+// and an infinite want would scale the tolerance to infinity.
 func Close(got, want, tol float64) bool {
-	return !(math.Abs(got-want) > tol*max(math.Abs(want), 1))
+	return math.Abs(got-want) <= tol*max(math.Abs(want), 1) && !math.IsInf(want, 0)
 }
 
 // CheckClose compares two float64s to a relative tolerance. A caller

@@ -60,6 +60,13 @@ func TestCheckClose(t *testing.T) {
 	if err := CheckClose("x", 0, 1e-10, 1e-9); err != nil {
 		t.Fatalf("absolute floor wrong: %v", err)
 	}
+	// A NaN or infinite result never passes, nor does a NaN reference.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{nan, 1}, {1, nan}, {nan, nan}, {inf, 1}, {-inf, 1}, {inf, inf}, {1, inf}} {
+		if Close(c[0], c[1], 1e-9) {
+			t.Errorf("Close(%v, %v) = true", c[0], c[1])
+		}
+	}
 }
 
 func TestCheckEqual(t *testing.T) {

@@ -255,6 +255,17 @@ func TestRunValidationErrors(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
+	// So are the adaptive knobs, which are engine constants now: a spec
+	// that names one is refused by name, not run on the constant.
+	for _, knob := range []string{"adapt_hysteresis", "adapt_queue_gate_us"} {
+		resp := postSpec(t, ts, fmt.Sprintf(`{"app":"jacobi",%q:3}`, knob))
+		var e errorJSON
+		body := readBody(t, resp)
+		want := fmt.Sprintf("unknown field %q", knob)
+		if err := json.Unmarshal([]byte(body), &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, want) {
+			t.Errorf("%s: status %d, body %s; want 400 saying %s", knob, resp.StatusCode, body, want)
+		}
+	}
 
 	// Wrong method on /v1/run.
 	resp, err := http.Get(ts.URL + "/v1/run")

@@ -30,7 +30,6 @@ import (
 	"repro/internal/apps"
 	_ "repro/internal/apps/all" // populate the workload registry
 	"repro/internal/registry"
-	"repro/internal/sim"
 	"repro/internal/tmk"
 )
 
@@ -47,11 +46,6 @@ const (
 	MaxTrials = 64
 	// MaxUnitPages bounds the static consistency unit of one request.
 	MaxUnitPages = 64
-	// MaxAdaptQueueGateUS bounds the adaptive contention gate. The gate
-	// becomes a sim.Duration in nanoseconds, and that conversion must not
-	// overflow; no message queues anywhere near this long (11.6 simulated
-	// days).
-	MaxAdaptQueueGateUS = 1e12
 )
 
 // Spec is the wire form of one experiment request: which registry cell
@@ -89,12 +83,6 @@ type Spec struct {
 	Procs int `json:"procs,omitempty"`
 	// Trials is the number of independent trials (default 1).
 	Trials int `json:"trials,omitempty"`
-	// AdaptHysteresis and AdaptQueueGateUS tune the adaptive protocol
-	// (ignored — and canonicalized away — under static protocols).
-	// A zero hysteresis selects the engine default; a negative gate
-	// disables the contention gate, zero selects the calibrated default.
-	AdaptHysteresis  int     `json:"adapt_hysteresis,omitempty"`
-	AdaptQueueGateUS float64 `json:"adapt_queue_gate_us,omitempty"`
 	// Collect enables the §5.3 instrumentation; the full Stats breakdown
 	// rides along in every trial of the report. Off (the default) runs
 	// are faster and responses smaller.
@@ -120,21 +108,19 @@ func fieldErrf(field, format string, args ...any) *FieldError {
 // over a struct emits fields in declaration order, so the serialization
 // (and therefore the hash) is stable by construction.
 type canonical struct {
-	App              string  `json:"app"`
-	Dataset          string  `json:"dataset"`
-	UnitPages        int     `json:"unit_pages"`
-	Dynamic          bool    `json:"dynamic"`
-	Protocol         string  `json:"protocol"`
-	Network          string  `json:"network"`
-	Placement        string  `json:"placement"`
-	Scale            string  `json:"scale"`
-	Barrier          string  `json:"barrier"`
-	BarrierRadix     int     `json:"barrier_radix"`
-	Procs            int     `json:"procs"`
-	Trials           int     `json:"trials"`
-	AdaptHysteresis  int     `json:"adapt_hysteresis"`
-	AdaptQueueGateUS float64 `json:"adapt_queue_gate_us"`
-	Collect          bool    `json:"collect"`
+	App          string `json:"app"`
+	Dataset      string `json:"dataset"`
+	UnitPages    int    `json:"unit_pages"`
+	Dynamic      bool   `json:"dynamic"`
+	Protocol     string `json:"protocol"`
+	Network      string `json:"network"`
+	Placement    string `json:"placement"`
+	Scale        string `json:"scale"`
+	Barrier      string `json:"barrier"`
+	BarrierRadix int    `json:"barrier_radix"`
+	Procs        int    `json:"procs"`
+	Trials       int    `json:"trials"`
+	Collect      bool   `json:"collect"`
 }
 
 // Resolved is a validated spec bound to its registry entry, ready to
@@ -185,24 +171,21 @@ func Resolve(s Spec) (*Resolved, error) {
 		return nil, fieldErrf("trials", "must be positive (got %d)", s.Trials)
 	case s.Trials > MaxTrials:
 		return nil, fieldErrf("trials", "at most %d (got %d)", MaxTrials, s.Trials)
-	case !(s.AdaptQueueGateUS <= MaxAdaptQueueGateUS): // NaN fails too
-		return nil, fieldErrf("adapt_queue_gate_us", "at most %g µs (got %g)", MaxAdaptQueueGateUS, s.AdaptQueueGateUS)
 	}
 
 	// Names and defaults are the engine's (tmk.Config.Resolve); what
 	// follows is service policy.
 	cfg, err := tmk.Config{
-		Procs:           s.Procs,
-		UnitPages:       s.UnitPages,
-		Dynamic:         s.Dynamic,
-		Protocol:        s.Protocol,
-		Network:         s.Network,
-		Placement:       s.Placement,
-		Scale:           s.Scale,
-		Barrier:         s.Barrier,
-		BarrierRadix:    s.BarrierRadix,
-		AdaptHysteresis: s.AdaptHysteresis,
-		Collect:         s.Collect,
+		Procs:        s.Procs,
+		UnitPages:    s.UnitPages,
+		Dynamic:      s.Dynamic,
+		Protocol:     s.Protocol,
+		Network:      s.Network,
+		Placement:    s.Placement,
+		Scale:        s.Scale,
+		Barrier:      s.Barrier,
+		BarrierRadix: s.BarrierRadix,
+		Collect:      s.Collect,
 	}.Resolve()
 	if err != nil {
 		var re *registry.Error
@@ -212,36 +195,25 @@ func Resolve(s Spec) (*Resolved, error) {
 		return nil, err
 	}
 	c := canonical{
-		App:              entry.App,
-		Dataset:          entry.Dataset,
-		UnitPages:        cfg.UnitPages,
-		Dynamic:          cfg.Dynamic,
-		Protocol:         cfg.Protocol,
-		Network:          cfg.Network,
-		Placement:        cfg.Placement,
-		Scale:            cfg.Scale,
-		Barrier:          cfg.Barrier,
-		BarrierRadix:     cfg.BarrierRadix,
-		Procs:            cfg.Procs,
-		Trials:           max(s.Trials, 1),
-		AdaptHysteresis:  cfg.AdaptHysteresis,
-		AdaptQueueGateUS: s.AdaptQueueGateUS,
-		Collect:          cfg.Collect,
+		App:          entry.App,
+		Dataset:      entry.Dataset,
+		UnitPages:    cfg.UnitPages,
+		Dynamic:      cfg.Dynamic,
+		Protocol:     cfg.Protocol,
+		Network:      cfg.Network,
+		Placement:    cfg.Placement,
+		Scale:        cfg.Scale,
+		Barrier:      cfg.Barrier,
+		BarrierRadix: cfg.BarrierRadix,
+		Procs:        cfg.Procs,
+		Trials:       max(s.Trials, 1),
+		Collect:      cfg.Collect,
 	}
 	// A knob the configuration leaves inert is zero in the hash and the
 	// engine default in the run, so spelling it changes neither.
 	if c.Barrier == "central" {
 		c.BarrierRadix, cfg.BarrierRadix = 0, tmk.DefaultBarrierRadix
 	}
-	if c.Protocol != "adaptive" {
-		c.AdaptHysteresis, cfg.AdaptHysteresis = 0, tmk.DefaultAdaptHysteresis
-		c.AdaptQueueGateUS = 0
-	} else if c.AdaptQueueGateUS < 0 {
-		// Every negative value means "gate disabled"; collapse them to
-		// one representative so they share a cache cell.
-		c.AdaptQueueGateUS = -1
-	}
-	cfg.AdaptQueueGate = sim.Duration(c.AdaptQueueGateUS * float64(sim.Microsecond))
 	return &Resolved{Entry: entry, c: c, cfg: cfg}, nil
 }
 

@@ -51,34 +51,6 @@ func TestHashDatasetSubstringAndCase(t *testing.T) {
 	}
 }
 
-// The adaptive knobs are inert under static protocols; spelling them
-// must not split the cache.
-func TestHashAdaptiveKnobCanonicalization(t *testing.T) {
-	plain := mustResolve(t, Spec{App: "water", Protocol: "home"})
-	noisy := mustResolve(t, Spec{App: "water", Protocol: "HOME", AdaptHysteresis: 7, AdaptQueueGateUS: 55})
-	if plain.Hash() != noisy.Hash() {
-		t.Fatalf("inert adaptive knobs changed the hash")
-	}
-
-	// Under adaptive they are load-bearing: the default hysteresis
-	// written out loud is the same cell, a different value is not, and
-	// every negative gate (all mean "disabled") is one cell.
-	a := mustResolve(t, Spec{App: "water", Protocol: "adaptive"})
-	aDefault := mustResolve(t, Spec{App: "water", Protocol: "adaptive", AdaptHysteresis: tmk.DefaultAdaptHysteresis})
-	aOther := mustResolve(t, Spec{App: "water", Protocol: "adaptive", AdaptHysteresis: tmk.DefaultAdaptHysteresis + 1})
-	if a.Hash() != aDefault.Hash() {
-		t.Fatalf("explicit default hysteresis changed the hash")
-	}
-	if a.Hash() == aOther.Hash() {
-		t.Fatalf("different hysteresis hashed to the same cell")
-	}
-	g1 := mustResolve(t, Spec{App: "water", Protocol: "adaptive", AdaptQueueGateUS: -1})
-	g2 := mustResolve(t, Spec{App: "water", Protocol: "adaptive", AdaptQueueGateUS: -250})
-	if g1.Hash() != g2.Hash() {
-		t.Fatalf("two disabled gates hashed to different cells")
-	}
-}
-
 func TestHashDistinguishesCells(t *testing.T) {
 	base := mustResolve(t, Spec{App: "jacobi"}).Hash()
 	for name, s := range map[string]Spec{
@@ -117,12 +89,10 @@ func TestResolveFieldErrors(t *testing.T) {
 		{"huge procs", Spec{App: "jacobi", Procs: MaxProcs + 1}, "procs"},
 		{"negative trials", Spec{App: "jacobi", Trials: -1}, "trials"},
 		{"huge trials", Spec{App: "jacobi", Trials: MaxTrials + 1}, "trials"},
-		{"negative hysteresis", Spec{App: "jacobi", AdaptHysteresis: -1}, "adapt_hysteresis"},
 		{"bad scale", Spec{App: "jacobi", Scale: "medium"}, "scale"},
 		{"bad barrier", Spec{App: "jacobi", Barrier: "butterfly"}, "barrier"},
 		{"negative radix", Spec{App: "jacobi", Barrier: "tree", BarrierRadix: -1}, "barrier_radix"},
 		{"radix 1", Spec{App: "jacobi", Barrier: "tree", BarrierRadix: 1}, "barrier_radix"},
-		{"huge gate", Spec{App: "barnes", Protocol: "adaptive", Network: "bus", AdaptQueueGateUS: 1e16}, "adapt_queue_gate_us"},
 	} {
 		_, err := Resolve(tc.spec)
 		if err == nil {

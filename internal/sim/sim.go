@@ -106,6 +106,21 @@ func (c CostModel) RoundTrip(requestBytes, replyBytes int) Duration {
 		Duration(requestBytes+replyBytes)*c.PerByte
 }
 
+// Contended reports the adaptive protocol's contention gate (DESIGN.md
+// §8): whether a network that carried msgs messages, queued queue in
+// total, shows a mean queue delay per message of at least MessageLeg/16
+// (9.25 µs on the paper's platform). Measured means per message on the
+// built-in models span 83 µs (bus), 26 µs (switch) and 19 µs (atm)
+// against 3 µs (myrinet), 0.8 µs (10gbe) and 0 (ideal), so the gate
+// opens exactly on the interconnects where saving messages pays. The
+// engine's policy and the trace derivation both ask it, so a derived
+// adaptive cell sees the gate the engine saw.
+func (c CostModel) Contended(queue Duration, msgs int64) bool {
+	// ⌊Q/m⌋ ≥ g ⇔ Q ≥ g·m for m > 0, and the quotient cannot overflow
+	// where the product can.
+	return msgs > 0 && queue/Duration(msgs) >= c.MessageLeg/16
+}
+
 // Clock is one processor's virtual clock. It is owned by a single
 // goroutine; cross-processor synchronization merges clocks explicitly
 // (see Meet), mirroring how simulated time flows along messages.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +65,35 @@ func TestDefaultCostModelMatchesPaperRTT(t *testing.T) {
 	lo, hi := 295*Microsecond, 297*Microsecond
 	if rtt < lo || rtt > hi {
 		t.Fatalf("1-byte RTT = %v, want ~296µs", rtt)
+	}
+}
+
+// The contention gate opens at a mean queue delay per message of
+// MessageLeg/16 — 9.25 µs on the paper's platform — never with no
+// messages, and a gate no queue reaches stays shut however many messages
+// were sent: gate × messages overflows Duration, and the test must not
+// wrap into "open".
+func TestContendedHugeGate(t *testing.T) {
+	m := DefaultCostModel()
+	for _, tc := range []struct {
+		queue Duration
+		msgs  int64
+		want  bool
+	}{
+		{0, 0, false},
+		{Second, 0, false},
+		{0, 10, false},
+		{10*9250*Nanosecond - 1, 10, false},
+		{10 * 9250 * Nanosecond, 10, true},
+		{Second, 1, true},
+	} {
+		if got := m.Contended(tc.queue, tc.msgs); got != tc.want {
+			t.Errorf("Contended(%v, %d) = %v, want %v", tc.queue, tc.msgs, got, tc.want)
+		}
+	}
+	huge := CostModel{MessageLeg: math.MaxInt64}
+	if huge.Contended(math.MaxInt64/2, 1<<20) {
+		t.Fatal("a gate of MaxInt64/16 opened")
 	}
 }
 

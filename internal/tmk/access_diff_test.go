@@ -146,10 +146,10 @@ func TestAccessPathMatchesReference(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					cfg := Config{
 						Procs: procs, SegmentBytes: (2*tlbSize + 8) * mem.PageSize, Locks: 1,
-						UnitPages: u.pages, Dynamic: u.dynamic, Protocol: proto, Scale: scale,
-						AdaptHysteresis: 1, AdaptQueueGate: -1, Collect: true,
+						UnitPages: u.pages, Dynamic: u.dynamic, Protocol: proto, Scale: scale, Collect: true,
 					}
-					fast, ref := mustSystem(t, cfg), mustSystem(t, cfg)
+					tune := tuning{hysteresis: 1, gate: gateOpen}
+					fast, ref := mustTuned(t, cfg, tune), mustTuned(t, cfg, tune)
 					fastSums, refSums := make([]float64, procs), make([]float64, procs)
 					got := fast.Run(accessProgram(7, (*Proc).ReadF64, (*Proc).WriteF64, fastSums))
 					want := ref.Run(accessProgram(7, refReadWord, refWriteWord, refSums))

@@ -3,24 +3,14 @@ package tmk
 import (
 	"repro/internal/lrc"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/vc"
 )
 
-// DefaultAdaptHysteresis is the number of consecutive barrier phases
-// with contrary writer evidence required before the adaptive protocol
-// switches a unit (Config.AdaptHysteresis overrides).
-const DefaultAdaptHysteresis = 2
-
-// defaultQueueGate derives the adaptive protocol's contention gate from
-// the cost calibration: homeless→home migration is allowed only while
-// the measured mean queue delay per message reaches MessageLeg/16
-// (9.25 µs on the paper's platform). Measured means per message on the
-// built-in models span 83 µs (bus), 26 µs (switch), and 19 µs (atm)
-// versus 3 µs (myrinet), 0.8 µs (10gbe), and 0 (ideal), so the gate
-// opens exactly on the interconnects where saving messages pays.
-func defaultQueueGate(cost sim.CostModel) sim.Duration { return cost.MessageLeg / 16 }
+// switchHysteresis is the number of consecutive barrier phases with
+// contrary writer evidence required before the adaptive protocol
+// switches a unit.
+const switchHysteresis = 2
 
 // setupAdaptive installs the adaptive configuration: both engines, every
 // unit starting homeless, and the policy that re-points units.
@@ -49,7 +39,7 @@ const (
 // whose one-exchange-per-miss beats one-exchange-per-writer there;
 // other units migrate back to homeless, whose small on-demand diffs
 // beat whole-unit images and per-release flushes there. A unit only
-// switches after AdaptHysteresis consecutive phases of contrary
+// switches after switchHysteresis consecutive phases of contrary
 // evidence, so oscillating signatures don't thrash, and phases with no
 // writers carry no evidence at all.
 //
@@ -58,15 +48,8 @@ const (
 // mutating the dispatch table is race-free: the gate's release publishes
 // the new table to every processor (see DESIGN.md §8).
 type adaptivePolicy struct {
-	sys        *System
-	home       *homeProtocol
-	hysteresis int
-	// queueGate is the measured mean queue delay per message required
-	// before units may migrate homeless→home (§8's network-aware
-	// evidence): on an interconnect showing no contention, homeless's
-	// extra messages are cheap and units are held homeless. Negative
-	// disables the gate (signature-only rule).
-	queueGate sim.Duration
+	sys  *System
+	home *homeProtocol
 
 	// streak[u] counts consecutive evidence phases contradicting unit
 	// u's current protocol; switches[u] counts u's switch events.
@@ -86,15 +69,9 @@ type adaptivePolicy struct {
 }
 
 func newAdaptivePolicy(s *System, home *homeProtocol) *adaptivePolicy {
-	gate := s.cfg.AdaptQueueGate
-	if gate == 0 {
-		gate = defaultQueueGate(s.cost)
-	}
 	return &adaptivePolicy{
-		sys:        s,
-		home:       home,
-		hysteresis: s.cfg.AdaptHysteresis, // Resolve filled the default
-		queueGate:  gate,
+		sys:  s,
+		home: home,
 
 		streak:       make([]int, s.numUnits),
 		switches:     make([]int, s.numUnits),
@@ -105,18 +82,15 @@ func newAdaptivePolicy(s *System, home *homeProtocol) *adaptivePolicy {
 
 // contended reports the network-aware half of the §8 switch rule: the
 // interconnect's measured mean queue delay per message so far has
-// reached the gate. O(1) — both totals are simnet running counters.
+// reached the cost model's gate (sim.CostModel.Contended). O(1) — both
+// totals are simnet running counters.
 func (a *adaptivePolicy) contended() bool {
-	if a.queueGate < 0 {
-		return true // gate disabled: signature-only rule
+	s := a.sys
+	msgs, _ := s.net.Counts()
+	if s.tune.gate != nil {
+		return s.tune.gate(s.net.QueueTotal(), int64(msgs))
 	}
-	msgs, _ := a.sys.net.Counts()
-	if msgs == 0 {
-		return false
-	}
-	// ⌊Q/m⌋ ≥ g ⇔ Q ≥ g·m for m > 0 and g ≥ 0, and the quotient cannot
-	// overflow where the product can.
-	return a.sys.net.QueueTotal()/sim.Duration(msgs) >= a.queueGate
+	return s.cost.Contended(s.net.QueueTotal(), int64(msgs))
 }
 
 // atBarrier evaluates every unit's writer signature over the phase that
@@ -193,7 +167,7 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 			continue
 		}
 		a.streak[u]++
-		if a.streak[u] < a.hysteresis {
+		if a.streak[u] < s.tune.hysteresis {
 			continue
 		}
 		a.streak[u] = 0

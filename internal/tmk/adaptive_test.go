@@ -1,33 +1,46 @@
 package tmk
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/simnet"
 )
+
+// gateOpen and gateShut hold the contention gate at one verdict
+// (tuning.gate): open, the switch rule is signature-only.
+func gateOpen(sim.Duration, int64) bool { return true }
+func gateShut(sim.Duration, int64) bool { return false }
+
+// mustTuned is mustSystem on tune's overrides of the calibrated
+// constants.
+func mustTuned(t *testing.T, cfg Config, tune tuning) *System {
+	t.Helper()
+	s, err := newSystem(cfg, tune)
+	if err != nil {
+		t.Fatalf("newSystem(%+v): %v", cfg, err)
+	}
+	return s
+}
 
 // adaptiveMixRun executes phases barrier phases on a 2-unit segment:
 // every processor writes its own word of page 0 each phase (a
 // multi-writer, false-shared unit), while processor 1 alone writes
 // page 1 (a single-writer unit) and everyone reads both afterwards.
-// The contention gate is disabled: these tests exercise the signature
+// The contention gate is held open: these tests exercise the signature
 // rule in isolation on the deterministic ideal network (the gate has
-// its own ideal-vs-bus coverage below).
+// its own ideal-vs-bus coverage at the repository root).
 func adaptiveMixRun(t *testing.T, hysteresis, phases int) (*System, *Result) {
 	t.Helper()
-	return mixRun(t, Config{AdaptHysteresis: hysteresis, AdaptQueueGate: -1}, phases)
+	return mixRun(t, Config{}, tuning{hysteresis: hysteresis, gate: gateOpen}, phases)
 }
 
 // mixRun is adaptiveMixRun's program under the adaptive protocol with
-// the rest of the configuration taken from cfg.
-func mixRun(t *testing.T, cfg Config, phases int) (*System, *Result) {
+// the rest of the configuration taken from cfg, on tune's constants.
+func mixRun(t *testing.T, cfg Config, tune tuning, phases int) (*System, *Result) {
 	t.Helper()
 	cfg.Procs, cfg.SegmentBytes, cfg.Protocol = 4, 2*4096, "adaptive"
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustTuned(t, cfg, tune)
 	base := sys.Alloc(2 * 4096)
 	res := sys.Run(func(p *Proc) {
 		for ph := 0; ph < phases; ph++ {
@@ -83,16 +96,17 @@ func TestAdaptiveSwitchesMultiWriterUnit(t *testing.T) {
 	}
 }
 
-// A contention gate no queue can reach keeps every unit homeless, however
-// many messages the run sends: gate × messages overflows sim.Duration,
-// and the comparison must not wrap into "gate open".
+// A contention gate no queue reaches keeps every unit homeless, however
+// many messages the run sends. (sim.TestContendedHugeGate shows the
+// cost model's gate cannot wrap into "open".)
 func TestAdaptiveHugeGateNeverOpens(t *testing.T) {
-	if _, res := mixRun(t, Config{AdaptHysteresis: 1, AdaptQueueGate: -1, Network: "bus"}, 6); res.ProtocolSwitches == 0 {
-		t.Fatal("precondition: with the gate disabled the run must switch")
+	bus := Config{Network: "bus"}
+	if _, res := mixRun(t, bus, tuning{hysteresis: 1, gate: gateOpen}, 6); res.ProtocolSwitches == 0 {
+		t.Fatal("precondition: with the gate open the run must switch")
 	}
-	_, res := mixRun(t, Config{AdaptHysteresis: 1, AdaptQueueGate: math.MaxInt64 / 2, Network: "bus"}, 6)
+	_, res := mixRun(t, bus, tuning{hysteresis: 1, gate: gateShut}, 6)
 	if res.ProtocolSwitches != 0 {
-		t.Fatalf("a gate of MaxInt64/2 opened: %d switches", res.ProtocolSwitches)
+		t.Fatalf("a shut gate let units switch: %d switches", res.ProtocolSwitches)
 	}
 }
 
@@ -110,16 +124,8 @@ func TestAdaptiveHysteresisOne(t *testing.T) {
 // so the default hysteresis of 2 must never switch anything.
 func TestAdaptiveHysteresisNoThrash(t *testing.T) {
 	run := func(hysteresis int) *Result {
-		sys, err := NewSystem(Config{
-			Procs:           4,
-			SegmentBytes:    4096,
-			Protocol:        "adaptive",
-			AdaptHysteresis: hysteresis,
-			AdaptQueueGate:  -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustTuned(t, Config{Procs: 4, SegmentBytes: 4096, Protocol: "adaptive"},
+			tuning{hysteresis: hysteresis, gate: gateOpen})
 		base := sys.Alloc(4096)
 		return sys.Run(func(p *Proc) {
 			for ph := 0; ph < 8; ph++ {
@@ -145,12 +151,9 @@ func TestAdaptiveHysteresisNoThrash(t *testing.T) {
 	}
 }
 
-// A negative hysteresis is a configuration error, and the adaptive
-// protocol resolves through Config and dsm-style defaults.
+// The adaptive protocol resolves through Config and runs on the
+// calibrated hysteresis.
 func TestAdaptiveConfigValidation(t *testing.T) {
-	if _, err := NewSystem(Config{Protocol: "adaptive", AdaptHysteresis: -1}); err == nil {
-		t.Fatal("negative hysteresis accepted")
-	}
 	sys, err := NewSystem(Config{Protocol: "Adaptive"})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +161,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if sys.Config().Protocol != "adaptive" {
 		t.Fatalf("Protocol() = %q", sys.Config().Protocol)
 	}
-	if sys.policy.hysteresis != DefaultAdaptHysteresis {
-		t.Fatalf("default hysteresis = %d, want %d", sys.policy.hysteresis, DefaultAdaptHysteresis)
+	if sys.tune.hysteresis != switchHysteresis {
+		t.Fatalf("default hysteresis = %d, want %d", sys.tune.hysteresis, switchHysteresis)
 	}
 	// Reset rebuilds the policy and dispatch from scratch.
 	_, res := adaptiveMixRun(t, 1, 2)
@@ -174,16 +177,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // System — Reset must clear the dispatch table, the home log, and the
 // policy streaks, so trial 2 reproduces trial 1 exactly.
 func TestAdaptiveResetDeterminism(t *testing.T) {
-	sys, err := NewSystem(Config{
-		Procs:           4,
-		SegmentBytes:    2 * 4096,
-		Protocol:        "adaptive",
-		AdaptHysteresis: 2,
-		AdaptQueueGate:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustTuned(t, Config{Procs: 4, SegmentBytes: 2 * 4096, Protocol: "adaptive"},
+		tuning{gate: gateOpen})
 	base := sys.Alloc(2 * 4096)
 	body := func(p *Proc) {
 		for ph := 0; ph < 5; ph++ {

@@ -86,3 +86,9 @@ func (s *System) Promoted() int {
 	}
 	return n
 }
+
+// NewSystemMaxGroup is NewSystem with the §4 group bound at maxPages
+// pages instead of aggregate.DefaultMaxPages, for ablating the bound.
+func NewSystemMaxGroup(cfg Config, maxPages int) (*System, error) {
+	return newSystem(cfg, tuning{groupPages: maxPages})
+}

@@ -154,7 +154,7 @@ func (*firstTouchPlacement) Mobile() bool    { return false }
 // initialization sweep, a boundary exchange — and each move costs a
 // home-state transfer on the wire, so migration demands the same
 // stability of evidence the adaptive protocol's switch rule does
-// (DefaultAdaptHysteresis).
+// (switchHysteresis).
 const migrateHysteresis = 2
 
 // migratePlacement is JIAJIA-style home migration: homes start

@@ -304,17 +304,8 @@ func TestMigrateStableWhenWriterIsHome(t *testing.T) {
 // never deferred past their evidence, or the unit would bind to a
 // *later* phase's first writer.
 func TestFirstTouchBindsAtSwitchBarrier(t *testing.T) {
-	sys, err := NewSystem(Config{
-		Procs:           4,
-		SegmentBytes:    2 * 4096,
-		Protocol:        "adaptive",
-		AdaptHysteresis: 1,
-		AdaptQueueGate:  -1,
-		Placement:       "firsttouch",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustTuned(t, Config{Procs: 4, SegmentBytes: 2 * 4096, Protocol: "adaptive", Placement: "firsttouch"},
+		tuning{hysteresis: 1, gate: gateOpen})
 	base := sys.Alloc(2 * 4096)
 	res := sys.Run(func(p *Proc) {
 		// Phase 0: only processors 2 and 3 write unit 1 — enough
@@ -347,17 +338,8 @@ func TestFirstTouchBindsAtSwitchBarrier(t *testing.T) {
 // HomeHandoff traffic, and the unit ends up homed at a writer.
 func TestAdaptiveMobilePlacementCheapHandoff(t *testing.T) {
 	run := func(placement string) (*System, *Result) {
-		sys, err := NewSystem(Config{
-			Procs:           4,
-			SegmentBytes:    2 * 4096,
-			Protocol:        "adaptive",
-			AdaptHysteresis: 2,
-			AdaptQueueGate:  -1,
-			Placement:       placement,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustTuned(t, Config{Procs: 4, SegmentBytes: 2 * 4096, Protocol: "adaptive", Placement: placement},
+			tuning{gate: gateOpen})
 		base := sys.Alloc(2 * 4096)
 		res := sys.Run(func(p *Proc) {
 			for ph := 0; ph < 6; ph++ {

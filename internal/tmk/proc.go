@@ -67,7 +67,7 @@ type Proc struct {
 	// missing[unit] lists unseen remote intervals that wrote the unit;
 	// the unit stays invalid until they are fetched and applied. Dense
 	// reference mode only: the sparse engine reconstructs the same sets
-	// at fault time from the store's per-unit publish log (missingFor),
+	// at fault time from the store's per-unit publish log (missingInto),
 	// so an acquire never touches per-unit bookkeeping for units the
 	// processor will never read.
 	missing map[int][]lrc.MissingWrite
@@ -141,7 +141,7 @@ func newProc(s *System, id int) *Proc {
 	}
 	if s.cfg.Dynamic {
 		p.tracker = aggregate.NewTracker()
-		p.groups = aggregate.New(s.cfg.MaxGroupPages)
+		p.groups = aggregate.New(s.tune.groupPages)
 	}
 	return p
 }

@@ -45,8 +45,6 @@ type Config struct {
 	// Dynamic enables the §4 dynamic aggregation algorithm. Requires
 	// UnitPages == 1 (the algorithm aggregates VM pages).
 	Dynamic bool
-	// MaxGroupPages bounds a dynamic page group (default 4 = 16 KB).
-	MaxGroupPages int
 	// Locks is the number of global locks to provision.
 	Locks int
 	// Protocol selects the coherence protocol by registry name
@@ -56,21 +54,6 @@ type Config struct {
 	// the two engines at barriers, driven by each unit's writer-count
 	// signature. See ProtocolNames for the full set.
 	Protocol string
-	// AdaptHysteresis is the adaptive protocol's hysteresis: the number
-	// of consecutive barrier phases with writer evidence contradicting
-	// a unit's current protocol required before the unit switches.
-	// Zero selects DefaultAdaptHysteresis; ignored by static protocols.
-	AdaptHysteresis int
-	// AdaptQueueGate is the adaptive protocol's contention gate: a unit
-	// migrates homeless→home only while the network's measured mean
-	// queue delay per message is at least this duration — on an
-	// uncontended interconnect the homeless protocol's extra messages
-	// cost little, so units are held homeless. Zero selects the default
-	// (MessageLeg/16 of the active cost model, which separates the
-	// contended models from ideal and the fast presets); a negative
-	// value disables the gate, making the switch rule signature-only.
-	// Ignored by static protocols.
-	AdaptQueueGate sim.Duration
 	// Placement selects the home-placement policy by registry name
 	// (case-insensitive): "rr" (round-robin, the paper-era default),
 	// "block" (contiguous unit ranges), "firsttouch" (home = the
@@ -141,9 +124,6 @@ func (c Config) Resolve() (Config, error) {
 	if c.UnitPages <= 0 {
 		c.UnitPages = 1
 	}
-	if c.MaxGroupPages <= 0 {
-		c.MaxGroupPages = aggregate.DefaultMaxPages
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = mem.PageSize
 	}
@@ -173,12 +153,6 @@ func (c Config) Resolve() (Config, error) {
 		c.BarrierRadix = DefaultBarrierRadix
 	case c.BarrierRadix < 2:
 		return Config{}, invalid("barrier_radix", "barrier radix must be at least 2, or 0 for the default (got %d)", c.BarrierRadix)
-	}
-	switch {
-	case c.AdaptHysteresis == 0:
-		c.AdaptHysteresis = DefaultAdaptHysteresis
-	case c.AdaptHysteresis < 0:
-		return Config{}, invalid("adapt_hysteresis", "adaptive hysteresis cannot be negative (got %d)", c.AdaptHysteresis)
 	}
 	return c, nil
 }
@@ -214,6 +188,7 @@ func (c Config) UnitBytes() int { return c.UnitPages * mem.PageSize }
 type System struct {
 	cfg   Config
 	cost  sim.CostModel
+	tune  tuning
 	net   *simnet.Network
 	store *lrc.Store
 	col   *instrument.Collector
@@ -299,11 +274,33 @@ type System struct {
 	trc trace.Sink
 }
 
+// tuning holds the engine's calibrated constants: the §4 group bound
+// (DESIGN.md §4) and the adaptive protocol's hysteresis and contention
+// gate (§8). Every System runs on the constants; tests build one on
+// other values (newSystem) to ablate them.
+type tuning struct {
+	groupPages int // zero: aggregate.DefaultMaxPages
+	hysteresis int // zero: switchHysteresis
+	// gate, when set, replaces the cost model's contention gate
+	// (sim.CostModel.Contended) with its own verdict.
+	gate func(queue sim.Duration, msgs int64) bool
+}
+
 // NewSystem builds a DSM instance. The shared segment starts zeroed and
 // valid (ReadOnly) on every processor, as after TreadMarks startup.
 // An invalid configuration (dynamic aggregation with multi-page units)
 // is reported as an error, never a panic.
-func NewSystem(cfg Config) (*System, error) {
+func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, tuning{}) }
+
+// newSystem is NewSystem on tune's overrides of the calibrated
+// constants; a zero field keeps its constant.
+func newSystem(cfg Config, tune tuning) (*System, error) {
+	if tune.groupPages == 0 {
+		tune.groupPages = aggregate.DefaultMaxPages
+	}
+	if tune.hysteresis == 0 {
+		tune.hysteresis = switchHysteresis
+	}
 	cfg, err := cfg.Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("tmk: %w", err)
@@ -324,6 +321,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		cost:     cost,
+		tune:     tune,
 		segBytes: segBytes,
 		numPages: segBytes / mem.PageSize,
 		sparse:   scales.Get(cfg.Scale),

@@ -60,7 +60,7 @@ func TestResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Network != "bus" || r.Placement != "firsttouch" || r.Scale != ScaleDense || r.Barrier != "tree" ||
-		r.BarrierRadix != DefaultBarrierRadix || r.AdaptHysteresis != DefaultAdaptHysteresis || r.Procs != 8 {
+		r.BarrierRadix != DefaultBarrierRadix || r.Procs != 8 {
 		t.Fatalf("Resolve = %+v", r)
 	}
 	if again, err := r.Resolve(); err != nil || again != r {
@@ -80,7 +80,6 @@ func TestResolve(t *testing.T) {
 		{Config{Barrier: "tree", BarrierRadix: 1}, "barrier_radix", ""},
 		{Config{BarrierRadix: -1}, "barrier_radix", ""},
 		{Config{Dynamic: true, UnitPages: 2}, "unit_pages", ""},
-		{Config{AdaptHysteresis: -1}, "adapt_hysteresis", ""},
 	} {
 		_, err := tc.cfg.Resolve()
 		var re *registry.Error

@@ -42,9 +42,9 @@ type Derived struct {
 	Time sim.Duration `json:"time"`
 	Totals
 	// Gate and BaseGate record, per completed barrier episode, whether
-	// the adaptive protocol's contention gate (mean queue delay per
-	// message ≥ MessageLeg/16) was open at that episode's completion
-	// point under the target and base pricing respectively. The harness
+	// the adaptive protocol's contention gate (sim.CostModel.Contended)
+	// was open at that episode's completion point under the target and
+	// base pricing respectively. The harness
 	// uses them to decide when an adaptive cell may be derived: if the
 	// verdict sequence matches the base run's, the adaptive policy would
 	// have made identical switch decisions on the target network.
@@ -450,9 +450,8 @@ func (d *derivation) centralArrive(src, dst, bytes int, at sim.Duration) error {
 		st.targRel = st.targPost + fixed
 		// The adaptive policy's contention gate is evaluated exactly
 		// here: after the last arrival is priced, before any release.
-		gate := d.cost.MessageLeg / 16
-		d.baseGate = append(d.baseGate, d.msgs > 0 && d.baseQ >= gate*sim.Duration(d.msgs))
-		d.gate = append(d.gate, d.msgs > 0 && d.targQ >= gate*sim.Duration(d.msgs))
+		d.baseGate = append(d.baseGate, d.cost.Contended(d.baseQ, d.msgs))
+		d.gate = append(d.gate, d.cost.Contended(d.targQ, d.msgs))
 	}
 	return nil
 }

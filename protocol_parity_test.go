@@ -46,7 +46,7 @@ func TestProtocolParityBitIdentical(t *testing.T) {
 		procs = 8
 		pages = 16
 	)
-	image := func(protocol string, extra ...Option) []int64 {
+	image := func(protocol string, extra ...Option) ([]int64, *Result) {
 		sys, err := New(append([]Option{
 			WithProcs(procs),
 			WithSegmentBytes(pages * PageSize),
@@ -62,7 +62,7 @@ func TestProtocolParityBitIdentical(t *testing.T) {
 		}
 		n := (pages - 1) * PageSize / WordSize
 		out := make([]int64, 0, n)
-		sys.Run(func(p *Proc) {
+		res := sys.Run(func(p *Proc) {
 			// Phase 1: cyclic writes — every processor writes words of
 			// every page (write-write false sharing).
 			for w := p.ID(); w < n; w += procs {
@@ -93,10 +93,10 @@ func TestProtocolParityBitIdentical(t *testing.T) {
 				}
 			}
 		})
-		return out
+		return out, res
 	}
 
-	baseline := image("homeless")
+	baseline, _ := image("homeless")
 	if len(baseline) == 0 {
 		t.Fatal("empty baseline image")
 	}
@@ -117,14 +117,19 @@ func TestProtocolParityBitIdentical(t *testing.T) {
 			continue
 		}
 		for _, placement := range Placements() {
-			check(protocol+"/"+placement, image(protocol, WithPlacement(placement)))
+			got, _ := image(protocol, WithPlacement(placement))
+			check(protocol+"/"+placement, got)
 		}
-		// The gate-disabled adaptive engine switches on ideal, exercising
-		// handoffs (static placements) and home migration (mobile).
+		// On bus the contention gate opens and the adaptive engine
+		// switches, exercising handoffs (static placements) and home
+		// migration (mobile).
 		if protocol == "adaptive" {
 			for _, placement := range Placements() {
-				check(protocol+"/nogate/"+placement,
-					image(protocol, WithPlacement(placement), WithAdaptiveQueueGate(-1)))
+				got, res := image(protocol, WithPlacement(placement), WithNetwork("bus"))
+				check(protocol+"/bus/"+placement, got)
+				if res.ProtocolSwitches == 0 {
+					t.Errorf("%s/bus/%s: no unit switched, so no handoff was exercised", protocol, placement)
+				}
 			}
 		}
 	}
@@ -304,23 +309,6 @@ func TestWithProtocolValidation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "home") {
 		t.Fatalf("error should list known protocols, got %v", err)
-	}
-}
-
-// WithAdaptiveHysteresis validates its threshold and threads it to the
-// engine configuration.
-func TestWithAdaptiveHysteresisValidation(t *testing.T) {
-	sys, err := New(WithProtocol("adaptive"), WithAdaptiveHysteresis(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Config().AdaptHysteresis; got != 3 {
-		t.Fatalf("AdaptHysteresis = %d, want 3", got)
-	}
-	for _, bad := range []int{0, -1} {
-		if _, err := New(WithAdaptiveHysteresis(bad)); err == nil {
-			t.Fatalf("WithAdaptiveHysteresis(%d) accepted", bad)
-		}
 	}
 }
 
