@@ -188,7 +188,6 @@ func (c Config) UnitBytes() int { return c.UnitPages * mem.PageSize }
 type System struct {
 	cfg   Config
 	cost  sim.CostModel
-	tune  tuning
 	net   *simnet.Network
 	store *lrc.Store
 	col   *instrument.Collector
@@ -272,6 +271,9 @@ type System struct {
 	// cleared after they join, so processor-side reads are race-free;
 	// hot paths pay one nil check.
 	trc trace.Sink
+
+	// tune is the calibrated constants this System runs on (tuning).
+	tune tuning
 }
 
 // tuning holds the engine's calibrated constants: the §4 group bound
