@@ -25,7 +25,9 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space prof/dsmbench prof/mem.prof
 
 # alloc-check runs only the allocation-budget tests: steady-state
-# allocs/op in the lrc interval path, mem diff path, vc operations,
+# allocs/op in the lrc interval path (and a reset interval store records
+# intervals without allocating, a fresh one allocates per arena chunk,
+# not per list), mem diff path, vc operations,
 # the homeless jacobi inner loop, and the MemSink capture path (plain,
 # capture-enabled, instrumented and dynamically aggregated engine runs:
 # with the §5.3 collector on, a trial allocates nothing per exchange or
@@ -47,7 +49,7 @@ profile:
 # POST /v1/run with logging off at most 26 objects beyond what a no-op
 # handler makes with the same httptest request and recorder.
 alloc-check:
-	$(GO) test ./internal/lrc/ ./internal/aggregate/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget|IntervalScratch' -v
+	$(GO) test ./internal/lrc/ ./internal/aggregate/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget|StoreRecord' -v
 
 # fuzz-smoke runs the fuzz targets for ten seconds each: the occupancy
 # timeline's block structure against the flat reference list, the

@@ -53,3 +53,46 @@ func TestAllocBudgetDeltaPath(t *testing.T) {
 		t.Errorf("SortCausally: %v allocs/op, want 0", n)
 	}
 }
+
+// TestAllocBudgetStorePublish pins what filling a store allocates: 64
+// intervals from each of 256 processors, each writing three of 1,024
+// units, are O(chunks) objects, not O(lists). Lists that each grew by
+// their own doubling allocations made 5,120 objects here. Publish (the
+// intervals built beforehand) and Record (the store building them too)
+// are held to the same budget.
+func TestAllocBudgetStorePublish(t *testing.T) {
+	const procs, each, units, budget = 256, 64, 1024, 48
+	ts := vc.DenseStamp(vc.New(procs))
+	unitsOf := func(p, seq int) []int {
+		u := (p*each + seq) * 3 % units
+		return []int{u, (u + 1) % units, (u + 2) % units}
+	}
+	var ivs []*Interval
+	for seq := 1; seq <= each; seq++ {
+		for p := 0; p < procs; p++ {
+			ivs = append(ivs, MakeInterval(vc.IntervalID{Proc: p, Seq: int32(seq)}, ts, unitsOf(p, seq), nil))
+		}
+	}
+	fill := func(publish func(s *Store, iv *Interval)) float64 {
+		return testing.AllocsPerRun(3, func() {
+			s := NewStore(procs)
+			s.Reserve(units)
+			for _, iv := range ivs {
+				publish(s, iv)
+			}
+			if n := len(s.UnitLog(0)); n != procs*each*3/units {
+				t.Fatalf("unit 0 has %d intervals, want %d", n, procs*each*3/units)
+			}
+		})
+	}
+	if n := fill(func(s *Store, iv *Interval) { s.Publish(iv) }); n > budget {
+		t.Errorf("Publish into a fresh store: %v allocations, budget %d", n, budget)
+	} else {
+		t.Logf("Publish: %v allocations", n)
+	}
+	if n := fill(func(s *Store, iv *Interval) { s.Record(iv.ID, iv.TS, iv.Units, iv.Diffs) }); n > budget {
+		t.Errorf("Record into a fresh store: %v allocations, budget %d", n, budget)
+	} else {
+		t.Logf("Record: %v allocations", n)
+	}
+}

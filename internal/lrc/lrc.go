@@ -13,6 +13,7 @@ package lrc
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/vc"
@@ -149,7 +150,9 @@ func SortCausally(ivs []*Interval) {
 // per-node interval and diff storage TreadMarks keeps: a processor can
 // only look up intervals it has provably heard about (covered by a vector
 // time handed to it at a synchronization), so reading through the store
-// never leaks information ahead of the protocol.
+// never leaks information ahead of the protocol. It is also the home
+// engine's versioned log: every interval keeps its diffs, so a home
+// rebuilds a page at any covered vector time from UnitLog.
 //
 // Garbage collection of old intervals is deliberately omitted (runs are
 // short; TreadMarks GC is orthogonal to the paper's study).
@@ -166,6 +169,14 @@ type Store struct {
 	// per-unit lists at acquire time (see tmk's missingInto). Indexed by
 	// unit: Reserve sizes it, Publish grows it for a unit past the end.
 	byUnit [][]*Interval
+
+	// The run's storage, carved under the write lock: the lists above,
+	// and the records, unit lists and diff lists of the intervals
+	// Record builds. All of it lives until Reset.
+	lists arena[*Interval]
+	ivs   arena[Interval]
+	units arena[int]
+	diffs arena[PageDiff]
 }
 
 // NewStore returns an empty registry for n processors.
@@ -179,6 +190,20 @@ func (s *Store) Reserve(units int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.growUnits(units)
+}
+
+// Reset empties the store for another run, keeping its index and its
+// storage: every interval and list it held is dropped, and the next
+// run's are carved from the same chunks.
+func (s *Store) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.byPid)
+	clear(s.byUnit)
+	s.lists.rewind()
+	s.ivs.rewind()
+	s.units.rewind()
+	s.diffs.rewind()
 }
 
 // growUnits extends byUnit to at least n entries (write lock held). The
@@ -195,35 +220,104 @@ func (s *Store) growUnits(n int) {
 func (s *Store) Publish(iv *Interval) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.publish(iv)
+}
+
+// Record builds the interval MakeInterval would, with the record and
+// both copies carved from the store, and publishes it. The interval is
+// valid until Reset.
+func (s *Store) Record(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	u := s.units.take(len(units))
+	copy(u, units)
+	d := s.diffs.take(len(diffs))
+	copy(d, diffs)
+	iv := &s.ivs.take(1)[0]
+	initInterval(iv, id, ts, u, d)
+	s.publish(iv)
+	return iv
+}
+
+// publish is Publish with the write lock held.
+func (s *Store) publish(iv *Interval) {
 	p := iv.ID.Proc
 	if int(iv.ID.Seq) != len(s.byPid[p])+1 {
 		panic("lrc: out-of-order interval publish")
 	}
-	s.byPid[p] = appendLog(s.byPid[p], iv)
+	s.byPid[p] = s.push(s.byPid[p], iv)
 	for _, u := range iv.Units {
 		if u >= len(s.byUnit) {
 			s.growUnits(u + 1)
 		}
-		s.byUnit[u] = appendLog(s.byUnit[u], iv)
+		s.byUnit[u] = s.push(s.byUnit[u], iv)
 	}
 }
 
-// appendLog appends to one of the store's per-processor or per-unit
-// lists. A list starts with room for eight: a processor or a unit that is
-// written at all is written again in the next iteration, and the three
-// smallest growth steps were a third of the allocations Publish makes
-// under the write lock.
-func appendLog(log []*Interval, iv *Interval) []*Interval {
-	if log == nil {
-		log = make([]*Interval, 0, 8)
+// push appends iv to one of the store's lists. A full list moves to a
+// piece of twice its capacity (eight at first: a processor or a unit
+// that is written at all is written again in the next iteration), and
+// its old piece is never written again before Reset, so a UnitLog
+// snapshot of it stays valid.
+func (s *Store) push(log []*Interval, iv *Interval) []*Interval {
+	if len(log) == cap(log) {
+		grown := s.lists.take(max(8, 2*cap(log)))
+		log = grown[:copy(grown, log)]
 	}
 	return append(log, iv)
 }
 
+// Arena geometry: chunks double from 8 KB, seven times, to 1 MB. The
+// store is the one owner of its arenas, so the unused tail of the last
+// chunk is paid once a run, not once a processor.
+const (
+	arenaMinBytes  = 8 << 10
+	arenaDoublings = 7
+)
+
+// arena carves pieces of run-lifetime storage out of chunks whose
+// lengths double, and keeps the chunks when it is rewound. A piece never
+// straddles two chunks; one longer than a chunk gets a chunk of its own.
+type arena[T any] struct {
+	chunks [][]T
+	cur    int // chunks[cur] is being carved, from off on
+	off    int
+}
+
+// take returns n elements of storage with arbitrary contents.
+func (a *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	for a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
+		a.cur++
+		a.off = 0
+	}
+	if a.cur == len(a.chunks) {
+		var zero T
+		size := int(unsafe.Sizeof(zero))
+		bytes := arenaMinBytes << min(len(a.chunks), arenaDoublings)
+		a.chunks = append(a.chunks, make([]T, max(bytes/size, n)))
+	}
+	out := a.chunks[a.cur][a.off : a.off+n : a.off+n]
+	a.off += n
+	return out
+}
+
+// rewind makes every chunk reusable, dropping the pointers the carved
+// pieces held.
+func (a *arena[T]) rewind() {
+	for i := 0; i < len(a.chunks) && i <= a.cur; i++ {
+		clear(a.chunks[i])
+	}
+	a.cur, a.off = 0, 0
+}
+
 // UnitLog returns the published intervals that wrote unit u, in publish
-// order. The returned slice is a stable snapshot: entries are immutable
-// once published and appends never alias it backwards, so callers may
-// iterate without holding the store's lock.
+// order. The returned slice is a stable snapshot until Reset: entries
+// are immutable once published, and later appends write past its end or
+// into a bigger piece, so callers may iterate without holding the
+// store's lock.
 func (s *Store) UnitLog(u int) []*Interval {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -297,38 +391,6 @@ func MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) 
 	iv := new(Interval)
 	initInterval(iv, id, ts, append([]int(nil), units...), append([]PageDiff(nil), diffs...))
 	return iv
-}
-
-// IntervalScratch owns the intervals built through it and their unit
-// and diff lists: the records and both copies are carved from slabs
-// instead of allocated per interval. The zero value is ready to use; the
-// engine keeps one per processor. Every interval it built stays valid
-// until Rewind, and no longer.
-type IntervalScratch struct {
-	ivs   mem.Slab[Interval]
-	units mem.Slab[int]
-	diffs mem.Slab[PageDiff]
-}
-
-// MakeInterval is the package's MakeInterval with the record and the two
-// copies carved from s.
-func (s *IntervalScratch) MakeInterval(id vc.IntervalID, ts vc.Stamp, units []int, diffs []PageDiff) *Interval {
-	u := s.units.Take(len(units))
-	copy(u, units)
-	d := s.diffs.Take(len(diffs))
-	copy(d, diffs)
-	iv := &s.ivs.Take(1)[0]
-	initInterval(iv, id, ts, u, d)
-	return iv
-}
-
-// Rewind makes the scratch's storage reusable. The caller must have
-// dropped every interval built through it (the engine rewinds at Reset,
-// which drops the interval store).
-func (s *IntervalScratch) Rewind() {
-	s.ivs.Rewind()
-	s.units.Rewind()
-	s.diffs.Rewind()
 }
 
 // initInterval fills *iv, whatever it held, with an interval that takes

@@ -1,8 +1,10 @@
 package lrc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -272,23 +274,26 @@ func TestUnitLogIndexGrowsAndSnapshotsStay(t *testing.T) {
 	}
 }
 
-// TestIntervalScratchBuildsWhatMakeIntervalBuilds compares the carving
-// constructor with the copying one field for field (unsorted diffs
-// included), and checks that neither aliases the caller's buffers, that
-// the cached causal key and notice size are the stamp's, and that a
-// rewound scratch builds its next intervals, records and lists, without
-// allocating.
-func TestIntervalScratchBuildsWhatMakeIntervalBuilds(t *testing.T) {
+// TestStoreRecordBuildsWhatMakeIntervalBuilds compares the store's
+// carving constructor with the copying one field for field (unsorted
+// diffs included), and checks that neither aliases the caller's buffers,
+// that the cached causal key and notice size are the stamp's, that
+// Record publishes what it built, and that a reset store records its
+// next intervals, records and lists, without allocating.
+func TestStoreRecordBuildsWhatMakeIntervalBuilds(t *testing.T) {
 	ts := vc.DenseStamp(vc.Time{2, 5, 0})
-	id := vc.IntervalID{Proc: 1, Seq: 5}
+	id := vc.IntervalID{Proc: 1, Seq: 1}
 	units := []int{9, 4, 7}
 	diffs := mkInterval(1, 5, vc.Time{2, 5, 0}, 9, 4, 7).Diffs // sorted: 4 7 9
 	diffs[0], diffs[2] = diffs[2], diffs[0]                    // 9 7 4
-	var scr IntervalScratch
+	s := NewStore(3)
 	want := MakeInterval(id, ts, units, diffs)
-	got := scr.MakeInterval(id, ts, units, diffs)
+	got := s.Record(id, ts, units, diffs)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scratch-built interval %+v, copy-built %+v", got, want)
+		t.Fatalf("store-built interval %+v, copy-built %+v", got, want)
+	}
+	if s.Get(1, 1) != got || len(s.UnitLog(7)) != 1 || s.UnitLog(7)[0] != got {
+		t.Fatal("Record did not publish the interval it built")
 	}
 	if got.Diffs[0].Page != 4 || got.Diffs[2].Page != 9 {
 		t.Fatalf("diffs not sorted by page: %v", got.Diffs)
@@ -301,13 +306,87 @@ func TestIntervalScratchBuildsWhatMakeIntervalBuilds(t *testing.T) {
 		t.Fatalf("cached key %d / notice bytes %d, want 7 / 32", sum, got.NoticeBytes())
 	}
 	units[0], diffs[0].Page = 9, 9
-	scr.Rewind()
+	s.Reset()
+	if s.UnitLog(7) != nil {
+		t.Fatalf("a reset store still lists %v", s.UnitLog(7))
+	}
 	if n := testing.AllocsPerRun(50, func() {
-		scr.Rewind()
-		for i := 0; i < 8; i++ {
-			scr.MakeInterval(id, ts, units, diffs)
+		s.Reset()
+		for seq := int32(1); seq <= 8; seq++ {
+			s.Record(vc.IntervalID{Proc: 1, Seq: seq}, ts, units, diffs)
 		}
 	}); n != 0 {
-		t.Errorf("8 intervals from a rewound scratch: %v allocations, want 0", n)
+		t.Errorf("8 intervals in a reset store: %v allocations, want 0", n)
+	}
+}
+
+// TestUnitLogSnapshotStable publishes into a few units from one
+// goroutine, so that their lists move into bigger arena pieces again
+// and again, while readers iterate the UnitLog snapshots they hold. A
+// held snapshot must keep reading what it read (a later one extends
+// it), and none of it may be written again: the race detector sees any
+// write into a piece a reader holds.
+func TestUnitLogSnapshotStable(t *testing.T) {
+	const procs, units, perProc, readers = 4, 3, 600, 3
+	s := NewStore(procs)
+	s.Reserve(units)
+	ts := vc.DenseStamp(vc.Time{1, 0, 0, 0})
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			var held [][]*Interval
+			check := func() error {
+				last := s.UnitLog(u)
+				for _, snap := range held {
+					if len(snap) > len(last) {
+						return fmt.Errorf("unit %d: a snapshot of %d entries outgrew the log's %d", u, len(snap), len(last))
+					}
+					for i, iv := range snap {
+						if iv != last[i] || iv.Units[0] != u {
+							return fmt.Errorf("unit %d: entry %d of a held snapshot changed", u, i)
+						}
+					}
+				}
+				if len(held) < 64 {
+					held = append(held, last)
+				} else {
+					held[len(last)%64] = last
+				}
+				return nil
+			}
+			for {
+				select {
+				case <-done:
+					errs <- check()
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					errs <- err
+					<-done
+					return
+				}
+			}
+		}(r % units)
+	}
+	for seq := int32(1); seq <= perProc; seq++ {
+		for p := 0; p < procs; p++ {
+			s.Record(vc.IntervalID{Proc: p, Seq: seq}, ts, []int{(p + int(seq)) % units}, nil)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.UnitLog(0)) + len(s.UnitLog(1)) + len(s.UnitLog(2)); n != procs*perProc {
+		t.Fatalf("the unit logs hold %d intervals, want %d", n, procs*perProc)
 	}
 }

@@ -58,43 +58,3 @@ func TestAllocBudgetDiffPath(t *testing.T) {
 		t.Errorf("FullPageDiffInto (caller arenas): %v allocs/op, want 0", n)
 	}
 }
-
-// TestSlabTakeAndRewind covers the exported slab: disjoint full-capacity
-// slices, one allocation per chunk, a list longer than a chunk on its
-// own, and no allocation at all after Rewind.
-func TestSlabTakeAndRewind(t *testing.T) {
-	var s Slab[int]
-	a, b := s.Take(3), s.Take(5)
-	if len(a) != 3 || cap(a) != 3 || len(b) != 5 || cap(b) != 5 {
-		t.Fatalf("Take(3), Take(5) = len/cap %d/%d, %d/%d", len(a), cap(a), len(b), cap(b))
-	}
-	for i := range a {
-		a[i] = 1
-	}
-	for i := range b {
-		b[i] = 2
-	}
-	if a[2] != 1 || b[0] != 2 || &a[:cap(a)][2] == &b[0] {
-		t.Fatal("two takes share storage")
-	}
-	if got := s.Take(0); len(got) != 0 {
-		t.Fatalf("Take(0) has length %d", len(got))
-	}
-	big := s.Take(10_000)
-	if len(big) != 10_000 {
-		t.Fatalf("Take(10000) has length %d", len(big))
-	}
-	fill := func() {
-		for i := 0; i < 1000; i++ { // 8 KB of ints: four 2 KB chunks
-			s.Take(1)[0] = i
-		}
-	}
-	s.Rewind()
-	fill()
-	if n := testing.AllocsPerRun(20, func() {
-		s.Rewind()
-		fill()
-	}); n != 0 {
-		t.Errorf("refilling a rewound slab: %v allocations, want 0", n)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"unsafe"
 )
 
 // Twin is the pristine copy of a page taken on the first write in an
@@ -128,30 +127,6 @@ func (s *slab[T]) take(n, lo, hi int, full *freeList[T]) []T {
 func (s *slab[T]) rewind() {
 	s.free, s.used, s.last = nil, 0, 0
 }
-
-// Slab is the same carving storage for other packages' run-lifetime
-// records and lists (lrc carves each interval and its unit and diff
-// lists from three). Its chunks are all slabListBytes long and none
-// comes from or goes to the recycler: with one slab per processor and a
-// few short lists in each, what counts is the unused tail of the last
-// chunk — at 256 processors, chunks doubling from a page held 1.2 MB
-// more a cell than the exact-size copies they replaced. The zero value
-// is ready to use.
-type Slab[T any] struct{ s slab[T] }
-
-const slabListBytes = 2 << 10
-
-// Take returns n elements of storage with arbitrary contents, valid until
-// Rewind. A list longer than a chunk is allocated on its own.
-func (s *Slab[T]) Take(n int) []T {
-	var zero T
-	chunk := slabListBytes / int(unsafe.Sizeof(zero))
-	return s.s.take(n, chunk, chunk, nil)
-}
-
-// Rewind makes everything taken so far reusable; the caller must have
-// dropped it.
-func (s *Slab[T]) Rewind() { s.s.rewind() }
 
 // DiffScratch owns the storage of the diffs encoded through it: word
 // values and run lists are carved from two slabs instead of allocated

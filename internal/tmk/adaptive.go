@@ -2,7 +2,6 @@ package tmk
 
 import (
 	"repro/internal/lrc"
-	"repro/internal/mem"
 	"repro/internal/simnet"
 	"repro/internal/vc"
 )
@@ -16,7 +15,6 @@ const switchHysteresis = 2
 // unit starting homeless, and the policy that re-points units.
 func setupAdaptive(s *System) {
 	hb := newHomeProtocol(s)
-	hb.retain = true
 	s.install(&homelessProtocol{}, hb)
 	s.policy = newAdaptivePolicy(s, hb)
 }
@@ -127,16 +125,6 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 		}
 	}
 
-	var sum int64
-	for _, v := range merged {
-		sum += int64(v)
-	}
-	// Every interval covered by the merged time, fetched lazily on the
-	// first homeless→home switch of this barrier: reconstructing a
-	// switching unit's image needs the unit's full diff history, which
-	// adaptive-mode releases always leave in the store.
-	var history []*lrc.Interval
-
 	// Ascending unit order keeps the handoff schedule — and with it the
 	// send order — deterministic.
 	for u := 0; u < s.numUnits; u++ {
@@ -175,9 +163,9 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 		a.total++
 		a.justSwitched[u] = true
 		if curHome {
-			// home → homeless: writers retained their diffs in the
-			// interval store (homeProtocol.retain), so future homeless
-			// fetches are already served; relinquishing is free.
+			// home → homeless: every interval keeps its diffs in the
+			// store, so future homeless fetches are already served;
+			// relinquishing is free.
 			s.unitProto[u] = homelessIdx
 			if s.trc != nil {
 				s.trc.ProtocolSwitch(u, "home", "homeless", a.phase)
@@ -187,36 +175,17 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 		if s.trc != nil {
 			s.trc.ProtocolSwitch(u, "homeless", "home", a.phase)
 		}
-		// homeless → home: seed the home's versioned log with the
-		// unit's image at the barrier's merged time (visible to every
-		// post-barrier fetcher). Under a mobile placement the home
-		// itself migrates to the unit's last writer — the image already
-		// lives there, so nothing travels; under a static placement the
-		// fixed home must pull the image from the last writer, priced
-		// after the release (settleMoves).
-		if history == nil {
-			history = s.store.Delta(vc.New(len(merged)), merged)
-		}
-		var unitHist []*lrc.Interval
-		for _, iv := range history {
-			for _, uu := range iv.Units {
-				if uu == u {
-					unitHist = append(unitHist, iv)
-					break
-				}
-			}
-		}
-		bytes := 0
-		for pg := u * s.cfg.UnitPages; pg < (u+1)*s.cfg.UnitPages; pg++ {
-			buf := make([]byte, mem.PageSize)
-			for _, iv := range unitHist {
-				if d, ok := iv.Diff(pg); ok {
-					d.Apply(buf)
-				}
-			}
-			img := mem.FullPageDiff(buf)
-			a.home.seed(pg, sum, img)
-			bytes += img.WireBytes()
+		// homeless → home: the store already holds the unit's whole
+		// diff history, which is the home's versioned log, so every
+		// post-barrier fetcher (all of them cover the merged time) is
+		// served without installing anything. Under a mobile placement
+		// the home itself migrates to the unit's last writer — the image
+		// already lives there, so nothing travels; under a static
+		// placement the fixed home must pull the unit's image at the
+		// merged time from the last writer, priced after the release
+		// (settleMoves).
+		if c := s.homeCheck; c != nil {
+			c.handoff(u, merged)
 		}
 		if s.placement.Mobile() {
 			if s.homeOf(u) != lastWriter[u] {
@@ -228,7 +197,7 @@ func (a *adaptivePolicy) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 			}
 		} else {
 			to := s.procs[s.homeOf(u)]
-			to.moves = append(to.moves, rehomeMove{kind: simnet.HomeHandoff, unit: u, from: lastWriter[u], bytes: bytes})
+			to.moves = append(to.moves, rehomeMove{kind: simnet.HomeHandoff, unit: u, from: lastWriter[u], bytes: a.home.unitImageBytes(u, merged)})
 		}
 		s.unitProto[u] = homeIdx
 	}

@@ -39,15 +39,16 @@ func steadyMallocs(trial func() uint64) uint64 {
 // allocation budget: after a cold trial has sized every per-processor
 // scratch structure (twin free lists, diff scratch, fetch index
 // tables, delta buffers), a further homeless jacobi trial on the
-// reused System must stay under 158 heap allocations.
+// reused System must stay under 68 heap allocations.
 //
 // The pre-scratch engine measured 7226 mallocs (5.9 MB) for the same
 // trial, the rebuilt inner loops ~525, with diffs carved from
 // per-processor slabs that rewind at Reset (no allocation per dirty
-// page) 268–271, and with interval records carved from such slabs too
-// and fetch cursors kept by value 125–126. The ceiling is 1.25× that —
-// what remains is goroutine startup, the growth of the store's
-// per-unit publish logs, and the trial's Result.
+// page) 268–271, with interval records carved from such slabs too and
+// fetch cursors kept by value 125–126, and with the interval store
+// keeping its lists and records in arenas that survive Reset 50–54. The
+// ceiling is 1.25× that — what remains is goroutine startup, the
+// barriers' epochs, and the trial's Result.
 func TestAllocBudgetSteadyStateRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
 	if !ok {
@@ -62,7 +63,7 @@ func TestAllocBudgetSteadyStateRun(t *testing.T) {
 	if err := w.Check(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 158
+	const budget = 68
 	t.Logf("%d mallocs", best)
 	if best > budget {
 		t.Errorf("steady-state homeless jacobi trial: %d mallocs, budget %d", best, budget)
@@ -80,8 +81,9 @@ func TestAllocBudgetSteadyStateRun(t *testing.T) {
 // With a heap record per exchange, a slice of them per fetch and one per
 // fault, and a tag row allocated per page, this trial made 711 mallocs;
 // with tag rows carved from chunks and none of the rest, 275–280; with
-// interval records carved from slabs too, 258. The ceiling is 1.25×
-// that.
+// interval records carved from slabs too, 258; with the store's lists
+// and records in arenas that survive Reset, 183–184. The ceiling is
+// 1.25× that.
 func TestAllocBudgetInstrumentedRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
 	if !ok {
@@ -96,7 +98,7 @@ func TestAllocBudgetInstrumentedRun(t *testing.T) {
 	if err := w.Check(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 323
+	const budget = 230
 	t.Logf("%d mallocs", best)
 	if best > budget {
 		t.Errorf("steady-state instrumented homeless jacobi trial: %d mallocs, budget %d", best, budget)
@@ -107,7 +109,7 @@ func TestAllocBudgetInstrumentedRun(t *testing.T) {
 // MemSink capture on — the configuration every derived-sweep base cell
 // runs under. A reused sink's Reset keeps its column capacity, so
 // capture must add locking, not allocation: the budget is 1.25× the
-// measured 126–127, about the plain run's count, nowhere near the ~100k events a
+// measured 51–56, about the plain run's count, nowhere near the ~100k events a
 // trial captures.
 func TestAllocBudgetCaptureRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
@@ -130,7 +132,7 @@ func TestAllocBudgetCaptureRun(t *testing.T) {
 	if !ms.Ended() || ms.Len() == 0 {
 		t.Fatalf("capture incomplete: ended %v, %d events", ms.Ended(), ms.Len())
 	}
-	const budget = 158
+	const budget = 70
 	t.Logf("%d mallocs", best)
 	if best > budget {
 		t.Errorf("steady-state captured jacobi trial: %d mallocs, budget %d", best, budget)
@@ -143,8 +145,9 @@ func TestAllocBudgetCaptureRun(t *testing.T) {
 // groups, all in storage the processor keeps across intervals and
 // trials. With a new tracker map per interval, a new slice per group and
 // a new tracker and partition per trial, this trial made 380 mallocs;
-// without them, 125, the static trial's count. The ceiling is 1.25×
-// that.
+// without them, 125, the static trial's count then, and 50–55 once
+// the interval store kept its storage across Reset. The ceiling is
+// 1.25× that.
 func TestAllocBudgetDynRun(t *testing.T) {
 	e, ok := apps.Lookup("jacobi", "small")
 	if !ok {
@@ -159,7 +162,7 @@ func TestAllocBudgetDynRun(t *testing.T) {
 	if err := w.Check(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 157
+	const budget = 69
 	t.Logf("%d mallocs", best)
 	if best > budget {
 		t.Errorf("steady-state dynamic homeless jacobi trial: %d mallocs, budget %d", best, budget)

@@ -1,11 +1,16 @@
 package tmk
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 
+	"repro/internal/lrc"
 	"repro/internal/mem"
+	"repro/internal/vc"
 )
 
 // SetBarrierHook installs fn to run on every processor's goroutine after
@@ -91,4 +96,113 @@ func (s *System) Promoted() int {
 // pages instead of aggregate.DefaultMaxPages, for ablating the bound.
 func NewSystemMaxGroup(cfg Config, maxPages int) (*System, error) {
 	return newSystem(cfg, tuning{groupPages: maxPages})
+}
+
+// HomeLogCheck keeps the home engine's earlier versioned log beside the
+// interval store: every diff a home release flushes, stamped with its
+// interval's causal key, and at every adaptive homeless→home handoff a
+// seed per page — the unit's image at the switch barrier's merged time,
+// rebuilt from the store's history — that every later fetcher sees.
+// Each page image the home engine builds from the store must equal,
+// byte for byte, the image this log gives at the same vector time.
+type HomeLogCheck struct {
+	sys *System
+
+	mu       sync.Mutex
+	log      map[int][]flushEntry // page -> flushed diffs and seeds, in arrival order
+	images   int
+	handoffs int
+	err      error
+}
+
+// flushEntry is one logged page diff with its interval's causal key
+// (sum, proc, seq). A seed carries proc -1, so that it sorts before the
+// same-sum entries its image already contains.
+type flushEntry struct {
+	proc int
+	seq  int32
+	sum  int64
+	seed bool
+	d    mem.Diff
+}
+
+// CheckHomeImages installs the log beside s's next Run. Call it before
+// Run, once per Run.
+func (s *System) CheckHomeImages() *HomeLogCheck {
+	c := &HomeLogCheck{sys: s, log: make(map[int][]flushEntry)}
+	s.homeCheck = c
+	return c
+}
+
+// Counts returns how many page images and handoffs were checked, and
+// the first image that differed from the log's.
+func (c *HomeLogCheck) Counts() (images, handoffs int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.images, c.handoffs, c.err
+}
+
+// flushed logs one flushed diff under the releasing interval's key: p's
+// vector time has just ticked for the closing interval.
+func (c *HomeLogCheck) flushed(p *Proc, pd lrc.PageDiff) {
+	e := flushEntry{proc: p.id, seq: p.vt[p.id], sum: timeSum(p.vt), d: pd.D}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.log[pd.Page] = append(c.log[pd.Page], e)
+}
+
+// handoff seeds the log with unit u's pages at merged: the diffs of
+// every interval merged covers that wrote the unit, applied in the
+// store delta's causal order.
+func (c *HomeLogCheck) handoff(u int, merged vc.Time) {
+	history := c.sys.store.Delta(vc.New(len(merged)), merged)
+	up := c.sys.cfg.UnitPages
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.handoffs++
+	for pg := u * up; pg < (u+1)*up; pg++ {
+		buf := make([]byte, mem.PageSize)
+		for _, iv := range history {
+			if d, ok := iv.Diff(pg); ok {
+				d.Apply(buf)
+			}
+		}
+		c.log[pg] = append(c.log[pg], flushEntry{proc: -1, sum: timeSum(merged), seed: true, d: mem.FullPageDiff(buf)})
+	}
+}
+
+// image rebuilds page at vt from the log — the seeds and the flushes vt
+// covers, stably sorted by causal key, applied over a zeroed page — and
+// compares it with img.
+func (c *HomeLogCheck) image(page int, vt vc.Time, img mem.Diff) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var covered []flushEntry
+	for _, e := range c.log[page] {
+		if e.seed || vt.KnowsInterval(e.proc, e.seq) {
+			covered = append(covered, e)
+		}
+	}
+	slices.SortStableFunc(covered, func(a, b flushEntry) int {
+		return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.proc, b.proc), cmp.Compare(a.seq, b.seq))
+	})
+	want := make([]byte, mem.PageSize)
+	for _, e := range covered {
+		e.d.Apply(want)
+	}
+	got := make([]byte, mem.PageSize)
+	img.Apply(got)
+	c.images++
+	if c.err == nil && (!bytes.Equal(got, want) || img.WireBytes() != mem.FullPageDiff(want).WireBytes()) {
+		c.err = fmt.Errorf("page %d at %v: the store's image differs from the flush log's (%d logged entries, %d covered)",
+			page, vt, len(c.log[page]), len(covered))
+	}
+}
+
+func timeSum(t vc.Time) int64 {
+	var sum int64
+	for _, v := range t {
+		sum += int64(v)
+	}
+	return sum
 }

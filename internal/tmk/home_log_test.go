@@ -1,0 +1,132 @@
+package tmk_test
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/apps"
+	_ "repro/internal/apps/all"
+	"repro/internal/mem"
+	"repro/internal/sim"
+	"repro/internal/tmk"
+	"repro/internal/trace"
+)
+
+// TestHomeImagesMatchFlushLog runs the home engine's earlier versioned
+// log beside the interval store (System.CheckHomeImages) and requires
+// every page image the home builds from the store — at each home fetch,
+// each adaptive handoff's pricing and each migration's pricing — to
+// equal the log's image at the same vector time. The cells are the
+// home, adaptive and migrating configurations of the barrier
+// applications (Jacobi, Barnes, Storm) and the lock-based ones (TSP,
+// Water), at units of 1, 2 and 4 pages, on both clock representations.
+// Adaptive runs on bus, where the contention gate lets units switch.
+func TestHomeImagesMatchFlushLog(t *testing.T) {
+	configs := []tmk.Config{
+		{Protocol: "home"},
+		{Protocol: "home", Placement: "migrate"},
+		{Protocol: "adaptive", Network: "bus"},
+		{Protocol: "adaptive", Placement: "migrate", Network: "bus"},
+	}
+	handoffs, rehomeBytes := 0, 0
+	for _, app := range []string{"Jacobi", "Water", "TSP", "Barnes", "Storm"} {
+		for _, base := range configs {
+			for _, scale := range []string{tmk.ScaleSparse, tmk.ScaleDense} {
+				for _, up := range []int{1, 2, 4} {
+					cfg := base
+					cfg.Procs, cfg.UnitPages, cfg.Scale = 8, up, scale
+					name := fmt.Sprintf("%s/%s/%s/%s/%s/u%d", app, cfg.Protocol, cfg.Placement, cfg.Network, scale, up)
+					e, ok := apps.Lookup(app, "small")
+					if !ok {
+						t.Fatalf("%s/small is not registered", app)
+					}
+					w := e.Make(cfg.Procs)
+					sys, err := apps.NewSystem(w, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					check := sys.CheckHomeImages()
+					res := sys.Run(w.Body)
+					if err := w.Check(); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					images, h, err := check.Counts()
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					if images == 0 && cfg.Protocol == "home" {
+						t.Errorf("%s: the home engine built no page image", name)
+					}
+					handoffs += h
+					if cfg.Placement == "migrate" {
+						rehomeBytes += res.RehomeBytes
+					}
+					sys.Release()
+				}
+			}
+		}
+	}
+	if handoffs == 0 || rehomeBytes == 0 {
+		t.Errorf("the cells never priced a handoff or a migration: %d handoffs, %d migrated bytes", handoffs, rehomeBytes)
+	}
+}
+
+// orderSink is a MemSink that closes entered once processor 1 enters a
+// barrier, which it does after publishing the interval the barrier
+// closed.
+type orderSink struct {
+	*trace.MemSink
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (s *orderSink) BarrierEnter(p int, at sim.Duration) {
+	s.MemSink.BarrierEnter(p, at)
+	if p == 1 {
+		s.once.Do(func() { close(s.entered) })
+	}
+}
+
+// TestHomeImageOrdersRacingWritesCausally has processors 0 and 1 write
+// the same word in one phase, processor 0 publishing its interval after
+// processor 1's, and processor 2 read it through a home fetch after the
+// barrier. The race is settled by the causal key: both intervals have
+// the same vector-entry sum, so processor 1's applies last. The five
+// applications never show this — their concurrent diffs touch disjoint
+// words, and the store publishes causally ordered intervals in causal
+// order — so here an image built in publish order would differ from the
+// flush log's, and read processor 0's value.
+func TestHomeImageOrdersRacingWritesCausally(t *testing.T) {
+	sink := &orderSink{MemSink: trace.NewMemSink(), entered: make(chan struct{})}
+	sys, err := tmk.NewSystem(tmk.Config{Procs: 3, Protocol: "home", Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sys.Alloc(mem.PageSize)
+	check := sys.CheckHomeImages()
+	var got int64
+	sys.Run(func(p *tmk.Proc) {
+		switch p.ID() {
+		case 0:
+			<-sink.entered
+			p.WriteI64(base, 100)
+		case 1:
+			p.WriteI64(base, 101)
+		}
+		p.Barrier()
+		if p.ID() == 2 {
+			got = p.ReadI64(base)
+		}
+	})
+	images, _, err := check.Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if images == 0 {
+		t.Fatal("processor 2 read without a home fetch")
+	}
+	if got != 101 {
+		t.Errorf("processor 2 read %d, want processor 1's 101", got)
+	}
+}

@@ -2,7 +2,6 @@ package tmk
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
@@ -12,25 +11,27 @@ import (
 
 // homeProtocol is home-based lazy release consistency (HLRC, in the
 // style of Princeton's home-based protocols and JIAJIA): every
-// consistency unit has a statically assigned home processor that keeps
-// the authoritative copy. At release, a writer flushes its diffs to
-// each written unit's home (one one-way message per remote home) and
-// discards them; write notices still travel lazily with synchronization.
-// An access miss is served by the home alone — one exchange returning
-// the unit's entire contents — instead of one diff exchange per
-// concurrent writer. The trade the paper's framework exposes: fewer
-// messages under write-write false sharing, more bytes per fetch.
+// consistency unit has a home processor that keeps the authoritative
+// copy. At release, a writer flushes its diffs to each written unit's
+// home (one one-way message per remote home); write notices still
+// travel lazily with synchronization. An access miss is served by the
+// home alone — one exchange returning the unit's entire contents —
+// instead of one diff exchange per concurrent writer. The trade the
+// paper's framework exposes: fewer messages under write-write false
+// sharing, more bytes per fetch.
 //
-// The home copies are versioned, as in real HLRC: the home keeps each
-// page's flushed diffs stamped with their interval's vector time, and a
-// fetch returns the page reconstructed at the *fetcher's* vector time —
-// exactly the writes the fetcher is entitled to see under LRC, no more.
-// Without this, a processor still traversing pre-step data could
-// observe post-step writes that a faster processor already flushed at
-// the next barrier (TreadMarks programs rely on concurrent writes
-// staying invisible until the reader's next acquire). Flushes reach the
-// home before the release's synchronization hands off (they run inside
-// the closing interval), so every interval covered by an acquirer's
+// The home copies are versioned, as in real HLRC: a fetch returns the
+// page reconstructed at the *fetcher's* vector time — exactly the writes
+// the fetcher is entitled to see under LRC, no more. Without this, a
+// processor still traversing pre-step data could observe post-step
+// writes that a faster processor already flushed at the next barrier
+// (TreadMarks programs rely on concurrent writes staying invisible until
+// the reader's next acquire). The versioned log is the interval store
+// itself: every published interval keeps its diffs, so the home's state
+// for a unit is the unit's store log (lrc.Store.UnitLog), stamped with
+// each interval's vector time. The flush is what the protocol pays for
+// the home holding them. An interval is published before the release's
+// synchronization hands off, so every interval covered by an acquirer's
 // vector time is in the log by the time the acquirer can fault on it.
 //
 // Home application cost is charged to the writer's flush (the one-way
@@ -40,40 +41,10 @@ type homeProtocol struct {
 	invalidator
 	sys *System
 	up  int // unit size in pages
-	// retain keeps released diffs attached to the published interval in
-	// addition to flushing them home. Off for the static configuration
-	// (the writer discards after flushing, as in real HLRC); on under
-	// adaptive, where writers retain their diffs so a later
-	// home→homeless switch finds them in the interval store (this
-	// engine omits interval GC anyway — see lrc.Store) at zero wire
-	// cost.
-	retain bool
-
-	mu  sync.Mutex
-	log map[int][]flushEntry // page -> flushed diffs, in arrival order
-}
-
-// flushEntry is one flushed page diff with its interval's causal key
-// (sum, proc, seq) — see lrc.Interval.CausalKey. A seed entry is the
-// unit image installed at an adaptive homeless→home handoff: it is
-// visible to every fetcher (only post-switch fetchers can reach the
-// home, and all of them cover the switch barrier's vector time) and
-// carries proc -1 so it sorts before the same-sum entries its image
-// already contains.
-type flushEntry struct {
-	proc int
-	seq  int32
-	sum  int64
-	seed bool
-	d    mem.Diff
 }
 
 func newHomeProtocol(s *System) *homeProtocol {
-	return &homeProtocol{
-		sys: s,
-		up:  s.cfg.UnitPages,
-		log: make(map[int][]flushEntry),
-	}
+	return &homeProtocol{sys: s, up: s.cfg.UnitPages}
 }
 
 func (*homeProtocol) Name() string { return "home" }
@@ -84,22 +55,10 @@ func (*homeProtocol) Name() string { return "home" }
 // rehoming layer (see placement.go).
 func (h *homeProtocol) homeOf(u int) int { return h.sys.homeOf(u) }
 
-// Release flushes the diffs to each written unit's home — one one-way
-// HomeFlush message per remote home, appended to the home's versioned
-// log — and surrenders them (the home now owns the data, so the
-// published interval carries the write notices diff-free), unless
-// retain is set. Flushing to the processor's own home units is local
-// and free of messages.
-func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []int, diffs []lrc.PageDiff) []lrc.PageDiff {
-	var keep []lrc.PageDiff
-	if h.retain {
-		keep = diffs
-	}
-	if len(diffs) == 0 {
-		return keep
-	}
-	sum := ts.Sum()
-
+// Release flushes the diffs that fall in units this engine owns to each
+// unit's home: one one-way HomeFlush message per remote home. Flushing
+// to the processor's own home units is local and free of messages.
+func (h *homeProtocol) Release(p *Proc, diffs []lrc.PageDiff) {
 	// Tally this interval's flush payload by the home of each diff's
 	// unit: one entry per diff, grouped by home below. Releases close
 	// every writing interval and must not allocate, and nothing here is
@@ -107,16 +66,15 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 	fs := &p.fs
 	fs.peers = fs.peers[:0]
 	for _, pd := range diffs {
-		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(pd.Page / h.up), n: pd.D.WireBytes()})
+		u := pd.Page / h.up
+		if h.sys.protoOf(u) != h {
+			continue
+		}
+		if c := h.sys.homeCheck; c != nil {
+			c.flushed(p, pd)
+		}
+		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: pd.D.WireBytes()})
 	}
-
-	h.mu.Lock()
-	for _, pd := range diffs {
-		h.log[pd.Page] = append(h.log[pd.Page], flushEntry{
-			proc: id.Proc, seq: id.Seq, sum: sum, d: pd.D,
-		})
-	}
-	h.mu.Unlock()
 
 	// One flush message per remote home, in ascending home order for a
 	// deterministic send order; the writer's own home units are local.
@@ -128,7 +86,6 @@ func (h *homeProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []i
 		t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, x.peer, x.req, p.clock.Now())
 		p.clock.Advance(t.Total)
 	}
-	return keep
 }
 
 // planFlush lays out a home flush: one message per home, ascending,
@@ -173,101 +130,67 @@ func (fs *fetchScratch) planImages(up int) {
 	}
 }
 
-// seed installs a full-page image into the home's versioned log at an
-// adaptive homeless→home handoff. sum must be the vector-entry sum of
-// the switch barrier's merged time: every pre-switch interval the image
-// contains has a smaller-or-equal sum (ties are idempotent re-applies),
-// and every post-switch flush a strictly larger one, so causal sorting
-// places the seed correctly. Called while every processor is blocked in
-// the switch barrier.
-func (h *homeProtocol) seed(page int, sum int64, img mem.Diff) {
-	h.mu.Lock()
-	h.log[page] = append(h.log[page], flushEntry{proc: -1, sum: sum, seed: true, d: img})
-	h.mu.Unlock()
+// unitImageBytes is the wire size of unit u's pages reconstructed at
+// vector time vt: what moving the unit's home state carries. Used by the
+// occasional barrier-time paths (handoff and rehoming pricing).
+func (h *homeProtocol) unitImageBytes(u int, vt vc.Time) int {
+	var fs fetchScratch
+	h.unitImagesInto(&fs, u, vt)
+	mem.PutPage(fs.imgBuf)
+	bytes := 0
+	for _, d := range fs.snapDiffs {
+		bytes += d.WireBytes()
+	}
+	return bytes
 }
 
-// sortFlushEntries stably orders covered log entries by their causal
-// key (sum, proc, seq) via binary-insertion sort — no closure, no
-// allocation, near-linear on the arrival-ordered runs a home log holds.
-func sortFlushEntries(es []flushEntry) {
-	less := func(a, b *flushEntry) bool {
-		if a.sum != b.sum {
-			return a.sum < b.sum
+// unitImagesInto appends the images of unit u's pages at vector time vt
+// to fs.snapDiffs, using fs for every intermediate: the covered
+// intervals, the reconstruction page, and — when the image arenas have
+// room (Fetch pre-sizes them) — each image's word and run storage. A
+// page's image is the diffs on it of the unit's logged intervals that vt
+// covers, applied in causal order over the zeroed initial page. The log
+// grows for the length of a run (like the rest of lrc.Store, garbage
+// collection is omitted: runs are short and home GC is orthogonal to
+// the study), so a hot unit's reconstruction cost grows with its write
+// history.
+func (h *homeProtocol) unitImagesInto(fs *fetchScratch, u int, vt vc.Time) {
+	fs.covered = fs.covered[:0]
+	for _, iv := range h.sys.store.UnitLog(u) {
+		if vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
+			fs.covered = append(fs.covered, iv)
 		}
-		if a.proc != b.proc {
-			return a.proc < b.proc
-		}
-		return a.seq < b.seq
 	}
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		if !less(&e, &es[i-1]) {
-			continue
-		}
-		lo, hi := 0, i
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if less(&e, &es[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
+	lrc.SortCausally(fs.covered)
+	if fs.imgBuf == nil {
+		fs.imgBuf = mem.GetPage()
+	}
+	buf := fs.imgBuf[:]
+	for page := u * h.up; page < (u+1)*h.up; page++ {
+		clear(buf)
+		for _, iv := range fs.covered {
+			if d, ok := iv.Diff(page); ok {
+				d.Apply(buf)
 			}
 		}
-		copy(es[lo+1:i+1], es[lo:i])
-		es[lo] = e
-	}
-}
-
-// pageImage reconstructs the page's contents at vector time vt: the
-// flushed diffs of intervals covered by vt, applied in causal order
-// over the zeroed initial page. Used by the occasional barrier-time
-// paths (rehoming cost pricing); the fetch path calls pageImageInto
-// with per-processor scratch instead.
-func (h *homeProtocol) pageImage(page int, vt vc.Time) mem.Diff {
-	var fs fetchScratch
-	return h.pageImageInto(&fs, page, vt)
-}
-
-// pageImageInto is pageImage using fs for every intermediate: the
-// covered-entry list, the reconstruction buffer, and — when the image
-// arenas have room (Fetch pre-sizes them) — the returned diff's word
-// and run storage. Only the log snapshot runs under h.mu; the sort and
-// the diff applications do not. The log is append-only for the length
-// of a run (like lrc.Store, garbage collection is omitted: runs are
-// short and home GC is orthogonal to the study), so a hot page's
-// reconstruction cost grows with its flush history.
-func (h *homeProtocol) pageImageInto(fs *fetchScratch, page int, vt vc.Time) mem.Diff {
-	h.mu.Lock()
-	entries := h.log[page]
-	h.mu.Unlock()
-	fs.covered = fs.covered[:0]
-	for _, e := range entries {
-		if e.seed || vt.KnowsInterval(e.proc, e.seq) {
-			fs.covered = append(fs.covered, e)
+		var words []uint64
+		if n := len(fs.imgWords); cap(fs.imgWords)-n >= mem.WordsPerPage {
+			fs.imgWords = fs.imgWords[:n+mem.WordsPerPage]
+			words = fs.imgWords[n : n+mem.WordsPerPage : n+mem.WordsPerPage]
+		} else {
+			words = make([]uint64, mem.WordsPerPage)
 		}
+		var runs []mem.Run
+		if fs.nImgRuns < len(fs.imgRuns) {
+			runs = fs.imgRuns[fs.nImgRuns : fs.nImgRuns : fs.nImgRuns+1]
+			fs.nImgRuns++
+		}
+		img := mem.FullPageDiffInto(words, runs, buf)
+		if c := h.sys.homeCheck; c != nil {
+			c.image(page, vt, img)
+		}
+		fs.snapDiffs = append(fs.snapDiffs, img)
 	}
-	sortFlushEntries(fs.covered)
-	if len(fs.imgBuf) < mem.PageSize {
-		fs.imgBuf = make([]byte, mem.PageSize)
-	}
-	buf := fs.imgBuf[:mem.PageSize]
-	clear(buf)
-	for _, e := range fs.covered {
-		e.d.Apply(buf)
-	}
-	var words []uint64
-	if n := len(fs.imgWords); cap(fs.imgWords)-n >= mem.WordsPerPage {
-		fs.imgWords = fs.imgWords[:n+mem.WordsPerPage]
-		words = fs.imgWords[n : n+mem.WordsPerPage : n+mem.WordsPerPage]
-	} else {
-		words = make([]uint64, mem.WordsPerPage)
-	}
-	var runs []mem.Run
-	if fs.nImgRuns < len(fs.imgRuns) {
-		runs = fs.imgRuns[fs.nImgRuns : fs.nImgRuns : fs.nImgRuns+1]
-		fs.nImgRuns++
-	}
-	return mem.FullPageDiffInto(words, runs, buf)
 }
 
 // Fetch implements the home-based miss policy: each stale unit is
@@ -306,9 +229,9 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 
 	// Reconstruct the fetched units' pages at p's vector time — the
 	// reply payloads. Per-page reconstruction needs no cross-page
-	// atomicity: every interval covered by p's vector time was flushed
+	// atomicity: every interval covered by p's vector time was published
 	// before the synchronization that extended the vector time handed
-	// off, so it is already in the log, and concurrent flushes are
+	// off, so it is already in the log, and concurrent intervals are
 	// never covered. The images' word and run storage is carved from
 	// arenas sized for the whole fetch up front, so no reallocation
 	// invalidates an earlier image.
@@ -323,9 +246,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs.nImgRuns = 0
 	fs.snapDiffs = fs.snapDiffs[:0]
 	for _, u := range fetch {
-		for s := 0; s < h.up; s++ {
-			fs.snapDiffs = append(fs.snapDiffs, h.pageImageInto(fs, u*h.up+s, p.vt))
-		}
+		h.unitImagesInto(fs, u, p.vt)
 	}
 
 	// One exchange per distinct home, issued in parallel; units homed

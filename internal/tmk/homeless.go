@@ -8,7 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/vc"
 )
 
 // homelessProtocol is TreadMarks' protocol, the one the paper
@@ -20,12 +19,10 @@ type homelessProtocol struct{ invalidator }
 
 func (*homelessProtocol) Name() string { return "homeless" }
 
-// Release keeps the diffs with the writer: every diff stays attached to
-// the published interval, to be served on demand at remote faults. No
-// messages move — lazy release consistency at its laziest.
-func (*homelessProtocol) Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []int, diffs []lrc.PageDiff) []lrc.PageDiff {
-	return diffs
-}
+// Release leaves the diffs with the writer: the published interval holds
+// them, to be served on demand at remote faults. No messages move — lazy
+// release consistency at its laziest.
+func (*homelessProtocol) Release(*Proc, []lrc.PageDiff) {}
 
 // fetchItem is one page diff scheduled for application, keyed for causal
 // ordering by its (latest contributing) source interval and attributed to
@@ -89,12 +86,12 @@ type fetchScratch struct {
 	spillScratch []int32            // missingInto: next spill under construction
 
 	// Home-based fetch scratch (see homebased.go).
-	snapDiffs []mem.Diff   // page images: unit fetchUnits[i]'s s-th page at i*UnitPages+s
-	covered   []flushEntry // pageImage: covered log entries
-	imgWords  []uint64     // arena backing the page images' words
-	imgRuns   []mem.Run    // arena backing the page images' run lists
+	snapDiffs []mem.Diff      // page images: unit fetchUnits[i]'s s-th page at i*UnitPages+s
+	covered   []*lrc.Interval // unitImagesInto: the unit's covered intervals
+	imgWords  []uint64        // arena backing the page images' words
+	imgRuns   []mem.Run       // arena backing the page images' run lists
 	nImgRuns  int
-	imgBuf    []byte // pageImage: reconstruction buffer
+	imgBuf    *[mem.PageSize]byte // unitImagesInto: reconstruction page, from mem's recycler
 }
 
 func byPeer(a, b peerWork) int     { return cmp.Compare(a.peer, b.peer) }

@@ -324,10 +324,8 @@ func (r *rehomer) atBarrier(merged vc.Time, delta []*lrc.Interval) {
 			// The new home pulls the unit's versioned state from the
 			// old one: priced as one exchange after the release,
 			// carrying the unit's pages reconstructed at the barrier's
-			// merged time (every flush in the log is covered by it).
-			for pg := u * s.cfg.UnitPages; pg < (u+1)*s.cfg.UnitPages; pg++ {
-				bytes += r.home.pageImage(pg, merged).WireBytes()
-			}
+			// merged time (every interval in the log is covered by it).
+			bytes = r.home.unitImageBytes(u, merged)
 			s.nRehomeBytes += bytes
 			s.procs[nh].moves = append(s.procs[nh].moves, rehomeMove{kind: simnet.HomeMigrate, unit: u, from: cur, bytes: bytes})
 		}

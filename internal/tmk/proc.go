@@ -97,15 +97,14 @@ type Proc struct {
 	// loops (fault → fetch → apply, close → diff → publish, acquire →
 	// delta) run allocation-free once these have grown to the workload's
 	// high-water mark (see the AllocBudget tests).
-	diffScr   mem.DiffScratch     // closeInterval: the slabs this run's diffs live in
-	ivScr     lrc.IntervalScratch // closeInterval: the slabs this run's intervals' lists live in
-	unitsBuf  []int               // closeInterval: units written
-	diffsBuf  []lrc.PageDiff      // closeInterval: non-empty diffs
-	deltaBuf  []*lrc.Interval     // applyAcquire: store delta (lock grants)
-	faultUnit [1]int              // readFault: single-unit fetch list
-	fs        fetchScratch        // homeless/home fetch scratch
-	arena     vc.StampArena       // sparse-stamp deviation storage (reset per trial)
-	vtScratch vc.Time             // applyAcquireStamp: dense materialization
+	diffScr   mem.DiffScratch // closeInterval: the slabs this run's diffs live in
+	unitsBuf  []int           // closeInterval: units written
+	diffsBuf  []lrc.PageDiff  // closeInterval: non-empty diffs
+	deltaBuf  []*lrc.Interval // applyAcquire: store delta (lock grants)
+	faultUnit [1]int          // readFault: single-unit fetch list
+	fs        fetchScratch    // homeless/home fetch scratch
+	arena     vc.StampArena   // sparse-stamp deviation storage (reset per trial)
+	vtScratch vc.Time         // applyAcquireStamp: dense materialization
 
 	// ownNoticeBytes is the notice wire size of the intervals closed since
 	// the last barrier: what the held-unit walk takes off the episode's
@@ -148,15 +147,14 @@ func newProc(s *System, id int) *Proc {
 
 // reset returns the processor to its post-newProc state while keeping
 // every allocation — page table, scratch buffers, twin buffers, diff
-// slabs (rewound: System.Reset has dropped the store that held their
+// slabs (rewound: System.Reset has emptied the store that held their
 // diffs) — so a multi-trial benchmark rebuilds no per-processor memory
 // between trials. Replica frames pass through the recycler.
 func (p *Proc) reset() {
 	p.clock = sim.Clock{}
 	p.rep.Zero()
 	p.diffScr.Rewind()
-	p.ivScr.Rewind()
-	// The previous trial's intervals are dropped with its store; do not
+	// The previous trial's intervals are dropped from the store; do not
 	// pin them until the next lock acquire overwrites the buffer.
 	clear(p.deltaBuf)
 	p.deltaBuf = p.deltaBuf[:0]
@@ -182,9 +180,10 @@ func (p *Proc) reset() {
 }
 
 // release hands the processor's page-sized storage — replica frames,
-// write-set buffers, full-size diff-slab chunks — to the recycler and
-// drops the replica, so a stray access after System.Release fails on a
-// nil replica instead of reading a page some other run now owns.
+// write-set buffers, full-size diff-slab chunks, the home fetch's
+// reconstruction page — to the recycler and drops the replica, so a
+// stray access after System.Release fails on a nil replica instead of
+// reading a page some other run now owns.
 func (p *Proc) release() {
 	p.rep.Zero()
 	p.rep = nil
@@ -195,7 +194,8 @@ func (p *Proc) release() {
 	p.wsets, p.checkTwins = nil, nil
 	p.diffScr.Release()
 	p.fs.coalesced.Release()
-	p.ivScr = lrc.IntervalScratch{}
+	mem.PutPage(p.fs.imgBuf)
+	p.fs.imgBuf = nil
 }
 
 // ID returns the processor number (0-based).

@@ -4,7 +4,6 @@ import (
 	"repro/internal/lrc"
 	"repro/internal/mem"
 	"repro/internal/registry"
-	"repro/internal/vc"
 )
 
 // Protocol is one coherence engine: the policy for who owns a closed
@@ -17,13 +16,13 @@ import (
 //
 // Dispatch is per *consistency unit*, not per engine: the System owns a
 // dispatch table (protoOf) mapping every unit to its current owning
-// protocol, and routes each operation to the owner — a release splits
-// an interval's diffs by the owning protocol of each written unit, an
-// acquire applies each notice through the noticed unit's owner, and a
-// fault hands each stale unit to its owner's fetch policy. A static
-// configuration ("homeless", "home") installs one engine owning every
-// unit; the "adaptive" configuration installs both and re-points units
-// at barriers (see DESIGN.md §8).
+// protocol, and routes each operation to the owner — a release hands
+// an interval's diffs to every engine, each acting on the units it
+// owns, an acquire applies each notice through the noticed unit's
+// owner, and a fault hands each stale unit to its owner's fetch
+// policy. A static configuration ("homeless", "home") installs one
+// engine owning every unit; the "adaptive" configuration installs both
+// and re-points units at barriers (see DESIGN.md §8).
 //
 // Protocol instances serve one System build (Reset constructs fresh
 // ones); per-processor protocol state lives on Proc (twins,
@@ -45,14 +44,14 @@ type Protocol interface {
 	// (applyBarrierGrant's held-unit walk).
 	AcquireUnit(p *Proc, iv *lrc.Interval, u int)
 
-	// Release takes ownership of the diffs of interval (id, ts) that
-	// fall in units this protocol owns: homeless keeps them with the
-	// writer (attached to the published interval, served on demand);
-	// home-based flushes them to each written unit's home. It returns
-	// the page diffs to keep attached to the interval the caller
+	// Release is handed every page diff of p's closing interval and
+	// acts on those that fall in units this protocol owns: homeless
+	// leaves them with the writer (the published interval holds them,
+	// served on demand); home-based flushes them to each written unit's
+	// home. Every diff stays attached to the interval the caller
 	// publishes. Called on p's goroutine, before the synchronization
 	// operation proceeds and before the interval is published.
-	Release(p *Proc, id vc.IntervalID, ts vc.Stamp, units []int, diffs []lrc.PageDiff) []lrc.PageDiff
+	Release(p *Proc, diffs []lrc.PageDiff)
 
 	// Fetch brings the stale units among units — all owned by this
 	// protocol — up to date in p's replica: it decides whom to contact,
@@ -104,32 +103,6 @@ func (s *System) ownedUnits(units []int, i int) []int {
 		}
 	}
 	return sub
-}
-
-// releaseInterval routes a closing interval through the diff-ownership
-// policies: the written units and their diffs are split by each unit's
-// owning protocol, each owner takes its share, and the diffs the owners
-// keep (homeless ownership) are returned for the caller to attach to
-// the published interval.
-func (s *System) releaseInterval(p *Proc, id vc.IntervalID, ts vc.Stamp, units []int, diffs []lrc.PageDiff) []lrc.PageDiff {
-	if len(s.protos) == 1 {
-		return s.protos[0].Release(p, id, ts, units, diffs)
-	}
-	var keep []lrc.PageDiff
-	for i, proto := range s.protos {
-		su := s.ownedUnits(units, i)
-		if len(su) == 0 {
-			continue
-		}
-		var sd []lrc.PageDiff
-		for _, pd := range diffs {
-			if s.unitProto[pd.Page/s.cfg.UnitPages] == uint8(i) {
-				sd = append(sd, pd)
-			}
-		}
-		keep = append(keep, proto.Release(p, id, ts, su, sd)...)
-	}
-	return keep
 }
 
 // invalidator is the write-notice policy shared by all protocols: an

@@ -59,10 +59,13 @@ func (p *Proc) closeInterval() {
 	} else {
 		ts = vc.DenseStamp(p.vt.Clone())
 	}
-	keep := p.sys.releaseInterval(p, id, ts, units, diffs)
-	iv := p.ivScr.MakeInterval(id, ts, units, keep)
+	// Every owning protocol sees the diffs before the interval is
+	// published; the interval keeps all of them (see Protocol.Release).
+	for _, proto := range p.sys.protos {
+		proto.Release(p, diffs)
+	}
+	iv := p.sys.store.Record(id, ts, units, diffs)
 	p.ownNoticeBytes += iv.NoticeBytes()
-	p.sys.store.Publish(iv)
 	p.nIntervals++
 	p.writeOrder = p.writeOrder[:0]
 }

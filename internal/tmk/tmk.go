@@ -274,6 +274,21 @@ type System struct {
 
 	// tune is the calibrated constants this System runs on (tuning).
 	tune tuning
+
+	// homeCheck, when set (tests only, before Run), follows the home
+	// engine for an oracle (see homeChecker).
+	homeCheck homeChecker
+}
+
+// homeChecker follows the home engine: flushed sees each diff a home
+// release flushes, on the releasing processor's goroutine before the
+// interval is published; handoff sees each unit the adaptive policy
+// switches homeless→home, inside the barrier gate, before the switch is
+// priced; image sees each page image unitImagesInto builds.
+type homeChecker interface {
+	flushed(p *Proc, pd lrc.PageDiff)
+	handoff(u int, merged vc.Time)
+	image(page int, vt vc.Time, img mem.Diff)
 }
 
 // tuning holds the engine's calibrated constants: the §4 group bound
@@ -363,14 +378,18 @@ func (s *System) Reset() {
 
 // build installs what a run starts from, over the given (fresh or
 // reset) network model: zeroed network counters, an empty interval
-// store, the placement policy and its home table, the protocol engines,
-// the rehoming driver, a fresh instrument collector, the barrier fabric
-// and the locks. NewSystem and Reset both call it, so a reset System is
+// store (a reset one keeps its storage), the placement policy and its
+// home table, the protocol engines, the rehoming driver, a fresh
+// instrument collector, the barrier fabric and the locks. NewSystem and Reset both call it, so a reset System is
 // a freshly built one by construction.
 func (s *System) build(model netmodel.Model) {
 	s.net = simnet.NewWithModel(s.cost, model)
-	s.store = lrc.NewStore(s.cfg.Procs)
-	s.store.Reserve(s.numUnits)
+	if s.store == nil {
+		s.store = lrc.NewStore(s.cfg.Procs)
+		s.store.Reserve(s.numUnits)
+	} else {
+		s.store.Reset()
+	}
 	// Episode numbers restart with the fabric: stamps of the run that
 	// ended would read as this run's.
 	clear(s.epWriter)
@@ -411,11 +430,12 @@ func (s *System) build(model netmodel.Model) {
 }
 
 // Release ends the System's life: every processor's page-sized storage
-// (replica frames, write-set buffers, diff-slab chunks) goes to mem's
-// recycler for the next System to take, and the interval store and
-// engines that point into it are dropped. Call it once the workload has been checked
-// (a Result stays valid); a second call does nothing, and Run or Reset
-// afterwards panic. A System that is never released is simply collected.
+// (replica frames, write-set buffers, diff-slab chunks, the home fetch's
+// reconstruction page) goes to mem's recycler for the next System to
+// take, and the interval store and engines that point into it are
+// dropped. Call it once the workload has been checked (a Result stays
+// valid); a second call does nothing, and Run or Reset afterwards panic.
+// A System that is never released is simply collected.
 func (s *System) Release() {
 	if s.running {
 		panic("tmk: Release during Run")
