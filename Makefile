@@ -32,7 +32,9 @@ profile:
 # capture-enabled, instrumented and dynamically aggregated engine runs:
 # with the §5.3 collector on, a trial allocates nothing per exchange or
 # per fault, and no trial allocates per interval, per first fault on a
-# unit or per page-group rebuild) must stay under the pinned budgets;
+# unit or per page-group rebuild, and a trial whose barriers switch
+# protocols or move homes nothing per barrier or per written unit) must
+# stay under the pinned budgets;
 # §4's tracker and page groups must allocate nothing in steady state;
 # a second identical harness cell must allocate well under what it did
 # before cells recycled each other's pages; a steady-state barrier

@@ -53,6 +53,10 @@ type Diff struct {
 const (
 	diffHeaderBytes = 8 // page id + run count + interval stamp
 	runHeaderBytes  = 4 // offset + length
+
+	// FullPageWireBytes is the wire size of every full-page image
+	// (FullPageDiff): one run covering the whole page.
+	FullPageWireBytes = diffHeaderBytes + runHeaderBytes + PageSize
 )
 
 // EncodeDiff compares a page against its twin and returns the diff. Word

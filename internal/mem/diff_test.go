@@ -243,3 +243,23 @@ func TestPropDisjointDiffsCommute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every full-page image has the same wire size, whatever the page holds:
+// what a home move is priced at, per page, without building the image.
+func TestFullPageDiffWireBytesConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pages := [][]byte{make([]byte, PageSize)}
+	for i := 0; i < 4; i++ {
+		p := make([]byte, PageSize)
+		rng.Read(p)
+		pages = append(pages, p)
+	}
+	for i, p := range pages {
+		if got := FullPageDiff(p).WireBytes(); got != FullPageWireBytes {
+			t.Errorf("page %d: FullPageDiff(p).WireBytes() = %d, want FullPageWireBytes = %d", i, got, FullPageWireBytes)
+		}
+	}
+	if FullPageWireBytes != 4108 {
+		t.Errorf("FullPageWireBytes = %d, want 8 + 4 + 4096", FullPageWireBytes)
+	}
+}

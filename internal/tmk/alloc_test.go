@@ -168,3 +168,50 @@ func TestAllocBudgetDynRun(t *testing.T) {
 		t.Errorf("steady-state dynamic homeless jacobi trial: %d mallocs, budget %d", best, budget)
 	}
 }
+
+// TestAllocBudgetDecidingRun pins the steady-state budget of trials
+// whose barriers decide units: the adaptive switch rule, the placement's
+// rehoming step, or both. The barrier indexes its episode once, into
+// storage kept across episodes and trials, and the decision pass reads
+// each written unit's run of that index; a moved unit is priced by its
+// size. A trial allocates its adaptive tables and placement state, not
+// anything per barrier or per written unit.
+//
+// When each barrier distilled the episode into fresh maps twice (the
+// adaptive policy's and the rehomer's) and rebuilt every page of a moved
+// unit to price the move, these trials made 341, 752, 492 and 707–718
+// mallocs; since, 55–56, 58–61, 54 and 178–193. The ceilings are 1.25×
+// the higher counts.
+func TestAllocBudgetDecidingRun(t *testing.T) {
+	for _, c := range []struct {
+		app                          string
+		protocol, placement, network string
+		budget                       uint64
+	}{
+		{"jacobi", "adaptive", "rr", "bus", 70},
+		{"jacobi", "adaptive", "migrate", "bus", 76},
+		{"jacobi", "home", "migrate", "ideal", 68},
+		{"water", "adaptive", "firsttouch", "bus", 241},
+	} {
+		name := c.app + "/" + c.protocol + "/" + c.placement + "/" + c.network
+		t.Run(name, func(t *testing.T) {
+			e, ok := apps.Lookup(c.app, "small")
+			if !ok {
+				t.Fatalf("%s/small is not registered", c.app)
+			}
+			w := e.Make(8)
+			sys, err := apps.NewSystem(w, tmk.Config{Procs: 8, Protocol: c.protocol, Placement: c.placement, Network: c.network})
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := steadyMallocs(func() uint64 { return trialMallocs(sys, w.Body) })
+			if err := w.Check(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d mallocs", best)
+			if best > c.budget {
+				t.Errorf("steady-state %s trial: %d mallocs, budget %d", name, best, c.budget)
+			}
+		})
+	}
+}

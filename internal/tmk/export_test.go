@@ -206,3 +206,60 @@ func timeSum(t vc.Time) int64 {
 	}
 	return sum
 }
+
+// UnitEvidence is one written unit's writer evidence for one barrier
+// episode, as the decision pass reads it from the unit's run of the
+// episode index.
+type UnitEvidence struct {
+	Unit       int
+	Writer     int // the sole writer, or -1 for several
+	First      int
+	Dominant   int
+	Last       int
+	Concurrent int
+	Intervals  int
+}
+
+// EpisodeDeltas rebuilds every barrier episode's delta from the barrier
+// log: the store's causally sorted intervals between the previous
+// episode's merged time and this one's. Call it after a Collect run.
+func (s *System) EpisodeDeltas() [][]*lrc.Interval {
+	prev := vc.New(s.cfg.Procs)
+	var deltas [][]*lrc.Interval
+	for _, merged := range s.barrierLog {
+		deltas = append(deltas, s.store.Delta(prev, merged))
+		prev = merged
+	}
+	return deltas
+}
+
+// IndexEvidence indexes delta as a deciding barrier indexes its
+// episode's delta, and returns every written unit's evidence in
+// ascending unit order. It overwrites the episode index: call it after
+// Run.
+func (s *System) IndexEvidence(delta []*lrc.Interval) []UnitEvidence {
+	if s.epWriter == nil {
+		s.epWriter = make([]unitWriter, s.numUnits)
+	}
+	if s.procScratch == nil {
+		s.procScratch = make([]int32, s.cfg.Procs)
+	}
+	clear(s.epWriter)
+	s.indexEpisode(delta, 1, true)
+	slices.Sort(s.epUnits)
+	var out []UnitEvidence
+	for _, u := range s.epUnits {
+		e := s.epWriter[u]
+		ivs := s.epRuns[e.lo : e.lo+e.n]
+		out = append(out, UnitEvidence{
+			Unit:       int(u),
+			Writer:     int(e.writer),
+			First:      ivs[0].ID.Proc,
+			Dominant:   dominantWriter(ivs, s.procScratch),
+			Last:       ivs[len(ivs)-1].ID.Proc,
+			Concurrent: concurrentWriters(ivs, s.procScratch),
+			Intervals:  len(ivs),
+		})
+	}
+	return out
+}

@@ -130,20 +130,6 @@ func (fs *fetchScratch) planImages(up int) {
 	}
 }
 
-// unitImageBytes is the wire size of unit u's pages reconstructed at
-// vector time vt: what moving the unit's home state carries. Used by the
-// occasional barrier-time paths (handoff and rehoming pricing).
-func (h *homeProtocol) unitImageBytes(u int, vt vc.Time) int {
-	var fs fetchScratch
-	h.unitImagesInto(&fs, u, vt)
-	mem.PutPage(fs.imgBuf)
-	bytes := 0
-	for _, d := range fs.snapDiffs {
-		bytes += d.WireBytes()
-	}
-	return bytes
-}
-
 // unitImagesInto appends the images of unit u's pages at vector time vt
 // to fs.snapDiffs, using fs for every intermediate: the covered
 // intervals, the reconstruction page, and — when the image arenas have

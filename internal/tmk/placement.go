@@ -2,9 +2,9 @@ package tmk
 
 import (
 	"repro/internal/lrc"
+	"repro/internal/mem"
 	"repro/internal/registry"
 	"repro/internal/simnet"
-	"repro/internal/vc"
 )
 
 // Placement decides the home processor of every consistency unit for
@@ -18,10 +18,6 @@ import (
 // ones) and are consulted only while every processor is blocked in a
 // barrier, so they need no internal synchronization.
 type Placement interface {
-	// Name returns the registry name ("rr", "block", "firsttouch",
-	// "migrate").
-	Name() string
-
 	// InitialHome returns unit u's home at construction.
 	InitialHome(u int) int
 
@@ -35,9 +31,10 @@ type Placement interface {
 	Rehome(u, cur int, ev PhaseWriters) (home int, transfer bool)
 
 	// MayRehome reports whether Rehome can ever move a home. A policy
-	// returning false ("rr", "block") costs nothing at barriers: no
-	// rehoming driver is installed and no phase evidence is distilled
-	// for it — the pre-placement-layer engine's exact behavior.
+	// returning false ("rr", "block") costs nothing at barriers: the
+	// barrier's decision pass never consults it, and unless the adaptive
+	// policy is installed no episode runs are built for it — the
+	// pre-placement-layer engine's exact behavior.
 	MayRehome() bool
 
 	// Mobile reports whether the policy may move homes after
@@ -50,22 +47,16 @@ type Placement interface {
 }
 
 // PhaseWriters is one unit's writer evidence for the barrier phase
-// that just ended, extracted from the interval store's causally sorted
-// delta — deterministic regardless of goroutine scheduling.
+// that just ended, read from the unit's run of the episode index (the
+// episode delta's intervals that wrote it, in causal order) —
+// deterministic regardless of goroutine scheduling.
 type PhaseWriters struct {
-	// Phase is the 1-based barrier episode that just ended.
-	Phase int
-	// First and Last are the causally first and last processors to
-	// write the unit this phase.
+	// First is the causally first processor to write the unit this
+	// phase.
 	First int
-	Last  int
 	// Dominant is the processor that closed the most intervals on the
 	// unit this phase (ties resolved toward the lowest processor id).
 	Dominant int
-	// Writers is the number of distinct writing processors, and
-	// Intervals the number of intervals closed on the unit.
-	Writers   int
-	Intervals int
 }
 
 // DefaultPlacement is the paper-era static assignment: round-robin.
@@ -99,7 +90,6 @@ func PlacementNames() []string { return placements.Names() }
 // u % nprocs, forever. Bit-identical to the pre-placement engine.
 type rrPlacement struct{ nprocs int }
 
-func (rrPlacement) Name() string            { return "rr" }
 func (p rrPlacement) InitialHome(u int) int { return u % p.nprocs }
 func (rrPlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
 	return cur, false
@@ -112,7 +102,6 @@ func (rrPlacement) Mobile() bool    { return false }
 // most of the paper's applications use.
 type blockPlacement struct{ nprocs, nunits int }
 
-func (blockPlacement) Name() string { return "block" }
 func (p blockPlacement) InitialHome(u int) int {
 	return u * p.nprocs / p.nunits
 }
@@ -136,7 +125,6 @@ type firstTouchPlacement struct {
 	resolved []bool
 }
 
-func (*firstTouchPlacement) Name() string            { return "firsttouch" }
 func (p *firstTouchPlacement) InitialHome(u int) int { return u % p.nprocs }
 func (p *firstTouchPlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
 	if p.resolved[u] {
@@ -172,7 +160,6 @@ type migratePlacement struct {
 	streak  []uint8
 }
 
-func (*migratePlacement) Name() string            { return "migrate" }
 func (p *migratePlacement) InitialHome(u int) int { return u % p.nprocs }
 func (p *migratePlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
 	if ev.Dominant == cur {
@@ -194,24 +181,22 @@ func (p *migratePlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
 func (*migratePlacement) MayRehome() bool { return true }
 func (*migratePlacement) Mobile() bool    { return true }
 
-// --- the System-side rehoming driver ---------------------------------------
+// --- the System-side rehoming step ----------------------------------------
 
 // rehomeMove is one scheduled home-state transfer: the new home pulls
-// unit's versioned image (bytes on the wire) from the old home, a
-// HomeMigrate — or, for an adaptive ownership handoff, a HomeHandoff,
-// from the unit's last writer.
+// the unit's versioned image (bytes on the wire) from the processor
+// holding it, a HomeMigrate from the old home — or, for an adaptive
+// ownership handoff, a HomeHandoff from the unit's last writer.
 type rehomeMove struct {
 	kind  simnet.MsgKind
-	unit  int
 	from  int // the processor holding the state
 	bytes int // the state's wire size
 }
 
 // settleMoves pays for the home-state moves the barrier that just
-// released p scheduled for it, in order (the adaptive policy's handoffs
-// before the rehomer's migrations): one request/reply exchange of the
-// move's kind each, from p (the new home) to the holder. The state itself
-// stays in the shared versioned log (data moves through shared
+// released p scheduled for it, in order: one request/reply exchange of
+// the move's kind each, from p (the new home) to the holder. The state
+// itself stays in the shared versioned log (data moves through shared
 // structures, timing through clock charges — DESIGN.md §2); a move whose
 // holder is p itself is a local copy, free of messages.
 func (p *Proc) settleMoves() {
@@ -225,112 +210,81 @@ func (p *Proc) settleMoves() {
 	p.moves = p.moves[:0]
 }
 
-// rehomer drives barrier-time home moves for the installed home-based
-// engine: it distills the phase's writer evidence per unit, consults
-// the placement policy, mutates the System home table (race-free: every
-// processor is blocked in the barrier), and schedules the priced
-// transfers the moved-to processors pay after the release (settleMoves).
-// It is installed whenever a home-based engine is (protocols "home" and
-// "adaptive"); under "rr" it is a no-op by policy.
-type rehomer struct {
-	sys   *System
-	home  *homeProtocol
-	phase int
-}
+// unitStateBytes is the wire size of a unit's home state: one full-page
+// image per page, mem.FullPageWireBytes whatever the page holds. A home
+// migration and an adaptive handoff both carry it.
+func (s *System) unitStateBytes() int { return s.cfg.UnitPages * mem.FullPageWireBytes }
 
-func newRehomer(s *System, home *homeProtocol) *rehomer {
-	return &rehomer{sys: s, home: home}
-}
-
-// atBarrier applies the placement policy to every unit written during
-// the phase that just ended. delta is the store's causally sorted
-// interval delta for the phase. Called inside the gate by the barrier
-// episode's last arrival, after the adaptive policy (if any) re-pointed
-// units, and before any processor is released.
-func (r *rehomer) atBarrier(merged vc.Time, delta []*lrc.Interval) {
-	r.phase++
-	if len(delta) == 0 {
+// rehomeUnit applies the placement policy to unit u, written during the
+// episode that just ended by ivs (its run of the episode index), after
+// the adaptive policy decided u (switched: it re-pointed u at this
+// barrier). Called by decideUnits, inside the gate, only when the home
+// engine is installed and the policy may move homes.
+func (s *System) rehomeUnit(u int, ivs []*lrc.Interval, switched bool) {
+	home := s.unitIsHome(u)
+	// A mobile policy chases live home state, so it is consulted only
+	// for units the home engine currently owns and the adaptive policy
+	// did not just re-point: a freshly claimed unit was placed at its
+	// last writer by the switch itself, a freshly relinquished (or
+	// still-homeless) one has no home state worth chasing — and skipping
+	// the consult keeps the policy's dominance streaks from being
+	// consumed on decisions that could not apply. Binding policies
+	// (first-touch) are always consulted: a binding is free, valid for
+	// homeless-owned units (it decides where a later switch homes them),
+	// and must see the unit's true first-write evidence even when the
+	// adaptive policy switched the unit at this same barrier.
+	if s.placement.Mobile() && (!home || switched) {
 		return
 	}
-	s := r.sys
-
-	// Distill each written unit's evidence from the causally sorted
-	// delta: first/last occurrence and per-processor interval counts.
-	type acc struct {
-		ev     PhaseWriters
-		counts map[int]int
+	cur := s.homeOf(u)
+	ev := PhaseWriters{First: ivs[0].ID.Proc, Dominant: dominantWriter(ivs, s.procScratch)}
+	nh, transfer := s.placement.Rehome(u, cur, ev)
+	if nh == cur || nh < 0 || nh >= s.cfg.Procs {
+		return
 	}
-	byUnit := make(map[int]*acc)
-	for _, iv := range delta {
-		for _, u := range iv.Units {
-			a := byUnit[u]
-			if a == nil {
-				a = &acc{ev: PhaseWriters{Phase: r.phase, First: iv.ID.Proc}, counts: make(map[int]int)}
-				byUnit[u] = a
-			}
-			a.ev.Last = iv.ID.Proc
-			a.ev.Intervals++
-			a.counts[iv.ID.Proc]++
-		}
+	if transfer && !home {
+		// No live home state to move (a non-mobile policy asked for a
+		// transfer on a homeless-owned unit): nothing to price, nothing
+		// to decide.
+		return
 	}
+	s.moveHome(u, nh, transfer)
+}
 
-	// Ascending unit order keeps the rehome schedule — and with it the
-	// send order — deterministic.
-	mobile := s.placement.Mobile()
-	for u := 0; u < s.numUnits; u++ {
-		a := byUnit[u]
-		if a == nil {
-			continue
-		}
-		// A mobile policy chases live home state, so it is consulted
-		// only for units the home engine currently owns and the
-		// adaptive policy did not just re-point: a freshly claimed unit
-		// was placed at its last writer by the switch itself, a freshly
-		// relinquished (or still-homeless) one has no home state worth
-		// chasing — and skipping the consult keeps the policy's
-		// dominance streaks from being consumed on decisions that could
-		// not apply. Binding policies (first-touch) are always
-		// consulted: a binding is free, valid for homeless-owned units
-		// (it decides where a later switch homes them), and must see
-		// the unit's true first-write evidence even when the adaptive
-		// policy switched the unit at this same barrier.
-		if mobile && (!s.unitIsHome(u) || (s.policy != nil && s.policy.justSwitched[u])) {
-			continue
-		}
-		a.ev.Writers = len(a.counts)
-		best, bestN := -1, 0
-		for pr := 0; pr < s.cfg.Procs; pr++ {
-			if n := a.counts[pr]; n > bestN {
-				best, bestN = pr, n
-			}
-		}
-		a.ev.Dominant = best
+// moveHome is every home change after construction: unit u's home
+// becomes to, in the home table (race-free: every processor is blocked
+// in the barrier). A transfer schedules the new home's pull of the
+// unit's state from the old home, priced by its size after the release
+// (settleMoves); otherwise the move is a free binding.
+func (s *System) moveHome(u, to int, transfer bool) {
+	from, bytes := s.homeOf(u), 0
+	if transfer {
+		bytes = s.unitStateBytes()
+		s.nRehomeBytes += bytes
+		s.procs[to].moves = append(s.procs[to].moves, rehomeMove{kind: simnet.HomeMigrate, from: from, bytes: bytes})
+	}
+	if s.trc != nil {
+		s.trc.Rehome(u, from, to, bytes, transfer)
+	}
+	s.homeTable[u] = int32(to)
+	s.nRehomes++
+}
 
-		cur := s.homeOf(u)
-		nh, transfer := s.placement.Rehome(u, cur, a.ev)
-		if nh == cur || nh < 0 || nh >= s.cfg.Procs {
-			continue
-		}
-		if transfer && !s.unitIsHome(u) {
-			// No live home state to move (a non-mobile policy asked for
-			// a transfer on a homeless-owned unit): nothing to price,
-			// nothing to decide.
-			continue
-		}
-		s.homeTable[u] = int32(nh)
-		s.nRehomes++
-		bytes := 0
-		if transfer {
-			// The new home pulls the unit's versioned state from the
-			// old one: priced as one exchange after the release,
-			// carrying the unit's pages reconstructed at the barrier's
-			// merged time (every interval in the log is covered by it).
-			bytes = r.home.unitImageBytes(u, merged)
-			s.nRehomeBytes += bytes
-			s.procs[nh].moves = append(s.procs[nh].moves, rehomeMove{kind: simnet.HomeMigrate, unit: u, from: cur, bytes: bytes})
-		}
-		if s.trc != nil {
-			s.trc.Rehome(u, cur, nh, bytes, transfer)
+// dominantWriter returns the processor that closed the most of ivs, ties
+// going to the lowest processor id. count is zeroed scratch with one
+// entry per processor, and is left zeroed.
+func dominantWriter(ivs []*lrc.Interval, count []int32) int {
+	for _, iv := range ivs {
+		count[iv.ID.Proc]++
+	}
+	best, bestN := -1, int32(0)
+	for _, iv := range ivs {
+		if q, n := iv.ID.Proc, count[iv.ID.Proc]; n > bestN || n == bestN && q < best {
+			best, bestN = q, n
 		}
 	}
+	for _, iv := range ivs {
+		count[iv.ID.Proc] = 0
+	}
+	return best
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/simnet"
 )
 
@@ -386,5 +387,55 @@ func TestAdaptiveMobilePlacementCheapHandoff(t *testing.T) {
 	// image pull it avoided.
 	if mgRes.Bytes > rrRes.Bytes {
 		t.Fatalf("mobile placement increased wire bytes: %d > %d", mgRes.Bytes, rrRes.Bytes)
+	}
+}
+
+// A home move is priced by the unit's size: every page travels as one
+// full-page image of mem.FullPageWireBytes (4,108 bytes), whatever it
+// holds. A migration's reply carries UnitPages of them, and so does an
+// adaptive handoff's, each exchange's request adding its 16-byte header.
+func TestMovesPricedByUnitSize(t *testing.T) {
+	const procs = 4
+	for _, up := range []int{1, 2, 4} {
+		unit := up * mem.PageSize
+		rotate := func(p *Proc, base int) {
+			u := (p.ID() + 1) % procs
+			for ph := 0; ph < 4; ph++ {
+				p.WriteI64(base+u*unit+8*ph, int64(100*ph+p.ID()))
+				p.Barrier()
+				var sum int64
+				for w := 0; w < procs; w++ {
+					sum += p.ReadI64(base + w*unit)
+				}
+				p.Barrier()
+				_ = sum
+			}
+		}
+		mg, err := NewSystem(Config{Procs: procs, SegmentBytes: procs * unit, UnitPages: up, Protocol: "home", Placement: "migrate"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := mg.Alloc(procs * unit)
+		res := mg.Run(func(p *Proc) { rotate(p, base) })
+		moves := mg.net.CountsByKind()[simnet.HomeMigrate].Messages / 2
+		if moves == 0 || res.RehomeBytes != moves*up*4108 {
+			t.Errorf("unit %d: RehomeBytes = %d over %d migrations, want %d each", up, res.RehomeBytes, moves, up*4108)
+		}
+
+		ad := mustTuned(t, Config{Procs: procs, SegmentBytes: 2 * unit, UnitPages: up, Protocol: "adaptive", Placement: "rr"},
+			tuning{gate: gateOpen})
+		base = ad.Alloc(2 * unit)
+		res = ad.Run(func(p *Proc) {
+			for ph := 0; ph < 6; ph++ {
+				p.WriteI64(base+p.ID()*8, int64(100*ph+p.ID()))
+				p.Barrier()
+				_ = p.ReadI64(base)
+				p.Barrier()
+			}
+		})
+		pulls := ad.net.CountsByKind()[simnet.HomeHandoff].Messages / 2
+		if pulls == 0 || res.HandoffBytes != pulls*(16+up*4108) {
+			t.Errorf("unit %d: HandoffBytes = %d over %d handoffs, want %d each", up, res.HandoffBytes, pulls, 16+up*4108)
+		}
 	}
 }

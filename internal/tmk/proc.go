@@ -102,6 +102,7 @@ type Proc struct {
 	diffsBuf  []lrc.PageDiff  // closeInterval: non-empty diffs
 	deltaBuf  []*lrc.Interval // applyAcquire: store delta (lock grants)
 	faultUnit [1]int          // readFault: single-unit fetch list
+	owned     []int           // fetch: the units one protocol owns
 	fs        fetchScratch    // homeless/home fetch scratch
 	arena     vc.StampArena   // sparse-stamp deviation storage (reset per trial)
 	vtScratch vc.Time         // applyAcquireStamp: dense materialization
@@ -562,7 +563,8 @@ func (p *Proc) readFault(page int) {
 // dispatch-table order. With one installed protocol (static
 // configurations) this is a single call; under adaptive, a dynamic
 // page group spanning both protocols is served in two passes, one per
-// owner (the cross-owner fetches serialize on p's clock).
+// owner (the cross-owner fetches serialize on p's clock), each handed
+// the units it owns, in order, partitioned into p.owned.
 func (p *Proc) fetch(units []int) {
 	s := p.sys
 	if len(s.protos) == 1 {
@@ -570,8 +572,14 @@ func (p *Proc) fetch(units []int) {
 		return
 	}
 	for i, proto := range s.protos {
-		if sub := s.ownedUnits(units, i); len(sub) > 0 {
-			proto.Fetch(p, sub)
+		owned := p.owned[:0]
+		for _, u := range units {
+			if s.unitProto[u] == uint8(i) {
+				owned = append(owned, u)
+			}
+		}
+		if p.owned = owned; len(owned) > 0 {
+			proto.Fetch(p, owned)
 		}
 	}
 }

@@ -92,19 +92,6 @@ func (s *System) install(protos ...Protocol) {
 // (see adaptivePolicy), so reads on processor goroutines are race-free.
 func (s *System) protoOf(u int) Protocol { return s.protos[s.unitProto[u]] }
 
-// ownedUnits returns the subset of units currently owned by the
-// protocol at dispatch index i, preserving order (nil when none) — the
-// partition step shared by the release and fetch routers.
-func (s *System) ownedUnits(units []int, i int) []int {
-	var sub []int
-	for _, u := range units {
-		if s.unitProto[u] == uint8(i) {
-			sub = append(sub, u)
-		}
-	}
-	return sub
-}
-
 // invalidator is the write-notice policy shared by all protocols: an
 // acquire invalidates every noticed unit and records the interval as a
 // missing write, so the unit stays invalid until the next access fault

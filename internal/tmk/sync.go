@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
@@ -209,12 +210,15 @@ var barriers = registry.New("barrier", "barrier", DefaultBarrier, map[string]fun
 // BarrierNames returns the barrier fabric names, sorted.
 func BarrierNames() []string { return barriers.Names() }
 
-// unitWriter is one entry of the episode's written-unit index: who wrote
-// the unit during episode number episode. Entries of other episodes are
-// stale and read as "not written".
+// unitWriter is one entry of the episode index: who wrote the unit
+// during episode number episode and, when the barrier decides units
+// (decideUnits), its run epRuns[lo:lo+n] — the episode delta's intervals
+// that wrote it, in the delta's causal order. Entries of other episodes
+// are stale and read as "not written".
 type unitWriter struct {
 	episode int32
 	writer  int32 // the sole writing processor, or severalWriters
+	lo, n   int32
 }
 
 const severalWriters = -1
@@ -222,11 +226,11 @@ const severalWriters = -1
 // finishEpisode runs the completing processor's episode duties, called
 // inside the gate after every arrival merged into tk: mint the episode's
 // epoch from the merged time, build the episode's delta — the one delta
-// computation of a barrier, shared by every grant, the adaptive policy,
-// the placement rehomer and the tree fabric's release payload — and from
-// it the written-unit index of the sparse engine's held-unit walk (see
-// applyBarrierGrant), record the episode log (under Collect), and rebase
-// the register for the next episode.
+// computation of a barrier, shared by every grant, the decision pass and
+// the tree fabric's release payload — and from it the episode index
+// (indexEpisode), decide every written unit's protocol and home
+// (decideUnits), record the episode log (under Collect), and rebase the
+// register for the next episode.
 func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 	merged := tk.T.Clone()
 	epoch := vc.NewEpoch(episode, merged)
@@ -244,33 +248,92 @@ func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 	}
 	s.lastBarrierVT = merged
 	g := barrierGrant{epoch: epoch, delta: s.epDelta, episode: episode}
-	ep := int32(episode)
-	for _, iv := range s.epDelta {
-		g.notices += len(iv.Units)
-		g.noticeBytes += iv.NoticeBytes()
-		if !s.sparseMode() {
-			continue
-		}
-		w := int32(iv.ID.Proc)
-		for _, u := range iv.Units {
-			if e := &s.epWriter[u]; e.episode != ep {
-				*e = unitWriter{episode: ep, writer: w}
-			} else if e.writer != w {
-				e.writer = severalWriters
-			}
-		}
-	}
-	if s.policy != nil {
-		s.policy.atBarrier(merged, s.epDelta)
-	}
-	if s.rehomer != nil {
-		s.rehomer.atBarrier(merged, s.epDelta)
+	g.notices, g.noticeBytes = s.indexEpisode(s.epDelta, int32(episode), s.decides())
+	if s.decides() {
+		s.decideUnits(merged, episode)
 	}
 	if s.cfg.Collect {
 		s.barrierLog = append(s.barrierLog, merged)
 	}
 	tk.Rebase(epoch)
 	return g
+}
+
+// indexEpisode returns the number of write notices in delta and their
+// wire size, and indexes delta as episode ep when the engine is sparse
+// (the held-unit walk reads the writers, see applyBarrierGrant) or runs
+// is set: every written unit's epWriter entry is stamped ep and names
+// its writer. With runs, every written unit is also listed in epUnits,
+// and its entry gets its run, laid out back to back in epRuns.
+func (s *System) indexEpisode(delta []*lrc.Interval, ep int32, runs bool) (notices, noticeBytes int) {
+	index := s.sparseMode() || runs
+	s.epUnits = s.epUnits[:0]
+	for _, iv := range delta {
+		notices += len(iv.Units)
+		noticeBytes += iv.NoticeBytes()
+		if !index {
+			continue
+		}
+		w := int32(iv.ID.Proc)
+		for _, u := range iv.Units {
+			if e := &s.epWriter[u]; e.episode != ep {
+				*e = unitWriter{episode: ep, writer: w, n: 1}
+				if runs {
+					s.epUnits = append(s.epUnits, int32(u))
+				}
+			} else {
+				e.n++
+				if e.writer != w {
+					e.writer = severalWriters
+				}
+			}
+		}
+	}
+	if !runs {
+		return notices, noticeBytes
+	}
+	// Each run starts where the previous one ends and fills in delta
+	// order; a subsequence of a causal order is in that order.
+	total := int32(0)
+	for _, u := range s.epUnits {
+		e := &s.epWriter[u]
+		e.lo, total, e.n = total, total+e.n, 0
+	}
+	s.epRuns = slices.Grow(s.epRuns[:0], int(total))[:total]
+	for _, iv := range delta {
+		for _, u := range iv.Units {
+			e := &s.epWriter[u]
+			s.epRuns[e.lo+e.n] = iv
+			e.n++
+		}
+	}
+	return notices, noticeBytes
+}
+
+// decides reports whether barriers decide units: an adaptive policy may
+// switch them, or the placement may move their homes.
+func (s *System) decides() bool { return s.policy != nil || s.rehome }
+
+// decideUnits is the barrier's one decision pass: every unit written
+// during the episode that just ended, in ascending order — which keeps
+// the move schedule, and with it the send order, deterministic — goes
+// through the adaptive switch rule (adaptivePolicy.decide) and then the
+// placement's rehoming step (rehomeUnit), each reading the unit's run of
+// the episode index. It runs inside the gate, after every arrival merged
+// into merged and before any processor is released; the moves it
+// schedules are priced per processor after the release (settleMoves).
+func (s *System) decideUnits(merged vc.Time, episode int) {
+	slices.Sort(s.epUnits)
+	contended := s.policy != nil && s.contended()
+	for _, u32 := range s.epUnits {
+		u := int(u32)
+		e := s.epWriter[u]
+		ivs := s.epRuns[e.lo : e.lo+e.n]
+		switched := s.policy != nil && s.policy.decide(s, u, ivs, contended, merged, episode)
+		if s.rehome {
+			s.rehomeUnit(u, ivs, switched)
+		}
+	}
 }
 
 // barrier is the centralized TreadMarks barrier: arrivals carry each
@@ -399,9 +462,9 @@ func (p *Proc) Barrier() {
 	if done, last := s.barrier.arrive(p); last {
 		// Every processor is blocked in this barrier: the adaptive
 		// policy (if any) may now re-point units between protocols, and
-		// the placement rehomer (if a home-based engine is installed)
-		// may move unit homes — see finishEpisode. The moves they
-		// schedule are priced per processor after the release.
+		// the placement (if a home-based engine is installed) may move
+		// unit homes — see decideUnits. The moves they schedule are
+		// priced per processor after the release.
 		s.episode++
 		s.epGrant = s.finishEpisode(s.arrivals, s.episode)
 		s.barrier.release(done, &s.epGrant)

@@ -203,14 +203,15 @@ type System struct {
 
 	// The home-placement layer: homeTable[u] is unit u's current home
 	// processor (consulted only by home-based engines), placement the
-	// policy that assigned it, and rehomer the barrier-time driver that
-	// lets the policy move homes mid-run (nil when no home-based engine
-	// is installed). lastBarrierVT is the previous barrier's merged
-	// vector time — the lower bound of the episode delta every grant, the
-	// placement layer and the adaptive policy share (finishEpisode).
+	// policy that assigned it, and rehome whether barriers let the policy
+	// move homes mid-run (a home-based engine is installed and the
+	// policy may move homes; see rehomeUnit). lastBarrierVT is the
+	// previous barrier's merged vector time — the lower bound of the
+	// episode delta every grant and the decision pass share
+	// (finishEpisode).
 	placement     Placement
 	homeTable     []int32
-	rehomer       *rehomer
+	rehome        bool
 	lastBarrierVT vc.Time
 	nRehomes      int
 	nRehomeBytes  int
@@ -219,14 +220,21 @@ type System struct {
 	// arrivals merge into arrivals, the last one counts the episode and
 	// stores its grant — and read by every processor while it consumes
 	// that grant. finishEpisode's storage: the episode's causally sorted
-	// intervals and its written-unit index (indexed by unit, stamped with
-	// the episode number so that nothing is cleared between episodes).
-	arrivals   *vc.Tracked
-	episode    int // 1-based count of completed barrier episodes
-	epGrant    barrierGrant
-	seqScratch []int32
-	epDelta    []*lrc.Interval
-	epWriter   []unitWriter
+	// intervals and its index (indexEpisode): epWriter is indexed by
+	// unit and stamped with the episode number, so that nothing is
+	// cleared between episodes (nil when neither the sparse engine nor
+	// the decision pass reads it); when barriers decide units, epUnits
+	// lists the written units and epRuns holds their runs. procScratch
+	// is the decision pass's per-processor tally (decides only).
+	arrivals    *vc.Tracked
+	episode     int // 1-based count of completed barrier episodes
+	epGrant     barrierGrant
+	seqScratch  []int32
+	epDelta     []*lrc.Interval
+	epWriter    []unitWriter
+	epUnits     []int32
+	epRuns      []*lrc.Interval
+	procScratch []int32
 
 	// barrierHook, when set (tests only), runs on each processor after it
 	// consumed a barrier grant: whether it took the held-unit walk, and
@@ -345,9 +353,6 @@ func newSystem(cfg Config, tune tuning) (*System, error) {
 		locks:    make([]*lock, cfg.Locks),
 	}
 	s.numUnits = s.numPages / cfg.UnitPages
-	if s.sparse {
-		s.epWriter = make([]unitWriter, s.numUnits)
-	}
 	s.build(model)
 	s.procs = make([]*Proc, cfg.Procs)
 	for p := range s.procs {
@@ -379,9 +384,10 @@ func (s *System) Reset() {
 // build installs what a run starts from, over the given (fresh or
 // reset) network model: zeroed network counters, an empty interval
 // store (a reset one keeps its storage), the placement policy and its
-// home table, the protocol engines, the rehoming driver, a fresh
-// instrument collector, the barrier fabric and the locks. NewSystem and Reset both call it, so a reset System is
-// a freshly built one by construction.
+// home table, the protocol engines, an empty episode index, a fresh
+// instrument collector, the barrier fabric and the locks. NewSystem and
+// Reset both call it, so a reset System is a freshly built one by
+// construction.
 func (s *System) build(model netmodel.Model) {
 	s.net = simnet.NewWithModel(s.cost, model)
 	if s.store == nil {
@@ -390,14 +396,8 @@ func (s *System) build(model netmodel.Model) {
 	} else {
 		s.store.Reset()
 	}
-	// Episode numbers restart with the fabric: stamps of the run that
-	// ended would read as this run's.
-	clear(s.epWriter)
-	clear(s.epDelta)
-	s.epDelta = s.epDelta[:0]
-
 	// Placement comes before the protocol setup (engines read homes only
-	// at run time); the rehomer after it, since it exists only when a
+	// at run time); the rehoming step is enabled after it, only when a
 	// home-based engine is installed and the placement policy can
 	// actually move homes — under "rr"/"block" barriers pay nothing for
 	// the placement layer.
@@ -407,14 +407,26 @@ func (s *System) build(model netmodel.Model) {
 		s.homeTable[u] = int32(s.placement.InitialHome(u))
 	}
 	s.lastBarrierVT = vc.New(s.cfg.Procs)
-	s.nRehomes, s.nRehomeBytes, s.rehomer = 0, 0, nil
+	s.nRehomes, s.nRehomeBytes, s.rehome = 0, 0, false
 	protocols.Get(s.cfg.Protocol)(s)
 	for _, pr := range s.protos {
-		if hp, ok := pr.(*homeProtocol); ok && s.placement.MayRehome() {
-			s.rehomer = newRehomer(s, hp)
-			break
+		if _, ok := pr.(*homeProtocol); ok {
+			s.rehome = s.placement.MayRehome()
 		}
 	}
+
+	// Episode numbers restart with the fabric: stamps of the run that
+	// ended would read as this run's. A static dense cell keeps no index.
+	if s.epWriter == nil && (s.sparse || s.decides()) {
+		s.epWriter = make([]unitWriter, s.numUnits)
+	}
+	if s.procScratch == nil && s.decides() {
+		s.procScratch = make([]int32, s.cfg.Procs)
+	}
+	clear(s.epWriter)
+	clear(s.epDelta)
+	clear(s.epRuns)
+	s.epDelta, s.epRuns = s.epDelta[:0], s.epRuns[:0]
 
 	if s.cfg.Collect {
 		s.col = instrument.NewCollector(s.cfg.Procs, s.segBytes)
@@ -444,7 +456,7 @@ func (s *System) Release() {
 		return
 	}
 	s.released = true
-	s.store, s.protos, s.policy, s.rehomer, s.col = nil, nil, nil, nil, nil
+	s.store, s.protos, s.policy, s.col = nil, nil, nil, nil
 	for _, p := range s.procs {
 		p.release()
 	}
@@ -455,8 +467,7 @@ func (s *System) Config() Config { return s.cfg }
 
 // homeOf returns the processor currently homing unit u. The home table
 // is only mutated while every processor is blocked in a barrier (see
-// rehomer and adaptivePolicy), so reads on processor goroutines are
-// race-free.
+// moveHome), so reads on processor goroutines are race-free.
 func (s *System) homeOf(u int) int { return int(s.homeTable[u]) }
 
 // unitIsHome reports whether unit u is currently owned by a home-based
@@ -710,7 +721,7 @@ func (s *System) Run(body func(p *Proc)) *Result {
 	byKind := s.net.CountsByKind()
 	res.HandoffBytes = byKind[simnet.HomeHandoff].Bytes
 	if s.policy != nil {
-		s.policy.report(res)
+		s.policy.report(res, s.unitProto)
 	}
 	if s.col != nil {
 		data := byKind[simnet.DiffRequest].Messages + byKind[simnet.DiffReply].Messages
