@@ -53,7 +53,9 @@ profile:
 alloc-check:
 	$(GO) test ./internal/lrc/ ./internal/aggregate/ ./internal/mem/ ./internal/vc/ ./internal/netmodel/ ./internal/simnet/ ./internal/tmk/ ./internal/trace/ ./internal/harness/ ./internal/apps/ ./internal/expsvc/ -run 'Alloc|Budget|StoreRecord' -v
 
-# fuzz-smoke runs the fuzz targets for ten seconds each: the occupancy
+# fuzz-smoke runs the fuzz targets for ten seconds each: the sparse
+# vector-time register (ticks, stamp and dense merges, snapshots,
+# rebases) against a plain dense vector, the occupancy
 # timeline's block structure against the flat reference list, the
 # chunked, slab-carving diff encoder against the word-by-word,
 # exact-size one, the same encoder under a write mask (the stretches
@@ -68,6 +70,7 @@ alloc-check:
 # and the timeline target was seen stalling about 2,000 executions in),
 # so every target caps it at one try.
 fuzz-smoke:
+	$(GO) test ./internal/vc -run '^$$' -fuzz FuzzTrackedMatchesDense -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/netmodel -run '^$$' -fuzz FuzzTimelineReserve -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeDiff -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzEncodeStretches -fuzztime 10s -fuzzminimizetime 1x

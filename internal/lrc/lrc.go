@@ -163,10 +163,9 @@ type Store struct {
 	// publish order. Because a processor publishes before the
 	// synchronization that announces the interval proceeds, and
 	// barriers join every processor, the list is episode-monotone and
-	// per-writer sequence-ordered. The sparse engine reconstructs
-	// missing-write sets from this one global index at fault time
-	// instead of appending every notice into every processor's
-	// per-unit lists at acquire time (see tmk's missingInto). Indexed by
+	// per-writer sequence-ordered. The engine rebuilds a processor's
+	// missing writes from this one global index at fault time, so an
+	// acquire only invalidates (see tmk's missingInto). Indexed by
 	// unit: Reserve sizes it, Publish grows it for a unit past the end.
 	byUnit [][]*Interval
 
@@ -430,11 +429,4 @@ func initInterval(iv *Interval, id vc.IntervalID, ts vc.Stamp, units []int, diff
 			panic("lrc: duplicate page diff in interval")
 		}
 	}
-}
-
-// MissingWrite records, at some processor, one unseen remote interval
-// that wrote a given page; the page stays invalid until the diffs of all
-// its missing writes have been fetched and applied.
-type MissingWrite struct {
-	Interval *Interval
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -233,6 +234,61 @@ func TestPropDeltaMembership(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDeltaDevsMatchesDelta builds random causal histories — processors
+// publish intervals stamped with their vector time and merge each
+// other's times — and requires DeltaDevsInto, given the processors whose
+// entry in the target time exceeds the source's (and some whose entry
+// does not), to return exactly DeltaInto's intervals in the same order,
+// reusing its buffer.
+func TestDeltaDevsMatchesDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got, want []*Interval
+	for trial := 0; trial < 200; trial++ {
+		procs := 1 + rng.Intn(6)
+		s := NewStore(procs)
+		vts := make([]vc.Time, procs)
+		for p := range vts {
+			vts[p] = vc.New(procs)
+		}
+		var seen []vc.Time // every time some processor held, in order
+		for step := 0; step < 40; step++ {
+			p := rng.Intn(procs)
+			if q := rng.Intn(procs); rng.Intn(3) == 0 {
+				vts[p].Merge(vts[q])
+			} else {
+				seq := vts[p].Tick(p)
+				s.Publish(mkInterval(p, seq, vts[p].Clone(), rng.Intn(8)))
+			}
+			seen = append(seen, vts[p].Clone())
+		}
+		for k := 0; k < 10; k++ {
+			from := seen[rng.Intn(len(seen))].Clone()
+			to := from.Clone()
+			to.Merge(seen[rng.Intn(len(seen))])
+			var devs, seqs []int32
+			for p := range to {
+				if to[p] > from[p] || rng.Intn(4) == 0 {
+					devs = append(devs, int32(p))
+					seqs = append(seqs, to[p])
+				}
+			}
+			want = s.DeltaInto(from, to, want)
+			got = s.DeltaDevsInto(from, devs, seqs, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: from %v to %v: DeltaDevsInto %v, DeltaInto %v", trial, from, to, ids(got), ids(want))
+			}
+		}
+	}
+}
+
+func ids(ivs []*Interval) []vc.IntervalID {
+	out := make([]vc.IntervalID, len(ivs))
+	for i, iv := range ivs {
+		out[i] = iv.ID
+	}
+	return out
 }
 
 // TestUnitLogIndexGrowsAndSnapshotsStay covers the slice-backed per-unit

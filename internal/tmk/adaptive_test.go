@@ -78,10 +78,10 @@ func TestAdaptiveSwitchesMultiWriterUnit(t *testing.T) {
 		t.Fatalf("switch accounting inconsistent: %+v", res)
 	}
 	if sys.unitProto[0] != homeIdx {
-		t.Fatalf("unit 0 ended under %s, want home", sys.protoOf(0).Name())
+		t.Fatalf("unit 0 ended under protocol %d, want home (%d)", sys.unitProto[0], homeIdx)
 	}
 	if sys.unitProto[1] != homelessIdx {
-		t.Fatalf("unit 1 ended under %s, want homeless", sys.protoOf(1).Name())
+		t.Fatalf("unit 1 ended under protocol %d, want homeless (%d)", sys.unitProto[1], homelessIdx)
 	}
 	if res.HomeUnits != 1 {
 		t.Fatalf("HomeUnits = %d, want 1", res.HomeUnits)

@@ -12,6 +12,7 @@ import (
 	_ "repro/internal/apps/all"
 	"repro/internal/mem"
 	"repro/internal/tmk"
+	"repro/internal/vc"
 )
 
 // walkLog records, per barrier episode and processor, which walk the
@@ -130,13 +131,14 @@ func runLockChain(t *testing.T, scale, barrier string) (*tmk.Result, [][]mem.Pag
 }
 
 // TestHeldListFallbackOnLockLearnedPrefix runs the lock-chain program on
-// both engines and both fabrics: the sparse engine must take the
-// shared-delta walk on every processor that learned a prefix of the
-// episode through its lock, and end exactly where the dense engine does.
+// both clock representations and both fabrics: every processor that
+// learned a prefix of the episode through its lock must take the
+// shared-delta walk, and both engines must take the same walks and end
+// in the same state.
 func TestHeldListFallbackOnLockLearnedPrefix(t *testing.T) {
 	for _, barrier := range []string{"central", "tree"} {
 		t.Run(barrier, func(t *testing.T) {
-			dense, denseStates, _ := runLockChain(t, tmk.ScaleDense, barrier)
+			dense, denseStates, denseLog := runLockChain(t, tmk.ScaleDense, barrier)
 			sparse, sparseStates, log := runLockChain(t, tmk.ScaleSparse, barrier)
 			if sparse.Messages != dense.Messages || sparse.Bytes != dense.Bytes || sparse.Time != dense.Time ||
 				sparse.Faults != dense.Faults || sparse.Intervals != dense.Intervals {
@@ -146,6 +148,9 @@ func TestHeldListFallbackOnLockLearnedPrefix(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sparseStates, denseStates) {
 				t.Errorf("final page tables differ:\n sparse %v\n dense  %v", sparseStates, denseStates)
+			}
+			if !reflect.DeepEqual(log.episodes, denseLog.episodes) {
+				t.Errorf("walk logs differ:\n sparse %v\n dense  %v", log.episodes, denseLog.episodes)
 			}
 			// Barrier b > 0 closes the episode in which round b-1's chain ran.
 			if len(log.episodes) != 5 {
@@ -168,42 +173,144 @@ func TestHeldListFallbackOnLockLearnedPrefix(t *testing.T) {
 	}
 }
 
-// TestHeldListWalkOnStorm pins what the tentpole is for. On Storm every
-// processor takes the held-unit walk at every write-phase barrier once
-// its list has been pruned, and what it visits there — its own pages, its
-// neighbour's first, the one it is about to lose, and the never-written
-// tail of the rounded segment — does not grow with the processor count.
+// TestHeldListWalkOnStorm pins what the held-unit walk is for. On Storm
+// every processor takes it at every write-phase barrier once its list
+// has been pruned, under either clock representation, and what it
+// visits there — its own pages, its neighbour's first, the one it is
+// about to lose, and the never-written tail of the rounded segment —
+// does not grow with the processor count.
 func TestHeldListWalkOnStorm(t *testing.T) {
 	for _, procs := range []int{64, 128} {
 		t.Run(fmt.Sprintf("p%d", procs), func(t *testing.T) {
-			e, _ := apps.Lookup("Storm", "small")
-			w := e.Make(procs)
-			sys, err := apps.NewSystem(w, tmk.Config{Procs: procs, Barrier: "tree"})
-			if err != nil {
-				t.Fatal(err)
+			for _, scale := range []string{tmk.ScaleSparse, tmk.ScaleDense} {
+				t.Run(scale, func(t *testing.T) {
+					e, _ := apps.Lookup("Storm", "small")
+					w := e.Make(procs)
+					sys, err := apps.NewSystem(w, tmk.Config{Procs: procs, Barrier: "tree", Scale: scale})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sys.Release()
+					log := newWalkLog(procs)
+					sys.SetBarrierHook(log.hook)
+					sys.Run(w.Body)
+					if err := w.Check(); err != nil {
+						t.Fatal(err)
+					}
+					const pagesPerProc = 2 // Storm/small
+					tail := sys.NumUnits() - procs*pagesPerProc
+					bound := pagesPerProc + 2 + tail
+					// Barriers alternate write phase, read phase. The first
+					// write-phase barrier walks the notices (everything is
+					// still held), the second prunes what that invalidated.
+					for b := 4; b < len(log.episodes); b += 2 {
+						for k, w := range log.episodes[b] {
+							if !w.held || w.visited > bound {
+								t.Fatalf("barrier %d, processor %d: held walk %v over %d entries, want a held walk over at most %d",
+									b+1, k, w.held, w.visited, bound)
+							}
+						}
+					}
+				})
 			}
-			defer sys.Release()
-			log := newWalkLog(procs)
-			sys.SetBarrierHook(log.hook)
-			sys.Run(w.Body)
-			if err := w.Check(); err != nil {
-				t.Fatal(err)
-			}
-			const pagesPerProc = 2 // Storm/small
-			tail := sys.NumUnits() - procs*pagesPerProc
-			bound := pagesPerProc + 2 + tail
-			// Barriers alternate write phase, read phase. The first
-			// write-phase barrier walks the notices (everything is still
-			// held), the second prunes what that invalidated.
-			for b := 4; b < len(log.episodes); b += 2 {
-				for k, w := range log.episodes[b] {
-					if !w.held || w.visited > bound {
-						t.Fatalf("barrier %d, processor %d: held walk %v over %d entries, want a held walk over at most %d",
-							b+1, k, w.held, w.visited, bound)
+		})
+	}
+}
+
+// walkRun is what one cell left behind for the walk comparison.
+type walkRun struct {
+	res       *tmk.Result
+	log       []vc.Time
+	states    [][]mem.PageState
+	heldWalks int
+}
+
+func runWalkCell(t *testing.T, app string, procs int, cfg tmk.Config, fullWalk bool) walkRun {
+	t.Helper()
+	e, _ := apps.Lookup(app, "small")
+	w := e.Make(procs)
+	cfg.Procs, cfg.Collect = procs, true
+	sys, err := apps.NewSystem(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Release()
+	if fullWalk {
+		sys.ForceFullBarrierWalk()
+	}
+	var held atomic.Int64
+	sys.SetBarrierHook(func(_ *tmk.Proc, h bool, _ int) {
+		if h {
+			held.Add(1)
+		}
+	})
+	out := walkRun{res: sys.Run(w.Body)}
+	if err := w.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, vt := range sys.BarrierLog() {
+		out.log = append(out.log, vt.Clone())
+	}
+	for p := 0; p < procs; p++ {
+		out.states = append(out.states, sys.PageStates(p))
+	}
+	out.heldWalks = int(held.Load())
+	return out
+}
+
+// TestHeldWalkMatchesFullWalk runs every registered application's small
+// dataset under every protocol, unit size and barrier fabric at 8
+// processors, and Storm also at 64, once with the held-unit walk allowed
+// and once with every barrier grant forced onto the episode's full
+// delta: the results (messages, bytes, every clock, events, §5.3
+// stats), the barrier logs and every processor's final page table must
+// be equal. It runs the sparse clocks; TestScaleModesEquivalent holds
+// the dense ones to them over the same cells.
+func TestHeldWalkMatchesFullWalk(t *testing.T) {
+	units := []struct {
+		name    string
+		pages   int
+		dynamic bool
+	}{{"unit1", 1, false}, {"unit4", 4, false}, {"dynamic", 1, true}}
+	heldWalks := 0
+	for _, app := range apps.Apps() {
+		sizes := []int{8}
+		if app == "Storm" {
+			sizes = []int{8, 64}
+		}
+		for _, protocol := range []string{"homeless", "home", "adaptive"} {
+			for _, procs := range sizes {
+				for _, u := range units {
+					for _, barrier := range []string{"central", "tree"} {
+						name := fmt.Sprintf("%s/%s/p%d/%s/%s", app, protocol, procs, u.name, barrier)
+						t.Run(name, func(t *testing.T) {
+							cfg := tmk.Config{UnitPages: u.pages, Dynamic: u.dynamic, Protocol: protocol, Barrier: barrier}
+							held := runWalkCell(t, app, procs, cfg, false)
+							full := runWalkCell(t, app, procs, cfg, true)
+							if full.heldWalks != 0 {
+								t.Fatalf("%d grants took the held-unit walk with the full walk forced", full.heldWalks)
+							}
+							heldWalks += held.heldWalks
+							if !reflect.DeepEqual(held.res, full.res) {
+								t.Errorf("results differ:\n held %+v\n full %+v", held.res, full.res)
+							}
+							if !reflect.DeepEqual(held.log, full.log) {
+								t.Errorf("barrier logs differ")
+							}
+							for p := range held.states {
+								if !reflect.DeepEqual(held.states[p], full.states[p]) {
+									t.Fatalf("processor %d ends with a different page table:\n held %v\n full %v",
+										p, held.states[p], full.states[p])
+								}
+							}
+						})
 					}
 				}
 			}
-		})
+		}
+	}
+	if heldWalks == 0 {
+		t.Fatal("no barrier grant took the held-unit walk")
 	}
 }
 

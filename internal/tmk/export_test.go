@@ -92,6 +92,10 @@ func (s *System) Promoted() int {
 	return n
 }
 
+// ForceFullBarrierWalk makes every barrier grant of s's later Runs walk
+// the episode's delta instead of the processor's held units.
+func (s *System) ForceFullBarrierWalk() { s.tune.fullBarrierWalk = true }
+
 // NewSystemMaxGroup is NewSystem with the §4 group bound at maxPages
 // pages instead of aggregate.DefaultMaxPages, for ablating the bound.
 func NewSystemMaxGroup(cfg Config, maxPages int) (*System, error) {
@@ -238,9 +242,6 @@ func (s *System) EpisodeDeltas() [][]*lrc.Interval {
 // ascending unit order. It overwrites the episode index: call it after
 // Run.
 func (s *System) IndexEvidence(delta []*lrc.Interval) []UnitEvidence {
-	if s.epWriter == nil {
-		s.epWriter = make([]unitWriter, s.numUnits)
-	}
 	if s.procScratch == nil {
 		s.procScratch = make([]int32, s.cfg.Procs)
 	}
@@ -262,4 +263,77 @@ func (s *System) IndexEvidence(delta []*lrc.Interval) []UnitEvidence {
 		})
 	}
 	return out
+}
+
+// MissingListCheck keeps the eager per-unit missing-write lists the
+// engine once built at every acquire beside the lists missingInto
+// rebuilds from the store log at every fault: each processor appends,
+// per unit and in delta order, every interval of every delta it consumes
+// that it did not know, and a fetch of the unit takes the whole list.
+// The two must hold the same intervals in the order a fetch consumes
+// them: grouped by writer (planDiffs), each writer's in sequence order.
+// Across writers the log is in publish order, which follows the host's
+// schedule, and the delta in causal order; neither is read.
+type MissingListCheck struct {
+	lists []map[int][]*lrc.Interval // per processor: unit -> learned, unfetched intervals
+
+	mu      sync.Mutex
+	fetches int
+	err     error
+}
+
+// CheckMissingLists installs the eager lists beside s's next Run. Call it
+// before Run, once per Run.
+func (s *System) CheckMissingLists() *MissingListCheck {
+	c := &MissingListCheck{lists: make([]map[int][]*lrc.Interval, s.cfg.Procs)}
+	for p := range c.lists {
+		c.lists[p] = make(map[int][]*lrc.Interval)
+	}
+	s.noticeCheck = c
+	return c
+}
+
+// Counts returns how many unit lists were compared, and the first that
+// differed.
+func (c *MissingListCheck) Counts() (fetches int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fetches, c.err
+}
+
+// delta runs on p's goroutine, which alone touches p's lists.
+func (c *MissingListCheck) delta(p *Proc, ivs []*lrc.Interval) {
+	lists := c.lists[p.id]
+	for _, iv := range ivs {
+		if p.vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
+			continue
+		}
+		for _, u := range iv.Units {
+			lists[u] = append(lists[u], iv)
+		}
+	}
+}
+
+func (c *MissingListCheck) fetched(p *Proc, u int, miss []*lrc.Interval) {
+	want := c.lists[p.id][u]
+	delete(c.lists[p.id], u)
+	got := slices.Clone(miss)
+	byWriter := func(a, b *lrc.Interval) int { return cmp.Compare(a.ID.Proc, b.ID.Proc) }
+	slices.SortStableFunc(got, byWriter)
+	slices.SortStableFunc(want, byWriter)
+	same := slices.Equal(got, want)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fetches++
+	if !same && c.err == nil {
+		c.err = fmt.Errorf("processor %d unit %d: the store log gives %v, the eager list %v", p.id, u, ivIDs(got), ivIDs(want))
+	}
+}
+
+func ivIDs(ivs []*lrc.Interval) []vc.IntervalID {
+	ids := make([]vc.IntervalID, len(ivs))
+	for i, iv := range ivs {
+		ids[i] = iv.ID
+	}
+	return ids
 }

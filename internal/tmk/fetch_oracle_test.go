@@ -44,7 +44,7 @@ func refSortTouched(a []int32) {
 
 // refPlanDiffs is the homeless gather: the exchanges, in send order, and
 // the items they carry, before the causal sort.
-func refPlanDiffs(procs, numPages, up int, units []int, miss map[int][]lrc.MissingWrite) ([]exchange, []fetchItem) {
+func refPlanDiffs(procs, numPages, up int, units []int, miss map[int][]*lrc.Interval) ([]exchange, []fetchItem) {
 	needs := make([][]refNeed, procs)
 	writerMark := make([]int64, procs)
 	unitWr := make([]int32, numPages/up)
@@ -59,12 +59,12 @@ func refPlanDiffs(procs, numPages, up int, units []int, miss map[int][]lrc.Missi
 		}
 		gen++
 		distinct := int32(0)
-		for _, mw := range m {
-			w := mw.Interval.ID.Proc
+		for _, iv := range m {
+			w := iv.ID.Proc
 			if len(needs[w]) == 0 {
 				writers = append(writers, int32(w))
 			}
-			needs[w] = append(needs[w], refNeed{iv: mw.Interval, unit: u})
+			needs[w] = append(needs[w], refNeed{iv: iv, unit: u})
 			if writerMark[w] != gen {
 				writerMark[w] = gen
 				distinct++
@@ -200,7 +200,7 @@ func refPlanFlush(self, procs, up int, diffs []lrc.PageDiff, homeOf []int) []exc
 type oracleCase struct {
 	procs, up, numUnits, self int
 	units                     []int // the fetched units, in fault order
-	miss                      map[int][]lrc.MissingWrite
+	miss                      map[int][]*lrc.Interval
 	homeOf                    []int // per unit
 }
 
@@ -249,7 +249,7 @@ func newOracleCase(g *diffGen, procs, up int) oracleCase {
 		up:       up,
 		numUnits: 1 + rng.Intn(48),
 		self:     rng.Intn(procs),
-		miss:     make(map[int][]lrc.MissingWrite),
+		miss:     make(map[int][]*lrc.Interval),
 	}
 	// Each writer's intervals are numbered from 1; an interval may
 	// write several units, so one interval can be missed in several
@@ -310,20 +310,12 @@ func newOracleCase(g *diffGen, procs, up int) oracleCase {
 	for _, key := range keys {
 		for _, u := range written[key] {
 			if rng.Intn(5) != 0 {
-				c.miss[u] = append(c.miss[u], lrc.MissingWrite{Interval: ivs[key]})
+				c.miss[u] = append(c.miss[u], ivs[key])
 			}
 		}
 	}
-	for u, m := range c.miss {
-		list := make([]*lrc.Interval, len(m))
-		for i, mw := range m {
-			list[i] = mw.Interval
-		}
-		lrc.SortCausally(list)
-		for i, iv := range list {
-			m[i] = lrc.MissingWrite{Interval: iv}
-		}
-		c.miss[u] = m
+	for _, m := range c.miss {
+		lrc.SortCausally(m)
 	}
 	c.units = rng.Perm(c.numUnits)[:1+rng.Intn(c.numUnits)]
 	homes := 1 + rng.Intn(procs)
@@ -434,8 +426,8 @@ func TestFetchPlansMatchReference(t *testing.T) {
 		for _, u := range c.units {
 			if m := c.miss[u]; len(m) > 0 {
 				fs.addNeeds(u, m)
-				for _, mw := range m {
-					diffs += len(mw.Interval.DiffsInUnit(u, up))
+				for _, iv := range m {
+					diffs += len(iv.DiffsInUnit(u, up))
 				}
 			}
 		}

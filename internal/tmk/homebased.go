@@ -38,7 +38,6 @@ import (
 // send); the home's handler time is folded into the fetch exchange's
 // service cost, as for homeless diff requests (DESIGN.md §5).
 type homeProtocol struct {
-	invalidator
 	sys *System
 	up  int // unit size in pages
 }
@@ -46,8 +45,6 @@ type homeProtocol struct {
 func newHomeProtocol(s *System) *homeProtocol {
 	return &homeProtocol{sys: s, up: s.cfg.UnitPages}
 }
-
-func (*homeProtocol) Name() string { return "home" }
 
 // homeOf returns unit u's current home processor from the System-owned
 // home table — the placement policy's assignment ("rr" reproduces the
@@ -187,20 +184,10 @@ func (h *homeProtocol) unitImagesInto(fs *fetchScratch, u int, vt vc.Time) {
 func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
 	fetch := fs.fetchUnits[:0]
-	sparse := p.sys.sparseMode()
 	for _, u := range units {
-		stale := false
-		if sparse {
-			// The home serves the unit's whole contents at p's vector
-			// time, so only the staleness bit matters here; the
-			// reconstruction (see notices.go) also consumes the
-			// entries, like the dense path's post-fetch clear.
-			fs.missScratch = p.missingInto(u, fs.missScratch)
-			stale = len(fs.missScratch) > 0
-		} else {
-			stale = len(p.missing[u]) > 0
-		}
-		if stale {
+		// The home serves the unit's whole contents at p's vector time,
+		// so only whether the unit misses writes matters here.
+		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
 			fetch = append(fetch, u)
 		}
 	}
@@ -242,5 +229,4 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs.planImages(h.up)
 	p.sendExchanges(fs)
 	p.applyItems(fs.items)
-	p.consumeMissing(fetch)
 }

@@ -15,9 +15,7 @@ import (
 // store at release, and an access miss fetches the missing diffs from
 // each concurrent writer — one exchange per writer, issued in parallel
 // — then applies them in causal order (many messages, few bytes).
-type homelessProtocol struct{ invalidator }
-
-func (*homelessProtocol) Name() string { return "homeless" }
+type homelessProtocol struct{}
 
 // Release leaves the diffs with the writer: the published interval holds
 // them, to be served on demand at remote faults. No messages move — lazy
@@ -81,9 +79,9 @@ type fetchScratch struct {
 	// fetch, so planDiffs rewinds it.
 	coalesced mem.DiffScratch
 
-	// Sparse-mode notice reconstruction scratch (see notices.go).
-	missScratch  []lrc.MissingWrite // missingInto: one unit's rebuilt list
-	spillScratch []int32            // missingInto: next spill under construction
+	// Notice reconstruction scratch (see notices.go).
+	missScratch  []*lrc.Interval // missingInto: one unit's rebuilt list
+	spillScratch []int32         // missingInto: next spill under construction
 
 	// Home-based fetch scratch (see homebased.go).
 	snapDiffs []mem.Diff      // page images: unit fetchUnits[i]'s s-th page at i*UnitPages+s
@@ -99,13 +97,13 @@ func byWriter(a, b writerNeed) int { return cmp.Compare(a.writer, b.writer) }
 func byPage(a, b fetchItem) int    { return cmp.Compare(a.page, b.page) }
 
 // addNeeds queues unit u's missing writes, in miss-list order.
-func (fs *fetchScratch) addNeeds(u int, miss []lrc.MissingWrite) {
+func (fs *fetchScratch) addNeeds(u int, miss []*lrc.Interval) {
 	single := true
-	for _, mw := range miss {
-		single = single && mw.Interval.ID.Proc == miss[0].Interval.ID.Proc
+	for _, iv := range miss {
+		single = single && iv.ID.Proc == miss[0].ID.Proc
 	}
-	for _, mw := range miss {
-		fs.needs = append(fs.needs, writerNeed{iv: mw.Interval, unit: u, writer: mw.Interval.ID.Proc, single: single})
+	for _, iv := range miss {
+		fs.needs = append(fs.needs, writerNeed{iv: iv, unit: u, writer: iv.ID.Proc, single: single})
 	}
 }
 
@@ -216,23 +214,13 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
 	fs.needs = fs.needs[:0]
 	fs.fetchUnits = fs.fetchUnits[:0]
-	sparse := p.sys.sparseMode()
 	for _, u := range units {
-		var miss []lrc.MissingWrite
-		if sparse {
-			// Rebuild (and consume) the unit's list from the store's
-			// publish log — identical contents and per-writer order to
-			// the dense list (see notices.go).
-			fs.missScratch = p.missingInto(u, fs.missScratch)
-			miss = fs.missScratch
-		} else {
-			miss = p.missing[u]
-		}
-		if len(miss) == 0 {
+		fs.missScratch = p.missingInto(u, fs.missScratch)
+		if len(fs.missScratch) == 0 {
 			continue
 		}
 		fs.fetchUnits = append(fs.fetchUnits, u)
-		fs.addNeeds(u, miss)
+		fs.addNeeds(u, fs.missScratch)
 	}
 	fs.planDiffs(p.sys.cfg.UnitPages)
 	p.sendExchanges(fs)
@@ -242,7 +230,6 @@ func (*homelessProtocol) Fetch(p *Proc, units []int) {
 	// latest key, and same-key items must retain per-writer list order.
 	sortFetchItems(fs.items)
 	p.applyItems(fs.items)
-	p.consumeMissing(fs.fetchUnits)
 }
 
 // sendExchanges sends the planned exchanges — in parallel, so the clock is
@@ -278,17 +265,5 @@ func (p *Proc) applyItems(items []fetchItem) {
 		if it.tag != 0 {
 			p.sys.col.TagDiff(p.id, it.page, it.d, it.tag)
 		}
-	}
-}
-
-// consumeMissing drops the fetched units' dense missing lists. It keeps
-// the map entries (and their capacity) for the next acquire's notices;
-// the sparse engine consumed its reconstruction already.
-func (p *Proc) consumeMissing(units []int) {
-	if p.sys.sparseMode() {
-		return
-	}
-	for _, u := range units {
-		p.missing[u] = p.missing[u][:0]
 	}
 }

@@ -64,21 +64,13 @@ type Proc struct {
 	wsets      []writeSet
 	checkTwins []mem.Twin
 
-	// missing[unit] lists unseen remote intervals that wrote the unit;
-	// the unit stays invalid until they are fetched and applied. Dense
-	// reference mode only: the sparse engine reconstructs the same sets
-	// at fault time from the store's per-unit publish log (missingInto),
-	// so an acquire never touches per-unit bookkeeping for units the
-	// processor will never read.
-	missing map[int][]lrc.MissingWrite
-
-	// fcur[unit] is the sparse engine's consumption cursor into the
-	// store's per-unit publish log: entries below idx are consumed (or
-	// the processor's own), spill holds consumed indices beyond idx —
-	// intervals learned through a lock chain and fetched while
-	// concurrent episode-mates were still unknown. Entries exist only
-	// for units the processor has actually faulted on, and are values:
-	// a first fault on a unit allocates no cursor.
+	// fcur[unit] is the processor's consumption cursor into the store's
+	// per-unit publish log (see notices.go): entries below idx are
+	// consumed (or the processor's own), spill holds consumed indices
+	// beyond idx — intervals learned through a lock chain and fetched
+	// while concurrent episode-mates were still unknown. Entries exist
+	// only for units the processor has actually faulted on, and are
+	// values: a first fault on a unit allocates no cursor.
 	fcur map[int]fetchCursor
 
 	// Dynamic aggregation state.
@@ -100,7 +92,7 @@ type Proc struct {
 	diffScr   mem.DiffScratch // closeInterval: the slabs this run's diffs live in
 	unitsBuf  []int           // closeInterval: units written
 	diffsBuf  []lrc.PageDiff  // closeInterval: non-empty diffs
-	deltaBuf  []*lrc.Interval // applyAcquire: store delta (lock grants)
+	deltaBuf  []*lrc.Interval // applyAcquireStamp: store delta (lock grants)
 	faultUnit [1]int          // readFault: single-unit fetch list
 	owned     []int           // fetch: the units one protocol owns
 	fs        fetchScratch    // homeless/home fetch scratch
@@ -132,7 +124,6 @@ func newProc(s *System, id int) *Proc {
 		tk:        tk,
 		memAccess: s.cost.MemAccess,
 		vt:        tk.T,
-		missing:   make(map[int][]lrc.MissingWrite),
 		fcur:      make(map[int]fetchCursor),
 	}
 	// The segment starts zeroed and identical everywhere: readable.
@@ -164,9 +155,6 @@ func (p *Proc) reset() {
 	p.tk.Rebase(&vc.Epoch{}) // zero time, empty deviation set, run-start epoch
 	p.arena.Reset()
 	p.writeOrder = p.writeOrder[:0]
-	for u := range p.missing {
-		p.missing[u] = p.missing[u][:0]
-	}
 	for u, c := range p.fcur {
 		p.fcur[u] = fetchCursor{spill: c.spill[:0]}
 	}
@@ -535,7 +523,7 @@ func (p *Proc) readFault(page int) {
 	}
 
 	// Each stale unit's owning protocol fetches its data (messages,
-	// clock charges, replica updates) and clears its missing-write
+	// clock charges, replica updates) and consumes its missing-write
 	// state.
 	p.fetch(units)
 

@@ -74,58 +74,36 @@ func (p *Proc) closeInterval() {
 // consumeDelta applies the write notices of the intervals in ivs that p
 // has not heard of yet — a lock acquire's store delta holds nothing else,
 // a barrier episode's shared delta also holds p's own intervals and
-// whatever p learned of the episode through a lock chain. Every noticed
-// unit is routed to its owning protocol's notice policy (invalidated and
-// recorded as missing). It returns the wire size of the consumed
-// notices. p.vt must not move until the walk is over.
+// whatever p learned of the episode through a lock chain. A notice only
+// invalidates its unit, charging ProtOp if the unit was valid; the fault
+// that follows rebuilds the missing writes (notices.go). It returns the
+// wire size of the consumed notices. p.vt must not move until the walk
+// is over.
 func (p *Proc) consumeDelta(ivs []*lrc.Interval) int {
-	bytes := 0
-	s := p.sys
-	// Static configurations install one engine owning every unit; hoist
-	// the dispatch out of the per-notice loop (the engine's most
-	// frequent call at large processor counts).
-	if len(s.protos) == 1 {
-		proto := s.protos[0]
-		for _, iv := range ivs {
-			if p.vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
-				continue
-			}
-			bytes += iv.NoticeBytes()
-			for _, u := range iv.Units {
-				proto.AcquireUnit(p, iv, u)
-			}
-		}
-		return bytes
+	if c := p.sys.noticeCheck; c != nil {
+		c.delta(p, ivs)
 	}
+	bytes, protOp := 0, p.sys.cost.ProtOp
 	for _, iv := range ivs {
 		if p.vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
 			continue
 		}
 		bytes += iv.NoticeBytes()
 		for _, u := range iv.Units {
-			s.protoOf(u).AcquireUnit(p, iv, u)
+			if p.pt.State(u) != mem.Invalid {
+				p.setState(u, mem.Invalid)
+				p.clock.Advance(protOp)
+			}
 		}
 	}
 	return bytes
 }
 
-// applyAcquire consumes the write notices between the processor's vector
-// time and sourceVT (a dense time — the reference-mode path and the
-// sparse mode's fallback). It returns the wire size of the consumed
-// notices, which the caller charges as piggybacked consistency
-// information on the grant/release message.
-func (p *Proc) applyAcquire(sourceVT vc.Time) int {
-	if sourceVT == nil {
-		return 0
-	}
-	p.deltaBuf = p.sys.store.DeltaInto(p.vt, sourceVT, p.deltaBuf)
-	bytes := p.consumeDelta(p.deltaBuf)
-	p.tk.MergeTime(sourceVT)
-	return bytes
-}
-
-// applyAcquireStamp is applyAcquire for a stamped release time (lock
-// grants). When the stamp is sparse and its epoch base is not newer than
+// applyAcquireStamp consumes the write notices between the processor's
+// vector time and a lock grant's stamped release time, and merges the
+// stamp. It returns the wire size of the consumed notices, which the
+// caller charges as piggybacked consistency information on the grant
+// message. When the stamp is sparse and its epoch base is not newer than
 // the processor's — always, between barriers — only the stamp's
 // deviations can exceed the processor's time, so the store delta and the
 // merge are O(deviations + delta) instead of O(nprocs).
@@ -141,7 +119,10 @@ func (p *Proc) applyAcquireStamp(s vc.Stamp) int {
 		return bytes
 	}
 	p.vtScratch = s.Dense(p.vtScratch)
-	return p.applyAcquire(p.vtScratch)
+	p.deltaBuf = p.sys.store.DeltaInto(p.vt, p.vtScratch, p.deltaBuf)
+	bytes := p.consumeDelta(p.deltaBuf)
+	p.tk.MergeTime(p.vtScratch)
+	return bytes
 }
 
 // rebuildGroups recomputes the processor's page groups from the faults
@@ -260,20 +241,16 @@ func (s *System) finishEpisode(tk *vc.Tracked, episode int) barrierGrant {
 }
 
 // indexEpisode returns the number of write notices in delta and their
-// wire size, and indexes delta as episode ep when the engine is sparse
-// (the held-unit walk reads the writers, see applyBarrierGrant) or runs
-// is set: every written unit's epWriter entry is stamped ep and names
-// its writer. With runs, every written unit is also listed in epUnits,
-// and its entry gets its run, laid out back to back in epRuns.
+// wire size, and indexes delta as episode ep: every written unit's
+// epWriter entry is stamped ep and names its writer, which the held-unit
+// walk reads (see applyBarrierGrant). With runs, every written unit is
+// also listed in epUnits, and its entry gets its run, laid out back to
+// back in epRuns.
 func (s *System) indexEpisode(delta []*lrc.Interval, ep int32, runs bool) (notices, noticeBytes int) {
-	index := s.sparseMode() || runs
 	s.epUnits = s.epUnits[:0]
 	for _, iv := range delta {
 		notices += len(iv.Units)
 		noticeBytes += iv.NoticeBytes()
-		if !index {
-			continue
-		}
 		w := int32(iv.ID.Proc)
 		for _, u := range iv.Units {
 			if e := &s.epWriter[u]; e.episode != ep {
@@ -381,23 +358,25 @@ func (b *barrier) depart(p *Proc, at sim.Duration, noticeBytes int) {
 // notices that are new to the processor are applied and its register
 // rebases onto the new epoch. Returns the consumed notices' wire size.
 //
-// Sparse mode keeps no per-notice state (notices.go), so there a notice
-// is only its invalidation, and the walk takes the shorter side. A
-// processor that knows nothing of the episode but its own intervals —
-// every processor of a barrier-only program — owes an invalidation to
-// exactly the units it holds that the index names with a writer other
-// than itself: when it holds no more units than the episode has notices
-// it walks those, and its notices' wire size is the episode's less its
-// own. Otherwise (a prefix learned through a lock chain, more held units
-// than notices, the dense engine) it walks the episode's delta, skipping
-// what it knows. Both charge ProtOp once per unit that was valid and is
-// named by a notice new to the processor.
+// A notice is only its invalidation (notices.go), so the walk takes the
+// shorter side. A processor that knows nothing of the episode but its
+// own intervals — every processor of a barrier-only program — owes an
+// invalidation to exactly the units it holds that the index names with a
+// writer other than itself: when it holds no more units than the episode
+// has notices it walks those, and its notices' wire size is the
+// episode's less its own. Otherwise (a prefix learned through a lock
+// chain, more held units than notices) it walks the episode's delta,
+// skipping what it knows. Both charge ProtOp once per unit that was
+// valid and is named by a notice new to the processor.
 func (p *Proc) applyBarrierGrant(g barrierGrant) int {
 	devs := p.tk.Devs()
-	heldWalk := p.sys.sparseMode() && len(p.held)-p.heldStale <= g.notices &&
+	heldWalk := !p.sys.tune.fullBarrierWalk && len(p.held)-p.heldStale <= g.notices &&
 		(len(devs) == 0 || len(devs) == 1 && int(devs[0]) == p.id)
 	var bytes, visited int
 	if heldWalk {
+		if c := p.sys.noticeCheck; c != nil {
+			c.delta(p, g.delta)
+		}
 		bytes, visited = g.noticeBytes-p.ownNoticeBytes, len(p.held)
 		p.invalidateHeld(g.episode)
 	} else {

@@ -222,8 +222,7 @@ type System struct {
 	// that grant. finishEpisode's storage: the episode's causally sorted
 	// intervals and its index (indexEpisode): epWriter is indexed by
 	// unit and stamped with the episode number, so that nothing is
-	// cleared between episodes (nil when neither the sparse engine nor
-	// the decision pass reads it); when barriers decide units, epUnits
+	// cleared between episodes; when barriers decide units, epUnits
 	// lists the written units and epRuns holds their runs. procScratch
 	// is the decision pass's per-processor tally (decides only).
 	arrivals    *vc.Tracked
@@ -255,9 +254,9 @@ type System struct {
 	running  bool
 	ran      bool
 	released bool
-	// sparse caches whether cfg.Scale selects the sparse representation:
-	// the acquire path consults the mode once per write notice, and a
-	// string comparison there is measurable at 256+ processors.
+	// sparse caches whether cfg.Scale selects the sparse clock
+	// representation, which every stamp, merge and episode delta
+	// consults.
 	sparse bool
 
 	procs   []*Proc
@@ -286,6 +285,10 @@ type System struct {
 	// homeCheck, when set (tests only, before Run), follows the home
 	// engine for an oracle (see homeChecker).
 	homeCheck homeChecker
+
+	// noticeCheck, when set (tests only, before Run), follows the write
+	// notices for an oracle (see noticeChecker).
+	noticeCheck noticeChecker
 }
 
 // homeChecker follows the home engine: flushed sees each diff a home
@@ -299,16 +302,30 @@ type homeChecker interface {
 	image(page int, vt vc.Time, img mem.Diff)
 }
 
+// noticeChecker follows the write notices, on the processor's
+// goroutine: delta sees every delta p consumes — each lock grant's, and
+// each barrier episode's whichever walk the grant takes — before p's
+// vector time moves; fetched sees each unit's missing-write list
+// missingInto rebuilds at a fault.
+type noticeChecker interface {
+	delta(p *Proc, ivs []*lrc.Interval)
+	fetched(p *Proc, u int, miss []*lrc.Interval)
+}
+
 // tuning holds the engine's calibrated constants: the §4 group bound
 // (DESIGN.md §4) and the adaptive protocol's hysteresis and contention
-// gate (§8). Every System runs on the constants; tests build one on
-// other values (newSystem) to ablate them.
+// gate (§8), and a switch that turns the held-unit barrier walk off.
+// Every System runs on the constants with the walk on; tests build one
+// on other values (newSystem) to ablate them.
 type tuning struct {
 	groupPages int // zero: aggregate.DefaultMaxPages
 	hysteresis int // zero: switchHysteresis
 	// gate, when set, replaces the cost model's contention gate
 	// (sim.CostModel.Contended) with its own verdict.
 	gate func(queue sim.Duration, msgs int64) bool
+	// fullBarrierWalk makes every barrier grant walk the episode's
+	// delta instead of the held units (tests compare the two walks).
+	fullBarrierWalk bool
 }
 
 // NewSystem builds a DSM instance. The shared segment starts zeroed and
@@ -416,8 +433,8 @@ func (s *System) build(model netmodel.Model) {
 	}
 
 	// Episode numbers restart with the fabric: stamps of the run that
-	// ended would read as this run's. A static dense cell keeps no index.
-	if s.epWriter == nil && (s.sparse || s.decides()) {
+	// ended would read as this run's.
+	if s.epWriter == nil {
 		s.epWriter = make([]unitWriter, s.numUnits)
 	}
 	if s.procScratch == nil && s.decides() {

@@ -1,111 +1,151 @@
 package vc
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // stampScenario drives a Tracked register and a plain dense Time shadow
-// through the same random schedule of ticks, merges, and rebases,
-// checking that every observable of the sparse layer matches the dense
-// model at each step.
-func TestTrackedMatchesDenseModel(t *testing.T) {
-	const n = 16
-	rng := rand.New(rand.NewSource(9))
+// of length n through steps random ticks, stamp merges, dense merges and
+// rebases, each choice drawn from intn, checking that every observable
+// of the sparse layer matches the dense model at each step.
+func stampScenario(t *testing.T, n, steps int, intn func(int) int) {
+	t.Helper()
+	var arena StampArena
+	tr := NewTracked(n)
+	shadow := New(n)
+	epochSeq := 0
 
-	for trial := 0; trial < 50; trial++ {
-		var arena StampArena
-		tr := NewTracked(n)
-		shadow := New(n)
-		epochSeq := 0
+	// Remember a few snapshots to cross-check Covers/Concurrent.
+	type snap struct {
+		s Stamp
+		d Time
+	}
+	var snaps []snap
 
-		// Remember a few snapshots to cross-check Covers/Concurrent.
-		type snap struct {
-			s Stamp
-			d Time
+	for step := 0; step < steps; step++ {
+		switch intn(5) {
+		case 0: // tick a random proc
+			p := intn(n)
+			tr.Tick(p)
+			shadow.Tick(p)
+		case 1: // merge a random sparse stamp at the current epoch
+			nd := intn(4)
+			procs := make([]int32, 0, nd)
+			seqs := make([]int32, 0, nd)
+			for p := 0; p < n && len(procs) < nd; p++ {
+				if intn(n) < nd {
+					procs = append(procs, int32(p))
+					seqs = append(seqs, tr.Base().Entry(p)+int32(1+intn(3)))
+				}
+			}
+			s := SparseStamp(tr.Base(), n, procs, seqs)
+			tr.MergeStamp(s)
+			shadow.Merge(s.Dense(nil))
+		case 2: // merge a dense stamp
+			d := New(n)
+			for p := range d {
+				d[p] = shadow[p] + int32(intn(2))
+			}
+			tr.MergeStamp(DenseStamp(d))
+			shadow.Merge(d)
+		case 3: // barrier: rebase both onto the merged time
+			epochSeq++
+			merged := shadow.Clone()
+			tr.Rebase(NewEpoch(epochSeq, merged))
+			shadow.CopyFrom(merged)
+		case 4: // merge a dense time entrywise
+			d := New(n)
+			for p := range d {
+				d[p] = max(0, shadow[p]+int32(intn(3))-1)
+			}
+			tr.MergeTime(d)
+			shadow.Merge(d)
 		}
-		var snaps []snap
 
-		for step := 0; step < 200; step++ {
-			switch rng.Intn(4) {
-			case 0: // tick a random proc
-				p := rng.Intn(n)
-				tr.Tick(p)
-				shadow.Tick(p)
-			case 1: // merge a random sparse stamp at the current epoch
-				nd := rng.Intn(4)
-				procs := make([]int32, 0, nd)
-				seqs := make([]int32, 0, nd)
-				for p := 0; p < n && len(procs) < nd; p++ {
-					if rng.Intn(n) < nd {
-						procs = append(procs, int32(p))
-						seqs = append(seqs, tr.Base().Entry(p)+int32(1+rng.Intn(3)))
-					}
-				}
-				s := SparseStamp(tr.Base(), n, procs, seqs)
-				tr.MergeStamp(s)
-				shadow.Merge(s.Dense(nil))
-			case 2: // merge a dense stamp
-				d := New(n)
-				for p := range d {
-					d[p] = shadow[p] + int32(rng.Intn(2))
-				}
-				tr.MergeStamp(DenseStamp(d))
-				shadow.Merge(d)
-			case 3: // barrier: rebase both onto the merged time
-				epochSeq++
-				merged := shadow.Clone()
-				tr.Rebase(NewEpoch(epochSeq, merged))
-				shadow.CopyFrom(merged)
+		if !tr.T.Equal(shadow) {
+			t.Fatalf("step %d: register %v != shadow %v", step, tr.T, shadow)
+		}
+		for p := 0; p < n; p++ {
+			if dev := shadow[p] > tr.Base().Entry(p); tr.mark[p] != dev {
+				t.Fatalf("step %d: processor %d deviates %v, the register says %v", step, p, dev, tr.mark[p])
 			}
+		}
+		s := tr.Snapshot(&arena)
+		var sum int64
+		for p := 0; p < n; p++ {
+			if got, want := s.Entry(p), shadow[p]; got != want {
+				t.Fatalf("step %d: Entry(%d) = %d, want %d", step, p, got, want)
+			}
+			sum += int64(shadow[p])
+		}
+		if s.Sum() != sum {
+			t.Fatalf("step %d: Sum = %d, want %d", step, s.Sum(), sum)
+		}
+		if d := s.Dense(nil); !d.Equal(shadow) {
+			t.Fatalf("step %d: Dense %v != shadow %v", step, d, shadow)
+		}
+		// Deviations must advance past the base (the invariant every
+		// fast path relies on).
+		if s.Base() != nil {
+			procs, seqs := s.Deviations()
+			for i, p := range procs {
+				if seqs[i] <= s.Base().Entry(int(p)) {
+					t.Fatalf("step %d: deviation %d not past base", step, p)
+				}
+			}
+		}
 
-			if !tr.T.Equal(shadow) {
-				t.Fatalf("trial %d step %d: register %v != shadow %v", trial, step, tr.T, shadow)
+		// Cross-check ordering against earlier snapshots.
+		d := shadow.Clone()
+		for _, old := range snaps {
+			if got, want := s.Covers(old.s), d.Covers(old.d); got != want {
+				t.Fatalf("step %d: Covers = %v, dense says %v\n s=%v\n u=%v",
+					step, got, want, d, old.d)
 			}
-			s := tr.Snapshot(&arena)
-			var sum int64
-			for p := 0; p < n; p++ {
-				if got, want := s.Entry(p), shadow[p]; got != want {
-					t.Fatalf("trial %d step %d: Entry(%d) = %d, want %d", trial, step, p, got, want)
-				}
-				sum += int64(shadow[p])
+			if got, want := old.s.Covers(s), old.d.Covers(d); got != want {
+				t.Fatalf("step %d: reverse Covers = %v, dense says %v", step, got, want)
 			}
-			if s.Sum() != sum {
-				t.Fatalf("trial %d step %d: Sum = %d, want %d", trial, step, s.Sum(), sum)
+			if got, want := s.Concurrent(old.s), d.Concurrent(old.d); got != want {
+				t.Fatalf("step %d: Concurrent = %v, dense says %v", step, got, want)
 			}
-			if d := s.Dense(nil); !d.Equal(shadow) {
-				t.Fatalf("trial %d step %d: Dense %v != shadow %v", trial, step, d, shadow)
-			}
-			// Deviations must advance past the base (the invariant every
-			// fast path relies on).
-			if s.Base() != nil {
-				procs, seqs := s.Deviations()
-				for i, p := range procs {
-					if seqs[i] <= s.Base().Entry(int(p)) {
-						t.Fatalf("trial %d step %d: deviation %d not past base", trial, step, p)
-					}
-				}
-			}
-
-			// Cross-check ordering against earlier snapshots.
-			d := shadow.Clone()
-			for _, old := range snaps {
-				if got, want := s.Covers(old.s), d.Covers(old.d); got != want {
-					t.Fatalf("trial %d step %d: Covers = %v, dense says %v\n s=%v\n u=%v",
-						trial, step, got, want, d, old.d)
-				}
-				if got, want := old.s.Covers(s), old.d.Covers(d); got != want {
-					t.Fatalf("trial %d step %d: reverse Covers = %v, dense says %v", trial, step, got, want)
-				}
-				if got, want := s.Concurrent(old.s), d.Concurrent(old.d); got != want {
-					t.Fatalf("trial %d step %d: Concurrent = %v, dense says %v", trial, step, got, want)
-				}
-			}
-			if len(snaps) < 8 && rng.Intn(10) == 0 {
-				snaps = append(snaps, snap{s: s, d: d})
-			}
+		}
+		if len(snaps) < 8 && intn(10) == 0 {
+			snaps = append(snaps, snap{s: s, d: d})
 		}
 	}
+}
+
+func TestTrackedMatchesDenseModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		t.Run(fmt.Sprint(trial), func(t *testing.T) { stampScenario(t, 16, 200, rng.Intn) })
+	}
+}
+
+// FuzzTrackedMatchesDense runs stampScenario on a schedule read from the
+// fuzz input: the register length, then one byte per choice, for as many
+// steps as the input has bytes (choices past its end read as zero).
+func FuzzTrackedMatchesDense(f *testing.F) {
+	f.Add(uint8(16), []byte{0, 1, 2, 3, 4, 0, 9, 1, 2, 2, 3, 4, 4, 1, 0, 0})
+	// A dense merge that raises every entry, a rebase, and another.
+	f.Add(uint8(3), []byte{4, 2, 2, 2, 2, 3, 4, 2, 0, 2, 1, 0, 5})
+	// Sixty-four raised entries: the snapshot falls back to a dense copy.
+	f.Add(uint8(63), append(append([]byte{4}, bytes.Repeat([]byte{2}, 64)...), 0, 7, 1, 3, 5, 2))
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		n := 1 + int(size)%64
+		next := 0
+		intn := func(k int) int {
+			if next >= len(data) {
+				return 0
+			}
+			next++
+			return int(data[next-1]) % k
+		}
+		stampScenario(t, n, len(data), intn)
+	})
 }
 
 func TestStampEntryOffList(t *testing.T) {
