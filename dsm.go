@@ -143,11 +143,12 @@ func Placements() []string { return tmk.PlacementNames() }
 // manager's n-message pile-up into log-depth waves); see DESIGN.md §13.
 func Barriers() []string { return tmk.BarrierNames() }
 
-// Scales returns the engine's scaling representations, sorted: "dense"
-// (the flat O(procs) reference representation) and "sparse"
-// (epoch-relative interval clocks, deviation-driven deltas, lazy
-// replicas — the default, bit-identical to dense on every wire count);
-// see DESIGN.md §13.
+// Scales returns the engine's vector-time representations, sorted:
+// "dense" (flat O(procs) clocks, the reference) and "sparse"
+// (epoch-relative interval clocks and deviation-driven deltas — the
+// default, bit-identical to dense on every wire count). Everything
+// else, lazily materialized replica frames included, is shared by
+// both; see DESIGN.md §13.
 func Scales() []string { return tmk.ScaleNames() }
 
 // Option configures a System under construction. Options validate
@@ -244,13 +245,13 @@ func WithNetwork(name string) Option {
 	return nameOption("WithNetwork", name, func(c *Config) *string { return &c.Network })
 }
 
-// WithScale selects the engine's scaling representation by name
+// WithScale selects the engine's vector-time representation by name
 // (case-insensitive; see Scales). The default, "sparse", carries
-// vector time as a base epoch plus a deviation list and materializes
-// replica frames lazily — built for 64–1024-processor systems, and
-// bit-identical to "dense" on every message and byte count (the
-// equivalence tests pin this). "dense" keeps the flat O(procs)
-// reference representation. An unknown name is an error from New.
+// vector time as a base epoch plus a deviation list — built for
+// 64–1024-processor systems, and bit-identical to "dense" on every
+// message and byte count (the equivalence tests pin this). "dense"
+// keeps the flat O(procs) reference clocks. Both materialize replica
+// frames lazily, on first touch. An unknown name is an error from New.
 func WithScale(name string) Option {
 	return nameOption("WithScale", name, func(c *Config) *string { return &c.Scale })
 }

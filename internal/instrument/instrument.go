@@ -120,15 +120,32 @@ func (c *Collector) NewDataMsg(reader int) int32 {
 // exchange is re-tagged; the earlier exchange simply never receives the
 // credit (overwritten before read).
 func (c *Collector) TagDiff(proc, page int, d mem.Diff, tag int32) {
+	row := c.tagRow(proc, page)
+	d.ForEachWord(func(w int) {
+		row[w] = tag
+	})
+	c.data[proc][tag-1].totalWords += int32(d.WordCount())
+}
+
+// TagPage is TagDiff for a whole page: every word of page carries tag,
+// as a home's full-page image delivers it.
+func (c *Collector) TagPage(proc, page int, tag int32) {
+	row := c.tagRow(proc, page)
+	for w := range row {
+		row[w] = tag
+	}
+	c.data[proc][tag-1].totalWords += mem.WordsPerPage
+}
+
+// tagRow returns proc's tag row for page, taking a zeroed one on first
+// use.
+func (c *Collector) tagRow(proc, page int) *[mem.WordsPerPage]int32 {
 	row := c.tags[proc][page]
 	if row == nil {
 		row = c.rows[proc].row()
 		c.tags[proc][page] = row
 	}
-	d.ForEachWord(func(w int) {
-		row[w] = tag
-	})
-	c.data[proc][tag-1].totalWords += int32(d.WordCount())
+	return row
 }
 
 // Exchanges returns how many exchanges proc has registered: taken when a

@@ -152,7 +152,8 @@ func SortCausally(ivs []*Interval) {
 // time handed to it at a synchronization), so reading through the store
 // never leaks information ahead of the protocol. It is also the home
 // engine's versioned log: every interval keeps its diffs, so a home
-// rebuilds a page at any covered vector time from UnitLog.
+// fetch serves a page at the fetcher's vector time from the writes
+// UnitLog says the fetcher has learned and not applied.
 //
 // Garbage collection of old intervals is deliberately omitted (runs are
 // short; TreadMarks GC is orthogonal to the paper's study).

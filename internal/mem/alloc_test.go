@@ -12,7 +12,6 @@ import "testing"
 //     scratch's slabs; a chunk allocation every few hundred diffs
 //     rounds to nothing)
 //   - applying a diff: 0 allocs
-//   - reconstructing a full-page image into caller arenas: 0 allocs
 func TestAllocBudgetDiffPath(t *testing.T) {
 	page := make([]byte, PageSize)
 	var scr DiffScratch
@@ -48,13 +47,5 @@ func TestAllocBudgetDiffPath(t *testing.T) {
 		d.Apply(dst)
 	}); n != 0 {
 		t.Errorf("Diff.Apply: %v allocs/op, want 0", n)
-	}
-
-	words := make([]uint64, WordsPerPage)
-	runs := make([]Run, 0, 1)
-	if n := testing.AllocsPerRun(100, func() {
-		_ = FullPageDiffInto(words, runs, page)
-	}); n != 0 {
-		t.Errorf("FullPageDiffInto (caller arenas): %v allocs/op, want 0", n)
 	}
 }

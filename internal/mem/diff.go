@@ -303,10 +303,9 @@ func (d Diff) ForEachWord(fn func(wordOff int)) {
 }
 
 // FullPageDiff captures the entire current contents of a page as a
-// single-run diff. Home-based protocols use it as the wire image of a
-// whole-page fetch from the home copy: applying it overwrites every
-// word of the destination, and its WireBytes price the full-page
-// transfer the paper contrasts with diff traffic.
+// single-run diff: applying it overwrites every word of the
+// destination, and its WireBytes are FullPageWireBytes, the price of
+// the full-page transfer the paper contrasts with diff traffic.
 func FullPageDiff(page []byte) Diff {
 	if len(page) != PageSize {
 		panic("mem: FullPageDiff on non-page-sized input")
@@ -316,23 +315,6 @@ func FullPageDiff(page []byte) Diff {
 		run.Words[i] = wordAt(page, i)
 	}
 	return Diff{runs: []Run{run}}
-}
-
-// FullPageDiffInto is FullPageDiff carving the image's storage from
-// caller-owned buffers: words (length WordsPerPage) receives the page's
-// word values and runs backs the one-run list (capacity >= 1 avoids
-// allocating it). The returned Diff aliases both, so the caller must
-// not reuse them while the diff is live — the engine's fetch path
-// carves per-page regions out of a pre-sized arena.
-func FullPageDiffInto(words []uint64, runs []Run, page []byte) Diff {
-	if len(page) != PageSize || len(words) != WordsPerPage {
-		panic("mem: FullPageDiffInto on mis-sized input")
-	}
-	for i := range words {
-		words[i] = wordAt(page, i)
-	}
-	runs = append(runs[:0], Run{Off: 0, Words: words})
-	return Diff{runs: runs}
 }
 
 // Coalesce merges an ordered sequence of diffs of the same page into one

@@ -132,13 +132,13 @@ func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended
 		s.trc.ProtocolSwitch(u, "homeless", "home", episode)
 	}
 	// homeless → home: the store already holds the unit's whole diff
-	// history, which is the home's versioned log, so every post-barrier
-	// fetcher (all of them cover the merged time) is served without
-	// installing anything. Under a mobile placement the home itself
-	// migrates to the unit's causally last writer — the image already
-	// lives there, so nothing travels; under a static placement the
-	// fixed home must pull the unit's image from the last writer,
-	// priced by its size after the release (settleMoves).
+	// history, which is the home's versioned log, and a home fetch
+	// serves each post-barrier fetcher the writes it misses from it
+	// (homebased.go), so nothing is installed. Under a mobile placement
+	// the home itself migrates to the unit's causally last writer — the
+	// image already lives there, so nothing travels; under a static
+	// placement the fixed home must pull the unit's image from the last
+	// writer, priced by its size after the release (settleMoves).
 	if c := s.homeCheck; c != nil {
 		c.handoff(u, merged)
 	}

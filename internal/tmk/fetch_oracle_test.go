@@ -117,13 +117,11 @@ func refPlanDiffs(procs, numPages, up int, units []int, miss map[int][]*lrc.Inte
 }
 
 // refPlanImages is the home fetch's gather: the exchanges with remote
-// homes, in send order, and every item in application order (local
-// homes' pages included, at their home's position).
-func refPlanImages(self, procs, numPages, up int, fetch, homeOf []int, snapDiffs []mem.Diff) ([]exchange, []fetchItem) {
+// homes, in send order, each replying a full-page image per page, and
+// every page in application order (local homes' pages included, at
+// their home's position).
+func refPlanImages(self, procs, up int, fetch, homeOf []int) ([]exchange, []fetchItem) {
 	homeUnits := make([][]int, procs)
-	pageMark := make([]int64, numPages)
-	pageSlot := make([]int32, numPages)
-	const gen = 1
 	var homes []int32
 	for _, u := range fetch {
 		home := homeOf[u]
@@ -132,43 +130,22 @@ func refPlanImages(self, procs, numPages, up int, fetch, homeOf []int, snapDiffs
 		}
 		homeUnits[home] = append(homeUnits[home], u)
 	}
-	slot := 0
-	for _, u := range fetch {
-		for s := 0; s < up; s++ {
-			pageMark[u*up+s] = gen
-			pageSlot[u*up+s] = int32(slot)
-			slot++
-		}
-	}
 	refSortTouched(homes)
 	var xs []exchange
 	var items []fetchItem
 	for _, hm := range homes {
-		home := int(hm)
-		us := homeUnits[home]
-		if home == self {
-			for _, u := range us {
-				for s := 0; s < up; s++ {
-					page := u*up + s
-					items = append(items, fetchItem{page: page, d: snapDiffs[pageSlot[page]]})
-				}
-			}
-			continue
-		}
-		x := exchange{peer: home, req: 16 + 8*len(us), lo: len(items)}
+		us := homeUnits[hm]
+		x := exchange{peer: int(hm), req: 16 + 8*len(us), lo: len(items)}
 		for _, u := range us {
 			for s := 0; s < up; s++ {
-				page := u*up + s
-				if pageMark[page] != gen {
-					panic("page image missing")
-				}
-				d := snapDiffs[pageSlot[page]]
-				x.reply += d.WireBytes()
-				items = append(items, fetchItem{page: page, d: d})
+				items = append(items, fetchItem{page: u*up + s})
+				x.reply += mem.FullPageWireBytes
 			}
 		}
 		x.hi = len(items)
-		xs = append(xs, x)
+		if x.peer != self {
+			xs = append(xs, x)
+		}
 	}
 	return xs, items
 }
@@ -439,32 +416,29 @@ func TestFetchPlansMatchReference(t *testing.T) {
 		}
 		sameItems(t, c, sendAndTag(sys, c.self, &fs, true), tagAndSort(wantXs, wantItems, c.self, true))
 
-		// Home fetch: one random image per page of the fetched units.
-		fs.fetchUnits = append(fs.fetchUnits[:0], c.units...)
-		fs.snapDiffs = fs.snapDiffs[:0]
+		// Home fetch: every fetched unit from its home.
 		fs.peers = fs.peers[:0]
-		for i, u := range c.units {
-			fs.peers = append(fs.peers, peerWork{peer: c.homeOf[u], n: i})
-			for s := 0; s < up; s++ {
-				fs.snapDiffs = append(fs.snapDiffs, g.diff())
-			}
+		for _, u := range c.units {
+			fs.peers = append(fs.peers, peerWork{peer: c.homeOf[u], n: u})
 		}
 		fs.planImages(up)
-		wantXs, wantItems = refPlanImages(c.self, procs, numPages, up, c.units, c.homeOf, fs.snapDiffs)
+		wantXs, wantItems = refPlanImages(c.self, procs, up, c.units, c.homeOf)
 		local += len(fs.xs) - len(wantXs)
 		if got := remote(fs.xs, c.self); !slices.Equal(got, wantXs) {
 			t.Fatalf("%v: home exchanges %v, reference %v", c, got, wantXs)
 		}
 		sameItems(t, c, sendAndTag(sys, c.self, &fs, false), tagAndSort(wantXs, wantItems, c.self, false))
 
-		// Home release: the fetched units' images stand in for one
-		// interval's diffs.
+		// Home release: one random diff per page of the fetched units
+		// stands in for one interval's diffs.
 		var flushed []lrc.PageDiff
 		fs.peers = fs.peers[:0]
-		for i, d := range fs.snapDiffs {
-			pd := lrc.PageDiff{Page: fs.fetchUnits[i/up]*up + i%up, D: d}
-			flushed = append(flushed, pd)
-			fs.peers = append(fs.peers, peerWork{peer: c.homeOf[pd.Page/up], n: d.WireBytes()})
+		for _, u := range c.units {
+			for s := 0; s < up; s++ {
+				pd := lrc.PageDiff{Page: u*up + s, D: g.diff()}
+				flushed = append(flushed, pd)
+				fs.peers = append(fs.peers, peerWork{peer: c.homeOf[u], n: pd.D.WireBytes()})
+			}
 		}
 		fs.planFlush()
 		if got, want := remote(fs.xs, c.self), refPlanFlush(c.self, procs, up, flushed, c.homeOf); !slices.Equal(got, want) {

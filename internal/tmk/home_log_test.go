@@ -15,13 +15,14 @@ import (
 
 // TestHomeImagesMatchFlushLog runs the home engine's earlier versioned
 // log beside the interval store (System.CheckHomeImages) and requires
-// every page image the home builds from the store — at each home fetch,
-// each adaptive handoff's pricing and each migration's pricing — to
-// equal the log's image at the same vector time. The cells are the
-// home, adaptive and migrating configurations of the barrier
-// applications (Jacobi, Barnes, Storm) and the lock-based ones (TSP,
-// Water), at units of 1, 2 and 4 pages, on both clock representations.
-// Adaptive runs on bus, where the contention gate lets units switch.
+// every page a home fetch refreshes, as the reader holds it after the
+// fetch, to equal the log's image at the reader's vector time. The
+// oracle holds for data-race-free programs, which the applications
+// are. The cells are the home, adaptive and migrating configurations of
+// the barrier applications (Jacobi, Barnes, Storm) and the lock-based
+// ones (TSP, Water), at units of 1, 2 and 4 pages, on both clock
+// representations. Adaptive runs on bus, where the contention gate lets
+// units switch; not every adaptive cell fetches from a home.
 func TestHomeImagesMatchFlushLog(t *testing.T) {
 	configs := []tmk.Config{
 		{Protocol: "home"},
@@ -56,7 +57,7 @@ func TestHomeImagesMatchFlushLog(t *testing.T) {
 						t.Errorf("%s: %v", name, err)
 					}
 					if images == 0 && cfg.Protocol == "home" {
-						t.Errorf("%s: the home engine built no page image", name)
+						t.Errorf("%s: the home engine fetched no page", name)
 					}
 					handoffs += h
 					if cfg.Placement == "migrate" {
@@ -91,12 +92,13 @@ func (s *orderSink) BarrierEnter(p int, at sim.Duration) {
 // TestHomeImageOrdersRacingWritesCausally has processors 0 and 1 write
 // the same word in one phase, processor 0 publishing its interval after
 // processor 1's, and processor 2 read it through a home fetch after the
-// barrier. The race is settled by the causal key: both intervals have
-// the same vector-entry sum, so processor 1's applies last. The five
-// applications never show this — their concurrent diffs touch disjoint
-// words, and the store publishes causally ordered intervals in causal
-// order — so here an image built in publish order would differ from the
-// flush log's, and read processor 0's value.
+// barrier. The fetch misses both intervals at once, and the race is
+// settled by the causal key: both intervals have the same vector-entry
+// sum, so processor 1's applies last. The five applications never show
+// this — their concurrent diffs touch disjoint words, and the store
+// publishes causally ordered intervals in causal order — so here writes
+// applied in publish order would differ from the flush log's image, and
+// read processor 0's value.
 func TestHomeImageOrdersRacingWritesCausally(t *testing.T) {
 	sink := &orderSink{MemSink: trace.NewMemSink(), entered: make(chan struct{})}
 	sys, err := tmk.NewSystem(tmk.Config{Procs: 3, Protocol: "home", Sink: sink})
@@ -128,5 +130,48 @@ func TestHomeImageOrdersRacingWritesCausally(t *testing.T) {
 	}
 	if got != 101 {
 		t.Errorf("processor 2 read %d, want processor 1's 101", got)
+	}
+}
+
+// TestRacingWritesReadAsMissed has processor 1 write a word under a
+// lock and processor 0 write it concurrently, without synchronization;
+// processor 2 reads it through the lock, then again after a barrier.
+// LRC leaves the outcome of the race undefined. Both protocols apply
+// the writes the reader misses over the reader's copy, so both read
+// processor 1's 101 through the lock and processor 0's 100, the one
+// write the barrier adds, after it. (A home image rebuilt from the
+// whole history reads 101 again: the causal key orders processor 1's
+// write last.)
+func TestRacingWritesReadAsMissed(t *testing.T) {
+	for _, proto := range []string{"homeless", "home"} {
+		sys, err := tmk.NewSystem(tmk.Config{Procs: 3, Locks: 1, Protocol: proto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := sys.Alloc(mem.PageSize)
+		var locked, after int64
+		sys.Run(func(p *tmk.Proc) {
+			switch p.ID() {
+			case 0:
+				p.WriteI64(base, 100)
+			case 1:
+				p.Lock(0)
+				p.WriteI64(base, 101)
+				p.Unlock(0)
+			case 2:
+				p.Compute(1 << 20) // locks are granted in virtual-time order: processor 1's first
+				p.Lock(0)
+				locked = p.ReadI64(base)
+				p.Unlock(0)
+			}
+			p.Barrier()
+			if p.ID() == 2 {
+				after = p.ReadI64(base)
+			}
+		})
+		if locked != 101 || after != 100 {
+			t.Errorf("%s: processor 2 read %d through the lock and %d after the barrier, want 101 and 100", proto, locked, after)
+		}
+		sys.Release()
 	}
 }

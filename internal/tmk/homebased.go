@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/vc"
 )
 
 // homeProtocol is home-based lazy release consistency (HLRC, in the
@@ -21,18 +21,19 @@ import (
 // sharing, more bytes per fetch.
 //
 // The home copies are versioned, as in real HLRC: a fetch returns the
-// page reconstructed at the *fetcher's* vector time — exactly the writes
-// the fetcher is entitled to see under LRC, no more. Without this, a
-// processor still traversing pre-step data could observe post-step
-// writes that a faster processor already flushed at the next barrier
-// (TreadMarks programs rely on concurrent writes staying invisible until
-// the reader's next acquire). The versioned log is the interval store
-// itself: every published interval keeps its diffs, so the home's state
-// for a unit is the unit's store log (lrc.Store.UnitLog), stamped with
-// each interval's vector time. The flush is what the protocol pays for
-// the home holding them. An interval is published before the release's
-// synchronization hands off, so every interval covered by an acquirer's
-// vector time is in the log by the time the acquirer can fault on it.
+// page at the *fetcher's* vector time — exactly the writes the fetcher
+// is entitled to see under LRC, no more. Without this, a processor
+// still traversing pre-step data could observe post-step writes that a
+// faster processor already flushed at the next barrier (TreadMarks
+// programs rely on concurrent writes staying invisible until the
+// reader's next acquire). The versioned log is the interval store
+// itself: every published interval keeps its diffs, and the fault
+// rebuilds the writes the fetcher misses from the unit's store log
+// (missingInto), so the engine keeps no home copy and builds no image.
+// The flush is what the protocol pays for the home holding them. An
+// interval is published before the release's synchronization hands
+// off, so every interval covered by an acquirer's vector time is in the
+// log by the time the acquirer can fault on it.
 //
 // Home application cost is charged to the writer's flush (the one-way
 // send); the home's handler time is folded into the fetch exchange's
@@ -103,9 +104,9 @@ func (fs *fetchScratch) planFlush() {
 }
 
 // planImages lays out a home fetch: one exchange per home, ascending,
-// carrying its units' page images in fetch order. fs.peers pairs each
-// home with an index i into fs.fetchUnits, and the image of that unit's
-// s-th page is fs.snapDiffs[i*up+s].
+// carrying its units' pages whole, in fetch order. fs.peers pairs each
+// home with a fetched unit; every page of the unit is one item, and its
+// reply a full-page image of mem.FullPageWireBytes whatever it holds.
 func (fs *fetchScratch) planImages(up int) {
 	slices.SortStableFunc(fs.peers, byPeer)
 	fs.items, fs.xs = fs.items[:0], fs.xs[:0]
@@ -113,66 +114,15 @@ func (fs *fetchScratch) planImages(up int) {
 		x := exchange{peer: fs.peers[lo].peer, lo: len(fs.items)}
 		hi := lo
 		for ; hi < len(fs.peers) && fs.peers[hi].peer == x.peer; hi++ {
-			i := fs.peers[hi].n
-			for s := 0; s < up; s++ {
-				d := fs.snapDiffs[i*up+s]
-				x.reply += d.WireBytes()
-				fs.items = append(fs.items, fetchItem{page: fs.fetchUnits[i]*up + s, d: d})
+			u := fs.peers[hi].n
+			for page := u * up; page < (u+1)*up; page++ {
+				fs.items = append(fs.items, fetchItem{page: page})
 			}
 		}
-		x.req = 16 + 8*(hi-lo)
+		x.req, x.reply = 16+8*(hi-lo), (hi-lo)*up*mem.FullPageWireBytes
 		x.hi = len(fs.items)
 		fs.xs = append(fs.xs, x)
 		lo = hi
-	}
-}
-
-// unitImagesInto appends the images of unit u's pages at vector time vt
-// to fs.snapDiffs, using fs for every intermediate: the covered
-// intervals, the reconstruction page, and — when the image arenas have
-// room (Fetch pre-sizes them) — each image's word and run storage. A
-// page's image is the diffs on it of the unit's logged intervals that vt
-// covers, applied in causal order over the zeroed initial page. The log
-// grows for the length of a run (like the rest of lrc.Store, garbage
-// collection is omitted: runs are short and home GC is orthogonal to
-// the study), so a hot unit's reconstruction cost grows with its write
-// history.
-func (h *homeProtocol) unitImagesInto(fs *fetchScratch, u int, vt vc.Time) {
-	fs.covered = fs.covered[:0]
-	for _, iv := range h.sys.store.UnitLog(u) {
-		if vt.KnowsInterval(iv.ID.Proc, iv.ID.Seq) {
-			fs.covered = append(fs.covered, iv)
-		}
-	}
-	lrc.SortCausally(fs.covered)
-	if fs.imgBuf == nil {
-		fs.imgBuf = mem.GetPage()
-	}
-	buf := fs.imgBuf[:]
-	for page := u * h.up; page < (u+1)*h.up; page++ {
-		clear(buf)
-		for _, iv := range fs.covered {
-			if d, ok := iv.Diff(page); ok {
-				d.Apply(buf)
-			}
-		}
-		var words []uint64
-		if n := len(fs.imgWords); cap(fs.imgWords)-n >= mem.WordsPerPage {
-			fs.imgWords = fs.imgWords[:n+mem.WordsPerPage]
-			words = fs.imgWords[n : n+mem.WordsPerPage : n+mem.WordsPerPage]
-		} else {
-			words = make([]uint64, mem.WordsPerPage)
-		}
-		var runs []mem.Run
-		if fs.nImgRuns < len(fs.imgRuns) {
-			runs = fs.imgRuns[fs.nImgRuns : fs.nImgRuns : fs.nImgRuns+1]
-			fs.nImgRuns++
-		}
-		img := mem.FullPageDiffInto(words, runs, buf)
-		if c := h.sys.homeCheck; c != nil {
-			c.image(page, vt, img)
-		}
-		fs.snapDiffs = append(fs.snapDiffs, img)
 	}
 }
 
@@ -181,52 +131,54 @@ func (h *homeProtocol) unitImagesInto(fs *fetchScratch, u int, vt vc.Time) {
 // contents at the fetcher's vector time — one request/reply per
 // distinct home, issued in parallel. Units homed at the faulting
 // processor are copied locally, without messages.
+//
+// The home's image at p's vector time is p's own copy plus the writes
+// p misses, applied in causal order — for a data-race-free program,
+// where concurrent intervals never write the same word. So the reply's
+// contents are those writes, and the reply is priced and charged as the
+// whole pages the home sends.
 func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
-	fetch := fs.fetchUnits[:0]
+	fs.needs, fs.peers = fs.needs[:0], fs.peers[:0]
 	for _, u := range units {
-		// The home serves the unit's whole contents at p's vector time,
-		// so only whether the unit misses writes matters here.
 		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
-			fetch = append(fetch, u)
+			fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: u})
+			fs.addNeeds(u, fs.missScratch)
 		}
 	}
-	fs.fetchUnits = fetch
-	if len(fetch) == 0 {
+	if len(fs.peers) == 0 {
 		return
-	}
-	fs.peers = fs.peers[:0]
-	for i, u := range fetch {
-		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: i})
-	}
-
-	// Reconstruct the fetched units' pages at p's vector time — the
-	// reply payloads. Per-page reconstruction needs no cross-page
-	// atomicity: every interval covered by p's vector time was published
-	// before the synchronization that extended the vector time handed
-	// off, so it is already in the log, and concurrent intervals are
-	// never covered. The images' word and run storage is carved from
-	// arenas sized for the whole fetch up front, so no reallocation
-	// invalidates an earlier image.
-	needPages := len(fetch) * h.up
-	if cap(fs.imgWords) < needPages*mem.WordsPerPage {
-		fs.imgWords = make([]uint64, 0, needPages*mem.WordsPerPage)
-	}
-	fs.imgWords = fs.imgWords[:0]
-	if len(fs.imgRuns) < needPages {
-		fs.imgRuns = make([]mem.Run, needPages)
-	}
-	fs.nImgRuns = 0
-	fs.snapDiffs = fs.snapDiffs[:0]
-	for _, u := range fetch {
-		h.unitImagesInto(fs, u, p.vt)
 	}
 
 	// One exchange per distinct home, issued in parallel; units homed
 	// locally are a free copy — the processor reads its own
-	// authoritative storage. Each page arrives whole from one
-	// reconstruction, so plan order suffices for determinism.
+	// authoritative storage. Every fetched page arrives whole.
 	fs.planImages(h.up)
 	p.sendExchanges(fs)
-	p.applyItems(fs.items)
+	p.clock.Advance(sim.Duration(len(fs.items)*mem.WordsPerPage) * p.sys.cost.ApplyPerWord)
+	for _, it := range fs.items {
+		if it.tag != 0 {
+			p.sys.col.TagPage(p.id, it.page, it.tag)
+		}
+	}
+
+	// The pages' new contents: the missing writes, in causal order.
+	fs.items = fs.items[:0]
+	for _, n := range fs.needs {
+		sum, prc, sq := n.iv.CausalKey()
+		for _, pd := range n.iv.DiffsInUnit(n.unit, h.up) {
+			fs.items = append(fs.items, fetchItem{page: pd.Page, d: pd.D, sum: sum, prc: prc, sq: sq})
+		}
+	}
+	sortFetchItems(fs.items)
+	for _, it := range fs.items {
+		it.d.Apply(p.rep.Page(it.page))
+	}
+	if c := h.sys.homeCheck; c != nil {
+		for _, pw := range fs.peers {
+			for page := pw.n * h.up; page < (pw.n+1)*h.up; page++ {
+				c.image(page, p.vt, p.rep.Page(page))
+			}
+		}
+	}
 }

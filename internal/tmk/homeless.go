@@ -26,7 +26,8 @@ func (*homelessProtocol) Release(*Proc, []lrc.PageDiff) {}
 // ordering by its (latest contributing) source interval and attributed to
 // the carrying exchange by the collector's tag for it (0: a local copy, or
 // collection off). single marks a homeless item whose unit has one writer
-// among its missing intervals: its page's diffs may be coalesced.
+// among its missing intervals: its page's diffs may be coalesced. A home
+// fetch's plan items carry a page and no diff: the page travels whole.
 type fetchItem struct {
 	page   int
 	d      mem.Diff
@@ -47,7 +48,7 @@ type writerNeed struct {
 }
 
 // peerWork is one unit of work owed to or by a peer: a home fetch's
-// (home, index into fetchUnits) or a home flush's (home, diff bytes).
+// (home, unit) or a home flush's (home, diff bytes).
 type peerWork struct{ peer, n int }
 
 // exchange is one message exchange a plan schedules: the peer, the
@@ -68,12 +69,11 @@ type exchange struct {
 // across calls, so the steady-state miss path allocates nothing and a
 // processor that never faults holds nothing.
 type fetchScratch struct {
-	needs      []writerNeed // homeless Fetch: missing writes, grouped by writer
-	peers      []peerWork   // home Fetch/Release: work per home, grouped by home
-	xs         []exchange   // the plan: one exchange per peer
-	fetchUnits []int
-	items      []fetchItem
-	ds         []mem.Diff
+	needs []writerNeed // Fetch: missing writes (homeless: grouped by writer)
+	peers []peerWork   // home Fetch/Release: work per home, grouped by home
+	xs    []exchange   // the plan: one exchange per peer
+	items []fetchItem
+	ds    []mem.Diff
 	// coalesced carves the homeless plan's coalesced diffs. They live
 	// only until applyItems has applied and tagged them in the same
 	// fetch, so planDiffs rewinds it.
@@ -82,14 +82,6 @@ type fetchScratch struct {
 	// Notice reconstruction scratch (see notices.go).
 	missScratch  []*lrc.Interval // missingInto: one unit's rebuilt list
 	spillScratch []int32         // missingInto: next spill under construction
-
-	// Home-based fetch scratch (see homebased.go).
-	snapDiffs []mem.Diff      // page images: unit fetchUnits[i]'s s-th page at i*UnitPages+s
-	covered   []*lrc.Interval // unitImagesInto: the unit's covered intervals
-	imgWords  []uint64        // arena backing the page images' words
-	imgRuns   []mem.Run       // arena backing the page images' run lists
-	nImgRuns  int
-	imgBuf    *[mem.PageSize]byte // unitImagesInto: reconstruction page, from mem's recycler
 }
 
 func byPeer(a, b peerWork) int     { return cmp.Compare(a.peer, b.peer) }
@@ -213,14 +205,10 @@ func sortFetchItems(items []fetchItem) {
 func (*homelessProtocol) Fetch(p *Proc, units []int) {
 	fs := &p.fs
 	fs.needs = fs.needs[:0]
-	fs.fetchUnits = fs.fetchUnits[:0]
 	for _, u := range units {
-		fs.missScratch = p.missingInto(u, fs.missScratch)
-		if len(fs.missScratch) == 0 {
-			continue
+		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
+			fs.addNeeds(u, fs.missScratch)
 		}
-		fs.fetchUnits = append(fs.fetchUnits, u)
-		fs.addNeeds(u, fs.missScratch)
 	}
 	fs.planDiffs(p.sys.cfg.UnitPages)
 	p.sendExchanges(fs)

@@ -169,10 +169,9 @@ func (p *Proc) reset() {
 }
 
 // release hands the processor's page-sized storage — replica frames,
-// write-set buffers, full-size diff-slab chunks, the home fetch's
-// reconstruction page — to the recycler and drops the replica, so a
-// stray access after System.Release fails on a nil replica instead of
-// reading a page some other run now owns.
+// write-set buffers, full-size diff-slab chunks — to the recycler and
+// drops the replica, so a stray access after System.Release fails on a
+// nil replica instead of reading a page some other run now owns.
 func (p *Proc) release() {
 	p.rep.Zero()
 	p.rep = nil
@@ -183,8 +182,6 @@ func (p *Proc) release() {
 	p.wsets, p.checkTwins = nil, nil
 	p.diffScr.Release()
 	p.fs.coalesced.Release()
-	mem.PutPage(p.fs.imgBuf)
-	p.fs.imgBuf = nil
 }
 
 // ID returns the processor number (0-based).

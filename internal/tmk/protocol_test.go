@@ -3,8 +3,6 @@ package tmk
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/mem"
 )
 
 // All built-in protocols are registered and listed sorted.
@@ -99,38 +97,4 @@ func TestProtocolsObserveSameValues(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestReleaseRecyclesReconstructionPage has processor 1 fetch a page
-// from its home, which takes a reconstruction page from mem's recycler,
-// and requires System.Release to hand that page back.
-func TestReleaseRecyclesReconstructionPage(t *testing.T) {
-	sys, err := NewSystem(Config{Procs: 2, Protocol: "home"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sys.Alloc(mem.PageSize)
-	sys.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			p.WriteI64(base, 1)
-		}
-		p.Barrier()
-		if p.ID() == 1 && p.ReadI64(base) != 1 {
-			t.Error("processor 1 did not read processor 0's write")
-		}
-	})
-	img := sys.procs[1].fs.imgBuf
-	if img == nil {
-		t.Fatal("processor 1's home fetch holds no reconstruction page")
-	}
-	sys.Release()
-	if sys.procs[1].fs.imgBuf != nil {
-		t.Fatal("Release left processor 1 its reconstruction page")
-	}
-	for n := mem.PoolStats().Pages; n > 0; n-- {
-		if mem.GetPage() == img {
-			return
-		}
-	}
-	t.Fatal("the reconstruction page is not in the recycler after Release")
 }

@@ -295,11 +295,12 @@ type System struct {
 // release flushes, on the releasing processor's goroutine before the
 // interval is published; handoff sees each unit the adaptive policy
 // switches homeless→home, inside the barrier gate, before the switch is
-// priced; image sees each page image unitImagesInto builds.
+// priced; image sees each page a home fetch refreshed, as the fetcher
+// holds it after the fetch, with the fetcher's vector time.
 type homeChecker interface {
 	flushed(p *Proc, pd lrc.PageDiff)
 	handoff(u int, merged vc.Time)
-	image(page int, vt vc.Time, img mem.Diff)
+	image(page int, vt vc.Time, got []byte)
 }
 
 // noticeChecker follows the write notices, on the processor's
@@ -459,10 +460,9 @@ func (s *System) build(model netmodel.Model) {
 }
 
 // Release ends the System's life: every processor's page-sized storage
-// (replica frames, write-set buffers, diff-slab chunks, the home fetch's
-// reconstruction page) goes to mem's recycler for the next System to
-// take, and the interval store and engines that point into it are
-// dropped. Call it once the workload has been checked (a Result stays
+// (replica frames, write-set buffers, diff-slab chunks) goes to mem's
+// recycler for the next System to take, and the interval store and
+// engines that point into it are dropped. Call it once the workload has been checked (a Result stays
 // valid); a second call does nothing, and Run or Reset afterwards panic.
 // A System that is never released is simply collected.
 func (s *System) Release() {
