@@ -11,21 +11,7 @@ import (
 // switches a unit.
 const switchHysteresis = 2
 
-// setupAdaptive installs the adaptive configuration: both engines, every
-// unit starting homeless, and the policy that re-points units.
-func setupAdaptive(s *System) {
-	s.install(&homelessProtocol{}, newHomeProtocol(s))
-	s.policy = newAdaptivePolicy(s.numUnits)
-}
-
-// Dispatch-table indices of the adaptive configuration's two engines
-// (setupAdaptive's install order).
-const (
-	homelessIdx = 0
-	homeIdx     = 1
-)
-
-// adaptivePolicy is the hybrid protocol the per-unit dispatch exists
+// adaptivePolicy is the hybrid protocol the per-unit home bit exists
 // for: every unit starts under the paper's homeless protocol, and at
 // each barrier the unit's writer signature for the phase that just
 // ended — the per-unit concurrent-writer statistic behind the §3
@@ -42,9 +28,9 @@ const (
 //
 // decide runs in the barrier's decision pass (System.decideUnits), in
 // the last arriver's goroutine, inside the gate, while every other
-// processor is blocked awaiting its barrier release, so mutating the
-// dispatch table is race-free: the gate's release publishes the new
-// table to every processor (see DESIGN.md §8).
+// processor is blocked awaiting its barrier release, so flipping a
+// unit's home bit is race-free: the gate's release publishes the new
+// bits to every processor (see DESIGN.md §8).
 type adaptivePolicy struct {
 	// streak[u] counts consecutive evidence phases contradicting unit
 	// u's current protocol; switches[u] counts u's switch events.
@@ -81,10 +67,10 @@ func (s *System) contended() bool {
 
 // decide evaluates unit u's writer signature over the barrier episode
 // that just ended — ivs, the unit's run of the episode index: the
-// intervals that wrote it, in causal order — and re-points the unit
-// once its evidence streak reaches the hysteresis threshold. contended
-// is the network's verdict at this barrier, and merged the barrier's
-// merged time. It reports whether it switched u.
+// intervals that wrote it, in causal order — and flips the unit's home
+// bit once its evidence streak reaches the hysteresis threshold.
+// contended is the network's verdict at this barrier, and merged the
+// barrier's merged time. It reports whether it switched u.
 func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended bool, merged vc.Time, episode int) bool {
 	// Home-based ownership pays off for steady barrier-phase false
 	// sharing: many concurrent writers, each closing about one
@@ -106,7 +92,7 @@ func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended
 		a.churned[u] = true
 	}
 	favorsHome := contended && !a.churned[u] && 2*concurrentWriters(ivs, s.procScratch) >= s.cfg.Procs
-	curHome := s.unitProto[u] == homeIdx
+	curHome := s.unitHome[u]
 	if favorsHome == curHome {
 		a.streak[u] = 0
 		return false
@@ -122,7 +108,7 @@ func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended
 		// home → homeless: every interval keeps its diffs in the store,
 		// so future homeless fetches are already served; relinquishing
 		// is free.
-		s.unitProto[u] = homelessIdx
+		s.unitHome[u] = false
 		if s.trc != nil {
 			s.trc.ProtocolSwitch(u, "home", "homeless", episode)
 		}
@@ -151,7 +137,7 @@ func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended
 		to := s.procs[s.homeOf(u)]
 		to.moves = append(to.moves, rehomeMove{kind: simnet.HomeHandoff, from: last, bytes: s.unitStateBytes()})
 	}
-	s.unitProto[u] = homeIdx
+	s.unitHome[u] = true
 	return true
 }
 
@@ -180,7 +166,7 @@ func concurrentWriters(ivs []*lrc.Interval, mark []int32) int {
 }
 
 // report fills a Result's adaptive accounting after the run.
-func (a *adaptivePolicy) report(res *Result, unitProto []uint8) {
+func (a *adaptivePolicy) report(res *Result, unitHome []bool) {
 	res.ProtocolSwitches = a.total
 	if a.total > 0 {
 		res.UnitSwitches = make(map[int]int)
@@ -191,8 +177,8 @@ func (a *adaptivePolicy) report(res *Result, unitProto []uint8) {
 			}
 		}
 	}
-	for _, ix := range unitProto {
-		if ix == homeIdx {
+	for _, home := range unitHome {
+		if home {
 			res.HomeUnits++
 		}
 	}

@@ -77,11 +77,11 @@ func TestAdaptiveSwitchesMultiWriterUnit(t *testing.T) {
 	if res.SwitchedUnits != 1 || res.ProtocolSwitches != res.UnitSwitches[0] {
 		t.Fatalf("switch accounting inconsistent: %+v", res)
 	}
-	if sys.unitProto[0] != homeIdx {
-		t.Fatalf("unit 0 ended under protocol %d, want home (%d)", sys.unitProto[0], homeIdx)
+	if !sys.unitHome[0] {
+		t.Fatal("unit 0 ended homeless, want home")
 	}
-	if sys.unitProto[1] != homelessIdx {
-		t.Fatalf("unit 1 ended under protocol %d, want homeless (%d)", sys.unitProto[1], homelessIdx)
+	if sys.unitHome[1] {
+		t.Fatal("unit 1 ended home, want homeless")
 	}
 	if res.HomeUnits != 1 {
 		t.Fatalf("HomeUnits = %d, want 1", res.HomeUnits)
@@ -164,7 +164,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if sys.tune.hysteresis != switchHysteresis {
 		t.Fatalf("default hysteresis = %d, want %d", sys.tune.hysteresis, switchHysteresis)
 	}
-	// Reset rebuilds the policy and dispatch from scratch.
+	// Reset rebuilds the policy and the home bits from scratch.
 	_, res := adaptiveMixRun(t, 1, 2)
 	if res.ProtocolSwitches == 0 {
 		t.Fatal("precondition: run must switch")
@@ -174,7 +174,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // Values written around switches stay correct: the mix run's reads are
 // verified in-body (any staleness would surface as a wrong sum in a
 // longer phase pattern); here we assert the run is repeatable on one
-// System — Reset must clear the dispatch table, the home log, and the
+// System — Reset must clear the home bits, the home log, and the
 // policy streaks, so trial 2 reproduces trial 1 exactly.
 func TestAdaptiveResetDeterminism(t *testing.T) {
 	sys := mustTuned(t, Config{Procs: 4, SegmentBytes: 2 * 4096, Protocol: "adaptive"},

@@ -102,6 +102,13 @@ func NewSystemMaxGroup(cfg Config, maxPages int) (*System, error) {
 	return newSystem(cfg, tuning{groupPages: maxPages})
 }
 
+// NewSystemGateOpen is NewSystem with the adaptive protocol's contention
+// gate held open, so that units switch on their writer signature alone,
+// on any network.
+func NewSystemGateOpen(cfg Config) (*System, error) {
+	return newSystem(cfg, tuning{gate: gateOpen})
+}
+
 // HomeLogCheck keeps the home engine's earlier versioned log beside the
 // interval store: every diff a home release flushes, stamped with its
 // interval's causal key, and at every adaptive homeless→home handoff a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	_ "repro/internal/apps/all"
@@ -22,7 +23,9 @@ import (
 // the barrier applications (Jacobi, Barnes, Storm) and the lock-based
 // ones (TSP, Water), at units of 1, 2 and 4 pages, on both clock
 // representations. Adaptive runs on bus, where the contention gate lets
-// units switch; not every adaptive cell fetches from a home.
+// units switch; not every adaptive cell fetches from a home. A fetch
+// that loses a write can leave an application spinning on a value that
+// never arrives, so each cell runs under a deadline (cellDeadline).
 func TestHomeImagesMatchFlushLog(t *testing.T) {
 	configs := []tmk.Config{
 		{Protocol: "home"},
@@ -48,7 +51,15 @@ func TestHomeImagesMatchFlushLog(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					check := sys.CheckHomeImages()
-					res := sys.Run(w.Body)
+					done := make(chan *tmk.Result, 1)
+					go func() { done <- sys.Run(w.Body) }()
+					var res *tmk.Result
+					select {
+					case res = <-done:
+					case <-time.After(cellDeadline):
+						_, _, err := check.Counts()
+						t.Fatalf("%s: still running after %v; first image mismatch: %v", name, cellDeadline, err)
+					}
 					if err := w.Check(); err != nil {
 						t.Errorf("%s: %v", name, err)
 					}
@@ -72,6 +83,10 @@ func TestHomeImagesMatchFlushLog(t *testing.T) {
 		t.Errorf("the cells never priced a handoff or a migration: %d handoffs, %d migrated bytes", handoffs, rehomeBytes)
 	}
 }
+
+// cellDeadline bounds one TestHomeImagesMatchFlushLog cell, whose runs
+// take milliseconds.
+const cellDeadline = 60 * time.Second
 
 // orderSink is a MemSink that closes entered once processor 1 enters a
 // barrier, which it does after publishing the interval the barrier

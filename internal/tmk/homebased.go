@@ -9,7 +9,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// homeProtocol is home-based lazy release consistency (HLRC, in the
+// Home units follow home-based lazy release consistency (HLRC, in the
 // style of Princeton's home-based protocols and JIAJIA): every
 // consistency unit has a home processor that keeps the authoritative
 // copy. At release, a writer flushes its diffs to each written unit's
@@ -38,40 +38,30 @@ import (
 // Home application cost is charged to the writer's flush (the one-way
 // send); the home's handler time is folded into the fetch exchange's
 // service cost, as for homeless diff requests (DESIGN.md §5).
-type homeProtocol struct {
-	sys *System
-	up  int // unit size in pages
-}
 
-func newHomeProtocol(s *System) *homeProtocol {
-	return &homeProtocol{sys: s, up: s.cfg.UnitPages}
-}
-
-// homeOf returns unit u's current home processor from the System-owned
-// home table — the placement policy's assignment ("rr" reproduces the
-// paper-era u % nprocs exactly), possibly moved at barriers by the
-// rehoming layer (see placement.go).
-func (h *homeProtocol) homeOf(u int) int { return h.sys.homeOf(u) }
-
-// Release flushes the diffs that fall in units this engine owns to each
-// unit's home: one one-way HomeFlush message per remote home. Flushing
-// to the processor's own home units is local and free of messages.
-func (h *homeProtocol) Release(p *Proc, diffs []lrc.PageDiff) {
+// flushHome flushes the diffs of p's closing interval that fall in home
+// units to each unit's home: one one-way HomeFlush message per remote
+// home. Flushing to the processor's own home units is local and free of
+// messages. Diffs of homeless units stay with the writer: the published
+// interval holds them, to be served on demand at remote faults. Called
+// on p's goroutine before the interval is published, which keeps every
+// diff either way.
+func (p *Proc) flushHome(diffs []lrc.PageDiff) {
 	// Tally this interval's flush payload by the home of each diff's
 	// unit: one entry per diff, grouped by home below. Releases close
 	// every writing interval and must not allocate, and nothing here is
 	// sized by the processor count.
-	fs := &p.fs
+	s, fs := p.sys, &p.fs
 	fs.peers = fs.peers[:0]
 	for _, pd := range diffs {
-		u := pd.Page / h.up
-		if h.sys.protoOf(u) != h {
+		u := pd.Page / s.cfg.UnitPages
+		if !s.unitHome[u] {
 			continue
 		}
-		if c := h.sys.homeCheck; c != nil {
+		if c := s.homeCheck; c != nil {
 			c.flushed(p, pd)
 		}
-		fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: pd.D.WireBytes()})
+		fs.peers = append(fs.peers, peerWork{peer: s.homeOf(u), n: pd.D.WireBytes()})
 	}
 
 	// One flush message per remote home, in ascending home order for a
@@ -81,7 +71,7 @@ func (h *homeProtocol) Release(p *Proc, diffs []lrc.PageDiff) {
 		if x.peer == p.id {
 			continue
 		}
-		t := p.sys.net.SendLeg(simnet.HomeFlush, p.id, x.peer, x.req, p.clock.Now())
+		t := s.net.SendLeg(simnet.HomeFlush, p.id, x.peer, x.req, p.clock.Now())
 		p.clock.Advance(t.Total)
 	}
 }
@@ -126,26 +116,19 @@ func (fs *fetchScratch) planImages(up int) {
 	}
 }
 
-// Fetch implements the home-based miss policy: each stale unit is
-// refreshed from its home in one exchange carrying the unit's whole
-// contents at the fetcher's vector time — one request/reply per
-// distinct home, issued in parallel. Units homed at the faulting
-// processor are copied locally, without messages.
+// fetchPages serves the missing writes fetchUnits queued for home
+// units: each stale unit is refreshed from its home in one exchange
+// carrying the unit's whole contents at the fetcher's vector time — one
+// request/reply per distinct home (fs.peers), issued in parallel. Units
+// homed at the faulting processor are copied locally, without messages.
 //
 // The home's image at p's vector time is p's own copy plus the writes
 // p misses, applied in causal order — for a data-race-free program,
 // where concurrent intervals never write the same word. So the reply's
 // contents are those writes, and the reply is priced and charged as the
 // whole pages the home sends.
-func (h *homeProtocol) Fetch(p *Proc, units []int) {
-	fs := &p.fs
-	fs.needs, fs.peers = fs.needs[:0], fs.peers[:0]
-	for _, u := range units {
-		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
-			fs.peers = append(fs.peers, peerWork{peer: h.homeOf(u), n: u})
-			fs.addNeeds(u, fs.missScratch)
-		}
-	}
+func (p *Proc) fetchPages() {
+	fs, up := &p.fs, p.sys.cfg.UnitPages
 	if len(fs.peers) == 0 {
 		return
 	}
@@ -153,7 +136,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	// One exchange per distinct home, issued in parallel; units homed
 	// locally are a free copy — the processor reads its own
 	// authoritative storage. Every fetched page arrives whole.
-	fs.planImages(h.up)
+	fs.planImages(up)
 	p.sendExchanges(fs)
 	p.clock.Advance(sim.Duration(len(fs.items)*mem.WordsPerPage) * p.sys.cost.ApplyPerWord)
 	for _, it := range fs.items {
@@ -166,7 +149,7 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	fs.items = fs.items[:0]
 	for _, n := range fs.needs {
 		sum, prc, sq := n.iv.CausalKey()
-		for _, pd := range n.iv.DiffsInUnit(n.unit, h.up) {
+		for _, pd := range n.iv.DiffsInUnit(n.unit, up) {
 			fs.items = append(fs.items, fetchItem{page: pd.Page, d: pd.D, sum: sum, prc: prc, sq: sq})
 		}
 	}
@@ -174,9 +157,9 @@ func (h *homeProtocol) Fetch(p *Proc, units []int) {
 	for _, it := range fs.items {
 		it.d.Apply(p.rep.Page(it.page))
 	}
-	if c := h.sys.homeCheck; c != nil {
+	if c := p.sys.homeCheck; c != nil {
 		for _, pw := range fs.peers {
-			for page := pw.n * h.up; page < (pw.n+1)*h.up; page++ {
+			for page := pw.n * up; page < (pw.n+1)*up; page++ {
 				c.image(page, p.vt, p.rep.Page(page))
 			}
 		}

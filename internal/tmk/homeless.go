@@ -10,24 +10,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// homelessProtocol is TreadMarks' protocol, the one the paper
-// evaluates: diffs stay with their writer, published into the interval
-// store at release, and an access miss fetches the missing diffs from
-// each concurrent writer — one exchange per writer, issued in parallel
-// — then applies them in causal order (many messages, few bytes).
-type homelessProtocol struct{}
-
-// Release leaves the diffs with the writer: the published interval holds
-// them, to be served on demand at remote faults. No messages move — lazy
-// release consistency at its laziest.
-func (*homelessProtocol) Release(*Proc, []lrc.PageDiff) {}
-
 // fetchItem is one page diff scheduled for application, keyed for causal
 // ordering by its (latest contributing) source interval and attributed to
 // the carrying exchange by the collector's tag for it (0: a local copy, or
 // collection off). single marks a homeless item whose unit has one writer
-// among its missing intervals: its page's diffs may be coalesced. A home
-// fetch's plan items carry a page and no diff: the page travels whole.
+// among its missing intervals: its page's diffs may be coalesced. The
+// items of fetchPages' plan carry a page and no diff: the page travels
+// whole.
 type fetchItem struct {
 	page   int
 	d      mem.Diff
@@ -69,8 +58,8 @@ type exchange struct {
 // across calls, so the steady-state miss path allocates nothing and a
 // processor that never faults holds nothing.
 type fetchScratch struct {
-	needs []writerNeed // Fetch: missing writes (homeless: grouped by writer)
-	peers []peerWork   // home Fetch/Release: work per home, grouped by home
+	needs []writerNeed // fetchUnits: missing writes (fetchDiffs: grouped by writer)
+	peers []peerWork   // fetchPages/flushHome: work per home, grouped by home
 	xs    []exchange   // the plan: one exchange per peer
 	items []fetchItem
 	ds    []mem.Diff
@@ -198,18 +187,12 @@ func sortFetchItems(items []fetchItem) {
 	}
 }
 
-// Fetch implements the homeless miss policy: gather the unseen remote
-// intervals that wrote the stale units, fetch their diffs — one
-// exchange per concurrent writer, issued in parallel — and apply them
-// in causal order.
-func (*homelessProtocol) Fetch(p *Proc, units []int) {
+// fetchDiffs serves the missing writes fetchUnits queued for homeless
+// units, TreadMarks' miss policy: it fetches their diffs from each
+// concurrent writer — one exchange per writer, issued in parallel — and
+// applies them in causal order (many messages, few bytes).
+func (p *Proc) fetchDiffs() {
 	fs := &p.fs
-	fs.needs = fs.needs[:0]
-	for _, u := range units {
-		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
-			fs.addNeeds(u, fs.missScratch)
-		}
-	}
 	fs.planDiffs(p.sys.cfg.UnitPages)
 	p.sendExchanges(fs)
 

@@ -8,11 +8,11 @@ import (
 )
 
 // Placement decides the home processor of every consistency unit for
-// the home-based engines: the initial assignment at construction, and
-// an optional rehoming decision at each barrier. The home table itself
-// is System-owned per-unit state (homeTable, like the protocol
-// dispatch table), so the static home protocol and the adaptive hybrid
-// share one rehoming path; a Placement only supplies the policy.
+// the home units' flushes and fetches: the initial assignment at
+// construction, and an optional rehoming decision at each barrier. The
+// home table itself is System-owned per-unit state (homeTable, like the
+// units' home bits), so the static home protocol and the adaptive
+// hybrid share one rehoming path; a Placement only supplies the policy.
 //
 // Placement instances serve one System build (Reset constructs fresh
 // ones) and are consulted only while every processor is blocked in a
@@ -217,15 +217,15 @@ func (s *System) unitStateBytes() int { return s.cfg.UnitPages * mem.FullPageWir
 
 // rehomeUnit applies the placement policy to unit u, written during the
 // episode that just ended by ivs (its run of the episode index), after
-// the adaptive policy decided u (switched: it re-pointed u at this
-// barrier). Called by decideUnits, inside the gate, only when the home
-// engine is installed and the policy may move homes.
+// the adaptive policy decided u (switched: it flipped u's home bit at
+// this barrier). Called by decideUnits, inside the gate, only when
+// units may be home and the policy may move homes.
 func (s *System) rehomeUnit(u int, ivs []*lrc.Interval, switched bool) {
-	home := s.unitIsHome(u)
+	home := s.unitHome[u]
 	// A mobile policy chases live home state, so it is consulted only
-	// for units the home engine currently owns and the adaptive policy
-	// did not just re-point: a freshly claimed unit was placed at its
-	// last writer by the switch itself, a freshly relinquished (or
+	// for units that are home and whose bit the adaptive policy did not
+	// just flip: a freshly claimed unit was placed at its last writer by
+	// the switch itself, a freshly relinquished (or
 	// still-homeless) one has no home state worth chasing — and skipping
 	// the consult keeps the policy's dominance streaks from being
 	// consumed on decisions that could not apply. Binding policies

@@ -94,8 +94,8 @@ type Proc struct {
 	diffsBuf  []lrc.PageDiff  // closeInterval: non-empty diffs
 	deltaBuf  []*lrc.Interval // applyAcquireStamp: store delta (lock grants)
 	faultUnit [1]int          // readFault: single-unit fetch list
-	owned     []int           // fetch: the units one protocol owns
-	fs        fetchScratch    // homeless/home fetch scratch
+	owned     []int           // fetch: the units of one kind, when a group spans both
+	fs        fetchScratch    // fetch and flush scratch
 	arena     vc.StampArena   // sparse-stamp deviation storage (reset per trial)
 	vtScratch vc.Time         // applyAcquireStamp: dense materialization
 
@@ -484,8 +484,8 @@ func (p *Proc) writeFault(u, page int) {
 
 // readFault models the protection trap on an access to an invalid unit.
 // It determines the consistency unit (static) or page group (dynamic) to
-// bring up to date, hands the stale units to the protocol's fetch
-// policy, and validates.
+// bring up to date, fetches the stale units by their home bits, and
+// validates.
 func (p *Proc) readFault(page int) {
 	cost := p.sys.cost
 	if trc := p.sys.trc; trc != nil {
@@ -519,8 +519,8 @@ func (p *Proc) readFault(page int) {
 		units = p.faultUnit[:]
 	}
 
-	// Each stale unit's owning protocol fetches its data (messages,
-	// clock charges, replica updates) and consumes its missing-write
+	// Each stale unit's data is fetched by its home bit (messages,
+	// clock charges, replica updates), consuming its missing-write
 	// state.
 	p.fetch(units)
 
@@ -541,30 +541,5 @@ func (p *Proc) readFault(page int) {
 	}
 	if c := p.sys.col; c != nil {
 		c.OnFault(p.id, first)
-	}
-}
-
-// fetch routes the stale units to each unit's owning protocol, in
-// dispatch-table order. With one installed protocol (static
-// configurations) this is a single call; under adaptive, a dynamic
-// page group spanning both protocols is served in two passes, one per
-// owner (the cross-owner fetches serialize on p's clock), each handed
-// the units it owns, in order, partitioned into p.owned.
-func (p *Proc) fetch(units []int) {
-	s := p.sys
-	if len(s.protos) == 1 {
-		s.protos[0].Fetch(p, units)
-		return
-	}
-	for i, proto := range s.protos {
-		owned := p.owned[:0]
-		for _, u := range units {
-			if s.unitProto[u] == uint8(i) {
-				owned = append(owned, u)
-			}
-		}
-		if p.owned = owned; len(owned) > 0 {
-			proto.Fetch(p, owned)
-		}
 	}
 }

@@ -1,80 +1,90 @@
 package tmk
 
 import (
-	"repro/internal/lrc"
+	"slices"
+
 	"repro/internal/registry"
 )
 
-// Protocol is one coherence engine: the policy for who owns a closed
-// interval's diffs, and what an access miss fetches and from whom.
-// Everything else — twinning and write detection, interval/vector-clock
-// bookkeeping, write notices, locks, barriers, dynamic page grouping,
-// the network and cost accounting — is protocol-independent and shared,
-// so a new protocol is only these policies (see DESIGN.md §5). A write
-// notice only invalidates its unit, whoever owns it; the fault that
-// follows rebuilds the unit's missing writes from the interval store
-// (notices.go) and hands the unit to its owner's Fetch.
+// The coherence protocol is decided one consistency unit at a time, by
+// System.unitHome[u]. A homeless unit is served by its concurrent
+// writers (TreadMarks' protocol, the one the paper evaluates): diffs
+// stay with their writer, and a miss fetches them from each writer. A
+// home unit is served by its home processor (home-based LRC): a release
+// flushes the unit's diffs to the home (flushHome), and a miss fetches
+// the unit's whole pages from it. Everything else — write detection,
+// intervals and vector clocks, write notices, locks, barriers, dynamic
+// page grouping, the network and cost accounting — does not depend on
+// the bit. A write notice only invalidates its unit, whatever the bit
+// says; the fault that follows rebuilds the unit's missing writes from
+// the interval store (notices.go) and serves them by the unit's bit
+// (fetch). See DESIGN.md §5.
 //
-// Dispatch is per *consistency unit*, not per engine: the System owns a
-// dispatch table (protoOf) mapping every unit to its current owning
-// protocol, and routes each operation to the owner — a release hands
-// an interval's diffs to every engine, each acting on the units it
-// owns, and a fault hands each stale unit to its owner's fetch policy.
-// A static configuration ("homeless", "home") installs one engine
-// owning every unit; the "adaptive" configuration installs both and
-// re-points units at barriers (see DESIGN.md §8).
-//
-// Protocol instances serve one System build (Reset constructs fresh
-// ones); per-processor protocol state lives on Proc (write sets, fetch
-// cursors) and is reset with the processors. All methods except
-// construction are called on processor goroutines; a Protocol must
-// synchronize any state shared between processors itself.
-type Protocol interface {
-	// Release is handed every page diff of p's closing interval and
-	// acts on those that fall in units this protocol owns: homeless
-	// leaves them with the writer (the published interval holds them,
-	// served on demand); home-based flushes them to each written unit's
-	// home. Every diff stays attached to the interval the caller
-	// publishes. Called on p's goroutine, before the synchronization
-	// operation proceeds and before the interval is published.
-	Release(p *Proc, diffs []lrc.PageDiff)
-
-	// Fetch brings the stale units among units — all owned by this
-	// protocol — up to date in p's replica: it decides whom to contact,
-	// sends and prices the exchanges, applies the data and charges p's
-	// clock. It takes each unit's missing writes from missingInto, which
-	// consumes them. With
-	// collection on, it registers one collector exchange per exchange
-	// it sends (sendExchanges), which the caller's fault record counts.
-	Fetch(p *Proc, units []int)
-}
+// The bits are written only while every processor is blocked in a
+// barrier (adaptivePolicy.decide), so reads on processor goroutines are
+// race-free.
 
 // DefaultProtocol is the protocol of the paper's evaluation.
 const DefaultProtocol = "homeless"
 
-// protocols is the protocol axis: each name's setup installs the
-// configuration on a System under construction — the engine(s) to
-// instantiate, the initial per-unit dispatch, and, for adaptive
-// configurations, the policy that re-points units at barriers.
-var protocols = registry.New("protocol", "protocol", DefaultProtocol, map[string]func(s *System){
-	"homeless": func(s *System) { s.install(&homelessProtocol{}) },
-	"home":     func(s *System) { s.install(newHomeProtocol(s)) },
-	"adaptive": setupAdaptive,
+// protocolMode is what a protocol name selects: whether every unit
+// starts home, and whether the adaptive policy flips units at barriers.
+type protocolMode struct{ home, adaptive bool }
+
+// protocols is the protocol axis. "adaptive" starts every unit homeless.
+var protocols = registry.New("protocol", "protocol", DefaultProtocol, map[string]protocolMode{
+	"homeless": {},
+	"home":     {home: true},
+	"adaptive": {adaptive: true},
 })
 
 // ProtocolNames returns the protocol names, sorted.
 func ProtocolNames() []string { return protocols.Names() }
 
-// install wires the given engines into the System: protos[0] initially
-// owns every unit (adaptive policies re-point units later). Called from
-// a protocol setup during NewSystem/Reset.
-func (s *System) install(protos ...Protocol) {
-	s.protos = protos
-	s.unitProto = make([]uint8, s.numUnits)
-	s.policy = nil
+// fetch brings the stale units among units up to date in p's replica,
+// each by its unit's bit: it sends and prices the exchanges, applies the
+// data and charges p's clock, and consumes each unit's missing writes
+// (missingInto). With collection on, every exchange it sends is one
+// collector exchange, which the caller's fault record counts. A dynamic
+// page group that spans both kinds of unit (only under adaptive) is
+// served in two fetches, homeless units first, each handed its units in
+// order, partitioned into p.owned; the two serialize on p's clock.
+func (p *Proc) fetch(units []int) {
+	s := p.sys
+	home := s.unitHome[units[0]]
+	if !slices.ContainsFunc(units, func(u int) bool { return s.unitHome[u] != home }) {
+		p.fetchUnits(units, home)
+		return
+	}
+	for _, home := range [...]bool{false, true} {
+		owned := p.owned[:0]
+		for _, u := range units {
+			if s.unitHome[u] == home {
+				owned = append(owned, u)
+			}
+		}
+		p.owned = owned
+		p.fetchUnits(owned, home)
+	}
 }
 
-// protoOf returns the protocol currently owning unit u. The dispatch
-// table is only mutated while every processor is blocked in a barrier
-// (see adaptivePolicy), so reads on processor goroutines are race-free.
-func (s *System) protoOf(u int) Protocol { return s.protos[s.unitProto[u]] }
+// fetchUnits gathers the missing writes of units, which all share the
+// bit home, and serves them: from each writer (fetchDiffs) or from each
+// unit's home (fetchPages).
+func (p *Proc) fetchUnits(units []int, home bool) {
+	fs := &p.fs
+	fs.needs, fs.peers = fs.needs[:0], fs.peers[:0]
+	for _, u := range units {
+		if fs.missScratch = p.missingInto(u, fs.missScratch); len(fs.missScratch) > 0 {
+			fs.addNeeds(u, fs.missScratch)
+			if home {
+				fs.peers = append(fs.peers, peerWork{peer: p.sys.homeOf(u), n: u})
+			}
+		}
+	}
+	if home {
+		p.fetchPages()
+	} else {
+		p.fetchDiffs()
+	}
+}

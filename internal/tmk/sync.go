@@ -15,12 +15,11 @@ import (
 // closeInterval ends the processor's current interval if it wrote
 // anything: every written unit is diffed page by page, the stretches its
 // write set saved against the page (eager diffing — see DESIGN.md §3),
-// the diffs are released through each written unit's owning protocol
-// (homeless keeps them attached to the interval, home-based flushes them
-// to the units' homes), the interval is published with one write notice
-// per unit plus the kept diffs, the write sets become free again
-// (emptying writeOrder frees them all), and the units revert to ReadOnly
-// so the next write faults and starts a new one.
+// the diffs of home units are flushed to their homes (flushHome), the
+// interval is published with one write notice per unit plus every
+// diff, the write sets become free again (emptying writeOrder frees
+// them all), and the units revert to ReadOnly so the next write faults
+// and starts a new one.
 func (p *Proc) closeInterval() {
 	if len(p.writeOrder) == 0 {
 		return
@@ -60,11 +59,9 @@ func (p *Proc) closeInterval() {
 	} else {
 		ts = vc.DenseStamp(p.vt.Clone())
 	}
-	// Every owning protocol sees the diffs before the interval is
-	// published; the interval keeps all of them (see Protocol.Release).
-	for _, proto := range p.sys.protos {
-		proto.Release(p, diffs)
-	}
+	// Home units' diffs are flushed before the interval is published;
+	// the interval keeps all of them.
+	p.flushHome(diffs)
 	iv := p.sys.store.Record(id, ts, units, diffs)
 	p.ownNoticeBytes += iv.NoticeBytes()
 	p.nIntervals++
@@ -440,10 +437,10 @@ func (p *Proc) Barrier() {
 	}
 	if done, last := s.barrier.arrive(p); last {
 		// Every processor is blocked in this barrier: the adaptive
-		// policy (if any) may now re-point units between protocols, and
-		// the placement (if a home-based engine is installed) may move
-		// unit homes — see decideUnits. The moves they schedule are
-		// priced per processor after the release.
+		// policy (if any) may now flip units' home bits, and the
+		// placement (if units may be home) may move unit homes — see
+		// decideUnits. The moves they schedule are priced per
+		// processor after the release.
 		s.episode++
 		s.epGrant = s.finishEpisode(s.arrivals, s.episode)
 		s.barrier.release(done, &s.epGrant)

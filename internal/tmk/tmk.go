@@ -51,7 +51,7 @@ type Config struct {
 	// (case-insensitive). Empty selects DefaultProtocol ("homeless",
 	// the paper's TreadMarks protocol); "home" selects home-based LRC;
 	// "adaptive" starts every unit homeless and switches units between
-	// the two engines at barriers, driven by each unit's writer-count
+	// homeless and home at barriers, driven by each unit's writer-count
 	// signature. See ProtocolNames for the full set.
 	Protocol string
 	// Placement selects the home-placement policy by registry name
@@ -60,8 +60,8 @@ type Config struct {
 	// unit's causally first writer, bound at the first barrier after
 	// the first write), or "migrate" (JIAJIA-style: the home chases
 	// the dominant writer at each barrier, with the state transfer
-	// priced on the wire). Only home-based engines ("home",
-	// "adaptive") consult homes; under "homeless" the policy is inert.
+	// priced on the wire). Only home units ("home", "adaptive")
+	// consult homes; under "homeless" the policy is inert.
 	// See PlacementNames for the full set.
 	Placement string
 	// Scale selects the engine's scaling representation
@@ -192,23 +192,20 @@ type System struct {
 	store *lrc.Store
 	col   *instrument.Collector
 
-	// The coherence engines of this configuration and the per-unit
-	// dispatch table: unitProto[u] indexes protos with unit u's current
-	// owner. Static protocols install one engine owning every unit;
-	// "adaptive" installs homeless and home and re-points units at
-	// barriers through policy.
-	protos    []Protocol
-	unitProto []uint8
-	policy    *adaptivePolicy
+	// The protocol, per unit: unitHome[u] says whether unit u is served
+	// by its home or by its writers (protocol.go). Static protocols set
+	// every bit alike; "adaptive" starts every unit homeless and flips
+	// bits at barriers through policy.
+	unitHome []bool
+	policy   *adaptivePolicy
 
 	// The home-placement layer: homeTable[u] is unit u's current home
-	// processor (consulted only by home-based engines), placement the
-	// policy that assigned it, and rehome whether barriers let the policy
-	// move homes mid-run (a home-based engine is installed and the
-	// policy may move homes; see rehomeUnit). lastBarrierVT is the
-	// previous barrier's merged vector time — the lower bound of the
-	// episode delta every grant and the decision pass share
-	// (finishEpisode).
+	// processor (consulted only for home units), placement the policy
+	// that assigned it, and rehome whether barriers let the policy move
+	// homes mid-run (units may be home and the policy may move homes;
+	// see rehomeUnit). lastBarrierVT is the previous barrier's merged
+	// vector time — the lower bound of the episode delta every grant and
+	// the decision pass share (finishEpisode).
 	placement     Placement
 	homeTable     []int32
 	rehome        bool
@@ -283,7 +280,7 @@ type System struct {
 	tune tuning
 
 	// homeCheck, when set (tests only, before Run), follows the home
-	// engine for an oracle (see homeChecker).
+	// units for an oracle (see homeChecker).
 	homeCheck homeChecker
 
 	// noticeCheck, when set (tests only, before Run), follows the write
@@ -291,7 +288,7 @@ type System struct {
 	noticeCheck noticeChecker
 }
 
-// homeChecker follows the home engine: flushed sees each diff a home
+// homeChecker follows the home units: flushed sees each diff a home
 // release flushes, on the releasing processor's goroutine before the
 // interval is published; handoff sees each unit the adaptive policy
 // switches homeless→home, inside the barrier gate, before the switch is
@@ -402,7 +399,7 @@ func (s *System) Reset() {
 // build installs what a run starts from, over the given (fresh or
 // reset) network model: zeroed network counters, an empty interval
 // store (a reset one keeps its storage), the placement policy and its
-// home table, the protocol engines, an empty episode index, a fresh
+// home table, the units' home bits, an empty episode index, a fresh
 // instrument collector, the barrier fabric and the locks. NewSystem and
 // Reset both call it, so a reset System is a freshly built one by
 // construction.
@@ -414,24 +411,23 @@ func (s *System) build(model netmodel.Model) {
 	} else {
 		s.store.Reset()
 	}
-	// Placement comes before the protocol setup (engines read homes only
-	// at run time); the rehoming step is enabled after it, only when a
-	// home-based engine is installed and the placement policy can
-	// actually move homes — under "rr"/"block" barriers pay nothing for
-	// the placement layer.
+	// The rehoming step is enabled only when units may be home and the
+	// placement policy can actually move homes — under "rr"/"block"
+	// barriers pay nothing for the placement layer.
 	s.placement = placements.Get(s.cfg.Placement)(s.cfg.Procs, s.numUnits)
 	s.homeTable = make([]int32, s.numUnits)
 	for u := range s.homeTable {
 		s.homeTable[u] = int32(s.placement.InitialHome(u))
 	}
 	s.lastBarrierVT = vc.New(s.cfg.Procs)
-	s.nRehomes, s.nRehomeBytes, s.rehome = 0, 0, false
-	protocols.Get(s.cfg.Protocol)(s)
-	for _, pr := range s.protos {
-		if _, ok := pr.(*homeProtocol); ok {
-			s.rehome = s.placement.MayRehome()
-		}
+	s.nRehomes, s.nRehomeBytes = 0, 0
+	mode := protocols.Get(s.cfg.Protocol)
+	s.unitHome = slices.Repeat([]bool{mode.home}, s.numUnits)
+	s.policy = nil
+	if mode.adaptive {
+		s.policy = newAdaptivePolicy(s.numUnits)
 	}
+	s.rehome = (mode.home || mode.adaptive) && s.placement.MayRehome()
 
 	// Episode numbers restart with the fabric: stamps of the run that
 	// ended would read as this run's.
@@ -462,7 +458,7 @@ func (s *System) build(model netmodel.Model) {
 // Release ends the System's life: every processor's page-sized storage
 // (replica frames, write-set buffers, diff-slab chunks) goes to mem's
 // recycler for the next System to take, and the interval store and
-// engines that point into it are dropped. Call it once the workload has been checked (a Result stays
+// what points into it are dropped. Call it once the workload has been checked (a Result stays
 // valid); a second call does nothing, and Run or Reset afterwards panic.
 // A System that is never released is simply collected.
 func (s *System) Release() {
@@ -473,7 +469,7 @@ func (s *System) Release() {
 		return
 	}
 	s.released = true
-	s.store, s.protos, s.policy, s.col = nil, nil, nil, nil
+	s.store, s.policy, s.col = nil, nil, nil
 	for _, p := range s.procs {
 		p.release()
 	}
@@ -486,13 +482,6 @@ func (s *System) Config() Config { return s.cfg }
 // is only mutated while every processor is blocked in a barrier (see
 // moveHome), so reads on processor goroutines are race-free.
 func (s *System) homeOf(u int) int { return int(s.homeTable[u]) }
-
-// unitIsHome reports whether unit u is currently owned by a home-based
-// engine — i.e. whether live home state exists for it.
-func (s *System) unitIsHome(u int) bool {
-	_, ok := s.protoOf(u).(*homeProtocol)
-	return ok
-}
 
 // sparseMode reports whether the engine runs the sparse representation
 // (epoch-relative stamps, deviation-driven deltas).
@@ -612,7 +601,7 @@ type Result struct {
 	// SwitchedUnits counts the units that changed protocol at least
 	// once, ProtocolSwitches the total switch events, UnitSwitches the
 	// per-unit switch counts (switched units only), and HomeUnits the
-	// units owned by the home-based engine at the end of the run.
+	// units that are home at the end of the run.
 	SwitchedUnits    int
 	ProtocolSwitches int
 	UnitSwitches     map[int]int
@@ -738,7 +727,7 @@ func (s *System) Run(body func(p *Proc)) *Result {
 	byKind := s.net.CountsByKind()
 	res.HandoffBytes = byKind[simnet.HomeHandoff].Bytes
 	if s.policy != nil {
-		s.policy.report(res, s.unitProto)
+		s.policy.report(res, s.unitHome)
 	}
 	if s.col != nil {
 		data := byKind[simnet.DiffRequest].Messages + byKind[simnet.DiffReply].Messages
