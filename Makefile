@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
+.PHONY: all test vet run-patterns networks placements serve loadtest docker profile alloc-check fuzz-smoke trace-smoke
 
 all: test
 
@@ -12,6 +12,12 @@ test:
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# run-patterns fails when an alternation term of a `go test -run`
+# pattern in the CI workflow names no Test or Fuzz function in that
+# command's packages: after a rename, such a step would pass on nothing.
+run-patterns:
+	$(GO) test -count=1 -run 'CIRunPatternsNameTests' ./internal/cicheck
 
 # profile runs the -networks sweep under the std runtime/pprof
 # collectors and prints the top CPU and allocation sinks. The raw

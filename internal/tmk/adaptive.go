@@ -120,16 +120,17 @@ func (a *adaptivePolicy) decide(s *System, u int, ivs []*lrc.Interval, contended
 	// homeless → home: the store already holds the unit's whole diff
 	// history, which is the home's versioned log, and a home fetch
 	// serves each post-barrier fetcher the writes it misses from it
-	// (homebased.go), so nothing is installed. Under a mobile placement
-	// the home itself migrates to the unit's causally last writer — the
-	// image already lives there, so nothing travels; under a static
-	// placement the fixed home must pull the unit's image from the last
-	// writer, priced by its size after the release (settleMoves).
+	// (fetch), so nothing is installed. Under a placement that chases
+	// the writers (migrate) the home itself moves to the unit's causally
+	// last writer — the image already lives there, so nothing travels;
+	// under any other placement the unit's home must pull the unit's
+	// image from the last writer, priced by its size after the release
+	// (settleMoves).
 	if c := s.homeCheck; c != nil {
 		c.handoff(u, merged)
 	}
 	last := ivs[len(ivs)-1].ID.Proc
-	if s.placement.Mobile() {
+	if s.place.move == chaseDominant {
 		if s.homeOf(u) != last {
 			s.moveHome(u, last, false)
 		}

@@ -280,7 +280,7 @@ func (s *System) IndexEvidence(delta []*lrc.Interval) []UnitEvidence {
 // per unit and in delta order, every interval of every delta it consumes
 // that it did not know, and a fetch of the unit takes the whole list.
 // The two must hold the same intervals in the order a fetch consumes
-// them: grouped by writer (planDiffs), each writer's in sequence order.
+// them: grouped by writer (a homeless plan), each writer's in sequence order.
 // Across writers the log is in publish order, which follows the host's
 // schedule, and the delta in causal order; neither is read.
 type MissingListCheck struct {

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/lrc"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/vc"
 )
 
 // The fetch paths' earlier gather, kept as the oracle for the
-// work-sized plans (planDiffs, planImages, planFlush): per-writer,
+// work-sized plans (plan, under both home bits, and planFlush): per-writer,
 // per-unit and per-page index tables sized by the processor and page
 // counts, invalidated by bumping a generation mark, and touched-peer
 // lists put in ascending order by insertion sort.
@@ -321,14 +322,15 @@ func tagAndSort(xs []exchange, items []fetchItem, self int, causal bool) []fetch
 	return inOrder(items, causal)
 }
 
-// sendAndTag sends the planned exchanges from processor self of sys, as
-// a fault's fetch does, and returns the items with the tags its
+// sendAndTag sends the exchanges planned in processor self's scratch of
+// sys, as a fault's fetch does, and returns the items with the tags its
 // collector gave them, counted from the fault's first exchange, in
 // application order.
-func sendAndTag(sys *System, self int, fs *fetchScratch, causal bool) []fetchItem {
+func sendAndTag(sys *System, self int, causal bool) []fetchItem {
 	first := sys.col.Exchanges(self)
-	sys.procs[self].sendExchanges(fs)
-	items := slices.Clone(fs.items)
+	p := sys.procs[self]
+	p.sendExchanges()
+	items := slices.Clone(p.fs.items)
 	for i := range items {
 		if items[i].tag != 0 {
 			items[i].tag -= first
@@ -344,10 +346,15 @@ func inOrder(items []fetchItem, causal bool) []fetchItem {
 	return items
 }
 
-func remote(xs []exchange, self int) []exchange {
+// remote returns the exchanges with peers other than self, priced: the
+// peer and the request and reply bytes alone, when priced is set.
+func remote(xs []exchange, self int, priced bool) []exchange {
 	var out []exchange
 	for _, x := range xs {
 		if x.peer != self {
+			if priced {
+				x = exchange{peer: x.peer, req: x.req, reply: x.reply}
+			}
 			out = append(out, x)
 		}
 	}
@@ -374,74 +381,131 @@ func sameItems(t *testing.T, c oracleCase, got, want []fetchItem) {
 	}
 }
 
-// TestFetchPlansMatchReference drives the work-sized plans and the
-// index-table gather over the same random missing-write sets, unit
-// sizes and writer/home counts up to 256, and requires the same
-// exchanges (peer order, request and reply bytes) and the same items
-// in application order, coalesced diffs included. The plans' exchanges
-// are sent through a collecting System, and every item must carry the
-// reference's tag: the items of one exchange share one tag, distinct
-// exchanges have distinct tags, and a local copy has none. One
-// fetchScratch serves every case, as one processor's does every fault.
+// TestFetchPlansMatchReference drives the work-sized fetch plan under
+// both home bits, and the flush plan, and the index-table gather over
+// the same random missing-write sets, unit sizes and writer/home counts
+// up to 256, and requires the same exchanges (peer order, request and
+// reply bytes) and the same items in application order, coalesced diffs
+// included. The plans' exchanges are sent through a collecting System,
+// and every item must carry the reference's tag: the items of one
+// exchange share one tag, distinct exchanges have distinct tags, and a
+// local copy has none. A home fetch must carry every missing diff,
+// uncoalesced, in its unit's home's exchange, and tag and charge every
+// page of every fetched unit whole. Each processor's scratch serves
+// every case it fetches for, as it does every fault.
 func TestFetchPlansMatchReference(t *testing.T) {
 	g := newDiffGen(rand.New(rand.NewSource(1)))
-	var fs fetchScratch
-	sys, err := NewSystem(Config{Procs: 256, SegmentBytes: mem.PageSize, Collect: true})
-	if err != nil {
-		t.Fatal(err)
+	// One System per unit size, with room for a case's pages (up to 48
+	// units): a home fetch tags them in the collector.
+	var systems [5]*System
+	for _, up := range []int{1, 2, 4} {
+		sys, err := NewSystem(Config{Procs: 256, UnitPages: up, SegmentBytes: 48 * up * mem.PageSize, Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[up] = sys
 	}
 	coalesced, local := 0, 0
 	for i := 0; i < 400; i++ {
 		procs := []int{2, 3, 8, 64, 256}[i%5]
 		up := []int{1, 2, 4}[i%3]
+		sys := systems[up]
 		c := newOracleCase(g, procs, up)
 		numPages := c.numUnits * up
-
-		// Homeless: needs queued in fault order, as Fetch does.
-		fs.needs = fs.needs[:0]
-		diffs := 0
+		p := sys.procs[c.self]
+		fs := &p.fs
+		// Needs queued in fault order, as a fault's fetch does, for the
+		// units with missing writes.
+		var fetched []int
 		for _, u := range c.units {
-			if m := c.miss[u]; len(m) > 0 {
-				fs.addNeeds(u, m)
-				for _, iv := range m {
-					diffs += len(iv.DiffsInUnit(u, up))
-				}
+			if len(c.miss[u]) > 0 {
+				fetched = append(fetched, u)
 			}
 		}
-		fs.planDiffs(up)
+		plan := func(home bool) {
+			fs.needs = fs.needs[:0]
+			for _, u := range fetched {
+				peer := -1
+				if home {
+					peer = c.homeOf[u]
+				}
+				fs.addNeeds(u, c.miss[u], peer)
+			}
+			fs.plan(up, home)
+		}
+
+		// Homeless: every missing write from its writer.
+		plan(false)
+		diffs := 0
+		for _, u := range fetched {
+			for _, iv := range c.miss[u] {
+				diffs += len(iv.DiffsInUnit(u, up))
+			}
+		}
 		coalesced += diffs - len(fs.items)
 		wantXs, wantItems := refPlanDiffs(procs, numPages, up, c.units, c.miss)
 		if !slices.Equal(fs.xs, wantXs) {
 			t.Fatalf("%v: homeless exchanges %v, reference %v", c, fs.xs, wantXs)
 		}
-		sameItems(t, c, sendAndTag(sys, c.self, &fs, true), tagAndSort(wantXs, wantItems, c.self, true))
+		sameItems(t, c, sendAndTag(sys, c.self, true), tagAndSort(wantXs, wantItems, c.self, true))
 
-		// Home fetch: every fetched unit from its home.
-		fs.peers = fs.peers[:0]
-		for _, u := range c.units {
-			fs.peers = append(fs.peers, peerWork{peer: c.homeOf[u], n: u})
-		}
-		fs.planImages(up)
-		wantXs, wantItems = refPlanImages(c.self, procs, up, c.units, c.homeOf)
+		// Home: every fetched unit from its home.
+		plan(true)
+		wantXs, wantPages := refPlanImages(c.self, procs, up, fetched, c.homeOf)
 		local += len(fs.xs) - len(wantXs)
-		if got := remote(fs.xs, c.self); !slices.Equal(got, wantXs) {
-			t.Fatalf("%v: home exchanges %v, reference %v", c, got, wantXs)
+		if got, want := remote(fs.xs, c.self, true), remote(wantXs, c.self, true); !slices.Equal(got, want) {
+			t.Fatalf("%v: home exchanges %v, reference %v", c, got, want)
 		}
-		sameItems(t, c, sendAndTag(sys, c.self, &fs, false), tagAndSort(wantXs, wantItems, c.self, false))
+		first := sys.col.Exchanges(c.self)
+		gotItems := sendAndTag(sys, c.self, true)
+		wantPages = tagAndSort(wantXs, wantPages, c.self, false)
+		pageTag := map[int]int32{}
+		for _, it := range wantPages {
+			pageTag[it.page] = it.tag
+		}
+		wantItems = nil
+		for _, u := range fetched {
+			for _, iv := range c.miss[u] {
+				sum, prc, sq := iv.CausalKey()
+				for _, pd := range iv.DiffsInUnit(u, up) {
+					wantItems = append(wantItems, fetchItem{page: pd.Page, d: pd.D, sum: sum, prc: prc, sq: sq, tag: pageTag[pd.Page]})
+				}
+			}
+		}
+		sameItems(t, c, gotItems, inOrder(wantItems, true))
+		for _, it := range wantPages {
+			if row := sys.col.TagRow(c.self, it.page); row != nil {
+				clear(row[:])
+			}
+		}
+		before := p.clock.Now()
+		p.takePages()
+		if got, want := p.clock.Now()-before, sim.Duration(len(wantPages)*mem.WordsPerPage)*sys.cost.ApplyPerWord; got != want {
+			t.Fatalf("%v: home pages charged %v, want %v for %d pages", c, got, want, len(wantPages))
+		}
+		for _, it := range wantPages {
+			var got int32
+			if row := sys.col.TagRow(c.self, it.page); row != nil && row[0] != 0 {
+				got = row[0] - first
+			}
+			if got != it.tag {
+				t.Fatalf("%v: page %d arrives whole in exchange %d, reference %d", c, it.page, got, it.tag)
+			}
+		}
 
 		// Home release: one random diff per page of the fetched units
 		// stands in for one interval's diffs.
 		var flushed []lrc.PageDiff
-		fs.peers = fs.peers[:0]
+		fs.xs = fs.xs[:0]
 		for _, u := range c.units {
 			for s := 0; s < up; s++ {
 				pd := lrc.PageDiff{Page: u*up + s, D: g.diff()}
 				flushed = append(flushed, pd)
-				fs.peers = append(fs.peers, peerWork{peer: c.homeOf[u], n: pd.D.WireBytes()})
+				fs.xs = append(fs.xs, exchange{peer: c.homeOf[u], req: pd.D.WireBytes()})
 			}
 		}
 		fs.planFlush()
-		if got, want := remote(fs.xs, c.self), refPlanFlush(c.self, procs, up, flushed, c.homeOf); !slices.Equal(got, want) {
+		if got, want := remote(fs.xs, c.self, false), refPlanFlush(c.self, procs, up, flushed, c.homeOf); !slices.Equal(got, want) {
 			t.Fatalf("%v: flushes %v, reference %v", c, got, want)
 		}
 	}

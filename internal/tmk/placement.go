@@ -7,134 +7,64 @@ import (
 	"repro/internal/simnet"
 )
 
-// Placement decides the home processor of every consistency unit for
-// the home units' flushes and fetches: the initial assignment at
-// construction, and an optional rehoming decision at each barrier. The
-// home table itself is System-owned per-unit state (homeTable, like the
-// units' home bits), so the static home protocol and the adaptive
-// hybrid share one rehoming path; a Placement only supplies the policy.
-//
-// Placement instances serve one System build (Reset constructs fresh
-// ones) and are consulted only while every processor is blocked in a
-// barrier, so they need no internal synchronization.
-type Placement interface {
-	// InitialHome returns unit u's home at construction.
-	InitialHome(u int) int
-
-	// Rehome is consulted at a barrier for every unit written during
-	// the phase that just ended: given the unit, its current home, and
-	// the phase's writer evidence, it returns the unit's home for the
-	// next phase and whether the move transfers home state over the
-	// wire (a priced exchange from the old home) or is a free binding
-	// (first-touch resolution, which assigns a home that never held
-	// state worth moving). Returning home == cur means no move.
-	Rehome(u, cur int, ev PhaseWriters) (home int, transfer bool)
-
-	// MayRehome reports whether Rehome can ever move a home. A policy
-	// returning false ("rr", "block") costs nothing at barriers: the
-	// barrier's decision pass never consults it, and unless the adaptive
-	// policy is installed no episode runs are built for it — the
-	// pre-placement-layer engine's exact behavior.
-	MayRehome() bool
-
-	// Mobile reports whether the policy may move homes after
-	// construction. The adaptive protocol uses it to cheapen its
-	// homeless→home handoff: under a mobile placement the home migrates
-	// to the unit's last writer — where the image already lives — so no
-	// image travels; under a static placement the (fixed) home must
-	// pull the image from the last writer (DESIGN.md §8, §9).
-	Mobile() bool
+// A placement rule decides the home processor of every consistency
+// unit for the home units' flushes and fetches: the initial assignment
+// at build, and how a home may move at barriers. The home table and
+// the rule's per-unit state are System-owned (homeTable, homeState) and
+// written only while every processor is blocked in a barrier, so the
+// static home protocol and the adaptive hybrid share one rehoming path
+// (rehomeUnit).
+type placementRule struct {
+	// block starts homes in contiguous bands — nprocs nearly equal
+	// ranges of units, matching the banded data decompositions most of
+	// the paper's applications use — instead of round-robin
+	// (u % nprocs, the paper-era assignment).
+	block bool
+	move  homeMove
 }
 
-// PhaseWriters is one unit's writer evidence for the barrier phase
-// that just ended, read from the unit's run of the episode index (the
-// episode delta's intervals that wrote it, in causal order) —
-// deterministic regardless of goroutine scheduling.
-type PhaseWriters struct {
-	// First is the causally first processor to write the unit this
-	// phase.
-	First int
-	// Dominant is the processor that closed the most intervals on the
-	// unit this phase (ties resolved toward the lowest processor id).
-	Dominant int
-}
+// homeMove is how a placement may move homes after build.
+type homeMove uint8
+
+const (
+	// stay never moves a home: barriers pay nothing for placement.
+	stay homeMove = iota
+	// bindFirst binds each unit, once, to the causally first processor
+	// that wrote it, at the first barrier after the unit's first write
+	// (reads do not publish intervals, so "first toucher" means first
+	// writer; the §5.4 applications write what they own). The binding
+	// is free: it is an assignment, not a migration — the real systems
+	// it models bind the home at the first fault, before any home state
+	// exists (the provisional home's flushes of the resolving phase are
+	// the one-phase distortion DESIGN.md §9 accounts for).
+	bindFirst
+	// chaseDominant is JIAJIA-style home migration: a unit whose phase
+	// writes were dominated by the same processor — not its current
+	// home — for migrateHysteresis consecutive evidence phases moves
+	// there, the move priced as a wire transfer of the unit's home state
+	// (the new home pulls the versioned image from the old home). Homes
+	// chase the writers, so sustained single-writer phases make that
+	// writer's flushes local, while alternating-writer units (stencil
+	// boundaries) never show stable dominance and stay put. The home
+	// lives where the writes are, so the adaptive protocol's
+	// homeless→home switch moves it to the last writer instead of
+	// pulling the image there (DESIGN.md §8, §9).
+	chaseDominant
+)
 
 // DefaultPlacement is the paper-era static assignment: round-robin.
 const DefaultPlacement = "rr"
 
-// placements is the placement axis: each name's factory builds a policy
-// instance for one System build.
-var placements = registry.New("placement", "placement", DefaultPlacement, map[string]func(nprocs, nunits int) Placement{
-	"rr": func(nprocs, nunits int) Placement {
-		return rrPlacement{nprocs: nprocs}
-	},
-	"block": func(nprocs, nunits int) Placement {
-		return blockPlacement{nprocs: nprocs, nunits: nunits}
-	},
-	"firsttouch": func(nprocs, nunits int) Placement {
-		return &firstTouchPlacement{nprocs: nprocs, resolved: make([]bool, nunits)}
-	},
-	"migrate": func(nprocs, nunits int) Placement {
-		return &migratePlacement{
-			nprocs:  nprocs,
-			lastDom: make([]int32, nunits),
-			streak:  make([]uint8, nunits),
-		}
-	},
+// placements is the placement axis.
+var placements = registry.New("placement", "placement", DefaultPlacement, map[string]placementRule{
+	"rr":         {},
+	"block":      {block: true},
+	"firsttouch": {move: bindFirst},
+	"migrate":    {move: chaseDominant},
 })
 
 // PlacementNames returns the placement names, sorted.
 func PlacementNames() []string { return placements.Names() }
-
-// rrPlacement is the paper-era default: unit u lives on processor
-// u % nprocs, forever. Bit-identical to the pre-placement engine.
-type rrPlacement struct{ nprocs int }
-
-func (p rrPlacement) InitialHome(u int) int { return u % p.nprocs }
-func (rrPlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
-	return cur, false
-}
-func (rrPlacement) MayRehome() bool { return false }
-func (rrPlacement) Mobile() bool    { return false }
-
-// blockPlacement assigns contiguous unit ranges to processors —
-// nprocs nearly equal bands, matching the banded data decompositions
-// most of the paper's applications use.
-type blockPlacement struct{ nprocs, nunits int }
-
-func (p blockPlacement) InitialHome(u int) int {
-	return u * p.nprocs / p.nunits
-}
-func (blockPlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
-	return cur, false
-}
-func (blockPlacement) MayRehome() bool { return false }
-func (blockPlacement) Mobile() bool    { return false }
-
-// firstTouchPlacement starts from the round-robin assignment and binds
-// each unit, once, to the causally first processor that wrote it —
-// resolved deterministically at the first barrier after the unit's
-// first write (reads do not publish intervals, so "first toucher"
-// means first writer; the §5.4 applications write what they own). The
-// binding is free: it is an assignment, not a migration — the real
-// systems it models bind the home at the first fault, before any home
-// state exists (the provisional home's flushes of the resolving phase
-// are the one-phase distortion DESIGN.md §9 accounts for).
-type firstTouchPlacement struct {
-	nprocs   int
-	resolved []bool
-}
-
-func (p *firstTouchPlacement) InitialHome(u int) int { return u % p.nprocs }
-func (p *firstTouchPlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
-	if p.resolved[u] {
-		return cur, false
-	}
-	p.resolved[u] = true
-	return ev.First, false
-}
-func (*firstTouchPlacement) MayRehome() bool { return true }
-func (*firstTouchPlacement) Mobile() bool    { return false }
 
 // migrateHysteresis is the number of consecutive evidence phases the
 // same non-home processor must dominate a unit's writes before the
@@ -145,41 +75,31 @@ func (*firstTouchPlacement) Mobile() bool    { return false }
 // (switchHysteresis).
 const migrateHysteresis = 2
 
-// migratePlacement is JIAJIA-style home migration: homes start
-// round-robin (the paper-era assignment), and a unit whose phase
-// writes were dominated by the same processor — not its current home —
-// for migrateHysteresis consecutive evidence phases moves there, the
-// move priced as a wire transfer of the unit's home state (the new
-// home pulls the versioned image from the old home). Homes chase the
-// writers, so sustained single-writer phases make that writer's
-// flushes local, while alternating-writer units (stencil boundaries)
-// never show stable dominance and stay put.
-type migratePlacement struct {
-	nprocs  int
-	lastDom []int32
-	streak  []uint8
+// unitHomeState is a moving rule's state for one unit: first-touch has
+// bound it, and (migrate) the last writer to dominate its phase writes
+// without homing it, for streak evidence phases in a row.
+type unitHomeState struct {
+	bound   bool
+	streak  uint8
+	lastDom int32
 }
 
-func (p *migratePlacement) InitialHome(u int) int { return u % p.nprocs }
-func (p *migratePlacement) Rehome(u, cur int, ev PhaseWriters) (int, bool) {
-	if ev.Dominant == cur {
-		p.streak[u] = 0
-		return cur, false
+// placeHomes fills the home table with the rule's initial homes and
+// clears a moving rule's state, in storage a reset System keeps (the
+// table is made with the System).
+func (s *System) placeHomes() {
+	for u := range s.homeTable {
+		if s.place.block {
+			s.homeTable[u] = int32(u * s.cfg.Procs / s.numUnits)
+		} else {
+			s.homeTable[u] = int32(u % s.cfg.Procs)
+		}
 	}
-	if int(p.lastDom[u]) != ev.Dominant {
-		p.lastDom[u] = int32(ev.Dominant)
-		p.streak[u] = 1
-	} else if p.streak[u] < migrateHysteresis {
-		p.streak[u]++
+	if s.homeState == nil && s.place.move != stay {
+		s.homeState = make([]unitHomeState, s.numUnits)
 	}
-	if p.streak[u] < migrateHysteresis {
-		return cur, false
-	}
-	p.streak[u] = 0
-	return ev.Dominant, true
+	clear(s.homeState)
 }
-func (*migratePlacement) MayRehome() bool { return true }
-func (*migratePlacement) Mobile() bool    { return true }
 
 // --- the System-side rehoming step ----------------------------------------
 
@@ -215,40 +135,52 @@ func (p *Proc) settleMoves() {
 // migration and an adaptive handoff both carry it.
 func (s *System) unitStateBytes() int { return s.cfg.UnitPages * mem.FullPageWireBytes }
 
-// rehomeUnit applies the placement policy to unit u, written during the
+// rehomeUnit applies the placement rule to unit u, written during the
 // episode that just ended by ivs (its run of the episode index), after
 // the adaptive policy decided u (switched: it flipped u's home bit at
 // this barrier). Called by decideUnits, inside the gate, only when
-// units may be home and the policy may move homes.
+// units may be home and the rule may move homes.
 func (s *System) rehomeUnit(u int, ivs []*lrc.Interval, switched bool) {
-	home := s.unitHome[u]
-	// A mobile policy chases live home state, so it is consulted only
-	// for units that are home and whose bit the adaptive policy did not
-	// just flip: a freshly claimed unit was placed at its last writer by
-	// the switch itself, a freshly relinquished (or
-	// still-homeless) one has no home state worth chasing — and skipping
-	// the consult keeps the policy's dominance streaks from being
-	// consumed on decisions that could not apply. Binding policies
-	// (first-touch) are always consulted: a binding is free, valid for
-	// homeless-owned units (it decides where a later switch homes them),
-	// and must see the unit's true first-write evidence even when the
-	// adaptive policy switched the unit at this same barrier.
-	if s.placement.Mobile() && (!home || switched) {
-		return
-	}
 	cur := s.homeOf(u)
-	ev := PhaseWriters{First: ivs[0].ID.Proc, Dominant: dominantWriter(ivs, s.procScratch)}
-	nh, transfer := s.placement.Rehome(u, cur, ev)
-	if nh == cur || nh < 0 || nh >= s.cfg.Procs {
-		return
+	switch s.place.move {
+	case bindFirst:
+		// A binding is free, valid for homeless units (it decides where
+		// a later switch homes them), and must see the unit's true
+		// first-write evidence even when the adaptive policy switched
+		// the unit at this same barrier.
+		if st := &s.homeState[u]; !st.bound {
+			st.bound = true
+			if first := ivs[0].ID.Proc; first != cur {
+				s.moveHome(u, first, false)
+			}
+		}
+	case chaseDominant:
+		// Migration chases live home state, so it considers only units
+		// that are home and whose bit the adaptive policy did not just
+		// flip: a freshly claimed unit was placed at its last writer by
+		// the switch itself, a freshly relinquished (or still-homeless)
+		// one has no home state worth chasing — and skipping it keeps
+		// the dominance streaks from being consumed on decisions that
+		// could not apply.
+		if !s.unitHome[u] || switched {
+			return
+		}
+		st, dom := &s.homeState[u], dominantWriter(ivs, s.procScratch)
+		if dom == cur {
+			st.streak = 0
+			return
+		}
+		if int(st.lastDom) != dom {
+			st.lastDom, st.streak = int32(dom), 1
+		} else if st.streak < migrateHysteresis {
+			st.streak++
+		}
+		if st.streak < migrateHysteresis {
+			return
+		}
+		st.streak = 0
+		s.moveHome(u, dom, true)
 	}
-	if transfer && !home {
-		// No live home state to move (a non-mobile policy asked for a
-		// transfer on a homeless-owned unit): nothing to price, nothing
-		// to decide.
-		return
-	}
-	s.moveHome(u, nh, transfer)
 }
 
 // moveHome is every home change after construction: unit u's home
@@ -274,12 +206,11 @@ func (s *System) moveHome(u, to int, transfer bool) {
 // going to the lowest processor id. count is zeroed scratch with one
 // entry per processor, and is left zeroed.
 func dominantWriter(ivs []*lrc.Interval, count []int32) int {
-	for _, iv := range ivs {
-		count[iv.ID.Proc]++
-	}
 	best, bestN := -1, int32(0)
 	for _, iv := range ivs {
-		if q, n := iv.ID.Proc, count[iv.ID.Proc]; n > bestN || n == bestN && q < best {
+		q := iv.ID.Proc
+		count[q]++
+		if n := count[q]; n > bestN || n == bestN && q < best {
 			best, bestN = q, n
 		}
 	}

@@ -94,7 +94,6 @@ type Proc struct {
 	diffsBuf  []lrc.PageDiff  // closeInterval: non-empty diffs
 	deltaBuf  []*lrc.Interval // applyAcquireStamp: store delta (lock grants)
 	faultUnit [1]int          // readFault: single-unit fetch list
-	owned     []int           // fetch: the units of one kind, when a group spans both
 	fs        fetchScratch    // fetch and flush scratch
 	arena     vc.StampArena   // sparse-stamp deviation storage (reset per trial)
 	vtScratch vc.Time         // applyAcquireStamp: dense materialization

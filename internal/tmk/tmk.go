@@ -200,14 +200,16 @@ type System struct {
 	policy   *adaptivePolicy
 
 	// The home-placement layer: homeTable[u] is unit u's current home
-	// processor (consulted only for home units), placement the policy
-	// that assigned it, and rehome whether barriers let the policy move
-	// homes mid-run (units may be home and the policy may move homes;
-	// see rehomeUnit). lastBarrierVT is the previous barrier's merged
-	// vector time — the lower bound of the episode delta every grant and
-	// the decision pass share (finishEpisode).
-	placement     Placement
+	// processor (consulted only for home units), place the rule that
+	// assigned it, and rehome whether barriers let the rule move homes
+	// mid-run (units may be home and the rule may move homes; see
+	// rehomeUnit), with the rule's per-unit state in homeState.
+	// lastBarrierVT is the previous barrier's merged vector time — the
+	// lower bound of the episode delta every grant and the decision pass
+	// share (finishEpisode).
+	place         placementRule
 	homeTable     []int32
+	homeState     []unitHomeState
 	rehome        bool
 	lastBarrierVT vc.Time
 	nRehomes      int
@@ -368,6 +370,7 @@ func newSystem(cfg Config, tune tuning) (*System, error) {
 		locks:    make([]*lock, cfg.Locks),
 	}
 	s.numUnits = s.numPages / cfg.UnitPages
+	s.homeTable = make([]int32, s.numUnits)
 	s.build(model)
 	s.procs = make([]*Proc, cfg.Procs)
 	for p := range s.procs {
@@ -398,11 +401,11 @@ func (s *System) Reset() {
 
 // build installs what a run starts from, over the given (fresh or
 // reset) network model: zeroed network counters, an empty interval
-// store (a reset one keeps its storage), the placement policy and its
-// home table, the units' home bits, an empty episode index, a fresh
-// instrument collector, the barrier fabric and the locks. NewSystem and
-// Reset both call it, so a reset System is a freshly built one by
-// construction.
+// store (a reset one keeps its storage), the placement rule and its
+// home table (kept likewise), the units' home bits, an empty episode
+// index, a fresh instrument collector, the barrier fabric and the
+// locks. NewSystem and Reset both call it, so a reset System is a
+// freshly built one by construction.
 func (s *System) build(model netmodel.Model) {
 	s.net = simnet.NewWithModel(s.cost, model)
 	if s.store == nil {
@@ -411,14 +414,8 @@ func (s *System) build(model netmodel.Model) {
 	} else {
 		s.store.Reset()
 	}
-	// The rehoming step is enabled only when units may be home and the
-	// placement policy can actually move homes — under "rr"/"block"
-	// barriers pay nothing for the placement layer.
-	s.placement = placements.Get(s.cfg.Placement)(s.cfg.Procs, s.numUnits)
-	s.homeTable = make([]int32, s.numUnits)
-	for u := range s.homeTable {
-		s.homeTable[u] = int32(s.placement.InitialHome(u))
-	}
+	s.place = placements.Get(s.cfg.Placement)
+	s.placeHomes()
 	s.lastBarrierVT = vc.New(s.cfg.Procs)
 	s.nRehomes, s.nRehomeBytes = 0, 0
 	mode := protocols.Get(s.cfg.Protocol)
@@ -427,7 +424,10 @@ func (s *System) build(model netmodel.Model) {
 	if mode.adaptive {
 		s.policy = newAdaptivePolicy(s.numUnits)
 	}
-	s.rehome = (mode.home || mode.adaptive) && s.placement.MayRehome()
+	// The rehoming step is enabled only when units may be home and the
+	// rule can actually move homes — under "rr"/"block" barriers pay
+	// nothing for the placement layer.
+	s.rehome = (mode.home || mode.adaptive) && s.place.move != stay
 
 	// Episode numbers restart with the fabric: stamps of the run that
 	// ended would read as this run's.
@@ -458,9 +458,10 @@ func (s *System) build(model netmodel.Model) {
 // Release ends the System's life: every processor's page-sized storage
 // (replica frames, write-set buffers, diff-slab chunks) goes to mem's
 // recycler for the next System to take, and the interval store and
-// what points into it are dropped. Call it once the workload has been checked (a Result stays
-// valid); a second call does nothing, and Run or Reset afterwards panic.
-// A System that is never released is simply collected.
+// what points into it are dropped. Call it once the workload has been
+// checked (a Result stays valid); a second call does nothing, and Run or
+// Reset afterwards panic. A System that is never released is simply
+// collected.
 func (s *System) Release() {
 	if s.running {
 		panic("tmk: Release during Run")
